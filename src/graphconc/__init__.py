@@ -18,15 +18,14 @@ from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
                      load_graph, max_expected_degree, max_rate,
                      model_from_dict, model_to_dict, sample, sample_directed,
                      save_graph)
-from .operators import (LinearOp, adjacency_op, centered_adjacency_op,
-                        compose_difference, gram_op, identity_op, op_combine,
-                        op_scale, restrict, restrict_edges, tau_shift_op)
+from .operators import (LinearOp, compose_difference, identity_op, op_combine,
+                        restrict)
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
                          apply_scheme, average_degree, degrees,
                          expected_laplacian, high_degree_set, laplacian,
                          proportional_reweight, remove_vertices, tau_shift,
                          trim_edges)
-from .spectral import (full_spectrum, inf_to_2_norm_exact,
+from .spectral import (DENSE_SOLVE_LIMIT, full_spectrum, inf_to_2_norm_exact,
                        inf_to_2_norm_lower, l1_operator_bound,
                        l2_sparsity_bound, spectral_norm, top_k_eigs)
 from .pietsch import GPCertificate, PietschWeights, gp_submatrix, gp_weights

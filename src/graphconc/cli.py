@@ -41,9 +41,11 @@ from .reports import (ExperimentReport, run_trials, summarize, write_csv,
                       write_histogram)
 from .spectral import full_spectrum, inf_to_2_norm_exact, spectral_norm
 
-# experiment-scale solver settings: semicircle-edge convergence is slow
-# (relative gaps ~ n^{-2/3}), and 1e-5 relative accuracy is far below
-# the +/-15 % windows the reports are judged against.
+# experiment-scale solver settings: NORM_TOL is the relative residual
+# spectral_norm certifies, far below the +/-15 % windows the reports
+# are judged against; NORM_MAX_ITER caps ARPACK's restart cycles (each
+# one ncv = 20 Lanczos steps), generous for semicircle-edge spectra
+# whose relative gaps shrink like n^{-2/3}.
 NORM_TOL = 1e-5
 NORM_MAX_ITER = 20000
 
@@ -297,38 +299,42 @@ def cmd_sbm(cfg, ctx):
         rec = {"trial": t, "tau": tau}
         try:
             chk = davis_kahan_check(g, model, tau, tol=cfg.detect_tol)
-            labels = chk["labels"]
-            rec.update({
-                "mis": misclassification(labels, truth), "converged": True,
-                "delta": chk["delta"], "gap_valid": chk["gap_valid"],
-                "norm_diff": chk["norm_diff"], "distance": chk["distance"],
-                "bound": chk["bound"] if np.isfinite(chk["bound"]) else None,
-                "dk_holds": chk["holds"],
-                "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]})
         except NoConvergence as exc:
-            # best-effort labels from the last Ritz vector; flagged
+            # detect failed: best-effort labels from the converged Ritz
+            # vectors, if any; flagged
             if exc.best is not None:
-                v2 = np.asarray(exc.best[1])[:, 0]
-                est = np.where(v2 >= 0, 1, -1)
+                est = np.where(np.asarray(exc.best[1])[:, 0] >= 0, 1, -1)
             else:
                 est = np.ones(cfg.n, dtype=np.int8)
             rec.update({"mis": misclassification(est, truth),
                         "converged": False, "delta": None, "gap_valid": False,
                         "norm_diff": None, "distance": None, "bound": None,
                         "dk_holds": True, "lam2": None, "lam3": None})
+            return rec
+        # a norm solve that did not converge keeps the detect results;
+        # its bound is unmeasured and dk_holds vacuously True
+        rec.update({
+            "mis": misclassification(chk["labels"], truth),
+            "converged": chk["norm_diff"] is not None,
+            "delta": chk["delta"], "gap_valid": chk["gap_valid"],
+            "norm_diff": chk["norm_diff"], "distance": chk["distance"],
+            "bound": chk["bound"] if np.isfinite(chk["bound"]) else None,
+            "dk_holds": chk["holds"],
+            "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]})
         return rec
 
     trials = run_trials(one, ctx.trials, ctx.threads)
-    gap_valid = [t for t in trials if t["gap_valid"]]
+    # the Davis-Kahan flag covers the trials where the bound was measured
+    checked = [t for t in trials if t["gap_valid"] and t["converged"]]
     return ExperimentReport(
         command="sbm", parameters={}, seeds={}, trials=trials,
         summary={"mis": summarize([t["mis"] for t in trials]),
                  "norm_diff": summarize([t["norm_diff"] for t in trials
                                          if t["norm_diff"] is not None]),
-                 "gap_valid_trials": len(gap_valid)},
+                 "gap_valid_trials": len(checked)},
         flags={"all_converged": all(t["converged"] for t in trials),
                "dk_holds_every_gap_valid_trial":
-                   all(t["dk_holds"] for t in gap_valid)})
+                   all(t["dk_holds"] for t in checked)})
 
 
 def cmd_decompose(cfg, ctx):
@@ -478,7 +484,7 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     report.wall_clock_s = time.perf_counter() - start
     report.parameters = params
     report.seeds = {"master_seed": seed,
-                    "streams": list(range(trials))}
+                    "streams": list(range(len(report.trials)))}
     report.write(out_dir)
     return report
 

@@ -45,8 +45,9 @@ class NoConvergence(GraphconcError):
     """Raised when an iterative eigensolver fails to meet its tolerance.
 
     Carries the best estimate found so far in ``best`` (solver dependent:
-    a float for norm estimates, an (eigenvalues, eigenvectors) pair for
-    eigenpair solvers) so callers can decide whether to use it anyway.
+    a float for norm estimates, an (eigenvalues, eigenvectors) pair or
+    None for eigenpair solvers) so callers can decide whether to use it
+    anyway.
     """
 
     def __init__(self, message, best=None):

@@ -1,6 +1,6 @@
 """Matrix-free linear operators.
 
-Everything downstream (norm estimation, Lanczos, the factorization
+Everything downstream (norm estimation, eigensolvers, the factorization
 routines) consumes the small ``LinearOp`` wrapper below, so dense
 arrays, scipy sparse matrices and structured closures are
 interchangeable.  ``matvec``/``rmatvec`` act on 1-d float vectors.
@@ -80,11 +80,6 @@ def identity_op(n):
     return LinearOp(n, n, lambda x: x.copy(), symmetric=True)
 
 
-def adjacency_op(g):
-    """Adjacency of a SparseGraph as a LinearOp."""
-    return LinearOp.from_csr(g.to_csr(), symmetric=not g.directed)
-
-
 def op_combine(a, b, alpha=1.0, beta=1.0):
     """alpha * a + beta * b."""
     if a.shape != b.shape:
@@ -98,40 +93,6 @@ def op_combine(a, b, alpha=1.0, beta=1.0):
 def compose_difference(a, b):
     """The deviation operator a - b."""
     return op_combine(a, b, 1.0, -1.0)
-
-
-def op_scale(a, alpha):
-    return LinearOp(a.n_rows, a.n_cols, lambda x: alpha * a.matvec(x),
-                    lambda x: alpha * a.rmatvec(x), symmetric=a.symmetric)
-
-
-def gram_op(a):
-    """a^T a, symmetric PSD on the column space."""
-    return LinearOp(a.n_cols, a.n_cols, lambda x: a.rmatvec(a.matvec(x)),
-                    symmetric=True)
-
-
-def centered_adjacency_op(g, model):
-    """A - EA for a sample of the given model."""
-    from .models import expected_adjacency
-
-    return compose_difference(adjacency_op(g), expected_adjacency(model))
-
-
-def tau_shift_op(op, tau):
-    """A + (tau/n) 11^T, diagonal included."""
-    n = op.n_rows
-    if op.n_cols != n:
-        raise DimensionMismatch("tau shift needs a square operator")
-    c = tau / n
-
-    def mv(x):
-        return op.matvec(x) + c * x.sum()
-
-    def rmv(x):
-        return op.rmatvec(x) + c * x.sum()
-
-    return LinearOp(n, n, mv, rmv, symmetric=op.symmetric)
 
 
 def restrict(op, rows=None, cols=None):
@@ -163,16 +124,3 @@ def restrict(op, rows=None, cols=None):
 
     sym = op.symmetric and row_mask.shape == col_mask.shape and np.array_equal(row_mask, col_mask)
     return LinearOp(op.n_rows, op.n_cols, mv, rmv, symmetric=sym)
-
-
-def restrict_edges(op, mask):
-    """B_N for a general edge subset N, given as a dense boolean mask.
-
-    Densifies the operator, so this is a desk-scale tool; product-set
-    restrictions should use ``restrict``.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != op.shape:
-        raise DimensionMismatch("mask shape must match the operator")
-    M = op.to_dense() * mask
-    return LinearOp.from_dense(M)

@@ -76,7 +76,16 @@ def _scaled_op(B, mu, col_live):
 
 
 def _top_pair(B, mu, col_live, v0, iters=80, tol=1e-9):
-    """Warm-started power iteration for lambda_max of the scaled Gram."""
+    """Warm-started power iteration for lambda_max of the scaled Gram.
+
+    Not a norm solve: mirror descent only needs an inexact subgradient
+    oracle, and mu moves little per step, so the previous vector is a
+    near-converged start.  Along a 120-step descent on a 250 x 256
+    centred Bernoulli(8/256) block (2-core Xeon VM, one BLAS thread)
+    this took 1.9 ms per step, against 2.8 ms for eigsh warm-started
+    from the same vector and 7.6 ms for a dense eigh, so it stays; the
+    certified value is re-evaluated by spectral_norm after the descent.
+    """
     s = np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
     v = v0
     lam = 0.0

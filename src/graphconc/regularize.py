@@ -148,6 +148,18 @@ def adjacency_shifted_op(x):
     return LinearOp(g.n, g.n, mv, mv, symmetric=not g.directed)
 
 
+def _normalized_laplacian(adj_matvec, d, tau):
+    """I - D^{-1/2} (A + (tau/n) 11^T) D^{-1/2} for A given by its matvec."""
+    inv_sqrt = 1.0 / np.sqrt(d)
+    c = tau / d.size
+
+    def mv(v):
+        y = inv_sqrt * v
+        return v - inv_sqrt * (adj_matvec(y) + c * y.sum())
+
+    return LinearOp(d.size, d.size, mv, mv, symmetric=True)
+
+
 def laplacian(x):
     """Normalized Laplacian L = I - D^{-1/2} A D^{-1/2} as a LinearOp.
 
@@ -165,15 +177,7 @@ def laplacian(x):
         bad = int(np.argmin(d)) if d.size else 0
         raise ZeroDegree(f"vertex {bad} has zero shifted degree; regularize first")
     A = g.to_csr()
-    inv_sqrt = 1.0 / np.sqrt(d)
-    c = tau / g.n
-
-    def mv(v):
-        y = inv_sqrt * v
-        z = A @ y + c * y.sum()
-        return v - inv_sqrt * z
-
-    return LinearOp(g.n, g.n, mv, mv, symmetric=True)
+    return _normalized_laplacian(lambda y: A @ y, d, tau)
 
 
 def expected_laplacian(model, tau):
@@ -181,16 +185,7 @@ def expected_laplacian(model, tau):
     dbar = model.expected_degrees() + tau
     if dbar.size == 0 or dbar.min() <= 0.0:
         raise ZeroDegree("expected shifted degrees must be positive")
-    ea = expected_adjacency(model)
-    inv_sqrt = 1.0 / np.sqrt(dbar)
-    c = tau / model.n
-
-    def mv(v):
-        y = inv_sqrt * v
-        z = ea.matvec(y) + c * y.sum()
-        return v - inv_sqrt * z
-
-    return LinearOp(model.n, model.n, mv, mv, symmetric=True)
+    return _normalized_laplacian(expected_adjacency(model).matvec, dbar, tau)
 
 
 def apply_scheme(g, scheme, cap=None, tau=None):

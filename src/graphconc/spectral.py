@@ -2,12 +2,13 @@
 
 Routes
 ------
-* ``spectral_norm``     -- power iteration on op^T op.  Iterating on the
-  Gram operator sidesteps the +/- oscillation that plain power
-  iteration hits on symmetric spectra with lambda_min ~ -lambda_max, at
-  the price of two matvecs per step.
-* ``top_k_eigs``        -- Lanczos with full reorthogonalization and
-  optional deflation; residual-checked Ritz pairs.
+* ``spectral_norm``     -- largest singular value.  Symmetric operators
+  run implicitly restarted Lanczos (ARPACK ``eigsh``, largest magnitude,
+  ||A|| = max |lambda|); other operators run ``svds``, i.e. Lanczos on
+  the Gram operator of the smaller side.
+* ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
+  by ARPACK ``eigsh``, with optional deflation of a known orthonormal
+  block.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are
@@ -17,172 +18,162 @@ Routes
   larger matrices.
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
+
+ARPACK needs room for its Krylov basis (k < n - 1, ncv <= n), so an
+operator whose smaller side is at most ``DENSE_SOLVE_LIMIT`` is
+materialized and solved exactly by LAPACK instead.  ARPACK results are
+residual-checked after the solve; its start vector comes from the same
+``aux_generator`` subkeys the solvers have always drawn from, so every
+result is a pure function of the operator and the seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                 LinearOperator, eigsh, svds)
 
 from ._seeding import aux_generator
 from .errors import EntryOutOfRange, NoConvergence, SizeExceeded, WidthExceeded
-from .operators import LinearOp, gram_op
+from .operators import LinearOp
 
 _DEFAULT_SEED = 0x5EED
+DENSE_SOLVE_LIMIT = 32
 FULL_SPECTRUM_LIMIT = 2048
 ENUMERATION_LIMIT = 24
+_MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
 
-def _start_vector(n, rng):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _scipy_op(matvec, shape, rmatvec=None):
+    """A scipy LinearOperator; scipy may hand over (n, 1) columns."""
+    return LinearOperator(
+        shape, matvec=lambda x: matvec(x.ravel()), dtype=float,
+        rmatvec=None if rmatvec is None else lambda x: rmatvec(x.ravel()))
 
 
 def spectral_norm(op, tol=1e-7, max_iter=5000, rng=None, seed=None):
-    """Largest singular value of ``op`` by power iteration on op^T op.
+    """Largest singular value of ``op``.
 
-    Convergence: the sigma estimate changes by a relative tol three
-    times in a row AND the Rayleigh residual ||Gx - rho x|| <= 2 tol rho
-    (which bounds the relative error of sigma = sqrt(rho) by about tol,
-    and is robust against multiplicity plateaus).  Deterministic for a
-    given rng or seed; raises NoConvergence with the best estimate after
-    max_iter steps.
+    ARPACK runs at most ``max_iter`` restart cycles and stops when the
+    Ritz residual is below ``tol`` relative to the estimate; the result
+    is then checked: ||op v - lambda v|| <= tol |lambda| for a symmetric
+    op, both Golub-Kahan residuals ||op v - s u||, ||op^T u - s v|| <=
+    tol s otherwise.  An op whose smaller side is at most
+    DENSE_SOLVE_LIMIT is solved exactly by LAPACK.  Deterministic for a
+    given rng or seed; raises NoConvergence whose ``best`` is the
+    largest converged Ritz value, or the lower bound ||op v0|| for the
+    unit start vector v0 when none converged.
     """
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 1)
-    G = gram_op(op)
-    n = G.n_cols
-    if n == 0:
+    if op.n_cols > op.n_rows:
+        op = op.T  # same norm; svds then solves on op's domain, like eigsh
+    if op.n_cols == 0:
         return 0.0
-    x = _start_vector(n, rng)
-    for _ in range(3):
-        y = G.matvec(x)
-        if np.linalg.norm(y) > 0:
-            break
-        x = _start_vector(n, rng)
-    else:
-        return 0.0  # op^T op annihilated three random vectors: zero operator
-    sigma_prev = np.inf
-    plateau = 0
-    for _ in range(max_iter):
-        rho = float(x @ y)
-        sigma = np.sqrt(max(rho, 0.0))
-        resid = np.linalg.norm(y - rho * x)
-        if sigma > 0 and abs(sigma - sigma_prev) <= tol * sigma:
-            plateau += 1
+    if op.n_cols <= DENSE_SOLVE_LIMIT:
+        return float(np.linalg.norm(op.to_dense(), 2))
+    v0 = rng.standard_normal(op.n_cols)
+    v0 /= np.linalg.norm(v0)
+    A = _scipy_op(op.matvec, op.shape, op.rmatvec)
+    try:
+        if op.symmetric:
+            vals, vecs = eigsh(A, k=1, which="LM", v0=v0, tol=tol,
+                               maxiter=max_iter)
+            sigma, v = abs(float(vals[0])), vecs[:, 0]
+            resid = np.linalg.norm(op.matvec(v) - vals[0] * v)
         else:
-            plateau = 0
-        sigma_prev = sigma
-        if plateau >= 3 and resid <= 2.0 * tol * max(rho, 1e-300):
-            return sigma
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
+            # svds squares tol for its Gram solve; sqrt(tol) keeps the Gram
+            # residual at tol s^2, i.e. both Golub-Kahan residuals at tol s
+            u, s, vh = svds(A, k=1, tol=np.sqrt(tol), v0=v0, maxiter=max_iter)
+            sigma, u, v = float(s[0]), u[:, 0], vh[0]
+            resid = max(np.linalg.norm(op.matvec(v) - sigma * u),
+                        np.linalg.norm(op.rmatvec(u) - sigma * v))
+    except ArpackNoConvergence as exc:
+        # svds reports eigenvalues of its Gram operator, i.e. s^2
+        vals = np.abs(exc.eigenvalues) ** (1.0 if op.symmetric else 0.5)
+        best = vals.max() if vals.size else np.linalg.norm(op.matvec(v0))
+        raise NoConvergence(f"arpack: no convergence in {max_iter} restarts",
+                            best=float(best)) from exc
+    except ArpackError:
+        # ARPACK stops when op annihilates its start vector: a zero op
+        if not np.any(op.matvec(v0)):
             return 0.0
-        x = y / ny
-        y = G.matvec(x)
-    raise NoConvergence(f"power iteration: no convergence in {max_iter} steps",
-                        best=sigma_prev)
+        raise
+    if resid > tol * sigma:
+        raise NoConvergence(f"arpack: residual {resid:.3g} above "
+                            f"{tol} * {sigma:.6g}", best=sigma)
+    return sigma
 
 
 def _select(theta, k, mode):
-    if mode == "la":
-        return np.argsort(theta)[-k:][::-1]
-    if mode == "sa":
-        return np.argsort(theta)[:k]
-    if mode == "lm":
-        return np.argsort(np.abs(theta))[-k:][::-1]
-    raise ValueError(f"unknown mode {mode!r}")
+    """Indices of the k wanted values of ``theta``, in output order."""
+    key = {"la": -theta, "sa": theta, "lm": -np.abs(theta)}[mode]
+    return np.argsort(key, kind="stable")[:k]
 
 
 def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None,
                deflate=None, seed=None):
-    """k extremal eigenpairs of a symmetric op by Lanczos.
+    """k extremal eigenpairs of a symmetric op by ARPACK ``eigsh``.
 
     mode: "la" largest algebraic, "sa" smallest algebraic, "lm" largest
-    magnitude.  ``deflate`` is an optional (n, m) orthonormal block
-    projected out of the Krylov space (for known eigenvectors such as
-    the Laplacian kernel).  Full reorthogonalization at every step; a
-    breakdown (invariant subspace) restarts with a fresh orthogonalized
-    random vector.  Each returned pair satisfies
-    ||op v - theta v|| <= tol * max(1, |theta|); vectors are pairwise
-    orthonormal to the same scale.
+    magnitude; values come back in that order.  ``deflate`` is an
+    optional (n, m) orthonormal block of known eigenvectors (such as the
+    Laplacian kernel): ARPACK runs on P op P with P = I - Q Q^T from a
+    projected start vector, and the LAPACK path solves op restricted to
+    null_space(Q^T).  ``max_dim`` is ARPACK's basis size ncv (default
+    max(2k + 1, 20)).  An op of dimension at most DENSE_SOLVE_LIMIT
+    after deflation is solved exactly by LAPACK.  Each ARPACK pair is
+    checked: ||op v - theta v|| <= tol * max(1, |theta|); vectors are
+    orthonormal.  Raises NoConvergence whose ``best`` is the converged
+    (values, vectors) pair, or None when ARPACK converged none.
     """
     n = op.n_rows
     if not op.symmetric:
         raise ValueError("top_k_eigs needs a symmetric operator")
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 2)
-    Q = None
-    n_defl = 0
-    if deflate is not None:
-        Q = np.asarray(deflate, dtype=float)
-        if Q.ndim == 1:
-            Q = Q[:, None]
-        n_defl = Q.shape[1]
-    if k < 1 or k > n - n_defl:
-        raise ValueError(f"need 1 <= k <= {n - n_defl}")
-    if max_dim is None:
-        max_dim = min(n - n_defl, max(6 * k + 40, 64))
-    max_dim = max(k, min(max_dim, n - n_defl))
+    Q = np.zeros((n, 0)) if deflate is None else np.asarray(deflate, float)
+    if Q.ndim == 1:
+        Q = Q[:, None]
+    dim = n - Q.shape[1]
+    if k < 1 or k > dim:
+        raise ValueError(f"need 1 <= k <= {dim}")
+    if dim <= DENSE_SOLVE_LIMIT or k >= dim - 1:
+        Z = scipy.linalg.null_space(Q.T)  # the identity when Q is empty
+        theta, S = np.linalg.eigh(Z.T @ op.to_dense() @ Z)
+        idx = _select(theta, k, mode)
+        return theta[idx], Z @ S[:, idx]
 
     def project(w):
-        return w - Q @ (Q.T @ w) if Q is not None else w
+        return w - Q @ (Q.T @ w)
 
-    V = np.empty((n, max_dim))
-    alpha = np.empty(max_dim)
-    beta = np.zeros(max_dim)  # beta[j] links v_j and v_{j+1}
-    v = project(_start_vector(n, rng))
-    V[:, 0] = v / np.linalg.norm(v)
-    best = None
-    j = 0
-    while j < max_dim:
-        w = op.matvec(V[:, j])
-        w = project(w)
-        alpha[j] = V[:, j] @ w
-        w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        h = V[:, : j + 1].T @ w  # second orthogonalization pass if needed
-        if np.abs(h).max() > 1e-10:
-            w -= V[:, : j + 1] @ h
-        b = np.linalg.norm(w)
-        dim = j + 1
-        if dim >= k:
-            theta, S = scipy.linalg.eigh_tridiagonal(alpha[:dim], beta[: dim - 1])
-            idx = _select(theta, k, mode)
-            est = b * np.abs(S[-1, idx])
-            best = (theta[idx].copy(), V[:, :dim] @ S[:, idx])
-            if np.all(est <= tol * np.maximum(1.0, np.abs(theta[idx]))):
-                vals, vecs = best
-                ok = True
-                for c in range(k):
-                    vecs[:, c] /= np.linalg.norm(vecs[:, c])
-                    r = op.matvec(vecs[:, c]) - vals[c] * vecs[:, c]
-                    if np.linalg.norm(r) > tol * max(1.0, abs(vals[c])):
-                        ok = False
-                        break
-                if ok:
-                    return vals, vecs
-        if j + 1 == max_dim:
-            break
-        if b <= 1e-14 * max(1.0, np.abs(alpha[: j + 1]).max()):
-            # invariant subspace: restart with a fresh direction
-            w = project(rng.standard_normal(n))
-            w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-            b = np.linalg.norm(w)
-            if b <= 1e-12:
-                # Krylov space exhausted; the tridiagonal eigen-decomposition
-                # is exact on it
-                theta, S = scipy.linalg.eigh_tridiagonal(alpha[: j + 1], beta[:j])
-                idx = _select(theta, min(k, j + 1), mode)
-                vecs = V[:, : j + 1] @ S[:, idx]
-                vecs /= np.linalg.norm(vecs, axis=0)
-                return theta[idx].copy(), vecs
-            beta[j] = 0.0
-        else:
-            beta[j] = b
-        V[:, j + 1] = w / b
-        j += 1
-    raise NoConvergence(f"lanczos: residual tol {tol} not met at dim {max_dim}",
-                        best=best)
+    def matvec(x):
+        return project(op.matvec(project(x)))
+
+    ncv = min(dim, max(k + 1, max_dim if max_dim is not None
+                       else max(2 * k + 1, 20)))
+    try:
+        theta, vecs = eigsh(_scipy_op(matvec, op.shape), k=k,
+                            which=_MODES[mode], tol=tol, ncv=ncv,
+                            v0=project(rng.standard_normal(n)))
+    except ArpackNoConvergence as exc:
+        best = None
+        if exc.eigenvalues.size:
+            idx = _select(exc.eigenvalues, exc.eigenvalues.size, mode)
+            best = (exc.eigenvalues[idx], exc.eigenvectors[:, idx])
+        raise NoConvergence(f"arpack: no convergence at ncv {ncv}",
+                            best=best) from exc
+    idx = _select(theta, k, mode)
+    theta, vecs = theta[idx], vecs[:, idx]
+    resid = np.array([np.linalg.norm(matvec(v) - t * v)
+                      for t, v in zip(theta, vecs.T)])
+    if np.any(resid > tol * np.maximum(1.0, np.abs(theta))):
+        raise NoConvergence(f"arpack: residual {resid.max():.3g} above tol "
+                            f"{tol}", best=(theta, vecs))
+    return theta, vecs
 
 
 def full_spectrum(a):

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from graphconc import load_graph
+import graphconc.community
+from graphconc import NoConvergence, load_graph
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
 
@@ -154,6 +155,36 @@ def test_sbm_run(tmp_path):
     assert len(rows) == 2
     assert all(float(r["mis"]) <= 0.05 for r in rows)
     assert rep.flags["dk_holds_every_gap_valid_trial"]
+
+
+def test_sbm_norm_failure_keeps_detect_labels(tmp_path, monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise NoConvergence("forced", best=1.0)
+
+    monkeypatch.setattr(graphconc.community, "spectral_norm", no_norm)
+    rep = run_command("sbm", {"n": 200, "a": 25.0, "b": 4.0}, MASTER,
+                      str(tmp_path / "sbm"), trials=2)
+    for t in rep.trials:
+        assert not t["converged"]
+        assert t["mis"] <= 0.05  # the detect labels survived
+        assert t["norm_diff"] is None and t["bound"] is None
+        assert t["lam2"] is not None
+    assert not rep.flags["all_converged"]
+    assert rep.summary["gap_valid_trials"] == 0
+
+
+def test_report_streams_are_the_streams_drawn(tmp_path):
+    # concentration draws cells x trials streams, gp-check one per instance
+    runs = [("concentration", {"cells": [{"n": 60, "d": 3.0},
+                                         {"n": 80, "d": 3.0}]}, 2, [0, 1, 2, 3]),
+            ("gp-check", {"rows": 4, "cols": 5, "count": 3, "deltas": [0.5]},
+             1, [0, 1, 2])]
+    for name, cfg, trials, streams in runs:
+        out = tmp_path / name
+        rep = run_command(name, cfg, MASTER, str(out), trials=trials)
+        assert rep.seeds["streams"] == streams
+        blob = json.loads((out / "report.json").read_text())
+        assert blob["seeds"]["streams"] == streams
 
 
 def test_decompose_run(tmp_path):

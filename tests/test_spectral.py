@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphconc import (
+    DENSE_SOLVE_LIMIT,
     EntryOutOfRange,
     LinearOp,
     NoConvergence,
@@ -34,6 +35,13 @@ def sym(rng, n):
     return (M + M.T) / 2
 
 
+def with_spectrum(rng, vals):
+    """A symmetric matrix with eigenvalues ``vals`` in a random basis."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    M = Q @ np.diag(vals) @ Q.T
+    return (M + M.T) / 2
+
+
 # ---------------------------------------------------------------------------
 # spectral_norm
 
@@ -48,15 +56,25 @@ def test_spectral_norm_matches_svd(seed):
 
 
 def test_spectral_norm_symmetric_indefinite():
-    # lambda_min ~ -lambda_max is the case plain power iteration fumbles
+    # lambda_min ~ -lambda_max is the case plain power iteration fumbles;
+    # LAPACK below DENSE_SOLVE_LIMIT, ARPACK above it
     M = np.diag([3.0, -2.9, 1.0])
     est = spectral_norm(LinearOp.from_dense(M), tol=1e-10)
     assert est == pytest.approx(3.0, abs=1e-8)
+    rng = np.random.default_rng(22)
+    op = LinearOp.from_dense(with_spectrum(
+        rng, np.concatenate([[5.0, -4.999], rng.uniform(-1.0, 1.0, 98)])))
+    assert op.symmetric and op.n_rows > DENSE_SOLVE_LIMIT
+    assert spectral_norm(op, tol=1e-10) == pytest.approx(5.0, rel=1e-9)
 
 
 def test_spectral_norm_zero_and_empty():
     assert spectral_norm(LinearOp.from_dense(np.zeros((4, 4)))) == 0.0
     assert spectral_norm(LinearOp.from_dense(np.empty((0, 0)))) == 0.0
+    # above the limit ARPACK refuses a start vector the op annihilates
+    assert spectral_norm(LinearOp.from_dense(np.zeros((100, 100)))) == 0.0
+    wide = LinearOp.from_dense(np.zeros((40, 100)), symmetric=False)
+    assert spectral_norm(wide) == 0.0
 
 
 def test_spectral_norm_deterministic_seeded():
@@ -68,11 +86,22 @@ def test_spectral_norm_deterministic_seeded():
 
 
 def test_spectral_norm_no_convergence_carries_best():
+    # above DENSE_SOLVE_LIMIT, so ARPACK runs; one restart cycle cannot
+    # reach 1e-12 on a 200 x 200 Gaussian spectrum
     rng = np.random.default_rng(3)
-    op = LinearOp.from_dense(sym(rng, 40))
+    op = LinearOp.from_dense(sym(rng, 200))
     with pytest.raises(NoConvergence) as exc:
-        spectral_norm(op, tol=1e-12, max_iter=2)
+        spectral_norm(op, tol=1e-12, max_iter=1)
     assert exc.value.best > 0.0
+
+
+@pytest.mark.parametrize("shape", [(120, 80), (60, 150)])
+def test_spectral_norm_arpack_rectangular(shape):
+    # svds on the smaller side's Gram operator, tall and wide
+    assert min(shape) > DENSE_SOLVE_LIMIT
+    M = np.random.default_rng(21).standard_normal(shape)
+    est = spectral_norm(LinearOp.from_dense(M, symmetric=False), tol=1e-10)
+    assert est == pytest.approx(np.linalg.norm(M, 2), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -94,32 +123,36 @@ def test_lanczos_top5_vs_dense():
 
 
 def test_lanczos_modes():
-    vals = np.array([-9.0, -1.0, 0.5, 2.0, 7.0])
+    # n = 5 takes the LAPACK path, n = 100 ARPACK
     rng = np.random.default_rng(8)
-    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    M = Q @ np.diag(vals) @ Q.T
-    op = LinearOp.from_dense((M + M.T) / 2)
-    la, _ = top_k_eigs(op, 2, mode="la", tol=1e-12)
-    assert_close(la, [7.0, 2.0], 1e-9)
-    sa, _ = top_k_eigs(op, 2, mode="sa", tol=1e-12)
-    assert_close(sa, [-9.0, -1.0], 1e-9)
-    lm, _ = top_k_eigs(op, 2, mode="lm", tol=1e-12)
-    assert_close(np.abs(lm), [9.0, 7.0], 1e-9)
+    for bulk in ([-1.0, 0.5], rng.uniform(-1.0, 1.0, 97)):
+        vals = np.concatenate([[-9.0, 2.0, 7.0], bulk])
+        op = LinearOp.from_dense(with_spectrum(rng, vals))
+        la, _ = top_k_eigs(op, 2, mode="la", tol=1e-12)
+        assert_close(la, [7.0, 2.0], 1e-9)
+        sa, _ = top_k_eigs(op, 2, mode="sa", tol=1e-12)
+        assert_close(sa, [-9.0, min(bulk)], 1e-9)
+        lm, vecs = top_k_eigs(op, 2, mode="lm", tol=1e-12)
+        assert_close(lm, [-9.0, 7.0], 1e-9)
+        assert_close(vecs.T @ vecs, np.eye(2), 1e-9)
 
 
 def test_lanczos_deflation():
+    # n = 20 solves on null_space(Q^T) by LAPACK, n = 60 runs ARPACK on P M P
     rng = np.random.default_rng(9)
-    M = sym(rng, 60)
-    w, V = np.linalg.eigh(M)
-    vals, vecs = top_k_eigs(LinearOp.from_dense(M), 1, mode="la",
-                            deflate=V[:, -1:], tol=1e-11)
-    assert vals[0] == pytest.approx(w[-2], abs=1e-8)
-    assert abs(vecs[:, 0] @ V[:, -1]) <= 1e-8
+    for n in (20, 60):
+        M = sym(rng, n)
+        w, V = np.linalg.eigh(M)
+        vals, vecs = top_k_eigs(LinearOp.from_dense(M), 1, mode="la",
+                                deflate=V[:, -1:], tol=1e-11)
+        assert vals[0] == pytest.approx(w[-2], abs=1e-8)
+        assert abs(vecs[:, 0] @ V[:, -1]) <= 1e-8
 
 
 def test_lanczos_multiplicity_plateau():
-    # K5 adjacency: eigenvalues 4 (once) and -1 (four times); the Krylov
-    # space collapses after two steps and the exhaustion path must return
+    # K5 adjacency: eigenvalues 4 (once) and -1 (four times), where a
+    # Krylov space collapses after two steps; below DENSE_SOLVE_LIMIT the
+    # LAPACK path answers
     d = np.full((5, 5), 1.0) - np.eye(5)
     vals, _ = top_k_eigs(LinearOp.from_dense(d), 2, mode="lm", tol=1e-10)
     assert vals[0] == pytest.approx(4.0, abs=1e-9)

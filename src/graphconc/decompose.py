@@ -32,7 +32,6 @@ back into the pass-1/pass-2 cover.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -181,10 +180,14 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
         "row_cap": row_cap, "capped_I1": capped_i, "capped_J1": capped_j,
         "gp_cols": {"achieved": cert_cols.achieved_norm,
                     "submatrix": cert_cols.submatrix_norm,
-                    "selected": cert_cols.n_selected},
+                    "selected": cert_cols.n_selected,
+                    "iterations": cert_cols.iterations,
+                    "converged": cert_cols.converged},
         "gp_rows": {"achieved": cert_rows.achieved_norm,
                     "submatrix": cert_rows.submatrix_norm,
-                    "selected": cert_rows.n_selected},
+                    "selected": cert_rows.n_selected,
+                    "iterations": cert_rows.iterations,
+                    "converged": cert_rows.converged},
         "row_filter_empty": False, "all_n": False,
     }
     return parts, I[I1_mask], J[J1_mask], trace
@@ -358,14 +361,20 @@ def verify_decomposition(A, EA, dec, d=None, r=None, kappa=4.0):
 
 
 def decomposition_to_csv(dec, path):
-    """One line ``i,j,class`` per ordered pair."""
+    """One line ``i,j,class`` per ordered pair, csv's ``\\r\\n`` line ends.
+
+    Each row is one ``join`` over the cells ``j,class`` picked from a
+    precomputed n x 3 table by the row's labels.
+    """
+    n = dec.n
+    cells = np.array([[f"{j},{name}" for name in CLASS_NAMES]
+                      for j in range(n)], dtype=object).reshape(n, 3)
+    cols = np.arange(n)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "class"])
-        for i in range(dec.n):
-            row = dec.class_of[i]
-            for j in range(dec.n):
-                writer.writerow([i, j, CLASS_NAMES[row[j]]])
+        fh.write("i,j,class\r\n")
+        for i in range(n):
+            fh.write(f"{i}," + f"\r\n{i},".join(
+                cells[cols, dec.class_of[i]].tolist()) + "\r\n")
 
 
 def trace_to_json(dec, path):

@@ -16,18 +16,32 @@ subgradient at the top eigenpair (lambda, v) is g_j = -lambda v_j^2/mu_j
 -- and keep the best iterate.  Selecting the columns with
 mu_j <= 1/(delta m) then yields at least (1-delta)m columns (pigeonhole)
 whose submatrix norm is certified by ||B_J|| sqrt(delta m) <= f(mu).
+
+The subgradient oracle (``_top_pair``) picks its route from the block's
+shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK eigh on
+the smaller side of the scaled Gram.  Otherwise it runs a warm-started
+power iteration, capped at 80 steps and stopped at a relative change of
+1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
+m <= 2k, by B and B^T on wider blocks.  The warm start saves little:
+counted along the descents of a decompose run at n = 256, d = 8,
+gp_iters = 120 (seeds 1729, 1 and 2; 480 calls each), the power
+iteration hit its cap on every call, and on the 8 x 12 gp-check blocks,
+which now take the exact route, it averaged 56 to 80 of its 80 steps.
+So each step's cost is the product it repeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
-from .spectral import inf_to_2_norm_exact, inf_to_2_norm_lower, spectral_norm
+from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
+                       inf_to_2_norm_lower, spectral_norm)
 
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
@@ -66,39 +80,79 @@ class GPCertificate:
     norm_lhs: float            # ||B_J|| sqrt(delta m)
     achieved_norm: float       # f(mu), the certified right-hand side
     ok: bool
+    iterations: int            # mirror-descent steps behind the weights
+    converged: bool            # PietschWeights.converged
+
+
+def _col_scale(mu, col_live):
+    """Diagonal of D_mu^{-1/2}; dead (all-zero) columns pinned to zero."""
+    return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
 
 
 def _scaled_op(B, mu, col_live):
-    """B D_mu^{-1/2} with dead (all-zero) columns pinned to zero."""
-    s = np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
+    """B D_mu^{-1/2} with dead columns pinned to zero."""
+    s = _col_scale(mu, col_live)
     return LinearOp(B.shape[0], B.shape[1], lambda x: B @ (s * x),
                     lambda x: s * (B.T @ x))
 
 
-def _top_pair(B, mu, col_live, v0, iters=80, tol=1e-9):
-    """Warm-started power iteration for lambda_max of the scaled Gram.
+def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
+    """Subgradient oracle: top eigenpair (lambda, v) of M = s B^T B s.
 
-    Not a norm solve: mirror descent only needs an inexact subgradient
-    oracle, and mu moves little per step, so the previous vector is a
-    near-converged start.  Along a 120-step descent on a 250 x 256
-    centred Bernoulli(8/256) block (2-core Xeon VM, one BLAS thread)
-    this took 1.9 ms per step, against 2.8 ms for eigsh warm-started
-    from the same vector and 7.6 ms for a dense eigh, so it stays; the
-    certified value is re-evaluated by spectral_norm after the descent.
+    ``s`` is the diagonal of D_mu^{-1/2}, zero on dead columns; ``G`` is
+    B^T B, or None when m > 2k; ``v0`` is the previous step's vector.
+
+    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK eigh of
+      (B s)(B s)^T (k x k) when k <= m, the top vector mapped back by
+      v = s B^T u / ||s B^T u||; of s G s (m x m) when m < k.
+    * Power route otherwise: up to ``iters`` steps from ``v0``, stopped
+      at a relative change of ``tol``, each one G product (no dearer
+      than the two k x m products when m <= 2k) or, on wider blocks,
+      one product by B and one by B^T.  The buffers are allocated once
+      per call.  lambda = ||M v|| for the last unit v is a lower bound
+      on lambda_max; mirror descent only needs an inexact subgradient,
+      and the certified value is re-evaluated by spectral_norm after
+      the descent.
+
+    The warm start rarely ends the power route early (module
+    docstring), so a step costs ``iters`` products.  Medians of three
+    runs (2-core Xeon VM, one BLAS thread): a 120-step gp_weights call
+    on a 250 x 256 centred Bernoulli(8/256) block took 158 ms, against
+    327 ms with two k x m products per iteration; a 500-step call on an
+    8 x 12 block took 39 ms on the exact route, against 299 ms.  v is
+    zero on dead columns.
     """
-    s = np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
-    v = v0
+    k, m = B.shape
+    if min(k, m) <= DENSE_SOLVE_LIMIT:
+        if k <= m:
+            C = B * s
+            lams, U = np.linalg.eigh(C @ C.T)
+            z = C.T @ U[:, -1]
+            return float(lams[-1]), z / sqrt(z @ z)
+        lams, V = np.linalg.eigh(s[:, None] * G * s)
+        return float(lams[-1]), np.where(s > 0.0, V[:, -1], 0.0)
+    v = v0.copy()
+    z = np.empty(m)
+    w = np.empty(m)
+    y = None if G is not None else np.empty(k)
     lam = 0.0
     for _ in range(iters):
-        z = s * (B.T @ (B @ (s * v)))
-        nz = np.linalg.norm(z)
+        np.multiply(s, v, out=w)
+        if G is not None:
+            np.dot(G, w, out=z)
+        else:
+            np.dot(B, w, out=y)
+            np.dot(B.T, y, out=z)
+        z *= s
+        nz = sqrt(z @ z)
         if nz == 0.0:
             return 0.0, v
         z /= nz
-        lam_new = nz  # ||Mv|| <= lambda_max for unit v, -> lambda_max
-        if abs(lam_new - lam) <= tol * lam_new:
-            return lam_new, z
-        lam, v = lam_new, z
+        # ||M v|| <= lambda_max for unit v, -> lambda_max
+        if abs(nz - lam) <= tol * nz:
+            return nz, z
+        lam = nz
+        v, z = z, v
     return lam, v
 
 
@@ -124,6 +178,7 @@ def gp_weights(B, tol=1e-4, max_iter=500, step_c=1.0, rng=None):
     if not col_live.any():
         mu = np.full(m, 1.0 / m)
         return PietschWeights(mu, 0.0, True, 0, (0.0,))
+    G = B.T @ B if m <= 2 * k else None
     mu = np.full(m, 1.0 / m)
     v = rng.standard_normal(m)
     v[~col_live] = 0.0
@@ -132,7 +187,7 @@ def gp_weights(B, tol=1e-4, max_iter=500, step_c=1.0, rng=None):
     best_f = np.inf
     history = []
     for t in range(1, max_iter + 1):
-        lam, v = _top_pair(B, mu, col_live, v)
+        lam, v = _top_pair(B, G, _col_scale(mu, col_live), v)
         f = np.sqrt(max(lam, 0.0))
         if f < best_f:
             best_f = f
@@ -192,7 +247,8 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
     cert = GPCertificate(m=m, delta=delta, threshold=threshold,
                          n_selected=int(J.size), size_bound=(1.0 - delta) * m,
                          submatrix_norm=sub_norm, norm_lhs=float(lhs),
-                         achieved_norm=w.achieved_norm, ok=bool(ok))
+                         achieved_norm=w.achieved_norm, ok=bool(ok),
+                         iterations=w.iterations, converged=w.converged)
     if not ok:
         raise VerificationError(
             f"submatrix certificate failed: {lhs} > {w.achieved_norm}")

@@ -89,6 +89,20 @@ def test_threads_do_not_change_results(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_threads_do_not_change_gp_results(tmp_path):
+    # GP's LAPACK and BLAS calls run inside the thread pool
+    runs = [("gp-check", {"rows": 8, "cols": 12, "count": 6}, 1),
+            ("decompose", {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20}, 4)]
+    for name, cfg, trials in runs:
+        blobs = []
+        for threads in (1, 4):
+            out = tmp_path / f"{name}{threads}"
+            run_command(name, cfg, MASTER, str(out), trials=trials,
+                        threads=threads)
+            blobs.append((out / "trials.csv").read_bytes())
+        assert blobs[0] == blobs[1], name
+
+
 def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         run_command("sample", {"modle": {}}, MASTER, str(tmp_path / "x"))

@@ -1,6 +1,7 @@
 """N/R/C edge decomposition: construction, verifier, serialization."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -202,3 +203,26 @@ def test_csv_and_trace_roundtrip(tmp_path):
     trace_to_json(dec, trace_path)
     blob = json.loads(trace_path.read_text())
     assert blob["n"] == n and len(blob["rounds"]) == len(dec.block_trace)
+    gp_rounds = [rnd for rnd in blob["rounds"] if "gp_cols" in rnd]
+    assert gp_rounds
+    for rnd in gp_rounds:
+        for side in ("gp_cols", "gp_rows"):
+            assert rnd[side]["iterations"] >= 1
+            assert isinstance(rnd[side]["converged"], bool)
+
+
+def test_csv_bytes_match_rowwise_writer(tmp_path):
+    # reference: one csv.writer line per ordered pair
+    n = 16
+    labels = np.random.default_rng(16).integers(0, 3, (n, n)).astype(np.int8)
+    assert set(np.unique(labels)) == {CLASS_N, CLASS_R, CLASS_C}
+    dec = EdgeDecomposition(n, labels, r=1.0, d=1.0, block_trace=())
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["i", "j", "class"])
+    for i in range(n):
+        for j in range(n):
+            writer.writerow([i, j, "NRC"[labels[i, j]]])
+    path = tmp_path / "classes.csv"
+    decomposition_to_csv(dec, path)
+    assert path.read_bytes() == buf.getvalue().encode()

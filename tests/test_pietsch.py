@@ -14,7 +14,9 @@ from graphconc import (
     gp_submatrix,
     gp_weights,
     inf_to_2_norm_exact,
+    inf_to_2_norm_lower,
 )
+from graphconc.pietsch import _col_scale, _top_pair
 
 from conftest import assert_close
 
@@ -113,3 +115,57 @@ def test_gp_submatrix_input_checks():
         gp_weights(np.empty((3, 0)))
     with pytest.raises(ValueError):
         gp_weights(np.ones(3))
+
+
+def oracle_inputs(shape, dead, seed):
+    """A block with one all-zero column, its Gram, scale and a start vector."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal(shape)
+    B[:, dead] = 0.0
+    k, m = shape
+    col_live = np.arange(m) != dead
+    mu = rng.dirichlet(np.ones(m))
+    s = _col_scale(mu, col_live)
+    v0 = rng.standard_normal(m) * col_live
+    G = B.T @ B
+    lam_max = np.linalg.eigvalsh(s[:, None] * G * s)[-1]
+    return B, G if m <= 2 * k else None, s, v0 / np.linalg.norm(v0), lam_max
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (8, 40)])
+def test_top_pair_exact_route(shape):
+    # tall blocks solve s G s (m x m), wide ones (B s)(B s)^T (k x k)
+    B, G, s, v0, lam_max = oracle_inputs(shape, dead=3, seed=31)
+    lam, v = _top_pair(B, G, s, v0)
+    assert lam == pytest.approx(lam_max, rel=1e-12)
+    assert v[3] == 0.0
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    M = s[:, None] * (B.T @ B) * s
+    assert_close(M @ v, lam * v, 1e-10 * lam)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (40, 100)])
+def test_top_pair_power_route(shape):
+    # G products on the square block, B and B^T ones when m > 2k
+    B, G, s, v0, lam_max = oracle_inputs(shape, dead=5, seed=32)
+    assert (G is None) == (shape[1] > 2 * shape[0])
+    lam, v = _top_pair(B, G, s, v0)
+    assert 0.0 < lam <= lam_max * (1 + 1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert v[5] == 0.0
+    # started from the top eigenvector it stops at lambda_max
+    top = np.linalg.eigh(s[:, None] * (B.T @ B) * s)[1][:, -1]
+    lam, v = _top_pair(B, G, s, top)
+    assert lam == pytest.approx(lam_max, rel=1e-9)
+    assert abs(v @ top) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 60), (40, 100)])
+def test_gp_weights_on_wide_blocks(shape):
+    # m > 2k: no Gram; exact route on the 3 x 60 block, two products per
+    # power step on the 40 x 100 one
+    B = np.random.default_rng(33).standard_normal(shape)
+    w = gp_weights(B, max_iter=100)
+    lower = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(34))
+    assert w.achieved_norm >= lower * (1 - 1e-8)
+    assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)

@@ -8,16 +8,35 @@ uses:
 * ``max_rate(model)``            -- d     = max_ij n * p_ij,
 * ``max_expected_degree(model)`` -- d_ave = max_i sum_{j != i} p_ij.
 
-Sampling contract
------------------
-The uniform variate deciding pair (i, j), j > i, is position j of the
-Philox stream keyed by ``(master_seed, stream_index, row=i)``; see
-``_seeding``.  Edge {i, j} is present iff u < p_ij.  The draw for a pair
-never depends on the order rows are visited, so sampling is trivially
-parallel across rows and bit-for-bit reproducible across platforms.
-Directed sampling uses the same per-row streams over all positions
-j != i, so the j > i half of a directed sample coincides with the
-undirected sample at the same seed.
+Sampling contract (v2)
+----------------------
+Rows are cut into blocks of ``ROW_BLOCK`` = 1024.  The pairs (i, j),
+j > i, whose row i lies in block b are decided by the Philox stream
+keyed ``(master_seed, stream_index, b)``, read word by word as doubles
+u in (0, 1]; see ``_seeding``.  No draw depends on another block, on
+the thread count or on how far ahead a stream is read, so a graph is a
+pure function of (model, seed, stream) and is bit-for-bit reproducible
+across platforms.
+
+Uniform, BlockTwo and RankOne split the vertices into groups: all of
+them; the two halves; theta-descending bins whose theta lie within a
+factor 2 of the bin's top.  For each group pair (k, l) in turn, block
+b's rows of group k times the group-l columns beyond each row form a
+rectangle of constant rate q_kl, linearized row by row and walked with
+geometric gaps (Batagelj & Brandes 2005): word u skips
+floor(log u / log(1 - q_kl)) pairs after the last hit, and the word that
+overshoots the rectangle is consumed as well.  For Uniform and BlockTwo
+q_kl is p_ij itself.  For RankOne q_kl = min(top_k * top_l, 1) bounds
+p_ij, and once a rectangle's hits are found, one more word u' per hit
+keeps it iff u' * q_kl <= p_ij (Miller & Hagberg 2011).  The bins keep
+q_kl < 4 p_ij, so a sample reads O(n / ROW_BLOCK * bins^2 + E nnz)
+words.  Explicit reads one word per entry of the block's rows x n
+rectangle, row-major, and keeps (i, j), j > i, iff u <= p_ij.
+
+Directed sampling draws the j > i half exactly as above and the j < i
+half the same way from each block's lower-orientation stream, so the
+upper half of a directed sample is the undirected sample at the same
+seed.
 """
 
 from __future__ import annotations
@@ -28,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._seeding import row_uniforms
+from ._seeding import ROW_BLOCK, BlockWords
 from .errors import InvalidModel, InvalidRates
 from .operators import LinearOp
 
@@ -160,9 +179,12 @@ class RankOne:
         if th.size and (th.min() < 0.0 or not np.all(np.isfinite(th))):
             raise InvalidModel("theta must be finite and nonnegative")
         object.__setattr__(self, "theta", tuple(float(t) for t in th))
+        th = np.array(self.theta)
+        th.setflags(write=False)
+        object.__setattr__(self, "_theta_array", th)
 
     def _th(self):
-        return np.asarray(self.theta)
+        return self._theta_array
 
     def row_probabilities(self, i, lo, hi):
         th = self._th()
@@ -366,43 +388,131 @@ def expected_dense(model):
 def sample(model, master_seed, stream_index=0):
     """Draw one undirected graph from the model under the seeding contract.
 
-    Row i consumes stream positions j > i of its keyed Philox stream;
-    edge {i, j} is present iff the position-j uniform is < p_ij.
+    Row block b's stream decides every pair (i, j), j > i, whose row i
+    lies in block b; see the module docstring.
     """
     return _sample(model, master_seed, stream_index, directed=False)
 
 
 def sample_directed(model, master_seed, stream_index=0):
-    """Directed sample: every ordered pair (i, j), i != j, independent."""
+    """Directed sample: every ordered pair (i, j), i != j, independent.
+
+    The j > i half is the undirected sample at the same seed; the j < i
+    half comes from the row blocks' lower-orientation streams.
+    """
     return _sample(model, master_seed, stream_index, directed=True)
 
 
 def _sample(model, master_seed, stream_index, directed):
     n = model.n
-    rows, cols = [], []
-    for i in range(n):
-        if directed:
-            u = row_uniforms(master_seed, stream_index, i, 0, n)
-            p = np.asarray(model.row_probabilities(i, 0, n), dtype=float)
-            hit = np.flatnonzero(u < p)
-            hit = hit[hit != i]
-        else:
-            if i + 1 >= n:
-                break
-            u = row_uniforms(master_seed, stream_index, i, i + 1, n)
-            p = np.asarray(model.row_probabilities(i, i + 1, n), dtype=float)
-            hit = np.flatnonzero(u < p) + (i + 1)
-        if hit.size:
-            rows.append(np.full(hit.size, i, dtype=np.int64))
-            cols.append(hit.astype(np.int64))
-    if rows:
-        i_idx = np.concatenate(rows)
-        j_idx = np.concatenate(cols)
-    else:
-        i_idx = np.empty(0, dtype=np.int64)
-        j_idx = np.empty(0, dtype=np.int64)
+    layout = None if isinstance(model, Explicit) else _groups(model)
+    parts = []
+    for b in range(-(-n // ROW_BLOCK)):
+        r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
+        block = []
+        for lower in ((False, True) if directed else (False,)):
+            words = BlockWords(master_seed, stream_index, b, lower)
+            block += ([_dense_block(model.P, words, r0, r1, lower)] if layout is None
+                      else _skip_block(words, r0, r1, lower, *layout))
+        if len(block) > 1:
+            i = np.concatenate([bi for bi, _ in block])
+            j = np.concatenate([bj for _, bj in block])
+            order = np.argsort(i * n + j)
+            block = [(i[order], j[order])]
+        parts += block
+    i_idx = np.concatenate([i for i, _ in parts]) if parts else np.empty(0, dtype=np.int64)
+    j_idx = np.concatenate([j for _, j in parts]) if parts else np.empty(0, dtype=np.int64)
     w = np.ones(i_idx.size)
     return SparseGraph(n, i_idx, j_idx, w, directed=directed, _checked=True)
+
+
+def _groups(model):
+    """(groups, bound, p) laying a structured model out for skipping.
+
+    ``groups`` are sorted vertex-index arrays and ``bound[k, l]`` bounds
+    p_ij from above on group k x group l.  ``p(i, j)`` gives the pairs'
+    own probabilities to thin by, or is None where the bound is exact.
+    """
+    n = model.n
+    if isinstance(model, Uniform):
+        return [np.arange(n)], np.array([[model.p]]), None
+    if isinstance(model, BlockTwo):
+        a, b = model.a / n, model.b / n
+        return ([np.arange(model.half), np.arange(model.half, n)],
+                np.array([[a, b], [b, a]]), None)
+    if isinstance(model, RankOne):
+        th = model._th()
+        live = np.flatnonzero(th > 0)
+        if not live.size:
+            return [], None, None
+        # theta-descending bins, each within a factor 2 of its top value
+        level = np.floor(np.log2(th.max() / th[live]))
+        order = np.argsort(level, kind="stable")
+        groups = np.split(live[order], np.flatnonzero(np.diff(level[order])) + 1)
+        top = np.array([th[g].max() for g in groups])
+        return (groups, np.minimum(np.outer(top, top), 1.0),
+                lambda i, j: np.minimum(th[i] * th[j], 1.0))
+    raise TypeError(f"unknown model {type(model).__name__}")
+
+
+def _skip_block(words, r0, r1, lower, groups, bound, p):
+    """Hits of rows r0 .. r1-1, group pair by group pair, as (i, j) parts.
+
+    Group k's rows in the block times group l's columns beyond (or, for
+    ``lower``, before) each row form one constant-rate rectangle; its
+    pairs are linearized row by row and walked with geometric gaps.
+    """
+    parts = []
+    for k, R in enumerate(groups):
+        R = R[np.searchsorted(R, r0):np.searchsorted(R, r1)]
+        for l, C in enumerate(groups):
+            q = bound[k, l]
+            if lower:
+                c0, c1 = np.zeros_like(R), np.searchsorted(C, R)
+            else:
+                c0, c1 = np.searchsorted(C, R, side="right"), np.full_like(R, C.size)
+            off = np.concatenate(([0], np.cumsum(c1 - c0)))
+            if q <= 0.0 or off[-1] == 0:
+                continue
+            pos = _geometric_hits(words, int(off[-1]), q)
+            r = np.searchsorted(off, pos, side="right") - 1
+            i, j = R[r], C[c0[r] + pos - off[r]]
+            if p is not None:
+                keep = words.take(i.size) * q <= p(i, j)
+                i, j = i[keep], j[keep]
+            parts.append((i, j))
+    return parts
+
+
+def _geometric_hits(words, length, q):
+    """Hit positions among ``length`` Bernoulli(q) trials (Batagelj-Brandes).
+
+    Word u skips floor(log u / log(1 - q)) trials after the last hit,
+    so P(skip >= g) = (1 - q)^g.  The word overshooting ``length`` is
+    consumed and no later one.
+    """
+    with np.errstate(divide="ignore"):
+        lam = np.log1p(-q)  # -inf at q = 1: every gap is 0
+    mean = q * length
+    m = min(length, int(mean + 4.0 * np.sqrt(mean))) + 16  # a first guess only
+    while True:
+        pos = np.cumsum(np.floor(np.log(words.peek(m)) / lam) + 1.0) - 1.0
+        if pos[-1] >= length:
+            break
+        m *= 2
+    hits = int(np.searchsorted(pos, length))
+    words.take(hits + 1)
+    return pos[:hits].astype(np.int64)
+
+
+def _dense_block(P, words, r0, r1, lower):
+    """One word per entry of rows r0 .. r1-1 of P, row-major; u <= p_ij hits."""
+    n = P.shape[0]
+    u = words.take((r1 - r0) * n).reshape(r1 - r0, n)
+    rows = np.arange(r0, r1)[:, None]
+    side = np.arange(n) < rows if lower else np.arange(n) > rows
+    i, j = np.nonzero((u <= P[r0:r1]) & side)
+    return i + r0, j
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +525,22 @@ def save_graph(g, path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"n": g.n, "directed": g.directed,
                              "weighted": weighted}) + "\n")
-        for a, b, w in zip(g.i, g.j, g.w):
-            fh.write(f"{a},{b},{float(w)!r}\n")
+        fh.write("".join(map("{},{},{!r}\n".format,
+                             g.i.tolist(), g.j.tolist(), g.w.tolist())))
 
 
 def load_graph(path):
     with open(path) as fh:
         header = json.loads(fh.readline())
-        ii, jj, ww = [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, w = line.split(",")
-            ii.append(int(a))
-            jj.append(int(b))
-            ww.append(float(w))
-    return SparseGraph(header["n"], np.array(ii, dtype=np.int64),
-                       np.array(jj, dtype=np.int64), np.array(ww, dtype=float),
-                       directed=header["directed"])
+        lines = fh.read().split()
+    fields = ",".join(lines).split(",") if lines else []
+    k = len(lines)
+    if len(fields) != 3 * k:
+        raise ValueError(f"{path}: every edge line must read i,j,w")
+    ii = np.fromiter(map(int, fields[0::3]), dtype=np.int64, count=k)
+    jj = np.fromiter(map(int, fields[1::3]), dtype=np.int64, count=k)
+    ww = np.fromiter(map(float, fields[2::3]), dtype=float, count=k)
+    return SparseGraph(header["n"], ii, jj, ww, directed=header["directed"])
 
 
 def model_to_dict(model):

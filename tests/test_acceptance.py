@@ -1,10 +1,12 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
 Every Monte Carlo threshold below was locked against oracle runs at
-master seed 1729 before this file was frozen; the oracle values are
-quoted inline.  Exact algebraic criteria carry their tolerances from
-the statements they implement.  Criterion runtimes are asserted against
-the stated budgets (wall clock, 5 worker threads for the trial loops).
+master seed 1729 before this file was frozen.  The oracle values quoted
+inline are re-measured at 1729 under sampling contract v2 (row-block
+streams); the thresholds are the frozen ones.  Exact algebraic criteria
+carry their tolerances from the statements they implement.  Criterion
+runtimes are asserted against the stated budgets (wall clock, 5 worker
+threads for the trial loops).
 """
 
 import time
@@ -50,7 +52,7 @@ def _run(name, cfg, tmp, sub, trials=1, threads=1):
 
 
 def test_ac1_dense_concentration(tmp_path):
-    # oracle: median 1.9926, wall 11 s
+    # oracle: median 1.9921 (1.9926 under contract v1)
     rep, dt = _run("concentration",
                    {"cells": [{"n": 4000, "d": 64.0}], "scheme": "identity"},
                    tmp_path, "ac1", trials=5, threads=THREADS)
@@ -62,7 +64,8 @@ def test_ac1_dense_concentration(tmp_path):
 
 
 def test_ac2_sparse_vs_trimmed(tmp_path):
-    # oracle: identity 2.3376 < 2.4161 < 2.4218; trim 2.1226..2.1340
+    # oracle: identity 2.3612 < 2.3628 < 2.3974; trim 2.0998..2.1288
+    # (contract v1: identity 2.3376 < 2.4161 < 2.4218; trim 2.1226..2.1340)
     cells = [{"n": 2000, "d": 3.0}, {"n": 8000, "d": 3.0},
              {"n": 32000, "d": 3.0}]
     rep_id, dt1 = _run("concentration", {"cells": cells, "scheme": "identity"},
@@ -120,7 +123,8 @@ def test_ac3_regularizer_feasibility():
 
 
 def test_ac4_laplacian_concentration(tmp_path):
-    # oracle: medians 0.90376 (n=1000) and 0.90696 (n=4000).  The medians
+    # oracle: medians 0.90416 (n=1000) and 0.90901 (n=4000) (contract v1:
+    # 0.90376 and 0.90696).  The medians
     # converge to the limit from below at this scale, so "non-increasing"
     # is asserted with a 1% relative tolerance (see the decisions ledger).
     rep, dt = _run("laplacian", {"ns": [1000, 4000], "d": 5.0, "taus": [5.0]},
@@ -175,7 +179,7 @@ def _gp_run(tmp_path):
 
 
 def test_ac6_gp_factorization_ratio(tmp_path):
-    # oracle: max ratio 1.0563, every instance within 1.379
+    # oracle: max ratio 1.0515, every instance within 1.379
     rep, dt = _gp_run(tmp_path)
     left_ok = all(t["achieved"] >= t["inf_to_2"] * (1 - 1e-9)
                   for t in rep.trials)
@@ -200,7 +204,8 @@ def test_ac7_gp_submatrix_certificates(tmp_path):
 
 
 def test_ac8_decomposition_structure(tmp_path):
-    # oracle: ratios 0.329..0.345, footprints 0, structural 100%.
+    # oracle: ratios 0.333..0.345 (0.329..0.345 under contract v1),
+    # footprints 0, structural 100%.
     # gp_iters=120 gives the identical decomposition at a third of the
     # cost of the 500-iteration default (the weight ordering that drives
     # column selection stabilizes early); see the decisions ledger.
@@ -219,7 +224,8 @@ def test_ac8_decomposition_structure(tmp_path):
 
 
 def test_ac9_figure1_reweighting(tmp_path):
-    # oracle: max|eig| 18.2 -> 8.4, tail 59 -> 1, every seed
+    # oracle: median max|eig| 41.0 -> 10.7, tail 92 -> 1, every seed
+    # (contract v1: 40.7 -> 10.8, tail 91 -> 1)
     rep, dt = _run("spectrum",
                    {"model": {"kind": "profile", "n": 1000,
                               "values": [7.0, 70.0], "fractions": [0.9, 0.1]},
@@ -238,7 +244,8 @@ def test_ac9_figure1_reweighting(tmp_path):
 
 
 def test_ac10_sbm_detection(tmp_path):
-    # oracle: signal median 0.0010 with 10/10 gap-valid DK; null 0.4888
+    # oracle: signal median 0.0010 with 10/10 gap-valid DK; null 0.4935
+    # (0.4888 under contract v1)
     sig, dt1 = _run("sbm", {"n": 2000, "a": 30.0, "b": 5.0},
                     tmp_path, "sbm_sig", trials=10, threads=THREADS)
     nul, dt2 = _run("sbm", {"n": 2000, "a": 15.0, "b": 15.0},

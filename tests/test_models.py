@@ -1,8 +1,12 @@
 """Modelsuite: rates, expected adjacency, the seeded sampler, file formats.
 
-Numeric oracles are frozen at MASTER = 1729; the binomial checks state
-their 3-sigma windows inline.
+Numeric oracles are frozen at MASTER = 1729; the measured values quoted
+inline are those of sampling contract v2 (row-block streams).  The
+binomial checks state their 3-sigma windows inline; the sampler checks
+written for contract v2 use 5-sigma windows.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from graphconc import (
     sample_directed,
     save_graph,
 )
+
+from graphconc import models
+from graphconc._seeding import ROW_BLOCK, BlockWords
 
 from conftest import MASTER, assert_close
 
@@ -205,7 +212,7 @@ def test_sample_binomial_mean():
     # Uniform(2000, 0.005): E edges = C(2000,2) * 0.005 = 9995 per draw;
     # the 30-seed mean is binomial with sigma = sqrt(9995 * 0.995 / 30) = 18.2,
     # so the +-3 sigma window is [9940.4, 10049.6].  Frozen seeds keep this
-    # deterministic; measured mean at MASTER = 9987.6.
+    # deterministic; measured mean at MASTER = 9978.3.
     m = Uniform(2000, 0.005)
     counts = [sample(m, MASTER, t).nnz for t in range(30)]
     mean = np.mean(counts)
@@ -219,9 +226,163 @@ def test_sample_respects_blocktwo_rates():
     same = np.sum((g.i < half) == (g.j < half))
     cross = g.nnz - same
     # E same = 2 * C(200,2) * 0.1 = 3980, sigma = 59.8; E cross = 200^2 * 0.01
-    # = 400, sigma = 19.9.  3-sigma windows:
+    # = 400, sigma = 19.9.  3-sigma windows; measured at MASTER: 3912 and 417.
     assert 3800.6 <= same <= 4159.4
     assert 340.3 <= cross <= 459.7
+
+
+def _pair_counts(model, streams):
+    """Ordered-pair hit counts of directed samples over ``streams`` streams."""
+    n = model.n
+    counts = np.zeros((n, n))
+    for t in range(streams):
+        g = sample_directed(model, MASTER, t)
+        np.add.at(counts, (g.i, g.j), 1.0)
+    return counts
+
+
+def _explicit_p10():
+    rng = np.random.default_rng(11)
+    P = rng.random((10, 10))
+    P = (P + P.T) / 2
+    P[P < 0.25] = 0.0
+    P[P > 0.8] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("model", [
+    Uniform(10, 0.3),
+    BlockTwo(10, 6.0, 2.0),  # half 5 falls inside the row block 3 .. 5
+    RankOne(10, tuple(np.linspace(0.1, 1.6, 10))),  # theta_i theta_j > 1 clips
+    Explicit(_explicit_p10()),
+], ids=["uniform", "blocktwo", "rankone", "explicit"])
+def test_pair_frequencies_match_probabilities(model, monkeypatch):
+    # Row blocks of 3 cut n = 10 into 3 + 3 + 3 + 1 rows.  Over T streams
+    # each ordered pair's hit count is Binomial(T, p_ij): every pair lies
+    # within 5 sigma (+ 0.5, so p in {0, 1} must be exact), and the
+    # chi-square sum over the K pairs with 0 < p < 1 within K + 5 sqrt(2K).
+    monkeypatch.setattr(models, "ROW_BLOCK", 3)
+    T = 1000
+    P = expected_dense(model)
+    counts = _pair_counts(model, T)
+    var = T * P * (1.0 - P)
+    assert np.all(np.abs(counts - T * P) <= 5.0 * np.sqrt(var) + 0.5)
+    inner = var > 0
+    chi2 = ((counts - T * P)[inner] ** 2 / var[inner]).sum()
+    K = int(inner.sum())
+    assert chi2 <= K + 5.0 * np.sqrt(2 * K), (chi2, K)
+
+
+def test_row_block_boundaries_at_full_size():
+    # n = 3000 is no multiple of ROW_BLOCK = 1024 and BlockTwo's half 1500
+    # falls inside row block 1.  Edge counts per stretch of rows and per
+    # orientation are Poisson-binomial; 5-sigma windows around their means.
+    assert ROW_BLOCK == 1024
+    m = BlockTwo(3000, 30.0, 6.0)
+    n = m.n
+    rows = np.arange(n)
+    upper = np.array([m.row_probabilities(i, i + 1, n).sum() for i in rows])
+    lower = np.array([m.row_probabilities(i, 0, i).sum() for i in rows])
+    cuts = [0, 1024, 1500, 2048, 3000]
+    g = sample_directed(m, MASTER, 0)
+    for want, side in ((upper, g.i < g.j), (lower, g.i > g.j)):
+        got = np.histogram(g.i[side], bins=cuts)[0]
+        mean = np.add.reduceat(want, cuts[:-1])
+        assert np.all(np.abs(got - mean) <= 5.0 * np.sqrt(mean)), (got, mean)
+
+
+def test_sample_degenerate_rates_and_sizes():
+    assert sample(Uniform(1, 1.0), MASTER).nnz == 0
+    assert sample_directed(Uniform(1, 1.0), MASTER).nnz == 0
+    g = sample(Uniform(2, 1.0), MASTER)
+    assert list(g.i) == [0] and list(g.j) == [1]
+    assert sample_directed(Uniform(2, 1.0), MASTER).nnz == 2
+    assert sample_directed(Uniform(2, 0.0), MASTER).nnz == 0
+    assert sample(BlockTwo(2, 2.0, 2.0), MASTER).nnz == 1  # p = 1 across
+    assert sample(BlockTwo(2, 2.0, 0.0), MASTER).nnz == 0  # no pair within
+    assert sample(RankOne(4, (2.0,) * 4), MASTER).nnz == 6  # clipped to 1
+    assert sample_directed(RankOne(3, (0.0,) * 3), MASTER).nnz == 0
+    assert sample_directed(Explicit(np.ones((4, 4))), MASTER).nnz == 12
+    assert sample(Explicit(np.zeros((4, 4))), MASTER).nnz == 0
+    # p = 1 across a row-block boundary: the complete graph, in order
+    n = ROW_BLOCK + 76
+    g = sample(Uniform(n, 1.0), MASTER)
+    assert g.nnz == n * (n - 1) // 2
+    assert np.all(np.diff(g.i * n + g.j) > 0)
+
+
+def test_million_vertex_uniform_nnz():
+    # Uniform(10^6, 3/10^6): nnz is Binomial(C(n, 2), p) with mean
+    # 1499998.5 and sigma 1224.7; 5-sigma window.
+    n = 10**6
+    g = sample(Uniform(n, 3.0 / n), MASTER)
+    assert abs(g.nnz - 1499998.5) <= 5.0 * 1224.7
+    assert np.all(g.i < g.j) and np.all(np.diff(g.i * n + g.j) > 0)
+
+
+def test_rankone_words_scale_with_edges(monkeypatch):
+    # A clipped degree profile: hubs pair with probability 1.  Thinning
+    # keeps the bound within a factor 4 of p_ij, so a sample reads at most
+    # 2 words per candidate (gap and thinning) plus one overshoot word per
+    # rectangle, far fewer than the n(n-1)/2 = 1999000 pairs.
+    m = degree_profile(2000, (2.0, 400.0), (0.95, 0.05))
+    assert max_rate(m) == pytest.approx(2000.0)
+    read = []
+
+    class Counted(models.BlockWords):
+        def take(self, k):
+            read.append(k)
+            return super().take(k)
+
+    monkeypatch.setattr(models, "BlockWords", Counted)
+    g = sample(m, MASTER)
+    groups = models._groups(m)[0]
+    mean_nnz = m.expected_degrees().sum() / 2
+    blocks = -(-m.n // ROW_BLOCK)
+    assert sum(read) <= 8.0 * mean_nnz + blocks * len(groups) ** 2
+    assert abs(g.nnz - mean_nnz) <= 5.0 * np.sqrt(mean_nnz)
+
+
+def test_geometric_hits_reads_hits_plus_one_words():
+    # Against a one-word-at-a-time walk of the same stream.
+    words = BlockWords(MASTER, 0, 0)
+    ref = BlockWords(MASTER, 0, 0)
+    for length, q in ((50, 0.2), (7, 1.0), (1000, 0.001), (3, 0.5)):
+        hits = models._geometric_hits(words, length, q)
+        want, at = [], -1
+        lam = np.log1p(-q) if q < 1.0 else -np.inf
+        while True:
+            at += 1 + int(np.floor(np.log(ref.take(1)[0]) / lam))
+            if at >= length:
+                break
+            want.append(at)
+        assert hits.tolist() == want
+    assert np.array_equal(words.take(5), ref.take(5))
+
+    class Ones:  # every gap 0: far more hits than the first guess
+        taken = 0
+
+        def peek(self, k):
+            return np.ones(k)
+
+        def take(self, k):
+            self.taken += k
+
+    ones = Ones()
+    assert models._geometric_hits(ones, 500, 0.01).tolist() == list(range(500))
+    assert ones.taken == 501
+
+
+def test_sample_does_not_depend_on_read_ahead(monkeypatch):
+    m = BlockTwo(3000, 30.0, 6.0)
+    before = sample_directed(m, MASTER, 2)
+
+    class Greedy(models.BlockWords):
+        def peek(self, k):
+            return super().peek(k + 777)[:k]
+
+    monkeypatch.setattr(models, "BlockWords", Greedy)
+    assert sample_directed(m, MASTER, 2) == before
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +408,42 @@ def test_save_load_unweighted_directed(tmp_path):
     back = load_graph(path)
     assert back == g and back.directed
     assert '"weighted": false' in path.read_text().splitlines()[0]
+
+
+def _rowwise_save(g, path):
+    """The edge-by-edge writer save_graph must match byte for byte."""
+    weighted = bool(g.nnz and np.any(g.w != 1.0))
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"n": g.n, "directed": g.directed,
+                             "weighted": weighted}) + "\n")
+        for a, b, w in zip(g.i, g.j, g.w):
+            fh.write(f"{a},{b},{float(w)!r}\n")
+
+
+def test_save_graph_bytes_and_roundtrip(tmp_path):
+    rng = np.random.default_rng(9)
+    graphs = [
+        sample(Uniform(300, 0.05), MASTER),
+        sample_directed(BlockTwo(60, 20.0, 4.0), MASTER),
+        SparseGraph(7, [], [], []),
+        SparseGraph(1, [], [], [], directed=True),
+    ]
+    i, j = np.nonzero(np.triu(rng.random((40, 40)) < 0.2, 1))
+    graphs.append(SparseGraph(40, i, j, 1.0 - rng.random(i.size)))
+    graphs.append(SparseGraph(5, [0, 4], [3, 1], [1e-300, 0.1 + 0.2], directed=True))
+    for k, g in enumerate(graphs):
+        ours, ref = tmp_path / f"g{k}.csv", tmp_path / f"r{k}.csv"
+        save_graph(g, ours)
+        _rowwise_save(g, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert load_graph(ours) == g
+
+
+def test_load_graph_rejects_short_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text('{"n": 3, "directed": false, "weighted": false}\n0,1,1.0\n1,2\n')
+    with pytest.raises(ValueError):
+        load_graph(path)
 
 
 def test_model_dict_roundtrip():

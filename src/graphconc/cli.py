@@ -4,12 +4,14 @@
                       [--trials N] [--threads N]
 
 Commands: sample | spectrum | concentration | laplacian | sbm |
-decompose | gp-check.  Each run reads one JSON config (CLI flags
-override config fields), writes config.json / report.json / CSV
-artifacts into its own output directory, and is reproducible
-byte-for-byte from config + master seed (wall clock aside).  Trials map
-to RNG stream indices, so --threads changes the schedule, never the
-numbers.
+decompose | gp-check.  Each run reads one JSON config of experiment
+parameters (solver settings are module constants; an unknown key is an
+error), writes config.json / report.json / CSV artifacts into its own
+output directory, and is reproducible byte-for-byte from config +
+master seed (wall clock aside).  seed/trials/threads/out may also be
+config keys; flags win, and a config value gets its flag's check.
+--trials N runs trials 0..N-1 on RNG streams 0..N-1 (gp-check: N
+random matrices), so --threads changes the schedule, never the numbers.
 """
 
 from __future__ import annotations
@@ -39,15 +41,8 @@ from .regularize import (ShiftedGraph, adjacency_shifted_op, apply_scheme,
                          tau_shift)
 from .reports import (ExperimentReport, run_trials, summarize, write_csv,
                       write_histogram)
-from .spectral import full_spectrum, inf_to_2_norm_exact, spectral_norm
-
-# experiment-scale solver settings: NORM_TOL is the relative residual
-# spectral_norm certifies, far below the +/-15 % windows the reports
-# are judged against; NORM_MAX_ITER caps ARPACK's restart cycles (each
-# one ncv = 20 Lanczos steps), generous for semicircle-edge spectra
-# whose relative gaps shrink like n^{-2/3}.
-NORM_TOL = 1e-5
-NORM_MAX_ITER = 20000
+from .spectral import (NORM_MAX_ITER, NORM_TOL, full_spectrum,
+                       inf_to_2_norm_exact, spectral_norm)
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,10 @@ def _path(ctx, name):
     return os.path.join(ctx.out_dir, name)
 
 
-def _norm_or_best(op, tol=NORM_TOL, max_iter=NORM_MAX_ITER):
+def _norm_or_best(op):
     """(value, converged) -- NoConvergence downgraded to its best estimate."""
     try:
-        return spectral_norm(op, tol=tol, max_iter=max_iter), True
+        return spectral_norm(op, tol=NORM_TOL, max_iter=NORM_MAX_ITER), True
     except NoConvergence as exc:
         return float(exc.best if exc.best is not None else np.nan), False
 
@@ -97,7 +92,6 @@ class SpectrumConfig:
     scheme: str = "reweight"
     cap: float | None = None        # None -> average degree of the sample
     tau: float | None = None
-    bins: int = 100
     tail_threshold: float | None = None  # None -> 2 sqrt(average degree)
 
 
@@ -106,8 +100,6 @@ class ConcentrationConfig:
     cells: list = field(default_factory=lambda: [{"n": 1000, "d": 8.0}])
     scheme: str = "identity"
     cap_mult: float = 2.0           # cap = cap_mult * d for capped schemes
-    tol: float = NORM_TOL
-    max_iter: int = NORM_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,6 @@ class LaplacianConfig:
     ns: list = field(default_factory=lambda: [1000])
     d: float = 5.0
     taus: list | None = None        # None -> [d]
-    tol: float = NORM_TOL
-    max_iter: int = NORM_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,6 @@ class SbmConfig:
     a: float = 30.0
     b: float = 5.0
     tau: float | None = None        # None -> average degree, per trial
-    detect_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,7 +124,6 @@ class DecomposeConfig:
     r: float = 3.0
     model: dict | None = None       # None -> Uniform(n, d/n)
     directed: bool = False          # undirected input is triangle-split
-    kappa: float = 4.0
     gp_iters: int = 500
     write_files: bool = True
 
@@ -144,10 +132,8 @@ class DecomposeConfig:
 class GpCheckConfig:
     rows: int = 8
     cols: int = 12
-    count: int = 100                # instances when --trials is left at 1
     deltas: list = field(default_factory=lambda: [0.25, 0.5])
     ratio_limit: float = 1.379      # sqrt(pi/2) * 1.10 solver slack
-    entries: str = "uniform"        # uniform in [-1, 1] | gauss
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +185,7 @@ def cmd_spectrum(cfg, ctx):
         for tag, eigs in (("before", before), ("after", after)):
             write_csv(_path(ctx, f"eigs_{tag}{sfx}.csv"), ["eigenvalue"],
                       [[repr(float(v))] for v in eigs])
-            write_histogram(_path(ctx, f"hist_{tag}{sfx}.csv"), eigs,
-                            bins=cfg.bins)
+            write_histogram(_path(ctx, f"hist_{tag}{sfx}.csv"), eigs)
         return {"trial": t, "cap": float(cap), "tail_threshold": float(thr),
                 "max_abs_before": float(np.abs(before).max()),
                 "max_abs_after": float(np.abs(after).max()),
@@ -233,7 +218,7 @@ def cmd_concentration(cfg, ctx):
                           tau=cap if cfg.scheme == "tau" else None)
         dev = compose_difference(adjacency_shifted_op(g2),
                                  expected_adjacency(model))
-        norm, ok = _norm_or_best(dev, cfg.tol, cfg.max_iter)
+        norm, ok = _norm_or_best(dev)
         ratio = norm / np.sqrt(d) if d > 0 else 0.0
         return {"cell": ci, "n": n, "d": d, "trial": t, "norm": float(norm),
                 "ratio": float(ratio), "converged": ok}
@@ -271,7 +256,7 @@ def cmd_laplacian(cfg, ctx):
         g = sample(model, ctx.seed, flat)
         dev = compose_difference(laplacian(tau_shift(g, tau)),
                                  expected_laplacian(model, tau))
-        norm, ok = _norm_or_best(dev, cfg.tol, cfg.max_iter)
+        norm, ok = _norm_or_best(dev)
         return {"n": n, "tau": tau, "trial": t,
                 "value": float(np.sqrt(d) * norm), "converged": ok}
 
@@ -298,7 +283,7 @@ def cmd_sbm(cfg, ctx):
         tau = float(cfg.tau) if cfg.tau is not None else average_degree(g)
         rec = {"trial": t, "tau": tau}
         try:
-            chk = davis_kahan_check(g, model, tau, tol=cfg.detect_tol)
+            chk = davis_kahan_check(g, model, tau)
         except NoConvergence as exc:
             # detect failed: best-effort labels from the converged Ritz
             # vectors, if any; flagged
@@ -352,7 +337,7 @@ def cmd_decompose(cfg, ctx):
         for name, gd, EA in parts:
             try:
                 dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters)
-                rep = verify_decomposition(gd, EA, dec, kappa=cfg.kappa)
+                rep = verify_decomposition(gd, EA, dec)
             except GraphconcError as exc:
                 rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
                 continue
@@ -390,14 +375,9 @@ def cmd_decompose(cfg, ctx):
 
 
 def cmd_gp_check(cfg, ctx):
-    count = ctx.trials if ctx.trials != 1 else cfg.count
-
     def one(i):
-        rng = aux_generator(ctx.seed, i, 3)
-        if cfg.entries == "gauss":
-            B = rng.standard_normal((cfg.rows, cfg.cols))
-        else:
-            B = rng.uniform(-1.0, 1.0, size=(cfg.rows, cfg.cols))
+        B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
+                                                  size=(cfg.rows, cfg.cols))
         w = gp_weights(B)  # asserts the left inequality internally
         exact = inf_to_2_norm_exact(B)
         rec = {"trial": i, "achieved": float(w.achieved_norm),
@@ -411,7 +391,7 @@ def cmd_gp_check(cfg, ctx):
             rec[f"selected_d{key}"] = cert.n_selected
         return rec
 
-    trials = run_trials(one, count, ctx.threads)
+    trials = run_trials(one, ctx.trials, ctx.threads)
     ratios = [t["ratio"] for t in trials]
     cert_keys = [k for k in trials[0] if k.startswith("cert_ok_")] if trials else []
     return ExperimentReport(
@@ -445,11 +425,21 @@ _COMMANDS = {
 }
 
 
-def _u64(text):
-    value = int(text, 0)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in a u64")
-    return value
+def _int_in(low, high, what):
+    """Parser of an int in [low, high), from a flag's text or a JSON value."""
+    def parse(value):
+        try:
+            value = int(value, 0) if isinstance(value, str) else value
+        except ValueError:
+            pass
+        if type(value) is not int or not low <= value < high:
+            raise argparse.ArgumentTypeError(f"{what}, not {value!r}")
+        return value
+    return parse
+
+
+_u64 = _int_in(0, 2 ** 64, "seed must fit in a u64")
+_positive = _int_in(1, float("inf"), "must be a positive integer")
 
 
 def build_parser():
@@ -465,8 +455,9 @@ def build_parser():
         p.add_argument("--seed", type=_u64,
                        help="master seed (required here or in the config)")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--trials", type=int, help="number of trials")
-        p.add_argument("--threads", type=int, help="worker threads")
+        p.add_argument("--trials", type=_positive,
+                       help="number of trials (gp-check: instances)")
+        p.add_argument("--threads", type=_positive, help="worker threads")
     return parser
 
 
@@ -490,24 +481,27 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     raw = {}
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-    # reserved keys are allowed in the config file but flags take precedence
-    cfg_seed = raw.pop("seed", None)
-    cfg_trials = raw.pop("trials", 1)
-    cfg_threads = raw.pop("threads", 1)
+    run = {"seed": None, "trials": 1, "threads": 1}
+    for key, parse in (("seed", _u64), ("trials", _positive),
+                       ("threads", _positive)):
+        if key in raw:
+            try:
+                run[key] = parse(raw.pop(key))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"config field {key!r}: {exc}")
+        if getattr(args, key) is not None:
+            run[key] = getattr(args, key)
+    seed, trials, threads = run["seed"], run["trials"], run["threads"]
     cfg_out = raw.pop("out", None)
-    seed = args.seed if args.seed is not None else cfg_seed
-    trials = args.trials if args.trials is not None else cfg_trials
-    threads = args.threads if args.threads is not None else cfg_threads
     out_dir = args.out if args.out is not None else cfg_out
     if seed is None:
-        build_parser().error("--seed is required (flag or config field)")
-    if trials < 1:
-        build_parser().error("--trials must be at least 1")
+        parser.error("--seed is required (flag or config field)")
     from .reports import config_hash
     if out_dir is None:
         stub = config_hash({"command": args.command, "config": raw,

@@ -18,7 +18,7 @@ from .errors import InvalidRates, LengthMismatch, NoConvergence, ZeroGap
 from .models import BlockTwo, sample
 from .operators import compose_difference, identity_op, op_combine
 from .regularize import expected_laplacian, laplacian, tau_shift
-from .spectral import spectral_norm, top_k_eigs
+from .spectral import NORM_MAX_ITER, NORM_TOL, spectral_norm, top_k_eigs
 
 _DETECT_SEED = 0xC0DE  # fixed eigensolver seed; detect is deterministic
 
@@ -165,8 +165,7 @@ def eigvec_distance(x, y):
     return float(min(np.linalg.norm(x + y), np.linalg.norm(x - y)))
 
 
-def davis_kahan_check(g, model, tau, tol=1e-6, norm_tol=1e-5,
-                      norm_max_iter=20000):
+def davis_kahan_check(g, model, tau):
     """End-to-end Theorem 1.3 measurement on one SBM sample.
 
     X = L(A_tau), Y = L(EA_tau).  The premise asks both second-smallest
@@ -182,7 +181,7 @@ def davis_kahan_check(g, model, tau, tol=1e-6, norm_tol=1e-5,
     norm solve that does not converge leaves norm_diff None, the bound
     infinite and holds vacuously True, so the detect labels survive.
     """
-    labels, det = detect(g, tau, tol=tol, details=True)
+    labels, det = detect(g, tau, details=True)
     _, l2y, l3y = expected_laplacian_eigs(model, tau)
     l2x, l3x = det.lam2, det.lam3
     hi = max(l2x, l2y)
@@ -191,7 +190,7 @@ def davis_kahan_check(g, model, tau, tol=1e-6, norm_tol=1e-5,
     diff = compose_difference(laplacian(tau_shift(g, tau)),
                               expected_laplacian(model, tau))
     try:
-        norm_diff = spectral_norm(diff, tol=norm_tol, max_iter=norm_max_iter)
+        norm_diff = spectral_norm(diff, tol=NORM_TOL, max_iter=NORM_MAX_ITER)
     except NoConvergence:
         norm_diff = None
     v2y, _ = expected_laplacian_eigvec(model, tau)

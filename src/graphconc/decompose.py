@@ -46,6 +46,9 @@ CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
 CLASS_NAMES = ("N", "R", "C")
 TINY_BLOCK = 8
 DENSE_LIMIT = 4096
+# footprint slack of Theorem 2.6: the halving rounds spend
+# sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
+KAPPA = 4.0
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,42 @@ def _cap_exceptional(mask, cap, gp_rejected, ones):
     return out, True
 
 
+def _round_trace(m_nom, alpha, I, J, **found):
+    """One round's trace entry: the block it ran on, then what it found."""
+    return {"m": int(m_nom), "alpha": float(alpha), "rows": int(I.size),
+            "cols": int(J.size), "I": I.tolist(), "J": J.tolist(), **found}
+
+
+def _column_pass(sub, cent, good_rows, r, cap, gp_iters):
+    """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
+
+    ``good_rows`` are the rows that passed the filter.  Returns
+    (exceptional mask J1, 32r-light mask J44, GP certificate, capped?).
+    """
+    J_gp, cert = gp_submatrix(cent[good_rows], 0.25, max_iter=gp_iters)
+    gp_col = np.zeros(cent.shape[1], dtype=bool)
+    gp_col[J_gp] = True
+    bad_rows = ~good_rows
+    ones_bad = (sub[bad_rows].getnnz(axis=0) if bad_rows.any()
+                else np.zeros(cent.shape[1], dtype=np.int64))
+    light = ones_bad <= 32 * r
+    J1_mask, capped = _cap_exceptional(~(gp_col & light), cap, ~gp_col,
+                                       ones_bad)
+    return J1_mask, light, cert, capped
+
+
+def _gp_trace(cert):
+    return {"achieved": cert.achieved_norm, "submatrix": cert.submatrix_norm,
+            "selected": cert.n_selected, "iterations": cert.iterations,
+            "converged": cert.converged}
+
+
 def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
     """One round on csr + dense inputs.
 
-    Returns (parts, I1, J1, trace): parts maps each class code to the
-    (i, j) pair arrays it owns inside this block, disjointly, covering
-    exactly (I x J) \\ (I1 x J1).
+    Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
+    array of the block, -1 exactly on the exceptional hole I1 x J1.
     """
-    I = np.asarray(I, dtype=np.int64)
-    J = np.asarray(J, dtype=np.int64)
     mI, mJ = I.size, J.size
     n = A01.shape[0]
     if alpha < np.sqrt(max(mI, mJ, 1) / n) - 1e-12:
@@ -133,29 +163,14 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
             block=(I, J))
     cent = sub.toarray() - EA[np.ix_(I, J)]
     cap = int(m_nom) // 2
+    J1_mask, j44, cert_cols, capped_j = _column_pass(
+        sub, cent, good_rows, r, cap, gp_iters)
+    I1_mask, i44, cert_rows, capped_i = _column_pass(
+        sub.T, cent.T, good_cols, r, cap, gp_iters)
 
-    # pass 1: columns
-    J_gp, cert_cols = gp_submatrix(cent[good_rows], 0.25, max_iter=gp_iters)
-    gp_col = np.zeros(mJ, dtype=bool)
-    gp_col[J_gp] = True
-    bad_rows = ~good_rows
-    ones_bad = (sub[bad_rows].getnnz(axis=0) if bad_rows.any()
-                else np.zeros(mJ, dtype=np.int64))
-    j44 = ones_bad <= 32 * r
-    J1_mask, capped_j = _cap_exceptional(~(gp_col & j44), cap, ~gp_col, ones_bad)
-
-    # pass 2: transpose
-    I_gp, cert_rows = gp_submatrix(cent[:, good_cols].T, 0.25, max_iter=gp_iters)
-    gp_row = np.zeros(mI, dtype=bool)
-    gp_row[I_gp] = True
-    bad_cols = ~good_cols
-    ones_badc = (sub[:, bad_cols].getnnz(axis=1) if bad_cols.any()
-                 else np.zeros(mI, dtype=np.int64))
-    i44 = ones_badc <= 32 * r
-    I1_mask, capped_i = _cap_exceptional(~(gp_row & i44), cap, ~gp_row, ones_badc)
-
+    bad_rows, bad_cols = ~good_rows, ~good_cols
     keep_i, keep_j = ~I1_mask, ~J1_mask
-    local = np.full((mI, mJ), -1, dtype=np.int8)
+    grid = np.full((mI, mJ), -1, dtype=np.int8)
     for rows, cols, cls in (
             (bad_rows, keep_j & j44, CLASS_C),
             (keep_i & i44, bad_cols, CLASS_R),
@@ -163,34 +178,19 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
             (keep_i, good_cols, CLASS_N),
             (bad_rows, keep_j & ~j44, CLASS_N),
             (keep_i & ~i44, bad_cols, CLASS_N)):
-        local[np.ix_(rows, cols)] = cls
+        grid[np.ix_(rows, cols)] = cls
     hole = np.outer(I1_mask, J1_mask)
-    assert np.array_equal(local == -1, hole), "cover mismatch in block pass"
+    assert np.array_equal(grid == -1, hole), "cover mismatch in block pass"
 
-    parts = {}
-    for cls in (CLASS_N, CLASS_R, CLASS_C):
-        pi, pj = np.nonzero(local == cls)
-        parts[cls] = (I[pi], J[pj])
-    trace = {
-        "m": int(m_nom), "alpha": float(alpha), "rows": mI, "cols": mJ,
-        "I": I.tolist(), "J": J.tolist(),
-        "I_prime": I[good_rows].tolist(), "J_prime": J[good_cols].tolist(),
-        "J44": J[j44].tolist(), "I44": I[i44].tolist(),
-        "I1": I[I1_mask].tolist(), "J1": J[J1_mask].tolist(),
-        "row_cap": row_cap, "capped_I1": capped_i, "capped_J1": capped_j,
-        "gp_cols": {"achieved": cert_cols.achieved_norm,
-                    "submatrix": cert_cols.submatrix_norm,
-                    "selected": cert_cols.n_selected,
-                    "iterations": cert_cols.iterations,
-                    "converged": cert_cols.converged},
-        "gp_rows": {"achieved": cert_rows.achieved_norm,
-                    "submatrix": cert_rows.submatrix_norm,
-                    "selected": cert_rows.n_selected,
-                    "iterations": cert_rows.iterations,
-                    "converged": cert_rows.converged},
-        "row_filter_empty": False, "all_n": False,
-    }
-    return parts, I[I1_mask], J[J1_mask], trace
+    trace = _round_trace(
+        m_nom, alpha, I, J,
+        I_prime=I[good_rows].tolist(), J_prime=J[good_cols].tolist(),
+        J44=J[j44].tolist(), I44=I[i44].tolist(),
+        I1=I[I1_mask].tolist(), J1=J[J1_mask].tolist(),
+        row_cap=row_cap, capped_I1=capped_i, capped_J1=capped_j,
+        gp_cols=_gp_trace(cert_cols), gp_rows=_gp_trace(cert_rows),
+        row_filter_empty=False, all_n=False)
+    return grid, I1_mask, J1_mask, trace
 
 
 def decompose_block(A, EA, I, J, alpha, r, d, m_nom=None, gp_iters=500):
@@ -206,11 +206,14 @@ def decompose_block(A, EA, I, J, alpha, r, d, m_nom=None, gp_iters=500):
     J = np.asarray(J, dtype=np.int64)
     if m_nom is None:
         m_nom = max(I.size, J.size)
-    A01 = _ones_csr(A)
-    EA = _dense_ea(EA, A.n)
-    parts, I1, J1, _ = _block_pass(A01, EA, I, J, alpha, r, d, m_nom,
-                                   gp_iters=gp_iters)
-    return parts[CLASS_N], parts[CLASS_R], parts[CLASS_C], I1, J1
+    grid, I1_mask, J1_mask, _ = _block_pass(
+        _ones_csr(A), _dense_ea(EA, A.n), I, J, alpha, r, d, m_nom,
+        gp_iters=gp_iters)
+    parts = []
+    for cls in (CLASS_N, CLASS_R, CLASS_C):
+        pi, pj = np.nonzero(grid == cls)
+        parts.append((I[pi], J[pj]))
+    return (*parts, I[I1_mask], J[J1_mask])
 
 
 def decompose(A, EA, r, d, gp_iters=500):
@@ -235,31 +238,25 @@ def decompose(A, EA, r, d, gp_iters=500):
     while I.size and J.size:
         if m_nom <= TINY_BLOCK:
             labels[np.ix_(I, J)] = CLASS_N
-            trace.append({"m": int(m_nom), "alpha": float(np.sqrt(m_nom / n)),
-                          "rows": int(I.size), "cols": int(J.size),
-                          "I": I.tolist(), "J": J.tolist(),
-                          "all_n": True, "row_filter_empty": False})
+            trace.append(_round_trace(m_nom, np.sqrt(m_nom / n), I, J,
+                                      all_n=True, row_filter_empty=False))
             break
         alpha = float(np.sqrt(max(m_nom, I.size, J.size) / n))
         try:
-            parts, I1, J1, round_trace = _block_pass(
+            grid, I1_mask, J1_mask, round_trace = _block_pass(
                 A01, EA, I, J, alpha, r, d, m_nom, gp_iters=gp_iters)
-            for cls in (CLASS_N, CLASS_R, CLASS_C):
-                pi, pj = parts[cls]
-                labels[pi, pj] = cls
-            new_r_rows = np.unique(parts[CLASS_R][0])
+        except RowFilterEmpty:
+            trace.append(_round_trace(m_nom, alpha, I, J,
+                                      row_filter_empty=True, all_n=False))
+        else:
+            # the hole's -1s are painted over by the next rounds
+            labels[np.ix_(I, J)] = grid
+            new_r_rows = I[(grid == CLASS_R).any(axis=1)]
             assert not r_rows_seen[new_r_rows].any(), \
                 "R rows must be disjoint across rounds"
             r_rows_seen[new_r_rows] = True
-        except RowFilterEmpty:
-            I1, J1 = I, J
-            round_trace = {"m": int(m_nom), "alpha": alpha,
-                           "rows": int(I.size), "cols": int(J.size),
-                           "I": I.tolist(), "J": J.tolist(),
-                           "row_filter_empty": True, "all_n": False}
-        trace.append(round_trace)
-        I = np.asarray(I1, dtype=np.int64)
-        J = np.asarray(J1, dtype=np.int64)
+            trace.append(round_trace)
+            I, J = I[I1_mask], J[J1_mask]
         m_nom //= 2
     assert labels.min() >= 0, "decomposition left unassigned pairs"
     return EdgeDecomposition(n=n, class_of=labels, r=float(r), d=float(d),
@@ -293,17 +290,15 @@ class VerifyReport:
         return self.partition_ok and self.r_rows_ok and self.c_cols_ok
 
 
-def verify_decomposition(A, EA, dec, d=None, r=None, kappa=4.0):
+def verify_decomposition(A, EA, dec, d=None, r=None):
     """Check the certified properties of a decomposition, measure the rest.
 
     (a) every ordered pair carries exactly one class (range check on the
         dense label array);
     (b) every row of A restricted to R has <= 32r ones;
     (c) every column of A restricted to C has <= 32r ones;
-    (d) R touches <= kappa n/d columns and C <= kappa n/d rows.  The
-        halving rounds spend sum_i 2^{-i/2} ~ 3.41 of the single-round
-        column budget, hence the default slack kappa = 4; reported,
-        not raised.
+    (d) R touches <= KAPPA n/d columns and C <= KAPPA n/d rows;
+        reported, not raised.
     (e) measured ||(A - EA)_N|| against r^{3/2} sqrt(d); recorded only.
     """
     if d is None:
@@ -325,7 +320,7 @@ def verify_decomposition(A, EA, dec, d=None, r=None, kappa=4.0):
 
     r_cols = int(np.any(labels == CLASS_R, axis=0).sum())
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
-    limit = kappa * n / d if d > 0 else np.inf
+    limit = KAPPA * n / d if d > 0 else np.inf
 
     dev_n = (Ad - EA) * (labels == CLASS_N)
     if n == 0:
@@ -352,7 +347,7 @@ def verify_decomposition(A, EA, dec, d=None, r=None, kappa=4.0):
         norm_target=float(target),
         norm_ratio=float(norm_n / target) if np.isfinite(target) and target > 0
         else 0.0,
-        kappa=float(kappa),
+        kappa=KAPPA,
     )
 
 

@@ -45,6 +45,9 @@ from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
 
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
+# mirror descent counts as converged when its best value improved by
+# less than this relative amount over the last 50 steps
+_CONVERGED_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,14 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     return lam, v
 
 
-def gp_weights(B, tol=1e-4, max_iter=500, step_c=1.0, rng=None):
+def gp_weights(B, max_iter=500, rng=None):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
+    Step t moves by 1/sqrt(t) times the normalized subgradient.
     ``converged`` reports whether the running best improved by less than
-    a relative tol over the last 50 iterations (the scheme has no other
-    natural stopping rule); callers treat False as a flag, not an error.
+    a relative _CONVERGED_TOL over the last 50 iterations (the scheme
+    has no other natural stopping rule); callers treat False as a flag,
+    not an error.
     The left inequality achieved_norm >= ||B||_{inf->2} is asserted
     against the greedy lower-bound oracle on every call.
     """
@@ -197,13 +202,13 @@ def gp_weights(B, tol=1e-4, max_iter=500, step_c=1.0, rng=None):
         gmax = np.abs(g).max()
         if gmax == 0.0:
             break
-        mu = mu * np.exp(-(step_c / np.sqrt(t)) * (g / gmax))
+        mu = mu * np.exp(-(1.0 / np.sqrt(t)) * (g / gmax))
         mu = np.maximum(mu / mu.sum(), _MU_FLOOR)
         mu /= mu.sum()
     iterations = len(history)
     window = min(50, iterations - 1) if iterations > 1 else 0
     converged = bool(window and history[-1 - window] - history[-1]
-                     <= tol * max(history[-1], 1e-30))
+                     <= _CONVERGED_TOL * max(history[-1], 1e-30))
     # exact-at-tolerance re-evaluation of the candidates
     achieved = spectral_norm(_scaled_op(B, best_mu, col_live), tol=1e-11,
                              max_iter=20000, rng=rng)

@@ -18,6 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+HIST_BINS = 100  # bins of the spectrum histograms
+
 
 def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -105,8 +107,9 @@ def write_csv(path, header, rows):
             writer.writerow(row)
 
 
-def write_histogram(path, eigs, bins=100):
-    """Counts over [min, max]; a degenerate range collapses to one bin."""
+def write_histogram(path, eigs):
+    """Counts in HIST_BINS bins over [min, max]; a degenerate range
+    collapses to one bin."""
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size == 0:
         write_csv(path, ["bin_lo", "bin_hi", "count"], [[0.0, 0.0, 0]])
@@ -116,7 +119,7 @@ def write_histogram(path, eigs, bins=100):
         write_csv(path, ["bin_lo", "bin_hi", "count"],
                   [[lo, hi, int(eigs.size)]])
         return
-    counts, edges = np.histogram(eigs, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(eigs, bins=HIST_BINS, range=(lo, hi))
     write_csv(path, ["bin_lo", "bin_hi", "count"],
               [[edges[k], edges[k + 1], int(counts[k])]
                for k in range(len(counts))])

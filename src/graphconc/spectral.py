@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigsh, svds)
 
@@ -43,6 +44,15 @@ DENSE_SOLVE_LIMIT = 32
 FULL_SPECTRUM_LIMIT = 2048
 ENUMERATION_LIMIT = 24
 _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
+
+# experiment-scale norm settings (the CLI's deviation norms and the
+# Davis-Kahan check): NORM_TOL is the relative residual certified, far
+# below the +/-15 % windows the reports are judged against;
+# NORM_MAX_ITER caps ARPACK's restart cycles (each one ncv = 20 Lanczos
+# steps), generous for semicircle-edge spectra whose relative gaps
+# shrink like n^{-2/3}.
+NORM_TOL = 1e-5
+NORM_MAX_ITER = 20000
 
 
 def _scipy_op(matvec, shape, rmatvec=None):
@@ -254,31 +264,12 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None):
     return best
 
 
-def _row_col_reductions(B):
-    if hasattr(B, "tocsr") and not isinstance(B, np.ndarray):
-        absB = abs(B.tocsr())
-        row1 = np.asarray(absB.sum(axis=1)).ravel()
-        col1 = np.asarray(absB.sum(axis=0)).ravel()
-        sq = B.multiply(B)
-        row_nnz = np.diff(B.tocsr().indptr)
-        col_sq = np.asarray(sq.sum(axis=0)).ravel()
-        return row1, col1, row_nnz, col_sq, B.min() if B.nnz else 0.0, B.max() if B.nnz else 0.0
-    B = np.asarray(B, dtype=float)
-    row1 = np.abs(B).sum(axis=1)
-    col1 = np.abs(B).sum(axis=0)
-    row_nnz = (B != 0).sum(axis=1)
-    col_sq = (B * B).sum(axis=0)
-    lo = B.min() if B.size else 0.0
-    hi = B.max() if B.size else 0.0
-    return row1, col1, row_nnz, col_sq, lo, hi
-
-
 def l1_operator_bound(B):
     """sqrt(max row l1 norm * max column l1 norm) >= ||B||."""
-    row1, col1, _, _, _, _ = _row_col_reductions(B)
-    if row1.size == 0 or col1.size == 0:
+    absB = abs(scipy.sparse.csr_matrix(B))
+    if 0 in absB.shape:
         return 0.0
-    return float(np.sqrt(row1.max() * col1.max()))
+    return float(np.sqrt(absB.sum(axis=1).max() * absB.sum(axis=0).max()))
 
 
 def l2_sparsity_bound(B):
@@ -287,9 +278,10 @@ def l2_sparsity_bound(B):
     Valid for entries in [0, 1] (the regime of adjacency fragments);
     anything outside that range is refused.
     """
-    _, _, row_nnz, col_sq, lo, hi = _row_col_reductions(B)
-    if lo < 0.0 or hi > 1.0:
+    C = scipy.sparse.csr_matrix(B)
+    if C.nnz and (C.data.min() < 0.0 or C.data.max() > 1.0):
         raise EntryOutOfRange("l2_sparsity_bound needs entries in [0, 1]")
-    if row_nnz.size == 0 or col_sq.size == 0:
+    if 0 in C.shape:
         return 0.0
-    return float(np.sqrt(float(row_nnz.max()) * col_sq.max()))
+    col_sq = C.multiply(C).sum(axis=0).max()
+    return float(np.sqrt(float(np.diff(C.indptr).max()) * col_sq))

@@ -170,9 +170,9 @@ _GP_CACHE = {}
 def _gp_run(tmp_path):
     if "rep" not in _GP_CACHE:
         rep, dt = _run("gp-check",
-                       {"rows": 8, "cols": 12, "count": 100,
+                       {"rows": 8, "cols": 12,
                         "deltas": [0.25, 0.5], "ratio_limit": 1.379},
-                       tmp_path, "gp", trials=1)
+                       tmp_path, "gp", trials=100)
         _GP_CACHE["rep"] = rep
         _GP_CACHE["dt"] = dt
     return _GP_CACHE["rep"], _GP_CACHE["dt"]

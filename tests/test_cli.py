@@ -91,7 +91,7 @@ def test_threads_do_not_change_results(tmp_path):
 
 def test_threads_do_not_change_gp_results(tmp_path):
     # GP's LAPACK and BLAS calls run inside the thread pool
-    runs = [("gp-check", {"rows": 8, "cols": 12, "count": 6}, 1),
+    runs = [("gp-check", {"rows": 8, "cols": 12}, 6),
             ("decompose", {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20}, 4)]
     for name, cfg, trials in runs:
         blobs = []
@@ -106,6 +106,16 @@ def test_threads_do_not_change_gp_results(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         run_command("sample", {"modle": {}}, MASTER, str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("name,key", [
+    ("spectrum", "bins"), ("concentration", "tol"),
+    ("concentration", "max_iter"), ("laplacian", "tol"),
+    ("laplacian", "max_iter"), ("sbm", "detect_tol"),
+    ("decompose", "kappa"), ("gp-check", "entries"), ("gp-check", "count")])
+def test_solver_settings_are_not_config_keys(tmp_path, name, key):
+    with pytest.raises(ValueError, match="unknown config key"):
+        run_command(name, {key: 1}, MASTER, str(tmp_path / "x"))
 
 
 def test_unknown_scheme_is_an_error(tmp_path):
@@ -131,6 +141,18 @@ def test_spectrum_k5_masses(tmp_path):
     eigs = sorted(float(r["eigenvalue"]) for r in read_csv(out / "eigs_before.csv"))
     assert eigs[0] == pytest.approx(-1.0) and eigs[-1] == pytest.approx(4.0)
     assert rep.trials[0]["tail_before"] == 0
+
+
+def test_spectrum_of_a_saved_graph(tmp_path):
+    # the graph input reads back what sample saved: the same spectrum as
+    # drawing the model at the same seed
+    model = {"kind": "uniform", "n": 60, "p": 0.1}
+    run_command("sample", {"model": model}, MASTER, str(tmp_path / "s"))
+    runs = [run_command("spectrum", cfg, MASTER, str(tmp_path / name))
+            for name, cfg in (("m", {"model": model}),
+                              ("g", {"graph": str(tmp_path / "s" / "graph.csv")}))]
+    before = [rep.trials[0]["max_abs_before"] for rep in runs]
+    assert before[0] > 0.0 and before[0] == before[1]
 
 
 def test_spectrum_reweight_run(tmp_path):
@@ -191,8 +213,8 @@ def test_report_streams_are_the_streams_drawn(tmp_path):
     # concentration draws cells x trials streams, gp-check one per instance
     runs = [("concentration", {"cells": [{"n": 60, "d": 3.0},
                                          {"n": 80, "d": 3.0}]}, 2, [0, 1, 2, 3]),
-            ("gp-check", {"rows": 4, "cols": 5, "count": 3, "deltas": [0.5]},
-             1, [0, 1, 2])]
+            ("gp-check", {"rows": 4, "cols": 5, "deltas": [0.5]},
+             3, [0, 1, 2])]
     for name, cfg, trials, streams in runs:
         out = tmp_path / name
         rep = run_command(name, cfg, MASTER, str(out), trials=trials)
@@ -212,12 +234,20 @@ def test_decompose_run(tmp_path):
 
 def test_gp_check_run(tmp_path):
     out = tmp_path / "gp"
-    rep = run_command("gp-check", {"rows": 5, "cols": 8, "count": 4,
-                                   "deltas": [0.5]}, MASTER, str(out))
+    rep = run_command("gp-check", {"rows": 5, "cols": 8, "deltas": [0.5]},
+                      MASTER, str(out), trials=4)
     rows = read_csv(out / "trials.csv")
     assert len(rows) == 4
     assert all(r["cert_ok_d0p5"] == "True" for r in rows)
     assert rep.flags["all_certificates_ok"]
+
+
+def test_gp_check_instance_count_is_trials(tmp_path):
+    out = tmp_path / "gp1"
+    rep = run_command("gp-check", {"rows": 4, "cols": 5, "deltas": [0.5]},
+                      MASTER, str(out), trials=1)
+    assert len(read_csv(out / "trials.csv")) == 1
+    assert rep.seeds["streams"] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +281,24 @@ def test_main_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["sample"])  # seed is required
+    # seed, trials and threads get the same check from a flag or the config
+    cfg_path = tmp_path / "cfg.json"
+    bad = [["--seed", "-1"], ["--seed", "1", "--trials", "0"],
+           ["--seed", "1", "--threads", "-3"]]
+    for cfg in ({"seed": -1}, {"seed": 1.5}, {"seed": 2 ** 64},
+                {"seed": 1, "trials": 0}, {"seed": 1, "trials": 2.0},
+                {"seed": 1, "threads": -3}, {"seed": 1, "threads": True}):
+        cfg_path.write_text(json.dumps(cfg))
+        bad.append(["--config", str(cfg_path)])
+    for args in bad:
+        with pytest.raises(SystemExit):
+            main(["sample", "--out", str(tmp_path / "bad"), *args])
+        assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    # a config value parses like the flag's text
+    cfg_path.write_text(json.dumps({"trials": "2", "seed": "0x10"}))
+    assert main(["sample", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "two")]) == 0
+    blob = json.loads((tmp_path / "two" / "report.json").read_text())
+    assert blob["parameters"]["seed"] == 16
+    assert blob["parameters"]["trials"] == 2

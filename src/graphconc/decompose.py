@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import RowFilterEmpty, SizeExceeded
 from .operators import LinearOp
-from .pietsch import gp_submatrix
+from .pietsch import LITTLE_GROTHENDIECK, gp_submatrix
 from .spectral import spectral_norm
 
 CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
@@ -122,10 +122,13 @@ def _round_trace(m_nom, alpha, I, J, **found):
 def _column_pass(sub, cent, good_rows, r, cap, gp_iters):
     """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
 
-    ``good_rows`` are the rows that passed the filter.  Returns
-    (exceptional mask J1, 32r-light mask J44, GP certificate, capped?).
+    ``good_rows`` are the rows that passed the filter.  GP stops once
+    its weights certify the sqrt(pi/2) guarantee the decomposition
+    uses; ``gp_iters`` is only a cap.  Returns (exceptional mask J1,
+    32r-light mask J44, GP certificate, capped?).
     """
-    J_gp, cert = gp_submatrix(cent[good_rows], 0.25, max_iter=gp_iters)
+    J_gp, cert = gp_submatrix(cent[good_rows], 0.25, max_iter=gp_iters,
+                              stop_ratio=LITTLE_GROTHENDIECK)
     gp_col = np.zeros(cent.shape[1], dtype=bool)
     gp_col[J_gp] = True
     bad_rows = ~good_rows
@@ -140,7 +143,8 @@ def _column_pass(sub, cent, good_rows, r, cap, gp_iters):
 def _gp_trace(cert):
     return {"achieved": cert.achieved_norm, "submatrix": cert.submatrix_norm,
             "selected": cert.n_selected, "iterations": cert.iterations,
-            "converged": cert.converged}
+            "converged": cert.converged, "target": cert.target,
+            "target_met": cert.target_met}
 
 
 def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):

@@ -17,23 +17,38 @@ subgradient at the top eigenpair (lambda, v) is g_j = -lambda v_j^2/mu_j
 mu_j <= 1/(delta m) then yields at least (1-delta)m columns (pigeonhole)
 whose submatrix norm is certified by ||B_J|| sqrt(delta m) <= f(mu).
 
+The decomposition needs only the factorization's guarantee
+f(mu) <= sqrt(pi/2) ||B||_{inf->2}, not the optimum, so ``decompose``
+passes ``stop_ratio`` = sqrt(pi/2): the descent stops at the first best
+iterate whose f(mu), certified by spectral_norm at tol 1e-11, is at most
+sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
+when m <= 12, the greedy bound otherwise, computed before the descent).
+gp-check passes no stop and measures the optimizer.
+
 The subgradient oracle (``_top_pair``) picks its route from the block's
 shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK eigh on
 the smaller side of the scaled Gram.  Otherwise it runs a warm-started
 power iteration, capped at 80 steps and stopped at a relative change of
 1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
 m <= 2k, by B and B^T on wider blocks.  The warm start saves little:
-counted along the descents of a decompose run at n = 256, d = 8,
-gp_iters = 120 (seeds 1729, 1 and 2; 480 calls each), the power
-iteration hit its cap on every call, and on the 8 x 12 gp-check blocks,
-which now take the exact route, it averaged 56 to 80 of its 80 steps.
-So each step's cost is the product it repeats.
+counted along full 120-step descents of a decompose run at n = 256,
+d = 8 (seeds 1729, 1 and 2; 480 calls each), the power iteration hit
+its cap on every call, and on the 8 x 12 gp-check blocks, which now
+take the exact route, it averaged 56 to 80 of its 80 steps.  So each
+step's cost is the product it repeats, and the stop is what saves.
+Medians on the first-round blocks of decompose runs at d = 8 (seeds
+1729, 1 and 2, both triangles; 2-core Xeon VM, one BLAS thread): a
+120-step descent took 144-197 ms on the 256 x 256 blocks and 730-880 ms
+on the 512 x 512 ones; stopped at sqrt(pi/2) it ended at step 2-5 in
+12-20 ms and at step 6-8 in 60-108 ms, with the same selected columns.
+The greedy lower bound inside that took 4-7 ms and 12-17 ms, against
+14-27 ms and 156-188 ms for the starts run one at a time on B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -46,8 +61,12 @@ from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
 # mirror descent counts as converged when its best value improved by
-# less than this relative amount over the last 50 steps
+# less than this relative amount over the last _CONVERGED_WINDOW steps
 _CONVERGED_TOL = 1e-4
+_CONVERGED_WINDOW = 50
+# the little Grothendieck constant: the optimal weights reach
+# f(mu) <= sqrt(pi/2) ||B||_{inf->2}
+LITTLE_GROTHENDIECK = sqrt(pi / 2)
 
 
 @dataclass(frozen=True)
@@ -59,6 +78,8 @@ class PietschWeights:
     converged: bool
     iterations: int
     history: tuple = field(repr=False, default=())
+    target: float | None = None    # stop_ratio * lower bound, if asked
+    target_met: bool = False       # stopped on a certified f <= target
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -85,6 +106,8 @@ class GPCertificate:
     ok: bool
     iterations: int            # mirror-descent steps behind the weights
     converged: bool            # PietschWeights.converged
+    target: float | None       # PietschWeights.target
+    target_met: bool           # PietschWeights.target_met
 
 
 def _col_scale(mu, col_live):
@@ -97,6 +120,12 @@ def _scaled_op(B, mu, col_live):
     s = _col_scale(mu, col_live)
     return LinearOp(B.shape[0], B.shape[1], lambda x: B @ (s * x),
                     lambda x: s * (B.T @ x))
+
+
+def _certified_f(B, mu, col_live, rng=None):
+    """f(mu) = ||B D_mu^{-1/2}||, by spectral_norm at tol 1e-11."""
+    return spectral_norm(_scaled_op(B, mu, col_live), tol=1e-11,
+                         max_iter=20000, rng=rng)
 
 
 def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
@@ -119,11 +148,13 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
 
     The warm start rarely ends the power route early (module
     docstring), so a step costs ``iters`` products.  Medians of three
-    runs (2-core Xeon VM, one BLAS thread): a 120-step gp_weights call
-    on a 250 x 256 centred Bernoulli(8/256) block took 158 ms, against
-    327 ms with two k x m products per iteration; a 500-step call on an
-    8 x 12 block took 39 ms on the exact route, against 299 ms.  v is
-    zero on dead columns.
+    runs (2-core Xeon VM, one BLAS thread): a full 120-step gp_weights
+    call on a 250 x 256 centred Bernoulli(8/256) block took 158 ms,
+    against 327 ms with two k x m products per iteration; a 500-step
+    call on an 8 x 12 block took 39 ms on the exact route, against
+    299 ms.  Decompose's descents stop after 2 to 8 steps (module
+    docstring), so there the oracle is called a handful of times per
+    block.  v is zero on dead columns.
     """
     k, m = B.shape
     if min(k, m) <= DENSE_SOLVE_LIMIT:
@@ -159,16 +190,28 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     return lam, v
 
 
-def gp_weights(B, max_iter=500, rng=None):
+def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
-    Step t moves by 1/sqrt(t) times the normalized subgradient.
-    ``converged`` reports whether the running best improved by less than
-    a relative _CONVERGED_TOL over the last 50 iterations (the scheme
-    has no other natural stopping rule); callers treat False as a flag,
-    not an error.
-    The left inequality achieved_norm >= ||B||_{inf->2} is asserted
-    against the greedy lower-bound oracle on every call.
+    Step t moves by 1/sqrt(t) times the normalized subgradient.  The
+    lower bound on ||B||_{inf->2} (exact enumeration when m <= 12, the
+    greedy bound on G = B^T B otherwise) is computed first; it serves
+    the stop rule and the left inequality achieved_norm >=
+    ||B||_{inf->2}, asserted on every call.
+
+    With ``stop_ratio`` the target is stop_ratio * lower.  Whenever the
+    oracle's estimate gives a new best f <= target, f(mu_best) is
+    certified by spectral_norm at tol 1e-11 on its own seeded stream,
+    and the descent stops if the certified value is <= target;
+    ``target_met`` records that stop.  Otherwise the descent runs its
+    ``max_iter`` steps, ends with the tol 1e-11 re-evaluation of the best
+    and the final iterate, and returns what a call without
+    ``stop_ratio`` returns, bit for bit.
+
+    ``converged`` reports whether the running best improved by less
+    than a relative _CONVERGED_TOL over the last _CONVERGED_WINDOW
+    steps, and is False when fewer steps ran (the scheme has no other
+    natural stopping rule); callers treat False as a flag, not an error.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
@@ -182,22 +225,38 @@ def gp_weights(B, max_iter=500, rng=None):
     col_live = col_sq > 0.0
     if not col_live.any():
         mu = np.full(m, 1.0 / m)
-        return PietschWeights(mu, 0.0, True, 0, (0.0,))
+        target = None if stop_ratio is None else 0.0
+        return PietschWeights(mu, 0.0, True, 0, (0.0,), target,
+                              target is not None)
     G = B.T @ B if m <= 2 * k else None
     mu = np.full(m, 1.0 / m)
     v = rng.standard_normal(m)
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
+    if m <= 12:
+        lower = inf_to_2_norm_exact(B)
+    else:
+        lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
+    target = None if stop_ratio is None else stop_ratio * lower
     best_mu = mu.copy()
     best_f = np.inf
     history = []
+    achieved = None
     for t in range(1, max_iter + 1):
         lam, v = _top_pair(B, G, _col_scale(mu, col_live), v)
         f = np.sqrt(max(lam, 0.0))
         if f < best_f:
             best_f = f
             best_mu = mu.copy()
+            if target is not None and f <= target:
+                # spectral_norm's own stream: a failed check leaves rng,
+                # and so the rest of the descent, untouched
+                certified = _certified_f(B, best_mu, col_live)
+                if certified <= target:
+                    achieved = certified
         history.append(best_f)
+        if achieved is not None:
+            break
         g = -lam * (v * v) / mu
         gmax = np.abs(g).max()
         if gmax == 0.0:
@@ -206,25 +265,21 @@ def gp_weights(B, max_iter=500, rng=None):
         mu = np.maximum(mu / mu.sum(), _MU_FLOOR)
         mu /= mu.sum()
     iterations = len(history)
-    window = min(50, iterations - 1) if iterations > 1 else 0
-    converged = bool(window and history[-1 - window] - history[-1]
+    converged = bool(iterations > _CONVERGED_WINDOW and
+                     history[-1 - _CONVERGED_WINDOW] - history[-1]
                      <= _CONVERGED_TOL * max(history[-1], 1e-30))
-    # exact-at-tolerance re-evaluation of the candidates
-    achieved = spectral_norm(_scaled_op(B, best_mu, col_live), tol=1e-11,
-                             max_iter=20000, rng=rng)
-    final = spectral_norm(_scaled_op(B, mu, col_live), tol=1e-11,
-                          max_iter=20000, rng=rng)
-    if final < achieved:
-        achieved, best_mu = final, mu.copy()
-    if m <= 12:
-        lower = inf_to_2_norm_exact(B)
-    else:
-        lower = inf_to_2_norm_lower(B, trials=8, rng=rng)
+    target_met = achieved is not None
+    if not target_met:
+        # exact-at-tolerance re-evaluation of the candidates
+        achieved = _certified_f(B, best_mu, col_live, rng)
+        final = _certified_f(B, mu, col_live, rng)
+        if final < achieved:
+            achieved, best_mu = final, mu.copy()
     if achieved < lower * (1.0 - 1e-8) - 1e-12:
         raise VerificationError(
             f"left factorization inequality violated: {achieved} < {lower}")
     return PietschWeights(best_mu, float(achieved), converged, iterations,
-                          tuple(history))
+                          tuple(history), target, target_met)
 
 
 def gp_submatrix(B, delta, weights=None, **gp_kwargs):
@@ -253,7 +308,8 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
                          n_selected=int(J.size), size_bound=(1.0 - delta) * m,
                          submatrix_norm=sub_norm, norm_lhs=float(lhs),
                          achieved_norm=w.achieved_norm, ok=bool(ok),
-                         iterations=w.iterations, converged=w.converged)
+                         iterations=w.iterations, converged=w.converged,
+                         target=w.target, target_met=w.target_met)
     if not ok:
         raise VerificationError(
             f"submatrix certificate failed: {lhs} > {w.achieved_norm}")

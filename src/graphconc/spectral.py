@@ -230,11 +230,19 @@ def inf_to_2_norm_exact(B, limit=ENUMERATION_LIMIT):
     return float(np.sqrt(best))
 
 
-def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None):
+def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
-    Always a valid lower bound; falls back to exact enumeration when
-    trials covers the half-cube and the width permits it.
+    Each start flips the sign with the largest gain until none gains.
+    The starts run together as the rows of one trials x m sign matrix X,
+    drawn as rng.random((trials, m)) (the stream of ``trials`` calls of
+    rng.random(m)).  corr = X G, with G = B^T B, is kept up to date by
+    one row of the symmetric G per flip, so a flip costs O(m), not the
+    O(km) of recomputing B^T B x.  ``gram`` is G when the caller holds
+    it; it is formed here otherwise.  The value is ||B x|| recomputed from B for
+    the final signs, so rounding in corr can never inflate it: always a
+    valid lower bound.  Falls back to exact enumeration when trials
+    covers the half-cube and the width permits it.
     """
     B = np.asarray(B, dtype=float)
     k, m = B.shape
@@ -244,24 +252,21 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None):
         return inf_to_2_norm_exact(B)
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 3)
+    G = B.T @ B if gram is None else gram
     col_sq = (B * B).sum(axis=0)
-    best = 0.0
-    for _ in range(trials):
-        x = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-        v = B @ x
-        improved = True
-        while improved:
-            improved = False
-            corr = B.T @ v
-            # flipping j changes ||v||^2 by 4 (col_sq[j] - x_j corr[j])
-            gains = 4.0 * (col_sq - x * corr)
-            jbest = int(np.argmax(gains))
-            if gains[jbest] > 1e-12:
-                v -= (2.0 * x[jbest]) * B[:, jbest]
-                x[jbest] = -x[jbest]
-                improved = True
-        best = max(best, float(np.linalg.norm(v)))
-    return best
+    X = np.where(rng.random((trials, m)) < 0.5, -1.0, 1.0)
+    corr = X @ G
+    live = np.arange(trials)
+    while live.size:
+        # flipping j changes ||B x||^2 by 4 (col_sq[j] - x_j corr[j])
+        gains = 4.0 * (col_sq - X[live] * corr[live])
+        jbest = np.argmax(gains, axis=1)
+        up = gains[np.arange(live.size), jbest] > 1e-12
+        live, jbest = live[up], jbest[up]
+        xj = X[live, jbest]
+        corr[live] -= (2.0 * xj)[:, None] * G[jbest]
+        X[live, jbest] = -xj
+    return float(np.sqrt(((B @ X.T) ** 2).sum(axis=0).max()))
 
 
 def l1_operator_bound(B):

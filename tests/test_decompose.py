@@ -209,6 +209,11 @@ def test_csv_and_trace_roundtrip(tmp_path):
         for side in ("gp_cols", "gp_rows"):
             assert rnd[side]["iterations"] >= 1
             assert isinstance(rnd[side]["converged"], bool)
+            # decompose asks GP to stop at sqrt(pi/2) times its lower bound
+            assert rnd[side]["target"] >= 0.0
+            assert isinstance(rnd[side]["target_met"], bool)
+            if rnd[side]["target_met"]:
+                assert rnd[side]["achieved"] <= rnd[side]["target"] * (1 + 1e-12)
 
 
 def test_csv_bytes_match_rowwise_writer(tmp_path):

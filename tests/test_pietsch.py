@@ -16,7 +16,8 @@ from graphconc import (
     inf_to_2_norm_exact,
     inf_to_2_norm_lower,
 )
-from graphconc.pietsch import _col_scale, _top_pair
+from graphconc import pietsch
+from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _top_pair
 
 from conftest import assert_close
 
@@ -169,3 +170,86 @@ def test_gp_weights_on_wide_blocks(shape):
     lower = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(34))
     assert w.achieved_norm >= lower * (1 - 1e-8)
     assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_converged_needs_a_full_window():
+    # equal columns: the best value is flat from step 1, yet a descent
+    # shorter than 51 steps has no 50-step window to judge
+    B = np.tile(np.array([[1.0], [2.0], [-1.0]]), (1, 6))
+    assert not gp_weights(B, max_iter=3).converged
+    assert not gp_weights(B, max_iter=50).converged
+    w = gp_weights(B, max_iter=60)
+    assert w.iterations == 60 and w.converged
+
+
+def centred_block():
+    """A decompose-like block: centred Bernoulli(8/256), 250 x 256."""
+    rng = np.random.default_rng(35)
+    return (rng.random((250, 256)) < 8 / 256) - 8 / 256
+
+
+def test_stop_once_the_constant_is_certified():
+    B = centred_block()
+    w = gp_weights(B, max_iter=120, stop_ratio=LITTLE_GROTHENDIECK)
+    assert w.target_met and w.iterations < 20
+    assert w.achieved_norm <= w.target * (1 + 1e-12)
+    lower = w.target / LITTLE_GROTHENDIECK
+    assert w.achieved_norm >= lower
+    # the certified value is f(mu_best) itself
+    f = np.linalg.norm(B / np.sqrt(w.mu), 2)
+    assert w.achieved_norm == pytest.approx(f, rel=1e-9)
+    # without the keyword: no target, the full descent, a smaller f
+    full = gp_weights(B, max_iter=120)
+    assert full.target is None and not full.target_met
+    assert full.iterations == 120
+    assert full.achieved_norm <= w.achieved_norm
+
+
+def test_unreachable_target_changes_nothing():
+    # f(mu) >= ||B||_{inf->2} = lower on a 6 x 10 block (exact
+    # enumeration), so a target under it is never met.  (At stop_ratio
+    # 1 this block stops at step 194: its descent reaches the lower
+    # bound to 1e-15, as a k < m block may.)
+    B = np.random.default_rng(36).standard_normal((6, 10))
+    ref = gp_weights(B, max_iter=200)
+    w = gp_weights(B, max_iter=200, stop_ratio=0.99)
+    assert w.iterations == 200 and not w.target_met
+    assert w.target == pytest.approx(0.99 * inf_to_2_norm_exact(B), rel=1e-15)
+    assert np.array_equal(w.mu, ref.mu)
+    assert w.achieved_norm == ref.achieved_norm
+    assert w.history == ref.history
+
+
+def test_failed_certifications_leave_the_descent_alone(monkeypatch):
+    # every estimate is under a loose target, but each certification is
+    # made to fail: the checks run on spectral_norm's own stream, so the
+    # power-route descent, the greedy lower bound and the closing
+    # re-evaluations draw exactly what they draw without a stop
+    B = np.random.default_rng(37).standard_normal((40, 64))
+    ref = gp_weights(B, max_iter=30)
+    real = pietsch.spectral_norm
+    calls = []
+
+    def failing_check(op, **kw):
+        if kw.get("rng") is None:
+            calls.append(1)
+            return np.inf
+        return real(op, **kw)
+
+    monkeypatch.setattr(pietsch, "spectral_norm", failing_check)
+    w = gp_weights(B, max_iter=30, stop_ratio=10.0)
+    assert calls and not w.target_met and w.iterations == 30
+    assert np.array_equal(w.mu, ref.mu)
+    assert w.achieved_norm == ref.achieved_norm
+    assert w.history == ref.history
+
+
+def test_gp_submatrix_forwards_the_stop():
+    B = centred_block()
+    J, cert = gp_submatrix(B, 0.25, max_iter=120,
+                           stop_ratio=LITTLE_GROTHENDIECK)
+    assert cert.ok and cert.target_met
+    assert cert.achieved_norm <= cert.target * (1 + 1e-12)
+    assert cert.iterations < 20
+    _, plain = gp_submatrix(B, 0.25, max_iter=5)
+    assert plain.target is None and not plain.target_met

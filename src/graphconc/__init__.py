@@ -14,10 +14,10 @@ from .errors import (DecompositionError, DimensionMismatch, EntryOutOfRange,
                      SizeExceeded, VerificationError, WidthExceeded,
                      ZeroDegree, ZeroGap)
 from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
-                     degree_profile, expected_adjacency, expected_dense,
-                     load_graph, max_expected_degree, max_rate,
-                     model_from_dict, model_to_dict, sample, sample_directed,
-                     save_graph)
+                     degree_profile, expected_adjacency, expected_degrees,
+                     expected_dense, load_graph, max_expected_degree,
+                     max_rate, model_from_dict, model_to_dict, sample,
+                     sample_directed, save_graph)
 from .operators import (LinearOp, compose_difference, identity_op, op_combine,
                         restrict)
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,

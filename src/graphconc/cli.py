@@ -35,12 +35,11 @@ from .errors import GraphconcError, NoConvergence
 from .models import (Uniform, expected_adjacency, expected_dense, load_graph,
                      model_from_dict, sample, sample_directed, save_graph)
 from .operators import compose_difference
-from .pietsch import gp_submatrix, gp_weights
-from .regularize import (ShiftedGraph, adjacency_shifted_op, apply_scheme,
-                         average_degree, expected_laplacian, laplacian,
-                         tau_shift)
-from .reports import (ExperimentReport, run_trials, summarize, write_csv,
-                      write_histogram)
+from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
+from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
+                         expected_laplacian, laplacian, tau_shift)
+from .reports import (ExperimentReport, config_hash, run_trials, summarize,
+                      write_csv, write_histogram)
 from .spectral import (NORM_MAX_ITER, NORM_TOL, full_spectrum,
                        inf_to_2_norm_exact, spectral_norm)
 
@@ -160,13 +159,6 @@ def cmd_sample(cfg, ctx):
         flags={"wrote_files": True})
 
 
-def _dense_of(x):
-    """Dense matrix of a (possibly tau-shifted) graph, diagonal included."""
-    if isinstance(x, ShiftedGraph):
-        return x.base.to_dense() + x.tau / x.n
-    return x.to_dense()
-
-
 def cmd_spectrum(cfg, ctx):
     if cfg.model is None and cfg.graph is None:
         raise ValueError("spectrum needs 'model' or 'graph' in config")
@@ -179,8 +171,8 @@ def cmd_spectrum(cfg, ctx):
         thr = (cfg.tail_threshold if cfg.tail_threshold is not None
                else 2.0 * np.sqrt(max(average_degree(g), 0.0)))
         before = full_spectrum(g.to_dense())
-        after = full_spectrum(_dense_of(apply_scheme(g, cfg.scheme,
-                                                     cap=cap, tau=cfg.tau)))
+        after = full_spectrum(apply_scheme(g, cfg.scheme, cap=cap,
+                                           tau=cfg.tau).to_dense())
         sfx = "" if ctx.trials == 1 else f"_t{t}"
         for tag, eigs in (("before", before), ("after", after)):
             write_csv(_path(ctx, f"eigs_{tag}{sfx}.csv"), ["eigenvalue"],
@@ -379,7 +371,8 @@ def cmd_gp_check(cfg, ctx):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
                                                   size=(cfg.rows, cfg.cols))
         w = gp_weights(B)  # asserts the left inequality internally
-        exact = inf_to_2_norm_exact(B)
+        exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
+                 else inf_to_2_norm_exact(B))
         rec = {"trial": i, "achieved": float(w.achieved_norm),
                "inf_to_2": float(exact),
                "ratio": float(w.achieved_norm / exact) if exact > 0 else 1.0,
@@ -461,12 +454,17 @@ def build_parser():
     return parser
 
 
+def _resolve(name, raw_config, seed, trials):
+    """(config, parameters): report.json records and hashes the latter."""
+    cfg = _config_from_dict(_COMMANDS[name][0], raw_config)
+    return cfg, {"command": name, "config": dataclasses.asdict(cfg),
+                 "seed": seed, "trials": trials}
+
+
 def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     """Programmatic entry point; returns the ExperimentReport."""
-    cfg_cls, runner, _ = _COMMANDS[name]
-    cfg = _config_from_dict(cfg_cls, raw_config)
-    params = {"command": name, "config": dataclasses.asdict(cfg),
-              "seed": seed, "trials": trials}
+    runner = _COMMANDS[name][1]
+    cfg, params = _resolve(name, raw_config, seed, trials)
     ctx = RunContext(seed=seed, out_dir=out_dir, trials=trials,
                      threads=threads)
     os.makedirs(out_dir, exist_ok=True)
@@ -502,12 +500,11 @@ def main(argv=None):
     out_dir = args.out if args.out is not None else cfg_out
     if seed is None:
         parser.error("--seed is required (flag or config field)")
-    from .reports import config_hash
-    if out_dir is None:
-        stub = config_hash({"command": args.command, "config": raw,
-                            "seed": seed, "trials": trials})[:10]
-        out_dir = os.path.join("runs", f"{args.command}-{stub}")
     try:
+        if out_dir is None:
+            params = _resolve(args.command, raw, seed, trials)[1]
+            out_dir = os.path.join(
+                "runs", f"{args.command}-{config_hash(params)[:10]}")
         report = run_command(args.command, raw, seed, out_dir,
                              trials=trials, threads=threads)
     except (GraphconcError, ValueError, OSError) as exc:

@@ -1,9 +1,11 @@
 """Inhomogeneous Erdos-Renyi models and the seeded edge sampler.
 
 A model is a symmetric matrix of connection probabilities (p_ij); the
-diagonal is always treated as zero (no self-loops anywhere).  Two
-sparsity scales are exposed and every experiment states which one it
-uses:
+diagonal is always treated as zero (no self-loops anywhere).
+``expected_adjacency`` states p_ij; ``expected_dense`` and
+``expected_degrees`` (EA 1) are read off it, and only the sampler's
+``_groups`` and ``max_rate`` restate rates.  Two sparsity scales are
+exposed and every experiment states which one it uses:
 
 * ``max_rate(model)``            -- d     = max_ij n * p_ij,
 * ``max_expected_degree(model)`` -- d_ave = max_i sum_{j != i} p_ij.
@@ -158,12 +160,6 @@ class Uniform:
         if not 0.0 <= self.p <= 1.0:
             raise InvalidModel("p must lie in [0, 1]")
 
-    def row_probabilities(self, i, lo, hi):
-        return np.full(hi - lo, self.p)
-
-    def expected_degrees(self):
-        return np.full(self.n, (self.n - 1) * self.p)
-
 
 @dataclass(frozen=True)
 class RankOne:
@@ -185,22 +181,6 @@ class RankOne:
 
     def _th(self):
         return self._theta_array
-
-    def row_probabilities(self, i, lo, hi):
-        th = self._th()
-        return np.minimum(th[i] * th[lo:hi], 1.0)
-
-    def expected_degrees(self):
-        # sum_{j != i} min(theta_i theta_j, 1) via sorted prefix sums:
-        # partners with theta_j > 1/theta_i are clipped to 1.
-        th = self._th()
-        th_s = np.sort(th)
-        pref = np.concatenate([[0.0], np.cumsum(th_s)])
-        with np.errstate(divide="ignore"):
-            thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
-        idx = np.searchsorted(th_s, thresh, side="right")
-        total = th * pref[idx] + (self.n - idx)
-        return total - np.minimum(th * th, 1.0)
 
 
 @dataclass(frozen=True)
@@ -228,14 +208,6 @@ class BlockTwo:
         """Ground-truth community labels: +1 on block 0, -1 on block 1."""
         return np.where(np.arange(self.n) < self.half, 1, -1)
 
-    def row_probabilities(self, i, lo, hi):
-        same = (np.arange(lo, hi) < self.half) == (i < self.half)
-        return np.where(same, self.a / self.n, self.b / self.n)
-
-    def expected_degrees(self):
-        d = (self.half - 1) * self.a / self.n + self.half * self.b / self.n
-        return np.full(self.n, d)
-
 
 @dataclass(frozen=True)
 class Explicit:
@@ -260,12 +232,6 @@ class Explicit:
     @property
     def n(self):
         return self.P.shape[0]
-
-    def row_probabilities(self, i, lo, hi):
-        return self.P[i, lo:hi]
-
-    def expected_degrees(self):
-        return self.P.sum(axis=1)
 
 
 def degree_profile(n, values, fractions):
@@ -314,7 +280,7 @@ def max_rate(model):
 
 def max_expected_degree(model):
     """d_ave = max_i sum_{j != i} p_ij."""
-    deg = model.expected_degrees()
+    deg = expected_degrees(model)
     return float(deg.max()) if deg.size else 0.0
 
 
@@ -370,15 +336,13 @@ def expected_adjacency(model):
 
 
 def expected_dense(model):
-    """EA as a dense array; intended for tests and desk-scale checks."""
-    if isinstance(model, Explicit):
-        return model.P.copy()
-    n = model.n
-    out = np.empty((n, n))
-    for i in range(n):
-        out[i, :] = model.row_probabilities(i, 0, n)
-    np.fill_diagonal(out, 0.0)
-    return out
+    """EA as a dense array, column by column; for desk-scale checks."""
+    return expected_adjacency(model).to_dense()
+
+
+def expected_degrees(model):
+    """Expected degrees EA 1, i.e. sum_{j != i} p_ij for each i."""
+    return expected_adjacency(model).matvec(np.ones(model.n))
 
 
 # ---------------------------------------------------------------------------

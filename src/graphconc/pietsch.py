@@ -22,8 +22,9 @@ f(mu) <= sqrt(pi/2) ||B||_{inf->2}, not the optimum, so ``decompose``
 passes ``stop_ratio`` = sqrt(pi/2): the descent stops at the first best
 iterate whose f(mu), certified by spectral_norm at tol 1e-11, is at most
 sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
-when m <= 12, the greedy bound otherwise, computed before the descent).
-gp-check passes no stop and measures the optimizer.
+when m <= EXACT_LOWER_COLS = 12, the greedy bound otherwise; computed
+before the descent and kept as ``lower_bound``).  gp-check passes no
+stop and measures the optimizer.
 
 The subgradient oracle (``_top_pair``) picks its route from the block's
 shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK eigh on
@@ -67,6 +68,7 @@ _CONVERGED_WINDOW = 50
 # the little Grothendieck constant: the optimal weights reach
 # f(mu) <= sqrt(pi/2) ||B||_{inf->2}
 LITTLE_GROTHENDIECK = sqrt(pi / 2)
+EXACT_LOWER_COLS = 12  # gp_weights enumerates ||B||_{inf->2} up to this m
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,7 @@ class PietschWeights:
     history: tuple = field(repr=False, default=())
     target: float | None = None    # stop_ratio * lower bound, if asked
     target_met: bool = False       # stopped on a certified f <= target
+    lower_bound: float | None = None  # on ||B||_{inf->2}, asserted against
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -194,10 +197,11 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
     Step t moves by 1/sqrt(t) times the normalized subgradient.  The
-    lower bound on ||B||_{inf->2} (exact enumeration when m <= 12, the
-    greedy bound on G = B^T B otherwise) is computed first; it serves
-    the stop rule and the left inequality achieved_norm >=
-    ||B||_{inf->2}, asserted on every call.
+    lower bound on ||B||_{inf->2} (exact enumeration when m <=
+    EXACT_LOWER_COLS, the greedy bound on G = B^T B otherwise) is
+    computed first and returned as ``lower_bound``; it serves the stop
+    rule and the left inequality achieved_norm >= ||B||_{inf->2},
+    asserted on every call.
 
     With ``stop_ratio`` the target is stop_ratio * lower.  Whenever the
     oracle's estimate gives a new best f <= target, f(mu_best) is
@@ -227,13 +231,13 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
         mu = np.full(m, 1.0 / m)
         target = None if stop_ratio is None else 0.0
         return PietschWeights(mu, 0.0, True, 0, (0.0,), target,
-                              target is not None)
+                              target is not None, 0.0)
     G = B.T @ B if m <= 2 * k else None
     mu = np.full(m, 1.0 / m)
     v = rng.standard_normal(m)
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
-    if m <= 12:
+    if m <= EXACT_LOWER_COLS:
         lower = inf_to_2_norm_exact(B)
     else:
         lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
@@ -279,7 +283,7 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
         raise VerificationError(
             f"left factorization inequality violated: {achieved} < {lower}")
     return PietschWeights(best_mu, float(achieved), converged, iterations,
-                          tuple(history), target, target_met)
+                          tuple(history), target, target_met, float(lower))
 
 
 def gp_submatrix(B, delta, weights=None, **gp_kwargs):

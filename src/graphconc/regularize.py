@@ -128,6 +128,9 @@ class ShiftedGraph:
     def degrees(self):
         return self.base.degrees() + self.tau
 
+    def to_dense(self):
+        return self.base.to_dense() + self.tau / self.n
+
 
 def tau_shift(g, tau):
     return ShiftedGraph(g, float(tau))
@@ -181,11 +184,12 @@ def laplacian(x):
 
 
 def expected_laplacian(model, tau):
-    """L(EA_tau) built on the structured expected adjacency, matrix-free."""
-    dbar = model.expected_degrees() + tau
+    """L(EA_tau) matrix-free; its degrees EA 1 + tau come from the same EA."""
+    ea = expected_adjacency(model)
+    dbar = ea.matvec(np.ones(model.n)) + tau
     if dbar.size == 0 or dbar.min() <= 0.0:
         raise ZeroDegree("expected shifted degrees must be positive")
-    return _normalized_laplacian(expected_adjacency(model).matvec, dbar, tau)
+    return _normalized_laplacian(ea.matvec, dbar, tau)
 
 
 def apply_scheme(g, scheme, cap=None, tau=None):

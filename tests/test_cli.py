@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import graphconc.community
-from graphconc import NoConvergence, load_graph
+import graphconc.pietsch
+from graphconc import NoConvergence, inf_to_2_norm_exact, load_graph
+from graphconc._seeding import aux_generator
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
 
@@ -250,6 +252,28 @@ def test_gp_check_instance_count_is_trials(tmp_path):
     assert rep.seeds["streams"] == [0]
 
 
+@pytest.mark.parametrize("cols", [8, 14])
+def test_gp_check_enumerates_once_per_instance(tmp_path, monkeypatch, cols):
+    # gp_weights enumerates ||B||_{inf->2} for its bound when cols <= 12
+    # and gp-check reads it back; wider blocks are enumerated by gp-check
+    counted = []
+
+    def counting(B, *args, **kwargs):
+        counted.append(B.shape)
+        return inf_to_2_norm_exact(B, *args, **kwargs)
+
+    monkeypatch.setattr(graphconc.cli, "inf_to_2_norm_exact", counting)
+    monkeypatch.setattr(graphconc.pietsch, "inf_to_2_norm_exact", counting)
+    cfg = {"rows": 4, "cols": cols, "deltas": [0.5]}
+    run_command("gp-check", cfg, MASTER, str(tmp_path / "gp"), trials=3)
+    assert len(counted) == 3
+    rows = read_csv(tmp_path / "gp" / "trials.csv")
+    monkeypatch.undo()
+    for i, row in enumerate(rows):
+        B = aux_generator(MASTER, i, 3).uniform(-1.0, 1.0, size=(4, cols))
+        assert float(row["inf_to_2"]) == inf_to_2_norm_exact(B)
+
+
 # ---------------------------------------------------------------------------
 # argv entry point
 
@@ -273,6 +297,20 @@ def test_main_config_file_and_override(tmp_path, capsys):
     assert (tmp_path / "flag_wins" / "report.json").exists()
     blob = json.loads((tmp_path / "flag_wins" / "report.json").read_text())
     assert blob["parameters"]["seed"] == MASTER  # flag overrides config
+
+
+def test_default_out_dir_is_the_config_hash(tmp_path, monkeypatch, capsys):
+    # an empty config and its defaults written out name one directory,
+    # the one report.json's config_hash names
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--seed", "7"]) == 0
+    (made,) = (tmp_path / "runs").iterdir()
+    blob = json.loads((made / "report.json").read_text())
+    assert made.name == "sample-" + blob["config_hash"][:10]
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps(blob["parameters"]["config"]))
+    assert main(["sample", "--seed", "7", "--config", str(cfg_path)]) == 0
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == [made.name]
 
 
 def test_main_error_paths(tmp_path, capsys):

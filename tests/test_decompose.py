@@ -173,6 +173,22 @@ def test_verifier_norm_on_empty_graph():
     assert rep.norm_n == pytest.approx((n - 1) * 2.0 / n, rel=1e-6)
 
 
+def test_verifier_norm_matches_dense_svd():
+    # 32 < n <= 1024: spectral_norm at tol 1e-9 against LAPACK's SVD, on
+    # non-symmetric triangle parts (svds) and a symmetric -EA (eigsh)
+    n = 96
+    m = Uniform(n, 6.0 / n)
+    EA = expected_adjacency(m)
+    up, lo = triangle_split(sample(m, MASTER))
+    for part in (up, lo, empty_directed(n)):
+        dec = decompose(part, EA, r=1.0, d=6.0)
+        rep = verify_decomposition(part, EA, dec)
+        dev_n = ((part.to_dense() - EA.to_dense())
+                 * (dec.class_of == CLASS_N))
+        ref = np.linalg.svd(dev_n, compute_uv=False)[0]
+        assert rep.norm_n == pytest.approx(ref, rel=1e-9)
+
+
 def test_edge_decomposition_validation():
     with pytest.raises(ValueError):
         EdgeDecomposition(3, np.zeros((2, 2), dtype=np.int8), 1.0, 1.0, ())

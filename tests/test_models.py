@@ -23,6 +23,7 @@ from graphconc import (
     Uniform,
     degree_profile,
     expected_adjacency,
+    expected_degrees,
     expected_dense,
     load_graph,
     max_expected_degree,
@@ -115,17 +116,45 @@ def test_max_expected_degree_examples():
     assert max_expected_degree(Explicit(np.zeros((6, 6)))) == 0.0
 
 
+def reference_rates(m):
+    """p_ij written out per kind, diagonal zeroed: the reference EA."""
+    n = m.n
+    if isinstance(m, Uniform):
+        P = np.full((n, n), m.p)
+    elif isinstance(m, RankOne):
+        th = np.asarray(m.theta)
+        P = np.minimum(np.outer(th, th), 1.0)
+    elif isinstance(m, BlockTwo):
+        same = (np.arange(n) < m.half)[:, None] == (np.arange(n) < m.half)
+        P = np.where(same, m.a / n, m.b / n)
+    else:
+        P = m.P.copy()
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+REFERENCE_MODELS = [
+    Uniform(37, 0.3),
+    BlockTwo(20, 8, 2),
+    RankOne(15, tuple(np.linspace(0.05, 1.4, 15))),  # includes clipped pairs
+    RankOne(15, tuple(np.linspace(0.05, 0.9, 15))),  # no clipped pair
+    Explicit(np.full((9, 9), 0.25)),
+]
+
+
+@pytest.mark.parametrize("m", REFERENCE_MODELS,
+                         ids=["uniform", "blocktwo", "rankone-clipped",
+                              "rankone", "explicit"])
+def test_expected_dense_matches_reference(m):
+    assert np.array_equal(expected_dense(m), reference_rates(m))
+
+
 def test_expected_degrees_vs_dense():
-    models = [
-        Uniform(37, 0.3),
-        BlockTwo(20, 8, 2),
-        RankOne(15, tuple(np.linspace(0.05, 1.4, 15))),  # includes clipped pairs
-        Explicit(np.full((9, 9), 0.25)),
-    ]
-    for m in models:
-        dense = expected_dense(m)
-        assert_close(m.expected_degrees(), dense.sum(axis=1), 1e-10,
-                     type(m).__name__)
+    for m in REFERENCE_MODELS:
+        name = type(m).__name__
+        deg = expected_degrees(m)
+        assert_close(deg, reference_rates(m).sum(axis=1), 1e-12, name)
+        assert_close(deg, expected_dense(m).sum(axis=1), 1e-10, name)
 
 
 def test_model_validation():
@@ -155,7 +184,8 @@ def test_expected_adjacency_matches_dense():
     for m in models:
         op = expected_adjacency(m)
         assert op.symmetric
-        assert_close(op.to_dense(), expected_dense(m), 1e-12, type(m).__name__)
+        assert_close(op.to_dense(), reference_rates(m), 1e-12,
+                     type(m).__name__)
 
 
 def test_uniform_expected_adjacency_row_sums():
@@ -166,7 +196,7 @@ def test_uniform_expected_adjacency_row_sums():
 
 def test_degree_profile_expected_degrees():
     m = degree_profile(1000, (7.0, 70.0), (0.9, 0.1))
-    deg = m.expected_degrees()
+    deg = expected_degrees(m)
     # e_i minus the theta_i^2 self-loop exclusion
     assert np.all(np.abs(deg[:900] - 7.0) < 0.01)
     assert np.all(np.abs(deg[900:] - 70.0) < 0.40)
@@ -280,9 +310,8 @@ def test_row_block_boundaries_at_full_size():
     assert ROW_BLOCK == 1024
     m = BlockTwo(3000, 30.0, 6.0)
     n = m.n
-    rows = np.arange(n)
-    upper = np.array([m.row_probabilities(i, i + 1, n).sum() for i in rows])
-    lower = np.array([m.row_probabilities(i, 0, i).sum() for i in rows])
+    P = reference_rates(m)
+    upper, lower = np.triu(P, 1).sum(axis=1), np.tril(P, -1).sum(axis=1)
     cuts = [0, 1024, 1500, 2048, 3000]
     g = sample_directed(m, MASTER, 0)
     for want, side in ((upper, g.i < g.j), (lower, g.i > g.j)):
@@ -337,7 +366,7 @@ def test_rankone_words_scale_with_edges(monkeypatch):
     monkeypatch.setattr(models, "BlockWords", Counted)
     g = sample(m, MASTER)
     groups = models._groups(m)[0]
-    mean_nnz = m.expected_degrees().sum() / 2
+    mean_nnz = expected_degrees(m).sum() / 2
     blocks = -(-m.n // ROW_BLOCK)
     assert sum(read) <= 8.0 * mean_nnz + blocks * len(groups) ** 2
     assert abs(g.nnz - mean_nnz) <= 5.0 * np.sqrt(mean_nnz)

@@ -29,6 +29,17 @@ def test_weights_simplex_validation():
         PietschWeights(np.array([1.0, 0.0]), 1.0, True, 1)
 
 
+def test_weights_record_their_lower_bound():
+    rng = np.random.default_rng(12)
+    B = rng.uniform(-1.0, 1.0, size=(8, pietsch.EXACT_LOWER_COLS))
+    assert gp_weights(B, max_iter=50).lower_bound == inf_to_2_norm_exact(B)
+    wide = rng.uniform(-1.0, 1.0, size=(8, pietsch.EXACT_LOWER_COLS + 2))
+    w = gp_weights(wide, max_iter=50)
+    assert w.lower_bound <= inf_to_2_norm_exact(wide) * (1 + 1e-12)
+    assert w.achieved_norm >= w.lower_bound * (1 - 1e-8)
+    assert gp_weights(np.zeros((3, 4))).lower_bound == 0.0
+
+
 def test_single_column_is_trivial():
     B = np.array([[3.0], [4.0]])
     w = gp_weights(B)

@@ -9,6 +9,7 @@ from graphconc import (
     SparseGraph,
     Uniform,
     ZeroDegree,
+    adjacency_shifted_op,
     apply_scheme,
     average_degree,
     degrees,
@@ -166,6 +167,16 @@ def test_tau_shift_degrees():
     assert_close(tau_shift(empty(12), 12.0).degrees(), np.full(12, 12.0), 0.0)
     with pytest.raises(ValueError):
         tau_shift(g, -1.0)
+
+
+def test_tau_shift_dense_matches_its_operator():
+    # A_tau = A + (tau/n) 11^T, the diagonal included
+    g = sample(Uniform(30, 0.2), MASTER)
+    x = tau_shift(g, 2.5)
+    D = x.to_dense()
+    assert_close(D, g.to_dense() + 2.5 / 30, 0.0)
+    assert_close(adjacency_shifted_op(x).to_dense(), D, 1e-14)
+    assert_close(D.sum(axis=1), x.degrees(), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ seed.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -83,9 +84,9 @@ class SparseGraph:
                 if not self.directed:
                     i, j = np.minimum(i, j), np.maximum(i, j)
                 code = i * n + j
-                if np.unique(code).size != code.size:
-                    raise InvalidModel("duplicate entries")
                 order = np.argsort(code, kind="stable")
+                if np.any(np.diff(code[order]) == 0):
+                    raise InvalidModel("duplicate entries")
                 i, j, w = i[order], j[order], w[order]
         for a in (i, j, w):
             a.setflags(write=False)
@@ -336,7 +337,7 @@ def expected_adjacency(model):
 
 
 def expected_dense(model):
-    """EA as a dense array, column by column; for desk-scale checks."""
+    """EA as a dense array; for desk-scale checks."""
     return expected_adjacency(model).to_dense()
 
 
@@ -483,28 +484,94 @@ def _dense_block(P, words, r0, r1, lower):
 # file formats
 
 
+SAVE_CHUNK = 1 << 16  # edges per formatted block: save_graph's scratch is O(chunk)
+
+# "ddd," for k = 0 .. 999, one uint32 word each: the bytes of a
+# three-digit group of a vertex id and the comma that may follow it
+_DIGIT_GROUPS = np.frombuffer(
+    "".join(f"{k:03d}," for k in range(1000)).encode(), np.uint32)
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_EDGE_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+
+
 def save_graph(g, path):
-    """JSON header line {"n","directed","weighted"} then CSV lines i,j,w."""
+    """JSON header line {"n","directed","weighted"} then lines i,j,repr(w).
+
+    The edge lines are formatted in numpy, ``SAVE_CHUNK`` edges at a
+    time, as one rows x width byte block: each vertex id as right-aligned
+    "ddd," groups, then the text repr(w) + "\n" padded to whole words
+    (repr runs once per distinct weight of the chunk).  One boolean mask
+    drops the leading zeros, the inner commas and the padding; the bytes
+    it keeps are the lines.  ``load_graph`` reads every value back bit
+    for bit.
+    """
     weighted = bool(g.nnz and np.any(g.w != 1.0))
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"n": g.n, "directed": g.directed,
-                             "weighted": weighted}) + "\n")
-        fh.write("".join(map("{},{},{!r}\n".format,
-                             g.i.tolist(), g.j.tolist(), g.w.tolist())))
+    header = {"n": g.n, "directed": g.directed, "weighted": weighted}
+    id_keep = _id_keep(-(-len(str(max(g.n - 1, 0))) // 3))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for s in range(0, g.nnz, SAVE_CHUNK):
+            e = slice(s, s + SAVE_CHUNK)
+            fh.write(_edge_lines(g.i[e], g.j[e], g.w[e], id_keep))
+
+
+def _id_keep(groups):
+    """Row d - 1: the bytes of a ``groups`` x "ddd," field that a d-digit
+    id keeps (its d digits and the last comma), one uint32 per group."""
+    place = np.empty((groups, 4), np.int64)
+    place[:, :3] = np.arange(3 * groups - 1, -1, -1).reshape(groups, 3)
+    place[:, 3] = 3 * groups  # inner commas: never kept
+    place[-1, 3] = -1         # the comma after the id: always kept
+    keep = place.ravel() < np.arange(1, 3 * groups + 1)[:, None]
+    return keep.view(np.uint32)
+
+
+def _edge_lines(i, j, w, id_keep):
+    """The bytes of the lines i,j,repr(w) of one chunk of edges."""
+    rows, groups = i.size, id_keep.shape[1]
+    uniq, inv = np.unique(w.view(np.uint64), return_inverse=True)
+    text = [repr(x) + "\n" for x in uniq.view(np.float64).tolist()]
+    lens = np.fromiter(map(len, text), np.intp, len(text))
+    words = -(-int(lens.max()) // 8)
+    text_keep = np.arange(8 * words) < lens[:, None]
+    text_bytes = np.zeros(text_keep.shape, np.uint8)
+    text_bytes[text_keep] = np.frombuffer("".join(text).encode(), np.uint8)
+
+    f = 8 * groups  # bytes of the two id fields
+    block = np.empty((rows, f + 8 * words), np.uint8)
+    keep = np.empty(block.shape, bool)
+    v = np.stack([i, j], axis=1)
+    # d - 1 for a d-digit id: the powers 10, 100, ... it reaches
+    tens = np.searchsorted(_POW10[:3 * groups - 1], v, side="right")
+    v = v.astype(np.uint64)
+    id_words = block[:, :f].view(np.uint32).reshape(rows, 2, groups)
+    id_masks = keep[:, :f].view(np.uint32).reshape(rows, 2, groups)
+    for k in range(groups - 1, -1, -1):
+        id_words[:, :, k] = np.take(_DIGIT_GROUPS, v % 1000)
+        id_masks[:, :, k] = np.take(id_keep[:, k], tens)
+        v //= 1000
+    w_words = block[:, f:].view(np.uint64)
+    w_masks = keep[:, f:].view(np.uint64)
+    for c in range(words):
+        w_words[:, c] = np.take(text_bytes.view(np.uint64)[:, c], inv)
+        w_masks[:, c] = np.take(text_keep.view(np.uint64)[:, c], inv)
+    return np.compress(keep.ravel(), block.ravel()).tobytes()
 
 
 def load_graph(path):
+    """Read a ``save_graph`` file; every value comes back bit for bit."""
     with open(path) as fh:
         header = json.loads(fh.readline())
-        lines = fh.read().split()
-    fields = ",".join(lines).split(",") if lines else []
-    k = len(lines)
-    if len(fields) != 3 * k:
-        raise ValueError(f"{path}: every edge line must read i,j,w")
-    ii = np.fromiter(map(int, fields[0::3]), dtype=np.int64, count=k)
-    jj = np.fromiter(map(int, fields[1::3]), dtype=np.int64, count=k)
-    ww = np.fromiter(map(float, fields[2::3]), dtype=float, count=k)
-    return SparseGraph(header["n"], ii, jj, ww, directed=header["directed"])
+        body = fh.read()
+    edges = np.empty(0, dtype=_EDGE_DTYPE)
+    if body.strip():
+        try:
+            edges = np.loadtxt(io.StringIO(body), delimiter=",",
+                               dtype=_EDGE_DTYPE, ndmin=1)
+        except ValueError as err:
+            raise ValueError(f"{path}: every edge line must read i,j,w") from err
+    return SparseGraph(header["n"], edges["i"], edges["j"], edges["w"],
+                       directed=header["directed"])
 
 
 def model_to_dict(model):

@@ -25,6 +25,7 @@ class LinearOp:
         self._matvec = matvec
         self._rmatvec = matvec if (rmatvec is None and symmetric) else rmatvec
         self.symmetric = bool(symmetric)
+        self._dense = None  # the matrix of an op built by from_dense
 
     @property
     def shape(self):
@@ -51,7 +52,10 @@ class LinearOp:
         return LinearOp(self.n_cols, self.n_rows, self._rmatvec, self._matvec)
 
     def to_dense(self):
-        """Materialize column by column; meant for tests and small ops."""
+        """A copy of the matrix of an op built by ``from_dense``; any other
+        op is materialized column by column (meant for tests and small ops)."""
+        if self._dense is not None:
+            return self._dense.copy()
         out = np.empty((self.n_rows, self.n_cols))
         e = np.zeros(self.n_cols)
         for k in range(self.n_cols):
@@ -65,8 +69,10 @@ class LinearOp:
         M = np.asarray(M, dtype=float)
         if symmetric is None:
             symmetric = M.shape[0] == M.shape[1] and np.array_equal(M, M.T)
-        return cls(M.shape[0], M.shape[1], lambda x: M @ x, lambda x: M.T @ x,
-                   symmetric=symmetric)
+        op = cls(M.shape[0], M.shape[1], lambda x: M @ x, lambda x: M.T @ x,
+                 symmetric=symmetric)
+        op._dense = M
+        return op
 
     @classmethod
     def from_csr(cls, A, symmetric=False):

@@ -14,8 +14,8 @@ Routes
   desk-scale matrices; the exact reference the iterative routes are
   tested against.
 * ``inf_to_2_norm_exact`` -- exact max_{x in {-1,1}^m} ||Bx||_2 by
-  Gray-code enumeration (m <= 24), plus ``inf_to_2_norm_lower`` for
-  larger matrices.
+  enumeration, a table of sign patterns at a time (m <= 24), plus
+  ``inf_to_2_norm_lower`` for larger matrices.
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
@@ -43,6 +43,10 @@ _DEFAULT_SEED = 0x5EED
 DENSE_SOLVE_LIMIT = 32
 FULL_SPECTRUM_LIMIT = 2048
 ENUMERATION_LIMIT = 24
+# inf_to_2_norm_exact tabulates the sign patterns of at most this many
+# columns at once, and at most this many entries of B X^T
+_PATTERN_COLS = 12
+_PATTERN_ENTRIES = 1 << 16
 _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
 # experiment-scale norm settings (the CLI's deviation norms and the
@@ -207,9 +211,14 @@ def full_spectrum(a):
 def inf_to_2_norm_exact(B, limit=ENUMERATION_LIMIT):
     """Exact ||B||_{inf->2} = max over sign vectors x of ||Bx||_2.
 
-    Gray-code walk over {-1,1}^m starting at all-ones, so each step
-    flips one sign and updates Bx in O(rows); x ~ -x symmetry halves
-    the walk.  Exponential in the column count m; refuses m > limit.
+    x ~ -x symmetry fixes x_0 = +1.  The sign patterns of the next L
+    columns are tabulated once, as the rows of P = X_lo B_lo^T; for each
+    sign pattern x_hi of the remaining columns, B_hi x_hi + b_0 is added
+    to every row of P and the largest row norm is kept.  Every ||Bx|| is
+    summed afresh from B, so no rounding accumulates along the walk.
+    L <= ``_PATTERN_COLS``, and small enough that P holds at most
+    ``_PATTERN_ENTRIES`` numbers.  Exponential in the column count m;
+    refuses m > limit.
     """
     B = np.asarray(B, dtype=float)
     k, m = B.shape
@@ -217,17 +226,22 @@ def inf_to_2_norm_exact(B, limit=ENUMERATION_LIMIT):
         return 0.0
     if m > limit:
         raise WidthExceeded(f"{m} columns exceeds enumeration limit {limit}")
-    x = np.ones(m)
-    v = B @ x
-    best = float(v @ v)
-    for g in range(1, 1 << (m - 1)) if m > 1 else []:
-        flip = (g & -g).bit_length() - 1  # lowest set bit = Gray-code flip
-        x[flip] = -x[flip]
-        v += (2.0 * x[flip]) * B[:, flip]
-        nv = float(v @ v)
-        if nv > best:
-            best = nv
+    low = min(m - 1, _PATTERN_COLS,
+              max(_PATTERN_ENTRIES // k, 1).bit_length() - 1)
+    P = _signs(np.arange(1 << low)[:, None], low) @ B[:, 1:low + 1].T
+    B_hi = B[:, low + 1:]
+    high = B_hi.shape[1]
+    best = 0.0
+    for h in range(1 << high):
+        Q = P + (B_hi @ _signs(h, high) + B[:, 0])
+        best = max(best, float(np.einsum("ij,ij->i", Q, Q).max()))
     return float(np.sqrt(best))
+
+
+def _signs(bits, m):
+    """The x in {-1, 1}^m with x_c = -1 where bit c of ``bits`` is set;
+    an array of bits, shaped as a column, gives one x per row."""
+    return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
 def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):

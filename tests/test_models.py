@@ -35,7 +35,7 @@ from graphconc import (
     save_graph,
 )
 
-from graphconc import models
+from graphconc import LinearOp, models
 from graphconc._seeding import ROW_BLOCK, BlockWords
 
 from conftest import MASTER, assert_close
@@ -147,6 +147,28 @@ REFERENCE_MODELS = [
                               "rankone", "explicit"])
 def test_expected_dense_matches_reference(m):
     assert np.array_equal(expected_dense(m), reference_rates(m))
+
+
+def test_explicit_expected_dense_is_its_matrix(monkeypatch):
+    # an op built from a dense matrix hands back a copy of it: no matvec
+    calls = []
+    matvec = LinearOp.matvec
+
+    def counting(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(LinearOp, "matvec", counting)
+    P = _explicit_p10()
+    dense = expected_dense(Explicit(P))
+    np.fill_diagonal(P, 0.0)
+    assert np.array_equal(dense, P) and not calls
+    dense[0, 1] = 0.5  # a copy: the model keeps its own matrix
+    assert expected_dense(Explicit(P))[0, 1] == P[0, 1]
+    # the column-by-column route it skips gives the same bits
+    op = expected_adjacency(Explicit(P))
+    assert np.array_equal(LinearOp(10, 10, op.matvec).to_dense(), P)
+    assert calls
 
 
 def test_expected_degrees_vs_dense():
@@ -468,11 +490,71 @@ def test_save_graph_bytes_and_roundtrip(tmp_path):
         assert load_graph(ours) == g
 
 
+def _assert_written_like_rowwise(g, tmp_path):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_graph(g, ours)
+    _rowwise_save(g, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert load_graph(ours) == g
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_save_graph_vertex_ids_across_digit_counts(tmp_path, directed):
+    # every digit count from 1 to 6 on both endpoints, up to n - 1 = 999999
+    n = 10**6
+    ids = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000,
+           123456, 999998, 999999]
+    i, j = np.array([(a, b) for a in ids for b in ids if a != b]).T
+    if not directed:
+        i, j = i[i < j], j[i < j]
+    _assert_written_like_rowwise(SparseGraph(n, i, j, np.ones(i.size),
+                                             directed=directed), tmp_path)
+    for n in (1, 2, 10, 11, 1000, 1001):  # the id fields' width follows n
+        g = SparseGraph(n, [0], [n - 1], [1.0]) if n > 1 else SparseGraph(n, [], [], [])
+        _assert_written_like_rowwise(g, tmp_path)
+
+
+def test_save_graph_weight_texts(tmp_path):
+    # the shortest and the longest reprs, subnormals, and 1.0 among others
+    w = [5e-324, 1e-300, 0.1 + 0.2, 1.0, 2.5e-308, 1 / 3, 0.5, 1e-05,
+         0.1, 1.0, 2.2250738585072014e-308, 0.9999999999999999, 1.0, 5e-324]
+    n = len(w) + 1
+    g = SparseGraph(n, np.arange(len(w)), np.arange(1, n), w)
+    _assert_written_like_rowwise(g, tmp_path)
+    assert '"weighted": true' in (tmp_path / "ours.csv").read_text()
+    d = SparseGraph(n, np.arange(1, n), np.zeros(len(w), int), w, directed=True)
+    _assert_written_like_rowwise(d, tmp_path)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_save_graph_chunk_boundaries(tmp_path, extra):
+    # nnz = SAVE_CHUNK - 1, SAVE_CHUNK, SAVE_CHUNK + 1, with weights that
+    # differ from chunk to chunk
+    nnz = models.SAVE_CHUNK + extra
+    n = 2000
+    code = np.random.default_rng(11).choice(n * (n - 1) // 2, nnz, replace=False)
+    i, j = np.triu_indices(n, 1)
+    w = (1 + np.random.default_rng(12).integers(0, 1000, nnz)) / 1000
+    _assert_written_like_rowwise(SparseGraph(n, i[code], j[code], w), tmp_path)
+
+
 def test_load_graph_rejects_short_lines(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text('{"n": 3, "directed": false, "weighted": false}\n0,1,1.0\n1,2\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every edge line must read i,j,w"):
         load_graph(path)
+    path.write_text('{"n": 3, "directed": false, "weighted": false}\n0,1,1.0\n1,2,1.0,4\n')
+    with pytest.raises(ValueError, match="every edge line must read i,j,w"):
+        load_graph(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_graph_without_edges(tmp_path):
+    for directed in (False, True):
+        g = SparseGraph(5, [], [], [], directed=directed)
+        path = tmp_path / "empty.csv"
+        save_graph(g, path)
+        assert load_graph(path) == g
 
 
 def test_model_dict_roundtrip():

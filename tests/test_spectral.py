@@ -230,6 +230,32 @@ def test_inf_to_2_exact_vs_brute_force(seed):
     assert inf_to_2_norm_exact(B) == pytest.approx(brute_inf_to_2(B), rel=1e-12)
 
 
+def gray_code_inf_to_2(B):
+    """The Gray-code walk inf_to_2_norm_exact replaced: one sign flip and
+    a rank-one update of Bx per step, x ~ -x symmetry halving the walk."""
+    k, m = B.shape
+    x = np.ones(m)
+    v = B @ x
+    best = float(v @ v)
+    for g in range(1, 1 << (m - 1)) if m > 1 else []:
+        flip = (g & -g).bit_length() - 1  # lowest set bit = Gray-code flip
+        x[flip] = -x[flip]
+        v += (2.0 * x[flip]) * B[:, flip]
+        best = max(best, float(v @ v))
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize("rows", [1, 8, 300, 5000])
+def test_inf_to_2_exact_matches_gray_code_walk(rows):
+    # P = X_lo B_lo^T tabulates 2^12 sign patterns at 1 and 8 rows, 2^7
+    # at 300 and 2^3 at 5000; the signs of the other columns loop
+    rng = np.random.default_rng(rows)
+    for m in range(1, 17 if rows <= 300 else 11):
+        B = rng.uniform(-1.0, 1.0, (rows, m))
+        assert inf_to_2_norm_exact(B) == pytest.approx(gray_code_inf_to_2(B),
+                                                       rel=1e-12)
+
+
 def test_inf_to_2_width_guard():
     with pytest.raises(WidthExceeded):
         inf_to_2_norm_exact(np.ones((2, 25)))

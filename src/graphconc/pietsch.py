@@ -27,10 +27,10 @@ before the descent and kept as ``lower_bound``).  gp-check passes no
 stop and measures the optimizer.
 
 The subgradient oracle (``_top_pair``) picks its route from the block's
-shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK eigh on
-the smaller side of the scaled Gram.  Otherwise it runs a warm-started
-power iteration, capped at 80 steps and stopped at a relative change of
-1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
+shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd,
+the driver np.linalg.eigh wraps, called directly on the smaller side of
+the scaled Gram.  Otherwise it runs a warm-started power iteration,
+capped at 80 steps and stopped at a relative change of 1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
 m <= 2k, by B and B^T on wider blocks.  The warm start saves little:
 counted along full 120-step descents of a decompose run at n = 256,
 d = 8 (seeds 1729, 1 and 2; 480 calls each), the power iteration hit
@@ -39,11 +39,26 @@ take the exact route, it averaged 56 to 80 of its 80 steps.  So each
 step's cost is the product it repeats, and the stop is what saves.
 Medians on the first-round blocks of decompose runs at d = 8 (seeds
 1729, 1 and 2, both triangles; 2-core Xeon VM, one BLAS thread): a
-120-step descent took 144-197 ms on the 256 x 256 blocks and 730-880 ms
+120-step descent took 129-196 ms on the 256 x 256 blocks and 587-868 ms
 on the 512 x 512 ones; stopped at sqrt(pi/2) it ended at step 2-5 in
-12-20 ms and at step 6-8 in 60-108 ms, with the same selected columns.
-The greedy lower bound inside that took 4-7 ms and 12-17 ms, against
-14-27 ms and 156-188 ms for the starts run one at a time on B.
+8-17 ms and at step 6-8 in 49-94 ms, with the same selected columns.
+The greedy lower bound inside that took 3-6 ms and 9-17 ms, against
+21-28 ms and 177-274 ms for the starts run one at a time on B.
+
+The dense symmetric eigenproblems go straight to LAPACK, on the Gram
+matrix where one exists, and every certificate keeps its tolerance.
+The oracle calls dsyevd itself (``_top_eigh``).  ``gp_submatrix`` takes
+||B_J|| from dsyevr, with only the top eigenvalue of the Gram on B_J's
+smaller side computed, in place of a full SVD.  The certified f(mu)
+(``_certified_f``) is lambda_max of D_mu^{-1/2} G D_mu^{-1/2} by ARPACK
+on the symmetric m x m op, one G product per Lanczos step, when G is
+formed and min(k, m) > DENSE_SOLVE_LIMIT (the oracle's split); svds on
+B D_mu^{-1/2} otherwise.  Medians of three alternating runs against
+np.linalg.eigh, svds on B D_mu^{-1/2} and a full SVD (2-core Xeon VM,
+one BLAS thread): an exact oracle call on an 8 x 12 block 30-33 ->
+22-24 us; on a 250 x 256 centred Bernoulli(8/256) block, a certified
+f(mu) 1.6-2.2 -> 0.9-1.2 ms and gp_submatrix 6.9-7.2 -> 3.0-3.6 ms;
+gp_submatrix on the 512 x 512 decompose blocks above 36-47 -> 17-26 ms.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd, dsyevr
 
 from ._seeding import aux_generator
 from .errors import VerificationError
@@ -103,7 +119,7 @@ class GPCertificate:
     threshold: float
     n_selected: int
     size_bound: float          # (1 - delta) m
-    submatrix_norm: float      # ||B_J||, exact SVD
+    submatrix_norm: float      # ||B_J||, LAPACK on B_J's smaller Gram
     norm_lhs: float            # ||B_J|| sqrt(delta m)
     achieved_norm: float       # f(mu), the certified right-hand side
     ok: bool
@@ -118,17 +134,48 @@ def _col_scale(mu, col_live):
     return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
 
 
-def _scaled_op(B, mu, col_live):
-    """B D_mu^{-1/2} with dead columns pinned to zero."""
+def _certified_f(B, G, mu, col_live, rng=None):
+    """f(mu) = ||B D_mu^{-1/2}||, by spectral_norm at tol 1e-11.
+
+    Where gp_weights formed G = B^T B and min(k, m) > DENSE_SOLVE_LIMIT
+    (the split _top_pair makes), f^2 = lambda_max(s G s) on the
+    symmetric m x m op, one G product per Lanczos step; otherwise svds
+    on B s, which spectral_norm solves by LAPACK when min(k, m) is at
+    most DENSE_SOLVE_LIMIT.  ``s`` is the diagonal of D_mu^{-1/2}, zero
+    on dead columns.
+    """
     s = _col_scale(mu, col_live)
-    return LinearOp(B.shape[0], B.shape[1], lambda x: B @ (s * x),
-                    lambda x: s * (B.T @ x))
+    k, m = B.shape
+    if G is None or min(k, m) <= DENSE_SOLVE_LIMIT:
+        op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
+        return spectral_norm(op, tol=1e-11, max_iter=20000, rng=rng)
+    op = LinearOp(m, m, lambda x: s * (G @ (s * x)), symmetric=True)
+    return sqrt(spectral_norm(op, tol=1e-11, max_iter=20000, rng=rng))
 
 
-def _certified_f(B, mu, col_live, rng=None):
-    """f(mu) = ||B D_mu^{-1/2}||, by spectral_norm at tol 1e-11."""
-    return spectral_norm(_scaled_op(B, mu, col_live), tol=1e-11,
-                         max_iter=20000, rng=rng)
+def _top_eigh(M):
+    """Top eigenpair of a symmetric M by LAPACK dsyevd on its lower triangle.
+
+    This is the call np.linalg.eigh makes, without its wrapping.  The
+    vector is read from a C-ordered copy of the eigenvectors, as eigh
+    returns them, so a product with it rounds as one with eigh's does.
+    """
+    lams, V, info = dsyevd(M, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
+    return float(lams[-1]), np.ascontiguousarray(V)[:, -1]
+
+
+def _top_singular_value(A):
+    """||A||, the root of the top eigenvalue of the Gram on A's smaller
+    side, by LAPACK dsyevr with only that eigenvalue computed."""
+    k, m = A.shape
+    gram = A.T @ A if m <= k else A @ A.T
+    n = gram.shape[0]
+    lams, _, _, _, info = dsyevr(gram, compute_v=0, range="I", il=n, iu=n)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
+    return sqrt(max(float(lams[0]), 0.0))
 
 
 def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
@@ -137,9 +184,10 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     ``s`` is the diagonal of D_mu^{-1/2}, zero on dead columns; ``G`` is
     B^T B, or None when m > 2k; ``v0`` is the previous step's vector.
 
-    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK eigh of
-      (B s)(B s)^T (k x k) when k <= m, the top vector mapped back by
-      v = s B^T u / ||s B^T u||; of s G s (m x m) when m < k.
+    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd
+      (``_top_eigh``) of (B s)(B s)^T (k x k) when k <= m, the top
+      vector mapped back by v = s B^T u / ||s B^T u||; of s G s (m x m)
+      when m < k.  The result is bit for bit np.linalg.eigh's.
     * Power route otherwise: up to ``iters`` steps from ``v0``, stopped
       at a relative change of ``tol``, each one G product (no dearer
       than the two k x m products when m <= 2k) or, on wider blocks,
@@ -152,10 +200,10 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     The warm start rarely ends the power route early (module
     docstring), so a step costs ``iters`` products.  Medians of three
     runs (2-core Xeon VM, one BLAS thread): a full 120-step gp_weights
-    call on a 250 x 256 centred Bernoulli(8/256) block took 158 ms,
-    against 327 ms with two k x m products per iteration; a 500-step
-    call on an 8 x 12 block took 39 ms on the exact route, against
-    299 ms.  Decompose's descents stop after 2 to 8 steps (module
+    call on a 250 x 256 centred Bernoulli(8/256) block took 131-174 ms,
+    against 279 ms with two k x m products per iteration; a 500-step
+    call on an 8 x 12 block took 20-26 ms on the exact route, against
+    220 ms.  Decompose's descents stop after 2 to 8 steps (module
     docstring), so there the oracle is called a handful of times per
     block.  v is zero on dead columns.
     """
@@ -163,11 +211,11 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     if min(k, m) <= DENSE_SOLVE_LIMIT:
         if k <= m:
             C = B * s
-            lams, U = np.linalg.eigh(C @ C.T)
-            z = C.T @ U[:, -1]
-            return float(lams[-1]), z / sqrt(z @ z)
-        lams, V = np.linalg.eigh(s[:, None] * G * s)
-        return float(lams[-1]), np.where(s > 0.0, V[:, -1], 0.0)
+            lam, u = _top_eigh(C @ C.T)
+            z = C.T @ u
+            return lam, z / sqrt(z @ z)
+        lam, v = _top_eigh(s[:, None] * G * s)
+        return lam, np.where(s > 0.0, v, 0.0)
     v = v0.copy()
     z = np.empty(m)
     w = np.empty(m)
@@ -255,7 +303,7 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
             if target is not None and f <= target:
                 # spectral_norm's own stream: a failed check leaves rng,
                 # and so the rest of the descent, untouched
-                certified = _certified_f(B, best_mu, col_live)
+                certified = _certified_f(B, G, best_mu, col_live)
                 if certified <= target:
                     achieved = certified
         history.append(best_f)
@@ -275,8 +323,8 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
     target_met = achieved is not None
     if not target_met:
         # exact-at-tolerance re-evaluation of the candidates
-        achieved = _certified_f(B, best_mu, col_live, rng)
-        final = _certified_f(B, mu, col_live, rng)
+        achieved = _certified_f(B, G, best_mu, col_live, rng)
+        final = _certified_f(B, G, mu, col_live, rng)
         if final < achieved:
             achieved, best_mu = final, mu.copy()
     if achieved < lower * (1.0 - 1e-8) - 1e-12:
@@ -291,7 +339,10 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
 
     Both guarantees are algebraic consequences of sum(mu) = 1 and are
     asserted on every call: |J| >= (1-delta)m by pigeonhole, and
-    ||B_J|| sqrt(delta m) <= achieved_norm.
+    ||B_J|| sqrt(delta m) <= achieved_norm.  ||B_J|| is the root of the
+    top eigenvalue of the Gram on B_J's smaller side, from dsyevr with
+    that eigenvalue only (``_top_singular_value``); it agrees with a
+    dense SVD to about 1e-15 relative.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
@@ -302,10 +353,7 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
     J = np.flatnonzero(w.mu <= threshold)
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    if J.size:
-        sub_norm = float(np.linalg.svd(B[:, J], compute_uv=False)[0])
-    else:
-        sub_norm = 0.0
+    sub_norm = _top_singular_value(B[:, J]) if J.size else 0.0
     lhs = sub_norm * np.sqrt(delta * m)
     ok = lhs <= w.achieved_norm * (1.0 + 1e-8) + 1e-12
     cert = GPCertificate(m=m, delta=delta, threshold=threshold,

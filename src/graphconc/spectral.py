@@ -252,8 +252,11 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):
     drawn as rng.random((trials, m)) (the stream of ``trials`` calls of
     rng.random(m)).  corr = X G, with G = B^T B, is kept up to date by
     one row of the symmetric G per flip, so a flip costs O(m), not the
-    O(km) of recomputing B^T B x.  ``gram`` is G when the caller holds
-    it; it is formed here otherwise.  The value is ||B x|| recomputed from B for
+    O(km) of recomputing B^T B x.  While every start is live, X and
+    corr are read and updated in place; only once a start has stopped
+    do the live rows take fancy-index copies (same arithmetic, same
+    value bit for bit).  ``gram`` is G when the caller holds it; it is
+    formed here otherwise.  The value is ||B x|| recomputed from B for
     the final signs, so rounding in corr can never inflate it: always a
     valid lower bound.  Falls back to exact enumeration when trials
     covers the half-cube and the width permits it.
@@ -271,14 +274,17 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):
     X = np.where(rng.random((trials, m)) < 0.5, -1.0, 1.0)
     corr = X @ G
     live = np.arange(trials)
+    rows = slice(None)
     while live.size:
         # flipping j changes ||B x||^2 by 4 (col_sq[j] - x_j corr[j])
-        gains = 4.0 * (col_sq - X[live] * corr[live])
+        gains = 4.0 * (col_sq - X[rows] * corr[rows])
         jbest = np.argmax(gains, axis=1)
         up = gains[np.arange(live.size), jbest] > 1e-12
-        live, jbest = live[up], jbest[up]
+        if not up.all():
+            live, jbest = live[up], jbest[up]
+            rows = live
         xj = X[live, jbest]
-        corr[live] -= (2.0 * xj)[:, None] * G[jbest]
+        corr[rows] -= (2.0 * xj)[:, None] * G[jbest]
         X[live, jbest] = -xj
     return float(np.sqrt(((B @ X.T) ** 2).sum(axis=0).max()))
 

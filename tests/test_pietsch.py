@@ -264,3 +264,117 @@ def test_gp_submatrix_forwards_the_stop():
     assert cert.iterations < 20
     _, plain = gp_submatrix(B, 0.25, max_iter=5)
     assert plain.target is None and not plain.target_met
+
+
+def eigh_exact_route(B, G, s):
+    """The exact route of _top_pair as written on np.linalg.eigh: the
+    reference the direct dsyevd call must match bit for bit."""
+    k, m = B.shape
+    if k <= m:
+        C = B * s
+        lams, U = np.linalg.eigh(C @ C.T)
+        z = C.T @ U[:, -1]
+        return float(lams[-1]), z / np.sqrt(z @ z)
+    lams, V = np.linalg.eigh(s[:, None] * G * s)
+    return float(lams[-1]), np.where(s > 0.0, V[:, -1], 0.0)
+
+
+def test_exact_oracle_matches_eigh_bit_for_bit():
+    # both branches: (B s)(B s)^T when k <= m, s G s when m < k
+    rng = np.random.default_rng(38)
+    for k in range(2, 33):
+        for m in range(2, 33):
+            B = rng.standard_normal((k, m))
+            col_live = np.ones(m, dtype=bool)
+            if (k + m) % 3 == 0:
+                B[:, rng.integers(m)] = 0.0
+                col_live = (B * B).sum(axis=0) > 0.0
+            s = _col_scale(rng.dirichlet(np.ones(m)), col_live)
+            G = B.T @ B if m <= 2 * k else None
+            lam, v = _top_pair(B, G, s, None)
+            ref_lam, ref_v = eigh_exact_route(B, G, s)
+            assert lam == ref_lam, (k, m)
+            assert np.array_equal(v, ref_v), (k, m)
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (6, 14), (40, 24)])
+def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
+    # the 500-step descents of gp-check's shapes, the exact route on
+    # every step, against the same descent on the eigh reference
+    B = np.random.default_rng(39).standard_normal(shape)
+    B[:, 3] = 0.0
+    new = gp_weights(B)
+    monkeypatch.setattr(pietsch, "_top_pair",
+                        lambda B, G, s, v0: eigh_exact_route(B, G, s))
+    ref = gp_weights(B)
+    assert new.iterations == ref.iterations == 500
+    assert np.array_equal(new.mu, ref.mu)
+    assert new.history == ref.history
+    assert new.achieved_norm == ref.achieved_norm
+
+
+@pytest.mark.parametrize("shape,dead", [
+    ((40, 12), None), ((8, 30), None), ((120, 100), 7), ((30, 90), 2),
+    ((1, 9), None), ((25, 1), None)])
+def test_submatrix_norm_matches_dense_svd(shape, dead):
+    # tall and wide B_J, dead columns, and single-column J (m = 1)
+    rng = np.random.default_rng(40)
+    B = rng.standard_normal(shape)
+    if dead is not None:
+        B[:, dead] = 0.0
+    w = gp_weights(B, max_iter=20)
+    for delta in (0.25, 0.5):
+        J, cert = gp_submatrix(B, delta, weights=w)
+        ref = np.linalg.svd(B[:, J], compute_uv=False)[0]
+        assert cert.submatrix_norm == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert gp_submatrix(np.zeros((4, 6)), 0.5)[1].submatrix_norm == 0.0
+
+
+def test_submatrix_certificate_still_fails_when_weights_fall_short():
+    B = np.random.default_rng(41).standard_normal((10, 16))
+    w = gp_weights(B, max_iter=20)
+    short = PietschWeights(w.mu, 0.5 * w.lower_bound, w.converged,
+                           w.iterations)
+    with pytest.raises(VerificationError, match="submatrix certificate"):
+        gp_submatrix(B, 0.25, weights=short)
+
+
+def scaled_block(shape, seed):
+    """A block with one dead column and random simplex weights."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal(shape)
+    B[:, 5] = 0.0
+    col_live = (B * B).sum(axis=0) > 0.0
+    return B, rng.dirichlet(np.ones(shape[1])), col_live
+
+
+@pytest.mark.parametrize("shape", [(40, 64), (64, 100), (100, 60),
+                                   (250, 256)])
+def test_gram_certification_matches_svds(shape):
+    # m > DENSE_SOLVE_LIMIT and m <= 2k: eigsh on s G s against svds on
+    # B D^{-1/2}, the route taken without G, and against dense LAPACK
+    B, mu, col_live = scaled_block(shape, 42)
+    gram = pietsch._certified_f(B, B.T @ B, mu, col_live)
+    svds = pietsch._certified_f(B, None, mu, col_live)
+    assert gram == pytest.approx(svds, rel=1e-10)
+    dense = np.linalg.norm(B * _col_scale(mu, col_live), 2)
+    assert gram == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape,symmetric", [
+    ((64, 64), True), ((100, 60), True),
+    # wide (m > 2k, no Gram), m <= 32, and min(k, m) <= 32 < m: B D^{-1/2}
+    ((40, 100), False), ((40, 24), False), ((8, 12), False),
+    ((20, 40), False)])
+def test_certification_routes(monkeypatch, shape, symmetric):
+    B, _, _ = scaled_block(shape, 43)
+    real = pietsch.spectral_norm
+    seen = []
+
+    def counting(op, **kw):
+        seen.append(op.symmetric)
+        return real(op, **kw)
+
+    monkeypatch.setattr(pietsch, "spectral_norm", counting)
+    gp_weights(B, max_iter=5)
+    assert seen == [symmetric, symmetric]

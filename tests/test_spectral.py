@@ -333,6 +333,49 @@ def test_inf_to_2_lower_batched_matches_serial(make):
     assert np.array_equal(stacked, [rng.random(7) for _ in range(3)])
 
 
+def fancy_index_greedy_lower(B, trials, rng, live_sizes):
+    """The batched greedy with fancy-index copies of X and corr on every
+    flip, the reference for the copy-free loop; ``live_sizes`` collects
+    the number of live starts before each flip."""
+    col_sq = (B * B).sum(axis=0)
+    G = B.T @ B
+    X = np.where(rng.random((trials, B.shape[1])) < 0.5, -1.0, 1.0)
+    corr = X @ G
+    live = np.arange(trials)
+    while live.size:
+        live_sizes.append(live.size)
+        gains = 4.0 * (col_sq - X[live] * corr[live])
+        jbest = np.argmax(gains, axis=1)
+        up = gains[np.arange(live.size), jbest] > 1e-12
+        live, jbest = live[up], jbest[up]
+        xj = X[live, jbest]
+        corr[live] -= (2.0 * xj)[:, None] * G[jbest]
+        X[live, jbest] = -xj
+    return float(np.sqrt(((B @ X.T) ** 2).sum(axis=0).max()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((30, 40)),
+    lambda rng: rng.standard_normal((12, 90)),
+    lambda rng: rng.standard_normal((200, 60)),
+    lambda rng: centred_bernoulli(rng, 250, 256, 8 / 256),
+    lambda rng: centred_bernoulli(rng, 250, 256, 0.1),
+])
+def test_inf_to_2_lower_matches_fancy_index_loop(make):
+    # tall and wide blocks whose starts stop at different flips, so the
+    # loop runs with all starts live and with some stopped
+    B = make(np.random.default_rng(20))
+    for seed in range(3):
+        sizes = []
+        ref = fancy_index_greedy_lower(B, 8, np.random.default_rng(seed),
+                                       sizes)
+        assert any(0 < n < 8 for n in sizes) and sizes[0] == 8
+        for gram in (None, B.T @ B):
+            low = inf_to_2_norm_lower(B, trials=8, gram=gram,
+                                      rng=np.random.default_rng(seed))
+            assert low == ref
+
+
 def test_inf_to_2_lower_batched_on_tied_gains():
     # at p = 0.1 the gains take few distinct values and tie often;
     # rounding, which differs between the serial and the batched

@@ -326,9 +326,13 @@ def cmd_decompose(cfg, ctx):
             up, lo = triangle_split(sample(model, ctx.seed, t))
             parts = [("upper", up, np.triu(P, 1)), ("lower", lo, np.tril(P, -1))]
         rec = {"trial": t}
+        # L = U^T, so L's GP blocks are U's blocks transposed, byte for
+        # byte: one memo per trial lets L reuse U's GP results
+        gp_memo = {}
         for name, gd, EA in parts:
             try:
-                dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters)
+                dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
+                                gp_memo=gp_memo)
                 rep = verify_decomposition(gd, EA, dec)
             except GraphconcError as exc:
                 rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"

@@ -28,10 +28,20 @@ dumped into N (GP on near-empty blocks is noise).  I1 and J1 are capped
 at floor(m/2) keeping the worst offenders, so exceptional dimensions
 are at most m/2 x m/2 unconditionally; capped-out indices simply fall
 back into the pass-1/pass-2 cover.
+
+An undirected sample is decomposed as its two triangles U and L = U^T
+(``triangle_split``).  L's column pass then runs GP on exactly the bytes
+of U's row-pass block, and its row pass on U's column-pass block, so
+the two decompositions of one sample share a ``gp_memo`` and L's GP
+results are looked up rather than recomputed.  The memo is keyed by
+block content, not by the transpose: the row filter tests only rows and
+C is painted before R, so L's decomposition is not U's mirrored, and a
+content key reuses only what gp_submatrix would return anyway.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -119,7 +129,27 @@ def _round_trace(m_nom, alpha, I, J, **found):
             "cols": int(J.size), "I": I.tolist(), "J": J.tolist(), **found}
 
 
-def _column_pass(sub, cent, good_rows, r, cap, gp_iters):
+def _gp_block(B, gp_iters, gp_memo):
+    """gp_submatrix on B, or its stored result for a block of equal bytes.
+
+    gp_submatrix is a pure function of its block, so a result keyed by
+    (shape, gp_iters, SHA-256 of B's C-ordered bytes) is exactly what a
+    second call would return.  The memo keeps only (J, certificate).
+    """
+    key = None
+    if gp_memo is not None:
+        B = np.ascontiguousarray(B)
+        key = (B.shape, gp_iters, hashlib.sha256(B).digest())
+        if key in gp_memo:
+            return gp_memo[key]
+    found = gp_submatrix(B, 0.25, max_iter=gp_iters,
+                         stop_ratio=LITTLE_GROTHENDIECK)
+    if key is not None:
+        gp_memo[key] = found
+    return found
+
+
+def _column_pass(sub, cent, good_rows, r, cap, gp_iters, gp_memo):
     """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
 
     ``good_rows`` are the rows that passed the filter.  GP stops once
@@ -127,8 +157,7 @@ def _column_pass(sub, cent, good_rows, r, cap, gp_iters):
     uses; ``gp_iters`` is only a cap.  Returns (exceptional mask J1,
     32r-light mask J44, GP certificate, capped?).
     """
-    J_gp, cert = gp_submatrix(cent[good_rows], 0.25, max_iter=gp_iters,
-                              stop_ratio=LITTLE_GROTHENDIECK)
+    J_gp, cert = _gp_block(cent[good_rows], gp_iters, gp_memo)
     gp_col = np.zeros(cent.shape[1], dtype=bool)
     gp_col[J_gp] = True
     bad_rows = ~good_rows
@@ -147,8 +176,9 @@ def _gp_trace(cert):
             "target_met": cert.target_met}
 
 
-def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
-    """One round on csr + dense inputs.
+def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
+                gp_memo=None):
+    """One round on csr + dense inputs; ``gp_memo`` as in ``decompose``.
 
     Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
     array of the block, -1 exactly on the exceptional hole I1 x J1.
@@ -168,9 +198,9 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500):
     cent = sub.toarray() - EA[np.ix_(I, J)]
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
-        sub, cent, good_rows, r, cap, gp_iters)
+        sub, cent, good_rows, r, cap, gp_iters, gp_memo)
     I1_mask, i44, cert_rows, capped_i = _column_pass(
-        sub.T, cent.T, good_cols, r, cap, gp_iters)
+        sub.T, cent.T, good_cols, r, cap, gp_iters, gp_memo)
 
     bad_rows, bad_cols = ~good_rows, ~good_cols
     keep_i, keep_j = ~I1_mask, ~J1_mask
@@ -220,7 +250,7 @@ def decompose_block(A, EA, I, J, alpha, r, d, m_nom=None, gp_iters=500):
     return (*parts, I[I1_mask], J[J1_mask])
 
 
-def decompose(A, EA, r, d, gp_iters=500):
+def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
     """Full iterative decomposition of a directed sample.
 
     Starts from the whole square with m = n, alpha = 1; each round
@@ -229,6 +259,11 @@ def decompose(A, EA, r, d, gp_iters=500):
     empty or tiny (then it goes to N wholesale).  A RowFilterEmpty
     round marks its whole block exceptional and continues shrinking.
     R rows are disjoint across rounds by construction (asserted).
+
+    ``gp_memo``, a dict, stores each GP block's (J, certificate) under
+    its exact content and hands it back for a block of equal bytes;
+    passing one dict to the decompositions of U and U^T halves their
+    GP work (see the module docstring).  None computes every block.
     """
     A01 = _ones_csr(A)
     n = A.n
@@ -248,7 +283,8 @@ def decompose(A, EA, r, d, gp_iters=500):
         alpha = float(np.sqrt(max(m_nom, I.size, J.size) / n))
         try:
             grid, I1_mask, J1_mask, round_trace = _block_pass(
-                A01, EA, I, J, alpha, r, d, m_nom, gp_iters=gp_iters)
+                A01, EA, I, J, alpha, r, d, m_nom, gp_iters=gp_iters,
+                gp_memo=gp_memo)
         except RowFilterEmpty:
             trace.append(_round_trace(m_nom, alpha, I, J,
                                       row_filter_empty=True, all_n=False))

@@ -1,6 +1,7 @@
 """N/R/C edge decomposition: construction, verifier, serialization."""
 
 import csv
+import importlib
 import io
 import json
 
@@ -17,13 +18,21 @@ from graphconc import (
     decompose_block,
     decomposition_to_csv,
     expected_adjacency,
+    expected_dense,
     sample,
+    sample_directed,
     trace_to_json,
     triangle_split,
     verify_decomposition,
 )
 
+from graphconc.cli import run_command
+
 from conftest import MASTER
+
+# the package's ``decompose`` attribute is the function; GP is counted at
+# the name the module imports
+dmod = importlib.import_module("graphconc.decompose")
 
 
 def zero_ea(n):
@@ -247,3 +256,90 @@ def test_csv_bytes_match_rowwise_writer(tmp_path):
     path = tmp_path / "classes.csv"
     decomposition_to_csv(dec, path)
     assert path.read_bytes() == buf.getvalue().encode()
+
+
+# ---------------------------------------------------------------------------
+# GP results shared between the triangles of one sample
+
+
+def count_gp(monkeypatch):
+    calls = []
+    real = dmod.gp_submatrix
+
+    def counting(B, *args, **kwargs):
+        calls.append(B.shape)
+        return real(B, *args, **kwargs)
+
+    monkeypatch.setattr(dmod, "gp_submatrix", counting)
+    return calls
+
+
+def triangle_parts(n, d):
+    model = Uniform(n, d / n)
+    P = expected_dense(model)
+    up, lo = triangle_split(sample(model, MASTER, 0))
+    return [("upper", up, np.triu(P, 1)), ("lower", lo, np.tril(P, -1))]
+
+
+def assert_same_decomposition(a, b):
+    assert np.array_equal(a.class_of, b.class_of)
+    assert a.block_trace == b.block_trace
+
+
+@pytest.mark.parametrize("n", [48, 256])
+def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n):
+    d, r, gp_iters = 8.0, 3.0, 120
+    calls = count_gp(monkeypatch)
+    cfg = {"n": n, "d": d, "r": r, "gp_iters": gp_iters}
+    run_command("decompose", cfg, MASTER, str(tmp_path / "cli"))
+    cli_calls = len(calls)
+
+    calls.clear()
+    plain = {name: decompose(part, EA, r, d, gp_iters=gp_iters)
+             for name, part, EA in triangle_parts(n, d)}
+    assert cli_calls > 0 and 2 * cli_calls == len(calls)
+
+    calls.clear()
+    memo = {}
+    for name, part, EA in triangle_parts(n, d):
+        shared = decompose(part, EA, r, d, gp_iters=gp_iters, gp_memo=memo)
+        assert_same_decomposition(shared, plain[name])
+        assert (verify_decomposition(part, EA, shared)
+                == verify_decomposition(part, EA, plain[name]))
+        trace_to_json(plain[name], tmp_path / f"plain_{name}.json")
+        assert ((tmp_path / "cli" / f"trace_t0_{name}.json").read_bytes()
+                == (tmp_path / f"plain_{name}.json").read_bytes())
+    assert len(calls) == cli_calls
+
+
+def test_gp_memo_misses_on_directed_input(monkeypatch):
+    n, d, r = 96, 8.0, 3.0
+    model = Uniform(n, d / n)
+    A, EA = sample_directed(model, MASTER), expected_dense(model)
+    calls = count_gp(monkeypatch)
+    plain = decompose(A, EA, r, d, gp_iters=60)
+    plain_calls = len(calls)
+    memo = {}
+    shared = decompose(A, EA, r, d, gp_iters=60, gp_memo=memo)
+    assert len(calls) == 2 * plain_calls and len(memo) == plain_calls
+    assert_same_decomposition(shared, plain)
+
+
+def test_gp_memo_misses_when_the_lower_ea_differs(monkeypatch):
+    # one entry of tril(EA) moved: every block of L that GP sees differs
+    # from U's transposed blocks, so nothing may be reused
+    n, d, r = 96, 8.0, 3.0
+    (_, up, EA_up), (_, lo, EA_lo) = triangle_parts(n, d)
+    EA_lo = EA_lo.copy()
+    EA_lo[60, 7] += 1e-3
+    calls = count_gp(monkeypatch)
+    plain = decompose(lo, EA_lo, r, d, gp_iters=60)
+    plain_calls = len(calls)
+    for rnd in plain.block_trace:  # (60, 7) lies in both GP blocks
+        assert 60 in rnd["I_prime"] and 7 in rnd["J_prime"]
+    memo = {}
+    decompose(up, EA_up, r, d, gp_iters=60, gp_memo=memo)
+    calls.clear()
+    shared = decompose(lo, EA_lo, r, d, gp_iters=60, gp_memo=memo)
+    assert len(calls) == plain_calls
+    assert_same_decomposition(shared, plain)

@@ -118,9 +118,72 @@ def test_trim_feasible_and_local():
         assert all(a in hot or b in hot for a, b in before - after)
 
 
+def trim_edges_reference(g, cap):
+    """The O(n x over-cap) trim: argmax over all degrees per vertex, sets."""
+    deg = g.degrees()
+    if not g.nnz or deg.max() <= cap:
+        return g
+    nbr = [set() for _ in range(g.n)]
+    for a, b in zip(g.i, g.j):
+        nbr[a].add(int(b))
+        nbr[b].add(int(a))
+    while True:
+        u = int(np.argmax(deg))  # first maximum = lowest index on ties
+        if deg[u] <= cap:
+            break
+        while deg[u] > cap:
+            v = max(nbr[u], key=lambda x: (deg[x], x))
+            nbr[u].remove(v)
+            nbr[v].remove(u)
+            deg[u] -= 1.0
+            deg[v] -= 1.0
+    ii, jj = [], []
+    for a in range(g.n):
+        for b in nbr[a]:
+            if a < b:
+                ii.append(a)
+                jj.append(b)
+    ii = np.array(ii, dtype=np.int64)
+    jj = np.array(jj, dtype=np.int64)
+    return SparseGraph(g.n, ii, jj, np.ones(ii.size), directed=False)
+
+
+def planted_hubs(g, hubs, rng):
+    """g plus edges from each hub to a random half of the vertices."""
+    i, j = [g.i], [g.j]
+    for h in hubs:
+        v = rng.choice(g.n, size=g.n // 2, replace=False)
+        v = v[v != h]
+        i.append(np.full(v.size, h))
+        j.append(v)
+    i, j = np.concatenate(i), np.concatenate(j)
+    code = np.unique(np.minimum(i, j) * g.n + np.maximum(i, j))
+    return SparseGraph(g.n, code // g.n, code % g.n, np.ones(code.size))
+
+
+def test_trim_matches_reference_bit_for_bit():
+    # random graphs and planted hubs, integer and non-integer caps
+    rng = np.random.default_rng(11)
+    pairs = 0
+    for t in range(60):
+        n = int(rng.integers(2, 250))
+        d = float(rng.uniform(0.5, 12.0))
+        g = sample(Uniform(n, min(1.0, d / n)), MASTER, t)
+        if t % 2 and n > 5:
+            g = planted_hubs(g, rng.choice(n, size=3, replace=False), rng)
+        for cap in (0.3, 1.0, 2.0, 3.5, 6.0, d, 2.0 * d):
+            out, ref = trim_edges(g, cap), trim_edges_reference(g, cap)
+            assert out == ref, (t, cap)
+            assert out.i.dtype == ref.i.dtype and out.w.dtype == ref.w.dtype
+            pairs += int(out is not g)
+    assert pairs > 200
+
+
 def test_trim_rejects_bad_input():
     with pytest.raises(ValueError):
         trim_edges(star(4), -1.0)
+    with pytest.raises(ValueError):
+        trim_edges(star(4), float("nan"))
     with pytest.raises(ValueError):
         trim_edges(SparseGraph(3, [0], [1], [0.5]), 1.0)  # weighted
 

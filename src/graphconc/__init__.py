@@ -18,8 +18,7 @@ from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
                      expected_dense, load_graph, max_expected_degree,
                      max_rate, model_from_dict, model_to_dict, sample,
                      sample_directed, save_graph)
-from .operators import (LinearOp, compose_difference, identity_op, op_combine,
-                        restrict)
+from .operators import LinearOp, compose_difference, op_combine, restrict
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
                          apply_scheme, average_degree, degrees,
                          expected_laplacian, high_degree_set, laplacian,
@@ -30,8 +29,8 @@ from .spectral import (DENSE_SOLVE_LIMIT, full_spectrum, inf_to_2_norm_exact,
                        l2_sparsity_bound, spectral_norm, top_k_eigs)
 from .pietsch import GPCertificate, PietschWeights, gp_submatrix, gp_weights
 from .decompose import (EdgeDecomposition, VerifyReport, decompose,
-                        decompose_block, decomposition_to_csv, trace_to_json,
-                        triangle_split, verify_decomposition)
+                        decomposition_to_csv, trace_to_json, triangle_split,
+                        verify_decomposition)
 from .community import (CommunityLabels, davis_kahan_bound, davis_kahan_check,
                         detect, expected_laplacian_eigs,
                         expected_laplacian_eigvec, misclassification,

@@ -10,8 +10,11 @@ error), writes config.json / report.json / CSV artifacts into its own
 output directory, and is reproducible byte-for-byte from config +
 master seed (wall clock aside).  seed/trials/threads/out may also be
 config keys; flags win, and a config value gets its flag's check.
---trials N runs trials 0..N-1 on RNG streams 0..N-1 (gp-check: N
-random matrices), so --threads changes the schedule, never the numbers.
+--trials N runs trials 0..N-1 (gp-check: N random matrices), each on
+its own RNG stream, so --threads changes the schedule, never the
+numbers.  Trial t draws stream t, except in concentration and
+laplacian, where trial t of grid cell c draws stream c*N + t;
+report.json's seeds.streams lists the streams drawn.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import numpy as np
 from ._seeding import aux_generator
 from .community import (BlockTwo, davis_kahan_check, misclassification,
                         sbm_instance)
-from .decompose import (decompose, decomposition_to_csv, trace_to_json,
-                        triangle_split, verify_decomposition)
-from .errors import GraphconcError, NoConvergence
+from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
+                        trace_to_json, triangle_split, verify_decomposition)
+from .errors import GraphconcError, NoConvergence, SizeExceeded
 from .models import (Uniform, expected_adjacency, expected_dense, load_graph,
                      model_from_dict, sample, sample_directed, save_graph)
 from .operators import compose_difference
@@ -40,8 +43,8 @@ from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
                          expected_laplacian, laplacian, tau_shift)
 from .reports import (ExperimentReport, config_hash, run_trials, summarize,
                       write_csv, write_histogram)
-from .spectral import (NORM_MAX_ITER, NORM_TOL, full_spectrum,
-                       inf_to_2_norm_exact, spectral_norm)
+from .spectral import (NORM_TOL, full_spectrum, inf_to_2_norm_exact,
+                       spectral_norm)
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ def _path(ctx, name):
 def _norm_or_best(op):
     """(value, converged) -- NoConvergence downgraded to its best estimate."""
     try:
-        return spectral_norm(op, tol=NORM_TOL, max_iter=NORM_MAX_ITER), True
+        return spectral_norm(op, tol=NORM_TOL), True
     except NoConvergence as exc:
         return float(exc.best if exc.best is not None else np.nan), False
 
@@ -162,6 +165,8 @@ def cmd_sample(cfg, ctx):
 def cmd_spectrum(cfg, ctx):
     if cfg.model is None and cfg.graph is None:
         raise ValueError("spectrum needs 'model' or 'graph' in config")
+    if cfg.tail_threshold is not None and not 0 <= cfg.tail_threshold < np.inf:
+        raise ValueError("tail_threshold must be finite and nonnegative")
     fixed = load_graph(cfg.graph) if cfg.graph is not None else None
     model = model_from_dict(cfg.model) if cfg.model is not None else None
 
@@ -235,8 +240,8 @@ def g_fmt(x):
 
 def cmd_laplacian(cfg, ctx):
     taus = [float(t) for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
-    if any(t <= 0 for t in taus):
-        raise ValueError("laplacian experiment needs tau > 0")
+    if not all(0 < t < np.inf for t in taus):  # NaN too
+        raise ValueError("laplacian experiment needs finite tau > 0")
     ns = [int(n) for n in cfg.ns]
     grid = [(n, tau) for n in ns for tau in taus]
     d = float(cfg.d)
@@ -317,6 +322,8 @@ def cmd_sbm(cfg, ctx):
 def cmd_decompose(cfg, ctx):
     model = (model_from_dict(cfg.model) if cfg.model is not None
              else Uniform(cfg.n, cfg.d / cfg.n if cfg.n else 0.0))
+    if model.n > DENSE_LIMIT:  # before expected_dense builds n^2 floats
+        raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
     P = expected_dense(model)
 
     def one(t):
@@ -371,6 +378,9 @@ def cmd_decompose(cfg, ctx):
 
 
 def cmd_gp_check(cfg, ctx):
+    if not 0 < cfg.ratio_limit < np.inf:  # NaN too
+        raise ValueError("ratio_limit must be finite and positive")
+
     def one(i):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
                                                   size=(cfg.rows, cfg.cols))

@@ -16,11 +16,12 @@ import numpy as np
 from ._seeding import aux_generator
 from .errors import InvalidRates, LengthMismatch, NoConvergence, ZeroGap
 from .models import BlockTwo, sample
-from .operators import compose_difference, identity_op, op_combine
+from .operators import LinearOp, compose_difference
 from .regularize import expected_laplacian, laplacian, tau_shift
-from .spectral import NORM_MAX_ITER, NORM_TOL, spectral_norm, top_k_eigs
+from .spectral import NORM_TOL, spectral_norm, top_k_eigs
 
 _DETECT_SEED = 0xC0DE  # fixed eigensolver seed; detect is deterministic
+_DETECT_TOL = 1e-6  # ARPACK residual tol of detect's two eigenpairs
 
 
 @dataclass(frozen=True)
@@ -79,25 +80,26 @@ class DetectionDetail:
         object.__setattr__(self, "v2", v)
 
 
-def detect(g, tau, tol=1e-6, rng=None, details=False):
+def detect(g, tau, details=False):
     """Community labels from the sign of v2(L(A_tau)).
 
-    Runs ARPACK Lanczos on 2I - L with the exact kernel vector D^{1/2}1
-    deflated, so the top two Ritz pairs are (2 - lambda_2, v_2) and
-    (2 - lambda_3, v_3).  Zero entries of v_2 map to +1.  NoConvergence
+    L's kernel vector q = D^{1/2}1 / ||D^{1/2}1|| is exact, so ARPACK
+    Lanczos runs on M = 2I - L - 3qq^T, a rank-one Wielandt shift
+    (Wilkinson 1965, ch. 9): q's eigenvalue moves to -1, below the
+    [0, 2] that the rest of 2I - L occupies, and the top two Ritz pairs
+    of M are (2 - lambda_2, v_2) and (2 - lambda_3, v_3), with v_2 and
+    v_3 orthogonal to q.  Zero entries of v_2 map to +1.  NoConvergence
     propagates (the null model pushes lambda_2 into the bulk; callers
     that want a best-effort answer can use exc.best).
     """
-    n = g.n
-    sg = tau_shift(g, tau) if tau > 0 else g
-    L = laplacian(sg)  # refuses zero min degree when tau == 0
-    d = g.degrees() + tau
-    q = np.sqrt(d)
+    L = laplacian(tau_shift(g, tau))  # refuses zero min degree at tau == 0
+    q = np.sqrt(g.degrees() + tau)
     q /= np.linalg.norm(q)
-    M = op_combine(identity_op(n), L, 2.0, -1.0)
-    if rng is None:
-        rng = aux_generator(_DETECT_SEED, 0, 0)
-    vals, vecs = top_k_eigs(M, 2, mode="la", tol=tol, rng=rng, deflate=q)
+    M = LinearOp(g.n, g.n,
+                 lambda x: 2.0 * x - L.matvec(x) - 3.0 * q * (q @ x),
+                 symmetric=True)
+    vals, vecs = top_k_eigs(M, 2, mode="la", tol=_DETECT_TOL,
+                            rng=aux_generator(_DETECT_SEED, 0, 0))
     v2 = vecs[:, 0]
     labels = CommunityLabels(np.where(v2 >= 0.0, 1, -1))
     if not details:
@@ -108,15 +110,19 @@ def detect(g, tau, tol=1e-6, rng=None, details=False):
 
 
 def misclassification(est, truth):
-    """Fraction of disagreements after the best global label flip."""
+    """Fraction of disagreements after the best global label flip.
+
+    Counted in integers, so a flip of ``est`` (the sign of an eigenvector
+    is arbitrary) leaves the value unchanged bit for bit.
+    """
     a = _as_pm1(est)
     b = _as_pm1(truth)
     if a.size != b.size:
         raise LengthMismatch(f"label lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
         return 0.0
-    raw = float(np.mean(a != b))
-    return min(raw, 1.0 - raw)
+    wrong = int(np.count_nonzero(a != b))
+    return min(wrong, a.size - wrong) / a.size
 
 
 def davis_kahan_bound(norm_diff, spectral_gap):
@@ -190,7 +196,7 @@ def davis_kahan_check(g, model, tau):
     diff = compose_difference(laplacian(tau_shift(g, tau)),
                               expected_laplacian(model, tau))
     try:
-        norm_diff = spectral_norm(diff, tol=NORM_TOL, max_iter=NORM_MAX_ITER)
+        norm_diff = spectral_norm(diff, tol=NORM_TOL)
     except NoConvergence:
         norm_diff = None
     v2y, _ = expected_laplacian_eigvec(model, tau)

@@ -80,17 +80,15 @@ class EdgeDecomposition:
         labels.setflags(write=False)
         object.__setattr__(self, "class_of", labels)
 
-    def mask(self, cls):
-        return self.class_of == cls
-
     def counts(self):
         return {CLASS_NAMES[c]: int((self.class_of == c).sum()) for c in range(3)}
 
 
 def _dense_ea(EA, n):
+    """EA as a dense n x n array; refuses n > DENSE_LIMIT in every form."""
+    if n > DENSE_LIMIT:
+        raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
     if isinstance(EA, LinearOp):
-        if EA.n_rows > DENSE_LIMIT:
-            raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
         EA = EA.to_dense()
     EA = np.asarray(EA, dtype=float)
     if EA.shape != (n, n):
@@ -178,10 +176,13 @@ def _gp_trace(cert):
 
 def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
                 gp_memo=None):
-    """One round on csr + dense inputs; ``gp_memo`` as in ``decompose``.
+    """One round of the block decomposition (Lemma 5.1, constructive).
 
-    Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
-    array of the block, -1 exactly on the exceptional hole I1 x J1.
+    Runs on the 0/1 csr A01 and the dense EA; ``gp_memo`` as in
+    ``decompose``.  Returns (grid, I1_mask, J1_mask, trace): grid is the
+    |I| x |J| class array of the block, -1 exactly on the exceptional
+    hole I1 x J1.  Raises RowFilterEmpty on a degenerate block (the
+    driver treats the whole block as exceptional).
     """
     mI, mJ = I.size, J.size
     n = A01.shape[0]
@@ -227,29 +228,6 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
     return grid, I1_mask, J1_mask, trace
 
 
-def decompose_block(A, EA, I, J, alpha, r, d, m_nom=None, gp_iters=500):
-    """One round of the block decomposition (Lemma 5.1, constructive).
-
-    Returns (N_part, R_part, C_part, I1, J1): each part is a pair of
-    index arrays (i, j) listing the ordered pairs it owns; the parts
-    are disjoint and cover (I x J) \\ (I1 x J1) exactly.  Raises
-    RowFilterEmpty on a degenerate block (caller treats the whole block
-    as exceptional).
-    """
-    I = np.asarray(I, dtype=np.int64)
-    J = np.asarray(J, dtype=np.int64)
-    if m_nom is None:
-        m_nom = max(I.size, J.size)
-    grid, I1_mask, J1_mask, _ = _block_pass(
-        _ones_csr(A), _dense_ea(EA, A.n), I, J, alpha, r, d, m_nom,
-        gp_iters=gp_iters)
-    parts = []
-    for cls in (CLASS_N, CLASS_R, CLASS_C):
-        pi, pj = np.nonzero(grid == cls)
-        parts.append((I[pi], J[pj]))
-    return (*parts, I[I1_mask], J[J1_mask])
-
-
 def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
     """Full iterative decomposition of a directed sample.
 
@@ -258,13 +236,16 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
     with m halved and alpha = sqrt(m/n), until the exceptional block is
     empty or tiny (then it goes to N wholesale).  A RowFilterEmpty
     round marks its whole block exceptional and continues shrinking.
-    R rows are disjoint across rounds by construction (asserted).
+    R rows are disjoint across rounds by construction (asserted).  r
+    and d must be finite and positive.
 
     ``gp_memo``, a dict, stores each GP block's (J, certificate) under
     its exact content and hands it back for a block of equal bytes;
     passing one dict to the decompositions of U and U^T halves their
     GP work (see the module docstring).  None computes every block.
     """
+    if not (0 < r < np.inf and 0 < d < np.inf):  # NaN too
+        raise ValueError("decompose needs finite r > 0 and d > 0")
     A01 = _ones_csr(A)
     n = A.n
     EA = _dense_ea(EA, n)
@@ -330,7 +311,7 @@ class VerifyReport:
         return self.partition_ok and self.r_rows_ok and self.c_cols_ok
 
 
-def verify_decomposition(A, EA, dec, d=None, r=None):
+def verify_decomposition(A, EA, dec):
     """Check the certified properties of a decomposition, measure the rest.
 
     (a) every ordered pair carries exactly one class (range check on the
@@ -341,18 +322,16 @@ def verify_decomposition(A, EA, dec, d=None, r=None):
         reported, not raised.
     (e) ||(A - EA)_N||, by spectral_norm at tol 1e-9 for every n,
         measured against r^{3/2} sqrt(d); recorded only.
+
+    d and r are the decomposition's own.
     """
-    if d is None:
-        d = dec.d
-    if r is None:
-        r = dec.r
-    n = dec.n
+    n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
     partition_ok = bool(labels.size == 0 or
                         (labels.min() >= 0 and labels.max() <= 2))
 
-    Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.asarray(A, float)
     EA = _dense_ea(EA, n)
+    Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.asarray(A, float)
     ones = Ad != 0
 
     cap = 32.0 * r
@@ -364,8 +343,7 @@ def verify_decomposition(A, EA, dec, d=None, r=None):
     limit = KAPPA * n / d if d > 0 else np.inf
 
     dev_n = (Ad - EA) * (labels == CLASS_N)
-    norm_n = spectral_norm(LinearOp.from_dense(dev_n), tol=1e-9,
-                           max_iter=20000)
+    norm_n = spectral_norm(LinearOp.from_dense(dev_n), tol=1e-9)
     target = (r ** 1.5) * np.sqrt(d) if d > 0 else np.inf
     return VerifyReport(
         partition_ok=partition_ok,

@@ -79,7 +79,7 @@ class SparseGraph:
                     raise InvalidModel("vertex index out of range")
                 if np.any(i == j):
                     raise InvalidModel("self-loops are not allowed")
-                if w.min() <= 0.0 or w.max() > 1.0 + 1e-12:
+                if not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):  # NaN too
                     raise InvalidModel("weights must lie in (0, 1]")
                 if not self.directed:
                     i, j = np.minimum(i, j), np.maximum(i, j)
@@ -225,7 +225,7 @@ class Explicit:
         if P.size and np.abs(P - P.T).max() > 1e-12:
             raise InvalidModel("P must be symmetric")
         np.fill_diagonal(P, 0.0)
-        if P.size and (P.min() < 0.0 or P.max() > 1.0):
+        if P.size and not (P.min() >= 0.0 and P.max() <= 1.0):  # NaN too
             raise InvalidModel("probabilities must lie in [0, 1]")
         P.setflags(write=False)
         object.__setattr__(self, "P", P)

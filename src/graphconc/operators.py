@@ -82,10 +82,6 @@ class LinearOp:
                    symmetric=symmetric)
 
 
-def identity_op(n):
-    return LinearOp(n, n, lambda x: x.copy(), symmetric=True)
-
-
 def op_combine(a, b, alpha=1.0, beta=1.0):
     """alpha * a + beta * b."""
     if a.shape != b.shape:

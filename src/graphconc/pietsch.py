@@ -148,9 +148,9 @@ def _certified_f(B, G, mu, col_live, rng=None):
     k, m = B.shape
     if G is None or min(k, m) <= DENSE_SOLVE_LIMIT:
         op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
-        return spectral_norm(op, tol=1e-11, max_iter=20000, rng=rng)
+        return spectral_norm(op, tol=1e-11, rng=rng)
     op = LinearOp(m, m, lambda x: s * (G @ (s * x)), symmetric=True)
-    return sqrt(spectral_norm(op, tol=1e-11, max_iter=20000, rng=rng))
+    return sqrt(spectral_norm(op, tol=1e-11, rng=rng))
 
 
 def _top_eigh(M):
@@ -168,8 +168,11 @@ def _top_eigh(M):
 
 def _top_singular_value(A):
     """||A||, the root of the top eigenvalue of the Gram on A's smaller
-    side, by LAPACK dsyevr with only that eigenvalue computed."""
+    side, by LAPACK dsyevr with only that eigenvalue computed; 0 for an
+    empty A (a block with no row, or no column selected)."""
     k, m = A.shape
+    if k == 0 or m == 0:
+        return 0.0
     gram = A.T @ A if m <= k else A @ A.T
     n = gram.shape[0]
     lams, _, _, _, info = dsyevr(gram, compute_v=0, range="I", il=n, iu=n)
@@ -241,7 +244,7 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
     return lam, v
 
 
-def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
+def gp_weights(B, max_iter=500, stop_ratio=None):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
     Step t moves by 1/sqrt(t) times the normalized subgradient.  The
@@ -271,8 +274,7 @@ def gp_weights(B, max_iter=500, rng=None, stop_ratio=None):
     k, m = B.shape
     if m == 0:
         raise ValueError("B needs at least one column")
-    if rng is None:
-        rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
+    rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
     col_sq = (B * B).sum(axis=0)
     col_live = col_sq > 0.0
     if not col_live.any():
@@ -353,7 +355,7 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
     J = np.flatnonzero(w.mu <= threshold)
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    sub_norm = _top_singular_value(B[:, J]) if J.size else 0.0
+    sub_norm = _top_singular_value(B[:, J])
     lhs = sub_norm * np.sqrt(delta * m)
     ok = lhs <= w.achieved_norm * (1.0 + 1e-8) + 1e-12
     cert = GPCertificate(m=m, delta=delta, threshold=threshold,

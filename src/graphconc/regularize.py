@@ -33,7 +33,7 @@ def average_degree(g):
 
 def high_degree_set(g, cap):
     """Vertices with weighted degree strictly above the cap."""
-    if cap <= 0:
+    if not cap > 0:  # NaN too: it would select no vertex
         raise ValueError("cap must be positive")
     return np.flatnonzero(g.degrees() > cap)
 
@@ -120,7 +120,7 @@ def proportional_reweight(g, cap):
     this pins the squared l2 mass of every row at or below cap:
     sum_j (w'_ij)^2 = lambda_i sum_j lambda_j A_ij <= lambda_i d_i <= cap.
     """
-    if cap <= 0:
+    if not cap > 0:  # NaN too: it would make every weight NaN
         raise ValueError("cap must be positive")
     if g.nnz and np.any(g.w != 1.0):
         raise ValueError("proportional_reweight expects an unweighted graph")
@@ -140,8 +140,8 @@ class ShiftedGraph:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0.0 <= self.tau < np.inf:
+            raise ValueError("tau must be finite and nonnegative")
 
     @property
     def n(self):

@@ -7,8 +7,7 @@ Routes
   ||A|| = max |lambda|); other operators run ``svds``, i.e. Lanczos on
   the Gram operator of the smaller side.
 * ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
-  by ARPACK ``eigsh``, with optional deflation of a known orthonormal
-  block.
+  by ARPACK ``eigsh``.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are
@@ -22,15 +21,14 @@ Routes
 ARPACK needs room for its Krylov basis (k < n - 1, ncv <= n), so an
 operator whose smaller side is at most ``DENSE_SOLVE_LIMIT`` is
 materialized and solved exactly by LAPACK instead.  ARPACK results are
-residual-checked after the solve; its start vector comes from the same
-``aux_generator`` subkeys the solvers have always drawn from, so every
-result is a pure function of the operator and the seed.
+residual-checked after the solve; its start vector comes from the
+``rng`` passed, or from a fixed ``aux_generator`` subkey per solver, so
+every result is a pure function of the operator and that generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigsh, svds)
@@ -49,10 +47,10 @@ _PATTERN_COLS = 12
 _PATTERN_ENTRIES = 1 << 16
 _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
-# experiment-scale norm settings (the CLI's deviation norms and the
-# Davis-Kahan check): NORM_TOL is the relative residual certified, far
-# below the +/-15 % windows the reports are judged against;
-# NORM_MAX_ITER caps ARPACK's restart cycles (each one ncv = 20 Lanczos
+# NORM_TOL is the relative residual certified by the experiment-scale
+# norms (the CLI's deviation norms and the Davis-Kahan check), far below
+# the +/-15 % windows the reports are judged against; NORM_MAX_ITER caps
+# every spectral_norm's ARPACK restart cycles (each one ncv = 20 Lanczos
 # steps), generous for semicircle-edge spectra whose relative gaps
 # shrink like n^{-2/3}.
 NORM_TOL = 1e-5
@@ -66,21 +64,21 @@ def _scipy_op(matvec, shape, rmatvec=None):
         rmatvec=None if rmatvec is None else lambda x: rmatvec(x.ravel()))
 
 
-def spectral_norm(op, tol=1e-7, max_iter=5000, rng=None, seed=None):
+def spectral_norm(op, tol=1e-7, rng=None):
     """Largest singular value of ``op``.
 
-    ARPACK runs at most ``max_iter`` restart cycles and stops when the
+    ARPACK runs at most NORM_MAX_ITER restart cycles and stops when the
     Ritz residual is below ``tol`` relative to the estimate; the result
     is then checked: ||op v - lambda v|| <= tol |lambda| for a symmetric
     op, both Golub-Kahan residuals ||op v - s u||, ||op^T u - s v|| <=
     tol s otherwise.  An op whose smaller side is at most
     DENSE_SOLVE_LIMIT is solved exactly by LAPACK.  Deterministic for a
-    given rng or seed; raises NoConvergence whose ``best`` is the
-    largest converged Ritz value, or the lower bound ||op v0|| for the
-    unit start vector v0 when none converged.
+    given rng; raises NoConvergence whose ``best`` is the largest
+    converged Ritz value, or the lower bound ||op v0|| for the unit
+    start vector v0 when none converged.
     """
     if rng is None:
-        rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 1)
+        rng = aux_generator(_DEFAULT_SEED, 0, 1)
     if op.n_cols > op.n_rows:
         op = op.T  # same norm; svds then solves on op's domain, like eigsh
     if op.n_cols == 0:
@@ -93,13 +91,14 @@ def spectral_norm(op, tol=1e-7, max_iter=5000, rng=None, seed=None):
     try:
         if op.symmetric:
             vals, vecs = eigsh(A, k=1, which="LM", v0=v0, tol=tol,
-                               maxiter=max_iter)
+                               maxiter=NORM_MAX_ITER)
             sigma, v = abs(float(vals[0])), vecs[:, 0]
             resid = np.linalg.norm(op.matvec(v) - vals[0] * v)
         else:
             # svds squares tol for its Gram solve; sqrt(tol) keeps the Gram
             # residual at tol s^2, i.e. both Golub-Kahan residuals at tol s
-            u, s, vh = svds(A, k=1, tol=np.sqrt(tol), v0=v0, maxiter=max_iter)
+            u, s, vh = svds(A, k=1, tol=np.sqrt(tol), v0=v0,
+                            maxiter=NORM_MAX_ITER)
             sigma, u, v = float(s[0]), u[:, 0], vh[0]
             resid = max(np.linalg.norm(op.matvec(v) - sigma * u),
                         np.linalg.norm(op.rmatvec(u) - sigma * v))
@@ -107,8 +106,9 @@ def spectral_norm(op, tol=1e-7, max_iter=5000, rng=None, seed=None):
         # svds reports eigenvalues of its Gram operator, i.e. s^2
         vals = np.abs(exc.eigenvalues) ** (1.0 if op.symmetric else 0.5)
         best = vals.max() if vals.size else np.linalg.norm(op.matvec(v0))
-        raise NoConvergence(f"arpack: no convergence in {max_iter} restarts",
-                            best=float(best)) from exc
+        raise NoConvergence(
+            f"arpack: no convergence in {NORM_MAX_ITER} restarts",
+            best=float(best)) from exc
     except ArpackError:
         # ARPACK stops when op annihilates its start vector: a zero op
         if not np.any(op.matvec(v0)):
@@ -126,53 +126,37 @@ def _select(theta, k, mode):
     return np.argsort(key, kind="stable")[:k]
 
 
-def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None,
-               deflate=None, seed=None):
+def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None):
     """k extremal eigenpairs of a symmetric op by ARPACK ``eigsh``.
 
     mode: "la" largest algebraic, "sa" smallest algebraic, "lm" largest
-    magnitude; values come back in that order.  ``deflate`` is an
-    optional (n, m) orthonormal block of known eigenvectors (such as the
-    Laplacian kernel): ARPACK runs on P op P with P = I - Q Q^T from a
-    projected start vector, and the LAPACK path solves op restricted to
-    null_space(Q^T).  ``max_dim`` is ARPACK's basis size ncv (default
-    max(2k + 1, 20)).  An op of dimension at most DENSE_SOLVE_LIMIT
-    after deflation is solved exactly by LAPACK.  Each ARPACK pair is
-    checked: ||op v - theta v|| <= tol * max(1, |theta|); vectors are
-    orthonormal.  Raises NoConvergence whose ``best`` is the converged
-    (values, vectors) pair, or None when ARPACK converged none.
+    magnitude; values come back in that order.  ``max_dim`` is ARPACK's
+    basis size ncv (default max(2k + 1, 20)).  An op of dimension at
+    most DENSE_SOLVE_LIMIT, or with k >= n - 1, is solved exactly by
+    LAPACK.  Each ARPACK pair is checked: ||op v - theta v|| <= tol *
+    max(1, |theta|); vectors are orthonormal.  Raises NoConvergence
+    whose ``best`` is the converged (values, vectors) pair, or None when
+    ARPACK converged none.
     """
     n = op.n_rows
     if not op.symmetric:
         raise ValueError("top_k_eigs needs a symmetric operator")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 2)
-    Q = np.zeros((n, 0)) if deflate is None else np.asarray(deflate, float)
-    if Q.ndim == 1:
-        Q = Q[:, None]
-    dim = n - Q.shape[1]
-    if k < 1 or k > dim:
-        raise ValueError(f"need 1 <= k <= {dim}")
-    if dim <= DENSE_SOLVE_LIMIT or k >= dim - 1:
-        Z = scipy.linalg.null_space(Q.T)  # the identity when Q is empty
-        theta, S = np.linalg.eigh(Z.T @ op.to_dense() @ Z)
+    if k < 1 or k > n:
+        raise ValueError(f"need 1 <= k <= {n}")
+    if n <= DENSE_SOLVE_LIMIT or k >= n - 1:
+        theta, S = np.linalg.eigh(op.to_dense())
         idx = _select(theta, k, mode)
-        return theta[idx], Z @ S[:, idx]
-
-    def project(w):
-        return w - Q @ (Q.T @ w)
-
-    def matvec(x):
-        return project(op.matvec(project(x)))
-
-    ncv = min(dim, max(k + 1, max_dim if max_dim is not None
-                       else max(2 * k + 1, 20)))
+        return theta[idx], S[:, idx]
+    if rng is None:
+        rng = aux_generator(_DEFAULT_SEED, 0, 2)
+    ncv = min(n, max(k + 1, max_dim if max_dim is not None
+                     else max(2 * k + 1, 20)))
     try:
-        theta, vecs = eigsh(_scipy_op(matvec, op.shape), k=k,
+        theta, vecs = eigsh(_scipy_op(op.matvec, op.shape), k=k,
                             which=_MODES[mode], tol=tol, ncv=ncv,
-                            v0=project(rng.standard_normal(n)))
+                            v0=rng.standard_normal(n))
     except ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues.size:
@@ -182,7 +166,7 @@ def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None,
                             best=best) from exc
     idx = _select(theta, k, mode)
     theta, vecs = theta[idx], vecs[:, idx]
-    resid = np.array([np.linalg.norm(matvec(v) - t * v)
+    resid = np.array([np.linalg.norm(op.matvec(v) - t * v)
                       for t, v in zip(theta, vecs.T)])
     if np.any(resid > tol * np.maximum(1.0, np.abs(theta))):
         raise NoConvergence(f"arpack: residual {resid.max():.3g} above tol "
@@ -244,7 +228,7 @@ def _signs(bits, m):
     return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
-def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):
+def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
     Each start flips the sign with the largest gain until none gains.
@@ -268,7 +252,7 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, seed=None, gram=None):
     if m <= ENUMERATION_LIMIT and trials >= (1 << (m - 1)):
         return inf_to_2_norm_exact(B)
     if rng is None:
-        rng = aux_generator(_DEFAULT_SEED if seed is None else seed, 0, 3)
+        rng = aux_generator(_DEFAULT_SEED, 0, 3)
     G = B.T @ B if gram is None else gram
     col_sq = (B * B).sum(axis=0)
     X = np.where(rng.random((trials, m)) < 0.5, -1.0, 1.0)

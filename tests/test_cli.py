@@ -8,7 +8,8 @@ import pytest
 
 import graphconc.community
 import graphconc.pietsch
-from graphconc import NoConvergence, inf_to_2_norm_exact, load_graph
+from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
+                       inf_to_2_norm_exact, load_graph)
 from graphconc._seeding import aux_generator
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
@@ -234,6 +235,108 @@ def test_decompose_run(tmp_path):
     assert (out / "trace_t0_lower.json").exists()
 
 
+def test_decompose_directed_run(tmp_path):
+    # a directed sample is decomposed whole, into the full_* columns
+    out = tmp_path / "dec"
+    rep = run_command("decompose", {"n": 48, "d": 4.0, "r": 2.0,
+                                    "directed": True, "gp_iters": 20},
+                      MASTER, str(out))
+    (row,) = read_csv(out / "trials.csv")
+    for key in ("structural_ok", "r_footprint_ok", "c_footprint_ok",
+                "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
+                "norm_n", "norm_ratio", "rounds"):
+        assert row[f"full_{key}"] != ""
+    assert not any(k.startswith(("upper_", "lower_")) for k in row)
+    assert rep.flags["structural_all"] and rep.flags["footprint_all"]
+    assert rep.summary["norm_ratio"]["count"] == 1
+    assert (out / "classes_t0_full.csv").exists()
+    assert (out / "trace_t0_full.json").exists()
+
+
+def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
+    # the lower triangle fails; the upper one is still decomposed,
+    # verified and reported
+    real, calls = graphconc.cli.decompose, []
+
+    def lower_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DecompositionError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphconc.cli, "decompose", lower_fails)
+    out = tmp_path / "dec"
+    rep = run_command("decompose", {"n": 48, "d": 4.0, "r": 2.0,
+                                    "gp_iters": 20}, MASTER, str(out))
+    (row,) = read_csv(out / "trials.csv")
+    assert row["lower_error"] == "DecompositionError: forced"
+    assert row["upper_structural_ok"] == "True"
+    assert "lower_structural_ok" not in row
+    assert rep.summary["errors"] == ["DecompositionError: forced"]
+    assert not rep.flags["structural_all"]
+    assert (out / "classes_t0_upper.csv").exists()
+    assert not (out / "classes_t0_lower.csv").exists()
+    blob = json.loads((out / "report.json").read_text())
+    assert blob["trials"][0]["lower_error"] == "DecompositionError: forced"
+
+
+def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):
+    # refused before the n x n expected matrix is built
+    def no_dense(model):
+        raise AssertionError(f"expected_dense built at n = {model.n}")
+
+    monkeypatch.setattr(graphconc.cli, "expected_dense", no_dense)
+    with pytest.raises(SizeExceeded):
+        run_command("decompose", {"n": 4200, "gp_iters": 5,
+                                  "write_files": False},
+                    MASTER, str(tmp_path / "big"))
+
+
+@pytest.mark.parametrize("best", [2.5, None])
+def test_unconverged_norm_reports_its_best(tmp_path, monkeypatch, best):
+    def no_norm(*args, **kwargs):
+        raise NoConvergence("forced", best=best)
+
+    monkeypatch.setattr(graphconc.cli, "spectral_norm", no_norm)
+    out = tmp_path / "conc"
+    rep = run_command("concentration", {"cells": [{"n": 60, "d": 4.0}]},
+                      MASTER, str(out), trials=2)
+    rows = read_csv(out / "trials.csv")
+    assert len(rows) == 2 and all(r["converged"] == "False" for r in rows)
+    for t in rep.trials:
+        if best is None:
+            assert np.isnan(t["norm"]) and np.isnan(t["ratio"])
+        else:
+            assert t["norm"] == best and t["ratio"] == best / 2.0
+    assert not rep.flags["all_converged"]
+
+
+@pytest.mark.parametrize("best", [True, False])
+def test_sbm_detect_failure_falls_back(tmp_path, monkeypatch, best):
+    # labels from the converged Ritz vector when there is one, all +1
+    # otherwise; every Davis-Kahan field is left unmeasured
+    n = 200
+    truth = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+
+    def no_eigs(*args, **kwargs):
+        pair = (np.array([1.9]), truth[:, None] / np.sqrt(n))
+        raise NoConvergence("forced", best=pair if best else None)
+
+    monkeypatch.setattr(graphconc.community, "top_k_eigs", no_eigs)
+    out = tmp_path / "sbm"
+    rep = run_command("sbm", {"n": n, "a": 25.0, "b": 4.0}, MASTER,
+                      str(out), trials=2)
+    assert len(read_csv(out / "trials.csv")) == 2
+    for t in rep.trials:
+        assert t["mis"] == (0.0 if best else 0.5)
+        assert not t["converged"] and not t["gap_valid"] and t["dk_holds"]
+        for key in ("delta", "norm_diff", "distance", "bound", "lam2",
+                    "lam3"):
+            assert t[key] is None
+    assert not rep.flags["all_converged"]
+    assert rep.summary["gap_valid_trials"] == 0
+
+
 def test_gp_check_run(tmp_path):
     out = tmp_path / "gp"
     rep = run_command("gp-check", {"rows": 5, "cols": 8, "deltas": [0.5]},
@@ -276,6 +379,29 @@ def test_gp_check_enumerates_once_per_instance(tmp_path, monkeypatch, cols):
 
 # ---------------------------------------------------------------------------
 # argv entry point
+
+
+@pytest.mark.parametrize("name,cfg,message", [
+    ("laplacian", {"ns": [16], "d": 2.0, "taus": [float("nan")]}, "tau"),
+    ("laplacian", {"ns": [16], "d": 2.0, "taus": [float("inf")]}, "tau"),
+    ("spectrum", {"scheme": "reweight", "cap": float("nan")}, "cap"),
+    ("spectrum", {"scheme": "remove", "cap": float("nan")}, "cap"),
+    ("spectrum", {"scheme": "tau", "tau": float("nan")}, "tau"),
+    ("spectrum", {"tail_threshold": float("nan")}, "tail_threshold"),
+    ("gp-check", {"ratio_limit": float("nan")}, "ratio_limit"),
+    ("decompose", {"n": 48, "r": float("nan"), "gp_iters": 5}, "r > 0")])
+def test_non_finite_config_values_are_refused(tmp_path, capsys, name, cfg,
+                                              message):
+    # json writes NaN and Infinity, and json.load reads them back
+    if name == "spectrum":
+        cfg["model"] = {"kind": "uniform", "n": 30, "p": 0.2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error" in err and message in err
 
 
 def test_main_smoke(tmp_path, capsys):

@@ -20,8 +20,10 @@ from graphconc import (
     expected_laplacian_eigs,
     expected_laplacian_eigvec,
     full_spectrum,
+    laplacian,
     misclassification,
     sbm_instance,
+    tau_shift,
 )
 from graphconc.community import eigvec_distance
 
@@ -126,6 +128,34 @@ def test_detect_two_cliques_exact():
     labels, det = detect(g, tau=average_degree(g), details=True)
     assert misclassification(labels, truth) == 0.0
     assert det.lam2 < det.lam3
+
+
+@pytest.mark.parametrize("n,a,b", [(24, 12.0, 2.0), (300, 20.0, 4.0),
+                                   (300, 5.0, 5.0)])
+def test_detect_matches_dense_eigh(n, a, b):
+    # n = 24 solves the shifted op by LAPACK, n = 300 runs ARPACK on it;
+    # (5, 5) is the null model, where lambda_2 sits in the bulk
+    g, _ = sbm_instance(n, a, b, MASTER)
+    tau = average_degree(g)
+    labels, det = detect(g, tau, details=True)
+    L = laplacian(tau_shift(g, tau)).to_dense()
+    w = np.linalg.eigvalsh(L)
+    assert det.lam2 == pytest.approx(w[1], rel=1e-9)
+    assert det.lam3 == pytest.approx(w[2], rel=1e-9)
+    q = np.sqrt(g.degrees() + tau)
+    q /= np.linalg.norm(q)
+    assert abs(det.v2 @ q) <= 1e-8
+    assert np.linalg.norm(L @ det.v2 - det.lam2 * det.v2) <= 1e-6
+    assert np.array_equal(labels.labels, np.where(det.v2 >= 0.0, 1, -1))
+
+
+def test_misclassification_is_exactly_flip_invariant():
+    # 2 of 2000 wrong either way; 1 - 0.999 rounds to 0.0010000000000000009
+    truth = np.where(np.arange(2000) < 1000, 1, -1)
+    est = truth.copy()
+    est[[3, 1500]] *= -1
+    assert misclassification(est, truth) == 0.001
+    assert misclassification(-est, truth) == 0.001
 
 
 def test_detect_deterministic():

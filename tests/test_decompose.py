@@ -12,10 +12,10 @@ from graphconc.decompose import CLASS_C, CLASS_N, CLASS_R
 from graphconc import (
     EdgeDecomposition,
     LinearOp,
+    SizeExceeded,
     SparseGraph,
     Uniform,
     decompose,
-    decompose_block,
     decomposition_to_csv,
     expected_adjacency,
     expected_dense,
@@ -63,40 +63,35 @@ def test_triangle_split_covers_graph():
 
 
 # ---------------------------------------------------------------------------
-# decompose_block primitives
+# one block round
+
+
+def block_pass(A, alpha, r, d):
+    """One round on the whole square of a directed 0/1 A, with EA = 0."""
+    I = J = np.arange(A.n)
+    return dmod._block_pass(A.to_csr(), np.zeros((A.n, A.n)), I, J, alpha,
+                            r, d, A.n)
 
 
 def test_block_on_empty_graph_is_all_core():
-    n = 16
-    A = empty_directed(n)
-    I = J = np.arange(n)
-    N, R, C, I1, J1 = decompose_block(A, zero_ea(n), I, J, 1.0, 1.0, 1.0)
-    assert I1.size == 0 and J1.size == 0
-    assert R[0].size == 0 and C[0].size == 0
-    assert N[0].size == n * n  # whole rectangle covered by the core
+    grid, I1, J1, _ = block_pass(empty_directed(16), 1.0, 1.0, 1.0)
+    assert not I1.any() and not J1.any()
+    assert np.all(grid == CLASS_N)  # whole rectangle covered by the core
 
 
 def test_block_alpha_precondition():
-    n = 16
-    A = empty_directed(n)
-    I = J = np.arange(n)
     with pytest.raises(ValueError):
-        decompose_block(A, zero_ea(n), I, J, 0.5, 1.0, 1.0)
+        block_pass(empty_directed(16), 0.5, 1.0, 1.0)
 
 
 def test_block_partition_is_exact():
     n = 32
-    g = sample(Uniform(n, 4.0 / n), MASTER)
-    up, _ = triangle_split(g)
-    I = J = np.arange(n)
-    N, R, C, I1, J1 = decompose_block(up, zero_ea(n), I, J, 1.0, 1.0, 4.0)
-    seen = np.zeros((n, n), dtype=int)
-    for (ii, jj) in (N, R, C):
-        seen[ii, jj] += 1
-    hole = np.zeros((n, n), dtype=bool)
-    hole[np.ix_(I1, J1)] = True
-    assert np.all(seen[~hole] == 1)  # disjoint cover outside the hole
-    assert np.all(seen[hole] == 0)
+    up, _ = triangle_split(sample(Uniform(n, 4.0 / n), MASTER))
+    grid, I1, J1, _ = block_pass(up, 1.0, 1.0, 4.0)
+    hole = np.outer(I1, J1)
+    # one class per pair outside the hole I1 x J1, none inside it
+    assert np.isin(grid[~hole], (CLASS_N, CLASS_R, CLASS_C)).all()
+    assert np.all(grid[hole] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +105,7 @@ def test_single_heavy_row_lands_in_c():
     A = directed_star_rows(n)
     dec = decompose(A, zero_ea(n), r=1.0, d=1.0)
     assert np.all(dec.class_of[0, 1:] == CLASS_C)
-    rep = verify_decomposition(A, zero_ea(n), dec, d=1.0, r=1.0)
+    rep = verify_decomposition(A, zero_ea(n), dec)
     assert rep.structural_ok
 
 
@@ -120,7 +115,7 @@ def test_single_heavy_column_lands_in_r():
     At = SparseGraph(n, A.j, A.i, A.w, directed=True)
     dec = decompose(At, zero_ea(n), r=1.0, d=1.0)
     assert np.all(dec.class_of[1:, 0] == CLASS_R)
-    rep = verify_decomposition(At, zero_ea(n), dec, d=1.0, r=1.0)
+    rep = verify_decomposition(At, zero_ea(n), dec)
     assert rep.structural_ok
 
 
@@ -134,10 +129,70 @@ def test_decompose_covers_every_pair():
         dec = decompose(part, EA, r=1.0, d=4.0)
         counts = dec.counts()
         assert sum(counts.values()) == n * n
-        rep = verify_decomposition(part, EA, dec, d=4.0, r=1.0)
+        rep = verify_decomposition(part, EA, dec)
         assert rep.partition_ok and rep.r_rows_ok and rep.c_cols_ok
         assert rep.r_footprint_ok and rep.c_footprint_ok
         assert rep.structural_ok
+
+
+def test_cap_exceptional_keeps_the_worst_offenders():
+    # GP-rejected first, then ones descending, then index ascending
+    mask = np.array([1, 1, 1, 1, 0, 1], dtype=bool)
+    rejected = np.array([0, 0, 1, 0, 0, 0], dtype=bool)
+    ones = np.array([5, 7, 0, 7, 9, 5])
+    kept, capped = dmod._cap_exceptional(mask, 3, rejected, ones)
+    assert capped and np.flatnonzero(kept).tolist() == [1, 2, 3]
+    same, capped = dmod._cap_exceptional(mask, 5, rejected, ones)
+    assert not capped and np.array_equal(same, mask)
+
+
+def test_planted_block_caps_the_exceptional_sets():
+    # 40 heavy rows fail the 8-ones filter and put ~36 ones in almost
+    # every column, far above 32r: ~60 exceptional columns, capped at
+    # m/2 = 32.  Columns 0..2 are light in those rows but dense in the 24
+    # filtered rows, so GP rejects them; they are kept first.
+    n, cap = 64, 32
+    M = np.zeros((n, n), dtype=bool)
+    M[:40] = np.random.default_rng(5).random((40, n)) < 0.9
+    M[:40, :3] = False
+    M[40:, :3] = True
+    np.fill_diagonal(M, False)
+    A = SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True)
+    EA = np.full((n, n), 0.05)
+    np.fill_diagonal(EA, 0.0)
+    dec = decompose(A, EA, r=1.0, d=1.0, gp_iters=50)
+    first = dec.block_trace[0]
+    assert first["capped_J1"] and first["capped_I1"]
+    assert len(first["J1"]) == len(first["I1"]) == cap
+
+    good = M.sum(axis=1) <= first["row_cap"]
+    J_gp, _ = dmod.gp_submatrix(M[good] - EA[good], 0.25, max_iter=50,
+                                stop_ratio=dmod.LITTLE_GROTHENDIECK)
+    rejected = ~np.isin(np.arange(n), J_gp)
+    assert np.flatnonzero(rejected).tolist() == [0, 1, 2]
+    ones = M[~good].sum(axis=0)
+    exceptional = [j for j in range(n) if rejected[j] or ones[j] > 32]
+    assert len(exceptional) > cap
+    order = sorted(exceptional, key=lambda j: (not rejected[j], -ones[j], j))
+    assert first["J1"] == sorted(order[:cap])
+    assert verify_decomposition(A, EA, dec).structural_ok
+
+
+def test_dense_ea_is_refused_above_the_limit():
+    # a dense EA gets the same refusal as a LinearOp, before any n x n work
+    n = dmod.DENSE_LIMIT + 1
+    EA = np.broadcast_to(0.0, (n, n))  # a view: no n x n allocation
+    with pytest.raises(SizeExceeded):
+        decompose(empty_directed(n), EA, r=1.0, d=1.0)
+
+
+def test_decompose_refuses_bad_r_and_d():
+    # r = -1 made verify's r^{3/2} complex; NaN painted every row bad
+    A = empty_directed(12)
+    for r, d in ((np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (np.inf, 1.0),
+                 (1.0, np.nan), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="finite r > 0 and d > 0"):
+            decompose(A, zero_ea(12), r=r, d=d)
 
 
 def test_decompose_rejects_undirected():
@@ -165,7 +220,7 @@ def test_verifier_negative_control():
     labels = np.zeros((n, n), dtype=np.int8)
     labels[0, 1:34] = CLASS_R
     dec = EdgeDecomposition(n, labels, r=1.0, d=1.0, block_trace=())
-    rep = verify_decomposition(A, zero_ea(n), dec, d=1.0, r=1.0)
+    rep = verify_decomposition(A, zero_ea(n), dec)
     assert not rep.r_rows_ok
     assert rep.max_r_row_ones == 33 and rep.ones_cap == 32.0
     assert not rep.structural_ok
@@ -176,8 +231,7 @@ def test_verifier_norm_on_empty_graph():
     n = 32
     m = Uniform(n, 2.0 / n)
     dec = decompose(empty_directed(n), expected_adjacency(m), r=1.0, d=2.0)
-    rep = verify_decomposition(empty_directed(n), expected_adjacency(m), dec,
-                               d=2.0, r=1.0)
+    rep = verify_decomposition(empty_directed(n), expected_adjacency(m), dec)
     assert sum(dec.counts().values()) == n * n
     assert rep.norm_n == pytest.approx((n - 1) * 2.0 / n, rel=1e-6)
 

@@ -60,6 +60,18 @@ def test_sparsegraph_validation():
         SparseGraph(4, [0, 1], [1], [1.0])  # ragged arrays
 
 
+def test_non_finite_entries_are_refused():
+    # NaN fails every comparison, so range checks written as "x < low or
+    # x > high" let it through
+    for w in (np.nan, np.inf):
+        with pytest.raises(InvalidModel):
+            SparseGraph(3, [0], [1], [w])
+    P = np.full((3, 3), 0.5)
+    P[0, 1] = P[1, 0] = np.nan
+    with pytest.raises(InvalidModel):
+        Explicit(P)
+
+
 def test_sparsegraph_canonical_order():
     g = SparseGraph(5, [3, 0], [1, 2], [0.5, 1.0])
     assert list(g.i) == [0, 1]

@@ -12,7 +12,6 @@ from graphconc import (
     Uniform,
     adjacency_shifted_op,
     compose_difference,
-    identity_op,
     op_combine,
     restrict,
     sample,
@@ -74,7 +73,6 @@ def test_combinators_match_dense():
     rng = np.random.default_rng(1)
     A, opa = random_op(rng, 5, 5)
     B, opb = random_op(rng, 5, 5)
-    assert_close(identity_op(5).to_dense(), np.eye(5), 0.0)
     assert_close(op_combine(opa, opb, 2.0, 3.0).to_dense(), 2 * A + 3 * B, 1e-13)
     assert_close(compose_difference(opa, opb).to_dense(), A - B, 1e-13)
 

@@ -330,6 +330,14 @@ def test_submatrix_norm_matches_dense_svd(shape, dead):
     assert gp_submatrix(np.zeros((4, 6)), 0.5)[1].submatrix_norm == 0.0
 
 
+def test_gp_submatrix_on_a_block_without_rows():
+    # a decompose pass whose every row fails the filter hands GP a 0 x m
+    # block: all weights equal, every column selected, ||B_J|| = 0
+    J, cert = gp_submatrix(np.zeros((0, 6)), 0.25)
+    assert J.tolist() == list(range(6))
+    assert cert.ok and cert.submatrix_norm == 0.0
+
+
 def test_submatrix_certificate_still_fails_when_weights_fall_short():
     B = np.random.default_rng(41).standard_normal((10, 16))
     w = gp_weights(B, max_iter=20)

@@ -232,6 +232,17 @@ def test_tau_shift_degrees():
         tau_shift(g, -1.0)
 
 
+def test_non_finite_caps_and_taus_are_refused():
+    # NaN fails every comparison, so "cap <= 0" let it through
+    g = star(6)
+    for scheme in (high_degree_set, proportional_reweight, trim_edges):
+        with pytest.raises(ValueError, match="cap"):
+            scheme(g, np.nan)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            tau_shift(g, tau)
+
+
 def test_tau_shift_dense_matches_its_operator():
     # A_tau = A + (tau/n) 11^T, the diagonal included
     g = sample(Uniform(30, 0.2), MASTER)

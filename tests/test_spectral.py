@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphconc.spectral
 from graphconc import (
     DENSE_SOLVE_LIMIT,
     EntryOutOfRange,
@@ -26,6 +27,7 @@ from graphconc import (
     spectral_norm,
     top_k_eigs,
 )
+from graphconc._seeding import aux_generator
 
 from conftest import assert_close
 
@@ -80,18 +82,19 @@ def test_spectral_norm_zero_and_empty():
 def test_spectral_norm_deterministic_seeded():
     rng = np.random.default_rng(12)
     op = LinearOp.from_dense(sym(rng, 30))
-    a = spectral_norm(op, tol=1e-8, seed=5)
-    b = spectral_norm(op, tol=1e-8, seed=5)
+    a = spectral_norm(op, tol=1e-8, rng=aux_generator(5, 0, 1))
+    b = spectral_norm(op, tol=1e-8, rng=aux_generator(5, 0, 1))
     assert a == b
 
 
-def test_spectral_norm_no_convergence_carries_best():
+def test_spectral_norm_no_convergence_carries_best(monkeypatch):
     # above DENSE_SOLVE_LIMIT, so ARPACK runs; one restart cycle cannot
     # reach 1e-12 on a 200 x 200 Gaussian spectrum
     rng = np.random.default_rng(3)
     op = LinearOp.from_dense(sym(rng, 200))
+    monkeypatch.setattr(graphconc.spectral, "NORM_MAX_ITER", 1)
     with pytest.raises(NoConvergence) as exc:
-        spectral_norm(op, tol=1e-12, max_iter=1)
+        spectral_norm(op, tol=1e-12)
     assert exc.value.best > 0.0
 
 
@@ -135,18 +138,6 @@ def test_lanczos_modes():
         lm, vecs = top_k_eigs(op, 2, mode="lm", tol=1e-12)
         assert_close(lm, [-9.0, 7.0], 1e-9)
         assert_close(vecs.T @ vecs, np.eye(2), 1e-9)
-
-
-def test_lanczos_deflation():
-    # n = 20 solves on null_space(Q^T) by LAPACK, n = 60 runs ARPACK on P M P
-    rng = np.random.default_rng(9)
-    for n in (20, 60):
-        M = sym(rng, n)
-        w, V = np.linalg.eigh(M)
-        vals, vecs = top_k_eigs(LinearOp.from_dense(M), 1, mode="la",
-                                deflate=V[:, -1:], tol=1e-11)
-        assert vals[0] == pytest.approx(w[-2], abs=1e-8)
-        assert abs(vecs[:, 0] @ V[:, -1]) <= 1e-8
 
 
 def test_lanczos_multiplicity_plateau():
@@ -276,7 +267,7 @@ def test_inf_to_2_lower_bound():
     for _ in range(10):
         B = rng.standard_normal((5, 9))
         exact = inf_to_2_norm_exact(B)
-        low = inf_to_2_norm_lower(B, trials=4, seed=0)
+        low = inf_to_2_norm_lower(B, trials=4, rng=aux_generator(0, 0, 3))
         assert low <= exact * (1 + 1e-12)
         assert low >= 0.5 * exact  # greedy from random starts gets close
     # trials covering the half-cube fall back to enumeration

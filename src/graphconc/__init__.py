@@ -18,7 +18,7 @@ from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
                      expected_dense, load_graph, max_expected_degree,
                      max_rate, model_from_dict, model_to_dict, sample,
                      sample_directed, save_graph)
-from .operators import LinearOp, compose_difference, op_combine, restrict
+from .operators import LinearOp, compose_difference, restrict
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
                          apply_scheme, average_degree, degrees,
                          expected_laplacian, high_degree_set, laplacian,

@@ -43,8 +43,7 @@ from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
                          expected_laplacian, laplacian, tau_shift)
 from .reports import (ExperimentReport, config_hash, run_trials, summarize,
                       write_csv, write_histogram)
-from .spectral import (NORM_TOL, full_spectrum, inf_to_2_norm_exact,
-                       spectral_norm)
+from .spectral import full_spectrum, inf_to_2_norm_exact, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,18 @@ def _path(ctx, name):
 
 
 def _norm_or_best(op):
-    """(value, converged) -- NoConvergence downgraded to its best estimate."""
+    """{norm, norm_steps, norm_eps, converged} of one deviation norm.
+
+    NoConvergence is downgraded to its best estimate, with no steps or
+    eps recorded.
+    """
     try:
-        return spectral_norm(op, tol=NORM_TOL), True
+        est = spectral_norm(op)
     except NoConvergence as exc:
-        return float(exc.best if exc.best is not None else np.nan), False
+        return {"norm": float(exc.best if exc.best is not None else np.nan),
+                "norm_steps": None, "norm_eps": None, "converged": False}
+    return {"norm": est.value, "norm_steps": est.steps, "norm_eps": est.eps,
+            "converged": True}
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +221,10 @@ def cmd_concentration(cfg, ctx):
                           tau=cap if cfg.scheme == "tau" else None)
         dev = compose_difference(adjacency_shifted_op(g2),
                                  expected_adjacency(model))
-        norm, ok = _norm_or_best(dev)
-        ratio = norm / np.sqrt(d) if d > 0 else 0.0
-        return {"cell": ci, "n": n, "d": d, "trial": t, "norm": float(norm),
-                "ratio": float(ratio), "converged": ok}
+        rec = _norm_or_best(dev)
+        ratio = rec["norm"] / np.sqrt(d) if d > 0 else 0.0
+        return {"cell": ci, "n": n, "d": d, "trial": t, **rec,
+                "ratio": float(ratio)}
 
     trials = run_trials(one, len(cells) * ctx.trials, ctx.threads)
     summary, rows = {}, []
@@ -253,9 +259,9 @@ def cmd_laplacian(cfg, ctx):
         g = sample(model, ctx.seed, flat)
         dev = compose_difference(laplacian(tau_shift(g, tau)),
                                  expected_laplacian(model, tau))
-        norm, ok = _norm_or_best(dev)
+        rec = _norm_or_best(dev)
         return {"n": n, "tau": tau, "trial": t,
-                "value": float(np.sqrt(d) * norm), "converged": ok}
+                "value": float(np.sqrt(d) * rec.pop("norm")), **rec}
 
     trials = run_trials(one, len(grid) * ctx.trials, ctx.threads)
     summary, rows = {}, []
@@ -290,7 +296,8 @@ def cmd_sbm(cfg, ctx):
                 est = np.ones(cfg.n, dtype=np.int8)
             rec.update({"mis": misclassification(est, truth),
                         "converged": False, "delta": None, "gap_valid": False,
-                        "norm_diff": None, "distance": None, "bound": None,
+                        "norm_diff": None, "norm_steps": None,
+                        "norm_eps": None, "distance": None, "bound": None,
                         "dk_holds": True, "lam2": None, "lam3": None})
             return rec
         # a norm solve that did not converge keeps the detect results;
@@ -299,7 +306,8 @@ def cmd_sbm(cfg, ctx):
             "mis": misclassification(chk["labels"], truth),
             "converged": chk["norm_diff"] is not None,
             "delta": chk["delta"], "gap_valid": chk["gap_valid"],
-            "norm_diff": chk["norm_diff"], "distance": chk["distance"],
+            "norm_diff": chk["norm_diff"], "norm_steps": chk["norm_steps"],
+            "norm_eps": chk["norm_eps"], "distance": chk["distance"],
             "bound": chk["bound"] if np.isfinite(chk["bound"]) else None,
             "dk_holds": chk["holds"],
             "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]})
@@ -356,6 +364,8 @@ def cmd_decompose(cfg, ctx):
                 f"{name}_r_cols": rep.r_col_count,
                 f"{name}_c_rows": rep.c_row_count,
                 f"{name}_norm_n": rep.norm_n,
+                f"{name}_norm_steps": rep.norm_steps,
+                f"{name}_norm_eps": rep.norm_eps,
                 f"{name}_norm_ratio": rep.norm_ratio,
                 f"{name}_rounds": len(dec.block_trace)})
         return rec
@@ -475,10 +485,27 @@ def _resolve(name, raw_config, seed, trials):
                  "seed": seed, "trials": trials}
 
 
+def _refuse_other_config(out_dir, digest):
+    """ValueError if ``out_dir`` holds the report.json of another config."""
+    try:
+        with open(os.path.join(out_dir, "report.json")) as fh:
+            held = json.load(fh).get("config_hash")
+    except FileNotFoundError:
+        return
+    if held != digest:
+        raise ValueError(f"{out_dir} holds the report of config_hash {held}; "
+                         f"this run's config_hash is {digest}")
+
+
 def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
-    """Programmatic entry point; returns the ExperimentReport."""
+    """Programmatic entry point; returns the ExperimentReport.
+
+    Refuses (ValueError) an ``out_dir`` whose report.json was written
+    for another config hash; rerunning the same config is allowed.
+    """
     runner = _COMMANDS[name][1]
     cfg, params = _resolve(name, raw_config, seed, trials)
+    _refuse_other_config(out_dir, config_hash(params))
     ctx = RunContext(seed=seed, out_dir=out_dir, trials=trials,
                      threads=threads)
     os.makedirs(out_dir, exist_ok=True)

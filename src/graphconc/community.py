@@ -18,7 +18,7 @@ from .errors import InvalidRates, LengthMismatch, NoConvergence, ZeroGap
 from .models import BlockTwo, sample
 from .operators import LinearOp, compose_difference
 from .regularize import expected_laplacian, laplacian, tau_shift
-from .spectral import NORM_TOL, spectral_norm, top_k_eigs
+from .spectral import spectral_norm, top_k_eigs
 
 _DETECT_SEED = 0xC0DE  # fixed eigensolver seed; detect is deterministic
 _DETECT_TOL = 1e-6  # ARPACK residual tol of detect's two eigenpairs
@@ -181,8 +181,9 @@ def davis_kahan_check(g, model, tau):
 
         delta = min(l2x, l2y, l3x - max(l2x, l2y), l3y - max(l2x, l2y)).
 
-    Returns a dict with the measured delta, ||X - Y||, both sides of the
-    inequality and a gap_valid flag; the bound is only asserted by
+    Returns a dict with the measured delta, ||X - Y|| (``norm_diff``,
+    with the steps and eps of its solve), both sides of the inequality
+    and a gap_valid flag; the bound is only asserted by
     callers when gap_valid.  NoConvergence from detect propagates; a
     norm solve that does not converge leaves norm_diff None, the bound
     infinite and holds vacuously True, so the detect labels survive.
@@ -196,9 +197,9 @@ def davis_kahan_check(g, model, tau):
     diff = compose_difference(laplacian(tau_shift(g, tau)),
                               expected_laplacian(model, tau))
     try:
-        norm_diff = spectral_norm(diff, tol=NORM_TOL)
+        norm_diff, norm_steps, norm_eps = spectral_norm(diff)
     except NoConvergence:
-        norm_diff = None
+        norm_diff = norm_steps = norm_eps = None
     v2y, _ = expected_laplacian_eigvec(model, tau)
     dist = eigvec_distance(det.v2, v2y)
     out = {
@@ -208,6 +209,8 @@ def davis_kahan_check(g, model, tau):
         "delta": float(delta),
         "gap_valid": gap_valid,
         "norm_diff": norm_diff,
+        "norm_steps": norm_steps,
+        "norm_eps": norm_eps,
         "distance": dist,
         "bound": (davis_kahan_bound(norm_diff, delta)
                   if gap_valid and norm_diff is not None else np.inf),

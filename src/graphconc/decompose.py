@@ -302,6 +302,8 @@ class VerifyReport:
     r_footprint_ok: bool
     c_footprint_ok: bool
     norm_n: float
+    norm_steps: int      # spectral_norm's steps and eps behind norm_n
+    norm_eps: float
     norm_target: float
     norm_ratio: float
     kappa: float
@@ -320,8 +322,8 @@ def verify_decomposition(A, EA, dec):
     (c) every column of A restricted to C has <= 32r ones;
     (d) R touches <= KAPPA n/d columns and C <= KAPPA n/d rows;
         reported, not raised.
-    (e) ||(A - EA)_N||, by spectral_norm at tol 1e-9 for every n,
-        measured against r^{3/2} sqrt(d); recorded only.
+    (e) ||(A - EA)_N||, by spectral_norm for every n (with its steps
+        and eps), measured against r^{3/2} sqrt(d); recorded only.
 
     d and r are the decomposition's own.
     """
@@ -343,7 +345,7 @@ def verify_decomposition(A, EA, dec):
     limit = KAPPA * n / d if d > 0 else np.inf
 
     dev_n = (Ad - EA) * (labels == CLASS_N)
-    norm_n = spectral_norm(LinearOp.from_dense(dev_n), tol=1e-9)
+    norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(dev_n))
     target = (r ** 1.5) * np.sqrt(d) if d > 0 else np.inf
     return VerifyReport(
         partition_ok=partition_ok,
@@ -358,6 +360,8 @@ def verify_decomposition(A, EA, dec):
         r_footprint_ok=bool(r_cols <= limit),
         c_footprint_ok=bool(c_rows <= limit),
         norm_n=norm_n,
+        norm_steps=norm_steps,
+        norm_eps=norm_eps,
         norm_target=float(target),
         norm_ratio=float(norm_n / target) if np.isfinite(target) and target > 0
         else 0.0,

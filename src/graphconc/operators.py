@@ -9,7 +9,6 @@ interchangeable.  ``matvec``/``rmatvec`` act on 1-d float vectors.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch
 
@@ -74,27 +73,20 @@ class LinearOp:
         op._dense = M
         return op
 
-    @classmethod
-    def from_csr(cls, A, symmetric=False):
-        A = sp.csr_matrix(A)
-        At = A.T.tocsr()
-        return cls(A.shape[0], A.shape[1], lambda x: A @ x, lambda x: At @ x,
-                   symmetric=symmetric)
-
-
-def op_combine(a, b, alpha=1.0, beta=1.0):
-    """alpha * a + beta * b."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot combine shapes {a.shape} and {b.shape}")
-    mv = lambda x: alpha * a.matvec(x) + beta * b.matvec(x)
-    rmv = lambda x: alpha * a.rmatvec(x) + beta * b.rmatvec(x)
-    return LinearOp(a.n_rows, a.n_cols, mv, rmv,
-                    symmetric=a.symmetric and b.symmetric)
-
 
 def compose_difference(a, b):
-    """The deviation operator a - b."""
-    return op_combine(a, b, 1.0, -1.0)
+    """The deviation operator a - b.
+
+    Its closures call a's and b's own closures and subtract once: the
+    shape and dtype checks of LinearOp.matvec run on the outer op only.
+    """
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"cannot subtract shapes {a.shape} and {b.shape}")
+    amv, bmv, armv, brmv = a._matvec, b._matvec, a._rmatvec, b._rmatvec
+    rmv = (None if armv is None or brmv is None
+           else lambda x: armv(x) - brmv(x))
+    return LinearOp(a.n_rows, a.n_cols, lambda x: amv(x) - bmv(x), rmv,
+                    symmetric=a.symmetric and b.symmetric)
 
 
 def restrict(op, rows=None, cols=None):

@@ -20,8 +20,8 @@ whose submatrix norm is certified by ||B_J|| sqrt(delta m) <= f(mu).
 The decomposition needs only the factorization's guarantee
 f(mu) <= sqrt(pi/2) ||B||_{inf->2}, not the optimum, so ``decompose``
 passes ``stop_ratio`` = sqrt(pi/2): the descent stops at the first best
-iterate whose f(mu), certified by spectral_norm at tol 1e-11, is at most
-sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
+iterate whose f(mu), certified at tol 1e-11 (``_certified_f``), is at
+most sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
 when m <= EXACT_LOWER_COLS = 12, the greedy bound otherwise; computed
 before the descent and kept as ``lower_bound``).  gp-check passes no
 stop and measures the optimizer.
@@ -50,15 +50,16 @@ matrix where one exists, and every certificate keeps its tolerance.
 The oracle calls dsyevd itself (``_top_eigh``).  ``gp_submatrix`` takes
 ||B_J|| from dsyevr, with only the top eigenvalue of the Gram on B_J's
 smaller side computed, in place of a full SVD.  The certified f(mu)
-(``_certified_f``) is lambda_max of D_mu^{-1/2} G D_mu^{-1/2} by ARPACK
-on the symmetric m x m op, one G product per Lanczos step, when G is
-formed and min(k, m) > DENSE_SOLVE_LIMIT (the oracle's split); svds on
-B D_mu^{-1/2} otherwise.  Medians of three alternating runs against
-np.linalg.eigh, svds on B D_mu^{-1/2} and a full SVD (2-core Xeon VM,
+(``_certified_f``) is exact (spectral_norm's LAPACK route) when
+min(k, m) <= DENSE_SOLVE_LIMIT; otherwise it needs an upper bound, so
+it takes f^2 from ARPACK with a residual check (``top_k_eigs``, tol
+1e-11) on a Gram op of B D_mu^{-1/2}, not from spectral_norm's
+Lanczos, whose value is a lower bound.  Medians of three
+alternating runs against np.linalg.eigh and a full SVD (2-core Xeon VM,
 one BLAS thread): an exact oracle call on an 8 x 12 block 30-33 ->
-22-24 us; on a 250 x 256 centred Bernoulli(8/256) block, a certified
-f(mu) 1.6-2.2 -> 0.9-1.2 ms and gp_submatrix 6.9-7.2 -> 3.0-3.6 ms;
-gp_submatrix on the 512 x 512 decompose blocks above 36-47 -> 17-26 ms.
+22-24 us; gp_submatrix on a 250 x 256 centred Bernoulli(8/256) block
+6.9-7.2 -> 3.0-3.6 ms, and on the 512 x 512 decompose blocks above
+36-47 -> 17-26 ms.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ from scipy.linalg.lapack import dsyevd, dsyevr
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
+from .spectral import _DEFAULT_SEED as _NORM_SEED
 from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
-                       inf_to_2_norm_lower, spectral_norm)
+                       inf_to_2_norm_lower, spectral_norm, top_k_eigs)
 
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
@@ -135,22 +137,32 @@ def _col_scale(mu, col_live):
 
 
 def _certified_f(B, G, mu, col_live, rng=None):
-    """f(mu) = ||B D_mu^{-1/2}||, by spectral_norm at tol 1e-11.
+    """f(mu) = ||B D_mu^{-1/2}||, with a residual certificate.
 
-    Where gp_weights formed G = B^T B and min(k, m) > DENSE_SOLVE_LIMIT
-    (the split _top_pair makes), f^2 = lambda_max(s G s) on the
-    symmetric m x m op, one G product per Lanczos step; otherwise svds
-    on B s, which spectral_norm solves by LAPACK when min(k, m) is at
-    most DENSE_SOLVE_LIMIT.  ``s`` is the diagonal of D_mu^{-1/2}, zero
-    on dead columns.
+    When min(k, m) <= DENSE_SOLVE_LIMIT, spectral_norm on B s, which
+    solves such a block exactly by LAPACK.  Otherwise f^2 is the top
+    eigenvalue of a Gram op of B s by ARPACK (top_k_eigs, mode "la",
+    tol 1e-11, residual-checked): s G s (m x m) where gp_weights formed
+    G = B^T B, that is when m <= 2k, one G product per step and cheaper
+    than two k x m products; B s^2 B^T (k x k) on wider blocks.  ``s``
+    is the diagonal of D_mu^{-1/2}, zero on dead columns; without
+    ``rng`` the start vector comes from the stream spectral_norm draws
+    from.
     """
     s = _col_scale(mu, col_live)
     k, m = B.shape
-    if G is None or min(k, m) <= DENSE_SOLVE_LIMIT:
+    if min(k, m) <= DENSE_SOLVE_LIMIT:
         op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
-        return spectral_norm(op, tol=1e-11, rng=rng)
-    op = LinearOp(m, m, lambda x: s * (G @ (s * x)), symmetric=True)
-    return sqrt(spectral_norm(op, tol=1e-11, rng=rng))
+        return spectral_norm(op, rng=rng).value
+    if G is not None:
+        op = LinearOp(m, m, lambda x: s * (G @ (s * x)), symmetric=True)
+    else:
+        s2 = s * s
+        op = LinearOp(k, k, lambda x: B @ (s2 * (B.T @ x)), symmetric=True)
+    if rng is None:
+        rng = aux_generator(_NORM_SEED, 0, 1)
+    lam, _ = top_k_eigs(op, 1, "la", tol=1e-11, rng=rng)
+    return sqrt(max(float(lam[0]), 0.0))
 
 
 def _top_eigh(M):
@@ -197,8 +209,8 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
       one product by B and one by B^T.  The buffers are allocated once
       per call.  lambda = ||M v|| for the last unit v is a lower bound
       on lambda_max; mirror descent only needs an inexact subgradient,
-      and the certified value is re-evaluated by spectral_norm after
-      the descent.
+      and the certified value is re-evaluated by ``_certified_f``
+      after the descent.
 
     The warm start rarely ends the power route early (module
     docstring), so a step costs ``iters`` products.  Medians of three
@@ -256,7 +268,7 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
 
     With ``stop_ratio`` the target is stop_ratio * lower.  Whenever the
     oracle's estimate gives a new best f <= target, f(mu_best) is
-    certified by spectral_norm at tol 1e-11 on its own seeded stream,
+    certified at tol 1e-11 (``_certified_f``) on its own seeded stream,
     and the descent stops if the certified value is <= target;
     ``target_met`` records that stop.  Otherwise the descent runs its
     ``max_iter`` steps, ends with the tol 1e-11 re-evaluation of the best
@@ -303,7 +315,7 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
             best_f = f
             best_mu = mu.copy()
             if target is not None and f <= target:
-                # spectral_norm's own stream: a failed check leaves rng,
+                # the certificates' own stream: a failed check leaves rng,
                 # and so the rest of the descent, untouched
                 certified = _certified_f(B, G, best_mu, col_live)
                 if certified <= target:

@@ -159,18 +159,26 @@ def tau_shift(g, tau):
 
 
 def adjacency_shifted_op(x):
-    """A_tau as a LinearOp (or plain adjacency for an unshifted graph)."""
+    """A_tau as a LinearOp (or plain adjacency for an unshifted graph).
+
+    At tau = 0 the matvec is the csr product alone.  A directed graph's
+    rmatvec multiplies by A^T.
+    """
     if isinstance(x, ShiftedGraph):
         g, tau = x.base, x.tau
     else:
         g, tau = x, 0.0
-    A = g.to_csr()
     c = tau / g.n
 
-    def mv(v):
-        return A @ v + c * v.sum()
+    def product(A):
+        if c == 0.0:
+            return A.__matmul__
+        return lambda v: A @ v + c * v.sum()
 
-    return LinearOp(g.n, g.n, mv, mv, symmetric=not g.directed)
+    A = g.to_csr()
+    mv = product(A)
+    rmv = product(A.T.tocsr()) if g.directed else mv
+    return LinearOp(g.n, g.n, mv, rmv, symmetric=not g.directed)
 
 
 def _normalized_laplacian(adj_matvec, d, tau):

@@ -2,12 +2,17 @@
 
 Routes
 ------
-* ``spectral_norm``     -- largest singular value.  Symmetric operators
-  run implicitly restarted Lanczos (ARPACK ``eigsh``, largest magnitude,
-  ||A|| = max |lambda|); other operators run ``svds``, i.e. Lanczos on
-  the Gram operator of the smaller side.
+* ``spectral_norm``     -- largest singular value, as a ``NormEstimate``.
+  A symmetric operator runs one plain Lanczos recurrence, any other
+  operator Golub-Kahan bidiagonalization; neither restarts nor
+  reorthogonalizes, so the solve keeps alpha, beta and two or three
+  vectors (O(n) memory) and every product goes through
+  ``LinearOp.matvec``/``rmatvec``.  The solve stops on the value, not
+  on a Ritz vector, and reads both ends of the spectrum, so a +/- pair
+  is never split.
 * ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
-  by ARPACK ``eigsh``.
+  by ARPACK ``eigsh``, residual-checked; for callers that need vectors
+  or a residual certificate.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are
@@ -18,20 +23,39 @@ Routes
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
-ARPACK needs room for its Krylov basis (k < n - 1, ncv <= n), so an
-operator whose smaller side is at most ``DENSE_SOLVE_LIMIT`` is
-materialized and solved exactly by LAPACK instead.  ARPACK results are
-residual-checked after the solve; its start vector comes from the
-``rng`` passed, or from a fixed ``aux_generator`` subkey per solver, so
-every result is a pure function of the operator and that generator.
+What ``spectral_norm`` returns.  After k steps M Q_k = Q_{k+1} T^_k,
+where T^_k is the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T]
+(for Golub-Kahan, the extended lower bidiagonal), so its sigma_max =
+||M Q_k|| is at most ||M|| in exact arithmetic: a lower bound.  In
+finite precision the extreme Ritz values stay inside the spectrum up to
+O(eps_mach ||M||) (Paige 1976).  The upper side holds with probability:
+for PSD A and a uniformly random start, Kuczynski & Wozniakowski (1992,
+SIAM J. Matrix Anal. Appl. 13(4)) bound P(theta_j < (1 - e) lambda_1)
+by 1.648 sqrt(n) exp(-sqrt(e) (2j - 1)).  Applied to M^2 through
+K_j(M^2, q) inside K_{2j-1}(M, q) (to M^T M for Golub-Kahan, j = k),
+it gives the ``eps`` returned: ||M|| <= value / (1 - eps) except with
+probability 1e-3.  That is a probabilistic bound, about 1e-2 at
+n = 1000, and looser than NORM_TOL; the values themselves agreed with
+dense LAPACK to 7.2e-12 relative or better on 30 concentration
+deviations (n = 600 and 2000, five schemes, seeds 1-3).
+
+ARPACK needs room for its Krylov basis (k < n - 1, ncv <= n), and a
+tiny Lanczos run says little, so an operator whose smaller side is at
+most ``DENSE_SOLVE_LIMIT`` is materialized and solved exactly by LAPACK
+instead.  Start vectors come from the ``rng`` passed, or from a fixed
+``aux_generator`` subkey per solver, so every result is a pure function
+of the operator and that generator.
 """
 
 from __future__ import annotations
 
+from math import log, sqrt
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh, svds)
+from scipy.linalg.lapack import dsbevx, dstebz
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._seeding import aux_generator
 from .errors import EntryOutOfRange, NoConvergence, SizeExceeded, WidthExceeded
@@ -47,77 +71,197 @@ _PATTERN_COLS = 12
 _PATTERN_ENTRIES = 1 << 16
 _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
-# NORM_TOL is the relative residual certified by the experiment-scale
-# norms (the CLI's deviation norms and the Davis-Kahan check), far below
-# the +/-15 % windows the reports are judged against; NORM_MAX_ITER caps
-# every spectral_norm's ARPACK restart cycles (each one ncv = 20 Lanczos
-# steps), generous for semicircle-edge spectra whose relative gaps
-# shrink like n^{-2/3}.
+# NORM_TOL is the accuracy the experiment-scale norms (the CLI's
+# deviation norms and the Davis-Kahan check) are tested to against dense
+# LAPACK at n <= 2048, far below the +/-15 % windows the reports are
+# judged against.  spectral_norm itself stops on the value: once max
+# |theta| over both ends of T_k moves by at most _NORM_STOP (relative)
+# across _NORM_CHECK steps; NORM_MAX_ITER caps its steps.  The Laplacian
+# deviation at n = 10^6, d = tau = 5 took 700 (seed 1729).
 NORM_TOL = 1e-5
 NORM_MAX_ITER = 20000
+_NORM_STOP = 1e-9
+_NORM_CHECK = 10
+# beta_k below this share of ||M q_k|| means K_k is invariant
+_BREAKDOWN = 1e-12
+# Kuczynski-Wozniakowski: constant and the failure probability of eps
+_KW_CONST = 1.648
+_KW_FAIL = 1e-3
 
 
-def _scipy_op(matvec, shape, rmatvec=None):
+class NormEstimate(NamedTuple):
+    """What ``spectral_norm`` found.
+
+    ``value`` is sigma_max of the extended tridiagonal (bidiagonal), a
+    lower bound on ||op||; ``steps`` the Lanczos or Golub-Kahan steps
+    taken (0 on the exact LAPACK route); ``eps`` the Kuczynski-
+    Wozniakowski bound: ||op|| <= value / (1 - eps) except with
+    probability 1e-3 (0 when exact, or when the Krylov space became
+    invariant).
+    """
+
+    value: float
+    steps: int
+    eps: float
+
+
+def _scipy_op(matvec, shape):
     """A scipy LinearOperator; scipy may hand over (n, 1) columns."""
-    return LinearOperator(
-        shape, matvec=lambda x: matvec(x.ravel()), dtype=float,
-        rmatvec=None if rmatvec is None else lambda x: rmatvec(x.ravel()))
+    return LinearOperator(shape, matvec=lambda x: matvec(x.ravel()),
+                          dtype=float)
 
 
-def spectral_norm(op, tol=1e-7, rng=None):
-    """Largest singular value of ``op``.
+def spectral_norm(op, rng=None):
+    """Largest singular value of ``op``, as a NormEstimate.
 
-    ARPACK runs at most NORM_MAX_ITER restart cycles and stops when the
-    Ritz residual is below ``tol`` relative to the estimate; the result
-    is then checked: ||op v - lambda v|| <= tol |lambda| for a symmetric
-    op, both Golub-Kahan residuals ||op v - s u||, ||op^T u - s v|| <=
-    tol s otherwise.  An op whose smaller side is at most
-    DENSE_SOLVE_LIMIT is solved exactly by LAPACK.  Deterministic for a
-    given rng; raises NoConvergence whose ``best`` is the largest
-    converged Ritz value, or the lower bound ||op v0|| for the unit
-    start vector v0 when none converged.
+    An op whose smaller side is at most DENSE_SOLVE_LIMIT is solved
+    exactly by LAPACK.  Otherwise a symmetric op runs Lanczos and any
+    other op Golub-Kahan bidiagonalization on its smaller side, from a
+    unit Gaussian start drawn from ``rng``, until max |theta| moves by
+    at most _NORM_STOP across _NORM_CHECK steps or the Krylov space is
+    invariant (module docstring).  Deterministic for a given rng; after
+    NORM_MAX_ITER steps raises NoConvergence whose ``best`` is the
+    value reached.
     """
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED, 0, 1)
     if op.n_cols > op.n_rows:
-        op = op.T  # same norm; svds then solves on op's domain, like eigsh
+        op = op.T  # same norm; the start then lives on the smaller side
     if op.n_cols == 0:
-        return 0.0
+        return NormEstimate(0.0, 0, 0.0)
     if op.n_cols <= DENSE_SOLVE_LIMIT:
-        return float(np.linalg.norm(op.to_dense(), 2))
+        return NormEstimate(float(np.linalg.norm(op.to_dense(), 2)), 0, 0.0)
     v0 = rng.standard_normal(op.n_cols)
-    v0 /= np.linalg.norm(v0)
-    A = _scipy_op(op.matvec, op.shape, op.rmatvec)
-    try:
-        if op.symmetric:
-            vals, vecs = eigsh(A, k=1, which="LM", v0=v0, tol=tol,
-                               maxiter=NORM_MAX_ITER)
-            sigma, v = abs(float(vals[0])), vecs[:, 0]
-            resid = np.linalg.norm(op.matvec(v) - vals[0] * v)
-        else:
-            # svds squares tol for its Gram solve; sqrt(tol) keeps the Gram
-            # residual at tol s^2, i.e. both Golub-Kahan residuals at tol s
-            u, s, vh = svds(A, k=1, tol=np.sqrt(tol), v0=v0,
-                            maxiter=NORM_MAX_ITER)
-            sigma, u, v = float(s[0]), u[:, 0], vh[0]
-            resid = max(np.linalg.norm(op.matvec(v) - sigma * u),
-                        np.linalg.norm(op.rmatvec(u) - sigma * v))
-    except ArpackNoConvergence as exc:
-        # svds reports eigenvalues of its Gram operator, i.e. s^2
-        vals = np.abs(exc.eigenvalues) ** (1.0 if op.symmetric else 0.5)
-        best = vals.max() if vals.size else np.linalg.norm(op.matvec(v0))
-        raise NoConvergence(
-            f"arpack: no convergence in {NORM_MAX_ITER} restarts",
-            best=float(best)) from exc
-    except ArpackError:
-        # ARPACK stops when op annihilates its start vector: a zero op
-        if not np.any(op.matvec(v0)):
-            return 0.0
-        raise
-    if resid > tol * sigma:
-        raise NoConvergence(f"arpack: residual {resid:.3g} above "
-                            f"{tol} * {sigma:.6g}", best=sigma)
-    return sigma
+    v0 /= sqrt(v0 @ v0)
+    return (_lanczos if op.symmetric else _golub_kahan)(op, v0)
+
+
+def _kw_eps(j, n):
+    """eps with ||M|| <= value / (1 - eps) but for probability _KW_FAIL,
+    from the KW bound on j Lanczos steps on a PSD n x n matrix (M^2 or
+    M^T M)."""
+    root = log(_KW_CONST * sqrt(n) / _KW_FAIL) / (2 * j - 1)
+    return 1.0 if root >= 1.0 else 1.0 - sqrt(1.0 - root * root)
+
+
+def _own(w, *ours):
+    """``w``, or a copy when it shares memory with one of our vectors.
+
+    The recurrences below update each product in place, through one
+    scratch vector per side: at n = 10^6 a fresh temporary costs more
+    than the pass that fills it.  They use numpy's kernels only; scipy's
+    BLAS (daxpy) runs a second OpenBLAS thread pool, and on two cores
+    the pools fought: 2.4 s against 0.09 s for a Lanczos solve at
+    n = 32000.
+    """
+    if any(np.may_share_memory(w, x) for x in ours):
+        return w.copy()
+    return w
+
+
+def _lanczos(op, q):
+    """Three-term Lanczos on a symmetric op from the unit vector q."""
+    cap = NORM_MAX_ITER
+    alpha, beta = np.empty(cap), np.empty(cap)
+    q_prev, b, last = q, 0.0, None
+    tmp = np.empty(q.size)
+    for k in range(cap):
+        w = _own(op.matvec(q), q, q_prev)
+        if k:
+            w -= np.multiply(q_prev, b, out=tmp)
+        a = float(q @ w)
+        w -= np.multiply(q, a, out=tmp)
+        scale = sqrt(a * a + b * b)     # ||M q_k|| but for beta_k
+        b = sqrt(float(w @ w))
+        alpha[k], beta[k] = a, b
+        steps = k + 1
+        if b <= _BREAKDOWN * scale:
+            return NormEstimate(_extended_sigma(alpha[:steps], beta[:steps]),
+                                steps, 0.0)
+        if steps % _NORM_CHECK == 0:
+            d, e = alpha[:steps], beta[:steps - 1]
+            top = max(-_dstebz_one(d, e, 1), _dstebz_one(d, e, steps))
+            if last is not None and abs(top - last) <= _NORM_STOP * top:
+                return NormEstimate(
+                    _extended_sigma(alpha[:steps], beta[:steps]), steps,
+                    _kw_eps((steps + 1) // 2, op.n_rows))
+            last = top
+        w *= 1.0 / b
+        q_prev, q = q, w
+    raise NoConvergence(f"lanczos: max |theta| still moving after {cap} "
+                        f"steps", best=_extended_sigma(alpha, beta))
+
+
+def _golub_kahan(op, v):
+    """Golub-Kahan bidiagonalization of an op with n_rows >= n_cols
+    from the unit vector v on its domain: op V_k = U_k B_k, op^T U_k =
+    V_{k+1} [B_k^T; beta_k e_k^T]."""
+    cap = NORM_MAX_ITER
+    ab = np.empty(2 * cap)          # alpha_1, beta_1, alpha_2, beta_2, ...
+    tmp_u, tmp_v = np.empty(op.n_rows), np.empty(op.n_cols)
+    u = _own(op.matvec(v), v)
+    a = sqrt(float(u @ u))
+    if a == 0.0:                    # op v = 0 for a random v: a zero op
+        return NormEstimate(0.0, 1, 0.0)
+    u *= 1.0 / a
+    last = None
+    for k in range(cap):
+        p = _own(op.rmatvec(u), u, v)
+        p -= np.multiply(v, a, out=tmp_v)
+        b = sqrt(float(p @ p))
+        ab[2 * k], ab[2 * k + 1] = a, b
+        steps = k + 1
+        if b <= _BREAKDOWN * a:
+            return NormEstimate(_bidiagonal_sigma(ab[:2 * steps]), steps, 0.0)
+        if steps % _NORM_CHECK == 0:
+            top = _bidiagonal_sigma(ab[:2 * steps])
+            if last is not None and abs(top - last) <= _NORM_STOP * top:
+                return NormEstimate(top, steps, _kw_eps(steps, op.n_cols))
+            last = top
+        p *= 1.0 / b
+        v = p
+        w = _own(op.matvec(v), u, v)
+        w -= np.multiply(u, b, out=tmp_u)
+        u = w
+        a = sqrt(float(u @ u))
+        if a <= _BREAKDOWN * b:
+            return NormEstimate(_bidiagonal_sigma(ab[:2 * steps]), steps, 0.0)
+        u *= 1.0 / a
+    raise NoConvergence(f"golub-kahan: sigma_max still moving after {cap} "
+                        f"steps", best=_bidiagonal_sigma(ab))
+
+
+def _dstebz_one(d, e, i):
+    """The i-th smallest eigenvalue of the tridiagonal (d, e), by LAPACK
+    dstebz (bisection for that eigenvalue only)."""
+    _, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed: info {info}")
+    return float(w[0])
+
+
+def _extended_sigma(alpha, beta):
+    """sigma_max of the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T]:
+    the root of the top eigenvalue of its Gram T_k^2 + beta_k^2 e_k e_k^T,
+    pentadiagonal, by LAPACK dsbevx on upper band storage."""
+    k = alpha.size
+    band = np.zeros((3, k))
+    band[2] = alpha * alpha + beta * beta
+    band[2, 1:] += beta[:-1] * beta[:-1]
+    band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
+    band[0, 2:] = beta[:-2] * beta[1:-1]
+    w, _, _, _, info = dsbevx(band, 0.0, 0.0, k, k, compute_v=0, range=2)
+    if info:
+        raise np.linalg.LinAlgError(f"dsbevx failed: info {info}")
+    return sqrt(max(float(w[0]), 0.0))
+
+
+def _bidiagonal_sigma(ab):
+    """sigma_max of the (k+1) x k lower bidiagonal with diagonal alpha and
+    subdiagonal beta, ``ab`` interleaving them: the top eigenvalue of the
+    zero-diagonal tridiagonal of size 2k + 1 with off-diagonal ``ab``
+    (Golub and Kahan 1965), whose eigenvalues are +/-sigma and 0."""
+    return max(_dstebz_one(np.zeros(ab.size + 1), ab, ab.size + 1), 0.0)
 
 
 def _select(theta, k, mode):

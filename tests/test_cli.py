@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import graphconc
 import graphconc.community
 import graphconc.pietsch
 from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
@@ -13,6 +14,7 @@ from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
 from graphconc._seeding import aux_generator
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
+from graphconc.spectral import NORM_TOL
 
 from conftest import MASTER
 
@@ -244,7 +246,7 @@ def test_decompose_directed_run(tmp_path):
     (row,) = read_csv(out / "trials.csv")
     for key in ("structural_ok", "r_footprint_ok", "c_footprint_ok",
                 "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
-                "norm_n", "norm_ratio", "rounds"):
+                "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds"):
         assert row[f"full_{key}"] != ""
     assert not any(k.startswith(("upper_", "lower_")) for k in row)
     assert rep.flags["structural_all"] and rep.flags["footprint_all"]
@@ -303,6 +305,7 @@ def test_unconverged_norm_reports_its_best(tmp_path, monkeypatch, best):
                       MASTER, str(out), trials=2)
     rows = read_csv(out / "trials.csv")
     assert len(rows) == 2 and all(r["converged"] == "False" for r in rows)
+    assert all(r["norm_steps"] == r["norm_eps"] == "" for r in rows)
     for t in rep.trials:
         if best is None:
             assert np.isnan(t["norm"]) and np.isnan(t["ratio"])
@@ -466,3 +469,93 @@ def test_main_error_paths(tmp_path, capsys):
     blob = json.loads((tmp_path / "two" / "report.json").read_text())
     assert blob["parameters"]["seed"] == 16
     assert blob["parameters"]["trials"] == 2
+
+
+# ---------------------------------------------------------------------------
+# deviation norms against dense LAPACK
+
+
+def dense_norm(M):
+    """max(|lambda_min|, lambda_max) of a symmetric M, by LAPACK."""
+    return float(np.abs(np.linalg.eigvalsh(M)[[0, -1]]).max())
+
+
+@pytest.mark.parametrize("scheme", ["identity", "trim", "reweight", "remove",
+                                    "tau"])
+def test_concentration_norms_match_dense(tmp_path, scheme):
+    n, d = 600, 5.0
+    rep = run_command("concentration", {"cells": [{"n": n, "d": d}],
+                                        "scheme": scheme},
+                      MASTER, str(tmp_path / scheme), trials=2)
+    model = graphconc.Uniform(n, d / n)
+    EA = graphconc.expected_dense(model)
+    for t in rep.trials:
+        g = graphconc.apply_scheme(graphconc.sample(model, MASTER, t["trial"]),
+                                   scheme, cap=2 * d,
+                                   tau=2 * d if scheme == "tau" else None)
+        ref = dense_norm(g.to_dense() - EA)
+        assert t["converged"] and t["norm_steps"] > 0
+        assert 0.0 < t["norm_eps"] < 1.0
+        assert t["norm"] == pytest.approx(ref, rel=NORM_TOL)
+        assert t["norm"] <= ref * (1 + 1e-12)
+
+
+def test_laplacian_norms_match_dense(tmp_path):
+    n, d, tau = 500, 5.0, 5.0
+    rep = run_command("laplacian", {"ns": [n], "d": d, "taus": [tau]},
+                      MASTER, str(tmp_path / "lap"), trials=2)
+    model = graphconc.Uniform(n, d / n)
+    Y = graphconc.expected_laplacian(model, tau).to_dense()
+    for t in rep.trials:
+        g = graphconc.sample(model, MASTER, t["trial"])
+        X = graphconc.laplacian(graphconc.tau_shift(g, tau)).to_dense()
+        ref = dense_norm(X - Y)
+        assert t["converged"] and t["norm_steps"] > 0
+        assert t["value"] == pytest.approx(np.sqrt(d) * ref, rel=NORM_TOL)
+
+
+def sbm_dense_norm(n, a, b, seed, stream):
+    g, _ = graphconc.sbm_instance(n, a, b, seed, stream=stream)
+    tau = graphconc.average_degree(g)
+    X = graphconc.laplacian(graphconc.tau_shift(g, tau)).to_dense()
+    Y = graphconc.expected_laplacian(graphconc.BlockTwo(n, a, b),
+                                     tau).to_dense()
+    return dense_norm(X - Y)
+
+
+@pytest.mark.parametrize("n,seed,trials", [
+    (600, MASTER, 2),
+    # the top of spec(L(A_tau) - L(EA_tau)) is a +/- pair here, the
+    # negative end larger by 3.9e-4 relative
+    (2000, 8, 1)])
+def test_sbm_norms_match_dense(tmp_path, n, seed, trials):
+    rep = run_command("sbm", {"n": n, "a": 30.0, "b": 5.0}, seed,
+                      str(tmp_path / "sbm"), trials=trials)
+    for t in rep.trials:
+        ref = sbm_dense_norm(n, 30.0, 5.0, seed, t["trial"])
+        assert t["converged"] and t["norm_steps"] > 0
+        assert t["norm_diff"] == pytest.approx(ref, rel=NORM_TOL)
+
+
+# ---------------------------------------------------------------------------
+# output directories
+
+
+def test_out_dir_of_another_config_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = {"model": {"kind": "uniform", "n": 50, "p": 0.1}}
+    first = run_command("sample", cfg, MASTER, str(out))
+    before = (out / "report.json").read_bytes()
+    again = run_command("sample", cfg, MASTER, str(out))  # same config: fine
+    assert again.config_hash == first.config_hash
+    other = {"model": {"kind": "uniform", "n": 60, "p": 0.1}}
+    with pytest.raises(ValueError) as exc:
+        run_command("sample", other, MASTER, str(out))
+    theirs = run_command("sample", other, MASTER, str(tmp_path / "other"))
+    assert first.config_hash in str(exc.value)
+    assert theirs.config_hash in str(exc.value)
+    # a different seed is a different config too; main reports the refusal
+    assert main(["sample", "--seed", "1", "--out", str(out)]) == 1
+    assert "config_hash" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_bytes())["config_hash"] == \
+        json.loads(before)["config_hash"]

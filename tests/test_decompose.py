@@ -237,13 +237,14 @@ def test_verifier_norm_on_empty_graph():
 
 
 def test_verifier_norm_matches_dense_svd():
-    # 32 < n <= 1024: spectral_norm at tol 1e-9 against LAPACK's SVD, on
-    # non-symmetric triangle parts (svds) and a symmetric -EA (eigsh)
+    # 32 < n <= 1024: spectral_norm against LAPACK's SVD, on the
+    # non-symmetric triangle parts and a directed sample (Golub-Kahan)
+    # and a symmetric -EA (Lanczos)
     n = 96
     m = Uniform(n, 6.0 / n)
     EA = expected_adjacency(m)
     up, lo = triangle_split(sample(m, MASTER))
-    for part in (up, lo, empty_directed(n)):
+    for part in (up, lo, sample_directed(m, MASTER), empty_directed(n)):
         dec = decompose(part, EA, r=1.0, d=6.0)
         rep = verify_decomposition(part, EA, dec)
         dev_n = ((part.to_dense() - EA.to_dense())

@@ -7,6 +7,7 @@ norm, with no sqrt(pi/2) slack.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import svds
 
 from graphconc import (
     PietschWeights,
@@ -233,21 +234,21 @@ def test_unreachable_target_changes_nothing():
 
 def test_failed_certifications_leave_the_descent_alone(monkeypatch):
     # every estimate is under a loose target, but each certification is
-    # made to fail: the checks run on spectral_norm's own stream, so the
-    # power-route descent, the greedy lower bound and the closing
+    # made to fail: the checks run on their own stream (no rng passed),
+    # so the power-route descent, the greedy lower bound and the closing
     # re-evaluations draw exactly what they draw without a stop
     B = np.random.default_rng(37).standard_normal((40, 64))
     ref = gp_weights(B, max_iter=30)
-    real = pietsch.spectral_norm
+    real = pietsch._certified_f
     calls = []
 
-    def failing_check(op, **kw):
-        if kw.get("rng") is None:
+    def failing_check(B, G, mu, col_live, rng=None):
+        if rng is None:
             calls.append(1)
             return np.inf
-        return real(op, **kw)
+        return real(B, G, mu, col_live, rng)
 
-    monkeypatch.setattr(pietsch, "spectral_norm", failing_check)
+    monkeypatch.setattr(pietsch, "_certified_f", failing_check)
     w = gp_weights(B, max_iter=30, stop_ratio=10.0)
     assert calls and not w.target_met and w.iterations == 30
     assert np.array_equal(w.mu, ref.mu)
@@ -359,30 +360,44 @@ def scaled_block(shape, seed):
 @pytest.mark.parametrize("shape", [(40, 64), (64, 100), (100, 60),
                                    (250, 256)])
 def test_gram_certification_matches_svds(shape):
-    # m > DENSE_SOLVE_LIMIT and m <= 2k: eigsh on s G s against svds on
-    # B D^{-1/2}, the route taken without G, and against dense LAPACK
+    # min(k, m) > DENSE_SOLVE_LIMIT: ARPACK on s G s (G formed) and on
+    # B s^2 B^T (G not formed), against scipy's svds on B D^{-1/2} and
+    # dense LAPACK
     B, mu, col_live = scaled_block(shape, 42)
     gram = pietsch._certified_f(B, B.T @ B, mu, col_live)
-    svds = pietsch._certified_f(B, None, mu, col_live)
-    assert gram == pytest.approx(svds, rel=1e-10)
-    dense = np.linalg.norm(B * _col_scale(mu, col_live), 2)
-    assert gram == pytest.approx(dense, rel=1e-10)
+    plain = pietsch._certified_f(B, None, mu, col_live)
+    C = B * _col_scale(mu, col_live)
+    v0 = np.random.default_rng(0).standard_normal(min(shape))
+    ref = svds(C, k=1, tol=1e-12, v0=v0, return_singular_vectors=False)[0]
+    for got in (gram, plain):
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(np.linalg.norm(C, 2), rel=1e-10)
 
 
-@pytest.mark.parametrize("shape,symmetric", [
+@pytest.mark.parametrize("shape,column_gram", [
+    # m <= 2k: s G s on the columns; wider: the k x k Gram on the rows;
+    # min(k, m) <= 32: exact, by spectral_norm's LAPACK route on B D^{-1/2}
     ((64, 64), True), ((100, 60), True),
-    # wide (m > 2k, no Gram), m <= 32, and min(k, m) <= 32 < m: B D^{-1/2}
     ((40, 100), False), ((40, 24), False), ((8, 12), False),
     ((20, 40), False)])
-def test_certification_routes(monkeypatch, shape, symmetric):
+def test_certification_routes(monkeypatch, shape, column_gram):
     B, _, _ = scaled_block(shape, 43)
-    real = pietsch.spectral_norm
+    real_norm, real_eigs = pietsch.spectral_norm, pietsch.top_k_eigs
     seen = []
 
-    def counting(op, **kw):
-        seen.append(op.symmetric)
-        return real(op, **kw)
+    def norm(op, **kw):
+        seen.append("lapack")
+        return real_norm(op, **kw)
 
-    monkeypatch.setattr(pietsch, "spectral_norm", counting)
+    def eigs(op, k, mode, **kw):
+        assert op.symmetric and (k, mode) == (1, "la")
+        seen.append(op.n_rows)
+        return real_eigs(op, k, mode, **kw)
+
+    monkeypatch.setattr(pietsch, "spectral_norm", norm)
+    monkeypatch.setattr(pietsch, "top_k_eigs", eigs)
     gp_weights(B, max_iter=5)
-    assert seen == [symmetric, symmetric]
+    k, m = shape
+    want = ("lapack" if min(k, m) <= pietsch.DENSE_SOLVE_LIMIT
+            else m if column_gram else k)
+    assert seen == [want, want]

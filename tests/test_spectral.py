@@ -28,6 +28,7 @@ from graphconc import (
     top_k_eigs,
 )
 from graphconc._seeding import aux_generator
+from graphconc.spectral import NORM_TOL
 
 from conftest import assert_close
 
@@ -53,58 +54,117 @@ def test_spectral_norm_matches_svd(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((11, 7))
     ref = np.linalg.svd(M, compute_uv=False)[0]
-    est = spectral_norm(LinearOp.from_dense(M), tol=1e-9)
-    assert abs(est - ref) <= 1e-6 * ref
+    est = spectral_norm(LinearOp.from_dense(M))
+    assert abs(est.value - ref) <= 1e-6 * ref
+    assert est.steps == 0 and est.eps == 0.0  # the exact LAPACK route
 
 
 def test_spectral_norm_symmetric_indefinite():
     # lambda_min ~ -lambda_max is the case plain power iteration fumbles;
-    # LAPACK below DENSE_SOLVE_LIMIT, ARPACK above it
+    # LAPACK below DENSE_SOLVE_LIMIT, Lanczos above it
     M = np.diag([3.0, -2.9, 1.0])
-    est = spectral_norm(LinearOp.from_dense(M), tol=1e-10)
+    est = spectral_norm(LinearOp.from_dense(M)).value
     assert est == pytest.approx(3.0, abs=1e-8)
     rng = np.random.default_rng(22)
     op = LinearOp.from_dense(with_spectrum(
         rng, np.concatenate([[5.0, -4.999], rng.uniform(-1.0, 1.0, 98)])))
     assert op.symmetric and op.n_rows > DENSE_SOLVE_LIMIT
-    assert spectral_norm(op, tol=1e-10) == pytest.approx(5.0, rel=1e-9)
+    assert spectral_norm(op).value == pytest.approx(5.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("top", [1.0, -1.0])
+def test_spectral_norm_reads_both_ends_of_a_pm_pair(top):
+    # the end of larger magnitude wins by 1e-4, either sign: a solver
+    # that certifies one eigenvalue of the pair can return the other
+    rng = np.random.default_rng(31)
+    vals = np.concatenate([[top, -top * (1.0 + 1e-4)],
+                           rng.uniform(-0.9, 0.9, 198)])
+    op = LinearOp.from_dense(with_spectrum(rng, vals))
+    assert op.symmetric and op.n_rows > DENSE_SOLVE_LIMIT
+    est = spectral_norm(op)
+    assert est.value == pytest.approx(1.0 + 1e-4, rel=NORM_TOL)
+    assert est.value <= np.abs(np.linalg.eigvalsh(op.to_dense())).max() * (
+        1 + 1e-12)
 
 
 def test_spectral_norm_zero_and_empty():
-    assert spectral_norm(LinearOp.from_dense(np.zeros((4, 4)))) == 0.0
-    assert spectral_norm(LinearOp.from_dense(np.empty((0, 0)))) == 0.0
-    # above the limit ARPACK refuses a start vector the op annihilates
-    assert spectral_norm(LinearOp.from_dense(np.zeros((100, 100)))) == 0.0
-    wide = LinearOp.from_dense(np.zeros((40, 100)), symmetric=False)
-    assert spectral_norm(wide) == 0.0
+    assert spectral_norm(LinearOp.from_dense(np.zeros((4, 4)))).value == 0.0
+    assert spectral_norm(LinearOp.from_dense(np.empty((0, 0)))).value == 0.0
+    # above the limit: the first step breaks down on beta = 0
+    for M in (np.zeros((100, 100)), np.zeros((40, 100))):
+        est = spectral_norm(LinearOp.from_dense(M, symmetric=M.shape[0] == 100))
+        assert est == (0.0, 1, 0.0)
+
+
+def test_spectral_norm_rank_one_stops_on_breakdown():
+    # K_2 holds the range of a symmetric rank-one op, K_1 that of u v^T
+    rng = np.random.default_rng(23)
+    u, v = rng.standard_normal(200), rng.standard_normal(150)
+    est = spectral_norm(LinearOp.from_dense(-np.outer(u, u)))
+    assert est.steps <= 2 and est.eps == 0.0
+    assert est.value == pytest.approx(u @ u, rel=1e-12)
+    est = spectral_norm(LinearOp.from_dense(np.outer(u, v), symmetric=False))
+    assert est.steps <= 2 and est.eps == 0.0
+    assert est.value == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v),
+                                      rel=1e-12)
+
+
+def test_spectral_norm_is_a_lower_bound():
+    # sigma_max of the extended tridiagonal (bidiagonal) is ||M Q_k||:
+    # never above ||M|| but for rounding, on symmetric and rectangular
+    # ops, with spread and clustered spectra
+    rng = np.random.default_rng(24)
+    for i in range(50):
+        rows, cols = rng.integers(33, 120, size=2)
+        if i % 2:
+            M = rng.standard_normal((rows, cols))
+            M[:, :cols // 3] *= 1e-3 if i % 4 == 1 else 1.0
+        else:
+            M = sym(rng, rows) + (4.0 * np.eye(rows) if i % 4 == 0 else 0.0)
+        ref = np.linalg.norm(M, 2)
+        est = spectral_norm(LinearOp.from_dense(M, symmetric=not i % 2))
+        assert est.value <= ref * (1 + 1e-12)
+        assert est.value >= ref * (1 - NORM_TOL)
+        assert 0.0 < est.eps < 1.0 and est.steps % 10 == 0
+
+
+def test_kw_eps_is_the_closed_form():
+    # 300 Lanczos steps at n = 10^6 bound M^2 by j = 150 steps: eps about
+    # 2.3e-3 on ||M||^2, about 1.1e-3 on ||M||
+    root = np.log(1.648 * 1e3 / 1e-3) / 299
+    assert root ** 2 == pytest.approx(2.29e-3, rel=1e-2)
+    assert graphconc.spectral._kw_eps(150, 10 ** 6) == pytest.approx(
+        1 - np.sqrt(1 - root ** 2), rel=1e-12)
+    assert graphconc.spectral._kw_eps(1, 10 ** 6) == 1.0
 
 
 def test_spectral_norm_deterministic_seeded():
     rng = np.random.default_rng(12)
-    op = LinearOp.from_dense(sym(rng, 30))
-    a = spectral_norm(op, tol=1e-8, rng=aux_generator(5, 0, 1))
-    b = spectral_norm(op, tol=1e-8, rng=aux_generator(5, 0, 1))
-    assert a == b
+    op = LinearOp.from_dense(sym(rng, 60))
+    a = spectral_norm(op, rng=aux_generator(5, 0, 1))
+    b = spectral_norm(op, rng=aux_generator(5, 0, 1))
+    assert a == b and a.steps > 0
 
 
 def test_spectral_norm_no_convergence_carries_best(monkeypatch):
-    # above DENSE_SOLVE_LIMIT, so ARPACK runs; one restart cycle cannot
-    # reach 1e-12 on a 200 x 200 Gaussian spectrum
+    # above DENSE_SOLVE_LIMIT, so Lanczos runs; one step cannot see the
+    # value settle
     rng = np.random.default_rng(3)
     op = LinearOp.from_dense(sym(rng, 200))
     monkeypatch.setattr(graphconc.spectral, "NORM_MAX_ITER", 1)
     with pytest.raises(NoConvergence) as exc:
-        spectral_norm(op, tol=1e-12)
-    assert exc.value.best > 0.0
+        spectral_norm(op)
+    assert 0.0 < exc.value.best <= np.linalg.norm(op.to_dense(), 2)
 
 
 @pytest.mark.parametrize("shape", [(120, 80), (60, 150)])
-def test_spectral_norm_arpack_rectangular(shape):
-    # svds on the smaller side's Gram operator, tall and wide
+def test_spectral_norm_golub_kahan_rectangular(shape):
+    # Golub-Kahan from the smaller side, tall and wide
     assert min(shape) > DENSE_SOLVE_LIMIT
     M = np.random.default_rng(21).standard_normal(shape)
-    est = spectral_norm(LinearOp.from_dense(M, symmetric=False), tol=1e-10)
-    assert est == pytest.approx(np.linalg.norm(M, 2), rel=1e-9)
+    est = spectral_norm(LinearOp.from_dense(M, symmetric=False))
+    assert est.value == pytest.approx(np.linalg.norm(M, 2), rel=1e-9)
+    assert est.steps > 0 and 0.0 < est.eps < 1.0
 
 
 # ---------------------------------------------------------------------------

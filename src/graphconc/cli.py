@@ -86,6 +86,24 @@ def _config_from_dict(cls, raw):
     return cls(**raw)
 
 
+def _count(value, what):
+    """``value`` as an int >= 1: ValueError for 0, 64.5, "64" and the
+    like."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < 1:
+        raise ValueError(f"{what} must be a positive integer, not {value!r}")
+    return n
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     model: dict = field(default_factory=lambda: {"kind": "uniform",
@@ -209,7 +227,11 @@ def cmd_spectrum(cfg, ctx):
 
 
 def cmd_concentration(cfg, ctx):
-    cells = [(int(c["n"]), float(c["d"])) for c in cfg.cells]
+    cells = []
+    for c in _list(cfg.cells, "cells"):
+        if not isinstance(c, dict) or not {"n", "d"} <= set(c):
+            raise ValueError(f"a cell is an object with n and d, not {c!r}")
+        cells.append((_count(c["n"], "a cell's n"), float(c["d"])))
 
     def one(flat):
         ci, t = divmod(flat, ctx.trials)
@@ -248,7 +270,7 @@ def cmd_laplacian(cfg, ctx):
     taus = [float(t) for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
     if not all(0 < t < np.inf for t in taus):  # NaN too
         raise ValueError("laplacian experiment needs finite tau > 0")
-    ns = [int(n) for n in cfg.ns]
+    ns = [_count(n, "an ns entry") for n in _list(cfg.ns, "ns")]
     grid = [(n, tau) for n in ns for tau in taus]
     d = float(cfg.d)
 
@@ -328,8 +350,11 @@ def cmd_sbm(cfg, ctx):
 
 
 def cmd_decompose(cfg, ctx):
-    model = (model_from_dict(cfg.model) if cfg.model is not None
-             else Uniform(cfg.n, cfg.d / cfg.n if cfg.n else 0.0))
+    if cfg.model is not None:
+        model = model_from_dict(cfg.model)
+    else:
+        n = _count(cfg.n, "n")
+        model = Uniform(n, cfg.d / n)
     if model.n > DENSE_LIMIT:  # before expected_dense builds n^2 floats
         raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
     P = expected_dense(model)
@@ -390,12 +415,14 @@ def cmd_decompose(cfg, ctx):
 def cmd_gp_check(cfg, ctx):
     if not 0 < cfg.ratio_limit < np.inf:  # NaN too
         raise ValueError("ratio_limit must be finite and positive")
+    # a 0 x m matrix would pass every certificate vacuously
+    rows, cols = _count(cfg.rows, "rows"), _count(cfg.cols, "cols")
 
     def one(i):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
-                                                  size=(cfg.rows, cfg.cols))
+                                                  size=(rows, cols))
         w = gp_weights(B)  # asserts the left inequality internally
-        exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
+        exact = (w.lower_bound if cols <= EXACT_LOWER_COLS
                  else inf_to_2_norm_exact(B))
         rec = {"trial": i, "achieved": float(w.achieved_norm),
                "inf_to_2": float(exact),
@@ -519,29 +546,38 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     return report
 
 
+def _read_config(path):
+    """The JSON object in the file at ``path``."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    return raw
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    run = {"seed": None, "trials": 1, "threads": 1}
-    for key, parse in (("seed", _u64), ("trials", _positive),
-                       ("threads", _positive)):
-        if key in raw:
-            try:
-                run[key] = parse(raw.pop(key))
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"config field {key!r}: {exc}")
-        if getattr(args, key) is not None:
-            run[key] = getattr(args, key)
-    seed, trials, threads = run["seed"], run["trials"], run["threads"]
-    cfg_out = raw.pop("out", None)
-    out_dir = args.out if args.out is not None else cfg_out
-    if seed is None:
-        parser.error("--seed is required (flag or config field)")
     try:
+        raw = _read_config(args.config) if args.config else {}
+        run = {"seed": None, "trials": 1, "threads": 1}
+        for key, parse in (("seed", _u64), ("trials", _positive),
+                           ("threads", _positive)):
+            if key in raw:
+                try:
+                    run[key] = parse(raw.pop(key))
+                except argparse.ArgumentTypeError as exc:
+                    parser.error(f"config field {key!r}: {exc}")
+            if getattr(args, key) is not None:
+                run[key] = getattr(args, key)
+        seed, trials, threads = run["seed"], run["trials"], run["threads"]
+        cfg_out = raw.pop("out", None)
+        out_dir = args.out if args.out is not None else cfg_out
+        if seed is None:
+            parser.error("--seed is required (flag or config field)")
         if out_dir is None:
             params = _resolve(args.command, raw, seed, trials)[1]
             out_dir = os.path.join(

@@ -48,8 +48,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import _scipy
 from ._seeding import ROW_BLOCK, BlockWords
 from .errors import InvalidModel, InvalidRates
 from .operators import LinearOp
@@ -106,11 +106,13 @@ class SparseGraph:
 
     def to_csr(self):
         if self.directed:
-            return sp.csr_matrix((self.w, (self.i, self.j)), shape=(self.n, self.n))
+            return _scipy.sparse().csr_matrix((self.w, (self.i, self.j)),
+                                              shape=(self.n, self.n))
         ii = np.concatenate([self.i, self.j])
         jj = np.concatenate([self.j, self.i])
         ww = np.concatenate([self.w, self.w])
-        return sp.csr_matrix((ww, (ii, jj)), shape=(self.n, self.n))
+        return _scipy.sparse().csr_matrix((ww, (ii, jj)),
+                                          shape=(self.n, self.n))
 
     def to_dense(self):
         return self.to_csr().toarray()
@@ -587,15 +589,26 @@ def model_to_dict(model):
 
 
 def model_from_dict(spec):
+    """A model from its JSON spec; InvalidModel for a spec that is no
+    object, names no known kind or lacks a field."""
+    if not isinstance(spec, dict):
+        raise InvalidModel(f"a model spec is a JSON object, not {spec!r}")
     kind = spec.get("kind")
-    if kind == "uniform":
-        return Uniform(int(spec["n"]), float(spec["p"]))
-    if kind == "rankone":
-        return RankOne(int(spec["n"]), tuple(float(t) for t in spec["theta"]))
-    if kind == "blocktwo":
-        return BlockTwo(int(spec["n"]), float(spec["a"]), float(spec["b"]))
-    if kind == "explicit":
-        return Explicit(np.asarray(spec["P"], dtype=float))
-    if kind == "profile":
-        return degree_profile(int(spec["n"]), spec["values"], spec["fractions"])
+    try:
+        if kind == "uniform":
+            return Uniform(int(spec["n"]), float(spec["p"]))
+        if kind == "rankone":
+            return RankOne(int(spec["n"]),
+                           tuple(float(t) for t in spec["theta"]))
+        if kind == "blocktwo":
+            return BlockTwo(int(spec["n"]), float(spec["a"]),
+                            float(spec["b"]))
+        if kind == "explicit":
+            return Explicit(np.asarray(spec["P"], dtype=float))
+        if kind == "profile":
+            return degree_profile(int(spec["n"]), spec["values"],
+                                  spec["fractions"])
+    except KeyError as exc:
+        raise InvalidModel(f"{kind} model spec lacks field "
+                           f"{exc.args[0]!r}") from None
     raise InvalidModel(f"unknown model kind {kind!r}")

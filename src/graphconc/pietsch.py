@@ -68,8 +68,8 @@ from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd, dsyevr
 
+from . import _scipy
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
@@ -172,7 +172,7 @@ def _top_eigh(M):
     vector is read from a C-ordered copy of the eigenvectors, as eigh
     returns them, so a product with it rounds as one with eigh's does.
     """
-    lams, V, info = dsyevd(M, lower=1)
+    lams, V, info = _scipy.lapack().dsyevd(M, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
     return float(lams[-1]), np.ascontiguousarray(V)[:, -1]
@@ -187,7 +187,8 @@ def _top_singular_value(A):
         return 0.0
     gram = A.T @ A if m <= k else A @ A.T
     n = gram.shape[0]
-    lams, _, _, _, info = dsyevr(gram, compute_v=0, range="I", il=n, iu=n)
+    lams, _, _, _, info = _scipy.lapack().dsyevr(gram, compute_v=0,
+                                                 range="I", il=n, iu=n)
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
     return sqrt(max(float(lams[0]), 0.0))

@@ -53,10 +53,8 @@ from math import log, sqrt
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg.lapack import dsbevx, dstebz
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import _scipy
 from ._seeding import aux_generator
 from .errors import EntryOutOfRange, NoConvergence, SizeExceeded, WidthExceeded
 from .operators import LinearOp
@@ -103,12 +101,6 @@ class NormEstimate(NamedTuple):
     value: float
     steps: int
     eps: float
-
-
-def _scipy_op(matvec, shape):
-    """A scipy LinearOperator; scipy may hand over (n, 1) columns."""
-    return LinearOperator(shape, matvec=lambda x: matvec(x.ravel()),
-                          dtype=float)
 
 
 def spectral_norm(op, rng=None):
@@ -234,7 +226,8 @@ def _golub_kahan(op, v):
 def _dstebz_one(d, e, i):
     """The i-th smallest eigenvalue of the tridiagonal (d, e), by LAPACK
     dstebz (bisection for that eigenvalue only)."""
-    _, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")
+    _, w, _, _, info = _scipy.lapack().dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0,
+                                              "E")
     if info:
         raise np.linalg.LinAlgError(f"dstebz failed: info {info}")
     return float(w[0])
@@ -250,7 +243,8 @@ def _extended_sigma(alpha, beta):
     band[2, 1:] += beta[:-1] * beta[:-1]
     band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
     band[0, 2:] = beta[:-2] * beta[1:-1]
-    w, _, _, _, info = dsbevx(band, 0.0, 0.0, k, k, compute_v=0, range=2)
+    w, _, _, _, info = _scipy.lapack().dsbevx(band, 0.0, 0.0, k, k,
+                                              compute_v=0, range=2)
     if info:
         raise np.linalg.LinAlgError(f"dsbevx failed: info {info}")
     return sqrt(max(float(w[0]), 0.0))
@@ -297,11 +291,14 @@ def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None):
         rng = aux_generator(_DEFAULT_SEED, 0, 2)
     ncv = min(n, max(k + 1, max_dim if max_dim is not None
                      else max(2 * k + 1, 20)))
+    arpack = _scipy.sparse_linalg()
+    # scipy may hand over (n, 1) columns
+    A = arpack.LinearOperator(op.shape, dtype=float,
+                              matvec=lambda x: op.matvec(x.ravel()))
     try:
-        theta, vecs = eigsh(_scipy_op(op.matvec, op.shape), k=k,
-                            which=_MODES[mode], tol=tol, ncv=ncv,
-                            v0=rng.standard_normal(n))
-    except ArpackNoConvergence as exc:
+        theta, vecs = arpack.eigsh(A, k=k, which=_MODES[mode], tol=tol,
+                                   ncv=ncv, v0=rng.standard_normal(n))
+    except arpack.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues.size:
             idx = _select(exc.eigenvalues, exc.eigenvalues.size, mode)
@@ -419,7 +416,7 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
 
 def l1_operator_bound(B):
     """sqrt(max row l1 norm * max column l1 norm) >= ||B||."""
-    absB = abs(scipy.sparse.csr_matrix(B))
+    absB = abs(_scipy.sparse().csr_matrix(B))
     if 0 in absB.shape:
         return 0.0
     return float(np.sqrt(absB.sum(axis=1).max() * absB.sum(axis=0).max()))
@@ -431,7 +428,7 @@ def l2_sparsity_bound(B):
     Valid for entries in [0, 1] (the regime of adjacency fragments);
     anything outside that range is refused.
     """
-    C = scipy.sparse.csr_matrix(B)
+    C = _scipy.sparse().csr_matrix(B)
     if C.nnz and (C.data.min() < 0.0 or C.data.max() > 1.0):
         raise EntryOutOfRange("l2_sparsity_bound needs entries in [0, 1]")
     if 0 in C.shape:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -405,6 +409,71 @@ def test_non_finite_config_values_are_refused(tmp_path, capsys, name, cfg,
     assert rc == 1
     err = capsys.readouterr().err
     assert "error" in err and message in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(None, id="missing-file"),
+    pytest.param("{bad", id="malformed-json"),
+    pytest.param("[1, 2]", id="top-level-array"),
+    pytest.param('{"model": "x"}', id="model-not-an-object"),
+    pytest.param('{"model": {"kind": "uniform", "n": 10}}', id="model-lacks-p")])
+def test_config_file_errors_end_in_the_error_line(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    rc = main(["sample", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("graphconc sample: error: ")
+
+
+@pytest.mark.parametrize("name,cfg,message", [
+    ("concentration", {"cells": [{"n": 100}]}, "n and d"),
+    ("concentration", {"cells": "x"}, "cells must be a list"),
+    ("concentration", {"cells": [{"n": 0, "d": 3.0}]}, "cell's n"),
+    ("laplacian", {"ns": [0]}, "ns entry"),
+    ("decompose", {"n": 64.5}, "n must be a positive integer"),
+    ("gp-check", {"rows": 0}, "rows"),
+    ("gp-check", {"cols": 0}, "cols")])
+def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
+                                                        cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"graphconc {name}: error: ") and message in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # importing graphconc and running a command with no solver load
+    # numpy alone; the solvers load scipy at their first call
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import graphconc
+        from graphconc.cli import main
+
+        assert main(["sample", "--seed", "1", "--out", {str(tmp_path)!r}]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, loaded
+        M = np.random.default_rng(1).standard_normal((40, 40))
+        M = M + M.T
+        op = graphconc.LinearOp.from_dense(M)
+        want = np.abs(np.linalg.eigvalsh(M))
+        assert abs(graphconc.spectral_norm(op).value - want.max()) < 1e-8
+        theta, _ = graphconc.top_k_eigs(op, 1, "lm")
+        assert abs(abs(theta[0]) - want.max()) < 1e-8
+        print("ok")
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(graphconc.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("ok")
 
 
 def test_main_smoke(tmp_path, capsys):

@@ -583,5 +583,8 @@ def test_model_dict_roundtrip():
     prof = model_from_dict(
         {"kind": "profile", "n": 10, "values": [2, 4], "fractions": [0.5, 0.5]})
     assert isinstance(prof, RankOne)
-    with pytest.raises(InvalidModel):
-        model_from_dict({"kind": "nope"})
+    # an unknown kind, a spec that is no object, a spec lacking a field
+    for spec in ({"kind": "nope"}, "uniform", ["uniform", 10, 0.2],
+                 {"kind": "uniform", "n": 10}, {"kind": "explicit"}):
+        with pytest.raises(InvalidModel):
+            model_from_dict(spec)

@@ -417,6 +417,16 @@ def cmd_gp_check(cfg, ctx):
         raise ValueError("ratio_limit must be finite and positive")
     # a 0 x m matrix would pass every certificate vacuously
     rows, cols = _count(cfg.rows, "rows"), _count(cfg.cols, "cols")
+    deltas = {}  # column suffix -> delta
+    for delta in _list(cfg.deltas, "deltas"):
+        if not isinstance(delta, (int, float)) or not 0 < delta < 1:
+            raise ValueError(f"each delta must be a number in (0, 1), "
+                             f"not {delta!r}")
+        key = g_fmt(delta).replace(".", "p")
+        if key in deltas:
+            raise ValueError(f"deltas {deltas[key]!r} and {delta!r} would "
+                             f"share the columns *_d{key}")
+        deltas[key] = delta
 
     def one(i):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
@@ -427,10 +437,9 @@ def cmd_gp_check(cfg, ctx):
         rec = {"trial": i, "achieved": float(w.achieved_norm),
                "inf_to_2": float(exact),
                "ratio": float(w.achieved_norm / exact) if exact > 0 else 1.0,
-               "converged": w.converged}
-        for delta in cfg.deltas:
+               "converged": w.converged, "iterations": w.iterations}
+        for key, delta in deltas.items():
             J, cert = gp_submatrix(B, delta, weights=w)
-            key = g_fmt(delta).replace(".", "p")
             rec[f"cert_ok_d{key}"] = cert.ok
             rec[f"selected_d{key}"] = cert.n_selected
         return rec

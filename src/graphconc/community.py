@@ -9,7 +9,7 @@ controls how far the sample eigenvector can rotate away from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +67,15 @@ def sbm_instance(n, a, b, seed, stream=0):
 
 @dataclass(frozen=True)
 class DetectionDetail:
-    """Eigen data behind a detect() call: v2 and the bottom of spec(L)."""
+    """Eigen data behind a detect() call: v2, the bottom of spec(L) and
+    the operator L(A_tau) itself."""
 
     v2: np.ndarray
     lam2: float
     lam3: float
     tau: float
+    laplacian: LinearOp | None = field(default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.v2, dtype=float)
@@ -105,7 +108,8 @@ def detect(g, tau, details=False):
     if not details:
         return labels
     detail = DetectionDetail(v2=v2, lam2=float(2.0 - vals[0]),
-                             lam3=float(2.0 - vals[1]), tau=float(tau))
+                             lam3=float(2.0 - vals[1]), tau=float(tau),
+                             laplacian=L)
     return labels, detail
 
 
@@ -181,12 +185,14 @@ def davis_kahan_check(g, model, tau):
 
         delta = min(l2x, l2y, l3x - max(l2x, l2y), l3y - max(l2x, l2y)).
 
-    Returns a dict with the measured delta, ||X - Y|| (``norm_diff``,
-    with the steps and eps of its solve), both sides of the inequality
-    and a gap_valid flag; the bound is only asserted by
-    callers when gap_valid.  NoConvergence from detect propagates; a
-    norm solve that does not converge leaves norm_diff None, the bound
-    infinite and holds vacuously True, so the detect labels survive.
+    X is the operator detect built (``DetectionDetail.laplacian``), so a
+    check builds L(A_tau) once.  Returns a dict with the measured delta,
+    ||X - Y|| (``norm_diff``, with the steps and eps of its solve), both
+    sides of the inequality and a gap_valid flag; the bound is only
+    asserted by callers when gap_valid.  NoConvergence from detect
+    propagates; a norm solve that does not converge leaves norm_diff
+    None, the bound infinite and holds vacuously True, so the detect
+    labels survive.
     """
     labels, det = detect(g, tau, details=True)
     _, l2y, l3y = expected_laplacian_eigs(model, tau)
@@ -194,8 +200,7 @@ def davis_kahan_check(g, model, tau):
     hi = max(l2x, l2y)
     delta = min(l2x, l2y, l3x - hi, l3y - hi)
     gap_valid = bool(delta > 1e-12)
-    diff = compose_difference(laplacian(tau_shift(g, tau)),
-                              expected_laplacian(model, tau))
+    diff = compose_difference(det.laplacian, expected_laplacian(model, tau))
     try:
         norm_diff, norm_steps, norm_eps = spectral_norm(diff)
     except NoConvergence:

@@ -14,7 +14,7 @@ import graphconc
 import graphconc.community
 import graphconc.pietsch
 from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
-                       inf_to_2_norm_exact, load_graph)
+                       gp_weights, inf_to_2_norm_exact, load_graph)
 from graphconc._seeding import aux_generator
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
@@ -352,6 +352,12 @@ def test_gp_check_run(tmp_path):
     assert len(rows) == 4
     assert all(r["cert_ok_d0p5"] == "True" for r in rows)
     assert rep.flags["all_certificates_ok"]
+    # each instance's descent length, where it stopped
+    for i, row in enumerate(rows):
+        B = aux_generator(MASTER, i, 3).uniform(-1.0, 1.0, size=(5, 8))
+        w = gp_weights(B)
+        assert int(row["iterations"]) == w.iterations
+        assert row["converged"] == str(w.converged)
 
 
 def test_gp_check_instance_count_is_trials(tmp_path):
@@ -434,7 +440,16 @@ def test_config_file_errors_end_in_the_error_line(tmp_path, capsys, text):
     ("laplacian", {"ns": [0]}, "ns entry"),
     ("decompose", {"n": 64.5}, "n must be a positive integer"),
     ("gp-check", {"rows": 0}, "rows"),
-    ("gp-check", {"cols": 0}, "cols")])
+    ("gp-check", {"cols": 0}, "cols"),
+    ("gp-check", {"deltas": "x"}, "deltas must be a list"),
+    ("gp-check", {"deltas": 0.5}, "deltas must be a list"),
+    ("gp-check", {"deltas": [0.5, "0.25"]}, "delta must be a number"),
+    ("gp-check", {"deltas": [None]}, "delta must be a number"),
+    ("gp-check", {"deltas": [0.0]}, "in (0, 1)"),
+    ("gp-check", {"deltas": [0.25, 1]}, "in (0, 1)"),
+    ("gp-check", {"deltas": [-0.5]}, "in (0, 1)"),
+    ("gp-check", {"deltas": [float("nan")]}, "in (0, 1)"),
+    ("gp-check", {"deltas": [0.5, 0.5000001]}, "share the columns")])
 def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
                                                         cfg, message):
     cfg_path = tmp_path / "cfg.json"

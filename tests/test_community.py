@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphconc.community
 from graphconc import (
     BlockTwo,
     CommunityLabels,
@@ -26,6 +27,7 @@ from graphconc import (
     tau_shift,
 )
 from graphconc.community import eigvec_distance
+from graphconc.spectral import NORM_TOL
 
 from conftest import MASTER, assert_close
 
@@ -188,3 +190,23 @@ def test_davis_kahan_check_end_to_end():
     assert out["distance"] <= out["bound"]
     assert out["norm_diff"] > 0.0
     assert misclassification(out["labels"], truth) <= 0.05
+
+
+def test_davis_kahan_check_builds_the_laplacian_once(monkeypatch):
+    # detect's L(A_tau) is the X of ||X - Y||, not a second build of it
+    g, _ = sbm_instance(300, 20.0, 4.0, MASTER)
+    model = BlockTwo(300, 20.0, 4.0)
+    tau = average_degree(g)
+    built = []
+
+    def counting(x):
+        built.append(x)
+        return laplacian(x)
+
+    monkeypatch.setattr(graphconc.community, "laplacian", counting)
+    out = davis_kahan_check(g, model, tau)
+    assert len(built) == 1
+    X = laplacian(tau_shift(g, tau)).to_dense()
+    Y = expected_laplacian(model, tau).to_dense()
+    assert out["norm_diff"] == pytest.approx(np.linalg.norm(X - Y, 2),
+                                             rel=NORM_TOL)

@@ -186,12 +186,38 @@ def test_gp_weights_on_wide_blocks(shape):
 
 def test_converged_needs_a_full_window():
     # equal columns: the best value is flat from step 1, yet a descent
-    # shorter than 51 steps has no 50-step window to judge
+    # shorter than 51 steps has no 50-step window to judge; the first
+    # full window passes the test and ends the descent
     B = np.tile(np.array([[1.0], [2.0], [-1.0]]), (1, 6))
-    assert not gp_weights(B, max_iter=3).converged
-    assert not gp_weights(B, max_iter=50).converged
-    w = gp_weights(B, max_iter=60)
-    assert w.iterations == 60 and w.converged
+    for cap in (3, 50):
+        w = gp_weights(B, max_iter=cap)
+        assert w.iterations == cap and not w.converged
+    w = gp_weights(B)
+    assert w.iterations == 51 and w.converged
+
+
+def stall_test(history, t):
+    """The window test of gp_weights on the best values of steps 1..t."""
+    w, tol = pietsch._CONVERGED_WINDOW, pietsch._CONVERGED_TOL
+    return (t > w and history[t - 1 - w] - history[t - 1]
+            <= tol * max(history[t - 1], 1e-30))
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (100, 90), (80, 200)])
+def test_the_stall_stop_is_a_truncation(shape):
+    # the exact route, the power route on G and the power route on B
+    # and B^T: the descent ends at the first step that passes the window
+    # test, and ending it there by the cap gives the same result
+    B = np.random.default_rng(42).uniform(-1.0, 1.0, shape)
+    w = gp_weights(B)
+    assert w.converged and w.iterations < 500
+    assert stall_test(w.history, w.iterations)
+    assert not any(stall_test(w.history, t) for t in range(1, w.iterations))
+    cut = gp_weights(B, max_iter=w.iterations)
+    assert cut.converged and cut.iterations == w.iterations
+    assert np.array_equal(cut.mu, w.mu)
+    assert cut.achieved_norm == w.achieved_norm
+    assert cut.history == w.history
 
 
 def centred_block():
@@ -219,13 +245,13 @@ def test_stop_once_the_constant_is_certified():
 
 def test_unreachable_target_changes_nothing():
     # f(mu) >= ||B||_{inf->2} = lower on a 6 x 10 block (exact
-    # enumeration), so a target under it is never met.  (At stop_ratio
-    # 1 this block stops at step 194: its descent reaches the lower
-    # bound to 1e-15, as a k < m block may.)
+    # enumeration), so a target under it is never met, and both runs
+    # end on the stall test at the same step, under the cap
     B = np.random.default_rng(36).standard_normal((6, 10))
     ref = gp_weights(B, max_iter=200)
     w = gp_weights(B, max_iter=200, stop_ratio=0.99)
-    assert w.iterations == 200 and not w.target_met
+    assert w.iterations == ref.iterations < 200
+    assert w.converged and ref.converged and not w.target_met
     assert w.target == pytest.approx(0.99 * inf_to_2_norm_exact(B), rel=1e-15)
     assert np.array_equal(w.mu, ref.mu)
     assert w.achieved_norm == ref.achieved_norm
@@ -300,15 +326,16 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
 
 @pytest.mark.parametrize("shape", [(8, 12), (6, 14), (40, 24)])
 def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
-    # the 500-step descents of gp-check's shapes, the exact route on
-    # every step, against the same descent on the eigh reference
+    # the default descents of gp-check's shapes, the exact route on
+    # every step, against the same descent on the eigh reference; each
+    # runs past the stall test's first window (500, 187 and 226 steps)
     B = np.random.default_rng(39).standard_normal(shape)
     B[:, 3] = 0.0
     new = gp_weights(B)
     monkeypatch.setattr(pietsch, "_top_pair",
                         lambda B, G, s, v0: eigh_exact_route(B, G, s))
     ref = gp_weights(B)
-    assert new.iterations == ref.iterations == 500
+    assert new.iterations == ref.iterations > pietsch._CONVERGED_WINDOW
     assert np.array_equal(new.mu, ref.mu)
     assert new.history == ref.history
     assert new.achieved_norm == ref.achieved_norm

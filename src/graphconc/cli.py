@@ -349,6 +349,20 @@ def cmd_sbm(cfg, ctx):
                    all(t["dk_holds"] for t in checked)})
 
 
+def _expected_part(model, part):
+    """The dense EA of one decompose part, built afresh: all of EA for
+    "full", np.triu(EA, 1) for "upper" and np.tril(EA, -1) for "lower",
+    the other entries zeroed in place (no second n x n array)."""
+    EA = expected_dense(model)
+    if part == "upper":
+        for i in range(model.n):
+            EA[i, :i + 1] = 0.0
+    elif part == "lower":
+        for i in range(model.n):
+            EA[i, i:] = 0.0
+    return EA
+
+
 def cmd_decompose(cfg, ctx):
     if cfg.model is not None:
         model = model_from_dict(cfg.model)
@@ -357,19 +371,19 @@ def cmd_decompose(cfg, ctx):
         model = Uniform(n, cfg.d / n)
     if model.n > DENSE_LIMIT:  # before expected_dense builds n^2 floats
         raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
-    P = expected_dense(model)
 
     def one(t):
         if cfg.directed:
-            parts = [("full", sample_directed(model, ctx.seed, t), P)]
+            parts = [("full", sample_directed(model, ctx.seed, t))]
         else:
-            up, lo = triangle_split(sample(model, ctx.seed, t))
-            parts = [("upper", up, np.triu(P, 1)), ("lower", lo, np.tril(P, -1))]
+            parts = zip(("upper", "lower"),
+                        triangle_split(sample(model, ctx.seed, t)))
         rec = {"trial": t}
         # L = U^T, so L's GP blocks are U's blocks transposed, byte for
         # byte: one memo per trial lets L reuse U's GP results
         gp_memo = {}
-        for name, gd, EA in parts:
+        for name, gd in parts:
+            EA = _expected_part(model, name)
             try:
                 dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
                                 gp_memo=gp_memo)
@@ -377,6 +391,8 @@ def cmd_decompose(cfg, ctx):
             except GraphconcError as exc:
                 rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
                 continue
+            finally:
+                del EA  # freed before the next part builds its own
             if cfg.write_files:
                 decomposition_to_csv(dec, _path(ctx, f"classes_t{t}_{name}.csv"))
                 trace_to_json(dec, _path(ctx, f"trace_t{t}_{name}.json"))

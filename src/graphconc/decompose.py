@@ -37,6 +37,13 @@ results are looked up rather than recomputed.  The memo is keyed by
 block content, not by the transpose: the row filter tests only rows and
 C is painted before R, so L's decomposition is not U's mirrored, and a
 content key reuses only what gp_submatrix would return anyway.
+
+A round centres its block in place, on its own densified copy of A's
+block, and GP's column pass runs on that array uncopied when every row
+passes the filter.  The row pass takes a C-ordered copy of the
+transpose's good rows, and the centred block is dropped before it runs.
+Neither ``decompose`` nor ``verify_decomposition`` writes into the
+caller's A or EA.
 """
 
 from __future__ import annotations
@@ -147,20 +154,30 @@ def _gp_block(B, gp_iters, gp_memo):
     return found
 
 
-def _column_pass(sub, cent, good_rows, r, cap, gp_iters, gp_memo):
+def _gp_rows(cent, good_rows):
+    """The GP block cent[good_rows], C-ordered; ``cent`` itself when every
+    row is good and it is C-ordered already (no n x n copy)."""
+    if good_rows.all() and cent.flags.c_contiguous:
+        return cent
+    return np.ascontiguousarray(cent[good_rows])
+
+
+def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
     """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
 
-    ``good_rows`` are the rows that passed the filter.  GP stops once
-    its weights certify the sqrt(pi/2) guarantee the decomposition
-    uses; ``gp_iters`` is only a cap.  Returns (exceptional mask J1,
-    32r-light mask J44, GP certificate, capped?).
+    ``good_rows`` are the rows that passed the filter and ``B`` is the
+    centred block on them (``_gp_rows``).  GP stops once its weights
+    certify the sqrt(pi/2) guarantee the decomposition uses;
+    ``gp_iters`` is only a cap.  Returns (exceptional mask J1, 32r-light
+    mask J44, GP certificate, capped?).
     """
-    J_gp, cert = _gp_block(cent[good_rows], gp_iters, gp_memo)
-    gp_col = np.zeros(cent.shape[1], dtype=bool)
+    m = B.shape[1]
+    J_gp, cert = _gp_block(B, gp_iters, gp_memo)
+    gp_col = np.zeros(m, dtype=bool)
     gp_col[J_gp] = True
     bad_rows = ~good_rows
     ones_bad = (sub[bad_rows].getnnz(axis=0) if bad_rows.any()
-                else np.zeros(cent.shape[1], dtype=np.int64))
+                else np.zeros(m, dtype=np.int64))
     light = ones_bad <= 32 * r
     J1_mask, capped = _cap_exceptional(~(gp_col & light), cap, ~gp_col,
                                        ones_bad)
@@ -196,12 +213,20 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
         raise RowFilterEmpty(
             f"no row of the {mI}x{mJ} block passes the {row_cap:.3g}-ones filter",
             block=(I, J))
-    cent = sub.toarray() - EA[np.ix_(I, J)]
+    # A - EA on the block, centred in place; round 1's block is all of EA
+    cent = sub.toarray()
+    everything = np.arange(n)
+    full = np.array_equal(I, everything) and np.array_equal(J, everything)
+    cent -= EA if full else EA[np.ix_(I, J)]
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
-        sub, cent, good_rows, r, cap, gp_iters, gp_memo)
+        sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters,
+        gp_memo)
+    # the row pass needs only its own C-ordered copy of cent^T's rows
+    B_rows = _gp_rows(cent.T, good_cols)
+    del cent
     I1_mask, i44, cert_rows, capped_i = _column_pass(
-        sub.T, cent.T, good_cols, r, cap, gp_iters, gp_memo)
+        sub.T, B_rows, good_cols, r, cap, gp_iters, gp_memo)
 
     bad_rows, bad_cols = ~good_rows, ~good_cols
     keep_i, keep_j = ~I1_mask, ~J1_mask
@@ -333,7 +358,8 @@ def verify_decomposition(A, EA, dec):
                         (labels.min() >= 0 and labels.max() <= 2))
 
     EA = _dense_ea(EA, n)
-    Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.asarray(A, float)
+    # a copy of A that is ours to overwrite with (A - EA)_N below
+    Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.array(A, float)
     ones = Ad != 0
 
     cap = 32.0 * r
@@ -344,8 +370,9 @@ def verify_decomposition(A, EA, dec):
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
     limit = KAPPA * n / d if d > 0 else np.inf
 
-    dev_n = (Ad - EA) * (labels == CLASS_N)
-    norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(dev_n))
+    Ad -= EA
+    Ad *= labels == CLASS_N
+    norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(Ad))
     target = (r ** 1.5) * np.sqrt(d) if d > 0 else np.inf
     return VerifyReport(
         partition_ok=partition_ok,
@@ -391,9 +418,10 @@ def decomposition_to_csv(dec, path):
 
 
 def trace_to_json(dec, path):
+    # one dumps and one write: json.dump would write piece by piece
     with open(path, "w") as fh:
-        json.dump({"n": dec.n, "r": dec.r, "d": dec.d,
-                   "rounds": list(dec.block_trace)}, fh, indent=2)
+        fh.write(json.dumps({"n": dec.n, "r": dec.r, "d": dec.d,
+                             "rounds": list(dec.block_trace)}, indent=2))
 
 
 def triangle_split(g):

@@ -198,8 +198,12 @@ def _top_singular_value(A):
         return 0.0
     gram = A.T @ A if m <= k else A @ A.T
     n = gram.shape[0]
-    lams, _, _, _, info = _scipy.lapack().dsyevr(gram, compute_v=0,
-                                                 range="I", il=n, iu=n)
+    # numpy forms A^T A and A A^T by syrk, exactly symmetric, so gram.T
+    # is the same matrix in the Fortran order LAPACK reads: f2py hands
+    # it over uncopied
+    lams, _, _, _, info = _scipy.lapack().dsyevr(gram.T, compute_v=0,
+                                                 range="I", il=n, iu=n,
+                                                 overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
     return sqrt(max(float(lams[0]), 0.0))
@@ -296,15 +300,18 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
     result bit for bit.  ``converged`` is False when the cap (or a
     target) ended the descent first; callers treat False as a flag, not
     an error.
+
+    B is read in C order, copied first only when it is not C-ordered,
+    so the result does not depend on the caller's memory layout.
     """
-    B = np.asarray(B, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
     if B.ndim != 2:
         raise ValueError("B must be a matrix")
     k, m = B.shape
     if m == 0:
         raise ValueError("B needs at least one column")
     rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
-    col_sq = (B * B).sum(axis=0)
+    col_sq = np.einsum("ij,ij->j", B, B)
     col_live = col_sq > 0.0
     if not col_live.any():
         mu = np.full(m, 1.0 / m)
@@ -374,11 +381,12 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
     ||B_J|| sqrt(delta m) <= achieved_norm.  ||B_J|| is the root of the
     top eigenvalue of the Gram on B_J's smaller side, from dsyevr with
     that eigenvalue only (``_top_singular_value``); it agrees with a
-    dense SVD to about 1e-15 relative.
+    dense SVD to about 1e-15 relative.  B is read in C order, as in
+    ``gp_weights``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
-    B = np.asarray(B, dtype=float)
+    B = np.ascontiguousarray(B, dtype=float)
     m = B.shape[1]
     w = weights if weights is not None else gp_weights(B, **gp_kwargs)
     threshold = 1.0 / (delta * m)

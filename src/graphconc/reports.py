@@ -88,7 +88,7 @@ class ExperimentReport:
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, default=_jsonable)
+            fh.write(json.dumps(self.to_dict(), indent=2, default=_jsonable))
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             json.dump(self.parameters, fh, indent=2, default=_jsonable)
         rows = [t for t in self.trials if isinstance(t, dict)]

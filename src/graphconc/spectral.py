@@ -395,7 +395,7 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED, 0, 3)
     G = B.T @ B if gram is None else gram
-    col_sq = (B * B).sum(axis=0)
+    col_sq = np.einsum("ij,ij->j", B, B)
     X = np.where(rng.random((trials, m)) < 0.5, -1.0, 1.0)
     corr = X @ G
     live = np.arange(trials)

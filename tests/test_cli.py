@@ -259,6 +259,24 @@ def test_decompose_directed_run(tmp_path):
     assert (out / "trace_t0_full.json").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "uniform", "n": 40, "p": 0.1},
+    {"kind": "rankone", "n": 40, "theta": [0.05 + 0.02 * i for i in range(40)]},
+    {"kind": "blocktwo", "n": 40, "a": 6.0, "b": 2.0},
+    {"kind": "profile", "n": 40, "values": [7, 30], "fractions": [0.9, 0.1]},
+    {"kind": "explicit",
+     "P": (np.add.outer(np.arange(12), np.arange(12)) % 5 / 10).tolist()}])
+def test_decompose_parts_build_the_triangles_of_ea(spec):
+    # each part's EA, zeroed in place, is np.triu/np.tril of the dense EA
+    # bit for bit, for every model kind
+    model = graphconc.model_from_dict(spec)
+    P = graphconc.expected_dense(model)
+    for part, want in (("full", P), ("upper", np.triu(P, 1)),
+                       ("lower", np.tril(P, -1))):
+        got = graphconc.cli._expected_part(model, part)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
     # the lower triangle fails; the upper one is still decomposed,
     # verified and reported

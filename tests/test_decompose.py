@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,50 @@ def test_verifier_norm_matches_dense_svd():
                  * (dec.class_of == CLASS_N))
         ref = np.linalg.svd(dev_n, compute_uv=False)[0]
         assert rep.norm_n == pytest.approx(ref, rel=1e-9)
+
+
+def test_decompose_and_verify_leave_their_inputs_alone():
+    # both work in place on arrays of their own: the caller's A and EA,
+    # dense or an op, directed or a triangle, are read and never written
+    n, d, r = 96, 8.0, 3.0
+    model = Uniform(n, d / n)
+    P = expected_dense(model)
+    up, lo = triangle_split(sample(model, MASTER))
+    directed = sample_directed(model, MASTER)
+    for A, EA in ((directed, P), (directed, LinearOp.from_dense(P)),
+                  (up, np.triu(P, 1)), (lo, np.tril(P, -1))):
+        dense_ea = EA.to_dense() if isinstance(EA, LinearOp) else EA
+        before = [x.copy() for x in (A.i, A.j, A.w, dense_ea, P)]
+        dec = decompose(A, EA, r, d, gp_iters=60)
+        rep = verify_decomposition(A, EA, dec)
+        Ad = A.to_dense()
+        assert verify_decomposition(Ad, EA, dec) == rep
+        assert np.array_equal(Ad, A.to_dense())
+        after = (A.i, A.j, A.w,
+                 EA.to_dense() if isinstance(EA, LinearOp) else EA, P)
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed):
+    # traced peak of one decompose + verify trial at n = 256, in units of
+    # one n x n float array: 4.45 (undirected) and 4.48 (directed) when
+    # this bound was set, against 8.45 and 6.48 when P, both triangles,
+    # the GP block copies and the B * B temporaries were all alive; one
+    # more n x n copy anywhere in the trial exceeds it
+    n = 256
+    cfg = {"n": n, "d": 8, "r": 3, "gp_iters": 120, "write_files": False,
+           "directed": directed}
+    # imports and first-call caches land outside the trace
+    run_command("decompose", {**cfg, "n": 48}, MASTER, str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        run_command("decompose", cfg, MASTER, str(tmp_path / "run"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * 8 * n * n
 
 
 def test_edge_decomposition_validation():

@@ -173,6 +173,33 @@ def test_top_pair_power_route(shape):
     assert abs(v @ top) == pytest.approx(1.0, abs=1e-9)
 
 
+def weights_fields(w):
+    return (w.mu.tobytes(), w.achieved_norm, w.converged, w.iterations,
+            w.history, w.target, w.target_met, w.lower_bound)
+
+
+@pytest.mark.parametrize("block", ["gp-check", "20x40", "decompose"])
+def test_gp_results_ignore_memory_layout(block):
+    # C- and Fortran-ordered copies of one matrix: the same weights and
+    # certificate, bit for bit, whatever order a caller's block is in
+    rng = np.random.default_rng(35)
+    kwargs = {}
+    if block == "gp-check":
+        B = rng.uniform(-1.0, 1.0, size=(8, 12))
+    elif block == "20x40":
+        B = rng.uniform(-1.0, 1.0, size=(20, 40))
+    else:  # a centred first-round block at n = 256, d = 8, as decompose runs it
+        B = (rng.random((250, 256)) < 8 / 256) - 8 / 256
+        kwargs = {"max_iter": 120, "stop_ratio": LITTLE_GROTHENDIECK}
+    C, F = np.ascontiguousarray(B), np.asfortranarray(B)
+    assert F.flags.f_contiguous and not F.flags.c_contiguous
+    assert (weights_fields(gp_weights(C, **kwargs))
+            == weights_fields(gp_weights(F, **kwargs)))
+    J_c, cert_c = gp_submatrix(C, 0.25, **kwargs)
+    J_f, cert_f = gp_submatrix(F, 0.25, **kwargs)
+    assert np.array_equal(J_c, J_f) and cert_c == cert_f
+
+
 @pytest.mark.parametrize("shape", [(3, 60), (40, 100)])
 def test_gp_weights_on_wide_blocks(shape):
     # m > 2k: no Gram; exact route on the 3 x 60 block, two products per

@@ -34,7 +34,8 @@ from .community import (BlockTwo, davis_kahan_check, misclassification,
                         sbm_instance)
 from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         trace_to_json, triangle_split, verify_decomposition)
-from .errors import GraphconcError, NoConvergence, SizeExceeded
+from .errors import (GraphconcError, NoConvergence, SizeExceeded,
+                     VerificationError)
 from .models import (Uniform, expected_adjacency, expected_dense, load_graph,
                      model_from_dict, sample, sample_directed, save_graph)
 from .operators import compose_difference
@@ -388,6 +389,10 @@ def cmd_decompose(cfg, ctx):
                 dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
                                 gp_memo=gp_memo)
                 rep = verify_decomposition(gd, EA, dec)
+            except VerificationError as exc:
+                # a certificate failed: the run ends, naming where
+                raise VerificationError(f"trial {t} (stream {t}), part "
+                                        f"{name}: {exc}") from exc
             except GraphconcError as exc:
                 rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -13,63 +13,48 @@ the right one holds at the optimum.  We minimize
 
 by entropic mirror descent on the simplex -- f^2 is convex in mu, the
 subgradient at the top eigenpair (lambda, v) is g_j = -lambda v_j^2/mu_j
--- and keep the best iterate.  Selecting the columns with
+-- and keep the best iterate.  Selecting the columns J with
 mu_j <= 1/(delta m) then yields at least (1-delta)m columns (pigeonhole)
-whose submatrix norm is certified by ||B_J|| sqrt(delta m) <= f(mu).
+with ||B_J|| sqrt(delta m) <= f(mu).
 
-The decomposition needs only the factorization's guarantee
-f(mu) <= sqrt(pi/2) ||B||_{inf->2}, not the optimum, so ``decompose``
-passes ``stop_ratio`` = sqrt(pi/2): the descent stops at the first best
-iterate whose f(mu), certified at tol 1e-11 (``_certified_f``), is at
-most sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
+The decomposition needs one fact from this step, for the selected J:
+
+    ||B_J|| sqrt(delta m)  <=  sqrt(pi/2) ||B||_{inf->2}.
+
+``decompose`` passes ``stop_ratio`` = sqrt(pi/2), and the descent stops
+at the first best iterate whose measured f(mu) is at most target =
+sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
 when m <= EXACT_LOWER_COLS = 12, the greedy bound otherwise; computed
-before the descent and kept as ``lower_bound``).
+before the descent and kept as ``lower_bound``); ``target_met`` records
+that stop.  Each link of
+
+    ||B_J|| sqrt(delta m)  <=  f  <=  target  <=  sqrt(pi/2) ||B||_{inf->2}
+
+is then checked on computed values: the first by ``gp_submatrix``, with
+||B_J|| from dense LAPACK on B_J; the second by the stop; the third
+because the lower bound is at most ||B||_{inf->2}.  f is the value
+``_certified_f`` measured, and the chain never needs it to bound the
+true f(mu) from above.  ``_certified_f`` is one ``spectral_norm`` call:
+exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise a
+Golub-Kahan value, which is a lower bound on f(mu).  Its
+Kuczynski-Wozniakowski eps bounds f(mu) from above with probability
+1 - 1e-3 (``spectral``).
 
 Every descent also ends at its stall test: the first step at which the
 best f(mu) improved by at most a relative _CONVERGED_TOL = 1e-4 over
 the last _CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
-gp-check passes no stop_ratio, so the stall test ends its descents.  On
-AC6's 100 instances (8 x 12, seed 1729) they stop at step 147 (median;
-mean 217; 11 reach the 500-step cap) instead of 500.  Against the
-500-step descents, achieved rises by at most 0.42 % (median 0.018 %),
-the max ratio to ||B||_{inf->2} stays 1.0515 and its median moves from
-1.0132 to 1.0136.  Decompose's descents meet the sqrt(pi/2) target at
-step 2-10, before a first window exists.
+gp-check passes no stop_ratio, so the stall test ends its descents.
 
 The subgradient oracle (``_top_pair``) picks its route from the block's
 shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd,
 the driver np.linalg.eigh wraps, called directly on the smaller side of
-the scaled Gram.  Otherwise it runs a warm-started power iteration,
-capped at 80 steps and stopped at a relative change of 1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
-m <= 2k, by B and B^T on wider blocks.  The warm start saves little:
-counted along full 120-step descents of a decompose run at n = 256,
-d = 8 (seeds 1729, 1 and 2; 480 calls each), the power iteration hit
-its cap on every call, and on the 8 x 12 gp-check blocks, which now
-take the exact route, it averaged 56 to 80 of its 80 steps.  So each
-step's cost is the product it repeats, and the stop is what saves.
-Medians on the first-round blocks of decompose runs at d = 8 (seeds
-1729, 1 and 2, both triangles; 2-core Xeon VM, one BLAS thread): a
-120-step descent took 129-196 ms on the 256 x 256 blocks and 587-868 ms
-on the 512 x 512 ones; stopped at sqrt(pi/2) it ended at step 2-5 in
-8-17 ms and at step 6-8 in 49-94 ms, with the same selected columns.
-The greedy lower bound inside that took 3-6 ms and 9-17 ms, against
-21-28 ms and 177-274 ms for the starts run one at a time on B.
-
-The dense symmetric eigenproblems go straight to LAPACK, on the Gram
-matrix where one exists, and every certificate keeps its tolerance.
-The oracle calls dsyevd itself (``_top_eigh``).  ``gp_submatrix`` takes
-||B_J|| from dsyevr, with only the top eigenvalue of the Gram on B_J's
-smaller side computed, in place of a full SVD.  The certified f(mu)
-(``_certified_f``) is exact (spectral_norm's LAPACK route) when
-min(k, m) <= DENSE_SOLVE_LIMIT; otherwise it needs an upper bound, so
-it takes f^2 from ARPACK with a residual check (``top_k_eigs``, tol
-1e-11) on a Gram op of B D_mu^{-1/2}, not from spectral_norm's
-Lanczos, whose value is a lower bound.  Medians of three
-alternating runs against np.linalg.eigh and a full SVD (2-core Xeon VM,
-one BLAS thread): an exact oracle call on an 8 x 12 block 30-33 ->
-22-24 us; gp_submatrix on a 250 x 256 centred Bernoulli(8/256) block
-6.9-7.2 -> 3.0-3.6 ms, and on the 512 x 512 decompose blocks above
-36-47 -> 17-26 ms.
+the scaled Gram (``_top_eigh``).  Otherwise it runs a warm-started
+power iteration, capped at 80 steps and stopped at a relative change of
+1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
+m <= 2k, by B and B^T on wider blocks.  ``gp_submatrix`` takes ||B_J||
+from dsyevr, with only the top eigenvalue of the Gram on B_J's smaller
+side computed.  The README's Grothendieck-Pietsch section gives the
+timings behind these choices.
 """
 
 from __future__ import annotations
@@ -83,9 +68,8 @@ from . import _scipy
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
-from .spectral import _DEFAULT_SEED as _NORM_SEED
 from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
-                       inf_to_2_norm_lower, spectral_norm, top_k_eigs)
+                       inf_to_2_norm_lower, spectral_norm)
 
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
@@ -110,7 +94,7 @@ class PietschWeights:
     iterations: int
     history: tuple = field(repr=False, default=())
     target: float | None = None    # stop_ratio * lower bound, if asked
-    target_met: bool = False       # stopped on a certified f <= target
+    target_met: bool = False       # stopped on a measured f <= target
     lower_bound: float | None = None  # on ||B||_{inf->2}, asserted against
 
     def __post_init__(self):
@@ -134,7 +118,7 @@ class GPCertificate:
     size_bound: float          # (1 - delta) m
     submatrix_norm: float      # ||B_J||, LAPACK on B_J's smaller Gram
     norm_lhs: float            # ||B_J|| sqrt(delta m)
-    achieved_norm: float       # f(mu), the certified right-hand side
+    achieved_norm: float       # f(mu) as measured, the right-hand side
     ok: bool
     iterations: int            # mirror-descent steps behind the weights
     converged: bool            # PietschWeights.converged
@@ -147,33 +131,21 @@ def _col_scale(mu, col_live):
     return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
 
 
-def _certified_f(B, G, mu, col_live, rng=None):
-    """f(mu) = ||B D_mu^{-1/2}||, with a residual certificate.
+def _certified_f(B, mu, col_live, rng=None):
+    """f(mu) = ||B D_mu^{-1/2}||, as spectral_norm measures it.
 
-    When min(k, m) <= DENSE_SOLVE_LIMIT, spectral_norm on B s, which
-    solves such a block exactly by LAPACK.  Otherwise f^2 is the top
-    eigenvalue of a Gram op of B s by ARPACK (top_k_eigs, mode "la",
-    tol 1e-11, residual-checked): s G s (m x m) where gp_weights formed
-    G = B^T B, that is when m <= 2k, one G product per step and cheaper
-    than two k x m products; B s^2 B^T (k x k) on wider blocks.  ``s``
-    is the diagonal of D_mu^{-1/2}, zero on dead columns; without
-    ``rng`` the start vector comes from the stream spectral_norm draws
-    from.
+    One spectral_norm call on the op B s, ``s`` the diagonal of
+    D_mu^{-1/2} (zero on dead columns): exact by LAPACK when min(k, m)
+    <= DENSE_SOLVE_LIMIT, otherwise the Golub-Kahan value, a lower
+    bound on f(mu), taken once it moves by at most 1e-9 (relative) over
+    10 steps.  That is all the proof chain needs (module docstring).
+    Without ``rng`` the start vector comes from spectral_norm's own
+    stream.
     """
     s = _col_scale(mu, col_live)
     k, m = B.shape
-    if min(k, m) <= DENSE_SOLVE_LIMIT:
-        op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
-        return spectral_norm(op, rng=rng).value
-    if G is not None:
-        op = LinearOp(m, m, lambda x: s * (G @ (s * x)), symmetric=True)
-    else:
-        s2 = s * s
-        op = LinearOp(k, k, lambda x: B @ (s2 * (B.T @ x)), symmetric=True)
-    if rng is None:
-        rng = aux_generator(_NORM_SEED, 0, 1)
-    lam, _ = top_k_eigs(op, 1, "la", tol=1e-11, rng=rng)
-    return sqrt(max(float(lam[0]), 0.0))
+    op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
+    return spectral_norm(op, rng=rng).value
 
 
 def _top_eigh(M):
@@ -225,19 +197,9 @@ def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
       one product by B and one by B^T.  The buffers are allocated once
       per call.  lambda = ||M v|| for the last unit v is a lower bound
       on lambda_max; mirror descent only needs an inexact subgradient,
-      and the certified value is re-evaluated by ``_certified_f``
-      after the descent.
+      and f is measured again by ``_certified_f`` where it counts.
 
-    The warm start rarely ends the power route early (module
-    docstring), so a step costs ``iters`` products.  Medians of three
-    runs (2-core Xeon VM, one BLAS thread): a full 120-step gp_weights
-    call on a 250 x 256 centred Bernoulli(8/256) block took 131-174 ms,
-    against 279 ms with two k x m products per iteration; 500 steps on
-    an 8 x 12 block took 20-26 ms on the exact route, against 220 ms.
-    gp-check's descents stop on the stall test, at step 147 in the
-    median, and decompose's after 2 to 8 steps (module docstring), so
-    there the oracle is called a handful of times per block.  v is zero
-    on dead columns.
+    v is zero on dead columns.
     """
     k, m = B.shape
     if min(k, m) <= DENSE_SOLVE_LIMIT:
@@ -285,12 +247,14 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
 
     With ``stop_ratio`` the target is stop_ratio * lower.  Whenever the
     oracle's estimate gives a new best f <= target, f(mu_best) is
-    certified at tol 1e-11 (``_certified_f``) on its own seeded stream,
-    and the descent stops if the certified value is <= target;
-    ``target_met`` records that stop.  Otherwise the descent runs to its
-    stall test or to ``max_iter``, ends with the tol 1e-11 re-evaluation
-    of the best and the final iterate, and returns what a call without
-    ``stop_ratio`` returns, bit for bit.
+    measured by ``_certified_f`` on spectral_norm's own stream, and the
+    descent stops if that value is <= target.  ``target_met`` records
+    that stop: ``achieved_norm`` is then that value, and with
+    gp_submatrix's check it closes the chain in the module docstring.
+    It does not claim that the true f(mu) is <= target.  Otherwise the
+    descent runs to its stall test or to ``max_iter``, ends by measuring
+    the best and the final iterate on the descent's stream, and returns
+    what a call without ``stop_ratio`` returns, bit for bit.
 
     The stall test ends the descent at the first step t > _CONVERGED_WINDOW
     at which the running best improved by at most a relative
@@ -340,11 +304,11 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
             best_f = f
             best_mu = mu.copy()
             if target is not None and f <= target:
-                # the certificates' own stream: a failed check leaves rng,
+                # spectral_norm's own stream: a failed check leaves rng,
                 # and so the rest of the descent, untouched
-                certified = _certified_f(B, G, best_mu, col_live)
-                if certified <= target:
-                    achieved = certified
+                measured = _certified_f(B, best_mu, col_live)
+                if measured <= target:
+                    achieved = measured
         history.append(best_f)
         converged = bool(t > _CONVERGED_WINDOW and
                          history[-1 - _CONVERGED_WINDOW] - history[-1]
@@ -361,9 +325,9 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
     iterations = len(history)
     target_met = achieved is not None
     if not target_met:
-        # exact-at-tolerance re-evaluation of the candidates
-        achieved = _certified_f(B, G, best_mu, col_live, rng)
-        final = _certified_f(B, G, mu, col_live, rng)
+        # measure both candidates on the descent's stream
+        achieved = _certified_f(B, best_mu, col_live, rng)
+        final = _certified_f(B, mu, col_live, rng)
         if final < achieved:
             achieved, best_mu = final, mu.copy()
     if achieved < lower * (1.0 - 1e-8) - 1e-12:

@@ -12,7 +12,8 @@ Routes
   is never split.
 * ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
   by ARPACK ``eigsh``, residual-checked; for callers that need vectors
-  or a residual certificate.
+  (``community.detect``).  A norm needs no vector: use
+  ``spectral_norm``.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are

@@ -14,7 +14,8 @@ import graphconc
 import graphconc.community
 import graphconc.pietsch
 from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
-                       gp_weights, inf_to_2_norm_exact, load_graph)
+                       VerificationError, gp_weights, inf_to_2_norm_exact,
+                       load_graph)
 from graphconc._seeding import aux_generator
 from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
@@ -302,6 +303,37 @@ def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
     assert not (out / "classes_t0_lower.csv").exists()
     blob = json.loads((out / "report.json").read_text())
     assert blob["trials"][0]["lower_error"] == "DecompositionError: forced"
+
+
+def test_decompose_certificate_failure_ends_the_run(tmp_path, monkeypatch,
+                                                   capsys):
+    # a failed certificate is not recorded per triangle: the run ends on
+    # the error line, naming the trial, its stream and the part
+    real, calls = graphconc.cli.verify_decomposition, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # trial 1, upper triangle
+            raise VerificationError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphconc.cli, "verify_decomposition", third_fails)
+    cfg = {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20,
+           "write_files": False}
+    with pytest.raises(VerificationError,
+                       match=r"^trial 1 \(stream 1\), part upper: forced$"):
+        run_command("decompose", cfg, MASTER, str(tmp_path / "api"),
+                    trials=2)
+    calls.clear()
+    cfg_path = tmp_path / "dec.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["decompose", "--seed", "1", "--trials", "2", "--config",
+               str(cfg_path), "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "graphconc decompose: error: trial 1 (stream 1), part upper: "
+        "forced\n")
+    assert not (tmp_path / "cli" / "report.json").exists()
 
 
 def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):

@@ -339,6 +339,11 @@ def test_csv_and_trace_roundtrip(tmp_path):
             assert isinstance(rnd[side]["target_met"], bool)
             if rnd[side]["target_met"]:
                 assert rnd[side]["achieved"] <= rnd[side]["target"] * (1 + 1e-12)
+                # the chain the decomposition uses, with delta = 1/4:
+                # ||B_J|| sqrt(m/4) <= f(mu) <= target
+                m = rnd["cols"] if side == "gp_cols" else rnd["rows"]
+                lhs = rnd[side]["submatrix"] * np.sqrt(m / 4)
+                assert lhs <= rnd[side]["target"] * (1 + 1e-8)
 
 
 def test_csv_bytes_match_rowwise_writer(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import svds
 
+import graphconc._scipy
 from graphconc import (
     PietschWeights,
     VerificationError,
@@ -18,9 +19,10 @@ from graphconc import (
     inf_to_2_norm_lower,
 )
 from graphconc import pietsch
+from graphconc.cli import run_command
 from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _top_pair
 
-from conftest import assert_close
+from conftest import MASTER, assert_close
 
 
 def test_weights_simplex_validation():
@@ -295,11 +297,11 @@ def test_failed_certifications_leave_the_descent_alone(monkeypatch):
     real = pietsch._certified_f
     calls = []
 
-    def failing_check(B, G, mu, col_live, rng=None):
+    def failing_check(B, mu, col_live, rng=None):
         if rng is None:
             calls.append(1)
             return np.inf
-        return real(B, G, mu, col_live, rng)
+        return real(B, mu, col_live, rng)
 
     monkeypatch.setattr(pietsch, "_certified_f", failing_check)
     w = gp_weights(B, max_iter=30, stop_ratio=10.0)
@@ -414,44 +416,67 @@ def scaled_block(shape, seed):
 @pytest.mark.parametrize("shape", [(40, 64), (64, 100), (100, 60),
                                    (250, 256)])
 def test_gram_certification_matches_svds(shape):
-    # min(k, m) > DENSE_SOLVE_LIMIT: ARPACK on s G s (G formed) and on
-    # B s^2 B^T (G not formed), against scipy's svds on B D^{-1/2} and
-    # dense LAPACK
+    # min(k, m) > DENSE_SOLVE_LIMIT: Golub-Kahan on B D^{-1/2} (no Gram
+    # is formed), against scipy's svds on the same matrix and dense LAPACK
     B, mu, col_live = scaled_block(shape, 42)
-    gram = pietsch._certified_f(B, B.T @ B, mu, col_live)
-    plain = pietsch._certified_f(B, None, mu, col_live)
+    got = pietsch._certified_f(B, mu, col_live)
     C = B * _col_scale(mu, col_live)
     v0 = np.random.default_rng(0).standard_normal(min(shape))
     ref = svds(C, k=1, tol=1e-12, v0=v0, return_singular_vectors=False)[0]
-    for got in (gram, plain):
-        assert got == pytest.approx(ref, rel=1e-10)
-        assert got == pytest.approx(np.linalg.norm(C, 2), rel=1e-10)
+    assert got == pytest.approx(ref, rel=1e-10)
+    assert got == pytest.approx(np.linalg.norm(C, 2), rel=1e-10)
 
 
-@pytest.mark.parametrize("shape,column_gram", [
-    # m <= 2k: s G s on the columns; wider: the k x k Gram on the rows;
-    # min(k, m) <= 32: exact, by spectral_norm's LAPACK route on B D^{-1/2}
+def no_arpack():
+    raise AssertionError("ARPACK was loaded")
+
+
+@pytest.mark.parametrize("shape,dead", [
+    # Golub-Kahan when min(k, m) > DENSE_SOLVE_LIMIT, LAPACK otherwise;
+    # the first two blocks have a dead column, which s zeroes
     ((64, 64), True), ((100, 60), True),
     ((40, 100), False), ((40, 24), False), ((8, 12), False),
     ((20, 40), False)])
-def test_certification_routes(monkeypatch, shape, column_gram):
-    B, _, _ = scaled_block(shape, 43)
-    real_norm, real_eigs = pietsch.spectral_norm, pietsch.top_k_eigs
+def test_certification_routes(monkeypatch, shape, dead):
+    # every certification is one spectral_norm call on B s, whatever
+    # the shape; ARPACK is never loaded
+    B = np.random.default_rng(43).standard_normal(shape)
+    if dead:
+        B[:, 5] = 0.0
+    real_norm = pietsch.spectral_norm
     seen = []
 
     def norm(op, **kw):
-        seen.append("lapack")
-        return real_norm(op, **kw)
-
-    def eigs(op, k, mode, **kw):
-        assert op.symmetric and (k, mode) == (1, "la")
-        seen.append(op.n_rows)
-        return real_eigs(op, k, mode, **kw)
+        est = real_norm(op, **kw)
+        seen.append((op.shape, est))
+        return est
 
     monkeypatch.setattr(pietsch, "spectral_norm", norm)
-    monkeypatch.setattr(pietsch, "top_k_eigs", eigs)
-    gp_weights(B, max_iter=5)
-    k, m = shape
-    want = ("lapack" if min(k, m) <= pietsch.DENSE_SOLVE_LIMIT
-            else m if column_gram else k)
-    assert seen == [want, want]
+    monkeypatch.setattr(graphconc._scipy, "sparse_linalg", no_arpack)
+    w = gp_weights(B, max_iter=5)
+    exact = min(shape) <= pietsch.DENSE_SOLVE_LIMIT
+    # the closing re-evaluations of the best and of the last iterate
+    assert len(seen) == 2
+    for op_shape, est in seen:
+        assert op_shape == shape
+        assert (est.steps == 0) == exact
+    assert w.achieved_norm == min(est.value for _, est in seen)
+    if dead:
+        C = B * _col_scale(w.mu, B.any(axis=0))
+        assert w.achieved_norm == pytest.approx(np.linalg.norm(C, 2),
+                                                rel=1e-10)
+
+
+def test_gp_and_decompose_run_without_arpack(monkeypatch, tmp_path):
+    # after the certifications moved to spectral_norm, only
+    # community.detect needs scipy.sparse.linalg
+    monkeypatch.setattr(graphconc._scipy, "sparse_linalg", no_arpack)
+    B = centred_block()
+    w = gp_weights(B, max_iter=120, stop_ratio=LITTLE_GROTHENDIECK)
+    assert w.target_met
+    J, cert = gp_submatrix(B, 0.25, weights=w)
+    assert cert.ok and J.size >= 0.75 * B.shape[1]
+    rep = run_command("decompose", {"n": 64, "d": 8.0, "r": 3.0,
+                                    "gp_iters": 120, "write_files": False},
+                      MASTER, str(tmp_path / "dec"))
+    assert rep.flags["structural_all"] and not rep.summary["errors"]

@@ -13,11 +13,11 @@ from .errors import (DecompositionError, DimensionMismatch, EntryOutOfRange,
                      LengthMismatch, NoConvergence, RowFilterEmpty,
                      SizeExceeded, VerificationError, WidthExceeded,
                      ZeroDegree, ZeroGap)
-from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
-                     degree_profile, expected_adjacency, expected_degrees,
-                     expected_dense, load_graph, max_expected_degree,
-                     max_rate, model_from_dict, model_to_dict, sample,
-                     sample_directed, save_graph)
+from .models import (BlockTwo, EAFactors, Explicit, RankOne, SparseGraph,
+                     Uniform, degree_profile, ea_factors, expected_adjacency,
+                     expected_degrees, expected_dense, load_graph,
+                     max_expected_degree, max_rate, model_from_dict,
+                     model_to_dict, sample, sample_directed, save_graph)
 from .operators import LinearOp, compose_difference, restrict
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
                          apply_scheme, average_degree, degrees,

@@ -13,8 +13,9 @@ config keys; flags win, and a config value gets its flag's check.
 --trials N runs trials 0..N-1 (gp-check: N random matrices), each on
 its own RNG stream, so --threads changes the schedule, never the
 numbers.  Trial t draws stream t, except in concentration and
-laplacian, where trial t of grid cell c draws stream c*N + t;
-report.json's seeds.streams lists the streams drawn.
+laplacian, where trial t of grid cell c draws stream c*N + t, and in
+spectrum on a saved graph, which draws none; report.json's
+seeds.streams lists the streams drawn.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         trace_to_json, triangle_split, verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError)
-from .models import (Uniform, expected_adjacency, expected_dense, load_graph,
-                     model_from_dict, sample, sample_directed, save_graph)
+from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
+                     load_graph, model_from_dict, sample, sample_directed,
+                     save_graph)
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
 from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
@@ -217,8 +219,10 @@ def cmd_spectrum(cfg, ctx):
     trials = run_trials(one, ctx.trials, ctx.threads)
     shrank = all(t["max_abs_after"] < t["max_abs_before"] for t in trials)
     tails = all(t["tail_after"] < t["tail_before"] for t in trials)
+    # a saved graph is read, not drawn: no stream is drawn
+    seeds = {"streams": []} if fixed is not None else {}
     return ExperimentReport(
-        command="spectrum", parameters={}, seeds={}, trials=trials,
+        command="spectrum", parameters={}, seeds=seeds, trials=trials,
         summary={"max_abs_before": summarize([t["max_abs_before"] for t in trials]),
                  "max_abs_after": summarize([t["max_abs_after"] for t in trials]),
                  "tail_before": summarize([t["tail_before"] for t in trials]),
@@ -350,28 +354,19 @@ def cmd_sbm(cfg, ctx):
                    all(t["dk_holds"] for t in checked)})
 
 
-def _expected_part(model, part):
-    """The dense EA of one decompose part, built afresh: all of EA for
-    "full", np.triu(EA, 1) for "upper" and np.tril(EA, -1) for "lower",
-    the other entries zeroed in place (no second n x n array)."""
-    EA = expected_dense(model)
-    if part == "upper":
-        for i in range(model.n):
-            EA[i, :i + 1] = 0.0
-    elif part == "lower":
-        for i in range(model.n):
-            EA[i, i:] = 0.0
-    return EA
-
-
 def cmd_decompose(cfg, ctx):
     if cfg.model is not None:
         model = model_from_dict(cfg.model)
     else:
         n = _count(cfg.n, "n")
         model = Uniform(n, cfg.d / n)
-    if model.n > DENSE_LIMIT:  # before expected_dense builds n^2 floats
-        raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
+    if model.n > DENSE_LIMIT:  # before any n x n array is built
+        raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
+    # each part reads its blocks of EA from the model's factors; a model
+    # without them is densified once, for every trial and part
+    EA = ea_factors(model)
+    if EA is None:
+        EA = expected_dense(model)
 
     def one(t):
         if cfg.directed:
@@ -384,11 +379,10 @@ def cmd_decompose(cfg, ctx):
         # byte: one memo per trial lets L reuse U's GP results
         gp_memo = {}
         for name, gd in parts:
-            EA = _expected_part(model, name)
             try:
                 dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
-                                gp_memo=gp_memo)
-                rep = verify_decomposition(gd, EA, dec)
+                                gp_memo=gp_memo, part=name)
+                rep = verify_decomposition(gd, EA, dec, part=name)
             except VerificationError as exc:
                 # a certificate failed: the run ends, naming where
                 raise VerificationError(f"trial {t} (stream {t}), part "
@@ -396,8 +390,6 @@ def cmd_decompose(cfg, ctx):
             except GraphconcError as exc:
                 rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
                 continue
-            finally:
-                del EA  # freed before the next part builds its own
             if cfg.write_files:
                 decomposition_to_csv(dec, _path(ctx, f"classes_t{t}_{name}.csv"))
                 trace_to_json(dec, _path(ctx, f"trace_t{t}_{name}.json"))
@@ -452,17 +444,22 @@ def cmd_gp_check(cfg, ctx):
     def one(i):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
                                                   size=(rows, cols))
-        w = gp_weights(B)  # asserts the left inequality internally
-        exact = (w.lower_bound if cols <= EXACT_LOWER_COLS
-                 else inf_to_2_norm_exact(B))
-        rec = {"trial": i, "achieved": float(w.achieved_norm),
-               "inf_to_2": float(exact),
-               "ratio": float(w.achieved_norm / exact) if exact > 0 else 1.0,
-               "converged": w.converged, "iterations": w.iterations}
-        for key, delta in deltas.items():
-            J, cert = gp_submatrix(B, delta, weights=w)
-            rec[f"cert_ok_d{key}"] = cert.ok
-            rec[f"selected_d{key}"] = cert.n_selected
+        try:
+            w = gp_weights(B)  # asserts the left inequality internally
+            exact = (w.lower_bound if cols <= EXACT_LOWER_COLS
+                     else inf_to_2_norm_exact(B))
+            rec = {"trial": i, "achieved": float(w.achieved_norm),
+                   "inf_to_2": float(exact),
+                   "ratio": (float(w.achieved_norm / exact) if exact > 0
+                             else 1.0),
+                   "converged": w.converged, "iterations": w.iterations}
+            for key, delta in deltas.items():
+                J, cert = gp_submatrix(B, delta, weights=w)
+                rec[f"cert_ok_d{key}"] = cert.ok
+                rec[f"selected_d{key}"] = cert.n_selected
+        except VerificationError as exc:
+            # a certificate failed: the run ends, naming the instance
+            raise VerificationError(f"trial {i} (stream {i}): {exc}") from exc
         return rec
 
     trials = run_trials(one, ctx.trials, ctx.threads)
@@ -570,8 +567,10 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     report = runner(cfg, ctx)
     report.wall_clock_s = time.perf_counter() - start
     report.parameters = params
+    # trial t draws stream t unless the command says otherwise
     report.seeds = {"master_seed": seed,
-                    "streams": list(range(len(report.trials)))}
+                    "streams": report.seeds.get(
+                        "streams", list(range(len(report.trials))))}
     report.write(out_dir)
     return report
 

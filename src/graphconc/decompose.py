@@ -40,10 +40,14 @@ content key reuses only what gp_submatrix would return anyway.
 
 A round centres its block in place, on its own densified copy of A's
 block, and GP's column pass runs on that array uncopied when every row
-passes the filter.  The row pass takes a C-ordered copy of the
-transpose's good rows, and the centred block is dropped before it runs.
-Neither ``decompose`` nor ``verify_decomposition`` writes into the
-caller's A or EA.
+passes the filter.  EA is subtracted ``EA_CHUNK`` entries at a time,
+each chunk a few rows of EA[I x J] as the part keeps it: read from the
+model's factors (``EAFactors.block``), or sliced from a dense EA for a
+model without them.  So neither the centring nor the verifier's
+(A - EA)_N holds an n x n EA.  The row pass takes a C-ordered copy of
+the transpose's good rows, and the centred block is dropped before it
+runs.  Neither ``decompose`` nor ``verify_decomposition`` writes into
+the caller's A or EA.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RowFilterEmpty, SizeExceeded
+from .models import EAFactors, SparseGraph, part_mask
 from .operators import LinearOp
 from .pietsch import LITTLE_GROTHENDIECK, gp_submatrix
 from .spectral import spectral_norm
@@ -63,6 +68,7 @@ CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
 CLASS_NAMES = ("N", "R", "C")
 TINY_BLOCK = 8
 DENSE_LIMIT = 4096
+EA_CHUNK = 1 << 14  # entries of EA read per chunk when subtracting it
 # footprint slack of Theorem 2.6: the halving rounds spend
 # sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
 KAPPA = 4.0
@@ -91,16 +97,40 @@ class EdgeDecomposition:
         return {CLASS_NAMES[c]: int((self.class_of == c).sum()) for c in range(3)}
 
 
-def _dense_ea(EA, n):
-    """EA as a dense n x n array; refuses n > DENSE_LIMIT in every form."""
+def _ea_reader(EA, n):
+    """``read(I, J, part)``: EA[I x J] as ``part`` keeps it, a new array.
+
+    EA is the model's ``EAFactors``, an op or a dense array.  Factors
+    are read directly; anything else is densified once (an op's
+    ``to_dense``) and sliced, and the dense reads of "full" keep EA's
+    diagonal as it is.  Refuses n > DENSE_LIMIT in every form, before
+    any n x n work.
+    """
     if n > DENSE_LIMIT:
-        raise SizeExceeded(f"decompose materializes EA; n <= {DENSE_LIMIT}")
-    if isinstance(EA, LinearOp):
-        EA = EA.to_dense()
-    EA = np.asarray(EA, dtype=float)
-    if EA.shape != (n, n):
+        raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
+    shape = (EA.U.shape[0],) * 2 if isinstance(EA, EAFactors) else np.shape(EA)
+    if shape != (n, n):
         raise ValueError("EA shape mismatch")
-    return EA
+    if isinstance(EA, EAFactors):
+        return EA.block
+    dense = (EA.to_dense() if isinstance(EA, LinearOp)
+             else np.asarray(EA, dtype=float))
+
+    def read(I, J, part):
+        out = dense[np.ix_(I, J)]
+        if part != "full":
+            out *= part_mask(I, J, part)
+        return out
+
+    return read
+
+
+def _subtract_ea(out, read, I, J, part):
+    """out -= EA[I x J] as ``part`` keeps it, ``EA_CHUNK`` entries at a
+    time: no EA block larger than one chunk exists."""
+    step = max(1, EA_CHUNK // max(J.size, 1))
+    for s in range(0, I.size, step):
+        out[s:s + step] -= read(I[s:s + step], J, part)
 
 
 def _ones_csr(A):
@@ -191,15 +221,16 @@ def _gp_trace(cert):
             "target_met": cert.target_met}
 
 
-def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
-                gp_memo=None):
+def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
+                gp_memo=None, part="full"):
     """One round of the block decomposition (Lemma 5.1, constructive).
 
-    Runs on the 0/1 csr A01 and the dense EA; ``gp_memo`` as in
-    ``decompose``.  Returns (grid, I1_mask, J1_mask, trace): grid is the
-    |I| x |J| class array of the block, -1 exactly on the exceptional
-    hole I1 x J1.  Raises RowFilterEmpty on a degenerate block (the
-    driver treats the whole block as exceptional).
+    Runs on the 0/1 csr A01 and EA's blocks as ``read_ea`` reads them
+    for ``part`` (``_ea_reader``); ``gp_memo`` as in ``decompose``.
+    Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
+    array of the block, -1 exactly on the exceptional hole I1 x J1.
+    Raises RowFilterEmpty on a degenerate block (the driver treats the
+    whole block as exceptional).
     """
     mI, mJ = I.size, J.size
     n = A01.shape[0]
@@ -213,11 +244,9 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
         raise RowFilterEmpty(
             f"no row of the {mI}x{mJ} block passes the {row_cap:.3g}-ones filter",
             block=(I, J))
-    # A - EA on the block, centred in place; round 1's block is all of EA
+    # A - EA on the block, centred in place
     cent = sub.toarray()
-    everything = np.arange(n)
-    full = np.array_equal(I, everything) and np.array_equal(J, everything)
-    cent -= EA if full else EA[np.ix_(I, J)]
+    _subtract_ea(cent, read_ea, I, J, part)
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
         sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters,
@@ -253,8 +282,15 @@ def _block_pass(A01, EA, I, J, alpha, r, d, m_nom, gp_iters=500,
     return grid, I1_mask, J1_mask, trace
 
 
-def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
+def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     """Full iterative decomposition of a directed sample.
+
+    EA is the model's ``EAFactors`` (``models.ea_factors``), an op or a
+    dense array.  ``part`` says which of its entries A is centred by:
+    "full" for a directed sample, "upper" or "lower" for a triangle of
+    an undirected one (``triangle_split``), the others read as 0.  Each
+    round subtracts its block of EA from its own copy of A's block (see
+    the module docstring); factors are never densified.
 
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
@@ -273,7 +309,7 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
         raise ValueError("decompose needs finite r > 0 and d > 0")
     A01 = _ones_csr(A)
     n = A.n
-    EA = _dense_ea(EA, n)
+    read_ea = _ea_reader(EA, n)
     labels = np.full((n, n), -1, dtype=np.int8)
     I = np.arange(n, dtype=np.int64)
     J = np.arange(n, dtype=np.int64)
@@ -289,8 +325,8 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None):
         alpha = float(np.sqrt(max(m_nom, I.size, J.size) / n))
         try:
             grid, I1_mask, J1_mask, round_trace = _block_pass(
-                A01, EA, I, J, alpha, r, d, m_nom, gp_iters=gp_iters,
-                gp_memo=gp_memo)
+                A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=gp_iters,
+                gp_memo=gp_memo, part=part)
         except RowFilterEmpty:
             trace.append(_round_trace(m_nom, alpha, I, J,
                                       row_filter_empty=True, all_n=False))
@@ -338,7 +374,7 @@ class VerifyReport:
         return self.partition_ok and self.r_rows_ok and self.c_cols_ok
 
 
-def verify_decomposition(A, EA, dec):
+def verify_decomposition(A, EA, dec, part="full"):
     """Check the certified properties of a decomposition, measure the rest.
 
     (a) every ordered pair carries exactly one class (range check on the
@@ -350,14 +386,15 @@ def verify_decomposition(A, EA, dec):
     (e) ||(A - EA)_N||, by spectral_norm for every n (with its steps
         and eps), measured against r^{3/2} sqrt(d); recorded only.
 
-    d and r are the decomposition's own.
+    d and r are the decomposition's own; EA and ``part`` as in
+    ``decompose``.
     """
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
     partition_ok = bool(labels.size == 0 or
                         (labels.min() >= 0 and labels.max() <= 2))
 
-    EA = _dense_ea(EA, n)
+    read_ea = _ea_reader(EA, n)
     # a copy of A that is ours to overwrite with (A - EA)_N below
     Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.array(A, float)
     ones = Ad != 0
@@ -370,7 +407,8 @@ def verify_decomposition(A, EA, dec):
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
     limit = KAPPA * n / d if d > 0 else np.inf
 
-    Ad -= EA
+    everything = np.arange(n)
+    _subtract_ea(Ad, read_ea, everything, everything, part)
     Ad *= labels == CLASS_N
     norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(Ad))
     target = (r ** 1.5) * np.sqrt(d) if d > 0 else np.inf
@@ -429,12 +467,11 @@ def triangle_split(g):
 
     The decomposition is stated for directed samples; an undirected A is
     the sum U + U^T of its triangles, so each is decomposed separately
-    (the expected matrix splits the same way: triu(EA) and tril(EA)).
+    (the expected matrix splits the same way: triu(EA) and tril(EA),
+    which ``decompose`` reads with part="upper" and part="lower").
     """
     if g.directed:
         raise ValueError("triangle_split expects an undirected graph")
-    from .models import SparseGraph
-
     upper = SparseGraph(g.n, g.i, g.j, g.w, directed=True)
     lower = SparseGraph(g.n, g.j, g.i, g.w, directed=True)
     return upper, lower

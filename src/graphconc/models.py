@@ -4,8 +4,27 @@ A model is a symmetric matrix of connection probabilities (p_ij); the
 diagonal is always treated as zero (no self-loops anywhere).
 ``expected_adjacency`` states p_ij; ``expected_dense`` and
 ``expected_degrees`` (EA 1) are read off it, and only the sampler's
-``_groups`` and ``max_rate`` restate rates.  Two sparsity scales are
-exposed and every experiment states which one it uses:
+``_groups`` and ``max_rate`` restate rates.
+
+The paper's structured models are low rank up to the diagonal, and
+``ea_factors`` states that as ``EAFactors``: EA = U C U^T with the
+diagonal zeroed,
+
+* Uniform:  U = 1, C = p, so EA = p 11^T - p I;
+* BlockTwo: U = the two block indicators, C = [[a, b], [b, a]] / n,
+  so EA = U C U^T - (a/n) I;
+* RankOne:  U = theta, C = 1, so EA = theta theta^T - diag(theta^2),
+  when no theta_i theta_j (i = j included) exceeds 1.
+
+Explicit and a RankOne that clips have no factors (``ea_factors`` gives
+None).  ``expected_adjacency``'s matvec closures are not built on the
+factors, and only the consumers that need more than a matvec build
+them: ``expected_dense`` as one product, and decompose, which reads
+EA's restriction to a block I x J (``block``) in O(|I| |J|) with no
+n x n array.
+
+Two sparsity scales are exposed and every experiment states which one
+it uses:
 
 * ``max_rate(model)``            -- d     = max_ij n * p_ij,
 * ``max_expected_degree(model)`` -- d_ave = max_i sum_{j != i} p_ij.
@@ -287,6 +306,71 @@ def max_expected_degree(model):
     return float(deg.max()) if deg.size else 0.0
 
 
+# which pairs (i, j) of a block a decompose part keeps EA on: all but
+# the diagonal, or one strict triangle of it
+_PARTS = {"full": np.not_equal, "upper": np.less, "lower": np.greater}
+
+
+def part_mask(I, J, part):
+    """Boolean |I| x |J| mask of the pairs (i, j) that ``part`` keeps:
+    i != j for "full", i < j for "upper" and i > j for "lower"."""
+    return _PARTS[part](np.asarray(I)[:, None], np.asarray(J)[None, :])
+
+
+@dataclass(frozen=True, eq=False)
+class EAFactors:
+    """EA = U C U^T with its diagonal zeroed (see the module docstring).
+
+    ``U`` is n x k and ``C`` k x k, k <= 2.  Every entry U[i] C U[j]^T
+    is one product or a sum of exact ones, so a block read holds the
+    same bits as the matvec closure's columns.
+    """
+
+    U: np.ndarray
+    C: np.ndarray
+
+    def block(self, I, J, part="full"):
+        """EA[I x J] as ``part`` keeps it (``part_mask``), the other
+        entries 0: a new |I| x |J| array and nothing larger."""
+        out = (self.U[I] @ self.C) @ self.U[J].T
+        out *= part_mask(I, J, part)
+        return out
+
+    def dense(self):
+        """EA as a dense n x n array: one product, diagonal zeroed."""
+        out = (self.U @ self.C) @ self.U.T
+        np.fill_diagonal(out, 0.0)
+        return out
+
+
+def _clip_partners(th):
+    """(order, th sorted, idx) of RankOne's theta: theta_i theta_j clips
+    at 1 exactly for the j at sorted positions >= idx[i] (n: none)."""
+    order = np.argsort(th)
+    th_s = th[order]
+    with np.errstate(divide="ignore"):
+        thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
+    return order, th_s, np.searchsorted(th_s, thresh, side="right")
+
+
+def ea_factors(model):
+    """The model's ``EAFactors``, or None for Explicit and for a RankOne
+    with a clipped pair (i = j included).  Built afresh on each call."""
+    n = model.n
+    if isinstance(model, Uniform):
+        return EAFactors(np.ones((n, 1)), np.array([[model.p]]))
+    if isinstance(model, BlockTwo):
+        a, b = model.a / model.n, model.b / model.n
+        U = np.zeros((n, 2))
+        U[:model.half, 0] = U[model.half:, 1] = 1.0
+        return EAFactors(U, np.array([[a, b], [b, a]]))
+    if isinstance(model, RankOne):
+        th = model._th()
+        if np.all(_clip_partners(th)[2] == n):
+            return EAFactors(th[:, None], np.ones((1, 1)))
+    return None
+
+
 def expected_adjacency(model):
     """EA as a symmetric matrix-free operator (diagonal zeroed).
 
@@ -304,11 +388,7 @@ def expected_adjacency(model):
         return LinearOp(n, n, mv, mv, symmetric=True)
     if isinstance(model, RankOne):
         th = model._th()
-        order = np.argsort(th)
-        th_s = th[order]
-        with np.errstate(divide="ignore"):
-            thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
-        idx = np.searchsorted(th_s, thresh, side="right")  # clip partners: sorted pos >= idx
+        order, th_s, idx = _clip_partners(th)
         diag = np.minimum(th * th, 1.0)
 
         def mv(x):
@@ -339,8 +419,10 @@ def expected_adjacency(model):
 
 
 def expected_dense(model):
-    """EA as a dense array; for desk-scale checks."""
-    return expected_adjacency(model).to_dense()
+    """EA as a dense array: one product of the factors, or the op's
+    ``to_dense`` for a model without them (Explicit, clipping RankOne)."""
+    f = ea_factors(model)
+    return f.dense() if f is not None else expected_adjacency(model).to_dense()
 
 
 def expected_degrees(model):

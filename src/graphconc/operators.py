@@ -52,7 +52,9 @@ class LinearOp:
 
     def to_dense(self):
         """A copy of the matrix of an op built by ``from_dense``; any other
-        op is materialized column by column (meant for tests and small ops)."""
+        op is materialized column by column (meant for tests and small ops).
+        A structured model's EA is one product instead:
+        ``models.expected_dense``."""
         if self._dense is not None:
             return self._dense.copy()
         out = np.empty((self.n_rows, self.n_cols))

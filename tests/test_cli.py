@@ -1,6 +1,7 @@
 """CLI harness: determinism, report plumbing, per-command smoke runs."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -22,6 +23,8 @@ from graphconc.reports import canonical_json, config_hash, summarize, write_hist
 from graphconc.spectral import NORM_TOL
 
 from conftest import MASTER
+
+dmod = importlib.import_module("graphconc.decompose")
 
 
 def read_csv(path):
@@ -220,11 +223,16 @@ def test_sbm_norm_failure_keeps_detect_labels(tmp_path, monkeypatch):
 
 
 def test_report_streams_are_the_streams_drawn(tmp_path):
-    # concentration draws cells x trials streams, gp-check one per instance
+    # concentration draws cells x trials streams, gp-check one per
+    # instance, and spectrum on a saved graph none at all
+    graph = tmp_path / "g.csv"
+    graphconc.save_graph(graphconc.sample(graphconc.Uniform(30, 0.2), MASTER),
+                         str(graph))
     runs = [("concentration", {"cells": [{"n": 60, "d": 3.0},
                                          {"n": 80, "d": 3.0}]}, 2, [0, 1, 2, 3]),
             ("gp-check", {"rows": 4, "cols": 5, "deltas": [0.5]},
-             3, [0, 1, 2])]
+             3, [0, 1, 2]),
+            ("spectrum", {"graph": str(graph)}, 2, [])]
     for name, cfg, trials, streams in runs:
         out = tmp_path / name
         rep = run_command(name, cfg, MASTER, str(out), trials=trials)
@@ -268,14 +276,25 @@ def test_decompose_directed_run(tmp_path):
     {"kind": "explicit",
      "P": (np.add.outer(np.arange(12), np.arange(12)) % 5 / 10).tolist()}])
 def test_decompose_parts_build_the_triangles_of_ea(spec):
-    # each part's EA, zeroed in place, is np.triu/np.tril of the dense EA
-    # bit for bit, for every model kind
+    # each part's block read of EA, as the decompose command hands EA
+    # over (the model's factors, or the dense EA of a model without
+    # them), is a slice of np.triu/np.tril of the dense EA bit for bit,
+    # on the whole square and on random blocks I x J
     model = graphconc.model_from_dict(spec)
+    n = model.n
     P = graphconc.expected_dense(model)
+    F = graphconc.ea_factors(model)
+    assert (F is None) == (spec["kind"] in ("profile", "explicit"))
+    read = dmod._ea_reader(F if F is not None else P, n)
+    rng = np.random.default_rng(7)
+    blocks = [(np.arange(n), np.arange(n))] + [
+        tuple(np.sort(rng.choice(n, size=k, replace=False))
+              for k in rng.integers(1, n, size=2)) for _ in range(6)]
     for part, want in (("full", P), ("upper", np.triu(P, 1)),
                        ("lower", np.tril(P, -1))):
-        got = graphconc.cli._expected_part(model, part)
-        assert got.tobytes() == want.tobytes()
+        for I, J in blocks:
+            got = read(I, J, part)
+            assert got.tobytes() == want[np.ix_(I, J)].tobytes()
 
 
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
@@ -334,6 +353,43 @@ def test_decompose_certificate_failure_ends_the_run(tmp_path, monkeypatch,
         "graphconc decompose: error: trial 1 (stream 1), part upper: "
         "forced\n")
     assert not (tmp_path / "cli" / "report.json").exists()
+
+
+def test_gp_check_certificate_failure_ends_the_run(tmp_path, monkeypatch,
+                                                  capsys):
+    # a failed certificate in gp_weights or gp_submatrix ends the run on
+    # the error line, naming the instance and its stream
+    real, calls = graphconc.cli.gp_submatrix, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # instance 1, its first delta
+            raise VerificationError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphconc.cli, "gp_submatrix", third_fails)
+    cfg = {"rows": 4, "cols": 5, "deltas": [0.25, 0.5]}
+    with pytest.raises(VerificationError,
+                       match=r"^trial 1 \(stream 1\): forced$"):
+        run_command("gp-check", cfg, MASTER, str(tmp_path / "api"),
+                    trials=2)
+    calls.clear()
+    cfg_path = tmp_path / "gp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["gp-check", "--seed", "1", "--trials", "2", "--config",
+               str(cfg_path), "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "graphconc gp-check: error: trial 1 (stream 1): forced\n")
+    assert not (tmp_path / "cli" / "report.json").exists()
+
+    def weights_fail(B, *args, **kwargs):
+        raise VerificationError("left inequality")
+
+    monkeypatch.setattr(graphconc.cli, "gp_weights", weights_fail)
+    with pytest.raises(VerificationError,
+                       match=r"^trial 0 \(stream 0\): left inequality$"):
+        run_command("gp-check", cfg, MASTER, str(tmp_path / "w"))
 
 
 def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from graphconc.decompose import CLASS_C, CLASS_N, CLASS_R
 from graphconc import (
+    BlockTwo,
     EdgeDecomposition,
     LinearOp,
     SizeExceeded,
@@ -18,6 +19,7 @@ from graphconc import (
     Uniform,
     decompose,
     decomposition_to_csv,
+    ea_factors,
     expected_adjacency,
     expected_dense,
     sample,
@@ -70,8 +72,8 @@ def test_triangle_split_covers_graph():
 def block_pass(A, alpha, r, d):
     """One round on the whole square of a directed 0/1 A, with EA = 0."""
     I = J = np.arange(A.n)
-    return dmod._block_pass(A.to_csr(), np.zeros((A.n, A.n)), I, J, alpha,
-                            r, d, A.n)
+    zero = dmod._ea_reader(np.zeros((A.n, A.n)), A.n)
+    return dmod._block_pass(A.to_csr(), zero, I, J, alpha, r, d, A.n)
 
 
 def test_block_on_empty_graph_is_all_core():
@@ -277,13 +279,33 @@ def test_decompose_and_verify_leave_their_inputs_alone():
             assert np.array_equal(old, new)
 
 
+def test_factored_ea_decomposes_as_the_dense_one():
+    # EA handed over as the model's factors and a part gives the classes
+    # and the report of the dense EA of that part, bit for bit
+    n, d, r = 96, 8.0, 3.0
+    model = BlockTwo(n, 12.0, 4.0)
+    F, P = ea_factors(model), expected_dense(model)
+    up, lo = triangle_split(sample(model, MASTER))
+    for A, part, dense in ((up, "upper", np.triu(P, 1)),
+                           (lo, "lower", np.tril(P, -1)),
+                           (sample_directed(model, MASTER), "full", P)):
+        got = decompose(A, F, r, d, gp_iters=60, part=part)
+        want = decompose(A, dense, r, d, gp_iters=60)
+        assert np.array_equal(got.class_of, want.class_of)
+        assert (verify_decomposition(A, F, got, part=part)
+                == verify_decomposition(A, dense, want))
+    with pytest.raises(ValueError, match="EA shape mismatch"):
+        decompose(up, ea_factors(Uniform(n + 1, 0.1)), r, d, part="upper")
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed):
     # traced peak of one decompose + verify trial at n = 256, in units of
-    # one n x n float array: 4.45 (undirected) and 4.48 (directed) when
-    # this bound was set, against 8.45 and 6.48 when P, both triangles,
-    # the GP block copies and the B * B temporaries were all alive; one
-    # more n x n copy anywhere in the trial exceeds it
+    # one n x n float array: 3.45 (undirected) and 3.48 (directed) when
+    # this bound was set, against 4.45 and 4.48 with a dense EA per part
+    # and 8.45 and 6.48 when P, both triangles, the GP block copies and
+    # the B * B temporaries were all alive; one more n x n copy anywhere
+    # in the trial exceeds it
     n = 256
     cfg = {"n": n, "d": 8, "r": 3, "gp_iters": 120, "write_files": False,
            "directed": directed}
@@ -295,7 +317,7 @@ def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * 8 * n * n
+    assert peak <= 4.0 * 8 * n * n
 
 
 def test_edge_decomposition_validation():

@@ -22,6 +22,7 @@ from graphconc import (
     SparseGraph,
     Uniform,
     degree_profile,
+    ea_factors,
     expected_adjacency,
     expected_degrees,
     expected_dense,
@@ -159,6 +160,27 @@ REFERENCE_MODELS = [
                               "rankone", "explicit"])
 def test_expected_dense_matches_reference(m):
     assert np.array_equal(expected_dense(m), reference_rates(m))
+
+
+@pytest.mark.parametrize("m", [
+    Uniform(37, 0.13),
+    BlockTwo(40, 12, 3),
+    RankOne(33, tuple(np.linspace(0.0, 0.95, 33))),
+    degree_profile(200, (3.0, 10.0), (0.9, 0.1)),
+], ids=["uniform", "blocktwo", "rankone", "profile"])
+def test_factored_expected_dense_is_the_closure_bit_for_bit(m):
+    # one product of the factors holds the bits of the matvec closure's
+    # columns
+    assert ea_factors(m) is not None
+    closure = expected_adjacency(m).to_dense()
+    assert expected_dense(m).tobytes() == closure.tobytes()
+
+
+def test_only_structured_unclipped_models_have_factors():
+    clipped = RankOne(15, tuple(np.linspace(0.05, 1.4, 15)))
+    self_clipped = RankOne(3, (1.2, 0.1, 0.1))  # only theta_0^2 exceeds 1
+    for m in (clipped, self_clipped, Explicit(np.full((9, 9), 0.25))):
+        assert ea_factors(m) is None
 
 
 def test_explicit_expected_dense_is_its_matrix(monkeypatch):

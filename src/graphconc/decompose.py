@@ -69,6 +69,7 @@ CLASS_NAMES = ("N", "R", "C")
 TINY_BLOCK = 8
 DENSE_LIMIT = 4096
 EA_CHUNK = 1 << 14  # entries of EA read per chunk when subtracting it
+CSV_CHUNK = 1 << 20  # bytes of class CSV rows formatted per write
 # footprint slack of Theorem 2.6: the halving rounds spend
 # sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
 KAPPA = 4.0
@@ -441,18 +442,38 @@ def verify_decomposition(A, EA, dec, part="full"):
 def decomposition_to_csv(dec, path):
     """One line ``i,j,class`` per ordered pair, csv's ``\\r\\n`` line ends.
 
-    Each row is one ``join`` over the cells ``j,class`` picked from a
-    precomputed n x 3 table by the row's labels.
+    The rows whose i has w digits form a band with one byte template:
+    the cells ``0..0,j,N\\r\\n`` of j = 0..n-1, w zeros standing for i.
+    A band is formatted ``CSV_CHUNK`` bytes of rows at a time (at least
+    one row): the template is copied to every row, then each digit of i
+    is scattered to its place in every cell of its row, and the class
+    letters of the row's labels to theirs.
     """
     n = dec.n
-    cells = np.array([[f"{j},{name}" for name in CLASS_NAMES]
-                      for j in range(n)], dtype=object).reshape(n, 3)
-    cols = np.arange(n)
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,class\r\n")
-        for i in range(n):
-            fh.write(f"{i}," + f"\r\n{i},".join(
-                cells[cols, dec.class_of[i]].tolist()) + "\r\n")
+    letters = np.frombuffer("".join(CLASS_NAMES).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,class\r\n")
+        lo = 0
+        while lo < n:
+            w = len(str(lo))
+            hi = min(n, 10 ** w)
+            cells = [f"{'0' * w},{j},N\r\n" for j in range(n)]
+            template = np.frombuffer("".join(cells).encode(), np.uint8)
+            lens = np.fromiter(map(len, cells), np.intp, n)
+            ends = np.cumsum(lens)
+            digit_at = ends - lens + np.arange(w)[:, None]
+            rows = max(1, CSV_CHUNK // template.size)
+            for r0 in range(lo, hi, rows):
+                i = np.arange(r0, min(hi, r0 + rows))
+                block = np.empty((i.size, template.size), np.uint8)
+                block[:] = template
+                for k in range(w):
+                    block[:, digit_at[k]] = (i // 10 ** (w - 1 - k) % 10
+                                             + 48)[:, None]
+                block[:, ends - 3] = np.take(letters,
+                                             dec.class_of[r0:r0 + i.size])
+                fh.write(block)
+            lo = hi
 
 
 def trace_to_json(dec, path):

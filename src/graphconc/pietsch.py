@@ -45,13 +45,14 @@ best f(mu) improved by at most a relative _CONVERGED_TOL = 1e-4 over
 the last _CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
 gp-check passes no stop_ratio, so the stall test ends its descents.
 
-The subgradient oracle (``_top_pair``) picks its route from the block's
-shape.  When min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd,
-the driver np.linalg.eigh wraps, called directly on the smaller side of
-the scaled Gram (``_top_eigh``).  Otherwise it runs a warm-started
-power iteration, capped at 80 steps and stopped at a relative change of
-1e-9, multiplying by G = B^T B (formed once per gp_weights call) when
-m <= 2k, by B and B^T on wider blocks.  ``gp_submatrix`` takes ||B_J||
+The subgradient oracle (``_oracle``) is one step function, chosen once
+per descent from the block's shape and its dead columns.  When
+min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
+np.linalg.eigh wraps, called directly on the smaller side of the scaled
+Gram.  Otherwise (``_power_pair``) it runs a warm-started power
+iteration, capped at 80 steps and stopped at a relative change of 1e-9,
+multiplying by G = B^T B (formed once per gp_weights call) when m <= 2k,
+by B and B^T on wider blocks.  ``gp_submatrix`` takes ||B_J||
 from dsyevr, with only the top eigenvalue of the Gram on B_J's smaller
 side computed.  The README's Grothendieck-Pietsch section gives the
 timings behind these choices.
@@ -148,19 +149,6 @@ def _certified_f(B, mu, col_live, rng=None):
     return spectral_norm(op, rng=rng).value
 
 
-def _top_eigh(M):
-    """Top eigenpair of a symmetric M by LAPACK dsyevd on its lower triangle.
-
-    This is the call np.linalg.eigh makes, without its wrapping.  The
-    vector is read from a C-ordered copy of the eigenvectors, as eigh
-    returns them, so a product with it rounds as one with eigh's does.
-    """
-    lams, V, info = _scipy.lapack().dsyevd(M, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
-    return float(lams[-1]), np.ascontiguousarray(V)[:, -1]
-
-
 def _top_singular_value(A):
     """||A||, the root of the top eigenvalue of the Gram on A's smaller
     side, by LAPACK dsyevr with only that eigenvalue computed; 0 for an
@@ -181,35 +169,74 @@ def _top_singular_value(A):
     return sqrt(max(float(lams[0]), 0.0))
 
 
-def _top_pair(B, G, s, v0, iters=80, tol=1e-9):
-    """Subgradient oracle: top eigenpair (lambda, v) of M = s B^T B s.
+def _oracle(B, G, col_live):
+    """The subgradient oracle of one descent: ``top_pair(mu, v0)``, the
+    top eigenpair (lambda, v) of M = D_mu^{-1/2} B^T B D_mu^{-1/2}.
 
-    ``s`` is the diagonal of D_mu^{-1/2}, zero on dead columns; ``G`` is
-    B^T B, or None when m > 2k; ``v0`` is the previous step's vector.
+    The route is chosen here, once per descent, from B's shape and its
+    dead (all-zero) columns; ``G`` is B^T B, or None when m > 2k, and
+    ``v0`` the previous step's vector.  D_mu^{-1/2} is 1/sqrt(mu) when
+    every column is live, ``_col_scale`` otherwise.
 
-    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd
-      (``_top_eigh``) of (B s)(B s)^T (k x k) when k <= m, the top
-      vector mapped back by v = s B^T u / ||s B^T u||; of s G s (m x m)
-      when m < k.  The result is bit for bit np.linalg.eigh's.
-    * Power route otherwise: up to ``iters`` steps from ``v0``, stopped
-      at a relative change of ``tol``, each one G product (no dearer
-      than the two k x m products when m <= 2k) or, on wider blocks,
-      one product by B and one by B^T.  The buffers are allocated once
-      per call.  lambda = ||M v|| for the last unit v is a lower bound
-      on lambda_max; mirror descent only needs an inexact subgradient,
-      and f is measured again by ``_certified_f`` where it counts.
+    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
+      driver np.linalg.eigh wraps, on the smaller side of the scaled
+      Gram.  When k <= m that is (B s)(B s)^T (k x k), its top vector
+      u mapped back by v = s B^T u / ||s B^T u||; when m < k it is
+      s G s (m x m).  The result is bit for bit np.linalg.eigh's.
+    * Power route otherwise (``_power_pair``).
 
     v is zero on dead columns.
     """
     k, m = B.shape
-    if min(k, m) <= DENSE_SOLVE_LIMIT:
-        if k <= m:
-            C = B * s
-            lam, u = _top_eigh(C @ C.T)
-            z = C.T @ u
+    if col_live.all():
+        def scale(mu):
+            return 1.0 / np.sqrt(mu)
+    else:
+        def scale(mu):
+            return _col_scale(mu, col_live)
+    if min(k, m) > DENSE_SOLVE_LIMIT:
+        return lambda mu, v0: _power_pair(B, G, scale(mu), v0)
+    dsyevd = _scipy.lapack().dsyevd
+
+    def eigh(M):
+        # dsyevd on the lower triangle of M, as np.linalg.eigh calls it
+        lams, V, info = dsyevd(M, lower=1, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
+        return float(lams[-1]), V
+
+    if k <= m:
+        def top_pair(mu, v0):
+            C = B * scale(mu)
+            # numpy forms C C^T by syrk, exactly symmetric, so its
+            # transpose is the same matrix in the Fortran order LAPACK
+            # reads: f2py hands it over uncopied
+            lam, V = eigh((C @ C.T).T)
+            # u is read with eigh's stride, from a C-ordered copy:
+            # OpenBLAS's dgemv sums a unit-stride vector in another
+            # order, so C^T u would not round as with eigh's vector
+            z = C.T @ np.ascontiguousarray(V)[:, -1]
             return lam, z / sqrt(z @ z)
-        lam, v = _top_eigh(s[:, None] * G * s)
-        return lam, np.where(s > 0.0, v, 0.0)
+    else:
+        def top_pair(mu, v0):
+            s = scale(mu)
+            lam, V = eigh(s[:, None] * G * s)
+            return lam, np.where(col_live, V[:, -1], 0.0)
+    return top_pair
+
+
+def _power_pair(B, G, s, v0, iters=80, tol=1e-9):
+    """The power route of ``_oracle``: the top eigenpair of M = s B^T B s.
+
+    Up to ``iters`` steps from ``v0``, stopped at a relative change of
+    ``tol``, each one G product (no dearer than the two k x m products
+    when m <= 2k) or, when G is None, one product by B and one by B^T.
+    The buffers are allocated once per call.  lambda = ||M v|| for the
+    last unit v is a lower bound on lambda_max; mirror descent only
+    needs an inexact subgradient, and f is measured again by
+    ``_certified_f`` where it counts.
+    """
+    k, m = B.shape
     v = v0.copy()
     z = np.empty(m)
     w = np.empty(m)
@@ -292,14 +319,15 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
     else:
         lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
     target = None if stop_ratio is None else stop_ratio * lower
+    top_pair = _oracle(B, G, col_live)
     best_mu = mu.copy()
     best_f = np.inf
     history = []
     achieved = None
     converged = False
     for t in range(1, max_iter + 1):
-        lam, v = _top_pair(B, G, _col_scale(mu, col_live), v)
-        f = np.sqrt(max(lam, 0.0))
+        lam, v = top_pair(mu, v)
+        f = sqrt(max(lam, 0.0))
         if f < best_f:
             best_f = f
             best_mu = mu.copy()
@@ -316,11 +344,12 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
         if achieved is not None or converged:
             break
         g = -lam * (v * v) / mu
-        gmax = np.abs(g).max()
+        gmax = -g.min()  # lam >= 0, so g <= 0
         if gmax == 0.0:
             break
-        mu = mu * np.exp(-(1.0 / np.sqrt(t)) * (g / gmax))
-        mu = np.maximum(mu / mu.sum(), _MU_FLOOR)
+        mu = mu * np.exp(-(1.0 / sqrt(t)) * (g / gmax))
+        mu /= mu.sum()
+        mu = np.maximum(mu, _MU_FLOOR)
         mu /= mu.sum()
     iterations = len(history)
     target_met = achieved is not None

@@ -385,6 +385,56 @@ def test_csv_bytes_match_rowwise_writer(tmp_path):
     assert path.read_bytes() == buf.getvalue().encode()
 
 
+def _rowwise_csv(dec, path):
+    """The row-by-row writer decomposition_to_csv must match byte for
+    byte: one join per row over its cells ``j,class``."""
+    n = dec.n
+    cells = np.array([[f"{j},{name}" for name in "NRC"] for j in range(n)],
+                     dtype=object).reshape(n, 3)
+    cols = np.arange(n)
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,class\r\n")
+        for i in range(n):
+            fh.write(f"{i}," + f"\r\n{i},".join(
+                cells[cols, dec.class_of[i]].tolist()) + "\r\n")
+
+
+def _assert_written_like_rowwise(dec, tmp_path):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    decomposition_to_csv(dec, ours)
+    _rowwise_csv(dec, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    return ours.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [dmod.CSV_CHUNK, 1])
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 1000])
+def test_csv_bytes_match_the_row_join_writer(tmp_path, monkeypatch, n, chunk):
+    # every band of rows with one digit count, formatted in one chunk
+    # per band or one row per chunk; n = 0 writes the header alone
+    monkeypatch.setattr(dmod, "CSV_CHUNK", chunk)
+    labels = np.random.default_rng(n).integers(0, 3, (n, n)).astype(np.int8)
+    dec = EdgeDecomposition(n, labels, r=1.0, d=1.0, block_trace=())
+    written = _assert_written_like_rowwise(dec, tmp_path)
+    if n == 0:
+        assert written == b"i,j,class\r\n"
+
+
+def test_csv_bytes_of_a_decomposition_match_the_row_join_writer(tmp_path):
+    # d below the sample's degree 8 makes rows and columns heavy, so
+    # both triangles have R cells and the lower one C cells as well
+    n = 64
+    model = Uniform(n, 8.0 / n)
+    F = ea_factors(model)
+    classes = set()
+    for A, part in zip(triangle_split(sample(model, MASTER)),
+                       ("upper", "lower")):
+        dec = decompose(A, F, r=0.25, d=2.0, gp_iters=60, part=part)
+        classes.update(np.unique(dec.class_of).tolist())
+        _assert_written_like_rowwise(dec, tmp_path)
+    assert classes == {CLASS_N, CLASS_R, CLASS_C}
+
+
 # ---------------------------------------------------------------------------
 # GP results shared between the triangles of one sample
 

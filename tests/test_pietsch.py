@@ -20,7 +20,7 @@ from graphconc import (
 )
 from graphconc import pietsch
 from graphconc.cli import run_command
-from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _top_pair
+from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _oracle
 
 from conftest import MASTER, assert_close
 
@@ -133,7 +133,8 @@ def test_gp_submatrix_input_checks():
 
 
 def oracle_inputs(shape, dead, seed):
-    """A block with one all-zero column, its Gram, scale and a start vector."""
+    """A block with one all-zero column, its Gram, the oracle of its
+    descent, weights, their scale and a start vector."""
     rng = np.random.default_rng(seed)
     B = rng.standard_normal(shape)
     B[:, dead] = 0.0
@@ -144,14 +145,16 @@ def oracle_inputs(shape, dead, seed):
     v0 = rng.standard_normal(m) * col_live
     G = B.T @ B
     lam_max = np.linalg.eigvalsh(s[:, None] * G * s)[-1]
-    return B, G if m <= 2 * k else None, s, v0 / np.linalg.norm(v0), lam_max
+    G = G if m <= 2 * k else None
+    return (B, G, _oracle(B, G, col_live), mu, s, v0 / np.linalg.norm(v0),
+            lam_max)
 
 
 @pytest.mark.parametrize("shape", [(40, 8), (8, 40)])
 def test_top_pair_exact_route(shape):
     # tall blocks solve s G s (m x m), wide ones (B s)(B s)^T (k x k)
-    B, G, s, v0, lam_max = oracle_inputs(shape, dead=3, seed=31)
-    lam, v = _top_pair(B, G, s, v0)
+    B, G, top_pair, mu, s, v0, lam_max = oracle_inputs(shape, dead=3, seed=31)
+    lam, v = top_pair(mu, v0)
     assert lam == pytest.approx(lam_max, rel=1e-12)
     assert v[3] == 0.0
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -162,15 +165,15 @@ def test_top_pair_exact_route(shape):
 @pytest.mark.parametrize("shape", [(64, 64), (40, 100)])
 def test_top_pair_power_route(shape):
     # G products on the square block, B and B^T ones when m > 2k
-    B, G, s, v0, lam_max = oracle_inputs(shape, dead=5, seed=32)
+    B, G, top_pair, mu, s, v0, lam_max = oracle_inputs(shape, dead=5, seed=32)
     assert (G is None) == (shape[1] > 2 * shape[0])
-    lam, v = _top_pair(B, G, s, v0)
+    lam, v = top_pair(mu, v0)
     assert 0.0 < lam <= lam_max * (1 + 1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert v[5] == 0.0
     # started from the top eigenvector it stops at lambda_max
     top = np.linalg.eigh(s[:, None] * (B.T @ B) * s)[1][:, -1]
-    lam, v = _top_pair(B, G, s, top)
+    lam, v = top_pair(mu, top)
     assert lam == pytest.approx(lam_max, rel=1e-9)
     assert abs(v @ top) == pytest.approx(1.0, abs=1e-9)
 
@@ -323,7 +326,7 @@ def test_gp_submatrix_forwards_the_stop():
 
 
 def eigh_exact_route(B, G, s):
-    """The exact route of _top_pair as written on np.linalg.eigh: the
+    """The exact route of _oracle as written on np.linalg.eigh: the
     reference the direct dsyevd call must match bit for bit."""
     k, m = B.shape
     if k <= m:
@@ -345,9 +348,10 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
             if (k + m) % 3 == 0:
                 B[:, rng.integers(m)] = 0.0
                 col_live = (B * B).sum(axis=0) > 0.0
-            s = _col_scale(rng.dirichlet(np.ones(m)), col_live)
+            mu = rng.dirichlet(np.ones(m))
+            s = _col_scale(mu, col_live)
             G = B.T @ B if m <= 2 * k else None
-            lam, v = _top_pair(B, G, s, None)
+            lam, v = _oracle(B, G, col_live)(mu, None)
             ref_lam, ref_v = eigh_exact_route(B, G, s)
             assert lam == ref_lam, (k, m)
             assert np.array_equal(v, ref_v), (k, m)
@@ -357,17 +361,24 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
 def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
     # the default descents of gp-check's shapes, the exact route on
     # every step, against the same descent on the eigh reference; each
-    # runs past the stall test's first window (500, 187 and 226 steps)
-    B = np.random.default_rng(39).standard_normal(shape)
-    B[:, 3] = 0.0
-    new = gp_weights(B)
-    monkeypatch.setattr(pietsch, "_top_pair",
-                        lambda B, G, s, v0: eigh_exact_route(B, G, s))
-    ref = gp_weights(B)
-    assert new.iterations == ref.iterations > pietsch._CONVERGED_WINDOW
-    assert np.array_equal(new.mu, ref.mu)
-    assert new.history == ref.history
-    assert new.achieved_norm == ref.achieved_norm
+    # runs past the stall test's first window.  With column 3 dead and
+    # with every column live, where the descent scales by 1/sqrt(mu)
+    # itself and the reference still by _col_scale
+    def eigh_oracle(B, G, col_live):
+        return lambda mu, v0: eigh_exact_route(B, G, _col_scale(mu, col_live))
+
+    for dead in (3, None):
+        B = np.random.default_rng(39).standard_normal(shape)
+        if dead is not None:
+            B[:, dead] = 0.0
+        new = gp_weights(B)
+        with monkeypatch.context() as patch:
+            patch.setattr(pietsch, "_oracle", eigh_oracle)
+            ref = gp_weights(B)
+        assert new.iterations == ref.iterations > pietsch._CONVERGED_WINDOW
+        assert np.array_equal(new.mu, ref.mu)
+        assert new.history == ref.history
+        assert new.achieved_norm == ref.achieved_norm
 
 
 @pytest.mark.parametrize("shape,dead", [

@@ -167,6 +167,31 @@ def test_spectral_norm_golub_kahan_rectangular(shape):
     assert est.steps > 0 and 0.0 < est.eps < 1.0
 
 
+@pytest.mark.parametrize("product", [lambda x: x, lambda x: x[:],
+                                     lambda x: x[::-1]],
+                         ids=["input", "view", "reversed-view"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_recurrences_copy_a_product_that_is_their_vector(product, symmetric):
+    # the closure hands back its input or a view of it (an orthogonal op,
+    # norm 1): Lanczos and Golub-Kahan update each product in place, so
+    # they must copy it first and write into no vector they passed
+    passed = []
+
+    def closure(x):
+        passed.append((x, x.copy()))
+        return product(x)
+
+    n = 2 * DENSE_SOLVE_LIMIT
+    op = LinearOp(n, n, closure, closure, symmetric=symmetric)
+    v0 = np.random.default_rng(25).standard_normal(n)
+    v0 /= np.linalg.norm(v0)
+    solve = (graphconc.spectral._lanczos if symmetric
+             else graphconc.spectral._golub_kahan)
+    est = solve(op, v0)
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert passed and all(np.array_equal(x, x0) for x, x0 in passed)
+
+
 # ---------------------------------------------------------------------------
 # top_k_eigs
 

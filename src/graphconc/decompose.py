@@ -216,10 +216,10 @@ def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
 
 
 def _gp_trace(cert):
-    return {"achieved": cert.achieved_norm, "submatrix": cert.submatrix_norm,
-            "selected": cert.n_selected, "iterations": cert.iterations,
-            "converged": cert.converged, "target": cert.target,
-            "target_met": cert.target_met}
+    return {"achieved": cert.achieved_norm, "achieved_eps": cert.achieved_eps,
+            "submatrix": cert.submatrix_norm, "selected": cert.n_selected,
+            "iterations": cert.iterations, "converged": cert.converged,
+            "target": cert.target, "target_met": cert.target_met}
 
 
 def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,

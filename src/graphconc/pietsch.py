@@ -37,8 +37,9 @@ because the lower bound is at most ||B||_{inf->2}.  f is the value
 true f(mu) from above.  ``_certified_f`` is one ``spectral_norm`` call:
 exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise a
 Golub-Kahan value, which is a lower bound on f(mu).  Its
-Kuczynski-Wozniakowski eps bounds f(mu) from above with probability
-1 - 1e-3 (``spectral``).
+Kuczynski-Wozniakowski eps, kept as ``achieved_eps`` (0 when exact),
+bounds f(mu) <= achieved_norm / (1 - eps) with probability 1 - 1e-3
+(``spectral``).
 
 Every descent also ends at its stall test: the first step at which the
 best f(mu) improved by at most a relative _CONVERGED_TOL = 1e-4 over
@@ -51,8 +52,9 @@ min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
 Gram.  Otherwise (``_power_pair``) it runs a warm-started power
 iteration, capped at 80 steps and stopped at a relative change of 1e-9,
-multiplying by G = B^T B (formed once per gp_weights call) when m <= 2k,
-by B and B^T on wider blocks.  ``gp_submatrix`` takes ||B_J||
+one product by G = B^T B per step.  ``gp_weights`` forms G once per
+call and hands it to the greedy lower bound and the oracle alike: f(mu)
+depends on B through G alone.  ``gp_submatrix`` takes ||B_J||
 from dsyevr, with only the top eigenvalue of the Gram on B_J's smaller
 side computed.  The README's Grothendieck-Pietsch section gives the
 timings behind these choices.
@@ -97,6 +99,7 @@ class PietschWeights:
     target: float | None = None    # stop_ratio * lower bound, if asked
     target_met: bool = False       # stopped on a measured f <= target
     lower_bound: float | None = None  # on ||B||_{inf->2}, asserted against
+    achieved_eps: float = 0.0  # KW eps of achieved_norm; 0 when exact
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -120,6 +123,7 @@ class GPCertificate:
     submatrix_norm: float      # ||B_J||, LAPACK on B_J's smaller Gram
     norm_lhs: float            # ||B_J|| sqrt(delta m)
     achieved_norm: float       # f(mu) as measured, the right-hand side
+    achieved_eps: float        # PietschWeights.achieved_eps
     ok: bool
     iterations: int            # mirror-descent steps behind the weights
     converged: bool            # PietschWeights.converged
@@ -133,20 +137,20 @@ def _col_scale(mu, col_live):
 
 
 def _certified_f(B, mu, col_live, rng=None):
-    """f(mu) = ||B D_mu^{-1/2}||, as spectral_norm measures it.
+    """spectral_norm's NormEstimate of f(mu) = ||B D_mu^{-1/2}||.
 
     One spectral_norm call on the op B s, ``s`` the diagonal of
     D_mu^{-1/2} (zero on dead columns): exact by LAPACK when min(k, m)
     <= DENSE_SOLVE_LIMIT, otherwise the Golub-Kahan value, a lower
     bound on f(mu), taken once it moves by at most 1e-9 (relative) over
-    10 steps.  That is all the proof chain needs (module docstring).
-    Without ``rng`` the start vector comes from spectral_norm's own
-    stream.
+    10 steps.  That is all the proof chain needs (module docstring);
+    the estimate's eps, kept as ``achieved_eps``, is the probabilistic
+    upper side.  Without ``rng`` the start vector comes from
+    spectral_norm's own stream.
     """
     s = _col_scale(mu, col_live)
-    k, m = B.shape
-    op = LinearOp(k, m, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
-    return spectral_norm(op, rng=rng).value
+    op = LinearOp(*B.shape, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
+    return spectral_norm(op, rng=rng)
 
 
 def _top_singular_value(A):
@@ -174,9 +178,9 @@ def _oracle(B, G, col_live):
     top eigenpair (lambda, v) of M = D_mu^{-1/2} B^T B D_mu^{-1/2}.
 
     The route is chosen here, once per descent, from B's shape and its
-    dead (all-zero) columns; ``G`` is B^T B, or None when m > 2k, and
-    ``v0`` the previous step's vector.  D_mu^{-1/2} is 1/sqrt(mu) when
-    every column is live, ``_col_scale`` otherwise.
+    dead (all-zero) columns; ``G`` is B^T B and ``v0`` the previous
+    step's vector.  D_mu^{-1/2} is 1/sqrt(mu) when every column is
+    live, ``_col_scale`` otherwise.
 
     * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
       driver np.linalg.eigh wraps, on the smaller side of the scaled
@@ -195,7 +199,7 @@ def _oracle(B, G, col_live):
         def scale(mu):
             return _col_scale(mu, col_live)
     if min(k, m) > DENSE_SOLVE_LIMIT:
-        return lambda mu, v0: _power_pair(B, G, scale(mu), v0)
+        return lambda mu, v0: _power_pair(G, scale(mu), v0)
     dsyevd = _scipy.lapack().dsyevd
 
     def eigh(M):
@@ -225,30 +229,22 @@ def _oracle(B, G, col_live):
     return top_pair
 
 
-def _power_pair(B, G, s, v0, iters=80, tol=1e-9):
-    """The power route of ``_oracle``: the top eigenpair of M = s B^T B s.
+def _power_pair(G, s, v0, iters=80, tol=1e-9):
+    """The power route of ``_oracle``: the top eigenpair of M = s G s.
 
     Up to ``iters`` steps from ``v0``, stopped at a relative change of
-    ``tol``, each one G product (no dearer than the two k x m products
-    when m <= 2k) or, when G is None, one product by B and one by B^T.
-    The buffers are allocated once per call.  lambda = ||M v|| for the
-    last unit v is a lower bound on lambda_max; mirror descent only
-    needs an inexact subgradient, and f is measured again by
-    ``_certified_f`` where it counts.
+    ``tol``, each one product by G = B^T B.  The buffers are allocated
+    once per call.  lambda = ||M v|| for the last unit v is a lower
+    bound on lambda_max; mirror descent only needs an inexact
+    subgradient, and f is measured again by ``_certified_f`` where it
+    counts.
     """
-    k, m = B.shape
     v = v0.copy()
-    z = np.empty(m)
-    w = np.empty(m)
-    y = None if G is not None else np.empty(k)
+    z, w = np.empty(v.size), np.empty(v.size)
     lam = 0.0
     for _ in range(iters):
         np.multiply(s, v, out=w)
-        if G is not None:
-            np.dot(G, w, out=z)
-        else:
-            np.dot(B, w, out=y)
-            np.dot(B.T, y, out=z)
+        np.dot(G, w, out=z)
         z *= s
         nz = sqrt(z @ z)
         if nz == 0.0:
@@ -276,12 +272,13 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
     oracle's estimate gives a new best f <= target, f(mu_best) is
     measured by ``_certified_f`` on spectral_norm's own stream, and the
     descent stops if that value is <= target.  ``target_met`` records
-    that stop: ``achieved_norm`` is then that value, and with
-    gp_submatrix's check it closes the chain in the module docstring.
-    It does not claim that the true f(mu) is <= target.  Otherwise the
-    descent runs to its stall test or to ``max_iter``, ends by measuring
-    the best and the final iterate on the descent's stream, and returns
-    what a call without ``stop_ratio`` returns, bit for bit.
+    that stop: ``achieved_norm`` is then that value (``achieved_eps``
+    its eps), and with gp_submatrix's check it closes the chain in the
+    module docstring.  It does not claim that the true f(mu) is <=
+    target.  Otherwise the descent runs to its stall test or to
+    ``max_iter``, ends by measuring the best and the final iterate on
+    the descent's stream, and returns what a call without
+    ``stop_ratio`` returns, bit for bit.
 
     The stall test ends the descent at the first step t > _CONVERGED_WINDOW
     at which the running best improved by at most a relative
@@ -309,7 +306,7 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
         target = None if stop_ratio is None else 0.0
         return PietschWeights(mu, 0.0, True, 0, (0.0,), target,
                               target is not None, 0.0)
-    G = B.T @ B if m <= 2 * k else None
+    G = B.T @ B
     mu = np.full(m, 1.0 / m)
     v = rng.standard_normal(m)
     v[~col_live] = 0.0
@@ -335,7 +332,7 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
                 # spectral_norm's own stream: a failed check leaves rng,
                 # and so the rest of the descent, untouched
                 measured = _certified_f(B, best_mu, col_live)
-                if measured <= target:
+                if measured.value <= target:
                     achieved = measured
         history.append(best_f)
         converged = bool(t > _CONVERGED_WINDOW and
@@ -357,13 +354,14 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
         # measure both candidates on the descent's stream
         achieved = _certified_f(B, best_mu, col_live, rng)
         final = _certified_f(B, mu, col_live, rng)
-        if final < achieved:
+        if final.value < achieved.value:
             achieved, best_mu = final, mu.copy()
-    if achieved < lower * (1.0 - 1e-8) - 1e-12:
-        raise VerificationError(
-            f"left factorization inequality violated: {achieved} < {lower}")
-    return PietschWeights(best_mu, float(achieved), converged, iterations,
-                          tuple(history), target, target_met, float(lower))
+    if achieved.value < lower * (1.0 - 1e-8) - 1e-12:
+        raise VerificationError(f"left factorization inequality violated: "
+                                f"{achieved.value} < {lower}")
+    return PietschWeights(best_mu, float(achieved.value), converged,
+                          iterations, tuple(history), target, target_met,
+                          float(lower), float(achieved.eps))
 
 
 def gp_submatrix(B, delta, weights=None, **gp_kwargs):
@@ -392,7 +390,8 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
     cert = GPCertificate(m=m, delta=delta, threshold=threshold,
                          n_selected=int(J.size), size_bound=(1.0 - delta) * m,
                          submatrix_norm=sub_norm, norm_lhs=float(lhs),
-                         achieved_norm=w.achieved_norm, ok=bool(ok),
+                         achieved_norm=w.achieved_norm,
+                         achieved_eps=w.achieved_eps, ok=bool(ok),
                          iterations=w.iterations, converged=w.converged,
                          target=w.target, target_met=w.target_met)
     if not ok:

@@ -146,9 +146,11 @@ def _own(w, *ours):
     The recurrences below update each product in place, through one
     scratch vector per side: at n = 10^6 a fresh temporary costs more
     than the pass that fills it.  They use numpy's kernels only; scipy's
-    BLAS (daxpy) runs a second OpenBLAS thread pool, and on two cores
-    the pools fought: 2.4 s against 0.09 s for a Lanczos solve at
-    n = 32000.
+    BLAS (daxpy) runs on scipy's own OpenBLAS, and with both pools at
+    their default thread count they fought on two cores: 2.4 s against
+    0.09 s for a Lanczos solve at n = 32000.  ``_scipy`` sets scipy's
+    pool to one thread unless the environment sets a count, so that
+    scipy's LAPACK and ARPACK calls do not fight numpy's pool.
     """
     if w.base is None and all(x.base is None and x is not w for x in ours):
         return w

@@ -597,6 +597,55 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert done.stdout.strip().endswith("ok")
 
 
+def scipy_openblas():
+    """The OpenBLAS scipy bundles in scipy.libs, or None."""
+    import ctypes
+    import glob
+
+    import scipy
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                        "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            if hasattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads"):
+                return path
+        except OSError:
+            pass
+    return None
+
+
+def test_scipy_blas_pool_runs_one_thread():
+    # the first load of scipy's LAPACK sets scipy's own OpenBLAS pool to
+    # one thread, unless the environment sets a thread count
+    path = scipy_openblas()
+    if path is None:
+        pytest.skip("scipy bundles no OpenBLAS with a thread setter")
+    code = textwrap.dedent(f"""
+        import ctypes
+        from graphconc import _scipy
+
+        lib = ctypes.CDLL({path!r})
+        before = lib.scipy_openblas_get_num_threads()
+        _scipy.lapack()
+        print(before, lib.scipy_openblas_get_num_threads())
+    """)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(graphconc.__file__))
+
+    def threads(**extra):
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(env, **extra), capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return [int(x) for x in done.stdout.split()]
+
+    assert threads()[1] == 1
+    before, after = threads(OPENBLAS_NUM_THREADS="2")
+    assert after == before
+    assert before == 2 or len(os.sched_getaffinity(0)) < 2
+
+
 def test_main_smoke(tmp_path, capsys):
     out = tmp_path / "cli"
     rc = main(["sample", "--seed", str(MASTER), "--out", str(out)])

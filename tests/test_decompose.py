@@ -356,6 +356,7 @@ def test_csv_and_trace_roundtrip(tmp_path):
         for side in ("gp_cols", "gp_rows"):
             assert rnd[side]["iterations"] >= 1
             assert isinstance(rnd[side]["converged"], bool)
+            assert 0.0 <= rnd[side]["achieved_eps"] < 1.0
             # decompose asks GP to stop at sqrt(pi/2) times its lower bound
             assert rnd[side]["target"] >= 0.0
             assert isinstance(rnd[side]["target_met"], bool)

@@ -21,6 +21,7 @@ from graphconc import (
 from graphconc import pietsch
 from graphconc.cli import run_command
 from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _oracle
+from graphconc.spectral import NormEstimate
 
 from conftest import MASTER, assert_close
 
@@ -138,14 +139,13 @@ def oracle_inputs(shape, dead, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal(shape)
     B[:, dead] = 0.0
-    k, m = shape
+    m = shape[1]
     col_live = np.arange(m) != dead
     mu = rng.dirichlet(np.ones(m))
     s = _col_scale(mu, col_live)
     v0 = rng.standard_normal(m) * col_live
     G = B.T @ B
     lam_max = np.linalg.eigvalsh(s[:, None] * G * s)[-1]
-    G = G if m <= 2 * k else None
     return (B, G, _oracle(B, G, col_live), mu, s, v0 / np.linalg.norm(v0),
             lam_max)
 
@@ -164,9 +164,10 @@ def test_top_pair_exact_route(shape):
 
 @pytest.mark.parametrize("shape", [(64, 64), (40, 100)])
 def test_top_pair_power_route(shape):
-    # G products on the square block, B and B^T ones when m > 2k
+    # one G product per step, on the square and the wide block alike
     B, G, top_pair, mu, s, v0, lam_max = oracle_inputs(shape, dead=5, seed=32)
-    assert (G is None) == (shape[1] > 2 * shape[0])
+    blind = _oracle(np.full(shape, np.nan), G, s > 0.0)  # B is not read
+    assert np.array_equal(blind(mu, v0)[1], top_pair(mu, v0)[1])
     lam, v = top_pair(mu, v0)
     assert 0.0 < lam <= lam_max * (1 + 1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -207,13 +208,35 @@ def test_gp_results_ignore_memory_layout(block):
 
 @pytest.mark.parametrize("shape", [(3, 60), (40, 100)])
 def test_gp_weights_on_wide_blocks(shape):
-    # m > 2k: no Gram; exact route on the 3 x 60 block, two products per
-    # power step on the 40 x 100 one
+    # m > 2k: exact route on the 3 x 60 block, one G product per power
+    # step on the 40 x 100 one
     B = np.random.default_rng(33).standard_normal(shape)
     w = gp_weights(B, max_iter=100)
     lower = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(34))
     assert w.achieved_norm >= lower * (1 - 1e-8)
     assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
+    # a wide block too: gp_weights forms G = B^T B once and hands that
+    # one matrix to the greedy lower bound and to the oracle
+    B = np.random.default_rng(33).standard_normal((40, 100))
+    grams = []
+    real_lower, real_oracle = pietsch.inf_to_2_norm_lower, pietsch._oracle
+
+    def lower(B, gram=None, **kw):
+        grams.append(gram)
+        return real_lower(B, gram=gram, **kw)
+
+    def oracle(B, G, col_live):
+        grams.append(G)
+        return real_oracle(B, G, col_live)
+
+    monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", lower)
+    monkeypatch.setattr(pietsch, "_oracle", oracle)
+    gp_weights(B, max_iter=5)
+    assert len(grams) == 2 and grams[0] is not None and grams[1] is grams[0]
+    assert np.array_equal(grams[0], B.T @ B)
 
 
 def test_converged_needs_a_full_window():
@@ -237,8 +260,8 @@ def stall_test(history, t):
 
 @pytest.mark.parametrize("shape", [(8, 12), (100, 90), (80, 200)])
 def test_the_stall_stop_is_a_truncation(shape):
-    # the exact route, the power route on G and the power route on B
-    # and B^T: the descent ends at the first step that passes the window
+    # the exact route and the power route on G, on a tall and on a wide
+    # block: the descent ends at the first step that passes the window
     # test, and ending it there by the cap gives the same result
     B = np.random.default_rng(42).uniform(-1.0, 1.0, shape)
     w = gp_weights(B)
@@ -303,7 +326,7 @@ def test_failed_certifications_leave_the_descent_alone(monkeypatch):
     def failing_check(B, mu, col_live, rng=None):
         if rng is None:
             calls.append(1)
-            return np.inf
+            return NormEstimate(np.inf, 0, 0.0)
         return real(B, mu, col_live, rng)
 
     monkeypatch.setattr(pietsch, "_certified_f", failing_check)
@@ -312,6 +335,24 @@ def test_failed_certifications_leave_the_descent_alone(monkeypatch):
     assert np.array_equal(w.mu, ref.mu)
     assert w.achieved_norm == ref.achieved_norm
     assert w.history == ref.history
+
+
+@pytest.mark.parametrize("stop_ratio", [None, LITTLE_GROTHENDIECK])
+def test_achieved_eps_bounds_f_from_above(stop_ratio):
+    # Golub-Kahan on the 250 x 256 block: the closing measurement (or
+    # the one that met the target) keeps its Kuczynski-Wozniakowski eps,
+    # and value / (1 - eps) is at least the dense f(mu)
+    B = centred_block()
+    w = gp_weights(B, max_iter=120, stop_ratio=stop_ratio)
+    assert w.target_met == (stop_ratio is not None)
+    assert 0.0 < w.achieved_eps < 1.0
+    f = np.linalg.norm(B / np.sqrt(w.mu), 2)
+    assert w.achieved_norm / (1.0 - w.achieved_eps) >= f
+    _, cert = gp_submatrix(B, 0.25, weights=w)
+    assert cert.achieved_eps == w.achieved_eps
+    # the exact route measures f(mu) by LAPACK: no eps
+    small = np.random.default_rng(36).standard_normal((8, 12))
+    assert gp_weights(small).achieved_eps == 0.0
 
 
 def test_gp_submatrix_forwards_the_stop():
@@ -350,7 +391,7 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
                 col_live = (B * B).sum(axis=0) > 0.0
             mu = rng.dirichlet(np.ones(m))
             s = _col_scale(mu, col_live)
-            G = B.T @ B if m <= 2 * k else None
+            G = B.T @ B
             lam, v = _oracle(B, G, col_live)(mu, None)
             ref_lam, ref_v = eigh_exact_route(B, G, s)
             assert lam == ref_lam, (k, m)
@@ -430,7 +471,7 @@ def test_gram_certification_matches_svds(shape):
     # min(k, m) > DENSE_SOLVE_LIMIT: Golub-Kahan on B D^{-1/2} (no Gram
     # is formed), against scipy's svds on the same matrix and dense LAPACK
     B, mu, col_live = scaled_block(shape, 42)
-    got = pietsch._certified_f(B, mu, col_live)
+    got = pietsch._certified_f(B, mu, col_live).value
     C = B * _col_scale(mu, col_live)
     v0 = np.random.default_rng(0).standard_normal(min(shape))
     ref = svds(C, k=1, tol=1e-12, v0=v0, return_singular_vectors=False)[0]

@@ -5,17 +5,20 @@
 
 Commands: sample | spectrum | concentration | laplacian | sbm |
 decompose | gp-check.  Each run reads one JSON config of experiment
-parameters (solver settings are module constants; an unknown key is an
-error), writes config.json / report.json / CSV artifacts into its own
-output directory, and is reproducible byte-for-byte from config +
-master seed (wall clock aside).  seed/trials/threads/out may also be
+parameters (solver settings are module constants; an unknown key, or a
+value not of its field's type, is an error), writes config.json /
+report.json / CSV artifacts into its own output directory, and is
+reproducible byte-for-byte from config + master seed (wall clock
+aside).  seed/trials/threads/out may also be
 config keys; flags win, and a config value gets its flag's check.
 --trials N runs trials 0..N-1 (gp-check: N random matrices), each on
 its own RNG stream, so --threads changes the schedule, never the
 numbers.  Trial t draws stream t, except in concentration and
 laplacian, where trial t of grid cell c draws stream c*N + t, and in
 spectrum on a saved graph, which draws none; report.json's
-seeds.streams lists the streams drawn.
+seeds.streams lists the streams drawn.  A command returns its trial
+records, summary and flags; ``run_command`` builds the one
+ExperimentReport from them.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError)
 from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
-                     load_graph, model_from_dict, sample, sample_directed,
-                     save_graph)
+                     is_number, load_graph, model_from_dict, sample,
+                     sample_directed, save_graph)
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
 from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
@@ -80,31 +83,38 @@ def _norm_or_best(op):
 # configs
 
 
+# What each config annotation admits.  A value is checked, never
+# converted, so config.json and config_hash record the config as given.
+_TYPES = {
+    "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "float": ("a number", is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check(value, annotation, what):
+    """``value``, if it is of the config type ``annotation`` ("float",
+    "dict | None", ...); a ValueError naming ``what`` otherwise."""
+    kind, _, nullable = annotation.partition(" | ")
+    desc, admits = _TYPES[kind]
+    if not (admits(value) or (nullable and value is None)):
+        raise ValueError(f"{what} must be {desc}"
+                         f"{' or null' if nullable else ''}, not {value!r}")
+    return value
+
+
 def _config_from_dict(cls, raw):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - known)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown config keys for {cls.__name__}: {unknown}; "
-                         f"expected a subset of {sorted(known)}")
+                         f"expected a subset of {sorted(types)}")
+    for key, value in raw.items():
+        _check(value, types[key], key)
     return cls(**raw)
-
-
-def _count(value, what):
-    """``value`` as an int >= 1: ValueError for 0, 64.5, "64" and the
-    like."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value or n < 1:
-        raise ValueError(f"{what} must be a positive integer, not {value!r}")
-    return n
-
-
-def _list(value, what):
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, not {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -159,8 +169,8 @@ class DecomposeConfig:
 
 @dataclass(frozen=True)
 class GpCheckConfig:
-    rows: int = 8
-    cols: int = 12
+    rows: int = 8                   # >= 1: a 0 x m matrix would pass
+    cols: int = 12                  # every certificate vacuously
     deltas: list = field(default_factory=lambda: [0.25, 0.5])
     ratio_limit: float = 1.379      # sqrt(pi/2) * 1.10 solver slack
 
@@ -183,10 +193,8 @@ def cmd_sample(cfg, ctx):
                 "average_degree": float(average_degree(g))}
 
     trials = run_trials(one, ctx.trials, ctx.threads)
-    return ExperimentReport(
-        command="sample", parameters={}, seeds={}, trials=trials,
-        summary={"nnz": summarize([t["nnz"] for t in trials])},
-        flags={"wrote_files": True})
+    return (trials, {"nnz": summarize([t["nnz"] for t in trials])},
+            {"wrote_files": True})
 
 
 def cmd_spectrum(cfg, ctx):
@@ -217,92 +225,92 @@ def cmd_spectrum(cfg, ctx):
                 "tail_after": int((np.abs(after) > thr).sum())}
 
     trials = run_trials(one, ctx.trials, ctx.threads)
-    shrank = all(t["max_abs_after"] < t["max_abs_before"] for t in trials)
-    tails = all(t["tail_after"] < t["tail_before"] for t in trials)
-    # a saved graph is read, not drawn: no stream is drawn
-    seeds = {"streams": []} if fixed is not None else {}
-    return ExperimentReport(
-        command="spectrum", parameters={}, seeds=seeds, trials=trials,
-        summary={"max_abs_before": summarize([t["max_abs_before"] for t in trials]),
-                 "max_abs_after": summarize([t["max_abs_after"] for t in trials]),
-                 "tail_before": summarize([t["tail_before"] for t in trials]),
-                 "tail_after": summarize([t["tail_after"] for t in trials])},
-        flags={"max_abs_shrank_every_trial": shrank,
-               "tail_decreased_every_trial": tails})
+    summary = {key: summarize([t[key] for t in trials])
+               for key in ("max_abs_before", "max_abs_after", "tail_before",
+                           "tail_after")}
+    flags = {"max_abs_shrank_every_trial":
+                 all(t["max_abs_after"] < t["max_abs_before"] for t in trials),
+             "tail_decreased_every_trial":
+                 all(t["tail_after"] < t["tail_before"] for t in trials)}
+    if fixed is not None:  # a saved graph is read, not drawn
+        return trials, summary, flags, []
+    return trials, summary, flags
+
+
+def _grid(ctx, cells, deviation, record, value, csv_name, header):
+    """(trials, summary, flags) of one deviation norm over a grid.
+
+    A cell is (summary key, n, d, x).  Trial t of cell c draws stream
+    c*N + t (N = ctx.trials) from Uniform(n, d/n) and is recorded as
+    ``record(c, t, n, x, _norm_or_best(deviation(g, model, x)))``.
+    ``csv_name`` gets one row [n, x, median, q1, q3] of the records'
+    ``value`` per cell.
+    """
+    N = ctx.trials
+
+    def one(flat):
+        ci, t = divmod(flat, N)
+        _, n, d, x = cells[ci]
+        model = Uniform(n, d / n)
+        g = sample(model, ctx.seed, flat)
+        return record(ci, t, n, x, _norm_or_best(deviation(g, model, x)))
+
+    trials = run_trials(one, len(cells) * N, ctx.threads)
+    summary, rows = {}, []
+    for ci, (key, n, _, x) in enumerate(cells):
+        s = summary[key] = summarize(
+            [r[value] for r in trials[ci * N:(ci + 1) * N]])
+        rows.append([n, x, s.get("median"), s.get("q1"), s.get("q3")])
+    write_csv(_path(ctx, csv_name), header, rows)
+    return trials, summary, {"all_converged": all(t["converged"]
+                                                  for t in trials)}
 
 
 def cmd_concentration(cfg, ctx):
     cells = []
-    for c in _list(cfg.cells, "cells"):
+    for c in cfg.cells:
         if not isinstance(c, dict) or not {"n", "d"} <= set(c):
             raise ValueError(f"a cell is an object with n and d, not {c!r}")
-        cells.append((_count(c["n"], "a cell's n"), float(c["d"])))
+        n = _check(c["n"], "int", "a cell's n")
+        d = float(_check(c["d"], "float", "a cell's d"))
+        cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
 
-    def one(flat):
-        ci, t = divmod(flat, ctx.trials)
-        n, d = cells[ci]
-        model = Uniform(n, d / n)
-        g = sample(model, ctx.seed, flat)
+    def deviation(g, model, d):
         cap = cfg.cap_mult * d
         g2 = apply_scheme(g, cfg.scheme, cap=cap if cap > 0 else None,
                           tau=cap if cfg.scheme == "tau" else None)
-        dev = compose_difference(adjacency_shifted_op(g2),
-                                 expected_adjacency(model))
-        rec = _norm_or_best(dev)
+        return compose_difference(adjacency_shifted_op(g2),
+                                  expected_adjacency(model))
+
+    def record(ci, t, n, d, rec):
         ratio = rec["norm"] / np.sqrt(d) if d > 0 else 0.0
         return {"cell": ci, "n": n, "d": d, "trial": t, **rec,
                 "ratio": float(ratio)}
 
-    trials = run_trials(one, len(cells) * ctx.trials, ctx.threads)
-    summary, rows = {}, []
-    for ci, (n, d) in enumerate(cells):
-        s = summarize([t["ratio"] for t in trials if t["cell"] == ci])
-        summary[f"cell_{ci}_n{n}_d{g_fmt(d)}"] = s
-        rows.append([n, d, s.get("median"), s.get("q1"), s.get("q3")])
-    write_csv(_path(ctx, "cells.csv"),
-              ["n", "d", "median_ratio", "q1", "q3"], rows)
-    return ExperimentReport(
-        command="concentration", parameters={}, seeds={}, trials=trials,
-        summary=summary,
-        flags={"all_converged": all(t["converged"] for t in trials)})
-
-
-def g_fmt(x):
-    return f"{x:g}"
+    return _grid(ctx, cells, deviation, record, "ratio", "cells.csv",
+                 ["n", "d", "median_ratio", "q1", "q3"])
 
 
 def cmd_laplacian(cfg, ctx):
-    taus = [float(t) for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
+    taus = [float(_check(t, "float", "each tau"))
+            for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
     if not all(0 < t < np.inf for t in taus):  # NaN too
         raise ValueError("laplacian experiment needs finite tau > 0")
-    ns = [_count(n, "an ns entry") for n in _list(cfg.ns, "ns")]
-    grid = [(n, tau) for n in ns for tau in taus]
     d = float(cfg.d)
+    cells = [(f"n{n}_tau{tau:g}", n, d, tau)
+             for n in [_check(n, "int", "an ns entry") for n in cfg.ns]
+             for tau in taus]
 
-    def one(flat):
-        gi, t = divmod(flat, ctx.trials)
-        n, tau = grid[gi]
-        model = Uniform(n, d / n)
-        g = sample(model, ctx.seed, flat)
-        dev = compose_difference(laplacian(tau_shift(g, tau)),
-                                 expected_laplacian(model, tau))
-        rec = _norm_or_best(dev)
+    def deviation(g, model, tau):
+        return compose_difference(laplacian(tau_shift(g, tau)),
+                                  expected_laplacian(model, tau))
+
+    def record(ci, t, n, tau, rec):
         return {"n": n, "tau": tau, "trial": t,
                 "value": float(np.sqrt(d) * rec.pop("norm")), **rec}
 
-    trials = run_trials(one, len(grid) * ctx.trials, ctx.threads)
-    summary, rows = {}, []
-    for n, tau in grid:
-        s = summarize([x["value"] for x in trials
-                       if x["n"] == n and x["tau"] == tau])
-        summary[f"n{n}_tau{g_fmt(tau)}"] = s
-        rows.append([n, tau, s.get("median"), s.get("q1"), s.get("q3")])
-    write_csv(_path(ctx, "curve.csv"),
-              ["n", "tau", "median_sqrt_d_deviation", "q1", "q3"], rows)
-    return ExperimentReport(
-        command="laplacian", parameters={}, seeds={}, trials=trials,
-        summary=summary,
-        flags={"all_converged": all(t["converged"] for t in trials)})
+    return _grid(ctx, cells, deviation, record, "value", "curve.csv",
+                 ["n", "tau", "median_sqrt_d_deviation", "q1", "q3"])
 
 
 def cmd_sbm(cfg, ctx):
@@ -311,25 +319,23 @@ def cmd_sbm(cfg, ctx):
     def one(t):
         g, truth = sbm_instance(cfg.n, cfg.a, cfg.b, ctx.seed, stream=t)
         tau = float(cfg.tau) if cfg.tau is not None else average_degree(g)
-        rec = {"trial": t, "tau": tau}
         try:
             chk = davis_kahan_check(g, model, tau)
         except NoConvergence as exc:
             # detect failed: best-effort labels from the converged Ritz
-            # vectors, if any; flagged
+            # vectors, if any, and nothing else measured; flagged
             if exc.best is not None:
                 est = np.where(np.asarray(exc.best[1])[:, 0] >= 0, 1, -1)
             else:
                 est = np.ones(cfg.n, dtype=np.int8)
-            rec.update({"mis": misclassification(est, truth),
-                        "converged": False, "delta": None, "gap_valid": False,
-                        "norm_diff": None, "norm_steps": None,
-                        "norm_eps": None, "distance": None, "bound": None,
-                        "dk_holds": True, "lam2": None, "lam3": None})
-            return rec
+            chk = {"labels": est, "norm_diff": None, "delta": None,
+                   "gap_valid": False, "norm_steps": None, "norm_eps": None,
+                   "distance": None, "bound": np.inf, "holds": True,
+                   "lam_x": (None, None, None)}
         # a norm solve that did not converge keeps the detect results;
         # its bound is unmeasured and dk_holds vacuously True
-        rec.update({
+        return {
+            "trial": t, "tau": tau,
             "mis": misclassification(chk["labels"], truth),
             "converged": chk["norm_diff"] is not None,
             "delta": chk["delta"], "gap_valid": chk["gap_valid"],
@@ -337,29 +343,23 @@ def cmd_sbm(cfg, ctx):
             "norm_eps": chk["norm_eps"], "distance": chk["distance"],
             "bound": chk["bound"] if np.isfinite(chk["bound"]) else None,
             "dk_holds": chk["holds"],
-            "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]})
-        return rec
+            "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]}
 
     trials = run_trials(one, ctx.trials, ctx.threads)
     # the Davis-Kahan flag covers the trials where the bound was measured
     checked = [t for t in trials if t["gap_valid"] and t["converged"]]
-    return ExperimentReport(
-        command="sbm", parameters={}, seeds={}, trials=trials,
-        summary={"mis": summarize([t["mis"] for t in trials]),
-                 "norm_diff": summarize([t["norm_diff"] for t in trials
-                                         if t["norm_diff"] is not None]),
-                 "gap_valid_trials": len(checked)},
-        flags={"all_converged": all(t["converged"] for t in trials),
-               "dk_holds_every_gap_valid_trial":
-                   all(t["dk_holds"] for t in checked)})
+    return (trials, {"mis": summarize([t["mis"] for t in trials]),
+                     "norm_diff": summarize([t["norm_diff"] for t in trials
+                                             if t["norm_diff"] is not None]),
+                     "gap_valid_trials": len(checked)},
+            {"all_converged": all(t["converged"] for t in trials),
+             "dk_holds_every_gap_valid_trial":
+                 all(t["dk_holds"] for t in checked)})
 
 
 def cmd_decompose(cfg, ctx):
-    if cfg.model is not None:
-        model = model_from_dict(cfg.model)
-    else:
-        n = _count(cfg.n, "n")
-        model = Uniform(n, cfg.d / n)
+    model = (model_from_dict(cfg.model) if cfg.model is not None
+             else Uniform(cfg.n, cfg.d / cfg.n))
     if model.n > DENSE_LIMIT:  # before any n x n array is built
         raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
     # each part reads its blocks of EA from the model's factors; a model
@@ -418,24 +418,19 @@ def cmd_decompose(cfg, ctx):
                     and t.get(f"{nm}_c_footprint_ok", False)
                     for t in trials for nm in names)
     errors = [t[k] for t in trials for k in t if k.endswith("_error")]
-    return ExperimentReport(
-        command="decompose", parameters={}, seeds={}, trials=trials,
-        summary={"norm_ratio": summarize(ratios), "errors": errors},
-        flags={"structural_all": structural, "footprint_all": footprint,
-               "max_norm_ratio": float(max(ratios)) if ratios else 0.0})
+    return (trials, {"norm_ratio": summarize(ratios), "errors": errors},
+            {"structural_all": structural, "footprint_all": footprint,
+             "max_norm_ratio": float(max(ratios)) if ratios else 0.0})
 
 
 def cmd_gp_check(cfg, ctx):
     if not 0 < cfg.ratio_limit < np.inf:  # NaN too
         raise ValueError("ratio_limit must be finite and positive")
-    # a 0 x m matrix would pass every certificate vacuously
-    rows, cols = _count(cfg.rows, "rows"), _count(cfg.cols, "cols")
     deltas = {}  # column suffix -> delta
-    for delta in _list(cfg.deltas, "deltas"):
-        if not isinstance(delta, (int, float)) or not 0 < delta < 1:
-            raise ValueError(f"each delta must be a number in (0, 1), "
-                             f"not {delta!r}")
-        key = g_fmt(delta).replace(".", "p")
+    for delta in cfg.deltas:
+        if not 0 < _check(delta, "float", "each delta") < 1:
+            raise ValueError(f"each delta must lie in (0, 1), not {delta!r}")
+        key = f"{delta:g}".replace(".", "p")
         if key in deltas:
             raise ValueError(f"deltas {deltas[key]!r} and {delta!r} would "
                              f"share the columns *_d{key}")
@@ -443,10 +438,10 @@ def cmd_gp_check(cfg, ctx):
 
     def one(i):
         B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
-                                                  size=(rows, cols))
+                                                  size=(cfg.rows, cfg.cols))
         try:
             w = gp_weights(B)  # asserts the left inequality internally
-            exact = (w.lower_bound if cols <= EXACT_LOWER_COLS
+            exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
                      else inf_to_2_norm_exact(B))
             rec = {"trial": i, "achieved": float(w.achieved_norm),
                    "inf_to_2": float(exact),
@@ -464,16 +459,14 @@ def cmd_gp_check(cfg, ctx):
 
     trials = run_trials(one, ctx.trials, ctx.threads)
     ratios = [t["ratio"] for t in trials]
-    cert_keys = [k for k in trials[0] if k.startswith("cert_ok_")] if trials else []
-    return ExperimentReport(
-        command="gp-check", parameters={}, seeds={}, trials=trials,
-        summary={"ratio": summarize(ratios)},
-        flags={"all_certificates_ok":
-                   all(t[k] for t in trials for k in cert_keys),
-               "ratio_within_limit_fraction":
-                   float(np.mean([x <= cfg.ratio_limit for x in ratios]))
-                   if ratios else 1.0,
-               "all_converged": all(t["converged"] for t in trials)})
+    cert_keys = [f"cert_ok_d{key}" for key in deltas]
+    return (trials, {"ratio": summarize(ratios)},
+            {"all_certificates_ok":
+                 all(t[k] for t in trials for k in cert_keys),
+             "ratio_within_limit_fraction":
+                 float(np.mean([x <= cfg.ratio_limit for x in ratios]))
+                 if ratios else 1.0,
+             "all_converged": all(t["converged"] for t in trials)})
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +557,14 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
                      threads=threads)
     os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    report = runner(cfg, ctx)
-    report.wall_clock_s = time.perf_counter() - start
-    report.parameters = params
-    # trial t draws stream t unless the command says otherwise
-    report.seeds = {"master_seed": seed,
-                    "streams": report.seeds.get(
-                        "streams", list(range(len(report.trials))))}
+    records, summary, flags, *drawn = runner(cfg, ctx)
+    # trial t draws stream t unless the command lists the streams it drew
+    streams = drawn[0] if drawn else list(range(len(records)))
+    report = ExperimentReport(
+        command=name, parameters=params,
+        seeds={"master_seed": seed, "streams": streams}, trials=records,
+        summary=summary, flags=flags,
+        wall_clock_s=time.perf_counter() - start)
     report.write(out_dir)
     return report
 
@@ -603,7 +597,7 @@ def main(argv=None):
             if getattr(args, key) is not None:
                 run[key] = getattr(args, key)
         seed, trials, threads = run["seed"], run["trials"], run["threads"]
-        cfg_out = raw.pop("out", None)
+        cfg_out = _check(raw.pop("out", None), "str | None", "out")
         out_dir = args.out if args.out is not None else cfg_out
         if seed is None:
             parser.error("--seed is required (flag or config field)")

@@ -477,10 +477,11 @@ def decomposition_to_csv(dec, path):
 
 
 def trace_to_json(dec, path):
-    # one dumps and one write: json.dump would write piece by piece
+    # one dumps and one write: json.dump would write piece by piece, and
+    # indent would swap the C encoder for the pure-Python one
     with open(path, "w") as fh:
         fh.write(json.dumps({"n": dec.n, "r": dec.r, "d": dec.d,
-                             "rounds": list(dec.block_trace)}, indent=2))
+                             "rounds": list(dec.block_trace)}))
 
 
 def triangle_split(g):

@@ -3,8 +3,8 @@
 A model is a symmetric matrix of connection probabilities (p_ij); the
 diagonal is always treated as zero (no self-loops anywhere).
 ``expected_adjacency`` states p_ij; ``expected_dense`` and
-``expected_degrees`` (EA 1) are read off it, and only the sampler's
-``_groups`` and ``max_rate`` restate rates.
+``expected_degrees`` (EA 1) are read off it, and only ``ea_factors``,
+the sampler's ``_groups`` and ``max_rate`` restate rates.
 
 The paper's structured models are low rank up to the diagonal, and
 ``ea_factors`` states that as ``EAFactors``: EA = U C U^T with the
@@ -670,27 +670,56 @@ def model_to_dict(model):
     raise TypeError(f"unknown model {type(model).__name__}")
 
 
+def is_number(v):
+    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
+    return type(v) is int or isinstance(v, float)
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(map(is_number, v))
+
+
+# what each spec field must hold.  A field is checked, never coerced:
+# reading n = 100.7 as 100 would sample another model than the one
+# config.json records.
+_SPEC_FIELDS = {
+    "n": ("an integer", lambda v: type(v) is int),
+    "p": ("a number", is_number),
+    "a": ("a number", is_number),
+    "b": ("a number", is_number),
+    "theta": ("a list of numbers", _is_numbers),
+    "values": ("a list of numbers", _is_numbers),
+    "fractions": ("a list of numbers", _is_numbers),
+    "P": ("a list of lists of numbers",
+          lambda v: isinstance(v, list) and all(map(_is_numbers, v))),
+}
+
+
 def model_from_dict(spec):
     """A model from its JSON spec; InvalidModel for a spec that is no
-    object, names no known kind or lacks a field."""
+    object, names no known kind, lacks a field or holds a field of the
+    wrong type (a bool or a string is no number, and n is an integer)."""
     if not isinstance(spec, dict):
         raise InvalidModel(f"a model spec is a JSON object, not {spec!r}")
     kind = spec.get("kind")
-    try:
-        if kind == "uniform":
-            return Uniform(int(spec["n"]), float(spec["p"]))
-        if kind == "rankone":
-            return RankOne(int(spec["n"]),
-                           tuple(float(t) for t in spec["theta"]))
-        if kind == "blocktwo":
-            return BlockTwo(int(spec["n"]), float(spec["a"]),
-                            float(spec["b"]))
-        if kind == "explicit":
-            return Explicit(np.asarray(spec["P"], dtype=float))
-        if kind == "profile":
-            return degree_profile(int(spec["n"]), spec["values"],
-                                  spec["fractions"])
-    except KeyError as exc:
-        raise InvalidModel(f"{kind} model spec lacks field "
-                           f"{exc.args[0]!r}") from None
+
+    def field(key):
+        if key not in spec:
+            raise InvalidModel(f"{kind} model spec lacks field {key!r}")
+        desc, admits = _SPEC_FIELDS[key]
+        if not admits(spec[key]):
+            raise InvalidModel(f"{kind} model spec's {key} must be {desc}, "
+                               f"not {spec[key]!r}")
+        return spec[key]
+
+    if kind == "uniform":
+        return Uniform(field("n"), float(field("p")))
+    if kind == "rankone":
+        return RankOne(field("n"), tuple(float(t) for t in field("theta")))
+    if kind == "blocktwo":
+        return BlockTwo(field("n"), float(field("a")), float(field("b")))
+    if kind == "explicit":
+        return Explicit(np.asarray(field("P"), dtype=float))
+    if kind == "profile":
+        return degree_profile(field("n"), field("values"), field("fractions"))
     raise InvalidModel(f"unknown model kind {kind!r}")

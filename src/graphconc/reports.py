@@ -86,17 +86,17 @@ class ExperimentReport:
                 "flags": self.flags, "wall_clock_s": self.wall_clock_s}
 
     def write(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
+        """report.json, config.json and trials.csv, into an existing
+        ``out_dir``."""
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             fh.write(json.dumps(self.to_dict(), indent=2, default=_jsonable))
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             json.dump(self.parameters, fh, indent=2, default=_jsonable)
-        rows = [t for t in self.trials if isinstance(t, dict)]
-        if rows:
-            keys = sorted({k for t in rows for k in t
+        if self.trials:
+            keys = sorted({k for t in self.trials for k in t
                            if np.isscalar(t[k]) or t[k] is None})
             write_csv(os.path.join(out_dir, "trials.csv"), keys,
-                      [[t.get(k) for k in keys] for t in rows])
+                      [[t.get(k) for k in keys] for t in self.trials])
 
 
 def write_csv(path, header, rows):
@@ -108,18 +108,16 @@ def write_csv(path, header, rows):
 
 
 def write_histogram(path, eigs):
-    """Counts in HIST_BINS bins over [min, max]; a degenerate range
-    collapses to one bin."""
+    """Counts in HIST_BINS bins over [min, max]; a degenerate range, or
+    no eigenvalue at all, collapses to one bin."""
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size == 0:
-        write_csv(path, ["bin_lo", "bin_hi", "count"], [[0.0, 0.0, 0]])
-        return
-    lo, hi = float(eigs.min()), float(eigs.max())
+    lo, hi = 0.0, 0.0
+    if eigs.size:
+        lo, hi = float(eigs.min()), float(eigs.max())
     if hi - lo <= 0.0:
-        write_csv(path, ["bin_lo", "bin_hi", "count"],
-                  [[lo, hi, int(eigs.size)]])
-        return
-    counts, edges = np.histogram(eigs, bins=HIST_BINS, range=(lo, hi))
-    write_csv(path, ["bin_lo", "bin_hi", "count"],
-              [[edges[k], edges[k + 1], int(counts[k])]
-               for k in range(len(counts))])
+        rows = [[lo, hi, int(eigs.size)]]
+    else:
+        counts, edges = np.histogram(eigs, bins=HIST_BINS, range=(lo, hi))
+        rows = [[edges[k], edges[k + 1], int(counts[k])]
+                for k in range(len(counts))]
+    write_csv(path, ["bin_lo", "bin_hi", "count"], rows)

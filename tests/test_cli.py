@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import graphconc
+import graphconc.cli as cli
 import graphconc.community
 import graphconc.pietsch
 from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
@@ -566,6 +568,91 @@ def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
     err = capsys.readouterr().err
     assert err.startswith(f"graphconc {name}: error: ") and message in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name,cfg,message", [
+    ("sbm", {"n": 200.0}, "n must be a positive integer, not 200.0"),
+    ("decompose", {"gp_iters": 2.5}, "gp_iters must be a positive integer"),
+    ("decompose", {"gp_iters": 0}, "gp_iters must be a positive integer"),
+    ("concentration", {"cap_mult": "2"}, "cap_mult must be a number, not '2'"),
+    ("gp-check", {"ratio_limit": "1.3"}, "ratio_limit must be a number"),
+    ("gp-check", {"rows": True}, "rows must be a positive integer, not True"),
+    ("spectrum", {"model": {"kind": "uniform", "n": 30, "p": 0.2},
+                  "cap": "3"}, "cap must be a number or null, not '3'"),
+    ("sample", {"directed": "no"}, "directed must be true or false"),
+    ("laplacian", {"d": "5"}, "d must be a number, not '5'"),
+    ("concentration", {"cells": [{"n": 100, "d": "3"}]}, "a cell's d"),
+    ("sample", {"out": 5}, "out must be a string or null"),
+    ("laplacian", {"ns": [64], "d": 4, "taus": [4]}, None)],
+    ids=["sbm-n-float", "decompose-gp_iters-float", "decompose-gp_iters-0",
+         "concentration-cap_mult-str", "gp-check-ratio_limit-str",
+         "gp-check-rows-bool", "spectrum-cap-str", "sample-directed-str",
+         "laplacian-d-str", "concentration-cell-d-str", "sample-out-int",
+         "laplacian-int-d-accepted"])
+def test_config_fields_are_checked_against_their_types(tmp_path, capsys, name,
+                                                       cfg, message):
+    # every field is checked against its annotation before a run starts:
+    # one error line, no traceback, nothing written.  An int is a number,
+    # and config.json records it as given.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert rc == 0 and err == ""
+        recorded = json.loads((out / "config.json").read_text())["config"]
+        assert json.dumps(recorded) == json.dumps({**recorded, **cfg})
+        return
+    assert rc == 1
+    assert err.startswith(f"graphconc {name}: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def readme_examples():
+    """(command, config, seed, trials) of each README example that passes
+    a config file: the file is the one its ``echo '<json>' > file`` wrote,
+    with shell for-loops unrolled."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", text, re.S))
+
+    def unroll(m):
+        var, values, body = m.groups()
+        return "\n".join(body.replace(f"'${var}'", v).replace(f"${var}", v)
+                         for v in values.split())
+
+    script = re.sub(r"for (\w+) in ([^;\n]+); do\n(.*?)\ndone", unroll,
+                    script, flags=re.S)
+    files, found = {}, []
+    commands = r"echo '((?s:.*?))' > (\S+)|graphconc ([\w-]+)((?:\\\n|.)*)"
+    for m in re.finditer(commands, script):
+        if m.group(2):
+            files[m.group(2)] = json.loads(m.group(1))
+            continue
+        args = dict(re.findall(r"--(\w+) (\S+)", m.group(4)))
+        if "config" in args:
+            found.append((m.group(3), files.pop(args["config"]),
+                          int(args.get("seed", 0)), int(args.get("trials", 1))))
+    assert not files, f"configs no example uses: {sorted(files)}"
+    return found
+
+
+def test_readme_examples_pass_the_config_check():
+    # every documented config resolves as main would resolve it, unrun
+    examples = readme_examples()
+    # one example per command but gp-check, which needs no config, and
+    # the n = 10^6 loop's two configs
+    assert {name for name, *_ in examples} >= set(cli._COMMANDS) - {"gp-check"}
+    assert sum(name == "concentration" for name, *_ in examples) >= 3
+    for name, raw, seed, trials in examples:
+        for key in ("seed", "trials", "threads", "out"):
+            raw.pop(key, None)
+        cfg, params = cli._resolve(name, raw, seed, trials)
+        assert params["config"] == {**params["config"], **raw}
 
 
 def test_start_up_loads_no_scipy(tmp_path):

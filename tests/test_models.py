@@ -7,6 +7,7 @@ written for contract v2 use 5-sigma windows.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -610,3 +611,46 @@ def test_model_dict_roundtrip():
                  {"kind": "uniform", "n": 10}, {"kind": "explicit"}):
         with pytest.raises(InvalidModel):
             model_from_dict(spec)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "uniform", "n": 100.7, "p": 0.1}, "n must be an integer"),
+    ({"kind": "uniform", "n": 100.0, "p": 0.1}, "n must be an integer"),
+    ({"kind": "uniform", "n": "100", "p": 0.1}, "n must be an integer"),
+    ({"kind": "uniform", "n": True, "p": 0.1}, "n must be an integer"),
+    ({"kind": "uniform", "n": 100, "p": "0.1"}, "p must be a number"),
+    ({"kind": "uniform", "n": 100, "p": False}, "p must be a number"),
+    ({"kind": "blocktwo", "n": 10, "a": "3", "b": 1}, "a must be a number"),
+    ({"kind": "rankone", "n": 2, "theta": [0.1, "0.2"]}, "list of numbers"),
+    ({"kind": "rankone", "n": 2, "theta": "0.1"}, "list of numbers"),
+    ({"kind": "profile", "n": 10, "values": [2, "4"],
+      "fractions": [0.5, 0.5]}, "values must be a list of numbers"),
+    ({"kind": "profile", "n": 10, "values": [2, 4],
+      "fractions": [0.5, True]}, "fractions must be a list of numbers"),
+    ({"kind": "explicit", "P": [[0, "0.5"], [0.5, 0]]}, "lists of numbers"),
+    ({"kind": "explicit", "P": [0.5, 0.5]}, "lists of numbers")],
+    ids=["n-float", "n-whole-float", "n-str", "n-bool", "p-str", "p-bool",
+         "a-str", "theta-entry-str", "theta-str", "values-entry-str",
+         "fractions-entry-bool", "P-entry-str", "P-flat"])
+def test_model_spec_is_read_never_converted(spec, message):
+    # a spec that would sample another model than the one config.json
+    # records is refused
+    with pytest.raises(InvalidModel, match=message):
+        model_from_dict(spec)
+
+
+def test_benchmark_model_specs_parse(monkeypatch):
+    # every model spec the benchmark's workloads pass, full size and small
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    import workloads
+    seen = 0
+    for w in workloads.WORKLOADS.values():
+        for step in w.steps:
+            for small in (False, True):
+                cfg = step.config_for(small)
+                if "model" in cfg:
+                    model = model_from_dict(cfg["model"])
+                    assert model.n == cfg["model"]["n"]
+                    seen += 1
+    assert seen > 0

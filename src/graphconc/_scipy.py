@@ -9,7 +9,7 @@ per-step code may call them.
 
 scipy's wheels bundle their own OpenBLAS, beside numpy's, and each
 starts a thread pool of one thread per core.  scipy's serves LAPACK
-here (``pietsch``'s dsyevd and dsyevr) and ARPACK in
+here (``pietsch``'s dsyevd, dstev and dpotrf) and ARPACK in
 ``community.detect``, while the matvecs around them run on numpy's; on
 a 2-core VM the two pools fought, and ``detect`` at n = 32000 took
 2.2-3.2 s a call against 0.66-0.83 s.  So the first load of

@@ -266,11 +266,29 @@ def _grid(ctx, cells, deviation, record, value, csv_name, header):
                                                   for t in trials)}
 
 
+def _distinct(values, name, key):
+    """``values``, or a ValueError naming the entry that repeats another
+    one's summary key ``key(value)``: its cell's summary would be lost."""
+    seen = {}
+    for value in values:
+        k = key(value)
+        if k in seen:
+            raise ValueError(
+                f"{name} repeats {value!r}" if seen[k] == value else
+                f"{name} entries {seen[k]!r} and {value!r} would share the "
+                f"summary key {k}")
+        seen[k] = value
+    return values
+
+
 def cmd_concentration(cfg, ctx):
     cells = []
     for c in cfg.cells:
         if not isinstance(c, dict) or not {"n", "d"} <= set(c):
             raise ValueError(f"a cell is an object with n and d, not {c!r}")
+        unknown = [key for key in c if key not in ("n", "d")]
+        if unknown:
+            raise ValueError(f"a cell holds n and d only, not {unknown}")
         n = _check(c["n"], "int", "a cell's n")
         d = float(_check(c["d"], "float", "a cell's d"))
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
@@ -297,9 +315,10 @@ def cmd_laplacian(cfg, ctx):
     if not all(0 < t < np.inf for t in taus):  # NaN too
         raise ValueError("laplacian experiment needs finite tau > 0")
     d = float(cfg.d)
-    cells = [(f"n{n}_tau{tau:g}", n, d, tau)
-             for n in [_check(n, "int", "an ns entry") for n in cfg.ns]
-             for tau in taus]
+    ns = _distinct([_check(n, "int", "an ns entry") for n in cfg.ns], "ns",
+                   str)
+    taus = _distinct(taus, "taus", "{:g}".format)
+    cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
 
     def deviation(g, model, tau):
         return compose_difference(laplacian(tau_shift(g, tau)),

@@ -217,7 +217,8 @@ def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
 
 def _gp_trace(cert):
     return {"achieved": cert.achieved_norm, "achieved_eps": cert.achieved_eps,
-            "submatrix": cert.submatrix_norm, "selected": cert.n_selected,
+            "submatrix_bound": cert.submatrix_bound,
+            "selected": cert.n_selected,
             "iterations": cert.iterations, "converged": cert.converged,
             "target": cert.target, "target_met": cert.target_met}
 

@@ -30,8 +30,9 @@ that stop.  Each link of
 
     ||B_J|| sqrt(delta m)  <=  f  <=  target  <=  sqrt(pi/2) ||B||_{inf->2}
 
-is then checked on computed values: the first by ``gp_submatrix``, with
-||B_J|| from dense LAPACK on B_J; the second by the stop; the third
+is then checked on computed values: the first by ``gp_submatrix``, by a
+Cholesky factorization that proves ||B_J|| below the bound it needs;
+the second by the stop; the third
 because the lower bound is at most ||B||_{inf->2}.  f is the value
 ``_certified_f`` measured, and the chain never needs it to bound the
 true f(mu) from above.  ``_certified_f`` is one ``spectral_norm`` call:
@@ -50,13 +51,15 @@ The subgradient oracle (``_oracle``) is one step function, chosen once
 per descent from the block's shape and its dead columns.  When
 min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
-Gram.  Otherwise (``_power_pair``) it runs a warm-started power
-iteration, capped at 80 steps and stopped at a relative change of 1e-9,
-one product by G = B^T B per step.  ``gp_weights`` forms G once per
-call and hands it to the greedy lower bound and the oracle alike: f(mu)
-depends on B through G alone.  ``gp_submatrix`` takes ||B_J||
-from dsyevr, with only the top eigenvalue of the Gram on B_J's smaller
-side computed.  The README's Grothendieck-Pietsch section gives the
+Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
+Lanczos steps, warm-started from the previous step's vector and fully
+reorthogonalized, one product by G = B^T B per step, and takes the top
+Ritz pair.  G is formed once per descent and serves the greedy lower
+bound and the oracle alike: f(mu) depends on B through G alone.
+``gp_submatrix`` forms it and hands it to ``gp_weights``, and when J
+holds every column it decides ||B_J|| sqrt(delta m) <= f by dpotrf on
+that same G, overwritten in place; otherwise on the Gram of B_J's
+smaller side.  The README's Grothendieck-Pietsch section gives the
 timings behind these choices.
 """
 
@@ -85,6 +88,8 @@ _CONVERGED_WINDOW = 50
 # f(mu) <= sqrt(pi/2) ||B||_{inf->2}
 LITTLE_GROTHENDIECK = sqrt(pi / 2)
 EXACT_LOWER_COLS = 12  # gp_weights enumerates ||B||_{inf->2} up to this m
+# products by G in one call of the oracle's Lanczos route
+LANCZOS_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ class GPCertificate:
     threshold: float
     n_selected: int
     size_bound: float          # (1 - delta) m
-    submatrix_norm: float      # ||B_J||, LAPACK on B_J's smaller Gram
-    norm_lhs: float            # ||B_J|| sqrt(delta m)
+    submatrix_bound: float     # t with ||B_J|| < t proved by Cholesky
     achieved_norm: float       # f(mu) as measured, the right-hand side
     achieved_eps: float        # PietschWeights.achieved_eps
     ok: bool
@@ -153,26 +157,6 @@ def _certified_f(B, mu, col_live, rng=None):
     return spectral_norm(op, rng=rng)
 
 
-def _top_singular_value(A):
-    """||A||, the root of the top eigenvalue of the Gram on A's smaller
-    side, by LAPACK dsyevr with only that eigenvalue computed; 0 for an
-    empty A (a block with no row, or no column selected)."""
-    k, m = A.shape
-    if k == 0 or m == 0:
-        return 0.0
-    gram = A.T @ A if m <= k else A @ A.T
-    n = gram.shape[0]
-    # numpy forms A^T A and A A^T by syrk, exactly symmetric, so gram.T
-    # is the same matrix in the Fortran order LAPACK reads: f2py hands
-    # it over uncopied
-    lams, _, _, _, info = _scipy.lapack().dsyevr(gram.T, compute_v=0,
-                                                 range="I", il=n, iu=n,
-                                                 overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevr failed: info {info}")
-    return sqrt(max(float(lams[0]), 0.0))
-
-
 def _oracle(B, G, col_live):
     """The subgradient oracle of one descent: ``top_pair(mu, v0)``, the
     top eigenpair (lambda, v) of M = D_mu^{-1/2} B^T B D_mu^{-1/2}.
@@ -187,7 +171,8 @@ def _oracle(B, G, col_live):
       Gram.  When k <= m that is (B s)(B s)^T (k x k), its top vector
       u mapped back by v = s B^T u / ||s B^T u||; when m < k it is
       s G s (m x m).  The result is bit for bit np.linalg.eigh's.
-    * Power route otherwise (``_power_pair``).
+    * Lanczos route otherwise (``_lanczos_pair``): LANCZOS_STEPS
+      products by G from v0, B itself is not read.
 
     v is zero on dead columns.
     """
@@ -199,7 +184,7 @@ def _oracle(B, G, col_live):
         def scale(mu):
             return _col_scale(mu, col_live)
     if min(k, m) > DENSE_SOLVE_LIMIT:
-        return lambda mu, v0: _power_pair(G, scale(mu), v0)
+        return lambda mu, v0: _lanczos_pair(G, scale(mu), v0)
     dsyevd = _scipy.lapack().dsyevd
 
     def eigh(M):
@@ -229,36 +214,72 @@ def _oracle(B, G, col_live):
     return top_pair
 
 
-def _power_pair(G, s, v0, iters=80, tol=1e-9):
-    """The power route of ``_oracle``: the top eigenpair of M = s G s.
+def _lanczos_pair(G, s, v0):
+    """The Lanczos route of ``_oracle``: the top Ritz pair of M = s G s.
 
-    Up to ``iters`` steps from ``v0``, stopped at a relative change of
-    ``tol``, each one product by G = B^T B.  The buffers are allocated
-    once per call.  lambda = ||M v|| for the last unit v is a lower
-    bound on lambda_max; mirror descent only needs an inexact
-    subgradient, and f is measured again by ``_certified_f`` where it
-    counts.
+    LANCZOS_STEPS Lanczos steps from the unit vector ``v0``, each one
+    product by G = B^T B, each new vector orthogonalized against the
+    whole basis so far (classical Gram-Schmidt, twice).  The Ritz pair
+    is the top eigenpair of the tridiagonal of the alphas and betas, by
+    LAPACK dstev.  The recurrence stops early once the Krylov space is
+    invariant.  The Ritz value is a lower bound on lambda_max (Cauchy
+    interlacing; up to rounding, as the tests check); mirror descent only
+    needs an inexact subgradient, and f is measured again by
+    ``_certified_f`` where it counts.  v is a unit vector, zero wherever
+    s and ``v0`` are.
     """
-    v = v0.copy()
-    z, w = np.empty(v.size), np.empty(v.size)
-    lam = 0.0
-    for _ in range(iters):
-        np.multiply(s, v, out=w)
+    m = v0.size
+    Q = np.empty((LANCZOS_STEPS, m))  # the basis, one vector a row
+    alpha, beta = np.empty(LANCZOS_STEPS), np.empty(LANCZOS_STEPS)
+    w, z = np.empty(m), np.empty(m)
+    Q[0] = v0
+    for j in range(LANCZOS_STEPS):
+        np.multiply(s, Q[j], out=w)
         np.dot(G, w, out=z)
         z *= s
-        nz = sqrt(z @ z)
-        if nz == 0.0:
-            return 0.0, v
-        z /= nz
-        # ||M v|| <= lambda_max for unit v, -> lambda_max
-        if abs(nz - lam) <= tol * nz:
-            return nz, z
-        lam = nz
-        v, z = z, v
-    return lam, v
+        alpha[j] = Q[j] @ z  # >= 0: M is positive semidefinite
+        basis = Q[:j + 1]
+        z -= (basis @ z) @ basis
+        z -= (basis @ z) @ basis
+        beta[j] = sqrt(z @ z)
+        # invariant space, M q = 0 included; the last step needs no q
+        if beta[j] <= 1e-12 * alpha[j] or j + 1 == LANCZOS_STEPS:
+            break
+        np.divide(z, beta[j], out=Q[j + 1])
+    k = j + 1
+    lams, Y, info = _scipy.lapack().dstev(alpha[:k], beta[:max(k - 1, 1)])
+    if info:
+        raise np.linalg.LinAlgError(f"dstev failed: info {info}")
+    v = Y[:, -1] @ Q[:k]
+    return max(float(lams[-1]), 0.0), v / sqrt(v @ v)
 
 
-def gp_weights(B, max_iter=500, stop_ratio=None):
+def _norm_below(G, t):
+    """Whether ||A|| < t, for a Gram matrix G of A (A^T A or A A^T).
+
+    LAPACK dpotrf on t^2 I - G, written over G: the factorization runs
+    to the end iff t^2 I - G is positive definite, that is, iff
+    lambda_max(G) = ||A||^2 < t^2, up to rounding of about m u ||G||
+    (m the order of G, u the unit roundoff).  No eigenvalue is
+    computed: on the decompose blocks measured it cost at most what
+    forming G did, half of it at order 2048.  An empty G (a block
+    without rows or columns) belongs to an A of norm 0.
+    """
+    n = G.shape[0]
+    if n == 0:
+        return True
+    np.negative(G, out=G)
+    G.flat[::n + 1] += t * t
+    # G is exactly symmetric (numpy forms A^T A and A A^T by syrk), so
+    # G.T is the same matrix in the Fortran order LAPACK reads: f2py
+    # hands it over uncopied
+    _, info = _scipy.lapack().dpotrf(G.T, clean=0, overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed: info {info}")
+    return info == 0
+
+
+def gp_weights(B, max_iter=500, stop_ratio=None, gram=None):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
     Step t moves by 1/sqrt(t) times the normalized subgradient.  The
@@ -291,6 +312,8 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
 
     B is read in C order, copied first only when it is not C-ordered,
     so the result does not depend on the caller's memory layout.
+    ``gram`` is G = B^T B when the caller holds it (``gp_submatrix``);
+    it is formed here otherwise.
     """
     B = np.ascontiguousarray(B, dtype=float)
     if B.ndim != 2:
@@ -306,7 +329,7 @@ def gp_weights(B, max_iter=500, stop_ratio=None):
         target = None if stop_ratio is None else 0.0
         return PietschWeights(mu, 0.0, True, 0, (0.0,), target,
                               target is not None, 0.0)
-    G = B.T @ B
+    G = B.T @ B if gram is None else gram
     mu = np.full(m, 1.0 / m)
     v = rng.standard_normal(m)
     v[~col_live] = 0.0
@@ -369,32 +392,46 @@ def gp_submatrix(B, delta, weights=None, **gp_kwargs):
 
     Both guarantees are algebraic consequences of sum(mu) = 1 and are
     asserted on every call: |J| >= (1-delta)m by pigeonhole, and
-    ||B_J|| sqrt(delta m) <= achieved_norm.  ||B_J|| is the root of the
-    top eigenvalue of the Gram on B_J's smaller side, from dsyevr with
-    that eigenvalue only (``_top_singular_value``); it agrees with a
-    dense SVD to about 1e-15 relative.  B is read in C order, as in
-    ``gp_weights``.
+    ||B_J|| sqrt(delta m) <= achieved_norm, checked with the slack
+    achieved_norm (1 + 1e-8) + 1e-12.  The second is decided, not
+    measured: with t that slack over sqrt(delta m), dpotrf on
+    t^2 I - G_J (``_norm_below``) proves ||B_J|| < t, up to rounding of
+    about m u ||G_J|| (u the unit roundoff), far inside the 1e-8.  t is
+    kept as ``submatrix_bound``.
+
+    Without ``weights`` the Gram G = B^T B is formed here and handed to
+    ``gp_weights``; when J holds every column, G_J is G, and the check
+    overwrites it in place.  Otherwise G is dropped, and G_J is formed
+    on B_J's smaller side.  B is read in C order, as in ``gp_weights``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
     B = np.ascontiguousarray(B, dtype=float)
     m = B.shape[1]
-    w = weights if weights is not None else gp_weights(B, **gp_kwargs)
+    G, w = None, weights
+    if w is None:
+        G = B.T @ B
+        w = gp_weights(B, gram=G, **gp_kwargs)
     threshold = 1.0 / (delta * m)
     J = np.flatnonzero(w.mu <= threshold)
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    sub_norm = _top_singular_value(B[:, J])
-    lhs = sub_norm * np.sqrt(delta * m)
-    ok = lhs <= w.achieved_norm * (1.0 + 1e-8) + 1e-12
-    cert = GPCertificate(m=m, delta=delta, threshold=threshold,
-                         n_selected=int(J.size), size_bound=(1.0 - delta) * m,
-                         submatrix_norm=sub_norm, norm_lhs=float(lhs),
-                         achieved_norm=w.achieved_norm,
-                         achieved_eps=w.achieved_eps, ok=bool(ok),
-                         iterations=w.iterations, converged=w.converged,
-                         target=w.target, target_met=w.target_met)
-    if not ok:
+    bound = (w.achieved_norm * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
+    if J.size < m:
+        G = None  # dropped before B_J and its Gram are formed
+        B = B[:, J]
+    if G is None:
+        G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
+    if not _norm_below(G, bound):
         raise VerificationError(
-            f"submatrix certificate failed: {lhs} > {w.achieved_norm}")
-    return J, cert
+            f"submatrix certificate failed: ||B_J|| < {bound}, which "
+            f"||B_J|| sqrt(delta m) <= {w.achieved_norm} needs, is not "
+            f"proved")
+    return J, GPCertificate(m=m, delta=delta, threshold=threshold,
+                            n_selected=int(J.size),
+                            size_bound=(1.0 - delta) * m,
+                            submatrix_bound=bound,
+                            achieved_norm=w.achieved_norm,
+                            achieved_eps=w.achieved_eps, ok=True,
+                            iterations=w.iterations, converged=w.converged,
+                            target=w.target, target_met=w.target_met)

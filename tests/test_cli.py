@@ -570,6 +570,33 @@ def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("cfg,message", [
+    ({"cells": [{"n": 100, "d": 3, "scheme": "trim"}]}, "not ['scheme']"),
+    ({"cells": [{"n": 100, "d": 3}, {"n": 50, "d": 3, "cap": 2}]},
+     "not ['cap']")])
+def test_a_cell_holds_n_and_d_only(tmp_path, cfg, message):
+    # a key the cell loop would not read (a scheme meant for the whole
+    # run, say) is refused rather than silently ignored
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_command("concentration", cfg, MASTER, str(tmp_path / "c"))
+    assert not (tmp_path / "c" / "report.json").exists()
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"ns": [100, 64, 100]}, "ns repeats 100"),
+    ({"ns": [64], "taus": [2, 3, 2.0]}, "taus repeats 2.0"),
+    ({"ns": [64], "taus": [1.0, 1.0000001]},
+     "taus entries 1.0 and 1.0000001 would share the summary key 1")])
+def test_laplacian_refuses_cells_that_share_a_summary(tmp_path, cfg,
+                                                      message):
+    # the summary is keyed by (n, tau) as f"n{n}_tau{tau:g}": a repeated
+    # entry would overwrite a cell's summary
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_command("laplacian", {"d": 4.0, **cfg}, MASTER,
+                    str(tmp_path / "lap"))
+    assert not (tmp_path / "lap" / "report.json").exists()
+
+
 @pytest.mark.parametrize("name,cfg,message", [
     ("sbm", {"n": 200.0}, "n must be a positive integer, not 200.0"),
     ("decompose", {"gp_iters": 2.5}, "gp_iters must be a positive integer"),

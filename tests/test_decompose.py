@@ -363,10 +363,14 @@ def test_csv_and_trace_roundtrip(tmp_path):
             if rnd[side]["target_met"]:
                 assert rnd[side]["achieved"] <= rnd[side]["target"] * (1 + 1e-12)
                 # the chain the decomposition uses, with delta = 1/4:
-                # ||B_J|| sqrt(m/4) <= f(mu) <= target
+                # ||B_J|| sqrt(m/4) <= f(mu) <= target, where ||B_J|| <
+                # submatrix_bound, f's slack over sqrt(m/4)
                 m = rnd["cols"] if side == "gp_cols" else rnd["rows"]
-                lhs = rnd[side]["submatrix"] * np.sqrt(m / 4)
-                assert lhs <= rnd[side]["target"] * (1 + 1e-8)
+                lhs = rnd[side]["submatrix_bound"] * np.sqrt(m / 4)
+                assert lhs == pytest.approx(
+                    rnd[side]["achieved"] * (1 + 1e-8) + 1e-12, rel=1e-14)
+                assert lhs <= (rnd[side]["target"] * (1 + 1e-8)
+                               + 1e-12) * (1 + 1e-14)
 
 
 def test_csv_bytes_match_rowwise_writer(tmp_path):

@@ -67,8 +67,11 @@ def test_single_row_submatrix_drops_heavy_column():
     # threshold 1/(0.5*4) = 0.5 rejects only the weight-10 column
     assert list(J) == [1, 2, 3]
     assert cert.n_selected == 3 and cert.size_bound == 2.0
-    assert cert.submatrix_norm == pytest.approx(np.sqrt(3.0))
-    assert cert.norm_lhs == pytest.approx(np.sqrt(3.0) * np.sqrt(2.0))
+    # the proved bound t on ||B_J|| = sqrt(3): achieved's slack over
+    # sqrt(delta m) = sqrt(2)
+    assert cert.submatrix_bound == (
+        (w.achieved_norm * (1 + 1e-8) + 1e-12) / np.sqrt(2.0))
+    assert np.sqrt(3.0) < cert.submatrix_bound
     assert cert.ok
 
 
@@ -118,7 +121,8 @@ def test_pigeonhole_every_delta():
     for delta in (0.1, 0.25, 0.5, 0.75):
         J, cert = gp_submatrix(B, delta, weights=w)
         assert J.size >= (1 - delta) * 16 - 1e-9
-        assert cert.norm_lhs <= cert.achieved_norm * (1 + 1e-8) + 1e-12
+        lhs = np.linalg.norm(B[:, J], 2) * np.sqrt(delta * 16)
+        assert lhs <= cert.achieved_norm * (1 + 1e-8) + 1e-12
 
 
 def test_gp_submatrix_input_checks():
@@ -163,20 +167,23 @@ def test_top_pair_exact_route(shape):
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (40, 100)])
-def test_top_pair_power_route(shape):
-    # one G product per step, on the square and the wide block alike
+def test_top_pair_lanczos_route(shape):
+    # LANCZOS_STEPS products by G from a random start, on the square and
+    # the wide block alike: the top Ritz pair, lambda from below
     B, G, top_pair, mu, s, v0, lam_max = oracle_inputs(shape, dead=5, seed=32)
     blind = _oracle(np.full(shape, np.nan), G, s > 0.0)  # B is not read
-    assert np.array_equal(blind(mu, v0)[1], top_pair(mu, v0)[1])
     lam, v = top_pair(mu, v0)
+    blind_lam, blind_v = blind(mu, v0)
+    assert blind_lam == lam and np.array_equal(blind_v, v)
     assert 0.0 < lam <= lam_max * (1 + 1e-12)
+    assert lam == pytest.approx(lam_max, rel=1e-10)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert v[5] == 0.0
-    # started from the top eigenvector it stops at lambda_max
+    # started from the top eigenvector, the space is invariant at once
     top = np.linalg.eigh(s[:, None] * (B.T @ B) * s)[1][:, -1]
     lam, v = top_pair(mu, top)
-    assert lam == pytest.approx(lam_max, rel=1e-9)
-    assert abs(v @ top) == pytest.approx(1.0, abs=1e-9)
+    assert lam == pytest.approx(lam_max, rel=1e-12)
+    assert abs(v @ top) == pytest.approx(1.0, abs=1e-12)
 
 
 def weights_fields(w):
@@ -218,25 +225,50 @@ def test_gp_weights_on_wide_blocks(shape):
 
 
 def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
-    # a wide block too: gp_weights forms G = B^T B once and hands that
-    # one matrix to the greedy lower bound and to the oracle
+    # a wide block too: G = B^T B is formed once and that one matrix goes
+    # to the greedy lower bound, to the oracle and, when J holds every
+    # column, to the submatrix check, which overwrites it; for a smaller
+    # J the check gets the Gram of B_J's smaller side instead
     B = np.random.default_rng(33).standard_normal((40, 100))
-    grams = []
+    grams, copies = [], []
     real_lower, real_oracle = pietsch.inf_to_2_norm_lower, pietsch._oracle
+    real_below = pietsch._norm_below
 
     def lower(B, gram=None, **kw):
         grams.append(gram)
+        copies.append(gram.copy())
         return real_lower(B, gram=gram, **kw)
 
     def oracle(B, G, col_live):
         grams.append(G)
         return real_oracle(B, G, col_live)
 
+    def below(G, t):
+        grams.append(G)
+        copies.append(G.copy())
+        return real_below(G, t)
+
     monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", lower)
     monkeypatch.setattr(pietsch, "_oracle", oracle)
+    monkeypatch.setattr(pietsch, "_norm_below", below)
     gp_weights(B, max_iter=5)
     assert len(grams) == 2 and grams[0] is not None and grams[1] is grams[0]
-    assert np.array_equal(grams[0], B.T @ B)
+    assert np.array_equal(copies[0], B.T @ B)
+
+    grams.clear()
+    copies.clear()
+    J, _ = gp_submatrix(B, 0.25, max_iter=5)
+    assert J.size == 100
+    assert len(grams) == 3 and all(G is grams[0] for G in grams)
+    assert np.array_equal(copies[0], B.T @ B)
+    assert np.array_equal(copies[1], B.T @ B)  # untouched until the check
+
+    grams.clear()
+    copies.clear()
+    J, _ = gp_submatrix(B, 0.5, max_iter=30)
+    assert J.size == 99
+    assert len(grams) == 3 and grams[2] is not grams[0]
+    assert np.array_equal(copies[1], B[:, J] @ B[:, J].T)  # 40 x 40
 
 
 def test_converged_needs_a_full_window():
@@ -426,17 +458,39 @@ def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
     ((40, 12), None), ((8, 30), None), ((120, 100), 7), ((30, 90), 2),
     ((1, 9), None), ((25, 1), None)])
 def test_submatrix_norm_matches_dense_svd(shape, dead):
-    # tall and wide B_J, dead columns, and single-column J (m = 1)
+    # the check decides ||B_J|| < t by Cholesky, and the decision matches
+    # the dense SVD's ||B_J||: it passes at t = ||B_J|| (1 + 1e-8) and
+    # fails at t = ||B_J|| (1 - 1e-6).  Tall and wide B_J, dead columns,
+    # J a subset or every column, single-column J (m = 1); on both
+    # Grams of B_J, as when G = B^T B of a wide block is reused
     rng = np.random.default_rng(40)
     B = rng.standard_normal(shape)
     if dead is not None:
         B[:, dead] = 0.0
+    m = shape[1]
     w = gp_weights(B, max_iter=20)
-    for delta in (0.25, 0.5):
-        J, cert = gp_submatrix(B, delta, weights=w)
-        ref = np.linalg.svd(B[:, J], compute_uv=False)[0]
-        assert cert.submatrix_norm == pytest.approx(ref, rel=1e-13, abs=0.0)
-    assert gp_submatrix(np.zeros((4, 6)), 0.5)[1].submatrix_norm == 0.0
+    # every column at delta = 1/4, a subset at 0.9 (except when m = 1)
+    for delta in (0.25, 0.5, 0.9):
+        J, _ = gp_submatrix(B, delta, weights=w)
+        BJ = B[:, J]
+        norm = np.linalg.svd(BJ, compute_uv=False)[0]
+        for factor, passes in ((1 + 1e-8, True), (1 - 1e-6, False)):
+            t = norm * factor
+            for gram in (BJ.T @ BJ, BJ @ BJ.T):
+                assert pietsch._norm_below(gram, t) == passes
+            # weights whose achieved norm puts the check's bound at t
+            achieved = (t * np.sqrt(delta * m) - 1e-12) / (1 + 1e-8)
+            at = PietschWeights(w.mu, achieved, w.converged, w.iterations)
+            if passes:
+                J_t, cert = gp_submatrix(B, delta, weights=at)
+                assert np.array_equal(J_t, J) and cert.ok
+                assert cert.submatrix_bound == pytest.approx(t, rel=1e-14)
+            else:
+                with pytest.raises(VerificationError,
+                                   match="submatrix certificate"):
+                    gp_submatrix(B, delta, weights=at)
+    zero = gp_submatrix(np.zeros((4, 6)), 0.5)[1]
+    assert zero.ok and zero.submatrix_bound == 1e-12 / np.sqrt(3.0)
 
 
 def test_gp_submatrix_on_a_block_without_rows():
@@ -444,7 +498,7 @@ def test_gp_submatrix_on_a_block_without_rows():
     # block: all weights equal, every column selected, ||B_J|| = 0
     J, cert = gp_submatrix(np.zeros((0, 6)), 0.25)
     assert J.tolist() == list(range(6))
-    assert cert.ok and cert.submatrix_norm == 0.0
+    assert cert.ok and cert.submatrix_bound == 1e-12 / np.sqrt(1.5)
 
 
 def test_submatrix_certificate_still_fails_when_weights_fall_short():

@@ -31,7 +31,7 @@ from .pietsch import GPCertificate, PietschWeights, gp_submatrix, gp_weights
 from .decompose import (EdgeDecomposition, VerifyReport, decompose,
                         decomposition_to_csv, trace_to_json, triangle_split,
                         verify_decomposition)
-from .community import (CommunityLabels, davis_kahan_bound, davis_kahan_check,
+from .community import (Detection, davis_kahan_bound, davis_kahan_check,
                         detect, expected_laplacian_eigs,
                         expected_laplacian_eigvec, misclassification,
                         sbm_instance)

@@ -267,8 +267,11 @@ def _grid(ctx, cells, deviation, record, value, csv_name, header):
 
 
 def _distinct(values, name, key):
-    """``values``, or a ValueError naming the entry that repeats another
+    """``values``, or a ValueError if the grid axis ``name`` is empty (a
+    grid of no cells runs no trials) or if an entry repeats another
     one's summary key ``key(value)``: its cell's summary would be lost."""
+    if not values:
+        raise ValueError(f"{name} must hold at least one entry")
     seen = {}
     for value in values:
         k = key(value)
@@ -282,6 +285,8 @@ def _distinct(values, name, key):
 
 
 def cmd_concentration(cfg, ctx):
+    if not cfg.cells:  # a grid of no cells runs no trials
+        raise ValueError("cells must hold at least one cell")
     cells = []
     for c in cfg.cells:
         if not isinstance(c, dict) or not {"n", "d"} <= set(c):
@@ -338,31 +343,9 @@ def cmd_sbm(cfg, ctx):
     def one(t):
         g, truth = sbm_instance(cfg.n, cfg.a, cfg.b, ctx.seed, stream=t)
         tau = float(cfg.tau) if cfg.tau is not None else average_degree(g)
-        try:
-            chk = davis_kahan_check(g, model, tau)
-        except NoConvergence as exc:
-            # detect failed: best-effort labels from the converged Ritz
-            # vectors, if any, and nothing else measured; flagged
-            if exc.best is not None:
-                est = np.where(np.asarray(exc.best[1])[:, 0] >= 0, 1, -1)
-            else:
-                est = np.ones(cfg.n, dtype=np.int8)
-            chk = {"labels": est, "norm_diff": None, "delta": None,
-                   "gap_valid": False, "norm_steps": None, "norm_eps": None,
-                   "distance": None, "bound": np.inf, "holds": True,
-                   "lam_x": (None, None, None)}
-        # a norm solve that did not converge keeps the detect results;
-        # its bound is unmeasured and dk_holds vacuously True
-        return {
-            "trial": t, "tau": tau,
-            "mis": misclassification(chk["labels"], truth),
-            "converged": chk["norm_diff"] is not None,
-            "delta": chk["delta"], "gap_valid": chk["gap_valid"],
-            "norm_diff": chk["norm_diff"], "norm_steps": chk["norm_steps"],
-            "norm_eps": chk["norm_eps"], "distance": chk["distance"],
-            "bound": chk["bound"] if np.isfinite(chk["bound"]) else None,
-            "dk_holds": chk["holds"],
-            "lam2": chk["lam_x"][1], "lam3": chk["lam_x"][2]}
+        rec = davis_kahan_check(g, model, tau)
+        return {"trial": t, "tau": tau,
+                "mis": misclassification(rec.pop("labels"), truth), **rec}
 
     trials = run_trials(one, ctx.trials, ctx.threads)
     # the Davis-Kahan flag covers the trials where the bound was measured

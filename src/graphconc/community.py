@@ -5,11 +5,17 @@ smallest eigenvalue, and thresholds its sign.  On the expected matrix
 this vector is exactly block-constant (+1/sqrt(n) on one community,
 -1/sqrt(n) on the other); the Davis-Kahan bound 2||X - Y|| / delta
 controls how far the sample eigenvector can rotate away from it.
+
+Labels are plain int8 vectors over {+1, -1}.  ``detect`` returns a
+``Detection`` (the labels, v2, lambda_2, lambda_3 and the operator
+L(A_tau)); ``davis_kahan_check`` runs one whole sbm trial on a sample
+and returns its record, falling back to best-effort labels when detect
+does not converge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,67 +30,40 @@ _DETECT_SEED = 0xC0DE  # fixed eigensolver seed; detect is deterministic
 _DETECT_TOL = 1e-6  # ARPACK residual tol of detect's two eigenpairs
 
 
-@dataclass(frozen=True)
-class CommunityLabels:
-    """Vertex labels in {+1, -1}."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int8)
-        if lab.ndim != 1:
-            raise ValueError("labels must be a vector")
-        if lab.size and not np.all(np.abs(lab) == 1):
-            raise ValueError("labels must take values in {+1, -1}")
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n(self):
-        return self.labels.size
-
-    def __len__(self):
-        return self.labels.size
-
-
 def _as_pm1(x):
-    if isinstance(x, CommunityLabels):
-        return x.labels
     lab = np.asarray(x)
     if lab.ndim != 1 or (lab.size and not np.all(np.abs(lab) == 1)):
         raise ValueError("labels must be a vector over {+1, -1}")
     return lab.astype(np.int8)
 
 
+def _sign_labels(v):
+    """+1 where ``v`` >= 0, -1 elsewhere, as int8."""
+    return np.where(v >= 0.0, 1, -1).astype(np.int8)
+
+
 def sbm_instance(n, a, b, seed, stream=0):
-    """A sample of BlockTwo(n, a, b) plus the balanced ground truth."""
+    """A sample of BlockTwo(n, a, b) plus its balanced ground-truth
+    labels (+1 on the first n/2 vertices, -1 on the rest)."""
     if n % 2:
         raise InvalidRates("the balanced two-block model needs even n")
     model = BlockTwo(n, a, b)
-    g = sample(model, seed, stream)
-    return g, CommunityLabels(model.labels())
+    return sample(model, seed, stream), model.labels().astype(np.int8)
 
 
-@dataclass(frozen=True)
-class DetectionDetail:
-    """Eigen data behind a detect() call: v2, the bottom of spec(L) and
-    the operator L(A_tau) itself."""
+class Detection(NamedTuple):
+    """What detect() found: the labels, the v2 they are the sign of, the
+    bottom of spec(L) and the operator L(A_tau) itself."""
 
+    labels: np.ndarray
     v2: np.ndarray
     lam2: float
     lam3: float
-    tau: float
-    laplacian: LinearOp | None = field(default=None, repr=False,
-                                       compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.v2, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "v2", v)
+    laplacian: LinearOp
 
 
-def detect(g, tau, details=False):
-    """Community labels from the sign of v2(L(A_tau)).
+def detect(g, tau):
+    """Community labels from the sign of v2(L(A_tau)), as a Detection.
 
     L's kernel vector q = D^{1/2}1 / ||D^{1/2}1|| is exact, so ARPACK
     Lanczos runs on M = 2I - L - 3qq^T, a rank-one Wielandt shift
@@ -104,13 +83,8 @@ def detect(g, tau, details=False):
     vals, vecs = top_k_eigs(M, 2, mode="la", tol=_DETECT_TOL,
                             rng=aux_generator(_DETECT_SEED, 0, 0))
     v2 = vecs[:, 0]
-    labels = CommunityLabels(np.where(v2 >= 0.0, 1, -1))
-    if not details:
-        return labels
-    detail = DetectionDetail(v2=v2, lam2=float(2.0 - vals[0]),
-                             lam3=float(2.0 - vals[1]), tau=float(tau),
-                             laplacian=L)
-    return labels, detail
+    return Detection(_sign_labels(v2), v2, float(2.0 - vals[0]),
+                     float(2.0 - vals[1]), L)
 
 
 def misclassification(est, truth):
@@ -176,7 +150,7 @@ def eigvec_distance(x, y):
 
 
 def davis_kahan_check(g, model, tau):
-    """End-to-end Theorem 1.3 measurement on one SBM sample.
+    """End-to-end Theorem 1.3 measurement on one SBM sample: its record.
 
     X = L(A_tau), Y = L(EA_tau).  The premise asks both second-smallest
     eigenvalues to be simple and delta-separated from the remaining
@@ -185,40 +159,42 @@ def davis_kahan_check(g, model, tau):
 
         delta = min(l2x, l2y, l3x - max(l2x, l2y), l3y - max(l2x, l2y)).
 
-    X is the operator detect built (``DetectionDetail.laplacian``), so a
-    check builds L(A_tau) once.  Returns a dict with the measured delta,
-    ||X - Y|| (``norm_diff``, with the steps and eps of its solve), both
-    sides of the inequality and a gap_valid flag; the bound is only
-    asserted by callers when gap_valid.  NoConvergence from detect
-    propagates; a norm solve that does not converge leaves norm_diff
-    None, the bound infinite and holds vacuously True, so the detect
-    labels survive.
+    X is the operator detect built, so a check builds L(A_tau) once.
+    The record holds detect's ``labels``; ``converged`` (the norm
+    solve's); delta and ``gap_valid`` (delta > 1e-12); ||X - Y||
+    (``norm_diff``) with the ``norm_steps`` and ``norm_eps`` of its
+    solve; the eigenvector ``distance`` and the ``bound`` 2||X - Y|| /
+    delta it is held to; ``dk_holds``; and X's ``lam2`` and ``lam3``.
+    The bound is only measured when gap_valid and the norm solve
+    converged; otherwise it is None and dk_holds vacuously True.  When
+    detect itself does not converge, the labels are the signs of its
+    converged Ritz vector (all +1 without one) and every other field is
+    unmeasured: None, or False for converged and gap_valid.
     """
-    labels, det = detect(g, tau, details=True)
+    try:
+        det = detect(g, tau)
+    except NoConvergence as exc:
+        v = (np.asarray(exc.best[1])[:, 0] if exc.best is not None
+             else np.ones(g.n))
+        return {"labels": _sign_labels(v), "converged": False, "delta": None,
+                "gap_valid": False, "norm_diff": None, "norm_steps": None,
+                "norm_eps": None, "distance": None, "bound": None,
+                "dk_holds": True, "lam2": None, "lam3": None}
     _, l2y, l3y = expected_laplacian_eigs(model, tau)
-    l2x, l3x = det.lam2, det.lam3
-    hi = max(l2x, l2y)
-    delta = min(l2x, l2y, l3x - hi, l3y - hi)
-    gap_valid = bool(delta > 1e-12)
+    hi = max(det.lam2, l2y)
+    delta = float(min(det.lam2, l2y, det.lam3 - hi, l3y - hi))
+    gap_valid = delta > 1e-12
     diff = compose_difference(det.laplacian, expected_laplacian(model, tau))
     try:
         norm_diff, norm_steps, norm_eps = spectral_norm(diff)
     except NoConvergence:
         norm_diff = norm_steps = norm_eps = None
-    v2y, _ = expected_laplacian_eigvec(model, tau)
-    dist = eigvec_distance(det.v2, v2y)
-    out = {
-        "labels": labels,
-        "lam_x": (0.0, l2x, l3x),
-        "lam_y": (0.0, l2y, l3y),
-        "delta": float(delta),
-        "gap_valid": gap_valid,
-        "norm_diff": norm_diff,
-        "norm_steps": norm_steps,
-        "norm_eps": norm_eps,
-        "distance": dist,
-        "bound": (davis_kahan_bound(norm_diff, delta)
-                  if gap_valid and norm_diff is not None else np.inf),
-    }
-    out["holds"] = bool(dist <= out["bound"] * (1 + 1e-9))
-    return out
+    dist = eigvec_distance(det.v2, expected_laplacian_eigvec(model, tau)[0])
+    bound = (davis_kahan_bound(norm_diff, delta)
+             if gap_valid and norm_diff is not None else None)
+    return {"labels": det.labels, "converged": norm_diff is not None,
+            "delta": delta, "gap_valid": gap_valid, "norm_diff": norm_diff,
+            "norm_steps": norm_steps, "norm_eps": norm_eps, "distance": dist,
+            "bound": bound,
+            "dk_holds": bound is None or dist <= bound * (1 + 1e-9),
+            "lam2": det.lam2, "lam3": det.lam3}

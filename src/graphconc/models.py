@@ -642,10 +642,40 @@ def _edge_lines(i, j, w, id_keep):
     return np.compress(keep.ravel(), block.ravel()).tobytes()
 
 
+# what each save_graph header field must hold; weighted may be absent
+_HEADER_FIELDS = {
+    "n": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "directed": ("true or false", lambda v: isinstance(v, bool)),
+    "weighted": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _read_header(path, line):
+    """The header object of a graph file, checked field by field; a
+    ValueError naming the file and the field otherwise."""
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: line 1 must be a JSON object header")
+    for key, (desc, admits) in _HEADER_FIELDS.items():
+        if key not in header and key != "weighted":
+            raise ValueError(f"{path}: header has no field {key!r}")
+        if key in header and not admits(header[key]):
+            raise ValueError(f"{path}: header field {key!r} must be {desc}, "
+                             f"not {header[key]!r}")
+    return header
+
+
 def load_graph(path):
-    """Read a ``save_graph`` file; every value comes back bit for bit."""
+    """Read a ``save_graph`` file; every value comes back bit for bit.
+
+    The header must be a JSON object with ``n`` a non-negative integer,
+    ``directed`` a bool and ``weighted``, if present, a bool.
+    """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        header = _read_header(path, fh.readline())
         body = fh.read()
     edges = np.empty(0, dtype=_EDGE_DTYPE)
     if body.strip():

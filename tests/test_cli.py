@@ -208,6 +208,18 @@ def test_sbm_run(tmp_path):
     assert rep.flags["dk_holds_every_gap_valid_trial"]
 
 
+def test_sbm_trial_keys_keep_their_order(tmp_path):
+    # report.json stores each trial's fields in this order
+    rep = run_command("sbm", {"n": 200, "a": 25.0, "b": 4.0}, MASTER,
+                      str(tmp_path / "sbm"), trials=2)
+    keys = ["trial", "tau", "mis", "converged", "delta", "gap_valid",
+            "norm_diff", "norm_steps", "norm_eps", "distance", "bound",
+            "dk_holds", "lam2", "lam3"]
+    assert [list(t) for t in rep.trials] == [keys, keys]
+    with open(tmp_path / "sbm" / "report.json") as fh:
+        assert [list(t) for t in json.load(fh)["trials"]] == [keys, keys]
+
+
 def test_sbm_norm_failure_keeps_detect_labels(tmp_path, monkeypatch):
     def no_norm(*args, **kwargs):
         raise NoConvergence("forced", best=1.0)
@@ -598,6 +610,19 @@ def test_laplacian_refuses_cells_that_share_a_summary(tmp_path, cfg,
 
 
 @pytest.mark.parametrize("name,cfg,message", [
+    ("concentration", {"cells": []}, "cells must hold at least one cell"),
+    ("laplacian", {"ns": []}, "ns must hold at least one entry"),
+    ("laplacian", {"ns": [64], "taus": []}, "taus must hold at least one entry"),
+], ids=["cells", "ns", "taus"])
+def test_empty_grid_is_refused(tmp_path, name, cfg, message):
+    # a grid of no cells would run no trials, write no trials.csv and
+    # report all_converged vacuously
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_command(name, cfg, MASTER, str(tmp_path / "grid"))
+    assert not (tmp_path / "grid" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name,cfg,message", [
     ("sbm", {"n": 200.0}, "n must be a positive integer, not 200.0"),
     ("decompose", {"gp_iters": 2.5}, "gp_iters must be a positive integer"),
     ("decompose", {"gp_iters": 0}, "gp_iters must be a positive integer"),
@@ -793,6 +818,28 @@ def test_default_out_dir_is_the_config_hash(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(json.dumps(blob["parameters"]["config"]))
     assert main(["sample", "--seed", "7", "--config", str(cfg_path)]) == 0
     assert [p.name for p in (tmp_path / "runs").iterdir()] == [made.name]
+
+
+@pytest.mark.parametrize("header,error", [
+    ('{"directed": false, "weighted": false}', "header has no field 'n'"),
+    ('{"n": 3, "directed": "false", "weighted": false}',
+     "header field 'directed' must be true or false, not 'false'"),
+    ('{"n": 2.5, "directed": false, "weighted": false}',
+     "header field 'n' must be a non-negative integer, not 2.5"),
+    ('{"n": -3, "directed": false, "weighted": false}',
+     "header field 'n' must be a non-negative integer, not -3"),
+], ids=["no-n", "directed-str", "n-float", "n-negative"])
+def test_spectrum_refuses_a_bad_graph_header(tmp_path, capsys, header, error):
+    graph = tmp_path / "g.csv"
+    graph.write_text(header + "\n0,1,1.0\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": str(graph)}))
+    rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphconc spectrum: error: ")
+    assert f"{graph}: {error}" in err
 
 
 def test_main_error_paths(tmp_path, capsys):

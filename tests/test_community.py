@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import graphconc.community
 from graphconc import (
     BlockTwo,
-    CommunityLabels,
     InvalidRates,
     LengthMismatch,
+    NoConvergence,
     SparseGraph,
     ZeroGap,
     average_degree,
@@ -32,6 +32,12 @@ from graphconc.spectral import NORM_TOL
 from conftest import MASTER, assert_close
 
 
+# a davis_kahan_check record: the sbm trial's fields after mis, in order
+RECORD_KEYS = ["labels", "converged", "delta", "gap_valid", "norm_diff",
+               "norm_steps", "norm_eps", "distance", "bound", "dk_holds",
+               "lam2", "lam3"]
+
+
 def two_cliques(half):
     """Two disjoint complete graphs on [0, half) and [half, 2 half)."""
     blocks = []
@@ -47,19 +53,21 @@ def two_cliques(half):
 # containers and scalar helpers
 
 
-def test_community_labels_validation():
-    lab = CommunityLabels(np.array([1, -1, 1]))
-    assert lab.n == 3 and len(lab) == 3
-    with pytest.raises(ValueError):
-        CommunityLabels(np.array([1, 0, -1]))
-    with pytest.raises(ValueError):
-        CommunityLabels(np.ones((2, 2)))
+def test_misclassification_refuses_non_pm1_labels():
+    # labels are plain arrays: each side must be a vector over {+1, -1}
+    for bad in (np.array([1, 0, -1]), np.array([1, 2]), np.ones((2, 2)),
+                np.array(1)):
+        good = np.ones(np.size(bad))
+        with pytest.raises(ValueError, match="vector over"):
+            misclassification(bad, good)
+        with pytest.raises(ValueError, match="vector over"):
+            misclassification(good, bad)
 
 
 def test_sbm_instance():
     g, truth = sbm_instance(200, 12, 3, MASTER)
-    assert g.n == 200 and truth.n == 200
-    assert np.all(truth.labels[:100] == 1) and np.all(truth.labels[100:] == -1)
+    assert g.n == 200 and truth.shape == (200,) and truth.dtype == np.int8
+    assert np.all(truth[:100] == 1) and np.all(truth[100:] == -1)
     g2, _ = sbm_instance(200, 12, 3, MASTER)
     assert g == g2
     with pytest.raises(InvalidRates):
@@ -127,8 +135,8 @@ def test_expected_eigs_null_has_zero_gap():
 def test_detect_two_cliques_exact():
     g = two_cliques(20)
     truth = np.concatenate([np.ones(20), -np.ones(20)])
-    labels, det = detect(g, tau=average_degree(g), details=True)
-    assert misclassification(labels, truth) == 0.0
+    det = detect(g, tau=average_degree(g))
+    assert misclassification(det.labels, truth) == 0.0
     assert det.lam2 < det.lam3
 
 
@@ -139,7 +147,7 @@ def test_detect_matches_dense_eigh(n, a, b):
     # (5, 5) is the null model, where lambda_2 sits in the bulk
     g, _ = sbm_instance(n, a, b, MASTER)
     tau = average_degree(g)
-    labels, det = detect(g, tau, details=True)
+    det = detect(g, tau)
     L = laplacian(tau_shift(g, tau)).to_dense()
     w = np.linalg.eigvalsh(L)
     assert det.lam2 == pytest.approx(w[1], rel=1e-9)
@@ -148,7 +156,8 @@ def test_detect_matches_dense_eigh(n, a, b):
     q /= np.linalg.norm(q)
     assert abs(det.v2 @ q) <= 1e-8
     assert np.linalg.norm(L @ det.v2 - det.lam2 * det.v2) <= 1e-6
-    assert np.array_equal(labels.labels, np.where(det.v2 >= 0.0, 1, -1))
+    assert det.labels.dtype == np.int8
+    assert np.array_equal(det.labels, np.where(det.v2 >= 0.0, 1, -1))
 
 
 def test_misclassification_is_exactly_flip_invariant():
@@ -171,8 +180,8 @@ def test_detect_deterministic():
 def test_detect_sbm_signal():
     # measured at MASTER: 0 mislabeled vertices out of 400
     g, truth = sbm_instance(400, 25, 4, MASTER)
-    labels = detect(g, average_degree(g))
-    assert misclassification(labels, truth) <= 0.05
+    det = detect(g, average_degree(g))
+    assert misclassification(det.labels, truth) <= 0.05
 
 
 def test_blocktwo_average_degree_window():
@@ -185,8 +194,9 @@ def test_davis_kahan_check_end_to_end():
     g, truth = sbm_instance(400, 25, 4, MASTER)
     model = BlockTwo(400, 25, 4)
     out = davis_kahan_check(g, model, average_degree(g))
+    assert list(out) == RECORD_KEYS
     assert out["gap_valid"]
-    assert out["holds"]
+    assert out["converged"] and out["dk_holds"]
     assert out["distance"] <= out["bound"]
     assert out["norm_diff"] > 0.0
     assert misclassification(out["labels"], truth) <= 0.05
@@ -210,3 +220,28 @@ def test_davis_kahan_check_builds_the_laplacian_once(monkeypatch):
     Y = expected_laplacian(model, tau).to_dense()
     assert out["norm_diff"] == pytest.approx(np.linalg.norm(X - Y, 2),
                                              rel=NORM_TOL)
+
+
+@pytest.mark.parametrize("ritz", [True, False])
+def test_davis_kahan_check_detect_failure(monkeypatch, ritz):
+    # labels from the converged Ritz vector when there is one, all +1
+    # otherwise; nothing else is measured
+    n = 200
+    g, _ = sbm_instance(n, 25.0, 4.0, MASTER)
+    v = np.where(np.arange(n) % 3 == 0, -1.0, 1.0) / np.sqrt(n)
+
+    def no_eigs(*args, **kwargs):
+        raise NoConvergence("forced",
+                            best=(np.array([1.9]), v[:, None]) if ritz else None)
+
+    monkeypatch.setattr(graphconc.community, "top_k_eigs", no_eigs)
+    out = davis_kahan_check(g, BlockTwo(n, 25.0, 4.0), average_degree(g))
+    expect = np.where(v >= 0, 1, -1) if ritz else np.ones(n)
+    assert out["labels"].dtype == np.int8
+    assert np.array_equal(out["labels"], expect)
+    assert list(out) == RECORD_KEYS
+    assert out["converged"] is False and out["gap_valid"] is False
+    assert out["dk_holds"] is True
+    for key in ("delta", "norm_diff", "norm_steps", "norm_eps", "distance",
+                "bound", "lam2", "lam3"):
+        assert out[key] is None

@@ -8,6 +8,7 @@ written for contract v2 use 5-sigma windows.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -581,6 +582,22 @@ def test_load_graph_rejects_short_lines(tmp_path):
     path.write_text('{"n": 3, "directed": false, "weighted": false}\n0,1,1.0\n1,2,1.0,4\n')
     with pytest.raises(ValueError, match="every edge line must read i,j,w"):
         load_graph(path)
+
+
+@pytest.mark.parametrize("header", [
+    "not json", "[3, false]", '{"n": 3}', '{"n": true, "directed": false}',
+    '{"n": 3, "directed": 0}', '{"n": 3, "directed": false, "weighted": 1}'])
+def test_load_graph_refuses_a_bad_header(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,1,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_graph(path)
+
+
+def test_load_graph_header_without_weighted(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text('{"n": 3, "directed": false}\n0,1,1.0\n')
+    assert load_graph(path) == SparseGraph(3, [0], [1], [1.0])
 
 
 @pytest.mark.filterwarnings("error")

@@ -28,9 +28,8 @@ from .spectral import (DENSE_SOLVE_LIMIT, full_spectrum, inf_to_2_norm_exact,
                        inf_to_2_norm_lower, l1_operator_bound,
                        l2_sparsity_bound, spectral_norm, top_k_eigs)
 from .pietsch import GPCertificate, PietschWeights, gp_submatrix, gp_weights
-from .decompose import (EdgeDecomposition, VerifyReport, decompose,
-                        decomposition_to_csv, trace_to_json, triangle_split,
-                        verify_decomposition)
+from .decompose import (EdgeDecomposition, decompose, decomposition_to_csv,
+                        trace_to_json, triangle_split, verify_decomposition)
 from .community import (Detection, davis_kahan_bound, davis_kahan_check,
                         detect, expected_laplacian_eigs,
                         expected_laplacian_eigvec, misclassification,

@@ -384,7 +384,7 @@ def cmd_decompose(cfg, ctx):
             try:
                 dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
                                 gp_memo=gp_memo, part=name)
-                rep = verify_decomposition(gd, EA, dec, part=name)
+                found = verify_decomposition(gd, EA, dec, part=name)
             except VerificationError as exc:
                 # a certificate failed: the run ends, naming where
                 raise VerificationError(f"trial {t} (stream {t}), part "
@@ -395,19 +395,7 @@ def cmd_decompose(cfg, ctx):
             if cfg.write_files:
                 decomposition_to_csv(dec, _path(ctx, f"classes_t{t}_{name}.csv"))
                 trace_to_json(dec, _path(ctx, f"trace_t{t}_{name}.json"))
-            rec.update({
-                f"{name}_structural_ok": rep.structural_ok,
-                f"{name}_r_footprint_ok": rep.r_footprint_ok,
-                f"{name}_c_footprint_ok": rep.c_footprint_ok,
-                f"{name}_max_r_row_ones": rep.max_r_row_ones,
-                f"{name}_max_c_col_ones": rep.max_c_col_ones,
-                f"{name}_r_cols": rep.r_col_count,
-                f"{name}_c_rows": rep.c_row_count,
-                f"{name}_norm_n": rep.norm_n,
-                f"{name}_norm_steps": rep.norm_steps,
-                f"{name}_norm_eps": rep.norm_eps,
-                f"{name}_norm_ratio": rep.norm_ratio,
-                f"{name}_rounds": len(dec.block_trace)})
+            rec.update({f"{name}_{k}": v for k, v in found.items()})
         return rec
 
     trials = run_trials(one, ctx.trials, ctx.threads)
@@ -428,6 +416,8 @@ def cmd_decompose(cfg, ctx):
 def cmd_gp_check(cfg, ctx):
     if not 0 < cfg.ratio_limit < np.inf:  # NaN too
         raise ValueError("ratio_limit must be finite and positive")
+    if not cfg.deltas:  # no delta would check no certificate
+        raise ValueError("deltas must hold at least one entry")
     deltas = {}  # column suffix -> delta
     for delta in cfg.deltas:
         if not 0 < _check(delta, "float", "each delta") < 1:

@@ -43,11 +43,17 @@ block, and GP's column pass runs on that array uncopied when every row
 passes the filter.  EA is subtracted ``EA_CHUNK`` entries at a time,
 each chunk a few rows of EA[I x J] as the part keeps it: read from the
 model's factors (``EAFactors.block``), or sliced from a dense EA for a
-model without them.  So neither the centring nor the verifier's
-(A - EA)_N holds an n x n EA.  The row pass takes a C-ordered copy of
-the transpose's good rows, and the centred block is dropped before it
-runs.  Neither ``decompose`` nor ``verify_decomposition`` writes into
-the caller's A or EA.
+model without them; these are the only two forms of EA.  So neither
+the centring nor the verifier's (A - EA)_N holds an n x n EA of its
+own.  The row pass takes a C-ordered copy of the transpose's good
+rows, and the centred block is dropped before it runs.  Neither
+``decompose`` nor ``verify_decomposition`` writes into the caller's A
+or EA.
+
+``verify_decomposition`` checks one decomposition of one part (a
+directed sample or a triangle) and returns its record: a dict under
+the ``decompose`` command's trial columns without the part prefix, so
+the command stores it as it comes.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class EdgeDecomposition:
     block_trace: tuple
 
     def __post_init__(self):
+        if not (0 < self.r < np.inf and 0 < self.d < np.inf):  # NaN too
+            raise ValueError("r and d must be finite and positive")
         labels = np.asarray(self.class_of, dtype=np.int8)
         if labels.shape != (self.n, self.n):
             raise ValueError("class_of must be n x n")
@@ -101,10 +109,10 @@ class EdgeDecomposition:
 def _ea_reader(EA, n):
     """``read(I, J, part)``: EA[I x J] as ``part`` keeps it, a new array.
 
-    EA is the model's ``EAFactors``, an op or a dense array.  Factors
-    are read directly; anything else is densified once (an op's
-    ``to_dense``) and sliced, and the dense reads of "full" keep EA's
-    diagonal as it is.  Refuses n > DENSE_LIMIT in every form, before
+    EA comes in the two forms the ``decompose`` command passes: the
+    model's ``EAFactors``, read directly, or a dense n x n array (for a
+    model without factors), sliced; the dense reads of "full" keep EA's
+    diagonal as it is.  Refuses n > DENSE_LIMIT in either form, before
     any n x n work.
     """
     if n > DENSE_LIMIT:
@@ -114,8 +122,7 @@ def _ea_reader(EA, n):
         raise ValueError("EA shape mismatch")
     if isinstance(EA, EAFactors):
         return EA.block
-    dense = (EA.to_dense() if isinstance(EA, LinearOp)
-             else np.asarray(EA, dtype=float))
+    dense = np.asarray(EA, dtype=float)
 
     def read(I, J, part):
         out = dense[np.ix_(I, J)]
@@ -287,12 +294,13 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
 def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     """Full iterative decomposition of a directed sample.
 
-    EA is the model's ``EAFactors`` (``models.ea_factors``), an op or a
-    dense array.  ``part`` says which of its entries A is centred by:
-    "full" for a directed sample, "upper" or "lower" for a triangle of
-    an undirected one (``triangle_split``), the others read as 0.  Each
-    round subtracts its block of EA from its own copy of A's block (see
-    the module docstring); factors are never densified.
+    EA is the model's ``EAFactors`` (``models.ea_factors``) or, for a
+    model without factors, the dense n x n EA.  ``part`` says which of
+    its entries A is centred by: "full" for a directed sample, "upper"
+    or "lower" for a triangle of an undirected one (``triangle_split``),
+    the others read as 0.  Each round subtracts its block of EA from
+    its own copy of A's block (see the module docstring); factors are
+    never densified.
 
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
@@ -300,7 +308,8 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     empty or tiny (then it goes to N wholesale).  A RowFilterEmpty
     round marks its whole block exceptional and continues shrinking.
     R rows are disjoint across rounds by construction (asserted).  r
-    and d must be finite and positive.
+    and d must be finite and positive; this is checked before any work
+    starts.
 
     ``gp_memo``, a dict, stores each GP block's (J, certificate) under
     its exact content and hands it back for a block of equal bytes;
@@ -351,89 +360,56 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
 # verification
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    partition_ok: bool
-    r_rows_ok: bool
-    c_cols_ok: bool
-    max_r_row_ones: int
-    max_c_col_ones: int
-    ones_cap: float
-    r_col_count: int
-    c_row_count: int
-    footprint_limit: float
-    r_footprint_ok: bool
-    c_footprint_ok: bool
-    norm_n: float
-    norm_steps: int      # spectral_norm's steps and eps behind norm_n
-    norm_eps: float
-    norm_target: float
-    norm_ratio: float
-    kappa: float
-
-    @property
-    def structural_ok(self):
-        return self.partition_ok and self.r_rows_ok and self.c_cols_ok
-
-
 def verify_decomposition(A, EA, dec, part="full"):
-    """Check the certified properties of a decomposition, measure the rest.
+    """The record of one decomposition: its certified properties checked,
+    the rest measured.
 
-    (a) every ordered pair carries exactly one class (range check on the
-        dense label array);
-    (b) every row of A restricted to R has <= 32r ones;
-    (c) every column of A restricted to C has <= 32r ones;
-    (d) R touches <= KAPPA n/d columns and C <= KAPPA n/d rows;
-        reported, not raised.
-    (e) ||(A - EA)_N||, by spectral_norm for every n (with its steps
-        and eps), measured against r^{3/2} sqrt(d); recorded only.
+    A is the directed 0/1 ``SparseGraph`` that was decomposed; EA and
+    ``part`` as in ``decompose``; r and d are the decomposition's own.
+    Every ordered pair carries exactly one class already
+    (``EdgeDecomposition`` refuses any other label).  The record's keys,
+    in this order, are the ``decompose`` command's trial columns without
+    their part prefix:
 
-    d and r are the decomposition's own; EA and ``part`` as in
-    ``decompose``.
+    structural_ok
+        every row of A restricted to R has <= 32r ones
+        (max_r_row_ones), and so has every column restricted to C
+        (max_c_col_ones);
+    r_footprint_ok, c_footprint_ok
+        R touches <= KAPPA n/d columns (r_cols) and C <= KAPPA n/d rows
+        (c_rows); reported, not raised;
+    norm_n, norm_steps, norm_eps, norm_ratio
+        ||(A - EA)_N|| by spectral_norm, with its steps and eps, and its
+        ratio to r^{3/2} sqrt(d); recorded only;
+    rounds
+        the decomposition's block rounds.
+
+    Flags are Python bools, counts Python ints.
     """
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
-    partition_ok = bool(labels.size == 0 or
-                        (labels.min() >= 0 and labels.max() <= 2))
-
     read_ea = _ea_reader(EA, n)
     # a copy of A that is ours to overwrite with (A - EA)_N below
-    Ad = A.to_csr().toarray() if hasattr(A, "to_csr") else np.array(A, float)
+    Ad = _ones_csr(A).toarray()
     ones = Ad != 0
-
-    cap = 32.0 * r
-    max_r_row = int((ones & (labels == CLASS_R)).sum(axis=1).max()) if n else 0
-    max_c_col = int((ones & (labels == CLASS_C)).sum(axis=0).max()) if n else 0
-
+    max_r_row = int((ones & (labels == CLASS_R)).sum(axis=1).max(initial=0))
+    max_c_col = int((ones & (labels == CLASS_C)).sum(axis=0).max(initial=0))
     r_cols = int(np.any(labels == CLASS_R, axis=0).sum())
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
-    limit = KAPPA * n / d if d > 0 else np.inf
+    limit = KAPPA * n / d
 
     everything = np.arange(n)
     _subtract_ea(Ad, read_ea, everything, everything, part)
     Ad *= labels == CLASS_N
     norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(Ad))
-    target = (r ** 1.5) * np.sqrt(d) if d > 0 else np.inf
-    return VerifyReport(
-        partition_ok=partition_ok,
-        r_rows_ok=bool(max_r_row <= cap),
-        c_cols_ok=bool(max_c_col <= cap),
-        max_r_row_ones=max_r_row,
-        max_c_col_ones=max_c_col,
-        ones_cap=cap,
-        r_col_count=r_cols,
-        c_row_count=c_rows,
-        footprint_limit=float(limit),
-        r_footprint_ok=bool(r_cols <= limit),
-        c_footprint_ok=bool(c_rows <= limit),
-        norm_n=norm_n,
-        norm_steps=norm_steps,
-        norm_eps=norm_eps,
-        norm_target=float(target),
-        norm_ratio=float(norm_n / target) if np.isfinite(target) and target > 0
-        else 0.0,
-        kappa=KAPPA,
-    )
+    return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),
+            "r_footprint_ok": bool(r_cols <= limit),
+            "c_footprint_ok": bool(c_rows <= limit),
+            "max_r_row_ones": max_r_row, "max_c_col_ones": max_c_col,
+            "r_cols": r_cols, "c_rows": c_rows,
+            "norm_n": norm_n, "norm_steps": norm_steps, "norm_eps": norm_eps,
+            "norm_ratio": float(norm_n / (r ** 1.5 * np.sqrt(d))),
+            "rounds": len(dec.block_trace)}
 
 
 # ---------------------------------------------------------------------------

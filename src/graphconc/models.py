@@ -668,11 +668,23 @@ def _read_header(path, line):
     return header
 
 
+def _refusal(n, edges, directed):
+    """SparseGraph's InvalidModel on these edges, or None if it takes them."""
+    try:
+        SparseGraph(n, edges["i"], edges["j"], edges["w"], directed=directed)
+    except InvalidModel as err:
+        return err
+    return None
+
+
 def load_graph(path):
     """Read a ``save_graph`` file; every value comes back bit for bit.
 
     The header must be a JSON object with ``n`` a non-negative integer,
-    ``directed`` a bool and ``weighted``, if present, a bool.
+    ``directed`` a bool and ``weighted``, if present, a bool.  An edge
+    set that ``SparseGraph`` refuses (an id out of range, a self-loop, a
+    weight outside (0, 1], a duplicate) is a ValueError naming the file
+    and the first line that makes it so.
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
@@ -684,8 +696,23 @@ def load_graph(path):
                                dtype=_EDGE_DTYPE, ndmin=1)
         except ValueError as err:
             raise ValueError(f"{path}: every edge line must read i,j,w") from err
-    return SparseGraph(header["n"], edges["i"], edges["j"], edges["w"],
-                       directed=header["directed"])
+    n, directed = header["n"], header["directed"]
+    try:
+        return SparseGraph(n, edges["i"], edges["j"], edges["w"],
+                           directed=directed)
+    except InvalidModel:
+        pass
+    # the shortest refused prefix of the edges ends on the first bad line
+    lo, hi = 0, edges.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _refusal(n, edges[:mid], directed) else (mid, hi)
+    # the file lines np.loadtxt read an edge from (it skips blank lines
+    # and # comments); line 1 is the header
+    lines = [no for no, text in enumerate(body.split("\n"), 2)
+             if text.split("#")[0].strip()]
+    raise ValueError(f"{path}: line {lines[hi - 1]}: "
+                     f"{_refusal(n, edges[:hi], directed)}")
 
 
 def model_to_dict(model):

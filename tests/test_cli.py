@@ -220,6 +220,24 @@ def test_sbm_trial_keys_keep_their_order(tmp_path):
         assert [list(t) for t in json.load(fh)["trials"]] == [keys, keys]
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_decompose_trial_keys_keep_their_order(tmp_path, directed):
+    # report.json stores each trial's fields in this order: the trial,
+    # then each part's verifier record under the part's prefix
+    rep = run_command("decompose", {"n": 48, "d": 4.0, "r": 2.0,
+                                    "gp_iters": 20, "write_files": False,
+                                    "directed": directed},
+                      MASTER, str(tmp_path / "dec"), trials=2)
+    fields = ["structural_ok", "r_footprint_ok", "c_footprint_ok",
+              "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
+              "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds"]
+    parts = ["full"] if directed else ["upper", "lower"]
+    keys = ["trial"] + [f"{p}_{k}" for p in parts for k in fields]
+    assert [list(t) for t in rep.trials] == [keys, keys]
+    with open(tmp_path / "dec" / "report.json") as fh:
+        assert [list(t) for t in json.load(fh)["trials"]] == [keys, keys]
+
+
 def test_sbm_norm_failure_keeps_detect_labels(tmp_path, monkeypatch):
     def no_norm(*args, **kwargs):
         raise NoConvergence("forced", best=1.0)
@@ -613,10 +631,13 @@ def test_laplacian_refuses_cells_that_share_a_summary(tmp_path, cfg,
     ("concentration", {"cells": []}, "cells must hold at least one cell"),
     ("laplacian", {"ns": []}, "ns must hold at least one entry"),
     ("laplacian", {"ns": [64], "taus": []}, "taus must hold at least one entry"),
-], ids=["cells", "ns", "taus"])
+    ("gp-check", {"rows": 4, "cols": 5, "deltas": []},
+     "deltas must hold at least one entry"),
+], ids=["cells", "ns", "taus", "deltas"])
 def test_empty_grid_is_refused(tmp_path, name, cfg, message):
     # a grid of no cells would run no trials, write no trials.csv and
-    # report all_converged vacuously
+    # report all_converged vacuously; gp-check with no delta would check
+    # no certificate and report all_certificates_ok vacuously
     with pytest.raises(ValueError, match=re.escape(message)):
         run_command(name, cfg, MASTER, str(tmp_path / "grid"))
     assert not (tmp_path / "grid" / "report.json").exists()
@@ -820,18 +841,26 @@ def test_default_out_dir_is_the_config_hash(tmp_path, monkeypatch, capsys):
     assert [p.name for p in (tmp_path / "runs").iterdir()] == [made.name]
 
 
-@pytest.mark.parametrize("header,error", [
-    ('{"directed": false, "weighted": false}', "header has no field 'n'"),
-    ('{"n": 3, "directed": "false", "weighted": false}',
+@pytest.mark.parametrize("header,edge,error", [
+    ('{"directed": false, "weighted": false}', "0,1,1.0",
+     "header has no field 'n'"),
+    ('{"n": 3, "directed": "false", "weighted": false}', "0,1,1.0",
      "header field 'directed' must be true or false, not 'false'"),
-    ('{"n": 2.5, "directed": false, "weighted": false}',
+    ('{"n": 2.5, "directed": false, "weighted": false}', "0,1,1.0",
      "header field 'n' must be a non-negative integer, not 2.5"),
-    ('{"n": -3, "directed": false, "weighted": false}',
+    ('{"n": -3, "directed": false, "weighted": false}', "0,1,1.0",
      "header field 'n' must be a non-negative integer, not -3"),
-], ids=["no-n", "directed-str", "n-float", "n-negative"])
-def test_spectrum_refuses_a_bad_graph_header(tmp_path, capsys, header, error):
+    ('{"n": 1, "directed": false}', "0,1,1.0",
+     "line 2: vertex index out of range"),
+    ('{"n": 1, "directed": false}', "0,0,1.0",
+     "line 2: self-loops are not allowed"),
+], ids=["no-n", "directed-str", "n-float", "n-negative", "id-out-of-range",
+        "self-loop"])
+def test_spectrum_refuses_a_bad_graph_header(tmp_path, capsys, header, edge,
+                                             error):
+    # a bad header, or a valid one that the first edge line breaks
     graph = tmp_path / "g.csv"
-    graph.write_text(header + "\n0,1,1.0\n")
+    graph.write_text(f"{header}\n{edge}\n")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"graph": str(graph)}))
     rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),

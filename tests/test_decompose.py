@@ -13,14 +13,12 @@ from graphconc.decompose import CLASS_C, CLASS_N, CLASS_R
 from graphconc import (
     BlockTwo,
     EdgeDecomposition,
-    LinearOp,
     SizeExceeded,
     SparseGraph,
     Uniform,
     decompose,
     decomposition_to_csv,
     ea_factors,
-    expected_adjacency,
     expected_dense,
     sample,
     sample_directed,
@@ -39,7 +37,7 @@ dmod = importlib.import_module("graphconc.decompose")
 
 
 def zero_ea(n):
-    return LinearOp.from_dense(np.zeros((n, n)), symmetric=True)
+    return np.zeros((n, n))
 
 
 def directed_star_rows(n):
@@ -108,8 +106,7 @@ def test_single_heavy_row_lands_in_c():
     A = directed_star_rows(n)
     dec = decompose(A, zero_ea(n), r=1.0, d=1.0)
     assert np.all(dec.class_of[0, 1:] == CLASS_C)
-    rep = verify_decomposition(A, zero_ea(n), dec)
-    assert rep.structural_ok
+    assert verify_decomposition(A, zero_ea(n), dec)["structural_ok"]
 
 
 def test_single_heavy_column_lands_in_r():
@@ -118,8 +115,7 @@ def test_single_heavy_column_lands_in_r():
     At = SparseGraph(n, A.j, A.i, A.w, directed=True)
     dec = decompose(At, zero_ea(n), r=1.0, d=1.0)
     assert np.all(dec.class_of[1:, 0] == CLASS_R)
-    rep = verify_decomposition(At, zero_ea(n), dec)
-    assert rep.structural_ok
+    assert verify_decomposition(At, zero_ea(n), dec)["structural_ok"]
 
 
 def test_decompose_covers_every_pair():
@@ -127,15 +123,14 @@ def test_decompose_covers_every_pair():
     m = Uniform(n, 4.0 / n)
     g = sample(m, MASTER)
     up, lo = triangle_split(g)
-    EA = expected_adjacency(m)
+    EA = expected_dense(m)
     for part in (up, lo):
         dec = decompose(part, EA, r=1.0, d=4.0)
         counts = dec.counts()
         assert sum(counts.values()) == n * n
         rep = verify_decomposition(part, EA, dec)
-        assert rep.partition_ok and rep.r_rows_ok and rep.c_cols_ok
-        assert rep.r_footprint_ok and rep.c_footprint_ok
-        assert rep.structural_ok
+        assert rep["structural_ok"]
+        assert rep["r_footprint_ok"] and rep["c_footprint_ok"]
 
 
 def test_cap_exceptional_keeps_the_worst_offenders():
@@ -178,11 +173,11 @@ def test_planted_block_caps_the_exceptional_sets():
     assert len(exceptional) > cap
     order = sorted(exceptional, key=lambda j: (not rejected[j], -ones[j], j))
     assert first["J1"] == sorted(order[:cap])
-    assert verify_decomposition(A, EA, dec).structural_ok
+    assert verify_decomposition(A, EA, dec)["structural_ok"]
 
 
 def test_dense_ea_is_refused_above_the_limit():
-    # a dense EA gets the same refusal as a LinearOp, before any n x n work
+    # a dense EA gets the same refusal as factors, before any n x n work
     n = dmod.DENSE_LIMIT + 1
     EA = np.broadcast_to(0.0, (n, n))  # a view: no n x n allocation
     with pytest.raises(SizeExceeded):
@@ -224,19 +219,51 @@ def test_verifier_negative_control():
     labels[0, 1:34] = CLASS_R
     dec = EdgeDecomposition(n, labels, r=1.0, d=1.0, block_trace=())
     rep = verify_decomposition(A, zero_ea(n), dec)
-    assert not rep.r_rows_ok
-    assert rep.max_r_row_ones == 33 and rep.ones_cap == 32.0
-    assert not rep.structural_ok
+    assert rep["structural_ok"] is False
+    assert rep["max_r_row_ones"] == 33 and rep["max_c_col_ones"] == 0
+
+
+VERIFY_KEYS = ("structural_ok", "r_footprint_ok", "c_footprint_ok",
+               "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
+               "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds")
+
+
+def test_verify_returns_the_record_in_column_order():
+    # the record of one part, under the decompose command's trial columns
+    # in their order, with Python bools, ints and floats; d below the
+    # sample's degree 8 gives both triangles R cells, the lower one C too
+    n, r, d = 64, 0.25, 2.0
+    model = Uniform(n, 8.0 / n)
+    F = ea_factors(model)
+    parts = [*zip(triangle_split(sample(model, MASTER)), ("upper", "lower")),
+             (sample_directed(model, MASTER), "full")]
+    for A, part in parts:
+        dec = decompose(A, F, r, d, gp_iters=60, part=part)
+        rep = verify_decomposition(A, F, dec, part=part)
+        assert tuple(rep) == VERIFY_KEYS
+        for keys, kind in ((VERIFY_KEYS[:3], bool),
+                           (VERIFY_KEYS[3:7] + ("norm_steps", "rounds"), int),
+                           (("norm_n", "norm_eps", "norm_ratio"), float)):
+            assert [type(rep[k]) for k in keys] == [kind] * len(keys)
+        ones, labels = A.to_dense() != 0, dec.class_of
+        assert rep["max_r_row_ones"] == (ones & (labels == CLASS_R)).sum(1).max()
+        assert rep["max_c_col_ones"] == (ones & (labels == CLASS_C)).sum(0).max()
+        assert rep["r_cols"] == (labels == CLASS_R).any(0).sum() > 0
+        assert rep["c_rows"] == (labels == CLASS_C).any(1).sum()
+        assert rep["structural_ok"] == (
+            max(rep["max_r_row_ones"], rep["max_c_col_ones"]) <= 32 * r)
+        assert rep["norm_ratio"] == rep["norm_n"] / (r ** 1.5 * np.sqrt(d))
+        assert rep["rounds"] == len(dec.block_trace)
 
 
 def test_verifier_norm_on_empty_graph():
     # with every pair in N, ||(A - EA)_N|| is just ||EA||
     n = 32
     m = Uniform(n, 2.0 / n)
-    dec = decompose(empty_directed(n), expected_adjacency(m), r=1.0, d=2.0)
-    rep = verify_decomposition(empty_directed(n), expected_adjacency(m), dec)
+    dec = decompose(empty_directed(n), ea_factors(m), r=1.0, d=2.0)
+    rep = verify_decomposition(empty_directed(n), ea_factors(m), dec)
     assert sum(dec.counts().values()) == n * n
-    assert rep.norm_n == pytest.approx((n - 1) * 2.0 / n, rel=1e-6)
+    assert rep["norm_n"] == pytest.approx((n - 1) * 2.0 / n, rel=1e-6)
 
 
 def test_verifier_norm_matches_dense_svd():
@@ -245,37 +272,32 @@ def test_verifier_norm_matches_dense_svd():
     # and a symmetric -EA (Lanczos)
     n = 96
     m = Uniform(n, 6.0 / n)
-    EA = expected_adjacency(m)
+    EA = expected_dense(m)
     up, lo = triangle_split(sample(m, MASTER))
     for part in (up, lo, sample_directed(m, MASTER), empty_directed(n)):
         dec = decompose(part, EA, r=1.0, d=6.0)
         rep = verify_decomposition(part, EA, dec)
-        dev_n = ((part.to_dense() - EA.to_dense())
-                 * (dec.class_of == CLASS_N))
+        dev_n = (part.to_dense() - EA) * (dec.class_of == CLASS_N)
         ref = np.linalg.svd(dev_n, compute_uv=False)[0]
-        assert rep.norm_n == pytest.approx(ref, rel=1e-9)
+        assert rep["norm_n"] == pytest.approx(ref, rel=1e-9)
 
 
 def test_decompose_and_verify_leave_their_inputs_alone():
     # both work in place on arrays of their own: the caller's A and EA,
-    # dense or an op, directed or a triangle, are read and never written
+    # dense or factors, directed or a triangle, are read and never written
     n, d, r = 96, 8.0, 3.0
     model = Uniform(n, d / n)
-    P = expected_dense(model)
+    P, F = expected_dense(model), ea_factors(model)
     up, lo = triangle_split(sample(model, MASTER))
     directed = sample_directed(model, MASTER)
-    for A, EA in ((directed, P), (directed, LinearOp.from_dense(P)),
-                  (up, np.triu(P, 1)), (lo, np.tril(P, -1))):
-        dense_ea = EA.to_dense() if isinstance(EA, LinearOp) else EA
-        before = [x.copy() for x in (A.i, A.j, A.w, dense_ea, P)]
-        dec = decompose(A, EA, r, d, gp_iters=60)
-        rep = verify_decomposition(A, EA, dec)
-        Ad = A.to_dense()
-        assert verify_decomposition(Ad, EA, dec) == rep
-        assert np.array_equal(Ad, A.to_dense())
-        after = (A.i, A.j, A.w,
-                 EA.to_dense() if isinstance(EA, LinearOp) else EA, P)
-        for old, new in zip(before, after):
+    for A, EA, part in ((directed, P, "full"), (directed, F, "full"),
+                        (up, np.triu(P, 1), "full"), (lo, F, "lower")):
+        inputs = (A.i, A.j, A.w, P, F.U, F.C) + (
+            (EA,) if isinstance(EA, np.ndarray) else ())
+        before = [x.copy() for x in inputs]
+        dec = decompose(A, EA, r, d, gp_iters=60, part=part)
+        verify_decomposition(A, EA, dec, part=part)
+        for old, new in zip(before, inputs):
             assert np.array_equal(old, new)
 
 
@@ -327,6 +349,13 @@ def test_edge_decomposition_validation():
     bad[0, 0] = 5
     with pytest.raises(ValueError):
         EdgeDecomposition(3, bad, 1.0, 1.0, ())
+    # r and d enter the verifier's 32r cap, KAPPA n/d limit and
+    # r^{3/2} sqrt(d) target, so each must be finite and positive
+    labels = np.zeros((3, 3), dtype=np.int8)
+    for r, d in ((0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf),
+                 (1.0, 0.0)):
+        with pytest.raises(ValueError, match="r and d must be finite"):
+            EdgeDecomposition(3, labels, r, d, ())
 
 
 def test_csv_and_trace_roundtrip(tmp_path):

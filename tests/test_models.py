@@ -594,6 +594,25 @@ def test_load_graph_refuses_a_bad_header(tmp_path, header):
         load_graph(path)
 
 
+@pytest.mark.parametrize("directed,body,error", [
+    (False, "0,1,1.0\n1,2,0.5\n2,9,1.0\n3,3,1.0\n",
+     "line 4: vertex index out of range"),
+    (False, "0,1,1.0\n\n# a comment\n1,2,0.5\n3,3,1.0\n2,9,1.0\n",
+     "line 6: self-loops are not allowed"),
+    (False, "0,1,1.0\n2,3,1.0\n1,0,1.0\n", "line 4: duplicate entries"),
+    (True, "0,1,1.0\n1,0,1.0\n2,3,1.5\n",
+     "line 4: weights must lie in (0, 1]"),
+], ids=["range", "self-loop-after-blank-and-comment", "duplicate", "weight"])
+def test_load_graph_names_the_first_bad_edge_line(tmp_path, directed, body,
+                                                  error):
+    # the first line whose edge SparseGraph refuses, counted in the file
+    path = tmp_path / "bad.csv"
+    path.write_text(json.dumps({"n": 5, "directed": directed}) + "\n" + body)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{path}: {error}')}$"):
+        load_graph(path)
+
+
 def test_load_graph_header_without_weighted(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text('{"n": 3, "directed": false}\n0,1,1.0\n')

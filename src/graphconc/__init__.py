@@ -18,9 +18,9 @@ from .models import (BlockTwo, EAFactors, Explicit, RankOne, SparseGraph,
                      expected_degrees, expected_dense, load_graph,
                      max_expected_degree, max_rate, model_from_dict,
                      model_to_dict, sample, sample_directed, save_graph)
-from .operators import LinearOp, compose_difference, restrict
+from .operators import LinearOp, compose_difference
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
-                         apply_scheme, average_degree, degrees,
+                         apply_scheme, average_degree,
                          expected_laplacian, high_degree_set, laplacian,
                          proportional_reweight, remove_vertices, tau_shift,
                          trim_edges)

@@ -23,8 +23,9 @@ exceptional rows).  Classes are painted in priority order C < R < N
 
 Everything outside the hole I1 x J1 is covered: pairs with j not in J1
 by pass 1, pairs with j in J1 but i not in I1 by pass 2.  The driver
-recurses into I1 x J1 with m halved; blocks of nominal size <= 8 are
-dumped into N (GP on near-empty blocks is noise).  I1 and J1 are capped
+recurses into I1 x J1 with m halved; a block whose nominal size or
+whose larger side is at most TINY_BLOCK = 8 is dumped into N (GP on
+near-empty blocks is noise).  I1 and J1 are capped
 at floor(m/2) keeping the worst offenders, so exceptional dimensions
 are at most m/2 x m/2 unconditionally; capped-out indices simply fall
 back into the pass-1/pass-2 cover.
@@ -67,7 +68,7 @@ import numpy as np
 from .errors import RowFilterEmpty, SizeExceeded
 from .models import EAFactors, SparseGraph, part_mask
 from .operators import LinearOp
-from .pietsch import LITTLE_GROTHENDIECK, gp_submatrix
+from .pietsch import gp_submatrix
 from .spectral import spectral_norm
 
 CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
@@ -185,8 +186,7 @@ def _gp_block(B, gp_iters, gp_memo):
         key = (B.shape, gp_iters, hashlib.sha256(B).digest())
         if key in gp_memo:
             return gp_memo[key]
-    found = gp_submatrix(B, 0.25, max_iter=gp_iters,
-                         stop_ratio=LITTLE_GROTHENDIECK)
+    found = gp_submatrix(B, 0.25, max_iter=gp_iters)
     if key is not None:
         gp_memo[key] = found
     return found
@@ -204,10 +204,11 @@ def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
     """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
 
     ``good_rows`` are the rows that passed the filter and ``B`` is the
-    centred block on them (``_gp_rows``).  GP stops once its weights
-    certify the sqrt(pi/2) guarantee the decomposition uses;
-    ``gp_iters`` is only a cap.  Returns (exceptional mask J1, 32r-light
-    mask J44, GP certificate, capped?).
+    centred block on them (``_gp_rows``).  GP first checks the sqrt(pi/2)
+    guarantee the decomposition uses at uniform weights, with every
+    column selected; only a block that fails that check runs the mirror
+    descent, capped at ``gp_iters`` steps (``pietsch``).  Returns
+    (exceptional mask J1, 32r-light mask J44, GP certificate, capped?).
     """
     m = B.shape[1]
     J_gp, cert = _gp_block(B, gp_iters, gp_memo)
@@ -223,7 +224,8 @@ def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
 
 
 def _gp_trace(cert):
-    return {"achieved": cert.achieved_norm, "achieved_eps": cert.achieved_eps,
+    return {"route": cert.route, "achieved": cert.achieved_norm,
+            "achieved_eps": cert.achieved_eps,
             "submatrix_bound": cert.submatrix_bound,
             "selected": cert.n_selected,
             "iterations": cert.iterations, "converged": cert.converged,
@@ -305,7 +307,8 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
     with m halved and alpha = sqrt(m/n), until the exceptional block is
-    empty or tiny (then it goes to N wholesale).  A RowFilterEmpty
+    empty or tiny: m or max(|I|, |J|) at most TINY_BLOCK (then it goes
+    to N wholesale).  A RowFilterEmpty
     round marks its whole block exceptional and continues shrinking.
     R rows are disjoint across rounds by construction (asserted).  r
     and d must be finite and positive; this is checked before any work
@@ -328,7 +331,7 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     trace = []
     r_rows_seen = np.zeros(n, dtype=bool)
     while I.size and J.size:
-        if m_nom <= TINY_BLOCK:
+        if m_nom <= TINY_BLOCK or max(I.size, J.size) <= TINY_BLOCK:
             labels[np.ix_(I, J)] = CLASS_N
             trace.append(_round_trace(m_nom, np.sqrt(m_nom / n), I, J,
                                       all_n=True, row_filter_empty=False))

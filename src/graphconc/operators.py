@@ -89,34 +89,3 @@ def compose_difference(a, b):
            else lambda x: armv(x) - brmv(x))
     return LinearOp(a.n_rows, a.n_cols, lambda x: amv(x) - bmv(x), rmv,
                     symmetric=a.symmetric and b.symmetric)
-
-
-def restrict(op, rows=None, cols=None):
-    """Zero out the rows outside ``rows`` and columns outside ``cols``.
-
-    Same shape as ``op`` (the masked restriction B_{I x J}, not a
-    submatrix).  None means keep-all.
-    """
-    row_mask = np.zeros(op.n_rows, dtype=bool)
-    if rows is None:
-        row_mask[:] = True
-    else:
-        row_mask[np.asarray(rows, dtype=np.int64)] = True
-    col_mask = np.zeros(op.n_cols, dtype=bool)
-    if cols is None:
-        col_mask[:] = True
-    else:
-        col_mask[np.asarray(cols, dtype=np.int64)] = True
-
-    def mv(x):
-        y = op.matvec(np.where(col_mask, x, 0.0))
-        y[~row_mask] = 0.0
-        return y
-
-    def rmv(x):
-        y = op.rmatvec(np.where(row_mask, x, 0.0))
-        y[~col_mask] = 0.0
-        return y
-
-    sym = op.symmetric and row_mask.shape == col_mask.shape and np.array_equal(row_mask, col_mask)
-    return LinearOp(op.n_rows, op.n_cols, mv, rmv, symmetric=sym)

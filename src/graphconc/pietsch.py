@@ -21,31 +21,37 @@ The decomposition needs one fact from this step, for the selected J:
 
     ||B_J|| sqrt(delta m)  <=  sqrt(pi/2) ||B||_{inf->2}.
 
-``decompose`` passes ``stop_ratio`` = sqrt(pi/2), and the descent stops
-at the first best iterate whose measured f(mu) is at most target =
-sqrt(pi/2) times the lower bound on ||B||_{inf->2} (exact enumeration
-when m <= EXACT_LOWER_COLS = 12, the greedy bound otherwise; computed
-before the descent and kept as ``lower_bound``); ``target_met`` records
-that stop.  Each link of
+``gp_submatrix`` without weights (``decompose``'s call) first draws the
+lower bound on ||B||_{inf->2} as the descent would (``_descent_start``:
+exact enumeration when m <= EXACT_LOWER_COLS = 12, the greedy bound on
+G = B^T B otherwise) and sets target = sqrt(pi/2) times it.  Then it
+takes one of two routes, chosen from the block alone:
+
+* uniform: at mu = 1/m every column is selected, and the fact reads
+  ||B|| sqrt(delta m) <= target.  dpotrf on t^2 I - G (``_norm_below``)
+  decides ||B|| < t = (target (1 + 1e-8) + 1e-12) / sqrt(delta m); if
+  that holds, it is the certificate: no descent, no oracle, no f(mu).
+  Every block ``decompose`` has run on a sample passes, at 0.49-0.91
+  of the target (README).
+* descent, for a block that fails: gp-check's descent (``gp_weights``),
+  then J = {j : mu_j <= 1/(delta m)} and a Cholesky proof of
+  ||B_J|| sqrt(delta m) <= f (1 + 1e-8) + 1e-12.  Each link of
 
     ||B_J|| sqrt(delta m)  <=  f  <=  target  <=  sqrt(pi/2) ||B||_{inf->2}
 
-is then checked on computed values: the first by ``gp_submatrix``, by a
-Cholesky factorization that proves ||B_J|| below the bound it needs;
-the second by the stop; the third
-because the lower bound is at most ||B||_{inf->2}.  f is the value
-``_certified_f`` measured, and the chain never needs it to bound the
-true f(mu) from above.  ``_certified_f`` is one ``spectral_norm`` call:
-exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise a
-Golub-Kahan value, which is a lower bound on f(mu).  Its
-Kuczynski-Wozniakowski eps, kept as ``achieved_eps`` (0 when exact),
-bounds f(mu) <= achieved_norm / (1 - eps) with probability 1 - 1e-3
-(``spectral``).
+  is then a computed fact, the second only when f <= target, which
+  ``target_met`` records; the third because the lower bound is at most
+  ||B||_{inf->2}.
 
-Every descent also ends at its stall test: the first step at which the
-best f(mu) improved by at most a relative _CONVERGED_TOL = 1e-4 over
-the last _CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
-gp-check passes no stop_ratio, so the stall test ends its descents.
+f is the value ``_certified_f`` measured, one ``spectral_norm`` call:
+exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise a
+Golub-Kahan value, a lower bound on f(mu); the chain never needs an
+upper bound on it.  Its Kuczynski-Wozniakowski eps, kept as
+``achieved_eps`` (0 when exact), bounds f(mu) <= achieved_norm /
+(1 - eps) with probability 1 - 1e-3 (``spectral``).  Every descent
+ends at its stall test: the first step at which the best f(mu)
+improved by at most a relative _CONVERGED_TOL = 1e-4 over the last
+_CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
 
 The subgradient oracle (``_oracle``) is one step function, chosen once
 per descent from the block's shape and its dead columns.  When
@@ -55,11 +61,9 @@ Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
 Lanczos steps, warm-started from the previous step's vector and fully
 reorthogonalized, one product by G = B^T B per step, and takes the top
 Ritz pair.  G is formed once per descent and serves the greedy lower
-bound and the oracle alike: f(mu) depends on B through G alone.
-``gp_submatrix`` forms it and hands it to ``gp_weights``, and when J
-holds every column it decides ||B_J|| sqrt(delta m) <= f by dpotrf on
-that same G, overwritten in place; otherwise on the Gram of B_J's
-smaller side.  The README's Grothendieck-Pietsch section gives the
+bound and the oracle alike: f(mu) depends on B through G alone.  The
+uniform check overwrites its G, so a block that fails it forms G again
+for the descent.  The README's Grothendieck-Pietsch section gives the
 timings behind these choices.
 """
 
@@ -101,8 +105,6 @@ class PietschWeights:
     converged: bool
     iterations: int
     history: tuple = field(repr=False, default=())
-    target: float | None = None    # stop_ratio * lower bound, if asked
-    target_met: bool = False       # stopped on a measured f <= target
     lower_bound: float | None = None  # on ||B||_{inf->2}, asserted against
     achieved_eps: float = 0.0  # KW eps of achieved_norm; 0 when exact
 
@@ -126,13 +128,14 @@ class GPCertificate:
     n_selected: int
     size_bound: float          # (1 - delta) m
     submatrix_bound: float     # t with ||B_J|| < t proved by Cholesky
-    achieved_norm: float       # f(mu) as measured, the right-hand side
-    achieved_eps: float        # PietschWeights.achieved_eps
+    achieved_norm: float | None  # f(mu) as measured; None on "uniform"
+    achieved_eps: float | None   # PietschWeights.achieved_eps; idem
     ok: bool
-    iterations: int            # mirror-descent steps behind the weights
-    converged: bool            # PietschWeights.converged
-    target: float | None       # PietschWeights.target
-    target_met: bool           # PietschWeights.target_met
+    iterations: int            # mirror-descent steps; 0 on "uniform"
+    converged: bool | None     # PietschWeights.converged; None on "uniform"
+    target: float | None       # sqrt(pi/2) * lower bound; None with weights
+    target_met: bool           # ||B_J|| sqrt(delta m) <= target established
+    route: str                 # "uniform" (no descent) or "descent"
 
 
 def _col_scale(mu, col_live):
@@ -140,7 +143,7 @@ def _col_scale(mu, col_live):
     return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
 
 
-def _certified_f(B, mu, col_live, rng=None):
+def _certified_f(B, mu, col_live, rng):
     """spectral_norm's NormEstimate of f(mu) = ||B D_mu^{-1/2}||.
 
     One spectral_norm call on the op B s, ``s`` the diagonal of
@@ -149,8 +152,7 @@ def _certified_f(B, mu, col_live, rng=None):
     bound on f(mu), taken once it moves by at most 1e-9 (relative) over
     10 steps.  That is all the proof chain needs (module docstring);
     the estimate's eps, kept as ``achieved_eps``, is the probabilistic
-    upper side.  Without ``rng`` the start vector comes from
-    spectral_norm's own stream.
+    upper side.  The start vector is drawn from ``rng``.
     """
     s = _col_scale(mu, col_live)
     op = LinearOp(*B.shape, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
@@ -225,7 +227,7 @@ def _lanczos_pair(G, s, v0):
     invariant.  The Ritz value is a lower bound on lambda_max (Cauchy
     interlacing; up to rounding, as the tests check); mirror descent only
     needs an inexact subgradient, and f is measured again by
-    ``_certified_f`` where it counts.  v is a unit vector, zero wherever
+    ``_certified_f`` at the end.  v is a unit vector, zero wherever
     s and ``v0`` are.
     """
     m = v0.size
@@ -279,71 +281,73 @@ def _norm_below(G, t):
     return info == 0
 
 
-def gp_weights(B, max_iter=500, stop_ratio=None, gram=None):
+def _as_block(B):
+    """B as a C-ordered float matrix with at least one column: read in C
+    order, so no result depends on the caller's memory layout."""
+    B = np.ascontiguousarray(B, dtype=float)
+    if B.ndim != 2:
+        raise ValueError("B must be a matrix")
+    if B.shape[1] == 0:
+        raise ValueError("B needs at least one column")
+    return B
+
+
+def _descent_start(B, G):
+    """(rng, v, lower): the descent's stream after its draws, its random
+    start ``v`` and the lower bound on ||B||_{inf->2}, drawn in that
+    order: exact enumeration when m <= EXACT_LOWER_COLS, the greedy
+    bound on the Gram ``G`` = B^T B otherwise."""
+    m = B.shape[1]
+    rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
+    v = rng.standard_normal(m)
+    if m <= EXACT_LOWER_COLS:
+        lower = inf_to_2_norm_exact(B)
+    else:
+        lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
+    return rng, v, lower
+
+
+def _bound(rhs, delta, m):
+    """t with ||B_J|| < t proving ||B_J|| sqrt(delta m) <= rhs, up to the
+    slack rhs (1 + 1e-8) + 1e-12."""
+    return (rhs * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
+
+
+def gp_weights(B, max_iter=500):
     """Entropic mirror descent for the Pietsch weights; best iterate kept.
 
     Step t moves by 1/sqrt(t) times the normalized subgradient.  The
-    lower bound on ||B||_{inf->2} (exact enumeration when m <=
-    EXACT_LOWER_COLS, the greedy bound on G = B^T B otherwise) is
-    computed first and returned as ``lower_bound``; it serves the stop
-    rule and the left inequality achieved_norm >= ||B||_{inf->2},
-    asserted on every call.
-
-    With ``stop_ratio`` the target is stop_ratio * lower.  Whenever the
-    oracle's estimate gives a new best f <= target, f(mu_best) is
-    measured by ``_certified_f`` on spectral_norm's own stream, and the
-    descent stops if that value is <= target.  ``target_met`` records
-    that stop: ``achieved_norm`` is then that value (``achieved_eps``
-    its eps), and with gp_submatrix's check it closes the chain in the
-    module docstring.  It does not claim that the true f(mu) is <=
-    target.  Otherwise the descent runs to its stall test or to
-    ``max_iter``, ends by measuring the best and the final iterate on
-    the descent's stream, and returns what a call without
-    ``stop_ratio`` returns, bit for bit.
+    lower bound on ||B||_{inf->2} (``_descent_start``, on G = B^T B) is
+    computed first and returned as ``lower_bound``; it serves the left
+    inequality achieved_norm >= ||B||_{inf->2}, asserted on every call.
+    The descent ends by measuring the best and the final iterate on
+    the descent's stream and keeps the smaller.
 
     The stall test ends the descent at the first step t > _CONVERGED_WINDOW
     at which the running best improved by at most a relative
     _CONVERGED_TOL over the last _CONVERGED_WINDOW steps; ``converged``
     reports that stop.  The stop is a truncation: the call with
     ``max_iter`` set to the returned ``iterations`` returns the same
-    result bit for bit.  ``converged`` is False when the cap (or a
-    target) ended the descent first; callers treat False as a flag, not
-    an error.
+    result bit for bit.  ``converged`` is False when the cap ended the
+    descent first; callers treat False as a flag, not an error.
 
-    B is read in C order, copied first only when it is not C-ordered,
-    so the result does not depend on the caller's memory layout.
-    ``gram`` is G = B^T B when the caller holds it (``gp_submatrix``);
-    it is formed here otherwise.
+    B is read in C order (``_as_block``).
     """
-    B = np.ascontiguousarray(B, dtype=float)
-    if B.ndim != 2:
-        raise ValueError("B must be a matrix")
-    k, m = B.shape
-    if m == 0:
-        raise ValueError("B needs at least one column")
-    rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
+    B = _as_block(B)
+    m = B.shape[1]
     col_sq = np.einsum("ij,ij->j", B, B)
     col_live = col_sq > 0.0
-    if not col_live.any():
-        mu = np.full(m, 1.0 / m)
-        target = None if stop_ratio is None else 0.0
-        return PietschWeights(mu, 0.0, True, 0, (0.0,), target,
-                              target is not None, 0.0)
-    G = B.T @ B if gram is None else gram
     mu = np.full(m, 1.0 / m)
-    v = rng.standard_normal(m)
+    if not col_live.any():
+        return PietschWeights(mu, 0.0, True, 0, (0.0,), 0.0)
+    G = B.T @ B
+    rng, v, lower = _descent_start(B, G)
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
-    if m <= EXACT_LOWER_COLS:
-        lower = inf_to_2_norm_exact(B)
-    else:
-        lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
-    target = None if stop_ratio is None else stop_ratio * lower
     top_pair = _oracle(B, G, col_live)
     best_mu = mu.copy()
     best_f = np.inf
     history = []
-    achieved = None
     converged = False
     for t in range(1, max_iter + 1):
         lam, v = top_pair(mu, v)
@@ -351,17 +355,11 @@ def gp_weights(B, max_iter=500, stop_ratio=None, gram=None):
         if f < best_f:
             best_f = f
             best_mu = mu.copy()
-            if target is not None and f <= target:
-                # spectral_norm's own stream: a failed check leaves rng,
-                # and so the rest of the descent, untouched
-                measured = _certified_f(B, best_mu, col_live)
-                if measured.value <= target:
-                    achieved = measured
         history.append(best_f)
         converged = bool(t > _CONVERGED_WINDOW and
                          history[-1 - _CONVERGED_WINDOW] - history[-1]
                          <= _CONVERGED_TOL * max(history[-1], 1e-30))
-        if achieved is not None or converged:
+        if converged:
             break
         g = -lam * (v * v) / mu
         gmax = -g.min()  # lam >= 0, so g <= 0
@@ -371,67 +369,70 @@ def gp_weights(B, max_iter=500, stop_ratio=None, gram=None):
         mu /= mu.sum()
         mu = np.maximum(mu, _MU_FLOOR)
         mu /= mu.sum()
-    iterations = len(history)
-    target_met = achieved is not None
-    if not target_met:
-        # measure both candidates on the descent's stream
-        achieved = _certified_f(B, best_mu, col_live, rng)
-        final = _certified_f(B, mu, col_live, rng)
-        if final.value < achieved.value:
-            achieved, best_mu = final, mu.copy()
+    achieved = _certified_f(B, best_mu, col_live, rng)
+    final = _certified_f(B, mu, col_live, rng)
+    if final.value < achieved.value:
+        achieved, best_mu = final, mu.copy()
     if achieved.value < lower * (1.0 - 1e-8) - 1e-12:
         raise VerificationError(f"left factorization inequality violated: "
                                 f"{achieved.value} < {lower}")
     return PietschWeights(best_mu, float(achieved.value), converged,
-                          iterations, tuple(history), target, target_met,
-                          float(lower), float(achieved.eps))
+                          len(history), tuple(history), float(lower),
+                          float(achieved.eps))
 
 
-def gp_submatrix(B, delta, weights=None, **gp_kwargs):
-    """Columns J = {j : mu_j <= 1/(delta m)} plus the certified bounds.
+def gp_submatrix(B, delta, weights=None, max_iter=500):
+    """Columns J with |J| >= (1-delta)m, with the certificate of their
+    ||B_J|| sqrt(delta m).
 
-    Both guarantees are algebraic consequences of sum(mu) = 1 and are
-    asserted on every call: |J| >= (1-delta)m by pigeonhole, and
-    ||B_J|| sqrt(delta m) <= achieved_norm, checked with the slack
-    achieved_norm (1 + 1e-8) + 1e-12.  The second is decided, not
-    measured: with t that slack over sqrt(delta m), dpotrf on
-    t^2 I - G_J (``_norm_below``) proves ||B_J|| < t, up to rounding of
-    about m u ||G_J|| (u the unit roundoff), far inside the 1e-8.  t is
-    kept as ``submatrix_bound``.
-
-    Without ``weights`` the Gram G = B^T B is formed here and handed to
-    ``gp_weights``; when J holds every column, G_J is G, and the check
-    overwrites it in place.  Otherwise G is dropped, and G_J is formed
-    on B_J's smaller side.  B is read in C order, as in ``gp_weights``.
+    Without ``weights``: the uniform route, or for a block that fails
+    its check ``gp_weights(B, max_iter)`` and the descent route (module
+    docstring).  With ``weights`` (gp-check's call), or on the descent
+    route, J = {j : mu_j <= 1/(delta m)}.  Both guarantees are then
+    algebraic consequences of sum(mu) = 1, asserted on every call:
+    |J| >= (1-delta)m by pigeonhole, and ||B_J|| sqrt(delta m) <=
+    achieved_norm with the slack achieved_norm (1 + 1e-8) + 1e-12.  The
+    second is decided, not measured: with t that slack over
+    sqrt(delta m), dpotrf on t^2 I - G_J, G_J the Gram of B_J's smaller
+    side, proves ||B_J|| < t, up to rounding of about m u ||G_J|| (u the
+    unit roundoff), far inside the 1e-8.  Either route keeps its t as
+    ``submatrix_bound``.  B is read in C order (``_as_block``).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("need 0 < delta < 1")
-    B = np.ascontiguousarray(B, dtype=float)
+    B = _as_block(B)
     m = B.shape[1]
-    G, w = None, weights
+    threshold = 1.0 / (delta * m)
+    cert = dict(m=m, delta=delta, threshold=threshold,
+                size_bound=(1.0 - delta) * m, ok=True)
+    w, target = weights, None
     if w is None:
         G = B.T @ B
-        w = gp_weights(B, gram=G, **gp_kwargs)
-    threshold = 1.0 / (delta * m)
+        target = LITTLE_GROTHENDIECK * _descent_start(B, G)[2]
+        bound = _bound(target, delta, m)
+        if _norm_below(G, bound):
+            return np.arange(m), GPCertificate(
+                **cert, n_selected=m, submatrix_bound=bound,
+                achieved_norm=None, achieved_eps=None, iterations=0,
+                converged=None, target=target, target_met=True,
+                route="uniform")
+        del G  # dpotrf wrote over it; freed before the descent forms its own
+        w = gp_weights(B, max_iter=max_iter)
     J = np.flatnonzero(w.mu <= threshold)
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    bound = (w.achieved_norm * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
+    bound = _bound(w.achieved_norm, delta, m)
     if J.size < m:
-        G = None  # dropped before B_J and its Gram are formed
         B = B[:, J]
-    if G is None:
-        G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
+    G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
     if not _norm_below(G, bound):
         raise VerificationError(
             f"submatrix certificate failed: ||B_J|| < {bound}, which "
             f"||B_J|| sqrt(delta m) <= {w.achieved_norm} needs, is not "
             f"proved")
-    return J, GPCertificate(m=m, delta=delta, threshold=threshold,
-                            n_selected=int(J.size),
-                            size_bound=(1.0 - delta) * m,
-                            submatrix_bound=bound,
-                            achieved_norm=w.achieved_norm,
-                            achieved_eps=w.achieved_eps, ok=True,
-                            iterations=w.iterations, converged=w.converged,
-                            target=w.target, target_met=w.target_met)
+    return J, GPCertificate(
+        **cert, n_selected=int(J.size), submatrix_bound=bound,
+        achieved_norm=w.achieved_norm, achieved_eps=w.achieved_eps,
+        iterations=w.iterations, converged=w.converged, target=target,
+        target_met=target is not None and w.achieved_norm <= target,
+        route="descent")

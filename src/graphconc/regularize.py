@@ -5,7 +5,7 @@ n vertices (removal zeroes rows/columns, it never reindexes) and are
 entrywise dominated by the input.  The tau-shift is the one scheme that
 adds mass: A_tau = A + (tau/n)11^T, kept lazy in ``ShiftedGraph``
 because it is dense.  The shift includes the diagonal, so the shifted
-degree vector is exactly degrees(g) + tau.
+degree vector is exactly g.degrees() + tau.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from .models import SparseGraph, expected_adjacency
 from .operators import LinearOp
 
 SCHEMES = ("identity", "remove", "trim", "reweight", "tau")
-
-
-def degrees(g):
-    """Weighted degree vector (out-degrees for directed graphs)."""
-    return g.degrees()
 
 
 def average_degree(g):

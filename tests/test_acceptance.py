@@ -206,10 +206,11 @@ def test_ac7_gp_submatrix_certificates(tmp_path):
 def test_ac8_decomposition_structure(tmp_path):
     # oracle: ratios 0.333..0.345 (0.329..0.345 under contract v1),
     # footprints 0, structural 100%.
-    # gp_iters=120 is only a cap: decompose stops each GP descent once
-    # its f(mu) is certified <= sqrt(pi/2) times the greedy lower bound,
-    # at step 5..10 on these 40 blocks, and the classes are byte-identical
-    # to those of full 120-step descents.
+    # gp_iters=120 is only a cap: each of these 40 GP blocks passes the
+    # uniform check (||B|| sqrt(m/4) < sqrt(pi/2) times the greedy lower
+    # bound, by Cholesky) and keeps every column without a descent, and
+    # the classes are byte-identical to those of the descents that ran
+    # before that check.
     rep, dt = _run("decompose",
                    {"n": 512, "d": 8.0, "r": 3.0, "gp_iters": 120,
                     "write_files": False},

@@ -148,7 +148,9 @@ def test_planted_block_caps_the_exceptional_sets():
     # 40 heavy rows fail the 8-ones filter and put ~36 ones in almost
     # every column, far above 32r: ~60 exceptional columns, capped at
     # m/2 = 32.  Columns 0..2 are light in those rows but dense in the 24
-    # filtered rows, so GP rejects them; they are kept first.
+    # filtered rows.  Against EA = 0.02 they carry the GP block's norm,
+    # which fails the uniform check (at 1.31 of its target), so GP's
+    # descent rejects them; they are kept first.
     n, cap = 64, 32
     M = np.zeros((n, n), dtype=bool)
     M[:40] = np.random.default_rng(5).random((40, n)) < 0.9
@@ -156,16 +158,16 @@ def test_planted_block_caps_the_exceptional_sets():
     M[40:, :3] = True
     np.fill_diagonal(M, False)
     A = SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True)
-    EA = np.full((n, n), 0.05)
+    EA = np.full((n, n), 0.02)
     np.fill_diagonal(EA, 0.0)
     dec = decompose(A, EA, r=1.0, d=1.0, gp_iters=50)
     first = dec.block_trace[0]
+    assert first["gp_cols"]["route"] == "descent"
     assert first["capped_J1"] and first["capped_I1"]
     assert len(first["J1"]) == len(first["I1"]) == cap
 
     good = M.sum(axis=1) <= first["row_cap"]
-    J_gp, _ = dmod.gp_submatrix(M[good] - EA[good], 0.25, max_iter=50,
-                                stop_ratio=dmod.LITTLE_GROTHENDIECK)
+    J_gp, _ = dmod.gp_submatrix(M[good] - EA[good], 0.25, max_iter=50)
     rejected = ~np.isin(np.arange(n), J_gp)
     assert np.flatnonzero(rejected).tolist() == [0, 1, 2]
     ones = M[~good].sum(axis=0)
@@ -174,6 +176,43 @@ def test_planted_block_caps_the_exceptional_sets():
     order = sorted(exceptional, key=lambda j: (not rejected[j], -ones[j], j))
     assert first["J1"] == sorted(order[:cap])
     assert verify_decomposition(A, EA, dec)["structural_ok"]
+
+
+def heavy_columns_and_rows(n=64):
+    """(A, EA): columns 0..2 hold 40 ones each (rows 10..49) and rows
+    0..2 six each (columns 40..45), with EA = 0.01 off the diagonal.
+    Every row and column passes GP's blocks, both fail the uniform
+    check, and the descents reject columns 0..2 and rows 0..2."""
+    M = np.zeros((n, n), dtype=bool)
+    M[10:50, :3] = True
+    M[:3, 40:46] = True
+    EA = np.full((n, n), 0.01)
+    np.fill_diagonal(EA, 0.0)
+    return SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True), EA
+
+
+def test_a_small_hole_goes_to_n_without_gp(monkeypatch):
+    # GP rejects 3 rows and 3 columns, so round 2 holds a 3 x 3 block at
+    # nominal m = 32: it is dumped into N by its size, and the classes
+    # are those of a GP round on it
+    A, EA = heavy_columns_and_rows()
+    calls = count_gp(monkeypatch)
+    dec = decompose(A, EA, r=1.0, d=1.0, gp_iters=60)
+    first, second = dec.block_trace
+    assert first["gp_cols"]["route"] == first["gp_rows"]["route"] == "descent"
+    assert first["I1"] == first["J1"] == [0, 1, 2]
+    assert (second["m"], second["rows"], second["cols"]) == (32, 3, 3)
+    assert second["all_n"] and "gp_cols" not in second
+    assert len(calls) == 2
+    assert dec.counts()["R"] > 0
+    assert verify_decomposition(A, EA, dec)["structural_ok"]
+
+    monkeypatch.setattr(dmod, "TINY_BLOCK", 0)  # GP on every block
+    gp_everywhere = decompose(A, EA, r=1.0, d=1.0, gp_iters=60)
+    rounds = gp_everywhere.block_trace
+    assert len(rounds) == 2 and rounds[1]["rows"] == rounds[1]["cols"] == 3
+    assert rounds[1]["gp_cols"]["route"] == "uniform"
+    assert np.array_equal(gp_everywhere.class_of, dec.class_of)
 
 
 def test_dense_ea_is_refused_above_the_limit():
@@ -375,31 +414,44 @@ def test_csv_and_trace_roundtrip(tmp_path):
         back[int(i), int(j)] = names[cls]
     assert np.array_equal(back, dec.class_of)
 
-    trace_path = tmp_path / "trace.json"
-    trace_to_json(dec, trace_path)
-    blob = json.loads(trace_path.read_text())
-    assert blob["n"] == n and len(blob["rounds"]) == len(dec.block_trace)
-    gp_rounds = [rnd for rnd in blob["rounds"] if "gp_cols" in rnd]
-    assert gp_rounds
-    for rnd in gp_rounds:
-        for side in ("gp_cols", "gp_rows"):
-            assert rnd[side]["iterations"] >= 1
-            assert isinstance(rnd[side]["converged"], bool)
-            assert 0.0 <= rnd[side]["achieved_eps"] < 1.0
-            # decompose asks GP to stop at sqrt(pi/2) times its lower bound
-            assert rnd[side]["target"] >= 0.0
-            assert isinstance(rnd[side]["target_met"], bool)
-            if rnd[side]["target_met"]:
-                assert rnd[side]["achieved"] <= rnd[side]["target"] * (1 + 1e-12)
-                # the chain the decomposition uses, with delta = 1/4:
-                # ||B_J|| sqrt(m/4) <= f(mu) <= target, where ||B_J|| <
-                # submatrix_bound, f's slack over sqrt(m/4)
-                m = rnd["cols"] if side == "gp_cols" else rnd["rows"]
-                lhs = rnd[side]["submatrix_bound"] * np.sqrt(m / 4)
-                assert lhs == pytest.approx(
-                    rnd[side]["achieved"] * (1 + 1e-8) + 1e-12, rel=1e-14)
-                assert lhs <= (rnd[side]["target"] * (1 + 1e-8)
+    routes = set()
+    # the sample's blocks pass the uniform check, the planted ones fail it
+    for dec in (dec, decompose(*heavy_columns_and_rows(), r=1.0, d=1.0,
+                               gp_iters=60)):
+        trace_path = tmp_path / "trace.json"
+        trace_to_json(dec, trace_path)
+        blob = json.loads(trace_path.read_text())
+        assert blob["n"] == dec.n
+        assert len(blob["rounds"]) == len(dec.block_trace)
+        gp_rounds = [rnd for rnd in blob["rounds"] if "gp_cols" in rnd]
+        assert gp_rounds
+        for rnd, side in ((rnd, side) for rnd in gp_rounds
+                          for side in ("gp_cols", "gp_rows")):
+            gp = rnd[side]
+            routes.add(gp["route"])
+            # the chain the decomposition uses, with delta = 1/4:
+            # ||B_J|| sqrt(m/4) <= rhs (1 + 1e-8) + 1e-12, where ||B_J|| <
+            # submatrix_bound; rhs is the target itself on the uniform
+            # route and f(mu) on the descent route
+            m = rnd["cols"] if side == "gp_cols" else rnd["rows"]
+            lhs = gp["submatrix_bound"] * np.sqrt(m / 4)
+            assert gp["target"] >= 0.0 and isinstance(gp["target_met"], bool)
+            if gp["route"] == "uniform":
+                assert gp["selected"] == m and gp["iterations"] == 0
+                assert gp["achieved"] is gp["achieved_eps"] is None
+                assert gp["converged"] is None and gp["target_met"]
+                rhs = gp["target"]
+            else:
+                assert gp["route"] == "descent" and gp["iterations"] >= 1
+                assert isinstance(gp["converged"], bool)
+                assert 0.0 <= gp["achieved_eps"] < 1.0
+                assert gp["target_met"] == (gp["achieved"] <= gp["target"])
+                rhs = gp["achieved"]
+            assert lhs == pytest.approx(rhs * (1 + 1e-8) + 1e-12, rel=1e-14)
+            if gp["target_met"]:
+                assert lhs <= (gp["target"] * (1 + 1e-8)
                                + 1e-12) * (1 + 1e-14)
+    assert routes == {"uniform", "descent"}
 
 
 def test_csv_bytes_match_rowwise_writer(tmp_path):

@@ -12,10 +12,8 @@ from graphconc import (
     Uniform,
     adjacency_shifted_op,
     compose_difference,
-    restrict,
     sample,
     sample_directed,
-    spectral_norm,
     tau_shift,
 )
 
@@ -96,39 +94,3 @@ def test_adjacency_ops_match_dense():
         assert not op.symmetric
         assert_close(op.to_dense(), ref, 1e-14)
         assert_close(op.T.to_dense(), ref.T, 1e-14)
-
-
-def test_restrict_zeroing_semantics():
-    rng = np.random.default_rng(3)
-    M, op = random_op(rng, 6, 8)
-    I, J = [1, 4], [0, 2, 7]
-    ref = np.zeros_like(M)
-    ref[np.ix_(I, J)] = M[np.ix_(I, J)]
-    assert_close(restrict(op, I, J).to_dense(), ref, 0.0)
-    # None means keep-all on that side
-    refr = np.zeros_like(M)
-    refr[I, :] = M[I, :]
-    assert_close(restrict(op, I, None).to_dense(), refr, 0.0)
-
-
-def test_restrict_norm_monotone():
-    rng = np.random.default_rng(4)
-    M, op = random_op(rng, 12, 12)
-    full = np.linalg.svd(M, compute_uv=False)[0]
-    for seed in range(5):
-        idx = np.random.default_rng(seed)
-        I = np.flatnonzero(idx.random(12) < 0.6)
-        J = np.flatnonzero(idx.random(12) < 0.6)
-        if I.size == 0 or J.size == 0:
-            continue
-        sub = spectral_norm(restrict(op, I, J)).value
-        assert sub <= full * (1 + 1e-7)
-
-
-def test_restrict_symmetric_flag():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((7, 7))
-    op = LinearOp.from_dense(M + M.T)
-    assert restrict(op, [1, 2], [1, 2]).symmetric
-    assert not restrict(op, [1, 2], [1, 3]).symmetric
-

@@ -19,9 +19,9 @@ from graphconc import (
     inf_to_2_norm_lower,
 )
 from graphconc import pietsch
+from graphconc._seeding import aux_generator
 from graphconc.cli import run_command
 from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _oracle
-from graphconc.spectral import NormEstimate
 
 from conftest import MASTER, assert_close
 
@@ -131,10 +131,11 @@ def test_gp_submatrix_input_checks():
         gp_submatrix(B, 0.0)
     with pytest.raises(ValueError):
         gp_submatrix(B, 1.0)
-    with pytest.raises(ValueError):
-        gp_weights(np.empty((3, 0)))
-    with pytest.raises(ValueError):
-        gp_weights(np.ones(3))
+    for gp in (gp_weights, lambda B: gp_submatrix(B, 0.5)):
+        with pytest.raises(ValueError, match="at least one column"):
+            gp(np.empty((3, 0)))
+        with pytest.raises(ValueError, match="must be a matrix"):
+            gp(np.ones(3))
 
 
 def oracle_inputs(shape, dead, seed):
@@ -188,7 +189,7 @@ def test_top_pair_lanczos_route(shape):
 
 def weights_fields(w):
     return (w.mu.tobytes(), w.achieved_norm, w.converged, w.iterations,
-            w.history, w.target, w.target_met, w.lower_bound)
+            w.history, w.lower_bound)
 
 
 @pytest.mark.parametrize("block", ["gp-check", "20x40", "decompose"])
@@ -203,7 +204,7 @@ def test_gp_results_ignore_memory_layout(block):
         B = rng.uniform(-1.0, 1.0, size=(20, 40))
     else:  # a centred first-round block at n = 256, d = 8, as decompose runs it
         B = (rng.random((250, 256)) < 8 / 256) - 8 / 256
-        kwargs = {"max_iter": 120, "stop_ratio": LITTLE_GROTHENDIECK}
+        kwargs = {"max_iter": 120}
     C, F = np.ascontiguousarray(B), np.asfortranarray(B)
     assert F.flags.f_contiguous and not F.flags.c_contiguous
     assert (weights_fields(gp_weights(C, **kwargs))
@@ -225,11 +226,12 @@ def test_gp_weights_on_wide_blocks(shape):
 
 
 def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
-    # a wide block too: G = B^T B is formed once and that one matrix goes
-    # to the greedy lower bound, to the oracle and, when J holds every
-    # column, to the submatrix check, which overwrites it; for a smaller
-    # J the check gets the Gram of B_J's smaller side instead
-    B = np.random.default_rng(33).standard_normal((40, 100))
+    # a wide block too: G = B^T B is formed once per descent and that one
+    # matrix goes to the greedy lower bound and to the oracle.  The
+    # uniform route forms one G for the lower bound and its check, which
+    # overwrites it; a block that fails the check forms G again for the
+    # descent, and the descent route's check gets the Gram of B_J's
+    # smaller side
     grams, copies = [], []
     real_lower, real_oracle = pietsch.inf_to_2_norm_lower, pietsch._oracle
     real_below = pietsch._norm_below
@@ -251,24 +253,28 @@ def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
     monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", lower)
     monkeypatch.setattr(pietsch, "_oracle", oracle)
     monkeypatch.setattr(pietsch, "_norm_below", below)
+    B = np.random.default_rng(33).standard_normal((40, 100))
     gp_weights(B, max_iter=5)
     assert len(grams) == 2 and grams[0] is not None and grams[1] is grams[0]
     assert np.array_equal(copies[0], B.T @ B)
 
     grams.clear()
     copies.clear()
-    J, _ = gp_submatrix(B, 0.25, max_iter=5)
-    assert J.size == 100
-    assert len(grams) == 3 and all(G is grams[0] for G in grams)
+    J, cert = gp_submatrix(B, 0.25, max_iter=5)
+    assert cert.route == "uniform" and J.size == 100
+    assert len(grams) == 2 and grams[1] is grams[0]
     assert np.array_equal(copies[0], B.T @ B)
     assert np.array_equal(copies[1], B.T @ B)  # untouched until the check
 
     grams.clear()
     copies.clear()
-    J, _ = gp_submatrix(B, 0.5, max_iter=30)
-    assert J.size == 99
-    assert len(grams) == 3 and grams[2] is not grams[0]
-    assert np.array_equal(copies[1], B[:, J] @ B[:, J].T)  # 40 x 40
+    B = heavy_columns_block()
+    J, cert = gp_submatrix(B, 0.25, max_iter=120)
+    assert cert.route == "descent" and J.size == 61
+    # the check's G, then the descent's own for its bound and oracle
+    assert len(grams) == 5 and grams[3] is grams[2] is not grams[0]
+    assert np.array_equal(copies[2], B.T @ B)
+    assert np.array_equal(copies[3], B[:, J] @ B[:, J].T)  # 40 x 40
 
 
 def test_converged_needs_a_full_window():
@@ -313,70 +319,81 @@ def centred_block():
     return (rng.random((250, 256)) < 8 / 256) - 8 / 256
 
 
-def test_stop_once_the_constant_is_certified():
+def heavy_columns_block():
+    """40 x 64, three unit columns over small noise: the low stable rank
+    that fails the uniform check, and a descent that rejects columns
+    0..2."""
+    B = 0.05 * np.random.default_rng(44).standard_normal((40, 64))
+    B[:, :3] = 1.0
+    return B
+
+
+def test_a_passing_block_takes_the_uniform_route(monkeypatch):
+    # a decompose-like block passes ||B|| sqrt(m/4) <= sqrt(pi/2) lower at
+    # uniform weights: every column, no descent, no f(mu); target keeps
+    # the bits of sqrt(pi/2) times the descent's own lower bound, drawn
+    # from the descent's stream after its start vector
     B = centred_block()
-    w = gp_weights(B, max_iter=120, stop_ratio=LITTLE_GROTHENDIECK)
-    assert w.target_met and w.iterations < 20
-    assert w.achieved_norm <= w.target * (1 + 1e-12)
-    lower = w.target / LITTLE_GROTHENDIECK
-    assert w.achieved_norm >= lower
-    # the certified value is f(mu_best) itself
-    f = np.linalg.norm(B / np.sqrt(w.mu), 2)
-    assert w.achieved_norm == pytest.approx(f, rel=1e-9)
-    # without the keyword: no target, the full descent, a smaller f
-    full = gp_weights(B, max_iter=120)
-    assert full.target is None and not full.target_met
-    assert full.iterations == 120
-    assert full.achieved_norm <= w.achieved_norm
+    lower = gp_weights(B, max_iter=1).lower_bound
+    rng = aux_generator(pietsch._DEFAULT_GP_SEED, 0, 4)
+    rng.standard_normal(256)
+    assert lower == inf_to_2_norm_lower(B, trials=8, rng=rng)
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("gp_weights was called")
+
+    monkeypatch.setattr(pietsch, "gp_weights", no_descent)
+    J, cert = gp_submatrix(B, 0.25, max_iter=120)
+    assert J.tolist() == list(range(256))
+    assert cert.route == "uniform" and cert.ok and cert.target_met
+    assert cert.iterations == 0 and cert.n_selected == 256
+    assert cert.achieved_norm is None and cert.achieved_eps is None
+    assert cert.converged is None
+    assert cert.target == LITTLE_GROTHENDIECK * lower
+    assert cert.submatrix_bound == (
+        (cert.target * (1 + 1e-8) + 1e-12) / np.sqrt(64.0))
+    assert np.linalg.norm(B, 2) < cert.submatrix_bound
 
 
-def test_unreachable_target_changes_nothing():
-    # f(mu) >= ||B||_{inf->2} = lower on a 6 x 10 block (exact
-    # enumeration), so a target under it is never met, and both runs
-    # end on the stall test at the same step, under the cap
-    B = np.random.default_rng(36).standard_normal((6, 10))
-    ref = gp_weights(B, max_iter=200)
-    w = gp_weights(B, max_iter=200, stop_ratio=0.99)
-    assert w.iterations == ref.iterations < 200
-    assert w.converged and ref.converged and not w.target_met
-    assert w.target == pytest.approx(0.99 * inf_to_2_norm_exact(B), rel=1e-15)
-    assert np.array_equal(w.mu, ref.mu)
-    assert w.achieved_norm == ref.achieved_norm
-    assert w.history == ref.history
-
-
-def test_failed_certifications_leave_the_descent_alone(monkeypatch):
-    # every estimate is under a loose target, but each certification is
-    # made to fail: the checks run on their own stream (no rng passed),
-    # so the power-route descent, the greedy lower bound and the closing
-    # re-evaluations draw exactly what they draw without a stop
-    B = np.random.default_rng(37).standard_normal((40, 64))
-    ref = gp_weights(B, max_iter=30)
-    real = pietsch._certified_f
+def test_a_failing_block_takes_the_descent(monkeypatch):
+    # heavy columns fail the uniform check: gp_submatrix runs the
+    # descent gp-check runs, with the caller's max_iter, and selects
+    # and certifies J from its weights exactly as with those weights
+    B = heavy_columns_block()
+    assert (np.linalg.norm(B, 2) * np.sqrt(64 / 4)
+            > LITTLE_GROTHENDIECK * inf_to_2_norm_lower(B, trials=8))
+    w = gp_weights(B, max_iter=120)
     calls = []
+    real = pietsch.gp_weights
 
-    def failing_check(B, mu, col_live, rng=None):
-        if rng is None:
-            calls.append(1)
-            return NormEstimate(np.inf, 0, 0.0)
-        return real(B, mu, col_live, rng)
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(pietsch, "_certified_f", failing_check)
-    w = gp_weights(B, max_iter=30, stop_ratio=10.0)
-    assert calls and not w.target_met and w.iterations == 30
-    assert np.array_equal(w.mu, ref.mu)
-    assert w.achieved_norm == ref.achieved_norm
-    assert w.history == ref.history
+    monkeypatch.setattr(pietsch, "gp_weights", counting)
+    J, cert = gp_submatrix(B, 0.25, max_iter=120)
+    assert calls == [{"max_iter": 120}]
+    J_w, cert_w = gp_submatrix(B, 0.25, weights=w)
+    assert J.tolist() == J_w.tolist() == list(range(3, 64))
+    assert cert.route == cert_w.route == "descent"
+    assert cert.iterations == w.iterations > 0
+    assert cert.achieved_norm == w.achieved_norm
+    assert cert.submatrix_bound == cert_w.submatrix_bound
+    assert cert.target == LITTLE_GROTHENDIECK * w.lower_bound
+    assert cert.target_met == (w.achieved_norm <= cert.target)
+    assert cert_w.target is None and not cert_w.target_met
+    # one step leaves f above the target: the certificate still holds
+    _, short = gp_submatrix(B, 0.25, max_iter=1)
+    assert short.ok and short.iterations == 1
+    assert short.achieved_norm > short.target and not short.target_met
 
 
-@pytest.mark.parametrize("stop_ratio", [None, LITTLE_GROTHENDIECK])
-def test_achieved_eps_bounds_f_from_above(stop_ratio):
-    # Golub-Kahan on the 250 x 256 block: the closing measurement (or
-    # the one that met the target) keeps its Kuczynski-Wozniakowski eps,
-    # and value / (1 - eps) is at least the dense f(mu)
+def test_achieved_eps_bounds_f_from_above():
+    # Golub-Kahan on the 250 x 256 block: the closing measurement keeps
+    # its Kuczynski-Wozniakowski eps, and value / (1 - eps) is at least
+    # the dense f(mu)
     B = centred_block()
-    w = gp_weights(B, max_iter=120, stop_ratio=stop_ratio)
-    assert w.target_met == (stop_ratio is not None)
+    w = gp_weights(B, max_iter=120)
     assert 0.0 < w.achieved_eps < 1.0
     f = np.linalg.norm(B / np.sqrt(w.mu), 2)
     assert w.achieved_norm / (1.0 - w.achieved_eps) >= f
@@ -385,17 +402,6 @@ def test_achieved_eps_bounds_f_from_above(stop_ratio):
     # the exact route measures f(mu) by LAPACK: no eps
     small = np.random.default_rng(36).standard_normal((8, 12))
     assert gp_weights(small).achieved_eps == 0.0
-
-
-def test_gp_submatrix_forwards_the_stop():
-    B = centred_block()
-    J, cert = gp_submatrix(B, 0.25, max_iter=120,
-                           stop_ratio=LITTLE_GROTHENDIECK)
-    assert cert.ok and cert.target_met
-    assert cert.achieved_norm <= cert.target * (1 + 1e-12)
-    assert cert.iterations < 20
-    _, plain = gp_submatrix(B, 0.25, max_iter=5)
-    assert plain.target is None and not plain.target_met
 
 
 def eigh_exact_route(B, G, s):
@@ -525,7 +531,8 @@ def test_gram_certification_matches_svds(shape):
     # min(k, m) > DENSE_SOLVE_LIMIT: Golub-Kahan on B D^{-1/2} (no Gram
     # is formed), against scipy's svds on the same matrix and dense LAPACK
     B, mu, col_live = scaled_block(shape, 42)
-    got = pietsch._certified_f(B, mu, col_live).value
+    got = pietsch._certified_f(B, mu, col_live,
+                               np.random.default_rng(1)).value
     C = B * _col_scale(mu, col_live)
     v0 = np.random.default_rng(0).standard_normal(min(shape))
     ref = svds(C, k=1, tol=1e-12, v0=v0, return_singular_vectors=False)[0]
@@ -577,11 +584,9 @@ def test_gp_and_decompose_run_without_arpack(monkeypatch, tmp_path):
     # after the certifications moved to spectral_norm, only
     # community.detect needs scipy.sparse.linalg
     monkeypatch.setattr(graphconc._scipy, "sparse_linalg", no_arpack)
-    B = centred_block()
-    w = gp_weights(B, max_iter=120, stop_ratio=LITTLE_GROTHENDIECK)
-    assert w.target_met
-    J, cert = gp_submatrix(B, 0.25, weights=w)
-    assert cert.ok and J.size >= 0.75 * B.shape[1]
+    for B in (centred_block(), heavy_columns_block()):
+        J, cert = gp_submatrix(B, 0.25, max_iter=120)
+        assert cert.ok and J.size >= 0.75 * B.shape[1]
     rep = run_command("decompose", {"n": 64, "d": 8.0, "r": 3.0,
                                     "gp_iters": 120, "write_files": False},
                       MASTER, str(tmp_path / "dec"))

@@ -12,7 +12,6 @@ from graphconc import (
     adjacency_shifted_op,
     apply_scheme,
     average_degree,
-    degrees,
     expected_dense,
     expected_laplacian,
     full_spectrum,
@@ -48,9 +47,9 @@ def empty(n):
 
 
 def test_degrees_examples():
-    assert np.array_equal(degrees(empty(7)), np.zeros(7))
-    assert np.array_equal(degrees(complete(5)), np.full(5, 4.0))
-    d = degrees(star(10))
+    assert np.array_equal(empty(7).degrees(), np.zeros(7))
+    assert np.array_equal(complete(5).degrees(), np.full(5, 4.0))
+    d = star(10).degrees()
     assert d[0] == 9.0 and np.all(d[1:] == 1.0)
 
 

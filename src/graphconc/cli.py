@@ -37,7 +37,8 @@ from ._seeding import aux_generator
 from .community import (BlockTwo, davis_kahan_check, misclassification,
                         sbm_instance)
 from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
-                        trace_to_json, triangle_split, verify_decomposition)
+                        trace_to_json, transposed, triangle_split,
+                        verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError)
 from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
@@ -369,6 +370,7 @@ def cmd_decompose(cfg, ctx):
     EA = ea_factors(model)
     if EA is None:
         EA = expected_dense(model)
+    met = []  # per decomposed part: did every GP block meet its target?
 
     def one(t):
         if cfg.directed:
@@ -376,14 +378,17 @@ def cmd_decompose(cfg, ctx):
         else:
             parts = zip(("upper", "lower"),
                         triangle_split(sample(model, ctx.seed, t)))
-        rec = {"trial": t}
-        # L = U^T, so L's GP blocks are U's blocks transposed, byte for
-        # byte: one memo per trial lets L reuse U's GP results
-        gp_memo = {}
+        rec, dec = {"trial": t}, None
         for name, gd in parts:
-            try:
-                dec = decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
-                                gp_memo=gp_memo, part=name)
+            if name == "lower" and dec is None:  # U's decompose failed
+                rec["lower_error"] = rec["upper_error"]
+                continue
+            try:  # L = U^T: its decomposition is U's, transposed
+                dec = (transposed(dec) if name == "lower" else
+                       decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
+                                 part=name))
+                met.append(all(rnd[k]["target_met"] for rnd in dec.block_trace
+                               for k in ("gp_cols", "gp_rows") if k in rnd))
                 found = verify_decomposition(gd, EA, dec, part=name)
             except VerificationError as exc:
                 # a certificate failed: the run ends, naming where
@@ -410,7 +415,8 @@ def cmd_decompose(cfg, ctx):
     errors = [t[k] for t in trials for k in t if k.endswith("_error")]
     return (trials, {"norm_ratio": summarize(ratios), "errors": errors},
             {"structural_all": structural, "footprint_all": footprint,
-             "max_norm_ratio": float(max(ratios)) if ratios else 0.0})
+             "max_norm_ratio": float(max(ratios)) if ratios else 0.0,
+             "gp_target_met_all": all(met)})
 
 
 def cmd_gp_check(cfg, ctx):

@@ -31,35 +31,23 @@ are at most m/2 x m/2 unconditionally; capped-out indices simply fall
 back into the pass-1/pass-2 cover.
 
 An undirected sample is decomposed as its two triangles U and L = U^T
-(``triangle_split``).  L's column pass then runs GP on exactly the bytes
-of U's row-pass block, and its row pass on U's column-pass block, so
-the two decompositions of one sample share a ``gp_memo`` and L's GP
-results are looked up rather than recomputed.  The memo is keyed by
-block content, not by the transpose: the row filter tests only rows and
-C is painted before R, so L's decomposition is not U's mirrored, and a
-content key reuses only what gp_submatrix would return anyway.
+(``triangle_split``).  The algorithm is stated for a directed matrix,
+and its guarantees hold for A^T with R and C exchanged, so L's
+decomposition is read off U's (``transposed``) rather than computed
+again; the verifier still checks it on L's own edges and EA.
 
-A round centres its block in place, on its own densified copy of A's
-block, and GP's column pass runs on that array uncopied when every row
-passes the filter.  EA is subtracted ``EA_CHUNK`` entries at a time,
-each chunk a few rows of EA[I x J] as the part keeps it: read from the
-model's factors (``EAFactors.block``), or sliced from a dense EA for a
-model without them; these are the only two forms of EA.  So neither
-the centring nor the verifier's (A - EA)_N holds an n x n EA of its
-own.  The row pass takes a C-ordered copy of the transpose's good
-rows, and the centred block is dropped before it runs.  Neither
-``decompose`` nor ``verify_decomposition`` writes into the caller's A
-or EA.
-
-``verify_decomposition`` checks one decomposition of one part (a
-directed sample or a triangle) and returns its record: a dict under
-the ``decompose`` command's trial columns without the part prefix, so
-the command stores it as it comes.
+A round centres its own densified copy of A's block in place; GP's
+column pass runs on it uncopied when every row passes the filter, and
+the row pass on a C-ordered copy of the transpose's good rows, made
+before the centred block is dropped.  EA is subtracted ``EA_CHUNK``
+entries at a time, read from the model's factors (``EAFactors.block``)
+or sliced from a dense EA, so neither the centring nor the verifier's
+(A - EA)_N holds an n x n EA of its own, and neither writes into the
+caller's A or EA.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -173,45 +161,22 @@ def _round_trace(m_nom, alpha, I, J, **found):
             "cols": int(J.size), "I": I.tolist(), "J": J.tolist(), **found}
 
 
-def _gp_block(B, gp_iters, gp_memo):
-    """gp_submatrix on B, or its stored result for a block of equal bytes.
-
-    gp_submatrix is a pure function of its block, so a result keyed by
-    (shape, gp_iters, SHA-256 of B's C-ordered bytes) is exactly what a
-    second call would return.  The memo keeps only (J, certificate).
-    """
-    key = None
-    if gp_memo is not None:
-        B = np.ascontiguousarray(B)
-        key = (B.shape, gp_iters, hashlib.sha256(B).digest())
-        if key in gp_memo:
-            return gp_memo[key]
-    found = gp_submatrix(B, 0.25, max_iter=gp_iters)
-    if key is not None:
-        gp_memo[key] = found
-    return found
-
-
 def _gp_rows(cent, good_rows):
     """The GP block cent[good_rows], C-ordered; ``cent`` itself when every
     row is good and it is C-ordered already (no n x n copy)."""
-    if good_rows.all() and cent.flags.c_contiguous:
-        return cent
-    return np.ascontiguousarray(cent[good_rows])
+    return np.ascontiguousarray(cent if good_rows.all() else cent[good_rows])
 
 
-def _column_pass(sub, B, good_rows, r, cap, gp_iters, gp_memo):
+def _column_pass(sub, B, good_rows, r, cap, gp_iters):
     """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
 
     ``good_rows`` are the rows that passed the filter and ``B`` is the
-    centred block on them (``_gp_rows``).  GP first checks the sqrt(pi/2)
-    guarantee the decomposition uses at uniform weights, with every
-    column selected; only a block that fails that check runs the mirror
-    descent, capped at ``gp_iters`` steps (``pietsch``).  Returns
+    centred block on them (``_gp_rows``); GP's descent, when a block
+    needs one (``pietsch``), runs at most ``gp_iters`` steps.  Returns
     (exceptional mask J1, 32r-light mask J44, GP certificate, capped?).
     """
     m = B.shape[1]
-    J_gp, cert = _gp_block(B, gp_iters, gp_memo)
+    J_gp, cert = gp_submatrix(B, 0.25, max_iter=gp_iters)
     gp_col = np.zeros(m, dtype=bool)
     gp_col[J_gp] = True
     bad_rows = ~good_rows
@@ -233,11 +198,11 @@ def _gp_trace(cert):
 
 
 def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
-                gp_memo=None, part="full"):
+                part="full"):
     """One round of the block decomposition (Lemma 5.1, constructive).
 
     Runs on the 0/1 csr A01 and EA's blocks as ``read_ea`` reads them
-    for ``part`` (``_ea_reader``); ``gp_memo`` as in ``decompose``.
+    for ``part`` (``_ea_reader``).
     Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
     array of the block, -1 exactly on the exceptional hole I1 x J1.
     Raises RowFilterEmpty on a degenerate block (the driver treats the
@@ -260,13 +225,12 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
     _subtract_ea(cent, read_ea, I, J, part)
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
-        sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters,
-        gp_memo)
+        sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters)
     # the row pass needs only its own C-ordered copy of cent^T's rows
     B_rows = _gp_rows(cent.T, good_cols)
     del cent
     I1_mask, i44, cert_rows, capped_i = _column_pass(
-        sub.T, B_rows, good_cols, r, cap, gp_iters, gp_memo)
+        sub.T, B_rows, good_cols, r, cap, gp_iters)
 
     bad_rows, bad_cols = ~good_rows, ~good_cols
     keep_i, keep_j = ~I1_mask, ~J1_mask
@@ -293,31 +257,24 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
     return grid, I1_mask, J1_mask, trace
 
 
-def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
-    """Full iterative decomposition of a directed sample.
+def decompose(A, EA, r, d, gp_iters=500, part="full"):
+    """Full iterative decomposition of a directed sample; an undirected
+    sample's lower triangle takes ``transposed`` of the upper one's.
 
     EA is the model's ``EAFactors`` (``models.ea_factors``) or, for a
     model without factors, the dense n x n EA.  ``part`` says which of
     its entries A is centred by: "full" for a directed sample, "upper"
     or "lower" for a triangle of an undirected one (``triangle_split``),
-    the others read as 0.  Each round subtracts its block of EA from
-    its own copy of A's block (see the module docstring); factors are
-    never densified.
+    the others read as 0; factors are never densified.
 
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
     with m halved and alpha = sqrt(m/n), until the exceptional block is
     empty or tiny: m or max(|I|, |J|) at most TINY_BLOCK (then it goes
-    to N wholesale).  A RowFilterEmpty
-    round marks its whole block exceptional and continues shrinking.
-    R rows are disjoint across rounds by construction (asserted).  r
-    and d must be finite and positive; this is checked before any work
-    starts.
-
-    ``gp_memo``, a dict, stores each GP block's (J, certificate) under
-    its exact content and hands it back for a block of equal bytes;
-    passing one dict to the decompositions of U and U^T halves their
-    GP work (see the module docstring).  None computes every block.
+    to N wholesale).  A RowFilterEmpty round marks its whole block
+    exceptional and continues shrinking.  R rows and C columns are each
+    disjoint across rounds by construction (asserted).  r and d must be
+    finite and positive; this is checked before any work starts.
     """
     if not (0 < r < np.inf and 0 < d < np.inf):  # NaN too
         raise ValueError("decompose needs finite r > 0 and d > 0")
@@ -329,7 +286,7 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
     J = np.arange(n, dtype=np.int64)
     m_nom = n
     trace = []
-    r_rows_seen = np.zeros(n, dtype=bool)
+    r_rows_seen, c_cols_seen = np.zeros((2, n), dtype=bool)
     while I.size and J.size:
         if m_nom <= TINY_BLOCK or max(I.size, J.size) <= TINY_BLOCK:
             labels[np.ix_(I, J)] = CLASS_N
@@ -340,7 +297,7 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
         try:
             grid, I1_mask, J1_mask, round_trace = _block_pass(
                 A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=gp_iters,
-                gp_memo=gp_memo, part=part)
+                part=part)
         except RowFilterEmpty:
             trace.append(_round_trace(m_nom, alpha, I, J,
                                       row_filter_empty=True, all_n=False))
@@ -351,12 +308,45 @@ def decompose(A, EA, r, d, gp_iters=500, gp_memo=None, part="full"):
             assert not r_rows_seen[new_r_rows].any(), \
                 "R rows must be disjoint across rounds"
             r_rows_seen[new_r_rows] = True
+            new_c_cols = J[(grid == CLASS_C).any(axis=0)]
+            assert not c_cols_seen[new_c_cols].any(), \
+                "C columns must be disjoint across rounds"
+            c_cols_seen[new_c_cols] = True
             trace.append(round_trace)
             I, J = I[I1_mask], J[J1_mask]
         m_nom //= 2
     assert labels.min() >= 0, "decomposition left unassigned pairs"
     return EdgeDecomposition(n=n, class_of=labels, r=float(r), d=float(d),
                              block_trace=tuple(trace))
+
+
+# a round's trace keys for rows, each with its column key
+_ROW_COL = dict(rows="cols", I="J", I_prime="J_prime", I44="J44", I1="J1",
+                capped_I1="capped_J1", gp_rows="gp_cols")
+_SWAP = {**_ROW_COL, **{c: r for r, c in _ROW_COL.items()}}
+
+
+def transposed(dec):
+    """The decomposition of A^T read off ``dec``, that of A: ``class_of``
+    transposed with R and C exchanged, and each round's trace entry, in
+    its key order, with each row key's value swapped with its column
+    key's (``_ROW_COL``).  Its GP certificates are A^T's when A^T is
+    centred by EA^T bit for bit (tril(EA) = triu(EA)^T).
+
+    ``decompose`` on A^T gives the same but in two corners, both needing
+    rows and columns that fail the 8 r alpha d filter: a cell in both a
+    round's C and R rectangles is R in either run, so C here; and a
+    round where some row passes the filter but no column does goes on
+    for A, while A^T's run raises RowFilterEmpty (or the reverse).  Both
+    forms pass ``verify_decomposition``.  Seen once at seed 1729 (r =
+    0.25, n = 128, d = 2, trial 0): U's (17, 79) is R, and so is L's
+    (79, 17) by ``decompose``.
+    """
+    swap_rc = np.array([CLASS_N, CLASS_C, CLASS_R], dtype=np.int8)
+    trace = tuple({k: rnd[_SWAP.get(k, k)] for k in rnd}
+                  for rnd in dec.block_trace)
+    return EdgeDecomposition(dec.n, swap_rc[dec.class_of.T], dec.r, dec.d,
+                             trace)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +458,8 @@ def triangle_split(g):
     """Upper and lower triangles of an undirected graph, as directed graphs.
 
     The decomposition is stated for directed samples; an undirected A is
-    the sum U + U^T of its triangles, so each is decomposed separately
-    (the expected matrix splits the same way: triu(EA) and tril(EA),
-    which ``decompose`` reads with part="upper" and part="lower").
+    the sum U + U^T of its triangles, centred by triu(EA) and tril(EA)
+    (``decompose``'s part="upper" and part="lower").
     """
     if g.directed:
         raise ValueError("triangle_split expects an undirected graph")

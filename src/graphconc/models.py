@@ -248,6 +248,8 @@ class Explicit:
         np.fill_diagonal(P, 0.0)
         if P.size and not (P.min() >= 0.0 and P.max() <= 1.0):  # NaN too
             raise InvalidModel("probabilities must lie in [0, 1]")
+        # exactly symmetric: the strict lower triangle is the upper's
+        P = np.where(np.tri(P.shape[0], k=-1, dtype=bool), P.T, P)
         P.setflags(write=False)
         object.__setattr__(self, "P", P)
 

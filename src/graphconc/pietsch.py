@@ -31,8 +31,8 @@ takes one of two routes, chosen from the block alone:
   ||B|| sqrt(delta m) <= target.  dpotrf on t^2 I - G (``_norm_below``)
   decides ||B|| < t = (target (1 + 1e-8) + 1e-12) / sqrt(delta m); if
   that holds, it is the certificate: no descent, no oracle, no f(mu).
-  Every block ``decompose`` has run on a sample passes, at 0.49-0.91
-  of the target (README).
+  Most sample blocks pass, at 0.49-0.91 of the target; the sparsest
+  (d <= 1 at r = 3) and some of a skewed profile do not (README).
 * descent, for a block that fails: gp-check's descent (``gp_weights``),
   then J = {j : mu_j <= 1/(delta m)} and a Cholesky proof of
   ||B_J|| sqrt(delta m) <= f (1 + 1e-8) + 1e-12.  Each link of

@@ -341,7 +341,7 @@ def full_spectrum(a):
 # infinity -> 2 norms and cheap upper bounds
 
 
-def inf_to_2_norm_exact(B, limit=ENUMERATION_LIMIT):
+def inf_to_2_norm_exact(B):
     """Exact ||B||_{inf->2} = max over sign vectors x of ||Bx||_2.
 
     x ~ -x symmetry fixes x_0 = +1.  The sign patterns of the next L
@@ -351,14 +351,15 @@ def inf_to_2_norm_exact(B, limit=ENUMERATION_LIMIT):
     summed afresh from B, so no rounding accumulates along the walk.
     L <= ``_PATTERN_COLS``, and small enough that P holds at most
     ``_PATTERN_ENTRIES`` numbers.  Exponential in the column count m;
-    refuses m > limit.
+    refuses m > ``ENUMERATION_LIMIT``.
     """
     B = np.asarray(B, dtype=float)
     k, m = B.shape
     if m == 0 or k == 0:
         return 0.0
-    if m > limit:
-        raise WidthExceeded(f"{m} columns exceeds enumeration limit {limit}")
+    if m > ENUMERATION_LIMIT:
+        raise WidthExceeded(f"{m} columns exceeds enumeration limit "
+                            f"{ENUMERATION_LIMIT}")
     low = min(m - 1, _PATTERN_COLS,
               max(_PATTERN_ENTRIES // k, 1).bit_length() - 1)
     P = _signs(np.arange(1 << low)[:, None], low) @ B[:, 1:low + 1].T

@@ -311,7 +311,8 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
     # each part's block read of EA, as the decompose command hands EA
     # over (the model's factors, or the dense EA of a model without
     # them), is a slice of np.triu/np.tril of the dense EA bit for bit,
-    # on the whole square and on random blocks I x J
+    # on the whole square and on random blocks I x J; and "lower" reads
+    # "upper" transposed, as L's decomposition (U's, transposed) needs
     model = graphconc.model_from_dict(spec)
     n = model.n
     P = graphconc.expected_dense(model)
@@ -327,23 +328,25 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
         for I, J in blocks:
             got = read(I, J, part)
             assert got.tobytes() == want[np.ix_(I, J)].tobytes()
+    for I, J in blocks:
+        assert (read(J, I, "lower").tobytes()
+                == read(I, J, "upper").T.tobytes())
 
 
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
-    # the lower triangle fails; the upper one is still decomposed,
-    # verified and reported
-    real, calls = graphconc.cli.decompose, []
+    # verify fails on the lower triangle: the upper one is still
+    # verified, written and reported
+    real = graphconc.cli.verify_decomposition
 
-    def lower_fails(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
+    def lower_fails(A, EA, dec, part="full"):
+        if part == "lower":
             raise DecompositionError("forced")
-        return real(*args, **kwargs)
+        return real(A, EA, dec, part=part)
 
-    monkeypatch.setattr(graphconc.cli, "decompose", lower_fails)
+    monkeypatch.setattr(graphconc.cli, "verify_decomposition", lower_fails)
     out = tmp_path / "dec"
-    rep = run_command("decompose", {"n": 48, "d": 4.0, "r": 2.0,
-                                    "gp_iters": 20}, MASTER, str(out))
+    cfg = {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20}
+    rep = run_command("decompose", cfg, MASTER, str(out))
     (row,) = read_csv(out / "trials.csv")
     assert row["lower_error"] == "DecompositionError: forced"
     assert row["upper_structural_ok"] == "True"
@@ -354,6 +357,15 @@ def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
     assert not (out / "classes_t0_lower.csv").exists()
     blob = json.loads((out / "report.json").read_text())
     assert blob["trials"][0]["lower_error"] == "DecompositionError: forced"
+
+    # U's decompose fails: L, its transpose, records the same error
+    def upper_fails(*args, **kwargs):
+        raise DecompositionError("forced upper")
+
+    monkeypatch.setattr(graphconc.cli, "decompose", upper_fails)
+    rep = run_command("decompose", cfg, MASTER, str(tmp_path / "both"))
+    assert rep.summary["errors"] == ["DecompositionError: forced upper"] * 2
+    assert rep.trials[0]["lower_error"] == rep.trials[0]["upper_error"]
 
 
 def test_decompose_certificate_failure_ends_the_run(tmp_path, monkeypatch,

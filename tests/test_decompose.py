@@ -23,6 +23,7 @@ from graphconc import (
     sample,
     sample_directed,
     trace_to_json,
+    transposed,
     triangle_split,
     verify_decomposition,
 )
@@ -522,7 +523,7 @@ def test_csv_bytes_of_a_decomposition_match_the_row_join_writer(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# GP results shared between the triangles of one sample
+# the lower triangle's decomposition is the upper one's transposed
 
 
 def count_gp(monkeypatch):
@@ -537,72 +538,127 @@ def count_gp(monkeypatch):
     return calls
 
 
-def triangle_parts(n, d):
+def gp_blocks(dec):
+    return [rnd[k] for rnd in dec.block_trace for k in ("gp_cols", "gp_rows")
+            if k in rnd]
+
+
+@pytest.mark.parametrize("n, d, gp_iters, target_met", [
+    pytest.param(48, 8.0, 120, True, id="48"),
+    pytest.param(256, 8.0, 120, True, id="256"),
+    pytest.param(128, 0.5, 20, False, id="128-descent")])
+def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n,
+                                                  d, gp_iters, target_met):
+    # the command runs GP on U's blocks only, and writes for L exactly
+    # what decompose and verify give on L itself; at d = 0.5 with 20
+    # steps every block descends and misses its target
+    r = 3.0
     model = Uniform(n, d / n)
-    P = expected_dense(model)
+    F = ea_factors(model)
     up, lo = triangle_split(sample(model, MASTER, 0))
-    return [("upper", up, np.triu(P, 1)), ("lower", lo, np.tril(P, -1))]
-
-
-def assert_same_decomposition(a, b):
-    assert np.array_equal(a.class_of, b.class_of)
-    assert a.block_trace == b.block_trace
-
-
-@pytest.mark.parametrize("n", [48, 256])
-def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n):
-    d, r, gp_iters = 8.0, 3.0, 120
     calls = count_gp(monkeypatch)
-    cfg = {"n": n, "d": d, "r": r, "gp_iters": gp_iters}
-    run_command("decompose", cfg, MASTER, str(tmp_path / "cli"))
-    cli_calls = len(calls)
-
+    rep = run_command("decompose", {"n": n, "d": d, "r": r,
+                                    "gp_iters": gp_iters},
+                      MASTER, str(tmp_path / "cli"))
+    cli_calls = list(calls)
     calls.clear()
-    plain = {name: decompose(part, EA, r, d, gp_iters=gp_iters)
-             for name, part, EA in triangle_parts(n, d)}
-    assert cli_calls > 0 and 2 * cli_calls == len(calls)
-
-    calls.clear()
-    memo = {}
-    for name, part, EA in triangle_parts(n, d):
-        shared = decompose(part, EA, r, d, gp_iters=gp_iters, gp_memo=memo)
-        assert_same_decomposition(shared, plain[name])
-        assert (verify_decomposition(part, EA, shared)
-                == verify_decomposition(part, EA, plain[name]))
-        trace_to_json(plain[name], tmp_path / f"plain_{name}.json")
-        assert ((tmp_path / "cli" / f"trace_t0_{name}.json").read_bytes()
-                == (tmp_path / f"plain_{name}.json").read_bytes())
-    assert len(calls) == cli_calls
-
-
-def test_gp_memo_misses_on_directed_input(monkeypatch):
-    n, d, r = 96, 8.0, 3.0
-    model = Uniform(n, d / n)
-    A, EA = sample_directed(model, MASTER), expected_dense(model)
-    calls = count_gp(monkeypatch)
-    plain = decompose(A, EA, r, d, gp_iters=60)
-    plain_calls = len(calls)
-    memo = {}
-    shared = decompose(A, EA, r, d, gp_iters=60, gp_memo=memo)
-    assert len(calls) == 2 * plain_calls and len(memo) == plain_calls
-    assert_same_decomposition(shared, plain)
+    upper = decompose(up, F, r, d, gp_iters=gp_iters, part="upper")
+    assert cli_calls and calls == cli_calls
+    lower = decompose(lo, F, r, d, gp_iters=gp_iters, part="lower")
+    found = verify_decomposition(lo, F, lower, part="lower")
+    assert {k: rep.trials[0][f"lower_{k}"] for k in found} == found
+    decomposition_to_csv(lower, tmp_path / "classes.csv")
+    trace_to_json(lower, tmp_path / "trace.json")
+    for mine, cli in (("classes.csv", "classes_t0_lower.csv"),
+                      ("trace.json", "trace_t0_lower.json")):
+        assert ((tmp_path / mine).read_bytes()
+                == (tmp_path / "cli" / cli).read_bytes())
+    blocks = gp_blocks(upper)
+    assert rep.flags["gp_target_met_all"] is target_met
+    if not target_met:
+        assert all(b["route"] == "descent" and not b["target_met"]
+                   for b in blocks)
 
 
-def test_gp_memo_misses_when_the_lower_ea_differs(monkeypatch):
-    # one entry of tril(EA) moved: every block of L that GP sees differs
-    # from U's transposed blocks, so nothing may be reused
-    n, d, r = 96, 8.0, 3.0
-    (_, up, EA_up), (_, lo, EA_lo) = triangle_parts(n, d)
-    EA_lo = EA_lo.copy()
-    EA_lo[60, 7] += 1e-3
-    calls = count_gp(monkeypatch)
-    plain = decompose(lo, EA_lo, r, d, gp_iters=60)
-    plain_calls = len(calls)
-    for rnd in plain.block_trace:  # (60, 7) lies in both GP blocks
-        assert 60 in rnd["I_prime"] and 7 in rnd["J_prime"]
-    memo = {}
-    decompose(up, EA_up, r, d, gp_iters=60, gp_memo=memo)
-    calls.clear()
-    shared = decompose(lo, EA_lo, r, d, gp_iters=60, gp_memo=memo)
-    assert len(calls) == plain_calls
-    assert_same_decomposition(shared, plain)
+def planted_corner(n=64):
+    """An undirected 0/1 graph whose upper triangle, at r = 1/4 and d = 1
+    (row filter 2 ones, 32r = 8) against EA = 0, has R and C cells and
+    one cell in both a C and an R rectangle: (9, 50).  Rows 0..8 and
+    columns 40..48 form a 9 x 9 block of ones, so they are bad and
+    heavy; row 9 (ones at 40, 41, 50) and column 50 (ones at 0, 1, 9)
+    are bad and 32r-light.  Every one lies in a bad row and a bad
+    column, so both GP blocks are zero."""
+    M = np.zeros((n, n), dtype=bool)
+    M[:9, 40:49] = True
+    M[9, [40, 41, 50]] = True
+    M[[0, 1], 50] = True
+    return SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=False)
+
+
+def test_transposed_differs_from_decompose_on_the_planted_corner():
+    up, lo = triangle_split(planted_corner())
+    EA, r, d = zero_ea(64), 0.25, 1.0
+    upper = decompose(up, EA, r, d, gp_iters=60, part="upper")
+    assert upper.counts()["R"] and upper.counts()["C"]
+    assert upper.class_of[9, 50] == CLASS_R
+    lower = transposed(upper)
+    own = decompose(lo, EA, r, d, gp_iters=60, part="lower")
+    assert np.argwhere(lower.class_of != own.class_of).tolist() == [[50, 9]]
+    assert (lower.class_of[50, 9], own.class_of[50, 9]) == (CLASS_C, CLASS_R)
+    assert lower.block_trace == own.block_trace
+    for dec in (lower, own):
+        found = verify_decomposition(lo, EA, dec, part="lower")
+        assert found["structural_ok"] and found["r_footprint_ok"]
+        assert found["c_footprint_ok"]
+
+
+ROW_COL_KEYS = (("rows", "cols"), ("I", "J"), ("I_prime", "J_prime"),
+                ("I44", "J44"), ("I1", "J1"), ("capped_I1", "capped_J1"),
+                ("gp_rows", "gp_cols"))
+
+
+def test_transposed_exchanges_every_row_and_column_key():
+    # a round whose every row key differs from its column key
+    rnd = {"m": 4, "alpha": 0.5, "rows": 1, "cols": 2, "I": [0], "J": [1, 2],
+           "I_prime": [0], "J_prime": [1], "J44": [2], "I44": [],
+           "I1": [], "J1": [1], "row_cap": 3.0, "capped_I1": True,
+           "capped_J1": False, "gp_cols": {"selected": 1},
+           "gp_rows": {"selected": 0}, "row_filter_empty": False,
+           "all_n": False}
+    labels = np.array([[CLASS_N, CLASS_R, CLASS_C]] * 3, dtype=np.int8)
+    dec = EdgeDecomposition(3, labels, r=1.0, d=2.0, block_trace=(rnd,))
+    (got,) = transposed(dec).block_trace
+    assert list(got) == list(rnd)
+    for row_key, col_key in ROW_COL_KEYS:
+        assert (got[row_key], got[col_key]) == (rnd[col_key], rnd[row_key])
+    assert all(got[k] == rnd[k] for k in ("m", "alpha", "row_cap",
+                                          "row_filter_empty", "all_n"))
+    back = transposed(transposed(dec))
+    assert np.array_equal(back.class_of, labels)
+    assert back.block_trace == dec.block_trace
+    want = np.array([[CLASS_N] * 3, [CLASS_C] * 3, [CLASS_R] * 3])
+    assert np.array_equal(transposed(dec).class_of, want)
+
+
+@pytest.mark.parametrize("cls, message", [(CLASS_R, "R rows"),
+                                          (CLASS_C, "C columns")])
+def test_r_rows_and_c_columns_are_disjoint_across_rounds(monkeypatch, cls,
+                                                         message):
+    # each round paints one more R (or C) cell into its block's first
+    # row (column), outside the hole; round 2's block lies in round 1's
+    # hole, so the second paints a row (column) round 1 holds already
+    A, EA = heavy_columns_and_rows()
+    monkeypatch.setattr(dmod, "TINY_BLOCK", 0)  # two GP rounds
+    real = dmod._block_pass
+
+    def painting(*args, **kwargs):
+        grid, I1, J1, trace = real(*args, **kwargs)
+        grid = grid.copy()
+        i, j = (0, -1) if cls == CLASS_R else (-1, 0)
+        assert grid[i, j] != -1
+        grid[i, j] = cls
+        return grid, I1, J1, trace
+
+    monkeypatch.setattr(dmod, "_block_pass", painting)
+    with pytest.raises(AssertionError, match=message):
+        decompose(A, EA, r=1.0, d=1.0, gp_iters=60)

@@ -228,6 +228,21 @@ def test_model_validation():
         Explicit(np.array([[0.0, 0.3], [0.4, 0.0]]))  # asymmetric
 
 
+def test_explicit_stores_an_exactly_symmetric_p():
+    # a P asymmetric within the 1e-12 tolerance is stored with its
+    # strict lower triangle copied from the upper one; an exactly
+    # symmetric P keeps every bit
+    P = _explicit_p10()  # exactly symmetric
+    kept = Explicit(P).P
+    np.fill_diagonal(P, 0.0)
+    assert kept.tobytes() == P.tobytes()
+    nudged = P.copy()
+    nudged[7, 2] += 5e-13
+    stored = Explicit(nudged).P
+    assert stored.tobytes() == P.tobytes()
+    assert np.array_equal(stored, stored.T)
+
+
 # ---------------------------------------------------------------------------
 # expected adjacency operators
 

@@ -375,7 +375,10 @@ def verify_decomposition(A, EA, dec, part="full"):
         ||(A - EA)_N|| by spectral_norm, with its steps and eps, and its
         ratio to r^{3/2} sqrt(d); recorded only;
     rounds
-        the decomposition's block rounds.
+        the decomposition's block rounds;
+    gp_target_met
+        every GP block of those rounds met its target (the trace's
+        ``target_met``).
 
     Flags are Python bools, counts Python ints.
     """
@@ -395,6 +398,8 @@ def verify_decomposition(A, EA, dec, part="full"):
     _subtract_ea(Ad, read_ea, everything, everything, part)
     Ad *= labels == CLASS_N
     norm_n, norm_steps, norm_eps = spectral_norm(LinearOp.from_dense(Ad))
+    met = all(rnd[k]["target_met"] for rnd in dec.block_trace
+              for k in ("gp_cols", "gp_rows") if k in rnd)
     return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),
             "r_footprint_ok": bool(r_cols <= limit),
             "c_footprint_ok": bool(c_rows <= limit),
@@ -402,7 +407,7 @@ def verify_decomposition(A, EA, dec, part="full"):
             "r_cols": r_cols, "c_rows": c_rows,
             "norm_n": norm_n, "norm_steps": norm_steps, "norm_eps": norm_eps,
             "norm_ratio": float(norm_n / (r ** 1.5 * np.sqrt(d))),
-            "rounds": len(dec.block_trace)}
+            "rounds": len(dec.block_trace), "gp_target_met": met}
 
 
 # ---------------------------------------------------------------------------

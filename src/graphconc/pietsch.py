@@ -44,11 +44,12 @@ takes one of two routes, chosen from the block alone:
   ||B||_{inf->2}.
 
 f is the value ``_certified_f`` measured, one ``spectral_norm`` call:
-exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise a
-Golub-Kahan value, a lower bound on f(mu); the chain never needs an
-upper bound on it.  Its Kuczynski-Wozniakowski eps, kept as
-``achieved_eps`` (0 when exact), bounds f(mu) <= achieved_norm /
-(1 - eps) with probability 1 - 1e-3 (``spectral``).  Every descent
+exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise the
+root of a Lanczos value on the Gram of B D_mu^{-1/2}, a lower bound on
+f(mu); the chain never needs an upper bound on it.  Its
+Kuczynski-Wozniakowski eps, kept as ``achieved_eps`` (0 when exact),
+bounds f(mu) <= achieved_norm / (1 - eps) with probability 1 - 1e-3
+(``spectral``).  Every descent
 ends at its stall test: the first step at which the best f(mu)
 improved by at most a relative _CONVERGED_TOL = 1e-4 over the last
 _CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
@@ -148,11 +149,12 @@ def _certified_f(B, mu, col_live, rng):
 
     One spectral_norm call on the op B s, ``s`` the diagonal of
     D_mu^{-1/2} (zero on dead columns): exact by LAPACK when min(k, m)
-    <= DENSE_SOLVE_LIMIT, otherwise the Golub-Kahan value, a lower
-    bound on f(mu), taken once it moves by at most 1e-9 (relative) over
-    10 steps.  That is all the proof chain needs (module docstring);
-    the estimate's eps, kept as ``achieved_eps``, is the probabilistic
-    upper side.  The start vector is drawn from ``rng``.
+    <= DENSE_SOLVE_LIMIT, otherwise the root of spectral_norm's Lanczos
+    value on the op's Gram, formed on its smaller side: a lower bound
+    on f(mu), taken once that value moves by at most 1e-9 (relative)
+    over 10 steps.  That is all the proof chain needs (module
+    docstring); the estimate's eps, kept as ``achieved_eps``, is the
+    probabilistic upper side.  The start vector is drawn from ``rng``.
     """
     s = _col_scale(mu, col_live)
     op = LinearOp(*B.shape, lambda x: B @ (s * x), lambda x: s * (B.T @ x))

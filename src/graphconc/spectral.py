@@ -3,10 +3,11 @@
 Routes
 ------
 * ``spectral_norm``     -- largest singular value, as a ``NormEstimate``.
-  A symmetric operator runs one plain Lanczos recurrence, any other
-  operator Golub-Kahan bidiagonalization; neither restarts nor
-  reorthogonalizes, so the solve keeps alpha, beta and two or three
-  vectors (O(n) memory) and every product goes through
+  One plain Lanczos recurrence serves every operator: a symmetric M
+  itself, any other M through its Gram M^T M on the smaller side, one
+  ``matvec`` and one ``rmatvec`` per step.  It neither restarts nor
+  reorthogonalizes, so the solve keeps alpha, beta and two vectors
+  (O(n) memory) and every product goes through
   ``LinearOp.matvec``/``rmatvec``.  The solve stops on the value, not
   on a Ritz vector, and reads both ends of the spectrum, so a +/- pair
   is never split.
@@ -24,17 +25,19 @@ Routes
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
-What ``spectral_norm`` returns.  After k steps M Q_k = Q_{k+1} T^_k,
-where T^_k is the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T]
-(for Golub-Kahan, the extended lower bidiagonal), so its sigma_max =
-||M Q_k|| is at most ||M|| in exact arithmetic: a lower bound.  In
+What ``spectral_norm`` returns.  After k steps on a symmetric S,
+S Q_k = Q_{k+1} T^_k, where T^_k is the (k+1) x k extended tridiagonal
+[T_k; beta_k e_k^T], so its sigma_max = ||S Q_k|| is at most ||S|| in
+exact arithmetic: a lower bound.  For a symmetric M, S = M and the
+value is that sigma_max; for any other M, S = M^T M, ||S|| = ||M||^2,
+and the value is its square root, again a lower bound on ||M||.  In
 finite precision the extreme Ritz values stay inside the spectrum up to
-O(eps_mach ||M||) (Paige 1976).  The upper side holds with probability:
+O(eps_mach ||S||) (Paige 1976).  The upper side holds with probability:
 for PSD A and a uniformly random start, Kuczynski & Wozniakowski (1992,
 SIAM J. Matrix Anal. Appl. 13(4)) bound P(theta_j < (1 - e) lambda_1)
 by 1.648 sqrt(n) exp(-sqrt(e) (2j - 1)).  Applied to M^2 through
-K_j(M^2, q) inside K_{2j-1}(M, q) (to M^T M for Golub-Kahan, j = k),
-it gives the ``eps`` returned: ||M|| <= value / (1 - eps) except with
+K_j(M^2, q) inside K_{2j-1}(M, q) (to M^T M itself, j = k), it gives
+the ``eps`` returned: ||M|| <= value / (1 - eps) except with
 probability 1e-3.  That is a probabilistic bound, about 1e-2 at
 n = 1000, and looser than NORM_TOL; the values themselves agreed with
 dense LAPACK to 7.2e-12 relative or better on 30 concentration
@@ -91,12 +94,12 @@ _KW_FAIL = 1e-3
 class NormEstimate(NamedTuple):
     """What ``spectral_norm`` found.
 
-    ``value`` is sigma_max of the extended tridiagonal (bidiagonal), a
-    lower bound on ||op||; ``steps`` the Lanczos or Golub-Kahan steps
-    taken (0 on the exact LAPACK route); ``eps`` the Kuczynski-
-    Wozniakowski bound: ||op|| <= value / (1 - eps) except with
-    probability 1e-3 (0 when exact, or when the Krylov space became
-    invariant).
+    ``value`` is sigma_max of the extended tridiagonal (its square root
+    for a non-symmetric op), a lower bound on ||op||; ``steps`` the
+    Lanczos steps taken (0 on the exact LAPACK route); ``eps`` the
+    Kuczynski-Wozniakowski bound: ||op|| <= value / (1 - eps) except
+    with probability 1e-3 (0 when exact, or when the Krylov space
+    became invariant).
     """
 
     value: float
@@ -108,9 +111,9 @@ def spectral_norm(op, rng=None):
     """Largest singular value of ``op``, as a NormEstimate.
 
     An op whose smaller side is at most DENSE_SOLVE_LIMIT is solved
-    exactly by LAPACK.  Otherwise a symmetric op runs Lanczos and any
-    other op Golub-Kahan bidiagonalization on its smaller side, from a
-    unit Gaussian start drawn from ``rng``, until max |theta| moves by
+    exactly by LAPACK.  Otherwise Lanczos runs on a symmetric op, and
+    on the Gram op^T op of any other op's smaller side, from a unit
+    Gaussian start drawn from ``rng``, until max |theta| moves by
     at most _NORM_STOP across _NORM_CHECK steps or the Krylov space is
     invariant (module docstring).  Deterministic for a given rng; after
     NORM_MAX_ITER steps raises NoConvergence whose ``best`` is the
@@ -126,7 +129,7 @@ def spectral_norm(op, rng=None):
         return NormEstimate(float(np.linalg.norm(op.to_dense(), 2)), 0, 0.0)
     v0 = rng.standard_normal(op.n_cols)
     v0 /= sqrt(v0 @ v0)
-    return (_lanczos if op.symmetric else _golub_kahan)(op, v0)
+    return _lanczos(op, v0, gram=not op.symmetric)
 
 
 def _kw_eps(j, n):
@@ -143,12 +146,12 @@ def _own(w, *ours):
     A fresh product (it owns its memory, as all our vectors do, and is
     none of them) is returned without the np.may_share_memory scan.
 
-    The recurrences below update each product in place, through one
-    scratch vector per side: at n = 10^6 a fresh temporary costs more
-    than the pass that fills it.  They use numpy's kernels only; scipy's
-    BLAS (daxpy) runs on scipy's own OpenBLAS, and with both pools at
-    their default thread count they fought on two cores: 2.4 s against
-    0.09 s for a Lanczos solve at n = 32000.  ``_scipy`` sets scipy's
+    ``_lanczos`` updates each product in place, through one scratch
+    vector: at n = 10^6 a fresh temporary costs more than the pass that
+    fills it.  It uses numpy's kernels only; scipy's BLAS (daxpy) runs
+    on scipy's own OpenBLAS, and with both pools at their default
+    thread count they fought on two cores: 2.4 s against 0.09 s for a
+    Lanczos solve at n = 32000.  ``_scipy`` sets scipy's
     pool to one thread unless the environment sets a count, so that
     scipy's LAPACK and ARPACK calls do not fight numpy's pool.
     """
@@ -159,76 +162,44 @@ def _own(w, *ours):
     return w
 
 
-def _lanczos(op, q):
-    """Three-term Lanczos on a symmetric op from the unit vector q."""
+def _lanczos(op, q, gram=False):
+    """Three-term Lanczos from the unit vector q on a symmetric op, or,
+    with ``gram``, on op^T op: x -> op.rmatvec(op.matvec(x)), whose top
+    eigenvalue is ||op||^2, so the value is the root of its sigma_max
+    and KW's j is the step count."""
     cap = NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
     q_prev, b, last = q, 0.0, None
     tmp = np.empty(q.size)
+
+    def value(steps):
+        sigma = _extended_sigma(alpha[:steps], beta[:steps])
+        return sqrt(sigma) if gram else sigma
+
     for k in range(cap):
-        w = _own(op.matvec(q), q, q_prev)
+        w = _own(op.rmatvec(op.matvec(q)) if gram else op.matvec(q),
+                 q, q_prev)
         if k:
             w -= np.multiply(q_prev, b, out=tmp)
         a = float(q @ w)
         w -= np.multiply(q, a, out=tmp)
-        scale = sqrt(a * a + b * b)     # ||M q_k|| but for beta_k
+        scale = sqrt(a * a + b * b)     # ||S q_k|| but for beta_k
         b = sqrt(float(w @ w))
         alpha[k], beta[k] = a, b
         steps = k + 1
         if b <= _BREAKDOWN * scale:
-            return NormEstimate(_extended_sigma(alpha[:steps], beta[:steps]),
-                                steps, 0.0)
+            return NormEstimate(value(steps), steps, 0.0)
         if steps % _NORM_CHECK == 0:
             d, e = alpha[:steps], beta[:steps - 1]
             top = max(-_dstebz_one(d, e, 1), _dstebz_one(d, e, steps))
             if last is not None and abs(top - last) <= _NORM_STOP * top:
-                return NormEstimate(
-                    _extended_sigma(alpha[:steps], beta[:steps]), steps,
-                    _kw_eps((steps + 1) // 2, op.n_rows))
+                return NormEstimate(value(steps), steps, _kw_eps(
+                    steps if gram else (steps + 1) // 2, op.n_cols))
             last = top
         w *= 1.0 / b
         q_prev, q = q, w
     raise NoConvergence(f"lanczos: max |theta| still moving after {cap} "
-                        f"steps", best=_extended_sigma(alpha, beta))
-
-
-def _golub_kahan(op, v):
-    """Golub-Kahan bidiagonalization of an op with n_rows >= n_cols
-    from the unit vector v on its domain: op V_k = U_k B_k, op^T U_k =
-    V_{k+1} [B_k^T; beta_k e_k^T]."""
-    cap = NORM_MAX_ITER
-    ab = np.empty(2 * cap)          # alpha_1, beta_1, alpha_2, beta_2, ...
-    tmp_u, tmp_v = np.empty(op.n_rows), np.empty(op.n_cols)
-    u = _own(op.matvec(v), v)
-    a = sqrt(float(u @ u))
-    if a == 0.0:                    # op v = 0 for a random v: a zero op
-        return NormEstimate(0.0, 1, 0.0)
-    u *= 1.0 / a
-    last = None
-    for k in range(cap):
-        p = _own(op.rmatvec(u), u, v)
-        p -= np.multiply(v, a, out=tmp_v)
-        b = sqrt(float(p @ p))
-        ab[2 * k], ab[2 * k + 1] = a, b
-        steps = k + 1
-        if b <= _BREAKDOWN * a:
-            return NormEstimate(_bidiagonal_sigma(ab[:2 * steps]), steps, 0.0)
-        if steps % _NORM_CHECK == 0:
-            top = _bidiagonal_sigma(ab[:2 * steps])
-            if last is not None and abs(top - last) <= _NORM_STOP * top:
-                return NormEstimate(top, steps, _kw_eps(steps, op.n_cols))
-            last = top
-        p *= 1.0 / b
-        v = p
-        w = _own(op.matvec(v), u, v)
-        w -= np.multiply(u, b, out=tmp_u)
-        u = w
-        a = sqrt(float(u @ u))
-        if a <= _BREAKDOWN * b:
-            return NormEstimate(_bidiagonal_sigma(ab[:2 * steps]), steps, 0.0)
-        u *= 1.0 / a
-    raise NoConvergence(f"golub-kahan: sigma_max still moving after {cap} "
-                        f"steps", best=_bidiagonal_sigma(ab))
+                        f"steps", best=value(cap))
 
 
 def _dstebz_one(d, e, i):
@@ -256,14 +227,6 @@ def _extended_sigma(alpha, beta):
     if info:
         raise np.linalg.LinAlgError(f"dsbevx failed: info {info}")
     return sqrt(max(float(w[0]), 0.0))
-
-
-def _bidiagonal_sigma(ab):
-    """sigma_max of the (k+1) x k lower bidiagonal with diagonal alpha and
-    subdiagonal beta, ``ab`` interleaving them: the top eigenvalue of the
-    zero-diagonal tridiagonal of size 2k + 1 with off-diagonal ``ab``
-    (Golub and Kahan 1965), whose eigenvalues are +/-sigma and 0."""
-    return max(_dstebz_one(np.zeros(ab.size + 1), ab, ab.size + 1), 0.0)
 
 
 def _select(theta, k, mode):

@@ -1,5 +1,14 @@
 """Shared test helpers: seeds, dense reference builders, hypothesis profile."""
 
+import os
+
+# numpy's OpenBLAS pool reads its thread count when numpy is first
+# imported, which is below: the suite's small products gain no wall time
+# from a second thread and spend CPU spinning it, so one thread unless
+# the environment sets a count.  test_scipy_blas_pool_runs_one_thread
+# strips the variable for its own subprocesses.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

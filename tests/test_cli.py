@@ -27,6 +27,9 @@ from graphconc.spectral import NORM_TOL
 from conftest import MASTER
 
 dmod = importlib.import_module("graphconc.decompose")
+# max n p_ij = 32 but for rounding
+PROFILE_32 = {"kind": "profile", "n": 256, "values": [2, 12],
+              "fractions": [0.75, 0.25]}
 
 
 def read_csv(path):
@@ -230,7 +233,8 @@ def test_decompose_trial_keys_keep_their_order(tmp_path, directed):
                       MASTER, str(tmp_path / "dec"), trials=2)
     fields = ["structural_ok", "r_footprint_ok", "c_footprint_ok",
               "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
-              "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds"]
+              "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds",
+              "gp_target_met"]
     parts = ["full"] if directed else ["upper", "lower"]
     keys = ["trial"] + [f"{p}_{k}" for p in parts for k in fields]
     assert [list(t) for t in rep.trials] == [keys, keys]
@@ -264,7 +268,7 @@ def test_report_streams_are_the_streams_drawn(tmp_path):
                                          {"n": 80, "d": 3.0}]}, 2, [0, 1, 2, 3]),
             ("gp-check", {"rows": 4, "cols": 5, "deltas": [0.5]},
              3, [0, 1, 2]),
-            ("spectrum", {"graph": str(graph)}, 2, [])]
+            ("spectrum", {"graph": str(graph)}, 1, [])]
     for name, cfg, trials, streams in runs:
         out = tmp_path / name
         rep = run_command(name, cfg, MASTER, str(out), trials=trials)
@@ -436,6 +440,34 @@ def test_gp_check_certificate_failure_ends_the_run(tmp_path, monkeypatch,
         run_command("gp-check", cfg, MASTER, str(tmp_path / "w"))
 
 
+def test_decompose_runs_a_model_at_its_max_rate(tmp_path):
+    # max n p_ij of this profile rounds to 32.00000000000001: d = 32 fits
+    model = graphconc.model_from_dict(PROFILE_32)
+    assert graphconc.max_rate(model) > 32.0
+    rep = run_command("decompose", {"n": 256, "d": 32.0, "model": PROFILE_32,
+                                    "gp_iters": 20, "write_files": False},
+                      MASTER, str(tmp_path / "dec"))
+    assert rep.flags["structural_all"] and not rep.summary["errors"]
+    trial = rep.trials[0]
+    assert trial["upper_norm_ratio"] == (trial["upper_norm_n"]
+                                         / (3.0 ** 1.5 * np.sqrt(32.0)))
+
+
+@pytest.mark.parametrize("d, met", [(0.5, False), (8.0, True)])
+def test_decompose_target_flag_is_read_off_the_records(tmp_path, d, met):
+    # each part records whether its GP blocks met their targets, so the
+    # flag survives a pool: at d = 0.5 the 20-step descents miss
+    rep = run_command("decompose", {"n": 128, "d": d, "gp_iters": 20,
+                                    "write_files": False},
+                      MASTER, str(tmp_path / "dec"), trials=2, threads=2)
+    found = [t[f"{p}_gp_target_met"] for t in rep.trials
+             for p in ("upper", "lower")]
+    assert found == [met] * 4
+    assert rep.flags["gp_target_met_all"] is met
+    (row, _) = read_csv(tmp_path / "dec" / "trials.csv")
+    assert row["upper_gp_target_met"] == str(met)
+
+
 def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):
     # refused before the n x n expected matrix is built
     def no_dense(model):
@@ -599,7 +631,15 @@ def test_config_file_errors_end_in_the_error_line(tmp_path, capsys, text):
     ("gp-check", {"deltas": [0.25, 1]}, "in (0, 1)"),
     ("gp-check", {"deltas": [-0.5]}, "in (0, 1)"),
     ("gp-check", {"deltas": [float("nan")]}, "in (0, 1)"),
-    ("gp-check", {"deltas": [0.5, 0.5000001]}, "share the columns")])
+    ("gp-check", {"deltas": [0.5, 0.5000001]}, "share the columns"),
+    # every trial would read the same graph; refused before it is read
+    ("spectrum", {"graph": "none.csv", "trials": 3},
+     "spectrum on a saved graph runs one trial, not 3"),
+    # n and d set decompose's row filter, footprint limit and norm ratio
+    ("decompose", {"n": 512, "d": 200.0, "model": PROFILE_32},
+     "model n = 256 differs from the config's n = 512"),
+    ("decompose", {"n": 256, "d": 8.0, "model": PROFILE_32},
+     "model max n p_ij = 32.00000000000001 exceeds the config's d = 8.0")])
 def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
                                                         cfg, message):
     cfg_path = tmp_path / "cfg.json"

@@ -265,7 +265,8 @@ def test_verifier_negative_control():
 
 VERIFY_KEYS = ("structural_ok", "r_footprint_ok", "c_footprint_ok",
                "max_r_row_ones", "max_c_col_ones", "r_cols", "c_rows",
-               "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds")
+               "norm_n", "norm_steps", "norm_eps", "norm_ratio", "rounds",
+               "gp_target_met")
 
 
 def test_verify_returns_the_record_in_column_order():
@@ -281,7 +282,7 @@ def test_verify_returns_the_record_in_column_order():
         dec = decompose(A, F, r, d, gp_iters=60, part=part)
         rep = verify_decomposition(A, F, dec, part=part)
         assert tuple(rep) == VERIFY_KEYS
-        for keys, kind in ((VERIFY_KEYS[:3], bool),
+        for keys, kind in ((VERIFY_KEYS[:3] + ("gp_target_met",), bool),
                            (VERIFY_KEYS[3:7] + ("norm_steps", "rounds"), int),
                            (("norm_n", "norm_eps", "norm_ratio"), float)):
             assert [type(rep[k]) for k in keys] == [kind] * len(keys)
@@ -294,6 +295,8 @@ def test_verify_returns_the_record_in_column_order():
             max(rep["max_r_row_ones"], rep["max_c_col_ones"]) <= 32 * r)
         assert rep["norm_ratio"] == rep["norm_n"] / (r ** 1.5 * np.sqrt(d))
         assert rep["rounds"] == len(dec.block_trace)
+        assert rep["gp_target_met"] == all(b["target_met"]
+                                           for b in gp_blocks(dec))
 
 
 def test_verifier_norm_on_empty_graph():
@@ -308,8 +311,8 @@ def test_verifier_norm_on_empty_graph():
 
 def test_verifier_norm_matches_dense_svd():
     # 32 < n <= 1024: spectral_norm against LAPACK's SVD, on the
-    # non-symmetric triangle parts and a directed sample (Golub-Kahan)
-    # and a symmetric -EA (Lanczos)
+    # non-symmetric triangle parts and a directed sample (Lanczos on
+    # the Gram) and a symmetric -EA (Lanczos)
     n = 96
     m = Uniform(n, 6.0 / n)
     EA = expected_dense(m)

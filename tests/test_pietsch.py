@@ -389,7 +389,7 @@ def test_a_failing_block_takes_the_descent(monkeypatch):
 
 
 def test_achieved_eps_bounds_f_from_above():
-    # Golub-Kahan on the 250 x 256 block: the closing measurement keeps
+    # Lanczos on the 250 x 256 block's Gram: the closing measurement keeps
     # its Kuczynski-Wozniakowski eps, and value / (1 - eps) is at least
     # the dense f(mu)
     B = centred_block()
@@ -528,8 +528,9 @@ def scaled_block(shape, seed):
 @pytest.mark.parametrize("shape", [(40, 64), (64, 100), (100, 60),
                                    (250, 256)])
 def test_gram_certification_matches_svds(shape):
-    # min(k, m) > DENSE_SOLVE_LIMIT: Golub-Kahan on B D^{-1/2} (no Gram
-    # is formed), against scipy's svds on the same matrix and dense LAPACK
+    # min(k, m) > DENSE_SOLVE_LIMIT: Lanczos on the Gram of B D^{-1/2}
+    # (applied, never formed), against scipy's svds on the same matrix
+    # and dense LAPACK
     B, mu, col_live = scaled_block(shape, 42)
     got = pietsch._certified_f(B, mu, col_live,
                                np.random.default_rng(1)).value
@@ -545,7 +546,7 @@ def no_arpack():
 
 
 @pytest.mark.parametrize("shape,dead", [
-    # Golub-Kahan when min(k, m) > DENSE_SOLVE_LIMIT, LAPACK otherwise;
+    # Lanczos when min(k, m) > DENSE_SOLVE_LIMIT, LAPACK otherwise;
     # the first two blocks have a dead column, which s zeroes
     ((64, 64), True), ((100, 60), True),
     ((40, 100), False), ((40, 24), False), ((8, 12), False),

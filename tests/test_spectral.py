@@ -147,24 +147,30 @@ def test_spectral_norm_deterministic_seeded():
 
 
 def test_spectral_norm_no_convergence_carries_best(monkeypatch):
-    # above DENSE_SOLVE_LIMIT, so Lanczos runs; one step cannot see the
-    # value settle
+    # above DENSE_SOLVE_LIMIT, so Lanczos runs, on M or on M^T M; one
+    # step cannot see the value settle.  ||M^T M q|| is far above ||M||
+    # here, so a best that misses the Gram's square root is caught
     rng = np.random.default_rng(3)
-    op = LinearOp.from_dense(sym(rng, 200))
     monkeypatch.setattr(graphconc.spectral, "NORM_MAX_ITER", 1)
-    with pytest.raises(NoConvergence) as exc:
-        spectral_norm(op)
-    assert 0.0 < exc.value.best <= np.linalg.norm(op.to_dense(), 2)
+    for op in (LinearOp.from_dense(sym(rng, 200)),
+               LinearOp.from_dense(rng.standard_normal((200, 150)),
+                                   symmetric=False)):
+        with pytest.raises(NoConvergence) as exc:
+            spectral_norm(op)
+        assert 0.0 < exc.value.best <= np.linalg.norm(op.to_dense(), 2)
 
 
 @pytest.mark.parametrize("shape", [(120, 80), (60, 150)])
-def test_spectral_norm_golub_kahan_rectangular(shape):
-    # Golub-Kahan from the smaller side, tall and wide
+def test_spectral_norm_gram_lanczos_rectangular(shape):
+    # Lanczos on the Gram of the smaller side, tall and wide: the value
+    # is the root of the Gram's, and KW's j is the step count on the
+    # smaller side's n
     assert min(shape) > DENSE_SOLVE_LIMIT
     M = np.random.default_rng(21).standard_normal(shape)
     est = spectral_norm(LinearOp.from_dense(M, symmetric=False))
     assert est.value == pytest.approx(np.linalg.norm(M, 2), rel=1e-9)
     assert est.steps > 0 and 0.0 < est.eps < 1.0
+    assert est.eps == graphconc.spectral._kw_eps(est.steps, min(shape))
 
 
 @pytest.mark.parametrize("product", [lambda x: x, lambda x: x[:],
@@ -172,9 +178,10 @@ def test_spectral_norm_golub_kahan_rectangular(shape):
                          ids=["input", "view", "reversed-view"])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_recurrences_copy_a_product_that_is_their_vector(product, symmetric):
-    # the closure hands back its input or a view of it (an orthogonal op,
-    # norm 1): Lanczos and Golub-Kahan update each product in place, so
-    # they must copy it first and write into no vector they passed
+    # the closure hands back its input or a view of it (an orthogonal op:
+    # it and its Gram have norm 1): Lanczos updates each product, of the
+    # op or of its Gram, in place, so it must copy it first and write
+    # into no vector it passed
     passed = []
 
     def closure(x):
@@ -183,11 +190,8 @@ def test_recurrences_copy_a_product_that_is_their_vector(product, symmetric):
 
     n = 2 * DENSE_SOLVE_LIMIT
     op = LinearOp(n, n, closure, closure, symmetric=symmetric)
-    v0 = np.random.default_rng(25).standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    solve = (graphconc.spectral._lanczos if symmetric
-             else graphconc.spectral._golub_kahan)
-    est = solve(op, v0)
+    est = spectral_norm(op)
+    assert est.steps > 0
     assert est.value == pytest.approx(1.0, rel=1e-12)
     assert passed and all(np.array_equal(x, x0) for x, x0 in passed)
 

@@ -62,6 +62,9 @@ class RunContext:
 
 
 def _path(ctx, name):
+    """Where artifact ``name`` goes; the output directory is made on the
+    first write, so a command that refuses its config leaves none."""
+    os.makedirs(ctx.out_dir, exist_ok=True)
     return os.path.join(ctx.out_dir, name)
 
 
@@ -247,7 +250,10 @@ def _grid(ctx, cells, deviation, record, value, csv_name, header):
 
     A cell is (summary key, n, d, x).  Trial t of cell c draws stream
     c*N + t (N = ctx.trials) from Uniform(n, d/n) and is recorded as
-    ``record(c, t, n, x, _norm_or_best(deviation(g, model, x)))``.
+    ``record(c, t, n, x, _norm_or_best(deviation(draw, model, x)))``,
+    where ``draw()`` samples the graph: the deviation holds the only
+    reference to it, so the sample can go once its regularized graph
+    exists.
     ``csv_name`` gets one row [n, x, median, q1, q3] of the records'
     ``value`` per cell.
     """
@@ -257,8 +263,8 @@ def _grid(ctx, cells, deviation, record, value, csv_name, header):
         ci, t = divmod(flat, N)
         _, n, d, x = cells[ci]
         model = Uniform(n, d / n)
-        g = sample(model, ctx.seed, flat)
-        return record(ci, t, n, x, _norm_or_best(deviation(g, model, x)))
+        op = deviation(lambda: sample(model, ctx.seed, flat), model, x)
+        return record(ci, t, n, x, _norm_or_best(op))
 
     trials = run_trials(one, len(cells) * N, ctx.threads)
     summary, rows = {}, []
@@ -303,11 +309,11 @@ def cmd_concentration(cfg, ctx):
         d = float(_check(c["d"], "float", "a cell's d"))
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
 
-    def deviation(g, model, d):
+    def deviation(draw, model, d):
         cap = cfg.cap_mult * d
-        g2 = apply_scheme(g, cfg.scheme, cap=cap if cap > 0 else None,
-                          tau=cap if cfg.scheme == "tau" else None)
-        return compose_difference(adjacency_shifted_op(g2),
+        g = apply_scheme(draw(), cfg.scheme, cap=cap if cap > 0 else None,
+                         tau=cap if cfg.scheme == "tau" else None)
+        return compose_difference(adjacency_shifted_op(g),
                                   expected_adjacency(model))
 
     def record(ci, t, n, d, rec):
@@ -330,8 +336,8 @@ def cmd_laplacian(cfg, ctx):
     taus = _distinct(taus, "taus", "{:g}".format)
     cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
 
-    def deviation(g, model, tau):
-        return compose_difference(laplacian(tau_shift(g, tau)),
+    def deviation(draw, model, tau):
+        return compose_difference(laplacian(tau_shift(draw(), tau)),
                                   expected_laplacian(model, tau))
 
     def record(ci, t, n, tau, rec):
@@ -566,7 +572,6 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     _refuse_other_config(out_dir, config_hash(params))
     ctx = RunContext(seed=seed, out_dir=out_dir, trials=trials,
                      threads=threads)
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     records, summary, flags, *drawn = runner(cfg, ctx)
     # trial t draws stream t unless the command lists the streams it drew
@@ -576,6 +581,7 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
         seeds={"master_seed": seed, "streams": streams}, trials=records,
         summary=summary, flags=flags,
         wall_clock_s=time.perf_counter() - start)
+    os.makedirs(out_dir, exist_ok=True)
     report.write(out_dir)
     return report
 

@@ -135,9 +135,9 @@ def _ones_csr(A):
     if not A.directed:
         raise ValueError("decompose expects a directed graph; "
                          "split undirected input into triangles first")
-    if A.nnz and np.any(A.w != 1.0):
+    if A.weighted:
         raise ValueError("decompose expects a 0/1 adjacency")
-    return A.to_csr().tocsr()
+    return A.to_csr()
 
 
 def _cap_exceptional(mask, cap, gp_rejected, ones):
@@ -468,6 +468,7 @@ def triangle_split(g):
     """
     if g.directed:
         raise ValueError("triangle_split expects an undirected graph")
-    upper = SparseGraph(g.n, g.i, g.j, g.w, directed=True)
+    # g's entries, sorted by (i, j), are the upper triangle's as they stand
+    upper = SparseGraph(g.n, g.i, g.j, g.w, directed=True, _checked=True)
     lower = SparseGraph(g.n, g.j, g.i, g.w, directed=True)
     return upper, lower

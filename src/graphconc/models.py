@@ -62,8 +62,8 @@ seed.
 
 from __future__ import annotations
 
-import io
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,62 +76,133 @@ from .operators import LinearOp
 EXPLICIT_N_LIMIT = 4096  # guard rail: Explicit stores a dense matrix
 
 
+def _index_dtype(n):
+    """Entry index dtype of an n-vertex graph: int32 while every id fits."""
+    return np.int32 if n <= 1 << 31 else np.int64
+
+
 class SparseGraph:
     """Weighted graph stored as entry arrays (i, j, w), weights in (0, 1].
 
-    Undirected graphs store each edge once with i < j; ``to_csr`` and
-    ``degrees`` account for both orientations.  Self-loops are not
-    representable.
+    Entries are unique and sorted by (i, j).  Undirected graphs store
+    each edge once with i < j; ``to_csr`` and ``degrees`` account for
+    both orientations.  Self-loops are not representable.  i and j are
+    int32 while n <= 2^31.  A 0/1 graph holds no weight array:
+    ``weighted`` is False and ``w`` reads as ones (a zero-stride view).
     """
 
-    def __init__(self, n, i, j, w, directed=False, _checked=False):
+    def __init__(self, n, i, j, w=None, directed=False, _checked=False):
         self.n = int(n)
         self.directed = bool(directed)
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        w = None if w is None else np.asarray(w, dtype=np.float64)
         if not _checked:
-            if not (i.shape == j.shape == w.shape) or i.ndim != 1:
+            i = np.asarray(i, dtype=np.int64)
+            j = np.asarray(j, dtype=np.int64)
+            if (i.shape != j.shape or i.ndim != 1
+                    or (w is not None and w.shape != i.shape)):
                 raise InvalidModel("entry arrays must be 1-d and equally long")
-            if i.size:
-                if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
-                    raise InvalidModel("vertex index out of range")
-                if np.any(i == j):
-                    raise InvalidModel("self-loops are not allowed")
-                if not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):  # NaN too
-                    raise InvalidModel("weights must lie in (0, 1]")
-                if not self.directed:
-                    i, j = np.minimum(i, j), np.maximum(i, j)
-                code = i * n + j
-                order = np.argsort(code, kind="stable")
-                if np.any(np.diff(code[order]) == 0):
-                    raise InvalidModel("duplicate entries")
-                i, j, w = i[order], j[order], w[order]
+        if w is not None and not np.any(w != 1.0):
+            w = None  # a 0/1 graph
+        if not _checked and i.size:
+            if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
+                raise InvalidModel("vertex index out of range")
+            if np.any(i == j):
+                raise InvalidModel("self-loops are not allowed")
+            if w is not None and not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):
+                raise InvalidModel("weights must lie in (0, 1]")  # NaN too
+            if not self.directed:
+                i, j = np.minimum(i, j), np.maximum(i, j)
+            code = i * n + j  # int64: in int32 it wraps beyond n = 46340
+            order = np.argsort(code, kind="stable")
+            if np.any(np.diff(code[order]) == 0):
+                raise InvalidModel("duplicate entries")
+            i, j = i[order], j[order]
+            w = w[order] if w is not None else None
+        idx = _index_dtype(self.n)
+        i, j = np.asarray(i, dtype=idx), np.asarray(j, dtype=idx)
         for a in (i, j, w):
-            a.setflags(write=False)
-        self.i, self.j, self.w = i, j, w
+            if a is not None:
+                a.setflags(write=False)
+        self.i, self.j, self._w = i, j, w
 
     @property
     def nnz(self):
         return self.i.size
 
+    @property
+    def weighted(self):
+        """Whether some weight is not 1 (a weight array is held)."""
+        return self._w is not None
+
+    @property
+    def w(self):
+        """The weights: the array held, or ones for a 0/1 graph."""
+        if self._w is not None:
+            return self._w
+        return np.broadcast_to(np.float64(1.0), self.i.shape)
+
+    def subset(self, keep):
+        """The graph of the entries ``keep`` selects (a mask or ascending
+        positions), not re-validated: a subset of canonical entries is
+        canonical."""
+        return SparseGraph(self.n, self.i[keep], self.j[keep],
+                           self._w[keep] if self.weighted else None,
+                           directed=self.directed, _checked=True)
+
     def degrees(self):
         """Weighted degree vector (both endpoints for undirected edges)."""
-        deg = np.bincount(self.i, weights=self.w, minlength=self.n).astype(float)
+        deg = np.bincount(self.i, weights=self._w, minlength=self.n).astype(float)
         if self.directed:
             return deg  # out-degrees
-        deg += np.bincount(self.j, weights=self.w, minlength=self.n)
+        deg += np.bincount(self.j, weights=self._w, minlength=self.n)
         return deg
 
     def to_csr(self):
+        """The n x n csr_matrix, an undirected edge in both orientations,
+        in scipy's canonical form (each row's columns ascending), placed
+        directly in O(nnz + n).
+
+        The entries are sorted by (i, j), so a directed graph's are the
+        csr rows as they stand.  Row r of an undirected graph is the
+        columns i < r of its edges (i, r), then the columns j > r of its
+        edges (r, j): the second run is row r of the upper triangle U as
+        stored, the first is column r of U, which scipy's csr -> csc
+        conversion lists in ascending row order.
+        """
+        sparse = _scipy.sparse()
+        n, m = self.n, self.nnz
+        nnz = m if self.directed else 2 * m
+        idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+        upper = np.bincount(self.i, minlength=n)  # entries (r, j) per row r
         if self.directed:
-            return _scipy.sparse().csr_matrix((self.w, (self.i, self.j)),
-                                              shape=(self.n, self.n))
-        ii = np.concatenate([self.i, self.j])
-        jj = np.concatenate([self.j, self.i])
-        ww = np.concatenate([self.w, self.w])
-        return _scipy.sparse().csr_matrix((ww, (ii, jj)),
-                                          shape=(self.n, self.n))
+            indptr = np.zeros(n + 1, idx)
+            np.cumsum(upper, out=indptr[1:])
+            data = np.array(self.w, dtype=np.float64)
+            return sparse.csr_matrix((data, self.j.astype(idx), indptr),
+                                     shape=(n, n))
+        lower = np.bincount(self.j, minlength=n)  # entries (i, r) per row r
+        u_ptr = np.zeros(n + 1, idx)
+        np.cumsum(upper, out=u_ptr[1:])
+        indptr = np.zeros(n + 1, idx)
+        np.cumsum(lower + upper, out=indptr[1:])
+        # row r's positions: lower[r] from column r of U, then upper[r]
+        below = np.repeat(np.tile([True, False], n),
+                          np.stack([lower, upper], axis=1).ravel())
+        del lower, upper
+        U = sparse.csr_matrix(
+            (self._w if self.weighted else np.ones(m, bool), self.j, u_ptr),
+            shape=(n, n))
+        UT = U.tocsc()
+        indices = np.empty(nnz, idx)
+        indices[below] = UT.indices
+        indices[~below] = self.j
+        if self.weighted:
+            data = np.empty(nnz)
+            data[below] = UT.data
+            data[~below] = self._w
+        else:
+            data = np.ones(nnz)
+        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def to_dense(self):
         return self.to_csr().toarray()
@@ -456,6 +527,7 @@ def sample_directed(model, master_seed, stream_index=0):
 
 def _sample(model, master_seed, stream_index, directed):
     n = model.n
+    idx = _index_dtype(n)
     layout = None if isinstance(model, Explicit) else _groups(model)
     parts = []
     for b in range(-(-n // ROW_BLOCK)):
@@ -470,11 +542,10 @@ def _sample(model, master_seed, stream_index, directed):
             j = np.concatenate([bj for _, bj in block])
             order = np.argsort(i * n + j)
             block = [(i[order], j[order])]
-        parts += block
-    i_idx = np.concatenate([i for i, _ in parts]) if parts else np.empty(0, dtype=np.int64)
-    j_idx = np.concatenate([j for _, j in parts]) if parts else np.empty(0, dtype=np.int64)
-    w = np.ones(i_idx.size)
-    return SparseGraph(n, i_idx, j_idx, w, directed=directed, _checked=True)
+        parts += [(i.astype(idx), j.astype(idx)) for i, j in block]
+    i_idx = np.concatenate([i for i, _ in parts]) if parts else np.empty(0, idx)
+    j_idx = np.concatenate([j for _, j in parts]) if parts else np.empty(0, idx)
+    return SparseGraph(n, i_idx, j_idx, directed=directed, _checked=True)
 
 
 def _groups(model):
@@ -570,13 +641,13 @@ def _dense_block(P, words, r0, r1, lower):
 # file formats
 
 
-SAVE_CHUNK = 1 << 16  # edges per formatted block: save_graph's scratch is O(chunk)
+SAVE_CHUNK = 1 << 12  # edges per formatted block: save_graph's scratch is O(chunk)
 
 # "ddd," for k = 0 .. 999, one uint32 word each: the bytes of a
 # three-digit group of a vertex id and the comma that may follow it
 _DIGIT_GROUPS = np.frombuffer(
     "".join(f"{k:03d}," for k in range(1000)).encode(), np.uint32)
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_POW10 = 10 ** np.arange(1, 19, dtype=np.uint64)
 _EDGE_DTYPE = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
 
 
@@ -584,21 +655,28 @@ def save_graph(g, path):
     """JSON header line {"n","directed","weighted"} then lines i,j,repr(w).
 
     The edge lines are formatted in numpy, ``SAVE_CHUNK`` edges at a
-    time, as one rows x width byte block: each vertex id as right-aligned
-    "ddd," groups, then the text repr(w) + "\n" padded to whole words
-    (repr runs once per distinct weight of the chunk).  One boolean mask
-    drops the leading zeros, the inner commas and the padding; the bytes
-    it keeps are the lines.  ``load_graph`` reads every value back bit
-    for bit.
+    time, as one rows x width byte block: each vertex id (as uint32
+    below n = 2^32) as right-aligned "ddd," groups, then the text
+    repr(w) + "\n" padded to whole words (repr runs once per distinct
+    weight of the chunk; a 0/1 graph's is one constant column).  A
+    boolean mask drops the leading zeros, the inner commas and the
+    padding; the bytes it keeps are the chunk's lines, written as soon
+    as they are selected.  ``load_graph`` reads every value back bit for
+    bit.
     """
-    weighted = bool(g.nnz and np.any(g.w != 1.0))
-    header = {"n": g.n, "directed": g.directed, "weighted": weighted}
-    id_keep = _id_keep(-(-len(str(max(g.n - 1, 0))) // 3))
+    header = {"n": g.n, "directed": g.directed, "weighted": g.weighted}
+    groups = -(-len(str(max(g.n - 1, 0))) // 3)
+    ids = np.uint32 if g.n <= 1 << 32 else np.uint64
+    # d - 1 for a d-digit id: the powers 10, 100, ... it reaches
+    pow10 = _POW10[:3 * groups - 1]
+    pow10 = pow10[pow10 <= np.iinfo(ids).max].astype(ids)
+    id_keep = _id_keep(groups)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         for s in range(0, g.nnz, SAVE_CHUNK):
             e = slice(s, s + SAVE_CHUNK)
-            fh.write(_edge_lines(g.i[e], g.j[e], g.w[e], id_keep))
+            _write_lines(fh, g.i[e], g.j[e], g.w[e] if g.weighted else None,
+                         pow10, id_keep)
 
 
 def _id_keep(groups):
@@ -612,11 +690,15 @@ def _id_keep(groups):
     return keep.view(np.uint32)
 
 
-def _edge_lines(i, j, w, id_keep):
-    """The bytes of the lines i,j,repr(w) of one chunk of edges."""
+def _write_lines(fh, i, j, w, pow10, id_keep):
+    """Write the lines i,j,repr(w) of one chunk of edges (w None: 1.0);
+    the ids are formatted in ``pow10``'s dtype."""
     rows, groups = i.size, id_keep.shape[1]
-    uniq, inv = np.unique(w.view(np.uint64), return_inverse=True)
-    text = [repr(x) + "\n" for x in uniq.view(np.float64).tolist()]
+    if w is None:
+        text, inv = ["1.0\n"], None
+    else:
+        uniq, inv = np.unique(w.view(np.uint64), return_inverse=True)
+        text = [repr(x) + "\n" for x in uniq.view(np.float64).tolist()]
     lens = np.fromiter(map(len, text), np.intp, len(text))
     words = -(-int(lens.max()) // 8)
     text_keep = np.arange(8 * words) < lens[:, None]
@@ -626,10 +708,9 @@ def _edge_lines(i, j, w, id_keep):
     f = 8 * groups  # bytes of the two id fields
     block = np.empty((rows, f + 8 * words), np.uint8)
     keep = np.empty(block.shape, bool)
-    v = np.stack([i, j], axis=1)
-    # d - 1 for a d-digit id: the powers 10, 100, ... it reaches
-    tens = np.searchsorted(_POW10[:3 * groups - 1], v, side="right")
-    v = v.astype(np.uint64)
+    v = np.empty((rows, 2), pow10.dtype)
+    v[:, 0], v[:, 1] = i, j
+    tens = np.searchsorted(pow10, v, side="right")
     id_words = block[:, :f].view(np.uint32).reshape(rows, 2, groups)
     id_masks = keep[:, :f].view(np.uint32).reshape(rows, 2, groups)
     for k in range(groups - 1, -1, -1):
@@ -639,9 +720,11 @@ def _edge_lines(i, j, w, id_keep):
     w_words = block[:, f:].view(np.uint64)
     w_masks = keep[:, f:].view(np.uint64)
     for c in range(words):
-        w_words[:, c] = np.take(text_bytes.view(np.uint64)[:, c], inv)
-        w_masks[:, c] = np.take(text_keep.view(np.uint64)[:, c], inv)
-    return np.compress(keep.ravel(), block.ravel()).tobytes()
+        texts = text_bytes.view(np.uint64)[:, c]
+        masks = text_keep.view(np.uint64)[:, c]
+        w_words[:, c] = texts[0] if inv is None else np.take(texts, inv)
+        w_masks[:, c] = masks[0] if inv is None else np.take(masks, inv)
+    fh.write(block[keep])
 
 
 # what each save_graph header field must hold; weighted may be absent
@@ -690,12 +773,11 @@ def load_graph(path):
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
-        body = fh.read()
-    edges = np.empty(0, dtype=_EDGE_DTYPE)
-    if body.strip():
         try:
-            edges = np.loadtxt(io.StringIO(body), delimiter=",",
-                               dtype=_EDGE_DTYPE, ndmin=1)
+            with warnings.catch_warnings():  # an edge-less file is valid
+                warnings.filterwarnings("ignore", ".*input contained no data")
+                edges = np.loadtxt(fh, delimiter=",", dtype=_EDGE_DTYPE,
+                                   ndmin=1)
         except ValueError as err:
             raise ValueError(f"{path}: every edge line must read i,j,w") from err
     n, directed = header["n"], header["directed"]
@@ -711,8 +793,9 @@ def load_graph(path):
         lo, hi = (lo, mid) if _refusal(n, edges[:mid], directed) else (mid, hi)
     # the file lines np.loadtxt read an edge from (it skips blank lines
     # and # comments); line 1 is the header
-    lines = [no for no, text in enumerate(body.split("\n"), 2)
-             if text.split("#")[0].strip()]
+    with open(path) as fh:
+        lines = [no for no, text in enumerate(fh, 1)
+                 if no > 1 and text.split("#")[0].strip()]
     raise ValueError(f"{path}: line {lines[hi - 1]}: "
                      f"{_refusal(n, edges[:hi], directed)}")
 

@@ -38,8 +38,7 @@ def remove_vertices(g, S):
     S = np.asarray(S, dtype=np.int64)
     drop = np.zeros(g.n, dtype=bool)
     drop[S] = True
-    keep = ~(drop[g.i] | drop[g.j])
-    return g.with_entries(g.i[keep], g.j[keep], g.w[keep])
+    return g.subset(~(drop[g.i] | drop[g.j]))
 
 
 def trim_edges(g, cap):
@@ -65,7 +64,7 @@ def trim_edges(g, cap):
         raise ValueError("cap must be positive")
     if g.directed:
         raise ValueError("trim_edges expects an undirected graph")
-    if g.nnz and np.any(g.w != 1.0):
+    if g.weighted:
         raise ValueError("trim_edges expects an unweighted graph")
     deg = g.degrees()
     if not g.nnz or deg.max() <= cap:
@@ -103,9 +102,7 @@ def trim_edges(g, cap):
         deg[u] = limit
         for v in vs[deg[vs] > limit].tolist():
             heapq.heappush(heap, (-int(deg[v]), v))
-    # a subset of canonical entries is canonical
-    return SparseGraph(g.n, g.i[alive], g.j[alive], g.w[alive],
-                       directed=False, _checked=True)
+    return g.subset(alive)
 
 
 def proportional_reweight(g, cap):
@@ -117,14 +114,14 @@ def proportional_reweight(g, cap):
     """
     if not cap > 0:  # NaN too: it would make every weight NaN
         raise ValueError("cap must be positive")
-    if g.nnz and np.any(g.w != 1.0):
+    if g.weighted:
         raise ValueError("proportional_reweight expects an unweighted graph")
     deg = g.degrees()
     lam = np.ones(g.n)
     pos = deg > 0
     lam[pos] = np.minimum(cap / deg[pos], 1.0)
     scale = np.sqrt(lam[g.i] * lam[g.j])
-    return g.with_entries(g.i, g.j, g.w * scale)
+    return g.with_entries(g.i, g.j, scale)
 
 
 @dataclass(frozen=True)

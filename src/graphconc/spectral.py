@@ -127,9 +127,15 @@ def spectral_norm(op, rng=None):
         return NormEstimate(0.0, 0, 0.0)
     if op.n_cols <= DENSE_SOLVE_LIMIT:
         return NormEstimate(float(np.linalg.norm(op.to_dense(), 2)), 0, 0.0)
-    v0 = rng.standard_normal(op.n_cols)
-    v0 /= sqrt(v0 @ v0)
-    return _lanczos(op, v0, gram=not op.symmetric)
+    # the start is bound to no name here, so _lanczos frees it two steps on
+    return _lanczos(op, _unit(rng.standard_normal(op.n_cols)),
+                    gram=not op.symmetric)
+
+
+def _unit(v):
+    """v scaled in place to unit length."""
+    v /= sqrt(v @ v)
+    return v
 
 
 def _kw_eps(j, n):

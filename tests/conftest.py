@@ -1,6 +1,7 @@
 """Shared test helpers: seeds, dense reference builders, hypothesis profile."""
 
 import os
+import tracemalloc
 
 # numpy's OpenBLAS pool reads its thread count when numpy is first
 # imported, which is below: the suite's small products gain no wall time
@@ -30,6 +31,23 @@ MASTER = 1729
 @pytest.fixture
 def master_seed():
     return MASTER
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes of its allocations that
+    tracemalloc traces (numpy's arrays among them), above those live
+    when it was called)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def assert_close(a, b, tol, msg=""):

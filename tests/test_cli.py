@@ -24,7 +24,7 @@ from graphconc.cli import main, run_command
 from graphconc.reports import canonical_json, config_hash, summarize, write_histogram
 from graphconc.spectral import NORM_TOL
 
-from conftest import MASTER
+from conftest import MASTER, traced_peak
 
 dmod = importlib.import_module("graphconc.decompose")
 # max n p_ij = 32 but for rounding
@@ -171,6 +171,21 @@ def test_spectrum_of_a_saved_graph(tmp_path):
                               ("g", {"graph": str(tmp_path / "s" / "graph.csv")}))]
     before = [rep.trials[0]["max_abs_before"] for rep in runs]
     assert before[0] > 0.0 and before[0] == before[1]
+
+
+def test_trimmed_trial_bytes_per_edge(tmp_path):
+    # one n = 10^5, d = 3 trimmed trial: 56 B/edge traced (numpy 2.4,
+    # scipy 1.17), bounded at 1.5 times that; 136 B/edge with int64 ids,
+    # a weight array of ones, a COO-built csr and the sample kept alive
+    cfg = {"cells": [{"n": 100000, "d": 3.0}], "scheme": "trim",
+           "cap_mult": 2.0}
+    # a small run first, so that scipy's lazy imports are not counted
+    run_command("concentration", {**cfg, "cells": [{"n": 200, "d": 3.0}]},
+                MASTER, str(tmp_path / "warm"))
+    _, peak = traced_peak(run_command, "concentration", cfg, MASTER,
+                          str(tmp_path / "run"))
+    edges = graphconc.sample(graphconc.Uniform(100000, 3e-5), MASTER, 0).nnz
+    assert peak / edges <= 84.0
 
 
 def test_spectrum_reweight_run(tmp_path):
@@ -649,7 +664,21 @@ def test_out_of_range_experiment_parameters_are_refused(tmp_path, capsys, name,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"graphconc {name}: error: ") and message in err
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_refused_spectrum_leaves_no_directory(tmp_path, capsys):
+    # the output directory is made once the config is accepted
+    g = tmp_path / "g.csv"
+    graphconc.save_graph(
+        graphconc.SparseGraph(4, [0, 1], [1, 2], [1.0, 1.0]), g)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": str(g)}))
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
+               "--trials", "3", "--out", str(out)])
+    assert rc == 1 and "runs one trial, not 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg,message", [

@@ -41,7 +41,7 @@ from graphconc import (
 from graphconc import LinearOp, models
 from graphconc._seeding import ROW_BLOCK, BlockWords
 
-from conftest import MASTER, assert_close
+from conftest import MASTER, assert_close, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,8 @@ def test_sparsegraph_validation():
         SparseGraph(4, [0], [1], [0.0])  # weight must be positive
     with pytest.raises(InvalidModel):
         SparseGraph(4, [0, 1], [1], [1.0])  # ragged arrays
+    with pytest.raises(InvalidModel):
+        SparseGraph(4, [0, 1], [1, 2], [1.0])  # ragged weights, all ones
 
 
 def test_non_finite_entries_are_refused():
@@ -81,6 +83,63 @@ def test_sparsegraph_canonical_order():
     assert list(g.j) == [2, 3]
     assert list(g.w) == [1.0, 0.5]
     assert not g.i.flags.writeable
+
+
+def test_duplicate_check_codes_pairs_in_int64():
+    # i*n + j of (42949, 67297) exceeds that of (0, 1) by exactly 2^32:
+    # in int32 the two codes collide, and the graph would be refused
+    n = 100000
+    with pytest.raises(InvalidModel, match="duplicate"):
+        SparseGraph(n, [99998, 99998], [99999, 99999])
+    with pytest.raises(InvalidModel, match="duplicate"):
+        SparseGraph(n, [99999, 99998], [99998, 99999])
+    for directed in (False, True):
+        g = SparseGraph(n, [42949, 99998, 0], [67297, 99999, 1],
+                        directed=directed)
+        assert list(zip(g.i.tolist(), g.j.tolist())) == [
+            (0, 1), (42949, 67297), (99998, 99999)]
+
+
+def test_zero_one_graph_holds_int32_ids_and_no_weights():
+    g = sample(Uniform(500, 0.02), MASTER)
+    assert g.i.dtype == g.j.dtype == np.int32
+    assert not g.weighted and g.w.strides == (0,) and g.w.shape == (g.nnz,)
+    assert np.all(g.w == 1.0)
+    # an all-ones weight array is not held either, and compares equal
+    ones = SparseGraph(g.n, g.i, g.j, np.ones(g.nnz))
+    assert not ones.weighted and ones == g
+    h = SparseGraph(4, [0, 1], [1, 2], [1.0, 0.5])
+    assert h.weighted and list(h.w) == [1.0, 0.5]
+    assert not h.subset([0]).weighted and h.subset([1]).weighted
+    assert SparseGraph(4, [0], [1], [1.0]) != SparseGraph(4, [0], [1], [0.5])
+
+
+def _coo_csr(g):
+    """scipy's COO build of g's csr, which ``to_csr`` must equal."""
+    import scipy.sparse as sp
+    i, j, w = (np.asarray(a, dtype=t) for a, t in
+               ((g.i, np.int64), (g.j, np.int64), (g.w, float)))
+    if not g.directed:
+        i, j, w = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(w, 2)
+    return sp.csr_matrix((w, (i, j)), shape=(g.n, g.n))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_to_csr_is_the_coo_build(directed):
+    # the same indptr, indices and data, dtypes included, so every matvec
+    # keeps its bits; weighted graphs, empty rows and edge-less graphs too
+    rng = np.random.default_rng(5)
+    draw = sample_directed if directed else sample
+    for n, p in ((1, 0.0), (5, 0.0), (7, 1.0), (300, 0.03), (2000, 0.002)):
+        g = draw(Uniform(n, p), MASTER)
+        graphs = [g, g.with_entries(g.i, g.j, 1.0 - 0.9 * rng.random(g.nnz))]
+        for h in graphs:
+            ours, ref = h.to_csr(), _coo_csr(h)
+            for key in ("indptr", "indices", "data"):
+                a, b = getattr(ours, key), getattr(ref, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, key)
+            v = rng.standard_normal(n)
+            assert np.array_equal(ours @ v, ref @ v)
 
 
 def test_degrees_match_dense():
@@ -587,6 +646,16 @@ def test_save_graph_chunk_boundaries(tmp_path, extra):
     i, j = np.triu_indices(n, 1)
     w = (1 + np.random.default_rng(12).integers(0, 1000, nnz)) / 1000
     _assert_written_like_rowwise(SparseGraph(n, i[code], j[code], w), tmp_path)
+
+
+def test_save_graph_scratch_per_edge(tmp_path):
+    # the benchmark's sample graph, about 12,000 edges: 36 B/edge traced
+    # (numpy 2.4), bounded at 1.5 times that; 212 B/edge when a 65536-edge
+    # chunk went through np.compress's int64 index of the bytes it kept
+    g = sample(Uniform(8000, 3.0 / 8000), MASTER)
+    assert g.nnz >= 12000
+    _, peak = traced_peak(save_graph, g, tmp_path / "g.csv")
+    assert peak / g.nnz <= 54.0
 
 
 def test_load_graph_rejects_short_lines(tmp_path):

@@ -86,6 +86,13 @@ def test_remove_vertices_zeroes_rows_and_cols():
     assert_close(remove_vertices(g, S).to_dense(), ref, 0.0)
 
 
+def test_subgraph_schemes_keep_a_zero_one_graph_weightless():
+    g = sample(Uniform(300, 0.03), MASTER)
+    for out in (trim_edges(g, 6.0), remove_vertices(g, high_degree_set(g, 12.0))):
+        assert 0 < out.nnz < g.nnz and not out.weighted
+        assert out.i.dtype == out.j.dtype == np.int32
+
+
 # ---------------------------------------------------------------------------
 # trim_edges
 

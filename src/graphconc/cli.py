@@ -40,7 +40,7 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         trace_to_json, transposed, triangle_split,
                         verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
-                     VerificationError)
+                     VerificationError, WidthExceeded)
 from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
                      is_number, load_graph, max_rate, model_from_dict, sample,
                      sample_directed, save_graph)
@@ -50,7 +50,8 @@ from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
                          expected_laplacian, laplacian, tau_shift)
 from .reports import (ExperimentReport, config_hash, run_trials, summarize,
                       write_csv, write_histogram)
-from .spectral import full_spectrum, inf_to_2_norm_exact, spectral_norm
+from .spectral import (ENUMERATION_LIMIT, FULL_SPECTRUM_LIMIT, full_spectrum,
+                       inf_to_2_norm_exact, spectral_norm)
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,10 @@ def cmd_spectrum(cfg, ctx):
                          f"{ctx.trials}")
     fixed = load_graph(cfg.graph) if cfg.graph is not None else None
     model = model_from_dict(cfg.model) if cfg.model is not None else None
+    n = fixed.n if fixed is not None else model.n
+    if n > FULL_SPECTRUM_LIMIT:  # before any n x n array is built
+        raise SizeExceeded(f"spectrum takes dense spectra; n = {n} exceeds "
+                           f"{FULL_SPECTRUM_LIMIT}")
 
     def one(t):
         g = fixed if fixed is not None else sample(model, ctx.seed, t)
@@ -443,6 +448,9 @@ def cmd_gp_check(cfg, ctx):
         raise ValueError("ratio_limit must be finite and positive")
     if not cfg.deltas:  # no delta would check no certificate
         raise ValueError("deltas must hold at least one entry")
+    if cfg.cols > ENUMERATION_LIMIT:  # each ||B||_{inf->2} enumerates signs
+        raise WidthExceeded(f"cols = {cfg.cols} exceeds the enumeration "
+                            f"limit {ENUMERATION_LIMIT}")
     deltas = {}  # column suffix -> delta
     for delta in cfg.deltas:
         if not 0 < _check(delta, "float", "each delta") < 1:

@@ -74,7 +74,8 @@ def detect(g, tau):
     propagates (the null model pushes lambda_2 into the bulk; callers
     that want a best-effort answer can use exc.best).
     """
-    L = laplacian(tau_shift(g, tau))  # refuses zero min degree at tau == 0
+    # refuses a directed g, and zero min degree at tau == 0
+    L = laplacian(tau_shift(g, tau))
     q = np.sqrt(g.degrees() + tau)
     q /= np.linalg.norm(q)
     M = LinearOp(g.n, g.n,

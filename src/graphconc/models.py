@@ -159,50 +159,28 @@ class SparseGraph:
 
     def to_csr(self):
         """The n x n csr_matrix, an undirected edge in both orientations,
-        in scipy's canonical form (each row's columns ascending), placed
-        directly in O(nnz + n).
+        in scipy's canonical form (each row's columns ascending).
 
-        The entries are sorted by (i, j), so a directed graph's are the
-        csr rows as they stand.  Row r of an undirected graph is the
-        columns i < r of its edges (i, r), then the columns j > r of its
-        edges (r, j): the second run is row r of the upper triangle U as
-        stored, the first is column r of U, which scipy's csr -> csc
-        conversion lists in ascending row order.
+        The entries are sorted by (i, j), so they are the csr rows as
+        they stand: a directed graph's matrix, or an undirected graph's
+        upper triangle U, whose canonical sum U + U^T is its matrix.
         """
         sparse = _scipy.sparse()
         n, m = self.n, self.nnz
-        nnz = m if self.directed else 2 * m
-        idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-        upper = np.bincount(self.i, minlength=n)  # entries (r, j) per row r
+        idx = np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, idx)
+        np.cumsum(np.bincount(self.i, minlength=n), out=indptr[1:])
         if self.directed:
-            indptr = np.zeros(n + 1, idx)
-            np.cumsum(upper, out=indptr[1:])
             data = np.array(self.w, dtype=np.float64)
             return sparse.csr_matrix((data, self.j.astype(idx), indptr),
                                      shape=(n, n))
-        lower = np.bincount(self.j, minlength=n)  # entries (i, r) per row r
-        u_ptr = np.zeros(n + 1, idx)
-        np.cumsum(upper, out=u_ptr[1:])
-        indptr = np.zeros(n + 1, idx)
-        np.cumsum(lower + upper, out=indptr[1:])
-        # row r's positions: lower[r] from column r of U, then upper[r]
-        below = np.repeat(np.tile([True, False], n),
-                          np.stack([lower, upper], axis=1).ravel())
-        del lower, upper
         U = sparse.csr_matrix(
-            (self._w if self.weighted else np.ones(m, bool), self.j, u_ptr),
+            (self._w if self.weighted else np.ones(m, bool), self.j, indptr),
             shape=(n, n))
-        UT = U.tocsc()
-        indices = np.empty(nnz, idx)
-        indices[below] = UT.indices
-        indices[~below] = self.j
-        if self.weighted:
-            data = np.empty(nnz)
-            data[below] = UT.data
-            data[~below] = self._w
-        else:
-            data = np.ones(nnz)
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        A = U + U.T
+        if not self.weighted:
+            A.data = np.ones(A.nnz)
+        return A
 
     def to_dense(self):
         return self.to_csr().toarray()

@@ -189,14 +189,17 @@ def laplacian(x):
     """Normalized Laplacian L = I - D^{-1/2} A D^{-1/2} as a LinearOp.
 
     Accepts a SparseGraph or a ShiftedGraph (where A means A_tau and
-    D the shifted degrees).  Zero degrees are refused -- the cure for
-    isolated vertices is the tau shift, so the caller is sent there.
-    D^{1/2} 1 is an exact kernel vector of the result.
+    D the shifted degrees).  A directed graph is refused: the op is
+    symmetric only on a symmetric A.  Zero degrees are refused -- the
+    cure for isolated vertices is the tau shift, so the caller is sent
+    there.  D^{1/2} 1 is an exact kernel vector of the result.
     """
     if isinstance(x, ShiftedGraph):
         g, tau = x.base, x.tau
     else:
         g, tau = x, 0.0
+    if g.directed:
+        raise ValueError("laplacian expects an undirected graph")
     d = g.degrees() + tau
     if d.size == 0 or d.min() <= 0.0:
         bad = int(np.argmin(d)) if d.size else 0

@@ -681,6 +681,53 @@ def test_a_refused_spectrum_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def _fails(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+    return fail
+
+
+@pytest.mark.parametrize("source", ["model", "graph"])
+def test_spectrum_refuses_n_above_the_limit_before_a_trial(
+        tmp_path, capsys, monkeypatch, source):
+    # refused before a graph is drawn or densified: at n = 10^5 the dense
+    # array alone would take 80 GB
+    if source == "model":
+        cfg = {"model": {"kind": "uniform", "n": 4000, "p": 0.001}}
+    else:
+        g = tmp_path / "g.csv"
+        graphconc.save_graph(graphconc.SparseGraph(4000, [0], [1]), g)
+        cfg = {"graph": str(g)}
+    monkeypatch.setattr(cli, "sample", _fails("sample"))
+    monkeypatch.setattr(graphconc.SparseGraph, "to_dense", _fails("to_dense"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphconc spectrum: error: ")
+    assert "n = 4000 exceeds 2048" in err
+    assert not out.exists()
+
+
+def test_gp_check_refuses_cols_above_the_enumeration_limit(
+        tmp_path, capsys, monkeypatch):
+    # refused with the other range checks, before instance 0's descent
+    monkeypatch.setattr(cli, "gp_weights", _fails("gp_weights"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rows": 40, "cols": 30}))
+    out = tmp_path / "out"
+    rc = main(["gp-check", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphconc gp-check: error: ")
+    assert "cols = 30 exceeds the enumeration limit 24" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg,message", [
     ({"cells": [{"n": 100, "d": 3, "scheme": "trim"}]}, "not ['scheme']"),
     ({"cells": [{"n": 100, "d": 3}, {"n": 50, "d": 3, "cap": 2}]},

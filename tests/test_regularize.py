@@ -12,6 +12,7 @@ from graphconc import (
     adjacency_shifted_op,
     apply_scheme,
     average_degree,
+    detect,
     expected_dense,
     expected_laplacian,
     full_spectrum,
@@ -20,6 +21,7 @@ from graphconc import (
     proportional_reweight,
     remove_vertices,
     sample,
+    sample_directed,
     tau_shift,
     trim_edges,
 )
@@ -287,6 +289,18 @@ def test_laplacian_refuses_zero_degree():
     with pytest.raises(ZeroDegree):
         laplacian(g)
     laplacian(tau_shift(g, 0.5))  # the documented cure
+
+
+def test_laplacian_refuses_a_directed_graph():
+    # its A_tau is not symmetric, so an op flagged symmetric would be a
+    # wrong matrix: spectral_norm ran to its 20000-step cap on the
+    # Laplacian of this shifted graph, whose dense norm is 1.81
+    g = sample_directed(Uniform(60, 0.1), 3)
+    for x in (g, tau_shift(g, 1.0)):
+        with pytest.raises(ValueError, match="expects an undirected graph"):
+            laplacian(x)
+    with pytest.raises(ValueError, match="expects an undirected graph"):
+        detect(g, 1.0)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -42,8 +42,8 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError, WidthExceeded)
 from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
-                     is_number, load_graph, max_rate, model_from_dict, sample,
-                     sample_directed, save_graph)
+                     graph_header, is_number, load_graph, max_rate,
+                     model_from_dict, sample, sample_directed, save_graph)
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
 from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
@@ -211,12 +211,16 @@ def cmd_spectrum(cfg, ctx):
     if cfg.graph is not None and ctx.trials > 1:  # each would read it again
         raise ValueError("spectrum on a saved graph runs one trial, not "
                          f"{ctx.trials}")
-    fixed = load_graph(cfg.graph) if cfg.graph is not None else None
+    # a saved graph is checked from its header, before any edge is parsed
+    header = graph_header(cfg.graph) if cfg.graph is not None else None
+    if header is not None and header["directed"]:
+        raise ValueError("spectrum expects an undirected graph")
     model = model_from_dict(cfg.model) if cfg.model is not None else None
-    n = fixed.n if fixed is not None else model.n
+    n = header["n"] if header is not None else model.n
     if n > FULL_SPECTRUM_LIMIT:  # before any n x n array is built
         raise SizeExceeded(f"spectrum takes dense spectra; n = {n} exceeds "
                            f"{FULL_SPECTRUM_LIMIT}")
+    fixed = load_graph(cfg.graph) if header is not None else None
 
     def one(t):
         g = fixed if fixed is not None else sample(model, ctx.seed, t)

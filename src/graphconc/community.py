@@ -74,9 +74,9 @@ def detect(g, tau):
     propagates (the null model pushes lambda_2 into the bulk; callers
     that want a best-effort answer can use exc.best).
     """
-    # refuses a directed g, and zero min degree at tau == 0
-    L = laplacian(tau_shift(g, tau))
-    q = np.sqrt(g.degrees() + tau)
+    shifted = tau_shift(g, tau)
+    L = laplacian(shifted)  # refuses a directed g, and zero degrees at tau 0
+    q = np.sqrt(shifted.degrees())
     q /= np.linalg.norm(q)
     M = LinearOp(g.n, g.n,
                  lambda x: 2.0 * x - L.matvec(x) - 3.0 * q * (q @ x),

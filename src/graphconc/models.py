@@ -232,26 +232,25 @@ class Uniform:
             raise InvalidModel("p must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOne:
-    """Degree-profile model: p_ij = min(theta_i * theta_j, 1), theta >= 0."""
+    """Degree-profile model: p_ij = min(theta_i * theta_j, 1), theta >= 0.
+
+    ``theta`` is held as a read-only float64 copy of what was given, so
+    two models compare (and hash) by identity.
+    """
 
     n: int
-    theta: tuple
+    theta: np.ndarray
 
     def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
+        th = np.array(self.theta, dtype=float)
         if th.shape != (self.n,):
             raise InvalidModel("theta must have length n")
         if th.size and (th.min() < 0.0 or not np.all(np.isfinite(th))):
             raise InvalidModel("theta must be finite and nonnegative")
-        object.__setattr__(self, "theta", tuple(float(t) for t in th))
-        th = np.array(self.theta)
         th.setflags(write=False)
-        object.__setattr__(self, "_theta_array", th)
-
-    def _th(self):
-        return self._theta_array
+        object.__setattr__(self, "theta", th)
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def degree_profile(n, values, fractions):
         start = stop
     e[start:] = values[-1]
     theta = e / np.sqrt(e.sum())
-    return RankOne(n, tuple(theta))
+    return RankOne(n, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def max_rate(model):
     if isinstance(model, RankOne):
         if n < 2:
             return 0.0
-        top2 = np.partition(model._th(), n - 2)[-2:]
+        top2 = np.partition(model.theta, n - 2)[-2:]
         return n * min(top2[0] * top2[1], 1.0)
     if isinstance(model, BlockTwo):
         return float(model.a) if n >= 4 else float(model.b)
@@ -416,7 +415,7 @@ def ea_factors(model):
         U[:model.half, 0] = U[model.half:, 1] = 1.0
         return EAFactors(U, np.array([[a, b], [b, a]]))
     if isinstance(model, RankOne):
-        th = model._th()
+        th = model.theta
         if np.all(_clip_partners(th)[2] == n):
             return EAFactors(th[:, None], np.ones((1, 1)))
     return None
@@ -438,7 +437,7 @@ def expected_adjacency(model):
 
         return LinearOp(n, n, mv, mv, symmetric=True)
     if isinstance(model, RankOne):
-        th = model._th()
+        th = model.theta
         order, th_s, idx = _clip_partners(th)
         diag = np.minimum(th * th, 1.0)
 
@@ -541,7 +540,7 @@ def _groups(model):
         return ([np.arange(model.half), np.arange(model.half, n)],
                 np.array([[a, b], [b, a]]), None)
     if isinstance(model, RankOne):
-        th = model._th()
+        th = model.theta
         live = np.flatnonzero(th > 0)
         if not live.size:
             return [], None, None
@@ -731,6 +730,13 @@ def _read_header(path, line):
     return header
 
 
+def graph_header(path):
+    """The header object of a ``save_graph`` file, checked as
+    ``load_graph`` checks it; no edge line is read."""
+    with open(path) as fh:
+        return _read_header(path, fh.readline())
+
+
 def _refusal(n, edges, directed):
     """SparseGraph's InvalidModel on these edges, or None if it takes them."""
     try:
@@ -782,7 +788,7 @@ def model_to_dict(model):
     if isinstance(model, Uniform):
         return {"kind": "uniform", "n": model.n, "p": model.p}
     if isinstance(model, RankOne):
-        return {"kind": "rankone", "n": model.n, "theta": list(model.theta)}
+        return {"kind": "rankone", "n": model.n, "theta": model.theta.tolist()}
     if isinstance(model, BlockTwo):
         return {"kind": "blocktwo", "n": model.n, "a": model.a, "b": model.b}
     if isinstance(model, Explicit):
@@ -835,7 +841,7 @@ def model_from_dict(spec):
     if kind == "uniform":
         return Uniform(field("n"), float(field("p")))
     if kind == "rankone":
-        return RankOne(field("n"), tuple(float(t) for t in field("theta")))
+        return RankOne(field("n"), field("theta"))
     if kind == "blocktwo":
         return BlockTwo(field("n"), float(field("a")), float(field("b")))
     if kind == "explicit":

@@ -150,37 +150,40 @@ def tau_shift(g, tau):
     return ShiftedGraph(g, float(tau))
 
 
+def _shifted(product, c):
+    """The product by M + c 11^T, given M's; ``product`` itself at c = 0."""
+    if c == 0.0:
+        return product
+    return lambda v: product(v) + c * v.sum()
+
+
 def adjacency_shifted_op(x):
     """A_tau as a LinearOp (or plain adjacency for an unshifted graph).
 
     At tau = 0 the matvec is the csr product alone.  A directed graph's
     rmatvec multiplies by A^T.
     """
-    if isinstance(x, ShiftedGraph):
-        g, tau = x.base, x.tau
-    else:
-        g, tau = x, 0.0
-    c = tau / g.n
-
-    def product(A):
-        if c == 0.0:
-            return A.__matmul__
-        return lambda v: A @ v + c * v.sum()
-
+    g, tau = (x.base, x.tau) if isinstance(x, ShiftedGraph) else (x, 0.0)
+    c = tau / g.n if g.n else 0.0  # an empty graph has no entry to shift
     A = g.to_csr()
-    mv = product(A)
-    rmv = product(A.T.tocsr()) if g.directed else mv
+    mv = _shifted(A.__matmul__, c)
+    rmv = _shifted(A.T.tocsr().__matmul__, c) if g.directed else mv
     return LinearOp(g.n, g.n, mv, rmv, symmetric=not g.directed)
 
 
-def _normalized_laplacian(adj_matvec, d, tau):
-    """I - D^{-1/2} (A + (tau/n) 11^T) D^{-1/2} for A given by its matvec."""
+def _normalized_laplacian(product, d):
+    """I - D^{-1/2} M D^{-1/2} for M given by its product, D = diag(d).
+
+    A non-positive degree is refused -- the cure for isolated vertices
+    is the tau shift, so the caller is sent there.
+    """
+    if d.size == 0 or d.min() <= 0.0:
+        bad = int(np.argmin(d)) if d.size else 0
+        raise ZeroDegree(f"vertex {bad} has zero shifted degree; regularize first")
     inv_sqrt = 1.0 / np.sqrt(d)
-    c = tau / d.size
 
     def mv(v):
-        y = inv_sqrt * v
-        return v - inv_sqrt * (adj_matvec(y) + c * y.sum())
+        return v - inv_sqrt * product(inv_sqrt * v)
 
     return LinearOp(d.size, d.size, mv, mv, symmetric=True)
 
@@ -188,33 +191,23 @@ def _normalized_laplacian(adj_matvec, d, tau):
 def laplacian(x):
     """Normalized Laplacian L = I - D^{-1/2} A D^{-1/2} as a LinearOp.
 
-    Accepts a SparseGraph or a ShiftedGraph (where A means A_tau and
-    D the shifted degrees).  A directed graph is refused: the op is
-    symmetric only on a symmetric A.  Zero degrees are refused -- the
-    cure for isolated vertices is the tau shift, so the caller is sent
-    there.  D^{1/2} 1 is an exact kernel vector of the result.
+    Accepts a SparseGraph or a ShiftedGraph (where A means A_tau, the
+    product of ``adjacency_shifted_op``, and D the shifted degrees
+    ``x.degrees()``).  A directed graph is refused: the op is symmetric
+    only on a symmetric A.  So are zero degrees.  D^{1/2} 1 is an exact
+    kernel vector of the result.
     """
-    if isinstance(x, ShiftedGraph):
-        g, tau = x.base, x.tau
-    else:
-        g, tau = x, 0.0
-    if g.directed:
+    A = adjacency_shifted_op(x)
+    if not A.symmetric:
         raise ValueError("laplacian expects an undirected graph")
-    d = g.degrees() + tau
-    if d.size == 0 or d.min() <= 0.0:
-        bad = int(np.argmin(d)) if d.size else 0
-        raise ZeroDegree(f"vertex {bad} has zero shifted degree; regularize first")
-    A = g.to_csr()
-    return _normalized_laplacian(lambda y: A @ y, d, tau)
+    return _normalized_laplacian(A.matvec, x.degrees())
 
 
 def expected_laplacian(model, tau):
     """L(EA_tau) matrix-free; its degrees EA 1 + tau come from the same EA."""
     ea = expected_adjacency(model)
-    dbar = ea.matvec(np.ones(model.n)) + tau
-    if dbar.size == 0 or dbar.min() <= 0.0:
-        raise ZeroDegree("expected shifted degrees must be positive")
-    return _normalized_laplacian(ea.matvec, dbar, tau)
+    return _normalized_laplacian(_shifted(ea.matvec, tau / model.n),
+                                 ea.matvec(np.ones(model.n)) + tau)
 
 
 def apply_scheme(g, scheme, cap=None, tau=None):

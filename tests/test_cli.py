@@ -699,6 +699,7 @@ def test_spectrum_refuses_n_above_the_limit_before_a_trial(
         graphconc.save_graph(graphconc.SparseGraph(4000, [0], [1]), g)
         cfg = {"graph": str(g)}
     monkeypatch.setattr(cli, "sample", _fails("sample"))
+    monkeypatch.setattr(cli, "load_graph", _fails("load_graph"))
     monkeypatch.setattr(graphconc.SparseGraph, "to_dense", _fails("to_dense"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -709,6 +710,31 @@ def test_spectrum_refuses_n_above_the_limit_before_a_trial(
     err = capsys.readouterr().err
     assert err.startswith("graphconc spectrum: error: ")
     assert "n = 4000 exceeds 2048" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header,message", [
+    ({"n": 10**6, "directed": False, "weighted": False},
+     "n = 1000000 exceeds 2048"),
+    ({"n": 60, "directed": True, "weighted": False},
+     "spectrum expects an undirected graph")], ids=["oversize", "directed"])
+def test_spectrum_refuses_a_saved_graph_from_its_header(
+        tmp_path, capsys, monkeypatch, header, message):
+    # the header holds n and the direction, so no edge line is parsed: a
+    # saved n = 10^6 graph was refused only after its whole parse, and a
+    # directed one failed inside trial 0 on "matrix is not symmetric"
+    g = tmp_path / "g.csv"
+    g.write_text(json.dumps(header) + "\n0,1,1.0\n1,0,1.0\n")
+    monkeypatch.setattr(cli, "load_graph", _fails("load_graph"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": str(g)}))
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("graphconc spectrum: error: ")
+    assert message in err
     assert not out.exists()
 
 

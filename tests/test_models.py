@@ -349,6 +349,23 @@ def test_degree_profile_expected_degrees():
         degree_profile(100, (7.0, 70.0), (0.9, 0.2))  # fractions don't sum to 1
 
 
+def test_rank_one_holds_theta_as_one_read_only_array():
+    th = np.linspace(0.1, 0.5, 5)
+    m = RankOne(5, th)
+    th[0] = 9.0  # the model holds its own copy
+    assert m.theta.dtype == np.float64 and not m.theta.flags.writeable
+    assert m.theta[0] == 0.1
+    back = model_from_dict(model_to_dict(m))
+    assert back.theta.tobytes() == m.theta.tobytes()
+    # n = 10^5: 2.50 MB traced, three float64 n-vectors (degree_profile's
+    # e and theta, and the model's copy); bounded with 0.7 MB of margin,
+    # and below the 9.60 MB that rebuilding theta through n Python
+    # floats took
+    prof, peak = traced_peak(degree_profile, 10**5, [2, 4], [0.5, 0.5])
+    assert peak <= 3.2e6
+    assert isinstance(prof, RankOne) and not prof.theta.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the sampler
 

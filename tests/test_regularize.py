@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphconc import (
+    BlockTwo,
+    Explicit,
+    RankOne,
     SparseGraph,
     Uniform,
     ZeroDegree,
@@ -286,9 +289,22 @@ def test_laplacian_kernel_vector():
 
 def test_laplacian_refuses_zero_degree():
     g = SparseGraph(4, [0], [1], [1.0])  # vertices 2, 3 isolated
-    with pytest.raises(ZeroDegree):
+    with pytest.raises(ZeroDegree, match="vertex 2 has zero shifted degree"):
         laplacian(g)
     laplacian(tau_shift(g, 0.5))  # the documented cure
+    with pytest.raises(ZeroDegree, match="vertex 0 "):
+        laplacian(SparseGraph(0, [], [], []))
+
+
+@pytest.mark.parametrize("tau", [0.0, 2.5])
+def test_laplacian_normalizes_the_shifted_adjacency(tau):
+    # L(A_tau) = I - D^{-1/2} A_tau D^{-1/2}, A_tau the product of
+    # adjacency_shifted_op and D the shifted degrees
+    g = sample(Uniform(40, 0.2), MASTER)
+    x = tau_shift(g, tau)
+    s = np.diag(1.0 / np.sqrt(x.degrees()))
+    ref = np.eye(40) - s @ adjacency_shifted_op(x).to_dense() @ s
+    assert_close(laplacian(x).to_dense(), ref, 1e-14)
 
 
 def test_laplacian_refuses_a_directed_graph():
@@ -313,16 +329,36 @@ def test_laplacian_spectrum_in_0_2(seed):
     assert vals.min() >= -1e-9 and vals.max() <= 2.0 + 1e-9
 
 
-def test_expected_laplacian_matches_dense():
-    m = Uniform(50, 0.1)
-    tau = 2.0
-    L = expected_laplacian(m, tau)
-    P = expected_dense(m) + tau / 50
+def _explicit_p(n):
+    rng = np.random.default_rng(MASTER)
+    P = np.triu(rng.random((n, n)) * 0.3, 1)
+    return Explicit(P + P.T)
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+@pytest.mark.parametrize("model", [
+    Uniform(50, 0.1),
+    BlockTwo(50, 12, 3),
+    RankOne(40, np.linspace(0.05, 0.9, 40)),  # no theta_i theta_j clips
+    RankOne(40, np.linspace(0.05, 1.4, 40)),  # theta_i theta_j > 1 clips
+    _explicit_p(30),
+], ids=["uniform", "blocktwo", "rankone", "rankone-clipped", "explicit"])
+def test_expected_laplacian_matches_dense(model, tau):
+    n = model.n
+    P = expected_dense(model) + tau / n
     D = P.sum(axis=1)
-    ref = np.eye(50) - P / np.sqrt(np.outer(D, D))
-    assert_close(L.to_dense(), ref, 1e-12)
-    with pytest.raises(ZeroDegree):
+    ref = np.eye(n) - P / np.sqrt(np.outer(D, D))
+    assert_close(expected_laplacian(model, tau).to_dense(), ref, 1e-12)
+
+
+def test_expected_laplacian_refuses_zero_degree():
+    with pytest.raises(ZeroDegree, match="vertex 0 has zero shifted degree"):
         expected_laplacian(Uniform(10, 0.0), 0.0)
+    P = np.full((5, 5), 0.5)
+    P[3], P[:, 3] = 0.0, 0.0  # vertex 3 has no expected edge
+    with pytest.raises(ZeroDegree, match="vertex 3 "):
+        expected_laplacian(Explicit(P), 0.0)
+    expected_laplacian(Explicit(P), 0.5)  # the documented cure
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError, WidthExceeded)
-from .models import (Uniform, ea_factors, expected_adjacency, expected_dense,
-                     graph_header, is_number, load_graph, max_rate,
+from .models import (Uniform, check, ea_factors, expected_adjacency,
+                     expected_dense, graph_header, load_graph, max_rate,
                      model_from_dict, sample, sample_directed, save_graph)
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
@@ -88,29 +88,6 @@ def _norm_or_best(op):
 # configs
 
 
-# What each config annotation admits.  A value is checked, never
-# converted, so config.json and config_hash record the config as given.
-_TYPES = {
-    "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
-    "float": ("a number", is_number),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "dict": ("an object", lambda v: isinstance(v, dict)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _check(value, annotation, what):
-    """``value``, if it is of the config type ``annotation`` ("float",
-    "dict | None", ...); a ValueError naming ``what`` otherwise."""
-    kind, _, nullable = annotation.partition(" | ")
-    desc, admits = _TYPES[kind]
-    if not (admits(value) or (nullable and value is None)):
-        raise ValueError(f"{what} must be {desc}"
-                         f"{' or null' if nullable else ''}, not {value!r}")
-    return value
-
-
 def _config_from_dict(cls, raw):
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(raw) - set(types))
@@ -118,7 +95,7 @@ def _config_from_dict(cls, raw):
         raise ValueError(f"unknown config keys for {cls.__name__}: {unknown}; "
                          f"expected a subset of {sorted(types)}")
     for key, value in raw.items():
-        _check(value, types[key], key)
+        check(value, types[key], key)
     return cls(**raw)
 
 
@@ -196,7 +173,7 @@ def cmd_sample(cfg, ctx):
         deg = g.degrees()
         return {"trial": t, "file": name, "n": g.n, "nnz": int(g.nnz),
                 "max_degree": float(deg.max()) if deg.size else 0.0,
-                "average_degree": float(average_degree(g))}
+                "average_degree": float(deg.mean()) if deg.size else 0.0}
 
     trials = run_trials(one, ctx.trials, ctx.threads)
     return (trials, {"nnz": summarize([t["nnz"] for t in trials])},
@@ -217,6 +194,8 @@ def cmd_spectrum(cfg, ctx):
         raise ValueError("spectrum expects an undirected graph")
     model = model_from_dict(cfg.model) if cfg.model is not None else None
     n = header["n"] if header is not None else model.n
+    if n < 1:
+        raise ValueError("spectrum needs a graph of at least one vertex")
     if n > FULL_SPECTRUM_LIMIT:  # before any n x n array is built
         raise SizeExceeded(f"spectrum takes dense spectra; n = {n} exceeds "
                            f"{FULL_SPECTRUM_LIMIT}")
@@ -224,9 +203,10 @@ def cmd_spectrum(cfg, ctx):
 
     def one(t):
         g = fixed if fixed is not None else sample(model, ctx.seed, t)
-        cap = cfg.cap if cfg.cap is not None else average_degree(g)
+        avg = average_degree(g)
+        cap = cfg.cap if cfg.cap is not None else avg
         thr = (cfg.tail_threshold if cfg.tail_threshold is not None
-               else 2.0 * np.sqrt(max(average_degree(g), 0.0)))
+               else 2.0 * np.sqrt(max(avg, 0.0)))
         before = full_spectrum(g.to_dense())
         after = full_spectrum(apply_scheme(g, cfg.scheme, cap=cap,
                                            tau=cfg.tau).to_dense())
@@ -314,8 +294,8 @@ def cmd_concentration(cfg, ctx):
         unknown = [key for key in c if key not in ("n", "d")]
         if unknown:
             raise ValueError(f"a cell holds n and d only, not {unknown}")
-        n = _check(c["n"], "int", "a cell's n")
-        d = float(_check(c["d"], "float", "a cell's d"))
+        n = check(c["n"], "int", "a cell's n")
+        d = float(check(c["d"], "float", "a cell's d"))
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
 
     def deviation(draw, model, d):
@@ -335,12 +315,12 @@ def cmd_concentration(cfg, ctx):
 
 
 def cmd_laplacian(cfg, ctx):
-    taus = [float(_check(t, "float", "each tau"))
+    taus = [float(check(t, "float", "each tau"))
             for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
     if not all(0 < t < np.inf for t in taus):  # NaN too
         raise ValueError("laplacian experiment needs finite tau > 0")
     d = float(cfg.d)
-    ns = _distinct([_check(n, "int", "an ns entry") for n in cfg.ns], "ns",
+    ns = _distinct([check(n, "int", "an ns entry") for n in cfg.ns], "ns",
                    str)
     taus = _distinct(taus, "taus", "{:g}".format)
     cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
@@ -433,18 +413,17 @@ def cmd_decompose(cfg, ctx):
     names = ["full"] if cfg.directed else ["upper", "lower"]
     ratios = [t[f"{nm}_norm_ratio"] for t in trials for nm in names
               if f"{nm}_norm_ratio" in t]
-    structural = all(t.get(f"{nm}_structural_ok", False)
-                     for t in trials for nm in names)
-    footprint = all(t.get(f"{nm}_r_footprint_ok", False)
-                    and t.get(f"{nm}_c_footprint_ok", False)
-                    for t in trials for nm in names)
-    met = all(t.get(f"{nm}_gp_target_met", False)
-              for t in trials for nm in names)
     errors = [t[k] for t in trials for k in t if k.endswith("_error")]
+
+    def every(*keys):  # each key of each part of each trial is true
+        return all(t.get(f"{nm}_{k}", False)
+                   for t in trials for nm in names for k in keys)
+
     return (trials, {"norm_ratio": summarize(ratios), "errors": errors},
-            {"structural_all": structural, "footprint_all": footprint,
+            {"structural_all": every("structural_ok"),
+             "footprint_all": every("r_footprint_ok", "c_footprint_ok"),
              "max_norm_ratio": float(max(ratios)) if ratios else 0.0,
-             "gp_target_met_all": met})
+             "gp_target_met_all": every("gp_target_met")})
 
 
 def cmd_gp_check(cfg, ctx):
@@ -457,7 +436,7 @@ def cmd_gp_check(cfg, ctx):
                             f"limit {ENUMERATION_LIMIT}")
     deltas = {}  # column suffix -> delta
     for delta in cfg.deltas:
-        if not 0 < _check(delta, "float", "each delta") < 1:
+        if not 0 < check(delta, "float", "each delta") < 1:
             raise ValueError(f"each delta must lie in (0, 1), not {delta!r}")
         key = f"{delta:g}".replace(".", "p")
         if key in deltas:
@@ -626,7 +605,7 @@ def main(argv=None):
             if getattr(args, key) is not None:
                 run[key] = getattr(args, key)
         seed, trials, threads = run["seed"], run["trials"], run["threads"]
-        cfg_out = _check(raw.pop("out", None), "str | None", "out")
+        cfg_out = check(raw.pop("out", None), "str | None", "out")
         out_dir = args.out if args.out is not None else cfg_out
         if seed is None:
             parser.error("--seed is required (flag or config field)")

@@ -312,7 +312,9 @@ def degree_profile(n, values, fractions):
     theta_i = e_i / sqrt(sum_j e_j) makes E[deg_i] = e_i up to the
     self-loop exclusion.  Low indices get the first listed value:
     fractions (f_1, ..., f_k) allocate the first round(f_1 * n) vertices
-    to values[0], the next block to values[1], and so on.
+    to values[0], the next block to values[1], and so on.  A negative
+    value, or values whose degree sum is not positive and finite, is an
+    InvalidModel naming them, raised before any division.
     """
     values = [float(v) for v in values]
     fractions = [float(f) for f in fractions]
@@ -325,6 +327,8 @@ def degree_profile(n, values, fractions):
         e[start:stop] = v
         start = stop
     e[start:] = values[-1]
+    if n and (min(values) < 0.0 or not 0.0 < e.sum() < np.inf):  # NaN too
+        raise InvalidModel(f"values {values} must be >= 0, degree sum in (0, inf)")
     theta = e / np.sqrt(e.sum())
     return RankOne(n, theta)
 
@@ -615,6 +619,52 @@ def _dense_block(P, words, r0, r1, lower):
 
 
 # ---------------------------------------------------------------------------
+# JSON values
+
+
+def _is_number(v):
+    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
+    return type(v) is int or isinstance(v, float)
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# The kinds of JSON value that a config, model spec or graph header
+# field holds: name -> (description, test).  The config annotations
+# ("int", "float", "dict", ...) are names too; a config's int counts
+# something, so it is positive.  A value is checked, never converted:
+# reading n = 100.7 as 100 would sample another model than the one
+# config.json records.
+_KINDS = {
+    "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", _is_number),
+    "floats": ("a list of numbers", _is_numbers),
+    "matrix": ("a list of lists of numbers",
+               lambda v: isinstance(v, list) and all(map(_is_numbers, v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check(value, kind, what, error=ValueError):
+    """``value``, if it is of ``kind``: a ``_KINDS`` name, which
+    " | None" appended extends to null.  Otherwise ``error``, naming
+    ``what``."""
+    name, _, nullable = kind.partition(" | ")
+    desc, admits = _KINDS[name]
+    if not (admits(value) or (nullable and value is None)):
+        raise error(f"{what} must be {desc}"
+                    f"{' or null' if nullable else ''}, not {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # file formats
 
 
@@ -704,12 +754,8 @@ def _write_lines(fh, i, j, w, pow10, id_keep):
     fh.write(block[keep])
 
 
-# what each save_graph header field must hold; weighted may be absent
-_HEADER_FIELDS = {
-    "n": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    "directed": ("true or false", lambda v: isinstance(v, bool)),
-    "weighted": ("true or false", lambda v: isinstance(v, bool)),
-}
+# the kind of each save_graph header field; weighted may be absent
+_HEADER_FIELDS = {"n": "count", "directed": "bool", "weighted": "bool"}
 
 
 def _read_header(path, line):
@@ -721,12 +767,11 @@ def _read_header(path, line):
         header = None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: line 1 must be a JSON object header")
-    for key, (desc, admits) in _HEADER_FIELDS.items():
-        if key not in header and key != "weighted":
+    for key, kind in _HEADER_FIELDS.items():
+        if key in header:
+            check(header[key], kind, f"{path}: header field {key!r}")
+        elif key != "weighted":
             raise ValueError(f"{path}: header has no field {key!r}")
-        if key in header and not admits(header[key]):
-            raise ValueError(f"{path}: header field {key!r} must be {desc}, "
-                             f"not {header[key]!r}")
     return header
 
 
@@ -784,68 +829,47 @@ def load_graph(path):
                      f"{_refusal(n, edges[:hi], directed)}")
 
 
-def model_to_dict(model):
-    if isinstance(model, Uniform):
-        return {"kind": "uniform", "n": model.n, "p": model.p}
-    if isinstance(model, RankOne):
-        return {"kind": "rankone", "n": model.n, "theta": model.theta.tolist()}
-    if isinstance(model, BlockTwo):
-        return {"kind": "blocktwo", "n": model.n, "a": model.a, "b": model.b}
-    if isinstance(model, Explicit):
-        return {"kind": "explicit", "P": model.P.tolist()}
-    raise TypeError(f"unknown model {type(model).__name__}")
+# the kind of each model spec field; a "float" field is read as a float
+_SPEC_FIELDS = {"n": "integer", "p": "float", "a": "float", "b": "float",
+                "theta": "floats", "values": "floats", "fractions": "floats",
+                "P": "matrix"}
 
-
-def is_number(v):
-    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
-    return type(v) is int or isinstance(v, float)
-
-
-def _is_numbers(v):
-    return isinstance(v, list) and all(map(is_number, v))
-
-
-# what each spec field must hold.  A field is checked, never coerced:
-# reading n = 100.7 as 100 would sample another model than the one
-# config.json records.
-_SPEC_FIELDS = {
-    "n": ("an integer", lambda v: type(v) is int),
-    "p": ("a number", is_number),
-    "a": ("a number", is_number),
-    "b": ("a number", is_number),
-    "theta": ("a list of numbers", _is_numbers),
-    "values": ("a list of numbers", _is_numbers),
-    "fractions": ("a list of numbers", _is_numbers),
-    "P": ("a list of lists of numbers",
-          lambda v: isinstance(v, list) and all(map(_is_numbers, v))),
+# model kind -> (class, its spec fields in constructor order); "profile"
+# is read only, as the RankOne that degree_profile builds
+_MODEL_KINDS = {
+    "uniform": (Uniform, ("n", "p")),
+    "rankone": (RankOne, ("n", "theta")),
+    "blocktwo": (BlockTwo, ("n", "a", "b")),
+    "explicit": (Explicit, ("P",)),
+    "profile": (degree_profile, ("n", "values", "fractions")),
 }
+
+
+def model_to_dict(model):
+    """The JSON spec of a model, its arrays as nested lists."""
+    for kind, (cls, keys) in _MODEL_KINDS.items():
+        if type(model) is cls:
+            return {"kind": kind,
+                    **{k: np.asarray(getattr(model, k)).tolist() for k in keys}}
+    raise TypeError(f"unknown model {type(model).__name__}")
 
 
 def model_from_dict(spec):
     """A model from its JSON spec; InvalidModel for a spec that is no
     object, names no known kind, lacks a field or holds a field of the
-    wrong type (a bool or a string is no number, and n is an integer)."""
+    wrong kind (a bool or a string is no number, and n is an integer)."""
     if not isinstance(spec, dict):
         raise InvalidModel(f"a model spec is a JSON object, not {spec!r}")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise InvalidModel(f"unknown model kind {kind!r}")
+    make, keys = _MODEL_KINDS[kind]
 
     def field(key):
         if key not in spec:
             raise InvalidModel(f"{kind} model spec lacks field {key!r}")
-        desc, admits = _SPEC_FIELDS[key]
-        if not admits(spec[key]):
-            raise InvalidModel(f"{kind} model spec's {key} must be {desc}, "
-                               f"not {spec[key]!r}")
-        return spec[key]
+        value = check(spec[key], _SPEC_FIELDS[key], f"{kind} model spec's {key}",
+                      InvalidModel)
+        return float(value) if _SPEC_FIELDS[key] == "float" else value
 
-    if kind == "uniform":
-        return Uniform(field("n"), float(field("p")))
-    if kind == "rankone":
-        return RankOne(field("n"), field("theta"))
-    if kind == "blocktwo":
-        return BlockTwo(field("n"), float(field("a")), float(field("b")))
-    if kind == "explicit":
-        return Explicit(np.asarray(field("P"), dtype=float))
-    if kind == "profile":
-        return degree_profile(field("n"), field("values"), field("fractions"))
-    raise InvalidModel(f"unknown model kind {kind!r}")
+    return make(*map(field, keys))

@@ -139,11 +139,17 @@ class ShiftedGraph:
     def n(self):
         return self.base.n
 
+    @property
+    def shift(self):
+        """The per-entry shift c = tau/n; 0 on an empty graph, which has
+        no entry to shift."""
+        return self.tau / self.n if self.n else 0.0
+
     def degrees(self):
         return self.base.degrees() + self.tau
 
     def to_dense(self):
-        return self.base.to_dense() + self.tau / self.n
+        return self.base.to_dense() + self.shift
 
 
 def tau_shift(g, tau):
@@ -163,8 +169,7 @@ def adjacency_shifted_op(x):
     At tau = 0 the matvec is the csr product alone.  A directed graph's
     rmatvec multiplies by A^T.
     """
-    g, tau = (x.base, x.tau) if isinstance(x, ShiftedGraph) else (x, 0.0)
-    c = tau / g.n if g.n else 0.0  # an empty graph has no entry to shift
+    g, c = (x.base, x.shift) if isinstance(x, ShiftedGraph) else (x, 0.0)
     A = g.to_csr()
     mv = _shifted(A.__matmul__, c)
     rmv = _shifted(A.T.tocsr().__matmul__, c) if g.directed else mv

@@ -1025,6 +1025,60 @@ def test_spectrum_refuses_a_bad_graph_header(tmp_path, capsys, header, edge,
     assert f"{graph}: {error}" in err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"graph": "EMPTY", "scheme": "tau", "tau": 1},
+    {"graph": "EMPTY"},
+    {"model": {"kind": "rankone", "n": 0, "theta": []}}],
+    ids=["graph-tau", "graph-reweight", "model"])
+def test_spectrum_refuses_an_empty_graph_before_a_trial(tmp_path, capsys,
+                                                        cfg):
+    # refused before any trial, whatever the scheme: a graph of no vertex
+    # has no entry to shift and no degree to cap
+    graph = tmp_path / "g.csv"
+    graph.write_text('{"n": 0, "directed": false, "weighted": false}\n')
+    if "graph" in cfg:
+        cfg = {**cfg, "graph": str(graph)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("graphconc spectrum: error: spectrum "
+                                       "needs a graph of at least one vertex\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [True, "200", 200.0],
+                         ids=["bool", "str", "float"])
+@pytest.mark.parametrize("site", ["config", "cell", "spec", "header"])
+def test_one_rule_checks_a_value_at_every_site(tmp_path, capsys, site,
+                                               value):
+    # models.check states the rule once; each site words what it checks
+    graph = tmp_path / "g.csv"
+    graph.write_text(json.dumps({"n": value, "directed": False}) + "\n")
+    name, cfg, what = {
+        "config": ("sbm", {"n": value}, "n must be a positive integer"),
+        "cell": ("concentration", {"cells": [{"n": value, "d": 3}]},
+                 "a cell's n must be a positive integer"),
+        "spec": ("sample", {"model": {"kind": "uniform", "n": value,
+                                      "p": 0.1}},
+                 "uniform model spec's n must be an integer"),
+        "header": ("spectrum", {"graph": str(graph)},
+                   f"{graph}: header field 'n' must be a non-negative "
+                   "integer"),
+    }[site]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"graphconc {name}: error: {what}, "
+                                       f"not {value!r}\n")
+    assert not out.exists()
+
+
 def test_main_error_paths(tmp_path, capsys):
     rc = main(["spectrum", "--seed", "1", "--out", str(tmp_path / "e")])
     assert rc == 1  # needs model or graph

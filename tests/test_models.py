@@ -9,6 +9,7 @@ written for contract v2 use 5-sigma windows.
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -761,6 +762,42 @@ def test_model_dict_roundtrip():
                  {"kind": "uniform", "n": 10}, {"kind": "explicit"}):
         with pytest.raises(InvalidModel):
             model_from_dict(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "uniform", "n": 12, "p": 0.25},
+    {"kind": "blocktwo", "n": 8, "a": 3.0, "b": 1.0},
+    {"kind": "rankone", "n": 4, "theta": [0.1, 0.2, 0.3, 0.4]},
+    {"kind": "explicit", "P": [[0.0, 0.5, 0.2], [0.5, 0.0, 0.1],
+                               [0.2, 0.1, 0.0]]},
+    {"kind": "profile", "n": 10, "values": [2, 4], "fractions": [0.5, 0.5]}],
+    ids=["uniform", "blocktwo", "rankone", "explicit", "profile"])
+def test_model_dict_round_trip_for_every_kind(spec):
+    m = model_from_dict(spec)
+    out = model_to_dict(m)
+    if spec["kind"] == "profile":  # read only: written as its RankOne
+        assert out == {"kind": "rankone", "n": 10, "theta": m.theta.tolist()}
+    else:
+        assert json.dumps(out) == json.dumps(spec)
+    back = model_from_dict(out)
+    assert type(back) is type(m) and model_to_dict(back) == out
+    assert expected_dense(back).tobytes() == expected_dense(m).tobytes()
+
+
+@pytest.mark.parametrize("values", [[0, 0], [-1, 5], [2, float("nan")],
+                                    [2, float("inf")]],
+                         ids=["zero-sum", "negative", "nan", "inf"])
+def test_degree_profile_refuses_values_before_dividing(values):
+    # refused before theta = e / sqrt(sum e) is formed: no numpy warning,
+    # and the error names the values
+    message = re.escape(f"values {[float(v) for v in values]} must be >= 0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidModel, match=message):
+            degree_profile(10, values, [0.5, 0.5])
+        with pytest.raises(InvalidModel, match=message):
+            model_from_dict({"kind": "profile", "n": 10, "values": values,
+                             "fractions": [0.5, 0.5]})
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -296,6 +296,15 @@ def test_laplacian_refuses_zero_degree():
         laplacian(SparseGraph(0, [], [], []))
 
 
+def test_tau_shift_of_an_empty_graph_shifts_no_entry():
+    # c = tau/n is 0 at n = 0, read by to_dense and adjacency_shifted_op
+    x = tau_shift(SparseGraph(0, [], []), 1.0)
+    assert x.shift == 0.0
+    assert x.to_dense().shape == (0, 0)
+    assert adjacency_shifted_op(x).matvec(np.zeros(0)).shape == (0,)
+    assert tau_shift(empty(8), 2.0).shift == 0.25
+
+
 @pytest.mark.parametrize("tau", [0.0, 2.5])
 def test_laplacian_normalizes_the_shifted_adjacency(tau):
     # L(A_tau) = I - D^{-1/2} A_tau D^{-1/2}, A_tau the product of

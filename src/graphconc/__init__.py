@@ -8,11 +8,10 @@ decomposition, and spectral clustering for the two-block SBM -- plus a
 seeded CLI harness (``graphconc --help``).
 """
 
-from .errors import (DecompositionError, DimensionMismatch, EntryOutOfRange,
-                     GraphconcError, InvalidModel, InvalidRates,
-                     LengthMismatch, NoConvergence, RowFilterEmpty,
-                     SizeExceeded, VerificationError, WidthExceeded,
-                     ZeroDegree, ZeroGap)
+from .errors import (DimensionMismatch, EntryOutOfRange, GraphconcError,
+                     InvalidModel, InvalidRates, LengthMismatch,
+                     NoConvergence, SizeExceeded, VerificationError,
+                     WidthExceeded, ZeroDegree, ZeroGap)
 from .models import (BlockTwo, EAFactors, Explicit, RankOne, SparseGraph,
                      Uniform, degree_profile, ea_factors, expected_adjacency,
                      expected_degrees, expected_dense, load_graph,

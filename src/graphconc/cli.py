@@ -395,7 +395,7 @@ def cmd_decompose(cfg, ctx):
                 dec = (transposed(dec) if name == "lower" else
                        decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
                                  part=name))
-                found = verify_decomposition(gd, EA, dec, part=name)
+                found = verify_decomposition(gd, EA, dec)
             except VerificationError as exc:
                 # a certificate failed: the run ends, naming where
                 raise VerificationError(f"trial {t} (stream {t}), part "

@@ -34,7 +34,9 @@ An undirected sample is decomposed as its two triangles U and L = U^T
 (``triangle_split``).  The algorithm is stated for a directed matrix,
 and its guarantees hold for A^T with R and C exchanged, so L's
 decomposition is read off U's (``transposed``) rather than computed
-again; the verifier still checks it on L's own edges and EA.
+again; the verifier still checks it on L's own edges and EA.  The
+decomposition carries its part, so the verifier centres A by the
+triangle that ``decompose`` did.
 
 A round centres its own densified copy of A's block in place; GP's
 column pass runs on it uncopied when every row passes the filter, and
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RowFilterEmpty, SizeExceeded
+from .errors import SizeExceeded
 from .models import EAFactors, SparseGraph, part_mask
 from .operators import LinearOp
 from .pietsch import gp_submatrix
@@ -68,21 +70,35 @@ CSV_CHUNK = 1 << 20  # bytes of class CSV rows formatted per write
 # footprint slack of Theorem 2.6: the halving rounds spend
 # sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
 KAPPA = 4.0
+# the parts a decomposition may be of, each with its transpose's
+_TRANSPOSED_PART = {"full": "full", "upper": "lower", "lower": "upper"}
+
+
+def _check_part(part):
+    if part not in _TRANSPOSED_PART:
+        raise ValueError(f"part must be 'full', 'upper' or 'lower', "
+                         f"not {part!r}")
 
 
 @dataclass(frozen=True)
 class EdgeDecomposition:
-    """Assignment of every ordered pair to N (0), R (1) or C (2)."""
+    """Assignment of every ordered pair to N (0), R (1) or C (2).
+
+    ``part`` names the entries of EA that centre A: "full" for a
+    directed sample, "upper" or "lower" for a triangle (``decompose``).
+    """
 
     n: int
     class_of: np.ndarray
     r: float
     d: float
     block_trace: tuple
+    part: str = "full"
 
     def __post_init__(self):
         if not (0 < self.r < np.inf and 0 < self.d < np.inf):  # NaN too
             raise ValueError("r and d must be finite and positive")
+        _check_part(self.part)
         labels = np.asarray(self.class_of, dtype=np.int8)
         if labels.shape != (self.n, self.n):
             raise ValueError("class_of must be n x n")
@@ -95,8 +111,9 @@ class EdgeDecomposition:
         return {CLASS_NAMES[c]: int((self.class_of == c).sum()) for c in range(3)}
 
 
-def _ea_reader(EA, n):
-    """``read(I, J, part)``: EA[I x J] as ``part`` keeps it, a new array.
+def _ea_reader(EA, n, part):
+    """``read(I, J)``: EA[I x J] as ``part`` keeps it (``part_mask``),
+    a new array; the one place where a part selects EA's entries.
 
     EA comes in the two forms the ``decompose`` command passes: the
     model's ``EAFactors``, read directly, or a dense n x n array (for a
@@ -110,10 +127,10 @@ def _ea_reader(EA, n):
     if shape != (n, n):
         raise ValueError("EA shape mismatch")
     if isinstance(EA, EAFactors):
-        return EA.block
+        return lambda I, J: EA.block(I, J, part)
     dense = np.asarray(EA, dtype=float)
 
-    def read(I, J, part):
+    def read(I, J):
         out = dense[np.ix_(I, J)]
         if part != "full":
             out *= part_mask(I, J, part)
@@ -122,12 +139,13 @@ def _ea_reader(EA, n):
     return read
 
 
-def _subtract_ea(out, read, I, J, part):
-    """out -= EA[I x J] as ``part`` keeps it, ``EA_CHUNK`` entries at a
-    time: no EA block larger than one chunk exists."""
+def _subtract_ea(out, read, I, J):
+    """out -= EA[I x J] as ``read`` gives it (``_ea_reader``),
+    ``EA_CHUNK`` entries at a time: no EA block larger than one chunk
+    exists."""
     step = max(1, EA_CHUNK // max(J.size, 1))
     for s in range(0, I.size, step):
-        out[s:s + step] -= read(I[s:s + step], J, part)
+        out[s:s + step] -= read(I[s:s + step], J)
 
 
 def _ones_csr(A):
@@ -197,16 +215,15 @@ def _gp_trace(cert):
             "target": cert.target, "target_met": cert.target_met}
 
 
-def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
-                part="full"):
+def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
     """One round of the block decomposition (Lemma 5.1, constructive).
 
     Runs on the 0/1 csr A01 and EA's blocks as ``read_ea`` reads them
-    for ``part`` (``_ea_reader``).
+    (``_ea_reader``, which holds the part).
     Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
     array of the block, -1 exactly on the exceptional hole I1 x J1.
-    Raises RowFilterEmpty on a degenerate block (the driver treats the
-    whole block as exceptional).
+    Returns None when no row of the block passes the filter (the driver
+    treats the whole block as exceptional).
     """
     mI, mJ = I.size, J.size
     n = A01.shape[0]
@@ -217,12 +234,10 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500,
     good_rows = sub.getnnz(axis=1) <= row_cap
     good_cols = sub.getnnz(axis=0) <= row_cap
     if not good_rows.any():
-        raise RowFilterEmpty(
-            f"no row of the {mI}x{mJ} block passes the {row_cap:.3g}-ones filter",
-            block=(I, J))
+        return None
     # A - EA on the block, centred in place
     cent = sub.toarray()
-    _subtract_ea(cent, read_ea, I, J, part)
+    _subtract_ea(cent, read_ea, I, J)
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
         sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters)
@@ -265,22 +280,25 @@ def decompose(A, EA, r, d, gp_iters=500, part="full"):
     model without factors, the dense n x n EA.  ``part`` says which of
     its entries A is centred by: "full" for a directed sample, "upper"
     or "lower" for a triangle of an undirected one (``triangle_split``),
-    the others read as 0; factors are never densified.
+    the others read as 0; factors are never densified.  The
+    decomposition records ``part``; any other value is refused, as r
+    and d are, before any work starts.
 
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
     with m halved and alpha = sqrt(m/n), until the exceptional block is
     empty or tiny: m or max(|I|, |J|) at most TINY_BLOCK (then it goes
-    to N wholesale).  A RowFilterEmpty round marks its whole block
-    exceptional and continues shrinking.  R rows and C columns are each
-    disjoint across rounds by construction (asserted).  r and d must be
-    finite and positive; this is checked before any work starts.
+    to N wholesale).  A round in which no row passes the filter marks
+    its whole block exceptional and continues shrinking.  R rows and C
+    columns are each disjoint across rounds by construction (asserted).
+    r and d must be finite and positive.
     """
     if not (0 < r < np.inf and 0 < d < np.inf):  # NaN too
         raise ValueError("decompose needs finite r > 0 and d > 0")
+    _check_part(part)
     A01 = _ones_csr(A)
     n = A.n
-    read_ea = _ea_reader(EA, n)
+    read_ea = _ea_reader(EA, n, part)
     labels = np.full((n, n), -1, dtype=np.int8)
     I = np.arange(n, dtype=np.int64)
     J = np.arange(n, dtype=np.int64)
@@ -294,14 +312,13 @@ def decompose(A, EA, r, d, gp_iters=500, part="full"):
                                       all_n=True, row_filter_empty=False))
             break
         alpha = float(np.sqrt(max(m_nom, I.size, J.size) / n))
-        try:
-            grid, I1_mask, J1_mask, round_trace = _block_pass(
-                A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=gp_iters,
-                part=part)
-        except RowFilterEmpty:
+        found = _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom,
+                            gp_iters=gp_iters)
+        if found is None:
             trace.append(_round_trace(m_nom, alpha, I, J,
                                       row_filter_empty=True, all_n=False))
         else:
+            grid, I1_mask, J1_mask, round_trace = found
             # the hole's -1s are painted over by the next rounds
             labels[np.ix_(I, J)] = grid
             new_r_rows = I[(grid == CLASS_R).any(axis=1)]
@@ -315,9 +332,8 @@ def decompose(A, EA, r, d, gp_iters=500, part="full"):
             trace.append(round_trace)
             I, J = I[I1_mask], J[J1_mask]
         m_nom //= 2
-    assert labels.min() >= 0, "decomposition left unassigned pairs"
     return EdgeDecomposition(n=n, class_of=labels, r=float(r), d=float(d),
-                             block_trace=tuple(trace))
+                             block_trace=tuple(trace), part=part)
 
 
 # a round's trace keys for rows, each with its column key
@@ -328,37 +344,39 @@ _SWAP = {**_ROW_COL, **{c: r for r, c in _ROW_COL.items()}}
 
 def transposed(dec):
     """The decomposition of A^T read off ``dec``, that of A: ``class_of``
-    transposed with R and C exchanged, and each round's trace entry, in
-    its key order, with each row key's value swapped with its column
-    key's (``_ROW_COL``).  Its GP certificates are A^T's when A^T is
-    centred by EA^T bit for bit (tril(EA) = triu(EA)^T).
+    transposed with R and C exchanged, each round's trace entry, in its
+    key order, with each row key's value swapped with its column key's
+    (``_ROW_COL``), and the part transposed ("upper" <-> "lower",
+    "full" kept).  Its GP certificates are A^T's when A^T is centred by
+    EA^T bit for bit (tril(EA) = triu(EA)^T).
 
     ``decompose`` on A^T gives the same but in two corners, both needing
     rows and columns that fail the 8 r alpha d filter: a cell in both a
     round's C and R rectangles is R in either run, so C here; and a
     round where some row passes the filter but no column does goes on
-    for A, while A^T's run raises RowFilterEmpty (or the reverse).  Both
-    forms pass ``verify_decomposition``.  Seen once at seed 1729 (r =
-    0.25, n = 128, d = 2, trial 0): U's (17, 79) is R, and so is L's
-    (79, 17) by ``decompose``.
+    for A, while A^T's run finds no row that passes the filter (or the
+    reverse).  Both forms pass ``verify_decomposition``.  Seen once at
+    seed 1729 (r = 0.25, n = 128, d = 2, trial 0): U's (17, 79) is R,
+    and so is L's (79, 17) by ``decompose``.
     """
     swap_rc = np.array([CLASS_N, CLASS_C, CLASS_R], dtype=np.int8)
     trace = tuple({k: rnd[_SWAP.get(k, k)] for k in rnd}
                   for rnd in dec.block_trace)
     return EdgeDecomposition(dec.n, swap_rc[dec.class_of.T], dec.r, dec.d,
-                             trace)
+                             trace, _TRANSPOSED_PART[dec.part])
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def verify_decomposition(A, EA, dec, part="full"):
+def verify_decomposition(A, EA, dec):
     """The record of one decomposition: its certified properties checked,
     the rest measured.
 
-    A is the directed 0/1 ``SparseGraph`` that was decomposed; EA and
-    ``part`` as in ``decompose``; r and d are the decomposition's own.
+    A is the directed 0/1 ``SparseGraph`` that was decomposed and EA as
+    in ``decompose``; r, d and the part that selects EA's entries are
+    the decomposition's own.
     Every ordered pair carries exactly one class already
     (``EdgeDecomposition`` refuses any other label).  The record's keys,
     in this order, are the ``decompose`` command's trial columns without
@@ -367,7 +385,7 @@ def verify_decomposition(A, EA, dec, part="full"):
     structural_ok
         every row of A restricted to R has <= 32r ones
         (max_r_row_ones), and so has every column restricted to C
-        (max_c_col_ones);
+        (max_c_col_ones), both counted at A's edges;
     r_footprint_ok, c_footprint_ok
         R touches <= KAPPA n/d columns (r_cols) and C <= KAPPA n/d rows
         (c_rows); reported, not raised;
@@ -384,24 +402,23 @@ def verify_decomposition(A, EA, dec, part="full"):
     """
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
-    read_ea = _ea_reader(EA, n)
+    read_ea = _ea_reader(EA, n, dec.part)
     # a copy of A that is ours to overwrite with (A - EA)_N below
     Ad = _ones_csr(A).toarray()
-    ones = Ad != 0
-    max_r_row = int((ones & (labels == CLASS_R)).sum(axis=1).max(initial=0))
-    max_c_col = int((ones & (labels == CLASS_C)).sum(axis=0).max(initial=0))
+    at_edges = labels[A.i, A.j]
+    max_r_row = int(np.bincount(A.i[at_edges == CLASS_R]).max(initial=0))
+    max_c_col = int(np.bincount(A.j[at_edges == CLASS_C]).max(initial=0))
     r_cols = int(np.any(labels == CLASS_R, axis=0).sum())
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
     limit = KAPPA * n / d
 
     everything = np.arange(n)
-    _subtract_ea(Ad, read_ea, everything, everything, part)
+    _subtract_ea(Ad, read_ea, everything, everything)
     Ad *= labels == CLASS_N
-    # a triangle is symmetric only when it is zero, whose norm either
-    # Lanczos route finds in one step: only a full part is scanned
-    symmetric = None if part == "full" else False
+    # no part is scanned for a symmetry: a triangle has one only when it
+    # is zero, and no directed sample measured has had one
     norm_n, norm_steps, norm_eps = spectral_norm(
-        LinearOp.from_dense(Ad, symmetric=symmetric))
+        LinearOp.from_dense(Ad, symmetric=False))
     met = all(rnd[k]["target_met"] for rnd in dec.block_trace
               for k in ("gp_cols", "gp_rows") if k in rnd)
     return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),

@@ -55,17 +55,5 @@ class NoConvergence(GraphconcError):
         self.best = best
 
 
-class DecompositionError(GraphconcError):
-    """Raised when the edge decomposition cannot certify its guarantees."""
-
-
-class RowFilterEmpty(DecompositionError):
-    """Every row of a block failed the row filter (degenerate block)."""
-
-    def __init__(self, message, block=None):
-        super().__init__(message)
-        self.block = block
-
-
 class VerificationError(GraphconcError):
     """Raised by verifiers when a certified property fails to hold."""

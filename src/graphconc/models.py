@@ -244,10 +244,12 @@ class RankOne:
     theta: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidModel("n must be positive")
         th = np.array(self.theta, dtype=float)
         if th.shape != (self.n,):
             raise InvalidModel("theta must have length n")
-        if th.size and (th.min() < 0.0 or not np.all(np.isfinite(th))):
+        if th.min() < 0.0 or not np.all(np.isfinite(th)):
             raise InvalidModel("theta must be finite and nonnegative")
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
@@ -289,12 +291,14 @@ class Explicit:
         P = np.array(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InvalidModel("P must be square")
+        if P.shape[0] < 1:
+            raise InvalidModel("n must be positive")
         if P.shape[0] > EXPLICIT_N_LIMIT:
             raise InvalidModel(f"Explicit models are capped at n = {EXPLICIT_N_LIMIT}")
-        if P.size and np.abs(P - P.T).max() > 1e-12:
+        if np.abs(P - P.T).max() > 1e-12:
             raise InvalidModel("P must be symmetric")
         np.fill_diagonal(P, 0.0)
-        if P.size and not (P.min() >= 0.0 and P.max() <= 1.0):  # NaN too
+        if not (P.min() >= 0.0 and P.max() <= 1.0):  # NaN too
             raise InvalidModel("probabilities must lie in [0, 1]")
         # exactly symmetric: the strict lower triangle is the upper's
         P = np.where(np.tri(P.shape[0], k=-1, dtype=bool), P.T, P)
@@ -314,8 +318,10 @@ def degree_profile(n, values, fractions):
     fractions (f_1, ..., f_k) allocate the first round(f_1 * n) vertices
     to values[0], the next block to values[1], and so on.  A negative
     value, or values whose degree sum is not positive and finite, is an
-    InvalidModel naming them, raised before any division.
+    InvalidModel naming them, raised before any division; so is n < 1.
     """
+    if n < 1:
+        raise InvalidModel("n must be positive")
     values = [float(v) for v in values]
     fractions = [float(f) for f in fractions]
     if len(values) != len(fractions) or abs(sum(fractions) - 1.0) > 1e-9:
@@ -327,7 +333,7 @@ def degree_profile(n, values, fractions):
         e[start:stop] = v
         start = stop
     e[start:] = values[-1]
-    if n and (min(values) < 0.0 or not 0.0 < e.sum() < np.inf):  # NaN too
+    if min(values) < 0.0 or not 0.0 < e.sum() < np.inf:  # NaN too
         raise InvalidModel(f"values {values} must be >= 0, degree sum in (0, inf)")
     theta = e / np.sqrt(e.sum())
     return RankOne(n, theta)

@@ -55,7 +55,7 @@ improved by at most a relative _CONVERGED_TOL = 1e-4 over the last
 _CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
 
 The subgradient oracle (``_oracle``) is one step function, chosen once
-per descent from the block's shape and its dead columns.  When
+per descent from the block's shape.  When
 min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
 Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
@@ -165,10 +165,9 @@ def _oracle(B, G, col_live):
     """The subgradient oracle of one descent: ``top_pair(mu, v0)``, the
     top eigenpair (lambda, v) of M = D_mu^{-1/2} B^T B D_mu^{-1/2}.
 
-    The route is chosen here, once per descent, from B's shape and its
-    dead (all-zero) columns; ``G`` is B^T B and ``v0`` the previous
-    step's vector.  D_mu^{-1/2} is 1/sqrt(mu) when every column is
-    live, ``_col_scale`` otherwise.
+    The route is chosen here, once per descent, from B's shape; ``G``
+    is B^T B and ``v0`` the previous step's vector.  D_mu^{-1/2} is
+    ``_col_scale``, zero on B's dead (all-zero) columns.
 
     * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
       driver np.linalg.eigh wraps, on the smaller side of the scaled
@@ -181,14 +180,8 @@ def _oracle(B, G, col_live):
     v is zero on dead columns.
     """
     k, m = B.shape
-    if col_live.all():
-        def scale(mu):
-            return 1.0 / np.sqrt(mu)
-    else:
-        def scale(mu):
-            return _col_scale(mu, col_live)
     if min(k, m) > DENSE_SOLVE_LIMIT:
-        return lambda mu, v0: _lanczos_pair(G, scale(mu), v0)
+        return lambda mu, v0: _lanczos_pair(G, _col_scale(mu, col_live), v0)
     dsyevd = _scipy.lapack().dsyevd
 
     def eigh(M):
@@ -200,7 +193,7 @@ def _oracle(B, G, col_live):
 
     if k <= m:
         def top_pair(mu, v0):
-            C = B * scale(mu)
+            C = B * _col_scale(mu, col_live)
             # numpy forms C C^T by syrk, exactly symmetric, so its
             # transpose is the same matrix in the Fortran order LAPACK
             # reads: f2py hands it over uncopied
@@ -212,7 +205,7 @@ def _oracle(B, G, col_live):
             return lam, z / sqrt(z @ z)
     else:
         def top_pair(mu, v0):
-            s = scale(mu)
+            s = _col_scale(mu, col_live)
             lam, V = eigh(s[:, None] * G * s)
             return lam, np.where(col_live, V[:, -1], 0.0)
     return top_pair

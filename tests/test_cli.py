@@ -16,7 +16,7 @@ import graphconc
 import graphconc.cli as cli
 import graphconc.community
 import graphconc.pietsch
-from graphconc import (DecompositionError, NoConvergence, SizeExceeded,
+from graphconc import (GraphconcError, NoConvergence, SizeExceeded,
                        VerificationError, gp_weights, inf_to_2_norm_exact,
                        load_graph)
 from graphconc._seeding import aux_generator
@@ -337,7 +337,8 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
     P = graphconc.expected_dense(model)
     F = graphconc.ea_factors(model)
     assert (F is None) == (spec["kind"] in ("profile", "explicit"))
-    read = dmod._ea_reader(F if F is not None else P, n)
+    read = {part: dmod._ea_reader(F if F is not None else P, n, part)
+            for part in ("full", "upper", "lower")}
     rng = np.random.default_rng(7)
     blocks = [(np.arange(n), np.arange(n))] + [
         tuple(np.sort(rng.choice(n, size=k, replace=False))
@@ -345,11 +346,11 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
     for part, want in (("full", P), ("upper", np.triu(P, 1)),
                        ("lower", np.tril(P, -1))):
         for I, J in blocks:
-            got = read(I, J, part)
+            got = read[part](I, J)
             assert got.tobytes() == want[np.ix_(I, J)].tobytes()
     for I, J in blocks:
-        assert (read(J, I, "lower").tobytes()
-                == read(I, J, "upper").T.tobytes())
+        assert (read["lower"](J, I).tobytes()
+                == read["upper"](I, J).T.tobytes())
 
 
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
@@ -357,10 +358,13 @@ def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
     # verified, written and reported
     real = graphconc.cli.verify_decomposition
 
-    def lower_fails(A, EA, dec, part="full"):
-        if part == "lower":
+    class DecompositionError(GraphconcError):
+        """A forced failure of one part."""
+
+    def lower_fails(A, EA, dec):
+        if dec.part == "lower":
             raise DecompositionError("forced")
-        return real(A, EA, dec, part=part)
+        return real(A, EA, dec)
 
     monkeypatch.setattr(graphconc.cli, "verify_decomposition", lower_fails)
     out = tmp_path / "dec"
@@ -1044,8 +1048,28 @@ def test_spectrum_refuses_an_empty_graph_before_a_trial(tmp_path, capsys,
     rc = main(["spectrum", "--seed", "1", "--config", str(cfg_path),
                "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == ("graphconc spectrum: error: spectrum "
-                                       "needs a graph of at least one vertex\n")
+    # the model refuses n = 0 itself, before spectrum sees a graph
+    what = ("n must be positive" if "model" in cfg else
+            "spectrum needs a graph of at least one vertex")
+    assert capsys.readouterr().err == f"graphconc spectrum: error: {what}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "rankone", "n": 0, "theta": []},
+    {"kind": "profile", "n": 0, "values": [1], "fractions": [1]},
+    {"kind": "profile", "n": -1, "values": [1], "fractions": [1]}],
+    ids=["rankone", "profile", "profile-negative"])
+def test_sample_refuses_a_model_of_no_vertex(tmp_path, capsys, spec):
+    # the model itself refuses, as Uniform does: no graph of no vertex
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": spec}))
+    out = tmp_path / "out"
+    rc = main(["sample", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == ("graphconc sample: error: n must be "
+                                       "positive\n")
     assert not out.exists()
 
 

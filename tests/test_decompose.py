@@ -71,7 +71,7 @@ def test_triangle_split_covers_graph():
 def block_pass(A, alpha, r, d):
     """One round on the whole square of a directed 0/1 A, with EA = 0."""
     I = J = np.arange(A.n)
-    zero = dmod._ea_reader(np.zeros((A.n, A.n)), A.n)
+    zero = dmod._ea_reader(np.zeros((A.n, A.n)), A.n, "full")
     return dmod._block_pass(A.to_csr(), zero, I, J, alpha, r, d, A.n)
 
 
@@ -280,7 +280,7 @@ def test_verify_returns_the_record_in_column_order():
              (sample_directed(model, MASTER), "full")]
     for A, part in parts:
         dec = decompose(A, F, r, d, gp_iters=60, part=part)
-        rep = verify_decomposition(A, F, dec, part=part)
+        rep = verify_decomposition(A, F, dec)
         assert tuple(rep) == VERIFY_KEYS
         for keys, kind in ((VERIFY_KEYS[:3] + ("gp_target_met",), bool),
                            (VERIFY_KEYS[3:7] + ("norm_steps", "rounds"), int),
@@ -299,6 +299,85 @@ def test_verify_returns_the_record_in_column_order():
                                            for b in gp_blocks(dec))
 
 
+def mask_counts(A, labels):
+    """The verifier's R and C counts by n x n masks of A's ones."""
+    ones = A.to_dense() != 0
+    is_r, is_c = labels == CLASS_R, labels == CLASS_C
+    return {"max_r_row_ones": int((ones & is_r).sum(axis=1).max(initial=0)),
+            "max_c_col_ones": int((ones & is_c).sum(axis=0).max(initial=0)),
+            "r_cols": int(is_r.any(axis=0).sum()),
+            "c_rows": int(is_c.any(axis=1).sum())}
+
+
+def test_verifier_counts_r_and_c_at_the_edges():
+    # the counts taken at A's edges are the n x n mask formulas, on the
+    # planted corner and on r = 1/4, d = 2 samples: both triangles (L's
+    # decomposition transposed from U's, and its own) and a directed one
+    up, lo = triangle_split(planted_corner())
+    upper = decompose(up, zero_ea(64), 0.25, 1.0, gp_iters=60, part="upper")
+    cases = [(up, zero_ea(64), upper), (lo, zero_ea(64), transposed(upper))]
+    n, r, d = 128, 0.25, 2.0
+    model = Uniform(n, d / n)
+    F = ea_factors(model)
+    for t in range(2):
+        up, lo = triangle_split(sample(model, MASTER, t))
+        upper = decompose(up, F, r, d, gp_iters=120, part="upper")
+        cases += [(up, F, upper), (lo, F, transposed(upper)),
+                  (lo, F, decompose(lo, F, r, d, gp_iters=120, part="lower"))]
+        directed = sample_directed(model, MASTER, t)
+        cases.append((directed, F,
+                      decompose(directed, F, r, d, gp_iters=120)))
+    seen = dict.fromkeys(("max_r_row_ones", "max_c_col_ones"), 0)
+    for A, EA, dec in cases:
+        rep = verify_decomposition(A, EA, dec)
+        want = mask_counts(A, dec.class_of)
+        assert {k: rep[k] for k in want} == want
+        for k in seen:
+            seen[k] = max(seen[k], rep[k])
+    assert seen["max_r_row_ones"] > 0 and seen["max_c_col_ones"] > 0
+
+
+def test_decomposition_carries_its_part(monkeypatch):
+    # decompose records its part and transposed exchanges upper and
+    # lower; an unknown part is refused, by decompose before any EA read
+    n = 48
+    model = Uniform(n, 4.0 / n)
+    F = ea_factors(model)
+    up, lo = triangle_split(sample(model, MASTER))
+    for A, part, flipped in ((up, "upper", "lower"), (lo, "lower", "upper"),
+                             (sample_directed(model, MASTER), "full", "full")):
+        dec = decompose(A, F, 1.0, 4.0, gp_iters=20, part=part)
+        assert dec.part == part and transposed(dec).part == flipped
+        assert transposed(transposed(dec)).part == part
+    labels = np.zeros((3, 3), dtype=np.int8)
+    with pytest.raises(ValueError, match="part must be"):
+        EdgeDecomposition(3, labels, 1.0, 1.0, (), part="diagonal")
+
+    def no_read(*args):
+        raise AssertionError("EA read for an unknown part")
+
+    monkeypatch.setattr(dmod, "_ea_reader", no_read)
+    for part in ("triangle", None):
+        with pytest.raises(ValueError, match="part must be"):
+            decompose(up, F, 1.0, 4.0, part=part)
+
+
+def test_hand_built_decomposition_verifies_as_full():
+    # a decomposition built without a part is of the full EA; one built
+    # as "upper" is centred by triu(EA) alone
+    n = 40
+    model = Uniform(n, 0.2)
+    A, P = sample_directed(model, MASTER), expected_dense(model)
+    labels = np.zeros((n, n), dtype=np.int8)
+    full = EdgeDecomposition(n, labels, r=1.0, d=8.0, block_trace=())
+    upper = EdgeDecomposition(n, labels, 1.0, 8.0, (), part="upper")
+    assert full.part == "full"
+    for dec, EA in ((full, P), (upper, np.triu(P, 1))):
+        rep = verify_decomposition(A, P, dec)
+        ref = np.linalg.svd(A.to_dense() - EA, compute_uv=False)[0]
+        assert rep["norm_n"] == pytest.approx(ref, rel=1e-9)
+
+
 def test_verifier_norm_on_empty_graph():
     # with every pair in N, ||(A - EA)_N|| is just ||EA||
     n = 32
@@ -311,8 +390,8 @@ def test_verifier_norm_on_empty_graph():
 
 def test_verifier_norm_matches_dense_svd():
     # 32 < n <= 1024: spectral_norm against LAPACK's SVD, on the
-    # non-symmetric triangle parts and a directed sample (Lanczos on
-    # the Gram) and a symmetric -EA (Lanczos)
+    # triangle parts, a directed sample and -EA, all by Lanczos on the
+    # Gram: the verifier scans no part for a symmetry
     n = 96
     m = Uniform(n, 6.0 / n)
     EA = expected_dense(m)
@@ -339,7 +418,7 @@ def test_decompose_and_verify_leave_their_inputs_alone():
             (EA,) if isinstance(EA, np.ndarray) else ())
         before = [x.copy() for x in inputs]
         dec = decompose(A, EA, r, d, gp_iters=60, part=part)
-        verify_decomposition(A, EA, dec, part=part)
+        verify_decomposition(A, EA, dec)
         for old, new in zip(before, inputs):
             assert np.array_equal(old, new)
 
@@ -357,7 +436,7 @@ def test_factored_ea_decomposes_as_the_dense_one():
         got = decompose(A, F, r, d, gp_iters=60, part=part)
         want = decompose(A, dense, r, d, gp_iters=60)
         assert np.array_equal(got.class_of, want.class_of)
-        assert (verify_decomposition(A, F, got, part=part)
+        assert (verify_decomposition(A, F, got)
                 == verify_decomposition(A, dense, want))
     with pytest.raises(ValueError, match="EA shape mismatch"):
         decompose(up, ea_factors(Uniform(n + 1, 0.1)), r, d, part="upper")
@@ -568,7 +647,7 @@ def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n,
     upper = decompose(up, F, r, d, gp_iters=gp_iters, part="upper")
     assert cli_calls and calls == cli_calls
     lower = decompose(lo, F, r, d, gp_iters=gp_iters, part="lower")
-    found = verify_decomposition(lo, F, lower, part="lower")
+    found = verify_decomposition(lo, F, lower)
     assert {k: rep.trials[0][f"lower_{k}"] for k in found} == found
     decomposition_to_csv(lower, tmp_path / "classes.csv")
     trace_to_json(lower, tmp_path / "trace.json")
@@ -610,7 +689,7 @@ def test_transposed_differs_from_decompose_on_the_planted_corner():
     assert (lower.class_of[50, 9], own.class_of[50, 9]) == (CLASS_C, CLASS_R)
     assert lower.block_trace == own.block_trace
     for dec in (lower, own):
-        found = verify_decomposition(lo, EA, dec, part="lower")
+        found = verify_decomposition(lo, EA, dec)
         assert found["structural_ok"] and found["r_footprint_ok"]
         assert found["c_footprint_ok"]
 

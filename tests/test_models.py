@@ -301,6 +301,16 @@ def test_model_validation():
         Explicit(np.array([[0.0, 0.3], [0.4, 0.0]]))  # asymmetric
 
 
+def test_every_model_refuses_an_empty_vertex_set():
+    # Uniform's refusal, word for word, for the models that took n = 0
+    for make in (lambda: Uniform(0, 0.5), lambda: RankOne(0, ()),
+                 lambda: RankOne(-1, ()), lambda: Explicit(np.zeros((0, 0))),
+                 lambda: degree_profile(0, (1.0,), (1.0,)),
+                 lambda: degree_profile(-1, (1.0,), (1.0,))):
+        with pytest.raises(InvalidModel, match="^n must be positive$"):
+            make()
+
+
 def test_explicit_stores_an_exactly_symmetric_p():
     # a P asymmetric within the 1e-12 tolerance is stored with its
     # strict lower triangle copied from the upper one; an exactly

@@ -440,9 +440,8 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
 def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
     # the default descents of gp-check's shapes, the exact route on
     # every step, against the same descent on the eigh reference; each
-    # runs past the stall test's first window.  With column 3 dead and
-    # with every column live, where the descent scales by 1/sqrt(mu)
-    # itself and the reference still by _col_scale
+    # runs past the stall test's first window, with column 3 dead and
+    # with every column live
     def eigh_oracle(B, G, col_live):
         return lambda mu, v0: eigh_exact_route(B, G, _col_scale(mu, col_live))
 

@@ -296,6 +296,9 @@ def cmd_concentration(cfg, ctx):
             raise ValueError(f"a cell holds n and d only, not {unknown}")
         n = check(c["n"], "int", "a cell's n")
         d = float(check(c["d"], "float", "a cell's d"))
+        if not 0 <= d <= n:  # NaN too; Uniform(n, d/n) needs p in [0, 1]
+            raise ValueError(f"cell {len(cells)}'s d must lie in [0, n] = "
+                             f"[0, {n}], not {c['d']!r}")
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
 
     def deviation(draw, model, d):
@@ -322,6 +325,9 @@ def cmd_laplacian(cfg, ctx):
     d = float(cfg.d)
     ns = _distinct([check(n, "int", "an ns entry") for n in cfg.ns], "ns",
                    str)
+    if not all(0 <= d <= n for n in ns):  # NaN too
+        raise ValueError(f"d must lie in [0, n] for every n in ns, not "
+                         f"{cfg.d!r} with n = {min(ns)}")
     taus = _distinct(taus, "taus", "{:g}".format)
     cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
 

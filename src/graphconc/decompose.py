@@ -42,10 +42,11 @@ A round centres its own densified copy of A's block in place; GP's
 column pass runs on it uncopied when every row passes the filter, and
 the row pass on a C-ordered copy of the transpose's good rows, made
 before the centred block is dropped.  EA is subtracted ``EA_CHUNK``
-entries at a time, read from the model's factors (``EAFactors.block``)
-or sliced from a dense EA, so neither the centring nor the verifier's
-(A - EA)_N holds an n x n EA of its own, and neither writes into the
-caller's A or EA.
+entries at a time (``_centred``), each chunk read from the model's
+factors U and C or sliced from a dense EA and masked by the part
+(``_ea_reader``), so neither the centring nor the verifier's (A - EA)_N
+holds an n x n EA of its own, and neither writes into the caller's A
+or EA.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeExceeded
-from .models import EAFactors, SparseGraph, part_mask
+from .models import EAFactors, SparseGraph
 from .operators import LinearOp
 from .pietsch import gp_submatrix
 from .spectral import spectral_norm
@@ -70,12 +71,15 @@ CSV_CHUNK = 1 << 20  # bytes of class CSV rows formatted per write
 # footprint slack of Theorem 2.6: the halving rounds spend
 # sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
 KAPPA = 4.0
-# the parts a decomposition may be of, each with its transpose's
-_TRANSPOSED_PART = {"full": "full", "upper": "lower", "lower": "upper"}
+# the parts a decomposition may be of: which pairs (i, j) of a block
+# keep their EA entry (all but the diagonal, or one strict triangle),
+# and the part of the transpose
+_PARTS = {"full": (np.not_equal, "full"), "upper": (np.less, "lower"),
+          "lower": (np.greater, "upper")}
 
 
 def _check_part(part):
-    if part not in _TRANSPOSED_PART:
+    if part not in _PARTS:
         raise ValueError(f"part must be 'full', 'upper' or 'lower', "
                          f"not {part!r}")
 
@@ -112,14 +116,15 @@ class EdgeDecomposition:
 
 
 def _ea_reader(EA, n, part):
-    """``read(I, J)``: EA[I x J] as ``part`` keeps it (``part_mask``),
-    a new array; the one place where a part selects EA's entries.
+    """``read(I, J)``: EA[I x J] on the pairs ``part`` keeps
+    (``_PARTS``), 0 elsewhere, as a new array; the one place where a
+    part selects EA's entries.
 
     EA comes in the two forms the ``decompose`` command passes: the
-    model's ``EAFactors``, read directly, or a dense n x n array (for a
-    model without factors), sliced; the dense reads of "full" keep EA's
-    diagonal as it is.  Refuses n > DENSE_LIMIT in either form, before
-    any n x n work.
+    model's ``EAFactors``, whose block is (U[I] C) U[J]^T, or a dense
+    n x n array (for a model without factors), sliced.  Both are masked
+    alike, so EA's diagonal reads 0 in every part.  Refuses
+    n > DENSE_LIMIT in either form, before any n x n work.
     """
     if n > DENSE_LIMIT:
         raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
@@ -127,25 +132,33 @@ def _ea_reader(EA, n, part):
     if shape != (n, n):
         raise ValueError("EA shape mismatch")
     if isinstance(EA, EAFactors):
-        return lambda I, J: EA.block(I, J, part)
-    dense = np.asarray(EA, dtype=float)
+        def block(I, J):
+            return (EA.U[I] @ EA.C) @ EA.U[J].T
+    else:
+        dense = np.asarray(EA, dtype=float)
+
+        def block(I, J):
+            return dense[np.ix_(I, J)]
+    keep = _PARTS[part][0]
 
     def read(I, J):
-        out = dense[np.ix_(I, J)]
-        if part != "full":
-            out *= part_mask(I, J, part)
+        out = block(I, J)
+        out *= keep(I[:, None], J[None, :])
         return out
 
     return read
 
 
-def _subtract_ea(out, read, I, J):
-    """out -= EA[I x J] as ``read`` gives it (``_ea_reader``),
+def _centred(ones, read, I, J):
+    """A - EA on I x J as a new dense array: the 0/1 csr block ``ones``
+    densified, less EA as ``read`` gives it (``_ea_reader``),
     ``EA_CHUNK`` entries at a time: no EA block larger than one chunk
     exists."""
+    out = ones.toarray()
     step = max(1, EA_CHUNK // max(J.size, 1))
     for s in range(0, I.size, step):
         out[s:s + step] -= read(I[s:s + step], J)
+    return out
 
 
 def _ones_csr(A):
@@ -235,9 +248,7 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
     good_cols = sub.getnnz(axis=0) <= row_cap
     if not good_rows.any():
         return None
-    # A - EA on the block, centred in place
-    cent = sub.toarray()
-    _subtract_ea(cent, read_ea, I, J)
+    cent = _centred(sub, read_ea, I, J)
     cap = int(m_nom) // 2
     J1_mask, j44, cert_cols, capped_j = _column_pass(
         sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters)
@@ -363,7 +374,7 @@ def transposed(dec):
     trace = tuple({k: rnd[_SWAP.get(k, k)] for k in rnd}
                   for rnd in dec.block_trace)
     return EdgeDecomposition(dec.n, swap_rc[dec.class_of.T], dec.r, dec.d,
-                             trace, _TRANSPOSED_PART[dec.part])
+                             trace, _PARTS[dec.part][1])
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +414,7 @@ def verify_decomposition(A, EA, dec):
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
     read_ea = _ea_reader(EA, n, dec.part)
-    # a copy of A that is ours to overwrite with (A - EA)_N below
-    Ad = _ones_csr(A).toarray()
+    A01 = _ones_csr(A)
     at_edges = labels[A.i, A.j]
     max_r_row = int(np.bincount(A.i[at_edges == CLASS_R]).max(initial=0))
     max_c_col = int(np.bincount(A.j[at_edges == CLASS_C]).max(initial=0))
@@ -412,8 +422,7 @@ def verify_decomposition(A, EA, dec):
     c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
     limit = KAPPA * n / d
 
-    everything = np.arange(n)
-    _subtract_ea(Ad, read_ea, everything, everything)
+    Ad = _centred(A01, read_ea, np.arange(n), np.arange(n))
     Ad *= labels == CLASS_N
     # no part is scanned for a symmetry: a triangle has one only when it
     # is zero, and no directed sample measured has had one

@@ -20,7 +20,7 @@ Explicit and a RankOne that clips have no factors (``ea_factors`` gives
 None).  ``expected_adjacency``'s matvec closures are not built on the
 factors, and only the consumers that need more than a matvec build
 them: ``expected_dense`` as one product, and decompose, which reads
-EA's restriction to a block I x J (``block``) in O(|I| |J|) with no
+EA's restriction to a block I x J from U and C in O(|I| |J|) with no
 n x n array.
 
 Two sparsity scales are exposed and every experiment states which one
@@ -366,17 +366,6 @@ def max_expected_degree(model):
     return float(deg.max()) if deg.size else 0.0
 
 
-# which pairs (i, j) of a block a decompose part keeps EA on: all but
-# the diagonal, or one strict triangle of it
-_PARTS = {"full": np.not_equal, "upper": np.less, "lower": np.greater}
-
-
-def part_mask(I, J, part):
-    """Boolean |I| x |J| mask of the pairs (i, j) that ``part`` keeps:
-    i != j for "full", i < j for "upper" and i > j for "lower"."""
-    return _PARTS[part](np.asarray(I)[:, None], np.asarray(J)[None, :])
-
-
 @dataclass(frozen=True, eq=False)
 class EAFactors:
     """EA = U C U^T with its diagonal zeroed (see the module docstring).
@@ -388,13 +377,6 @@ class EAFactors:
 
     U: np.ndarray
     C: np.ndarray
-
-    def block(self, I, J, part="full"):
-        """EA[I x J] as ``part`` keeps it (``part_mask``), the other
-        entries 0: a new |I| x |J| array and nothing larger."""
-        out = (self.U[I] @ self.C) @ self.U[J].T
-        out *= part_mask(I, J, part)
-        return out
 
     def dense(self):
         """EA as a dense n x n array: one product, diagonal zeroed."""

@@ -353,6 +353,50 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
                 == read["upper"](I, J).T.tobytes())
 
 
+# models without factors, so the command decomposes their dense EA: an
+# explicit P with entries <= 0.3 (max n p_ij = 12), and a RankOne whose
+# theta_i theta_j clip at 1 (max n p_ij = 64)
+_P40 = 0.3 * (np.add.outer(np.arange(40), np.arange(40)) % 7) / 6
+
+
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["undirected", "directed"])
+@pytest.mark.parametrize("cfg", [
+    {"n": 40, "d": 12.0, "r": 1.0, "gp_iters": 60,
+     "model": {"kind": "explicit", "P": _P40.tolist()}},
+    {"n": 64, "d": 64.0, "r": 1.0,
+     "model": {"kind": "rankone", "n": 64,
+               "theta": np.linspace(0.1, 1.5, 64).tolist()}}],
+    ids=["explicit", "clipping-rankone"])
+def test_decompose_command_reads_a_dense_ea(tmp_path, cfg, directed):
+    # each trial's part record is verify_decomposition of decompose (L's
+    # by transposed) on expected_dense(model), computed here directly
+    cfg = {**cfg, "directed": directed}
+    rep = run_command("decompose", cfg, MASTER, str(tmp_path / "dec"),
+                      trials=2)
+    model = graphconc.model_from_dict(cfg["model"])
+    assert graphconc.ea_factors(model) is None
+    EA = graphconc.expected_dense(model)
+    gp_iters = cfg.get("gp_iters", cli.DecomposeConfig.gp_iters)
+    for t, rec in enumerate(rep.trials):
+        if directed:
+            parts = [("full", graphconc.sample_directed(model, MASTER, t))]
+        else:
+            parts = zip(("upper", "lower"), graphconc.triangle_split(
+                graphconc.sample(model, MASTER, t)))
+        for part, A in parts:
+            dec = (graphconc.transposed(dec) if part == "lower" else
+                   graphconc.decompose(A, EA, cfg["r"], cfg["d"],
+                                       gp_iters=gp_iters, part=part))
+            want = graphconc.verify_decomposition(A, EA, dec)
+            assert {k: rec[f"{part}_{k}"] for k in want} == want
+    # the explicit model's d is n times P's largest off-diagonal entry,
+    # whatever its diagonal holds
+    off = _P40[~np.eye(40, dtype=bool)].max()
+    explicit = graphconc.Explicit(_P40 + np.eye(40))
+    assert graphconc.max_rate(explicit) == 40 * off
+
+
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
     # verify fails on the lower triangle: the upper one is still
     # verified, written and reported
@@ -1070,6 +1114,34 @@ def test_sample_refuses_a_model_of_no_vertex(tmp_path, capsys, spec):
     assert rc == 1
     assert capsys.readouterr().err == ("graphconc sample: error: n must be "
                                        "positive\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,cfg,message", [
+    ("concentration", {"cells": [{"n": 200000, "d": 3}, {"n": 100, "d": -1}],
+                       "scheme": "trim"},
+     "cell 1's d must lie in [0, n] = [0, 100], not -1"),
+    ("concentration", {"cells": [{"n": 100, "d": 100.5}]},
+     "cell 0's d must lie in [0, n] = [0, 100], not 100.5"),
+    ("laplacian", {"ns": [1000, 40], "d": -1, "taus": [5]},
+     "d must lie in [0, n] for every n in ns, not -1 with n = 40"),
+    ("laplacian", {"ns": [1000, 40], "d": 50},
+     "d must lie in [0, n] for every n in ns, not 50 with n = 40")],
+    ids=["cell-negative", "cell-above-n", "laplacian-negative",
+         "laplacian-above-n"])
+def test_grid_refuses_a_d_outside_0_n_before_a_trial(tmp_path, capsys,
+                                                     monkeypatch, name, cfg,
+                                                     message):
+    # Uniform(n, d/n) would refuse p = d/n inside a trial, after the
+    # cells before it had run, naming neither the cell nor d
+    monkeypatch.setattr(cli, "sample", _fails("sample"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"graphconc {name}: error: {message}\n"
     assert not out.exists()
 
 

@@ -64,6 +64,11 @@ def test_triangle_split_covers_graph():
     assert np.array_equal(up.to_dense() + lo.to_dense(), g.to_dense())
 
 
+def test_triangle_split_refuses_a_directed_graph():
+    with pytest.raises(ValueError, match="expects an undirected graph"):
+        triangle_split(sample_directed(Uniform(12, 0.3), MASTER))
+
+
 # ---------------------------------------------------------------------------
 # one block round
 
@@ -237,6 +242,25 @@ def test_decompose_rejects_undirected():
     g = sample(Uniform(12, 0.3), MASTER)
     with pytest.raises(ValueError):
         decompose(g, zero_ea(12), r=1.0, d=1.0)
+    A = SparseGraph(4, [0, 1], [1, 2], [0.5, 1.0], directed=True)
+    with pytest.raises(ValueError, match="expects a 0/1 adjacency"):
+        decompose(A, zero_ea(4), r=1.0, d=1.0)
+
+
+def test_dense_ea_reads_a_zero_diagonal():
+    # EA's diagonal is 0 by definition: a dense EA with another diagonal
+    # decomposes and verifies as its zero-diagonal copy, as the factored
+    # EA, whose block is masked the same way, always has
+    n, d, r = 96, 8.0, 3.0
+    model = Uniform(n, d / n)
+    A, P = sample_directed(model, MASTER), expected_dense(model)
+    marked = P + np.diag(np.linspace(1.0, 5.0, n))
+    want = decompose(A, P, r, d, gp_iters=60)
+    got = decompose(A, marked, r, d, gp_iters=60)
+    assert np.array_equal(got.class_of, want.class_of)
+    assert got.block_trace == want.block_trace
+    assert (verify_decomposition(A, marked, got)
+            == verify_decomposition(A, P, want))
 
 
 def test_dense_block_recovers_via_row_filter_empty():

@@ -190,12 +190,23 @@ def test_max_rate_examples():
     assert max_rate(BlockTwo(2000, 30, 5)) == pytest.approx(30.0)
     c = 0.1
     assert max_rate(RankOne(50, (c,) * 50)) == pytest.approx(50 * c * c)
+    assert max_rate(RankOne(1, [0.5])) == 0.0  # no off-diagonal pair
 
 
 def test_max_rate_rankone_clipped():
     # theta_i theta_j caps at probability 1, so d caps at n
     th = (2.0, 3.0, 0.1, 0.1)
     assert max_rate(RankOne(4, th)) == pytest.approx(4.0)
+
+
+def test_malformed_models_and_row_blocks_are_refused():
+    with pytest.raises(InvalidModel, match="theta must have length n"):
+        RankOne(3, [1.0, 2.0])
+    with pytest.raises(InvalidModel, match="P must be square"):
+        Explicit(np.zeros((2, 3)))
+    for block in (-1, 2 ** 30):
+        with pytest.raises(ValueError, match="row block index out of range"):
+            BlockWords(MASTER, 0, block)
 
 
 def test_max_expected_degree_examples():

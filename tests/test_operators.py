@@ -58,6 +58,8 @@ def test_shape_checks():
         LinearOp(3, 2, lambda x: x, symmetric=True)
     with pytest.raises(DimensionMismatch):
         compose_difference(op, LinearOp.from_dense(np.ones((2, 2))))
+    with pytest.raises(DimensionMismatch, match="no rmatvec"):
+        LinearOp(3, 2, lambda x: np.full(3, x.sum())).rmatvec(np.ones(3))
 
 
 def test_transpose_and_dense_roundtrip():

@@ -197,6 +197,14 @@ def test_trim_rejects_bad_input():
         trim_edges(star(4), float("nan"))
     with pytest.raises(ValueError):
         trim_edges(SparseGraph(3, [0], [1], [0.5]), 1.0)  # weighted
+    with pytest.raises(ValueError, match="trim_edges expects an undirected"):
+        trim_edges(sample_directed(Uniform(12, 0.3), MASTER), 1.0)
+
+
+def test_reweight_rejects_a_weighted_graph():
+    with pytest.raises(ValueError,
+                       match="proportional_reweight expects an unweighted"):
+        proportional_reweight(SparseGraph(3, [0], [1], [0.5]), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from .errors import (DimensionMismatch, EntryOutOfRange, GraphconcError,
                      InvalidModel, InvalidRates, LengthMismatch,
                      NoConvergence, SizeExceeded, VerificationError,
                      WidthExceeded, ZeroDegree, ZeroGap)
-from .models import (BlockTwo, EAFactors, Explicit, RankOne, SparseGraph,
-                     Uniform, degree_profile, ea_factors, expected_adjacency,
+from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
+                     degree_profile, ea_block, expected_adjacency,
                      expected_degrees, expected_dense, load_graph,
                      max_expected_degree, max_rate, model_from_dict,
                      model_to_dict, sample, sample_directed, save_graph)

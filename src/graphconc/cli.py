@@ -41,9 +41,10 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError, WidthExceeded)
-from .models import (Uniform, check, ea_factors, expected_adjacency,
-                     expected_dense, graph_header, load_graph, max_rate,
-                     model_from_dict, sample, sample_directed, save_graph)
+from .models import (Uniform, check, expected_adjacency, graph_header,
+                     load_graph, max_rate, model_from_dict, sample,
+                     sample_directed, save_graph)
+from .models import expected_dense  # unused: perfbench/spans.py wraps it here
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
 from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
@@ -366,7 +367,14 @@ def cmd_sbm(cfg, ctx):
 
 
 def cmd_decompose(cfg, ctx):
+    for key in ("r", "d"):
+        if not 0 < getattr(cfg, key) < np.inf:  # NaN too
+            raise ValueError(f"decompose needs a finite {key} > 0, not "
+                             f"{getattr(cfg, key)!r}")
     if cfg.model is None:
+        if cfg.d > cfg.n:
+            raise ValueError(f"d must lie in (0, n] = (0, {cfg.n}] for the "
+                             f"default Uniform(n, d/n), not {cfg.d!r}")
         model = Uniform(cfg.n, cfg.d / cfg.n)
     else:  # n and d set the row filter, the footprint limit and the ratio
         model = model_from_dict(cfg.model)
@@ -380,11 +388,6 @@ def cmd_decompose(cfg, ctx):
                              f"config's d = {cfg.d}")
     if model.n > DENSE_LIMIT:  # before any n x n array is built
         raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
-    # each part reads its blocks of EA from the model's factors; a model
-    # without them is densified once, for every trial and part
-    EA = ea_factors(model)
-    if EA is None:
-        EA = expected_dense(model)
 
     def one(t):
         if cfg.directed:
@@ -399,9 +402,9 @@ def cmd_decompose(cfg, ctx):
                 continue
             try:  # L = U^T: its decomposition is U's, transposed
                 dec = (transposed(dec) if name == "lower" else
-                       decompose(gd, EA, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
+                       decompose(gd, model, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
                                  part=name))
-                found = verify_decomposition(gd, EA, dec)
+                found = verify_decomposition(gd, model, dec)
             except VerificationError as exc:
                 # a certificate failed: the run ends, naming where
                 raise VerificationError(f"trial {t} (stream {t}), part "

@@ -42,11 +42,10 @@ A round centres its own densified copy of A's block in place; GP's
 column pass runs on it uncopied when every row passes the filter, and
 the row pass on a C-ordered copy of the transpose's good rows, made
 before the centred block is dropped.  EA is subtracted ``EA_CHUNK``
-entries at a time (``_centred``), each chunk read from the model's
-factors U and C or sliced from a dense EA and masked by the part
-(``_ea_reader``), so neither the centring nor the verifier's (A - EA)_N
-holds an n x n EA of its own, and neither writes into the caller's A
-or EA.
+entries at a time (``_centred``), each chunk read from the model
+(``models.ea_block``) and masked by the part (``_ea_reader``), so
+neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
+and neither writes into the caller's A or model.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeExceeded
-from .models import EAFactors, SparseGraph
+from .models import SparseGraph, ea_block
 from .operators import LinearOp
 from .pietsch import gp_submatrix
 from .spectral import spectral_norm
@@ -115,34 +114,22 @@ class EdgeDecomposition:
         return {CLASS_NAMES[c]: int((self.class_of == c).sum()) for c in range(3)}
 
 
-def _ea_reader(EA, n, part):
-    """``read(I, J)``: EA[I x J] on the pairs ``part`` keeps
-    (``_PARTS``), 0 elsewhere, as a new array; the one place where a
-    part selects EA's entries.
-
-    EA comes in the two forms the ``decompose`` command passes: the
-    model's ``EAFactors``, whose block is (U[I] C) U[J]^T, or a dense
-    n x n array (for a model without factors), sliced.  Both are masked
-    alike, so EA's diagonal reads 0 in every part.  Refuses
-    n > DENSE_LIMIT in either form, before any n x n work.
+def _ea_reader(model, n, part):
+    """``read(I, J)``: the model's EA[I x J] (``models.ea_block``) on the
+    pairs ``part`` keeps (``_PARTS``), 0 elsewhere, as a new array; the
+    one place where a part selects EA's entries, so EA's diagonal reads
+    0 in every part.  Refuses n > DENSE_LIMIT and a model of another n,
+    before any n x n work.
     """
     if n > DENSE_LIMIT:
         raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
-    shape = (EA.U.shape[0],) * 2 if isinstance(EA, EAFactors) else np.shape(EA)
-    if shape != (n, n):
-        raise ValueError("EA shape mismatch")
-    if isinstance(EA, EAFactors):
-        def block(I, J):
-            return (EA.U[I] @ EA.C) @ EA.U[J].T
-    else:
-        dense = np.asarray(EA, dtype=float)
-
-        def block(I, J):
-            return dense[np.ix_(I, J)]
+    if model.n != n:
+        raise ValueError(f"EA shape mismatch: the model has n = {model.n}, "
+                         f"A has n = {n}")
     keep = _PARTS[part][0]
 
     def read(I, J):
-        out = block(I, J)
+        out = ea_block(model, I, J)
         out *= keep(I[:, None], J[None, :])
         return out
 
@@ -283,17 +270,16 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
     return grid, I1_mask, J1_mask, trace
 
 
-def decompose(A, EA, r, d, gp_iters=500, part="full"):
+def decompose(A, model, r, d, gp_iters=500, part="full"):
     """Full iterative decomposition of a directed sample; an undirected
     sample's lower triangle takes ``transposed`` of the upper one's.
 
-    EA is the model's ``EAFactors`` (``models.ea_factors``) or, for a
-    model without factors, the dense n x n EA.  ``part`` says which of
-    its entries A is centred by: "full" for a directed sample, "upper"
-    or "lower" for a triangle of an undirected one (``triangle_split``),
-    the others read as 0; factors are never densified.  The
-    decomposition records ``part``; any other value is refused, as r
-    and d are, before any work starts.
+    A is centred by the EA of ``model``, the model A was drawn from,
+    read block by block (``_ea_reader``).  ``part`` says which of EA's
+    entries centre A: "full" for a directed sample, "upper" or "lower"
+    for a triangle of an undirected one (``triangle_split``), the others
+    read as 0.  The decomposition records ``part``; any other value is
+    refused, as r and d are, before any work starts.
 
     Starts from the whole square with m = n, alpha = 1; each round
     paints (I x J) \\ (I1 x J1) and recurses into the exceptional block
@@ -309,7 +295,7 @@ def decompose(A, EA, r, d, gp_iters=500, part="full"):
     _check_part(part)
     A01 = _ones_csr(A)
     n = A.n
-    read_ea = _ea_reader(EA, n, part)
+    read_ea = _ea_reader(model, n, part)
     labels = np.full((n, n), -1, dtype=np.int8)
     I = np.arange(n, dtype=np.int64)
     J = np.arange(n, dtype=np.int64)
@@ -381,13 +367,13 @@ def transposed(dec):
 # verification
 
 
-def verify_decomposition(A, EA, dec):
+def verify_decomposition(A, model, dec):
     """The record of one decomposition: its certified properties checked,
     the rest measured.
 
-    A is the directed 0/1 ``SparseGraph`` that was decomposed and EA as
-    in ``decompose``; r, d and the part that selects EA's entries are
-    the decomposition's own.
+    A is the directed 0/1 ``SparseGraph`` that was decomposed and
+    ``model`` the model whose EA centres it, as in ``decompose``; r, d
+    and the part that selects EA's entries are the decomposition's own.
     Every ordered pair carries exactly one class already
     (``EdgeDecomposition`` refuses any other label).  The record's keys,
     in this order, are the ``decompose`` command's trial columns without
@@ -413,7 +399,7 @@ def verify_decomposition(A, EA, dec):
     """
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
-    read_ea = _ea_reader(EA, n, dec.part)
+    read_ea = _ea_reader(model, n, dec.part)
     A01 = _ones_csr(A)
     at_edges = labels[A.i, A.j]
     max_r_row = int(np.bincount(A.i[at_edges == CLASS_R]).max(initial=0))

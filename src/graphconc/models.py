@@ -2,26 +2,19 @@
 
 A model is a symmetric matrix of connection probabilities (p_ij); the
 diagonal is always treated as zero (no self-loops anywhere).
-``expected_adjacency`` states p_ij; ``expected_dense`` and
-``expected_degrees`` (EA 1) are read off it, and only ``ea_factors``,
-the sampler's ``_groups`` and ``max_rate`` restate rates.
+``expected_adjacency`` states p_ij as matvec closures and ``ea_block``
+as entries, EA[I x J] for index arrays I and J:
 
-The paper's structured models are low rank up to the diagonal, and
-``ea_factors`` states that as ``EAFactors``: EA = U C U^T with the
-diagonal zeroed,
+* Uniform:  p everywhere;
+* BlockTwo: a/n within a block, b/n across;
+* RankOne:  min(theta_i theta_j, 1);
+* Explicit: P's own entries.
 
-* Uniform:  U = 1, C = p, so EA = p 11^T - p I;
-* BlockTwo: U = the two block indicators, C = [[a, b], [b, a]] / n,
-  so EA = U C U^T - (a/n) I;
-* RankOne:  U = theta, C = 1, so EA = theta theta^T - diag(theta^2),
-  when no theta_i theta_j (i = j included) exceeds 1.
-
-Explicit and a RankOne that clips have no factors (``ea_factors`` gives
-None).  ``expected_adjacency``'s matvec closures are not built on the
-factors, and only the consumers that need more than a matvec build
-them: ``expected_dense`` as one product, and decompose, which reads
-EA's restriction to a block I x J from U and C in O(|I| |J|) with no
-n x n array.
+``expected_degrees`` (EA 1) is read off the closures and
+``expected_dense`` (EA on the whole square, diagonal zeroed) off
+``ea_block``; only the sampler's ``_groups`` and ``max_rate`` restate
+rates.  Decompose reads EA block by block through ``ea_block`` in
+O(|I| |J|), so only Explicit holds an n x n EA: its own P.
 
 Two sparsity scales are exposed and every experiment states which one
 it uses:
@@ -347,7 +340,7 @@ def max_rate(model):
     """d = max_ij n * p_ij over off-diagonal pairs."""
     n = model.n
     if isinstance(model, Uniform):
-        return n * model.p
+        return n * model.p if n >= 2 else 0.0
     if isinstance(model, RankOne):
         if n < 2:
             return 0.0
@@ -366,25 +359,6 @@ def max_expected_degree(model):
     return float(deg.max()) if deg.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class EAFactors:
-    """EA = U C U^T with its diagonal zeroed (see the module docstring).
-
-    ``U`` is n x k and ``C`` k x k, k <= 2.  Every entry U[i] C U[j]^T
-    is one product or a sum of exact ones, so a block read holds the
-    same bits as the matvec closure's columns.
-    """
-
-    U: np.ndarray
-    C: np.ndarray
-
-    def dense(self):
-        """EA as a dense n x n array: one product, diagonal zeroed."""
-        out = (self.U @ self.C) @ self.U.T
-        np.fill_diagonal(out, 0.0)
-        return out
-
-
 def _clip_partners(th):
     """(order, th sorted, idx) of RankOne's theta: theta_i theta_j clips
     at 1 exactly for the j at sorted positions >= idx[i] (n: none)."""
@@ -393,24 +367,6 @@ def _clip_partners(th):
     with np.errstate(divide="ignore"):
         thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
     return order, th_s, np.searchsorted(th_s, thresh, side="right")
-
-
-def ea_factors(model):
-    """The model's ``EAFactors``, or None for Explicit and for a RankOne
-    with a clipped pair (i = j included).  Built afresh on each call."""
-    n = model.n
-    if isinstance(model, Uniform):
-        return EAFactors(np.ones((n, 1)), np.array([[model.p]]))
-    if isinstance(model, BlockTwo):
-        a, b = model.a / model.n, model.b / model.n
-        U = np.zeros((n, 2))
-        U[:model.half, 0] = U[model.half:, 1] = 1.0
-        return EAFactors(U, np.array([[a, b], [b, a]]))
-    if isinstance(model, RankOne):
-        th = model.theta
-        if np.all(_clip_partners(th)[2] == n):
-            return EAFactors(th[:, None], np.ones((1, 1)))
-    return None
 
 
 def expected_adjacency(model):
@@ -460,11 +416,33 @@ def expected_adjacency(model):
     raise TypeError(f"unknown model {type(model).__name__}")
 
 
+def ea_block(model, I, J):
+    """EA[I x J] as a new array, for index arrays I and J.
+
+    The pairs i = j read p_ii as the kind states it (theta_i^2 clipped,
+    say), not 0: zeroing them is the caller's (``expected_dense``, and
+    decompose's part mask).
+    """
+    I, J = np.asarray(I), np.asarray(J)
+    if isinstance(model, Uniform):
+        return np.full((I.size, J.size), model.p, dtype=float)
+    if isinstance(model, BlockTwo):
+        same = (I[:, None] < model.half) == (J[None, :] < model.half)
+        return np.where(same, model.a / model.n, model.b / model.n)
+    if isinstance(model, RankOne):
+        return np.minimum(np.outer(model.theta[I], model.theta[J]), 1.0)
+    if isinstance(model, Explicit):
+        return model.P[np.ix_(I, J)]
+    raise TypeError(f"unknown model {type(model).__name__}")
+
+
 def expected_dense(model):
-    """EA as a dense array: one product of the factors, or the op's
-    ``to_dense`` for a model without them (Explicit, clipping RankOne)."""
-    f = ea_factors(model)
-    return f.dense() if f is not None else expected_adjacency(model).to_dense()
+    """EA as a dense n x n array: ``ea_block`` on the whole square,
+    diagonal zeroed."""
+    ids = np.arange(model.n)
+    out = ea_block(model, ids, ids)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def expected_degrees(model):

@@ -53,8 +53,8 @@ class LinearOp:
     def to_dense(self):
         """A copy of the matrix of an op built by ``from_dense``; any other
         op is materialized column by column (meant for tests and small ops).
-        A structured model's EA is one product instead:
-        ``models.expected_dense``."""
+        A model's EA is read by its entries instead (``models.ea_block``
+        and ``models.expected_dense``), never through this."""
         if self._dense is not None:
             return self._dense.copy()
         out = np.empty((self.n_rows, self.n_cols))

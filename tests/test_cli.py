@@ -327,17 +327,14 @@ def test_decompose_directed_run(tmp_path):
     {"kind": "explicit",
      "P": (np.add.outer(np.arange(12), np.arange(12)) % 5 / 10).tolist()}])
 def test_decompose_parts_build_the_triangles_of_ea(spec):
-    # each part's block read of EA, as the decompose command hands EA
-    # over (the model's factors, or the dense EA of a model without
-    # them), is a slice of np.triu/np.tril of the dense EA bit for bit,
-    # on the whole square and on random blocks I x J; and "lower" reads
+    # each part's block read of the model's EA is a slice of
+    # np.triu/np.tril of the matvec closures' dense EA bit for bit, on
+    # the whole square and on random blocks I x J; and "lower" reads
     # "upper" transposed, as L's decomposition (U's, transposed) needs
     model = graphconc.model_from_dict(spec)
     n = model.n
-    P = graphconc.expected_dense(model)
-    F = graphconc.ea_factors(model)
-    assert (F is None) == (spec["kind"] in ("profile", "explicit"))
-    read = {part: dmod._ea_reader(F if F is not None else P, n, part)
+    P = graphconc.expected_adjacency(model).to_dense()
+    read = {part: dmod._ea_reader(model, n, part)
             for part in ("full", "upper", "lower")}
     rng = np.random.default_rng(7)
     blocks = [(np.arange(n), np.arange(n))] + [
@@ -353,9 +350,9 @@ def test_decompose_parts_build_the_triangles_of_ea(spec):
                 == read["upper"](I, J).T.tobytes())
 
 
-# models without factors, so the command decomposes their dense EA: an
-# explicit P with entries <= 0.3 (max n p_ij = 12), and a RankOne whose
-# theta_i theta_j clip at 1 (max n p_ij = 64)
+# models that are not low rank up to the diagonal: an explicit P with
+# entries <= 0.3 (max n p_ij = 12), and a RankOne whose theta_i theta_j
+# clip at 1 (max n p_ij = 64)
 _P40 = 0.3 * (np.add.outer(np.arange(40), np.arange(40)) % 7) / 6
 
 
@@ -370,13 +367,11 @@ _P40 = 0.3 * (np.add.outer(np.arange(40), np.arange(40)) % 7) / 6
     ids=["explicit", "clipping-rankone"])
 def test_decompose_command_reads_a_dense_ea(tmp_path, cfg, directed):
     # each trial's part record is verify_decomposition of decompose (L's
-    # by transposed) on expected_dense(model), computed here directly
+    # by transposed) on the model, computed here directly
     cfg = {**cfg, "directed": directed}
     rep = run_command("decompose", cfg, MASTER, str(tmp_path / "dec"),
                       trials=2)
     model = graphconc.model_from_dict(cfg["model"])
-    assert graphconc.ea_factors(model) is None
-    EA = graphconc.expected_dense(model)
     gp_iters = cfg.get("gp_iters", cli.DecomposeConfig.gp_iters)
     for t, rec in enumerate(rep.trials):
         if directed:
@@ -386,9 +381,9 @@ def test_decompose_command_reads_a_dense_ea(tmp_path, cfg, directed):
                 graphconc.sample(model, MASTER, t)))
         for part, A in parts:
             dec = (graphconc.transposed(dec) if part == "lower" else
-                   graphconc.decompose(A, EA, cfg["r"], cfg["d"],
+                   graphconc.decompose(A, model, cfg["r"], cfg["d"],
                                        gp_iters=gp_iters, part=part))
-            want = graphconc.verify_decomposition(A, EA, dec)
+            want = graphconc.verify_decomposition(A, model, dec)
             assert {k: rec[f"{part}_{k}"] for k in want} == want
     # the explicit model's d is n times P's largest off-diagonal entry,
     # whatever its diagonal holds
@@ -532,11 +527,12 @@ def test_decompose_target_flag_is_read_off_the_records(tmp_path, d, met):
 
 
 def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):
-    # refused before the n x n expected matrix is built
-    def no_dense(model):
-        raise AssertionError(f"expected_dense built at n = {model.n}")
+    # refused before a graph is drawn or a block of EA is read
+    def no_read(model, *args):
+        raise AssertionError(f"EA read at n = {model.n}")
 
-    monkeypatch.setattr(graphconc.cli, "expected_dense", no_dense)
+    monkeypatch.setattr(dmod, "ea_block", no_read)
+    monkeypatch.setattr(cli, "sample", _fails("sample"))
     with pytest.raises(SizeExceeded):
         run_command("decompose", {"n": 4200, "gp_iters": 5,
                                   "write_files": False},
@@ -1126,9 +1122,15 @@ def test_sample_refuses_a_model_of_no_vertex(tmp_path, capsys, spec):
     ("laplacian", {"ns": [1000, 40], "d": -1, "taus": [5]},
      "d must lie in [0, n] for every n in ns, not -1 with n = 40"),
     ("laplacian", {"ns": [1000, 40], "d": 50},
-     "d must lie in [0, n] for every n in ns, not 50 with n = 40")],
+     "d must lie in [0, n] for every n in ns, not 50 with n = 40"),
+    ("decompose", {"n": 100, "d": -1}, "decompose needs a finite d > 0, not -1"),
+    ("decompose", {"n": 100, "r": 0}, "decompose needs a finite r > 0, not 0"),
+    ("decompose", {"n": 100, "d": 150},
+     "d must lie in (0, n] = (0, 100] for the default Uniform(n, d/n), "
+     "not 150")],
     ids=["cell-negative", "cell-above-n", "laplacian-negative",
-         "laplacian-above-n"])
+         "laplacian-above-n", "decompose-negative-d", "decompose-zero-r",
+         "decompose-above-n"])
 def test_grid_refuses_a_d_outside_0_n_before_a_trial(tmp_path, capsys,
                                                      monkeypatch, name, cfg,
                                                      message):

@@ -13,12 +13,13 @@ from graphconc.decompose import CLASS_C, CLASS_N, CLASS_R
 from graphconc import (
     BlockTwo,
     EdgeDecomposition,
+    Explicit,
+    RankOne,
     SizeExceeded,
     SparseGraph,
     Uniform,
     decompose,
     decomposition_to_csv,
-    ea_factors,
     expected_dense,
     sample,
     sample_directed,
@@ -38,7 +39,8 @@ dmod = importlib.import_module("graphconc.decompose")
 
 
 def zero_ea(n):
-    return np.zeros((n, n))
+    """The model whose EA is 0."""
+    return Uniform(n, 0.0)
 
 
 def directed_star_rows(n):
@@ -76,7 +78,7 @@ def test_triangle_split_refuses_a_directed_graph():
 def block_pass(A, alpha, r, d):
     """One round on the whole square of a directed 0/1 A, with EA = 0."""
     I = J = np.arange(A.n)
-    zero = dmod._ea_reader(np.zeros((A.n, A.n)), A.n, "full")
+    zero = dmod._ea_reader(zero_ea(A.n), A.n, "full")
     return dmod._block_pass(A.to_csr(), zero, I, J, alpha, r, d, A.n)
 
 
@@ -129,12 +131,11 @@ def test_decompose_covers_every_pair():
     m = Uniform(n, 4.0 / n)
     g = sample(m, MASTER)
     up, lo = triangle_split(g)
-    EA = expected_dense(m)
     for part in (up, lo):
-        dec = decompose(part, EA, r=1.0, d=4.0)
+        dec = decompose(part, m, r=1.0, d=4.0)
         counts = dec.counts()
         assert sum(counts.values()) == n * n
-        rep = verify_decomposition(part, EA, dec)
+        rep = verify_decomposition(part, m, dec)
         assert rep["structural_ok"]
         assert rep["r_footprint_ok"] and rep["c_footprint_ok"]
 
@@ -164,9 +165,9 @@ def test_planted_block_caps_the_exceptional_sets():
     M[40:, :3] = True
     np.fill_diagonal(M, False)
     A = SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True)
-    EA = np.full((n, n), 0.02)
-    np.fill_diagonal(EA, 0.0)
-    dec = decompose(A, EA, r=1.0, d=1.0, gp_iters=50)
+    model = Uniform(n, 0.02)
+    EA = expected_dense(model)
+    dec = decompose(A, model, r=1.0, d=1.0, gp_iters=50)
     first = dec.block_trace[0]
     assert first["gp_cols"]["route"] == "descent"
     assert first["capped_J1"] and first["capped_I1"]
@@ -181,29 +182,28 @@ def test_planted_block_caps_the_exceptional_sets():
     assert len(exceptional) > cap
     order = sorted(exceptional, key=lambda j: (not rejected[j], -ones[j], j))
     assert first["J1"] == sorted(order[:cap])
-    assert verify_decomposition(A, EA, dec)["structural_ok"]
+    assert verify_decomposition(A, model, dec)["structural_ok"]
 
 
 def heavy_columns_and_rows(n=64):
-    """(A, EA): columns 0..2 hold 40 ones each (rows 10..49) and rows
+    """(A, model): columns 0..2 hold 40 ones each (rows 10..49) and rows
     0..2 six each (columns 40..45), with EA = 0.01 off the diagonal.
     Every row and column passes GP's blocks, both fail the uniform
     check, and the descents reject columns 0..2 and rows 0..2."""
     M = np.zeros((n, n), dtype=bool)
     M[10:50, :3] = True
     M[:3, 40:46] = True
-    EA = np.full((n, n), 0.01)
-    np.fill_diagonal(EA, 0.0)
-    return SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True), EA
+    return (SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True),
+            Uniform(n, 0.01))
 
 
 def test_a_small_hole_goes_to_n_without_gp(monkeypatch):
     # GP rejects 3 rows and 3 columns, so round 2 holds a 3 x 3 block at
     # nominal m = 32: it is dumped into N by its size, and the classes
     # are those of a GP round on it
-    A, EA = heavy_columns_and_rows()
+    A, model = heavy_columns_and_rows()
     calls = count_gp(monkeypatch)
-    dec = decompose(A, EA, r=1.0, d=1.0, gp_iters=60)
+    dec = decompose(A, model, r=1.0, d=1.0, gp_iters=60)
     first, second = dec.block_trace
     assert first["gp_cols"]["route"] == first["gp_rows"]["route"] == "descent"
     assert first["I1"] == first["J1"] == [0, 1, 2]
@@ -211,10 +211,10 @@ def test_a_small_hole_goes_to_n_without_gp(monkeypatch):
     assert second["all_n"] and "gp_cols" not in second
     assert len(calls) == 2
     assert dec.counts()["R"] > 0
-    assert verify_decomposition(A, EA, dec)["structural_ok"]
+    assert verify_decomposition(A, model, dec)["structural_ok"]
 
     monkeypatch.setattr(dmod, "TINY_BLOCK", 0)  # GP on every block
-    gp_everywhere = decompose(A, EA, r=1.0, d=1.0, gp_iters=60)
+    gp_everywhere = decompose(A, model, r=1.0, d=1.0, gp_iters=60)
     rounds = gp_everywhere.block_trace
     assert len(rounds) == 2 and rounds[1]["rows"] == rounds[1]["cols"] == 3
     assert rounds[1]["gp_cols"]["route"] == "uniform"
@@ -222,11 +222,10 @@ def test_a_small_hole_goes_to_n_without_gp(monkeypatch):
 
 
 def test_dense_ea_is_refused_above_the_limit():
-    # a dense EA gets the same refusal as factors, before any n x n work
+    # refused before any n x n work: no block of EA is read
     n = dmod.DENSE_LIMIT + 1
-    EA = np.broadcast_to(0.0, (n, n))  # a view: no n x n allocation
     with pytest.raises(SizeExceeded):
-        decompose(empty_directed(n), EA, r=1.0, d=1.0)
+        decompose(empty_directed(n), zero_ea(n), r=1.0, d=1.0)
 
 
 def test_decompose_refuses_bad_r_and_d():
@@ -245,22 +244,6 @@ def test_decompose_rejects_undirected():
     A = SparseGraph(4, [0, 1], [1, 2], [0.5, 1.0], directed=True)
     with pytest.raises(ValueError, match="expects a 0/1 adjacency"):
         decompose(A, zero_ea(4), r=1.0, d=1.0)
-
-
-def test_dense_ea_reads_a_zero_diagonal():
-    # EA's diagonal is 0 by definition: a dense EA with another diagonal
-    # decomposes and verifies as its zero-diagonal copy, as the factored
-    # EA, whose block is masked the same way, always has
-    n, d, r = 96, 8.0, 3.0
-    model = Uniform(n, d / n)
-    A, P = sample_directed(model, MASTER), expected_dense(model)
-    marked = P + np.diag(np.linspace(1.0, 5.0, n))
-    want = decompose(A, P, r, d, gp_iters=60)
-    got = decompose(A, marked, r, d, gp_iters=60)
-    assert np.array_equal(got.class_of, want.class_of)
-    assert got.block_trace == want.block_trace
-    assert (verify_decomposition(A, marked, got)
-            == verify_decomposition(A, P, want))
 
 
 def test_dense_block_recovers_via_row_filter_empty():
@@ -299,12 +282,11 @@ def test_verify_returns_the_record_in_column_order():
     # sample's degree 8 gives both triangles R cells, the lower one C too
     n, r, d = 64, 0.25, 2.0
     model = Uniform(n, 8.0 / n)
-    F = ea_factors(model)
     parts = [*zip(triangle_split(sample(model, MASTER)), ("upper", "lower")),
              (sample_directed(model, MASTER), "full")]
     for A, part in parts:
-        dec = decompose(A, F, r, d, gp_iters=60, part=part)
-        rep = verify_decomposition(A, F, dec)
+        dec = decompose(A, model, r, d, gp_iters=60, part=part)
+        rep = verify_decomposition(A, model, dec)
         assert tuple(rep) == VERIFY_KEYS
         for keys, kind in ((VERIFY_KEYS[:3] + ("gp_target_met",), bool),
                            (VERIFY_KEYS[3:7] + ("norm_steps", "rounds"), int),
@@ -342,18 +324,18 @@ def test_verifier_counts_r_and_c_at_the_edges():
     cases = [(up, zero_ea(64), upper), (lo, zero_ea(64), transposed(upper))]
     n, r, d = 128, 0.25, 2.0
     model = Uniform(n, d / n)
-    F = ea_factors(model)
     for t in range(2):
         up, lo = triangle_split(sample(model, MASTER, t))
-        upper = decompose(up, F, r, d, gp_iters=120, part="upper")
-        cases += [(up, F, upper), (lo, F, transposed(upper)),
-                  (lo, F, decompose(lo, F, r, d, gp_iters=120, part="lower"))]
+        upper = decompose(up, model, r, d, gp_iters=120, part="upper")
+        cases += [(up, model, upper), (lo, model, transposed(upper)),
+                  (lo, model,
+                   decompose(lo, model, r, d, gp_iters=120, part="lower"))]
         directed = sample_directed(model, MASTER, t)
-        cases.append((directed, F,
-                      decompose(directed, F, r, d, gp_iters=120)))
+        cases.append((directed, model,
+                      decompose(directed, model, r, d, gp_iters=120)))
     seen = dict.fromkeys(("max_r_row_ones", "max_c_col_ones"), 0)
-    for A, EA, dec in cases:
-        rep = verify_decomposition(A, EA, dec)
+    for A, m, dec in cases:
+        rep = verify_decomposition(A, m, dec)
         want = mask_counts(A, dec.class_of)
         assert {k: rep[k] for k in want} == want
         for k in seen:
@@ -366,11 +348,10 @@ def test_decomposition_carries_its_part(monkeypatch):
     # lower; an unknown part is refused, by decompose before any EA read
     n = 48
     model = Uniform(n, 4.0 / n)
-    F = ea_factors(model)
     up, lo = triangle_split(sample(model, MASTER))
     for A, part, flipped in ((up, "upper", "lower"), (lo, "lower", "upper"),
                              (sample_directed(model, MASTER), "full", "full")):
-        dec = decompose(A, F, 1.0, 4.0, gp_iters=20, part=part)
+        dec = decompose(A, model, 1.0, 4.0, gp_iters=20, part=part)
         assert dec.part == part and transposed(dec).part == flipped
         assert transposed(transposed(dec)).part == part
     labels = np.zeros((3, 3), dtype=np.int8)
@@ -383,7 +364,7 @@ def test_decomposition_carries_its_part(monkeypatch):
     monkeypatch.setattr(dmod, "_ea_reader", no_read)
     for part in ("triangle", None):
         with pytest.raises(ValueError, match="part must be"):
-            decompose(up, F, 1.0, 4.0, part=part)
+            decompose(up, model, 1.0, 4.0, part=part)
 
 
 def test_hand_built_decomposition_verifies_as_full():
@@ -397,7 +378,7 @@ def test_hand_built_decomposition_verifies_as_full():
     upper = EdgeDecomposition(n, labels, 1.0, 8.0, (), part="upper")
     assert full.part == "full"
     for dec, EA in ((full, P), (upper, np.triu(P, 1))):
-        rep = verify_decomposition(A, P, dec)
+        rep = verify_decomposition(A, model, dec)
         ref = np.linalg.svd(A.to_dense() - EA, compute_uv=False)[0]
         assert rep["norm_n"] == pytest.approx(ref, rel=1e-9)
 
@@ -406,8 +387,8 @@ def test_verifier_norm_on_empty_graph():
     # with every pair in N, ||(A - EA)_N|| is just ||EA||
     n = 32
     m = Uniform(n, 2.0 / n)
-    dec = decompose(empty_directed(n), ea_factors(m), r=1.0, d=2.0)
-    rep = verify_decomposition(empty_directed(n), ea_factors(m), dec)
+    dec = decompose(empty_directed(n), m, r=1.0, d=2.0)
+    rep = verify_decomposition(empty_directed(n), m, dec)
     assert sum(dec.counts().values()) == n * n
     assert rep["norm_n"] == pytest.approx((n - 1) * 2.0 / n, rel=1e-6)
 
@@ -421,67 +402,81 @@ def test_verifier_norm_matches_dense_svd():
     EA = expected_dense(m)
     up, lo = triangle_split(sample(m, MASTER))
     for part in (up, lo, sample_directed(m, MASTER), empty_directed(n)):
-        dec = decompose(part, EA, r=1.0, d=6.0)
-        rep = verify_decomposition(part, EA, dec)
+        dec = decompose(part, m, r=1.0, d=6.0)
+        rep = verify_decomposition(part, m, dec)
         dev_n = (part.to_dense() - EA) * (dec.class_of == CLASS_N)
         ref = np.linalg.svd(dev_n, compute_uv=False)[0]
         assert rep["norm_n"] == pytest.approx(ref, rel=1e-9)
 
 
 def test_decompose_and_verify_leave_their_inputs_alone():
-    # both work in place on arrays of their own: the caller's A and EA,
-    # dense or factors, directed or a triangle, are read and never written
+    # both work in place on arrays of their own: the caller's A and the
+    # model's arrays, directed or a triangle, are read and never written
     n, d, r = 96, 8.0, 3.0
-    model = Uniform(n, d / n)
-    P, F = expected_dense(model), ea_factors(model)
-    up, lo = triangle_split(sample(model, MASTER))
-    directed = sample_directed(model, MASTER)
-    for A, EA, part in ((directed, P, "full"), (directed, F, "full"),
-                        (up, np.triu(P, 1), "full"), (lo, F, "lower")):
-        inputs = (A.i, A.j, A.w, P, F.U, F.C) + (
-            (EA,) if isinstance(EA, np.ndarray) else ())
+    uniform = Uniform(n, d / n)
+    explicit = Explicit(expected_dense(uniform))
+    rankone = RankOne(n, np.linspace(0.1, 0.4, n))
+    up, lo = triangle_split(sample(uniform, MASTER))
+    directed = sample_directed(uniform, MASTER)
+    for A, model, part in ((directed, uniform, "full"),
+                           (directed, explicit, "full"),
+                           (up, rankone, "upper"), (lo, explicit, "lower")):
+        inputs = (A.i, A.j, A.w, explicit.P, rankone.theta)
         before = [x.copy() for x in inputs]
-        dec = decompose(A, EA, r, d, gp_iters=60, part=part)
-        verify_decomposition(A, EA, dec)
+        dec = decompose(A, model, r, d, gp_iters=60, part=part)
+        verify_decomposition(A, model, dec)
         for old, new in zip(before, inputs):
             assert np.array_equal(old, new)
 
 
 def test_factored_ea_decomposes_as_the_dense_one():
-    # EA handed over as the model's factors and a part gives the classes
-    # and the report of the dense EA of that part, bit for bit
+    # a structured model and the Explicit model of its dense EA give the
+    # same classes and report, part by part, bit for bit
     n, d, r = 96, 8.0, 3.0
     model = BlockTwo(n, 12.0, 4.0)
-    F, P = ea_factors(model), expected_dense(model)
+    dense = Explicit(expected_dense(model))
     up, lo = triangle_split(sample(model, MASTER))
-    for A, part, dense in ((up, "upper", np.triu(P, 1)),
-                           (lo, "lower", np.tril(P, -1)),
-                           (sample_directed(model, MASTER), "full", P)):
-        got = decompose(A, F, r, d, gp_iters=60, part=part)
-        want = decompose(A, dense, r, d, gp_iters=60)
+    for A, part in ((up, "upper"), (lo, "lower"),
+                    (sample_directed(model, MASTER), "full")):
+        got = decompose(A, model, r, d, gp_iters=60, part=part)
+        want = decompose(A, dense, r, d, gp_iters=60, part=part)
         assert np.array_equal(got.class_of, want.class_of)
-        assert (verify_decomposition(A, F, got)
+        assert (verify_decomposition(A, model, got)
                 == verify_decomposition(A, dense, want))
     with pytest.raises(ValueError, match="EA shape mismatch"):
-        decompose(up, ea_factors(Uniform(n + 1, 0.1)), r, d, part="upper")
+        decompose(up, Uniform(n + 1, 0.1), r, d, part="upper")
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed):
+def clipping_rankone(n):
+    """Config fields of a RankOne whose theta_i theta_j clip at 1, run at
+    its max n p_ij = n."""
+    return {"n": n, "d": n, "r": 1, "gp_iters": 30,
+            "model": {"kind": "rankone", "n": n,
+                      "theta": np.linspace(0.1, 1.5, n).tolist()}}
+
+
+@pytest.mark.parametrize("directed, fields", [
+    pytest.param(False, None, id="False"), pytest.param(True, None, id="True"),
+    pytest.param(False, clipping_rankone, id="clipping-rankone")])
+def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed, fields):
     # traced peak of one decompose + verify trial at n = 256, in units of
     # one n x n float array: 3.45 (undirected) and 3.48 (directed) when
     # this bound was set, against 4.45 and 4.48 with a dense EA per part
     # and 8.45 and 6.48 when P, both triangles, the GP block copies and
     # the B * B temporaries were all alive; one more n x n copy anywhere
-    # in the trial exceeds it
+    # in the trial exceeds it.  The clipping RankOne reads 3.78, and
+    # 4.78 when the command held its dense EA
     n = 256
-    cfg = {"n": n, "d": 8, "r": 3, "gp_iters": 120, "write_files": False,
-           "directed": directed}
+
+    def config(n):
+        return {"n": n, "d": 8, "r": 3, "gp_iters": 120, "write_files": False,
+                "directed": directed, **(fields(n) if fields else {})}
+
     # imports and first-call caches land outside the trace
-    run_command("decompose", {**cfg, "n": 48}, MASTER, str(tmp_path / "warm"))
+    run_command("decompose", config(48), MASTER, str(tmp_path / "warm"))
     tracemalloc.start()
     try:
-        run_command("decompose", cfg, MASTER, str(tmp_path / "run"))
+        run_command("decompose", config(n), MASTER, str(tmp_path / "run"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -618,11 +613,10 @@ def test_csv_bytes_of_a_decomposition_match_the_row_join_writer(tmp_path):
     # both triangles have R cells and the lower one C cells as well
     n = 64
     model = Uniform(n, 8.0 / n)
-    F = ea_factors(model)
     classes = set()
     for A, part in zip(triangle_split(sample(model, MASTER)),
                        ("upper", "lower")):
-        dec = decompose(A, F, r=0.25, d=2.0, gp_iters=60, part=part)
+        dec = decompose(A, model, r=0.25, d=2.0, gp_iters=60, part=part)
         classes.update(np.unique(dec.class_of).tolist())
         _assert_written_like_rowwise(dec, tmp_path)
     assert classes == {CLASS_N, CLASS_R, CLASS_C}
@@ -660,7 +654,6 @@ def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n,
     # steps every block descends and misses its target
     r = 3.0
     model = Uniform(n, d / n)
-    F = ea_factors(model)
     up, lo = triangle_split(sample(model, MASTER, 0))
     calls = count_gp(monkeypatch)
     rep = run_command("decompose", {"n": n, "d": d, "r": r,
@@ -668,10 +661,10 @@ def test_undirected_cli_solves_each_gp_block_once(tmp_path, monkeypatch, n,
                       MASTER, str(tmp_path / "cli"))
     cli_calls = list(calls)
     calls.clear()
-    upper = decompose(up, F, r, d, gp_iters=gp_iters, part="upper")
+    upper = decompose(up, model, r, d, gp_iters=gp_iters, part="upper")
     assert cli_calls and calls == cli_calls
-    lower = decompose(lo, F, r, d, gp_iters=gp_iters, part="lower")
-    found = verify_decomposition(lo, F, lower)
+    lower = decompose(lo, model, r, d, gp_iters=gp_iters, part="lower")
+    found = verify_decomposition(lo, model, lower)
     assert {k: rep.trials[0][f"lower_{k}"] for k in found} == found
     decomposition_to_csv(lower, tmp_path / "classes.csv")
     trace_to_json(lower, tmp_path / "trace.json")
@@ -703,17 +696,17 @@ def planted_corner(n=64):
 
 def test_transposed_differs_from_decompose_on_the_planted_corner():
     up, lo = triangle_split(planted_corner())
-    EA, r, d = zero_ea(64), 0.25, 1.0
-    upper = decompose(up, EA, r, d, gp_iters=60, part="upper")
+    model, r, d = zero_ea(64), 0.25, 1.0
+    upper = decompose(up, model, r, d, gp_iters=60, part="upper")
     assert upper.counts()["R"] and upper.counts()["C"]
     assert upper.class_of[9, 50] == CLASS_R
     lower = transposed(upper)
-    own = decompose(lo, EA, r, d, gp_iters=60, part="lower")
+    own = decompose(lo, model, r, d, gp_iters=60, part="lower")
     assert np.argwhere(lower.class_of != own.class_of).tolist() == [[50, 9]]
     assert (lower.class_of[50, 9], own.class_of[50, 9]) == (CLASS_C, CLASS_R)
     assert lower.block_trace == own.block_trace
     for dec in (lower, own):
-        found = verify_decomposition(lo, EA, dec)
+        found = verify_decomposition(lo, model, dec)
         assert found["structural_ok"] and found["r_footprint_ok"]
         assert found["c_footprint_ok"]
 
@@ -753,7 +746,7 @@ def test_r_rows_and_c_columns_are_disjoint_across_rounds(monkeypatch, cls,
     # each round paints one more R (or C) cell into its block's first
     # row (column), outside the hole; round 2's block lies in round 1's
     # hole, so the second paints a row (column) round 1 holds already
-    A, EA = heavy_columns_and_rows()
+    A, model = heavy_columns_and_rows()
     monkeypatch.setattr(dmod, "TINY_BLOCK", 0)  # two GP rounds
     real = dmod._block_pass
 
@@ -767,4 +760,4 @@ def test_r_rows_and_c_columns_are_disjoint_across_rounds(monkeypatch, cls,
 
     monkeypatch.setattr(dmod, "_block_pass", painting)
     with pytest.raises(AssertionError, match=message):
-        decompose(A, EA, r=1.0, d=1.0, gp_iters=60)
+        decompose(A, model, r=1.0, d=1.0, gp_iters=60)

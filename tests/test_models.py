@@ -25,7 +25,6 @@ from graphconc import (
     SparseGraph,
     Uniform,
     degree_profile,
-    ea_factors,
     expected_adjacency,
     expected_degrees,
     expected_dense,
@@ -191,6 +190,7 @@ def test_max_rate_examples():
     c = 0.1
     assert max_rate(RankOne(50, (c,) * 50)) == pytest.approx(50 * c * c)
     assert max_rate(RankOne(1, [0.5])) == 0.0  # no off-diagonal pair
+    assert max_rate(Uniform(1, 0.5)) == 0.0
 
 
 def test_max_rate_rankone_clipped():
@@ -253,20 +253,17 @@ def test_expected_dense_matches_reference(m):
     BlockTwo(40, 12, 3),
     RankOne(33, tuple(np.linspace(0.0, 0.95, 33))),
     degree_profile(200, (3.0, 10.0), (0.9, 0.1)),
-], ids=["uniform", "blocktwo", "rankone", "profile"])
+    *REFERENCE_MODELS,
+    RankOne(3, (1.2, 0.1, 0.1)),  # only theta_0^2 exceeds 1
+    degree_profile(40, (7.0, 30.0), (0.9, 0.1)),
+], ids=["uniform", "blocktwo", "rankone", "profile", "reference-uniform",
+        "reference-blocktwo", "reference-rankone-clipped", "reference-rankone",
+        "reference-explicit", "rankone-self-clipped", "profile-clipped"])
 def test_factored_expected_dense_is_the_closure_bit_for_bit(m):
-    # one product of the factors holds the bits of the matvec closure's
-    # columns
-    assert ea_factors(m) is not None
+    # the entries ea_block states hold the bits of the matvec closure's
+    # columns, clipped pairs included, for every kind
     closure = expected_adjacency(m).to_dense()
     assert expected_dense(m).tobytes() == closure.tobytes()
-
-
-def test_only_structured_unclipped_models_have_factors():
-    clipped = RankOne(15, tuple(np.linspace(0.05, 1.4, 15)))
-    self_clipped = RankOne(3, (1.2, 0.1, 0.1))  # only theta_0^2 exceeds 1
-    for m in (clipped, self_clipped, Explicit(np.full((9, 9), 0.25))):
-        assert ea_factors(m) is None
 
 
 def test_explicit_expected_dense_is_its_matrix(monkeypatch):

@@ -38,8 +38,11 @@ again; the verifier still checks it on L's own edges and EA.  The
 decomposition carries its part, so the verifier centres A by the
 triangle that ``decompose`` did.
 
-A round centres its own densified copy of A's block in place; GP's
-column pass runs on it uncopied when every row passes the filter, and
+A round centres its own densified copy of A's block (the first round
+reads A's csr itself, no block copy).  When every row and column passes
+the filter, the row pass's block is the column pass's transposed and
+GP decides both at once (``_gp_both``); otherwise the column pass runs
+on the centred block, uncopied when every row passes the filter, and
 the row pass on a C-ordered copy of the transpose's good rows, made
 before the centred block is dropped.  EA is subtracted ``EA_CHUNK``
 entries at a time (``_centred``), each chunk read from the model
@@ -58,7 +61,7 @@ import numpy as np
 from .errors import SizeExceeded
 from .models import SparseGraph, ea_block
 from .operators import LinearOp
-from .pietsch import gp_submatrix
+from .pietsch import gp_submatrix, gp_uniform_both
 from .spectral import spectral_norm
 
 CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
@@ -185,16 +188,13 @@ def _gp_rows(cent, good_rows):
     return np.ascontiguousarray(cent if good_rows.all() else cent[good_rows])
 
 
-def _column_pass(sub, B, good_rows, r, cap, gp_iters):
-    """Pass 1 of a round: the block's columns; pass 2 runs it on the transpose.
+def _exceptional(sub, good_rows, J_gp, r, cap):
+    """The rest of pass 1 once GP kept the columns ``J_gp`` of the block's
+    good rows; pass 2 runs it on the transpose.
 
-    ``good_rows`` are the rows that passed the filter and ``B`` is the
-    centred block on them (``_gp_rows``); GP's descent, when a block
-    needs one (``pietsch``), runs at most ``gp_iters`` steps.  Returns
-    (exceptional mask J1, 32r-light mask J44, GP certificate, capped?).
+    Returns (exceptional mask J1, 32r-light mask J44, capped?).
     """
-    m = B.shape[1]
-    J_gp, cert = gp_submatrix(B, 0.25, max_iter=gp_iters)
+    m = sub.shape[1]
     gp_col = np.zeros(m, dtype=bool)
     gp_col[J_gp] = True
     bad_rows = ~good_rows
@@ -203,7 +203,28 @@ def _column_pass(sub, B, good_rows, r, cap, gp_iters):
     light = ones_bad <= 32 * r
     J1_mask, capped = _cap_exceptional(~(gp_col & light), cap, ~gp_col,
                                        ones_bad)
-    return J1_mask, light, cert, capped
+    return J1_mask, light, capped
+
+
+def _gp_both(cent, good_rows, good_cols, gp_iters):
+    """GP on both passes' blocks: ((J_gp, cert), (I_gp, cert)).
+
+    When every row and column is good, the row pass's block is the
+    column pass's transposed, and ``gp_uniform_both`` decides both
+    uniform certificates at once.  Otherwise, or when that decision
+    fails, ``gp_submatrix`` runs on each block, the descent (when a block
+    needs one, ``pietsch``) for at most ``gp_iters`` steps; the row
+    pass's block is a C-ordered copy of cent^T's good rows, made before
+    ``cent`` is dropped.  Consumes ``cent``.
+    """
+    if good_rows.all() and good_cols.all():
+        both = gp_uniform_both(cent, 0.25)
+        if both is not None:
+            return both
+    cols = gp_submatrix(_gp_rows(cent, good_rows), 0.25, max_iter=gp_iters)
+    B_rows = _gp_rows(cent.T, good_cols)
+    del cent
+    return cols, gp_submatrix(B_rows, 0.25, max_iter=gp_iters)
 
 
 def _gp_trace(cert):
@@ -212,7 +233,8 @@ def _gp_trace(cert):
             "submatrix_bound": cert.submatrix_bound,
             "selected": cert.n_selected,
             "iterations": cert.iterations, "converged": cert.converged,
-            "target": cert.target, "target_met": cert.target_met}
+            "target": cert.target, "target_from": cert.target_from,
+            "target_met": cert.target_met}
 
 
 def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
@@ -229,21 +251,18 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
     n = A01.shape[0]
     if alpha < np.sqrt(max(mI, mJ, 1) / n) - 1e-12:
         raise ValueError("alpha must be at least sqrt(m/n)")
-    sub = A01[I][:, J].tocsr()
+    # the first round's block is A01 itself: no copy of a dense sample
+    sub = A01 if mI == mJ == n else A01[I][:, J].tocsr()
     row_cap = 8.0 * r * alpha * d
     good_rows = sub.getnnz(axis=1) <= row_cap
     good_cols = sub.getnnz(axis=0) <= row_cap
     if not good_rows.any():
         return None
-    cent = _centred(sub, read_ea, I, J)
+    (J_gp, cert_cols), (I_gp, cert_rows) = _gp_both(
+        _centred(sub, read_ea, I, J), good_rows, good_cols, gp_iters)
     cap = int(m_nom) // 2
-    J1_mask, j44, cert_cols, capped_j = _column_pass(
-        sub, _gp_rows(cent, good_rows), good_rows, r, cap, gp_iters)
-    # the row pass needs only its own C-ordered copy of cent^T's rows
-    B_rows = _gp_rows(cent.T, good_cols)
-    del cent
-    I1_mask, i44, cert_rows, capped_i = _column_pass(
-        sub.T, B_rows, good_cols, r, cap, gp_iters)
+    J1_mask, j44, capped_j = _exceptional(sub, good_rows, J_gp, r, cap)
+    I1_mask, i44, capped_i = _exceptional(sub.T, good_cols, I_gp, r, cap)
 
     bad_rows, bad_cols = ~good_rows, ~good_cols
     keep_i, keep_j = ~I1_mask, ~J1_mask

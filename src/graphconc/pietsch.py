@@ -21,7 +21,7 @@ The decomposition needs one fact from this step, for the selected J:
 
     ||B_J|| sqrt(delta m)  <=  sqrt(pi/2) ||B||_{inf->2}.
 
-``gp_submatrix`` without weights (``decompose``'s call) first draws the
+``gp_submatrix`` without weights (``decompose``'s call per pass) draws the
 lower bound on ||B||_{inf->2} as the descent would (``_descent_start``:
 exact enumeration when m <= EXACT_LOWER_COLS = 12, the greedy bound on
 G = B^T B otherwise) and sets target = sqrt(pi/2) times it.  Then it
@@ -42,6 +42,16 @@ takes one of two routes, chosen from the block alone:
   is then a computed fact, the second only when f <= target, which
   ``target_met`` records; the third because the lower bound is at most
   ||B||_{inf->2}.
+
+``gp_uniform_both`` is ``decompose``'s call for a round whose every row
+and column passes its filter, where the row pass's block is the column
+pass's block transposed: it decides both uniform certificates with one
+Gram and one dpotrf, at the smaller of the two sides' t, each side's
+lower bound drawn without a Gram by sign-power iteration
+(``inf_to_2_norm_power``; exact enumeration up to EXACT_LOWER_COLS
+columns).  The trace names the bound behind each target
+(``target_from``).  When that one decision fails, ``decompose`` calls
+``gp_submatrix`` on each side.
 
 f is the value ``_certified_f`` measured, one ``spectral_norm`` call:
 exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise the
@@ -80,7 +90,8 @@ from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
 from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
-                       inf_to_2_norm_lower, spectral_norm)
+                       inf_to_2_norm_lower, inf_to_2_norm_power,
+                       spectral_norm)
 
 _MU_FLOOR = 1e-300
 _DEFAULT_GP_SEED = 0x6155
@@ -135,6 +146,7 @@ class GPCertificate:
     iterations: int            # mirror-descent steps; 0 on "uniform"
     converged: bool | None     # PietschWeights.converged; None on "uniform"
     target: float | None       # sqrt(pi/2) * lower bound; None with weights
+    target_from: str | None    # the bound: "exact", "greedy", "sign-power"
     target_met: bool           # ||B_J|| sqrt(delta m) <= target established
     route: str                 # "uniform" (no descent) or "descent"
 
@@ -287,25 +299,42 @@ def _as_block(B):
     return B
 
 
-def _descent_start(B, G):
-    """(rng, v, lower): the descent's stream after its draws, its random
-    start ``v`` and the lower bound on ||B||_{inf->2}, drawn in that
-    order: exact enumeration when m <= EXACT_LOWER_COLS, the greedy
-    bound on the Gram ``G`` = B^T B otherwise."""
+def _descent_start(B, G=None):
+    """(rng, v, lower, kind): the descent's stream after its draws, its
+    random start ``v`` and the lower bound on ||B||_{inf->2}, drawn in
+    that order, with the ``kind`` of bound it is: "exact" enumeration
+    when m <= EXACT_LOWER_COLS, otherwise the "greedy" bound on the Gram
+    ``G`` = B^T B, or without G the "sign-power" bound on B itself."""
     m = B.shape[1]
     rng = aux_generator(_DEFAULT_GP_SEED, 0, 4)
     v = rng.standard_normal(m)
     if m <= EXACT_LOWER_COLS:
-        lower = inf_to_2_norm_exact(B)
-    else:
-        lower = inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G)
-    return rng, v, lower
+        return rng, v, inf_to_2_norm_exact(B), "exact"
+    if G is None:
+        return rng, v, inf_to_2_norm_power(B, rng), "sign-power"
+    return (rng, v, inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G),
+            "greedy")
 
 
 def _bound(rhs, delta, m):
     """t with ||B_J|| < t proving ||B_J|| sqrt(delta m) <= rhs, up to the
     slack rhs (1 + 1e-8) + 1e-12."""
     return (rhs * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
+
+
+def _sizes(m, delta):
+    """The certificate fields set by m and delta alone."""
+    return dict(m=m, delta=delta, threshold=1.0 / (delta * m),
+                size_bound=(1.0 - delta) * m, ok=True)
+
+
+def _uniform(m, delta, bound, target, kind):
+    """The uniform route's certificate: every column selected, and
+    ||B|| < ``bound`` proved against ``target`` from a ``kind`` bound."""
+    return GPCertificate(
+        **_sizes(m, delta), n_selected=m, submatrix_bound=bound,
+        achieved_norm=None, achieved_eps=None, iterations=0, converged=None,
+        target=target, target_from=kind, target_met=True, route="uniform")
 
 
 def gp_weights(B, max_iter=500):
@@ -336,7 +365,7 @@ def gp_weights(B, max_iter=500):
     if not col_live.any():
         return PietschWeights(mu, 0.0, True, 0, (0.0,), 0.0)
     G = B.T @ B
-    rng, v, lower = _descent_start(B, G)
+    rng, v, lower, _ = _descent_start(B, G)
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
     top_pair = _oracle(B, G, col_live)
@@ -397,23 +426,18 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
         raise ValueError("need 0 < delta < 1")
     B = _as_block(B)
     m = B.shape[1]
-    threshold = 1.0 / (delta * m)
-    cert = dict(m=m, delta=delta, threshold=threshold,
-                size_bound=(1.0 - delta) * m, ok=True)
-    w, target = weights, None
+    cert = _sizes(m, delta)
+    w, target, kind = weights, None, None
     if w is None:
         G = B.T @ B
-        target = LITTLE_GROTHENDIECK * _descent_start(B, G)[2]
+        _, _, lower, kind = _descent_start(B, G)
+        target = LITTLE_GROTHENDIECK * lower
         bound = _bound(target, delta, m)
         if _norm_below(G, bound):
-            return np.arange(m), GPCertificate(
-                **cert, n_selected=m, submatrix_bound=bound,
-                achieved_norm=None, achieved_eps=None, iterations=0,
-                converged=None, target=target, target_met=True,
-                route="uniform")
+            return np.arange(m), _uniform(m, delta, bound, target, kind)
         del G  # dpotrf wrote over it; freed before the descent forms its own
         w = gp_weights(B, max_iter=max_iter)
-    J = np.flatnonzero(w.mu <= threshold)
+    J = np.flatnonzero(w.mu <= cert["threshold"])
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
     bound = _bound(w.achieved_norm, delta, m)
@@ -429,5 +453,47 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
         **cert, n_selected=int(J.size), submatrix_bound=bound,
         achieved_norm=w.achieved_norm, achieved_eps=w.achieved_eps,
         iterations=w.iterations, converged=w.converged, target=target,
+        target_from=kind,
         target_met=target is not None and w.achieved_norm <= target,
         route="descent")
+
+
+def gp_uniform_both(B, delta):
+    """The uniform certificates of B and of B^T from one decision, or
+    None when it fails.
+
+    ``decompose``'s call for a round whose every row and column passes
+    its filter: the row pass's block is then the column pass's block
+    transposed, and ||B^T|| = ||B||.  Each side draws its lower bound on
+    ||.||_{inf->2} as ``gp_submatrix`` would, but without a Gram: exact
+    enumeration up to EXACT_LOWER_COLS columns, the sign-power bound
+    (``inf_to_2_norm_power``) above, each on a C-ordered block of its
+    own orientation, so a side's bound is that of the same block handed
+    over transposed; B^T's copy is freed before the Gram.  Each side's
+    target gives its t (``_bound``), and one dpotrf on t^2 I - G, G the
+    Gram of B's smaller side, decides ||B|| < min(t_cols, t_rows): if
+    that holds, it proves both sides' uniform certificates, each keeping
+    its own t as ``submatrix_bound``.  Otherwise the caller runs
+    ``gp_submatrix``, with its greedy bound, on each side.
+
+    Returns ((J, cert of B), (I, cert of B^T)), J and I every column
+    and every row.
+    """
+    B = _as_block(B)
+    k, m = B.shape
+
+    def certificate(M):  # M's, should ||M|| < its t be proved
+        _, _, lower, kind = _descent_start(M)
+        target = LITTLE_GROTHENDIECK * lower
+        width = M.shape[1]
+        return _uniform(width, delta, _bound(target, delta, width), target,
+                        kind)
+
+    cols = certificate(B)
+    BT = np.ascontiguousarray(B.T)
+    rows = certificate(BT)
+    del BT
+    G = B.T @ B if m <= k else B @ B.T
+    if not _norm_below(G, min(cols.submatrix_bound, rows.submatrix_bound)):
+        return None
+    return (np.arange(m), cols), (np.arange(k), rows)

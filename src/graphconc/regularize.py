@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scipy
 from .errors import ZeroDegree
 from .models import SparseGraph, expected_adjacency
 from .operators import LinearOp
@@ -166,13 +167,15 @@ def _shifted(product, c):
 def adjacency_shifted_op(x):
     """A_tau as a LinearOp (or plain adjacency for an unshifted graph).
 
-    At tau = 0 the matvec is the csr product alone.  A directed graph's
-    rmatvec multiplies by A^T.
+    At tau = 0 the matvec is the csr product alone, scipy's kernel
+    called without its dispatch (``_scipy.csr_product``).  A directed
+    graph's rmatvec multiplies by A^T.
     """
     g, c = (x.base, x.shift) if isinstance(x, ShiftedGraph) else (x, 0.0)
     A = g.to_csr()
-    mv = _shifted(A.__matmul__, c)
-    rmv = _shifted(A.T.tocsr().__matmul__, c) if g.directed else mv
+    mv = _shifted(_scipy.csr_product(A), c)
+    rmv = (_shifted(_scipy.csr_product(A.T.tocsr()), c) if g.directed
+           else mv)
     return LinearOp(g.n, g.n, mv, rmv, symmetric=not g.directed)
 
 

@@ -20,8 +20,10 @@ Routes
   desk-scale matrices; the exact reference the iterative routes are
   tested against.
 * ``inf_to_2_norm_exact`` -- exact max_{x in {-1,1}^m} ||Bx||_2 by
-  enumeration, a table of sign patterns at a time (m <= 24), plus
-  ``inf_to_2_norm_lower`` for larger matrices.
+  enumeration, a table of sign patterns at a time (m <= 24), plus two
+  lower bounds for larger matrices: ``inf_to_2_norm_lower`` (greedy
+  flips on B^T B) and ``inf_to_2_norm_power`` (sign-power iteration on
+  B itself).
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
@@ -71,6 +73,9 @@ ENUMERATION_LIMIT = 24
 # columns at once, and at most this many entries of B X^T
 _PATTERN_COLS = 12
 _PATTERN_ENTRIES = 1 << 16
+# inf_to_2_norm_power's step cap, a guard against rounding: in exact
+# arithmetic every flip raises ||B x||, so the iteration ends by itself
+_POWER_STEPS = 100
 _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
 # NORM_TOL is the accuracy the experiment-scale norms (the CLI's
@@ -390,6 +395,35 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
         corr[rows] -= (2.0 * xj)[:, None] * G[jbest]
         X[live, jbest] = -xj
     return float(np.sqrt(((B @ X.T) ** 2).sum(axis=0).max()))
+
+
+def inf_to_2_norm_power(B, rng, trials=8):
+    """Lower bound on ||B||_{inf->2}: batched sign-power iteration.
+
+    x <- sign(B^T (B x)) (Boyd 1974, Linear Algebra Appl. 9; Higham
+    1992, Numer. Math. 62), a sign kept where B^T B x is 0, from the
+    starts ``inf_to_2_norm_lower`` draws: the rows of X, drawn as
+    rng.random((trials, m)).  The starts step together, two products
+    per step (Y = X B^T, then Y B), and B^T B is never formed.  A step
+    never lowers ||B x||: ||B x||^2 is convex and the new x maximizes
+    its linearization over the cube, strictly when a sign flips.  The
+    iteration stops at the first step at which no sign flips (or after
+    ``_POWER_STEPS``).  The value is the largest ||B x||, read from the
+    Y of the final signs, products of B by sign vectors: a valid lower
+    bound whatever the rounding.  B is read in its own memory order.
+    """
+    B = np.asarray(B, dtype=float)
+    X = np.where(rng.random((trials, B.shape[1])) < 0.5, -1.0, 1.0)
+    for _ in range(_POWER_STEPS):
+        Y = X @ B.T
+        Z = Y @ B
+        flip = Z * X < 0.0
+        if not flip.any():
+            break
+        X[flip] = -X[flip]
+    else:
+        Y = X @ B.T
+    return float(np.sqrt(np.einsum("ij,ij->i", Y, Y).max()))
 
 
 def l1_operator_bound(B):

@@ -21,6 +21,7 @@ from graphconc import (
     decompose,
     decomposition_to_csv,
     expected_dense,
+    gp_submatrix,
     sample,
     sample_directed,
     trace_to_json,
@@ -219,6 +220,22 @@ def test_a_small_hole_goes_to_n_without_gp(monkeypatch):
     assert len(rounds) == 2 and rounds[1]["rows"] == rounds[1]["cols"] == 3
     assert rounds[1]["gp_cols"]["route"] == "uniform"
     assert np.array_equal(gp_everywhere.class_of, dec.class_of)
+
+
+def test_a_failing_decision_runs_gp_submatrix_on_each_side():
+    # every row and column is good, but three heavy columns fail the one
+    # decision: the round's GP is then gp_submatrix on the block and on
+    # its transpose, certificates and selections field for field
+    B = 0.05 * np.random.default_rng(44).standard_normal((40, 64))
+    B[:, :3] = 1.0
+    assert dmod.gp_uniform_both(B, 0.25) is None
+    got = dmod._gp_both(B.copy(), np.ones(40, dtype=bool),
+                        np.ones(64, dtype=bool), 120)
+    want = (gp_submatrix(B, 0.25, max_iter=120),
+            gp_submatrix(B.T, 0.25, max_iter=120))
+    assert got[0][1].route == "descent"
+    for (J, cert), (J_want, cert_want) in zip(got, want):
+        assert J.tolist() == J_want.tolist() and cert == cert_want
 
 
 def test_dense_ea_is_refused_above_the_limit():
@@ -457,15 +474,18 @@ def clipping_rankone(n):
 
 @pytest.mark.parametrize("directed, fields", [
     pytest.param(False, None, id="False"), pytest.param(True, None, id="True"),
-    pytest.param(False, clipping_rankone, id="clipping-rankone")])
+    pytest.param(False, clipping_rankone, id="clipping-rankone"),
+    pytest.param(True, clipping_rankone, id="clipping-rankone-directed")])
 def test_decompose_trial_holds_few_dense_arrays(tmp_path, directed, fields):
     # traced peak of one decompose + verify trial at n = 256, in units of
     # one n x n float array: 3.45 (undirected) and 3.48 (directed) when
     # this bound was set, against 4.45 and 4.48 with a dense EA per part
     # and 8.45 and 6.48 when P, both triangles, the GP block copies and
     # the B * B temporaries were all alive; one more n x n copy anywhere
-    # in the trial exceeds it.  The clipping RankOne reads 3.78, and
-    # 4.78 when the command held its dense EA
+    # in the trial exceeds it.  Now 2.34 and 2.37, and the clipping
+    # RankOne, a nearly complete sample, 3.27 and 3.87: 3.76 and 4.58
+    # while the first round copied A's csr (12 B an entry), 4.78
+    # undirected when the command held a dense EA
     n = 256
 
     def config(n):
@@ -627,14 +647,16 @@ def test_csv_bytes_of_a_decomposition_match_the_row_join_writer(tmp_path):
 
 
 def count_gp(monkeypatch):
+    """The shapes of the blocks decompose hands GP, one entry per call of
+    either entry point: ``gp_submatrix`` (one block) or
+    ``gp_uniform_both`` (a block and its transpose at once)."""
     calls = []
-    real = dmod.gp_submatrix
+    for name in ("gp_submatrix", "gp_uniform_both"):
+        def counting(B, *args, real=getattr(dmod, name), **kwargs):
+            calls.append(B.shape)
+            return real(B, *args, **kwargs)
 
-    def counting(B, *args, **kwargs):
-        calls.append(B.shape)
-        return real(B, *args, **kwargs)
-
-    monkeypatch.setattr(dmod, "gp_submatrix", counting)
+        monkeypatch.setattr(dmod, name, counting)
     return calls
 
 

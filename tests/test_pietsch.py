@@ -19,6 +19,7 @@ from graphconc import (
     inf_to_2_norm_lower,
 )
 from graphconc import pietsch
+from graphconc.spectral import inf_to_2_norm_power
 from graphconc._seeding import aux_generator
 from graphconc.cli import run_command
 from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _oracle
@@ -386,6 +387,49 @@ def test_a_failing_block_takes_the_descent(monkeypatch):
     _, short = gp_submatrix(B, 0.25, max_iter=1)
     assert short.ok and short.iterations == 1
     assert short.achieved_norm > short.target and not short.target_met
+
+
+def test_one_decision_proves_both_uniform_certificates(monkeypatch):
+    # the block and its transpose: each side's target is sqrt(pi/2)
+    # times the sign-power bound on a C-ordered block of its own
+    # orientation, drawn from the descent's stream after its start
+    # vector; one dpotrf proves ||B|| below both sides' t, each side
+    # keeps its own t, and neither the greedy bound nor a descent runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram-based bound or a descent ran")
+
+    monkeypatch.setattr(pietsch, "gp_weights", refuse)
+    monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", refuse)
+    B = centred_block()
+    (J, cols), (I, rows) = pietsch.gp_uniform_both(B, 0.25)
+    assert J.tolist() == list(range(256)) and I.tolist() == list(range(250))
+    for M, cert in ((B, cols), (np.ascontiguousarray(B.T), rows)):
+        m = M.shape[1]
+        rng = aux_generator(pietsch._DEFAULT_GP_SEED, 0, 4)
+        rng.standard_normal(m)
+        assert cert.target == LITTLE_GROTHENDIECK * inf_to_2_norm_power(
+            M, trials=8, rng=rng)
+        assert (cert.route, cert.target_from) == ("uniform", "sign-power")
+        assert cert.target_met and cert.ok and cert.n_selected == m
+        assert cert.iterations == 0 and cert.achieved_norm is None
+        assert cert.submatrix_bound == (
+            (cert.target * (1 + 1e-8) + 1e-12) / np.sqrt(m / 4))
+        assert np.linalg.norm(B, 2) < cert.submatrix_bound
+    # B^T handed over gives the same two certificates, exchanged
+    (_, rows_t), (_, cols_t) = pietsch.gp_uniform_both(
+        np.ascontiguousarray(B.T), 0.25)
+    assert (cols_t, rows_t) == (cols, rows)
+    # up to EXACT_LOWER_COLS columns a side enumerates its bound
+    small = np.random.default_rng(36).uniform(-1.0, 1.0, (12, 9))
+    (_, c), (_, r) = pietsch.gp_uniform_both(small, 0.25)
+    assert (c.target_from, r.target_from) == ("exact", "exact")
+    assert c.target == LITTLE_GROTHENDIECK * inf_to_2_norm_exact(small)
+    assert r.target == LITTLE_GROTHENDIECK * inf_to_2_norm_exact(small.T)
+
+
+def test_a_failing_block_fails_the_one_decision():
+    # the heavy columns fail the check at the smaller t: no certificate
+    assert pietsch.gp_uniform_both(heavy_columns_block(), 0.25) is None
 
 
 def test_achieved_eps_bounds_f_from_above():

@@ -29,6 +29,8 @@ from graphconc import (
     trim_edges,
 )
 
+from graphconc import _scipy
+
 from conftest import MASTER, assert_close
 
 
@@ -274,6 +276,33 @@ def test_tau_shift_dense_matches_its_operator():
 
 # ---------------------------------------------------------------------------
 # laplacian
+
+
+_UNDIRECTED = lambda: sample(Uniform(300, 6 / 300), MASTER)
+# a 0/1 sample, its proportional reweighting, a directed sample's A^T,
+# an edge-less graph and one with empty rows
+CSR_CASES = {
+    "zero-one": lambda: _UNDIRECTED().to_csr(),
+    "reweighted": lambda: proportional_reweight(_UNDIRECTED(), 4.0).to_csr(),
+    "directed-transpose": lambda: sample_directed(
+        Uniform(200, 4 / 200), MASTER).to_csr().T.tocsr(),
+    "edgeless": lambda: SparseGraph(40, [], [], []).to_csr(),
+    "empty-rows": lambda: SparseGraph(50, [0, 3, 3], [7, 9, 40],
+                                      np.ones(3)).to_csr()}
+
+
+@pytest.mark.parametrize("case", list(CSR_CASES))
+def test_csr_product_is_scipys_matmul_bit_for_bit(case):
+    # _scipy.csr_product calls scipy's private csr kernel itself: it must
+    # give A @ x bit for bit, so a scipy release that moves or changes
+    # the kernel fails here; adjacency_shifted_op runs on it
+    A = CSR_CASES[case]()
+    rng = np.random.default_rng(len(case))
+    product = _scipy.csr_product(A)
+    for x in (rng.standard_normal(A.shape[1]), np.ones(A.shape[1]),
+              rng.standard_normal(2 * A.shape[1])[::2]):
+        assert product(x).tobytes() == (A @ x).tobytes()
+        assert product(x) is not product(x)  # a fresh vector every call
 
 
 def test_laplacian_triangle():

@@ -473,6 +473,31 @@ def test_inf_to_2_lower_batched_on_tied_gains():
         inf_to_2_norm_exact(B) * (1 + 1e-12))
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((16, 12)),
+    lambda rng: rng.uniform(-1.0, 1.0, (9, 16)),
+    lambda rng: rng.standard_normal((3, 5)),
+    lambda rng: centred_bernoulli(rng, 16, 16, 8 / 16),
+    lambda rng: centred_bernoulli(rng, 14, 16, 1 / 16),
+    lambda rng: centred_bernoulli(rng, 16, 10, 0.1),
+])
+def test_inf_to_2_power_is_a_lower_bound(make):
+    # on B and on B^T, each at most 16 columns: the sign-power value
+    # never passes the enumerated norm, and never falls below the best
+    # of its starts (a step never lowers ||B x||)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        B = make(rng)
+        for M in (B, np.ascontiguousarray(B.T)):
+            starts = np.where(np.random.default_rng(22).random(
+                (8, M.shape[1])) < 0.5, -1.0, 1.0)
+            low = graphconc.spectral.inf_to_2_norm_power(
+                M, trials=8, rng=np.random.default_rng(22))
+            assert low <= inf_to_2_norm_exact(M) * (1 + 1e-12)
+            assert low >= (np.linalg.norm(M @ starts.T, axis=0).max()
+                           * (1 - 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # cheap norm bounds
 

@@ -41,10 +41,11 @@ triangle that ``decompose`` did.
 A round centres its own densified copy of A's block (the first round
 reads A's csr itself, no block copy).  When every row and column passes
 the filter, the row pass's block is the column pass's transposed and
-GP decides both at once (``_gp_both``); otherwise the column pass runs
-on the centred block, uncopied when every row passes the filter, and
-the row pass on a C-ordered copy of the transpose's good rows, made
-before the centred block is dropped.  EA is subtracted ``EA_CHUNK``
+GP decides both at once (``_gp_both``); otherwise, or when that
+decision fails, the column pass runs on the centred block, uncopied
+when every row passes the filter, and the row pass on a C-ordered copy
+of the transpose's good rows, made before the centred block is
+dropped.  EA is subtracted ``EA_CHUNK``
 entries at a time (``_centred``), each chunk read from the model
 (``models.ea_block``) and masked by the part (``_ea_reader``), so
 neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
@@ -61,7 +62,7 @@ import numpy as np
 from .errors import SizeExceeded
 from .models import SparseGraph, ea_block
 from .operators import LinearOp
-from .pietsch import gp_submatrix, gp_uniform_both
+from .pietsch import gp_submatrix, gp_submatrix_both
 from .spectral import spectral_norm
 
 CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
@@ -210,21 +211,24 @@ def _gp_both(cent, good_rows, good_cols, gp_iters):
     """GP on both passes' blocks: ((J_gp, cert), (I_gp, cert)).
 
     When every row and column is good, the row pass's block is the
-    column pass's transposed, and ``gp_uniform_both`` decides both
-    uniform certificates at once.  Otherwise, or when that decision
-    fails, ``gp_submatrix`` runs on each block, the descent (when a block
-    needs one, ``pietsch``) for at most ``gp_iters`` steps; the row
-    pass's block is a C-ordered copy of cent^T's good rows, made before
-    ``cent`` is dropped.  Consumes ``cent``.
+    column pass's transposed, and ``gp_submatrix_both`` decides both
+    uniform certificates at once.  Otherwise ``gp_submatrix`` runs on the
+    column pass's block, and, unless that one decision held, on the row
+    pass's: a C-ordered copy of cent^T's good rows, made before ``cent``
+    is dropped.  A block's descent (``pietsch``), when it needs one, runs
+    at most ``gp_iters`` steps.  Consumes ``cent``.
     """
+    rows = None
     if good_rows.all() and good_cols.all():
-        both = gp_uniform_both(cent, 0.25)
-        if both is not None:
-            return both
-    cols = gp_submatrix(_gp_rows(cent, good_rows), 0.25, max_iter=gp_iters)
-    B_rows = _gp_rows(cent.T, good_cols)
-    del cent
-    return cols, gp_submatrix(B_rows, 0.25, max_iter=gp_iters)
+        cols, rows = gp_submatrix_both(cent, 0.25, max_iter=gp_iters)
+    else:
+        cols = gp_submatrix(_gp_rows(cent, good_rows), 0.25,
+                            max_iter=gp_iters)
+    if rows is None:
+        B_rows = _gp_rows(cent.T, good_cols)
+        del cent
+        rows = gp_submatrix(B_rows, 0.25, max_iter=gp_iters)
+    return cols, rows
 
 
 def _gp_trace(cert):
@@ -373,7 +377,11 @@ def transposed(dec):
     for A, while A^T's run finds no row that passes the filter (or the
     reverse).  Both forms pass ``verify_decomposition``.  Seen once at
     seed 1729 (r = 0.25, n = 128, d = 2, trial 0): U's (17, 79) is R,
-    and so is L's (79, 17) by ``decompose``.
+    and so is L's (79, 17) by ``decompose``.  The GP fields can differ
+    too, though no run has shown it: a round whose one decision
+    (``pietsch.gp_submatrix_both``) finds ||B|| within rounding of its t
+    may decide it on B^T B for A and on B B^T for A^T, and one run can
+    then record sign-power certificates where the other falls back.
     """
     swap_rc = np.array([CLASS_N, CLASS_C, CLASS_R], dtype=np.int8)
     trace = tuple({k: rnd[_SWAP.get(k, k)] for k in rnd}

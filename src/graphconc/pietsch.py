@@ -43,15 +43,17 @@ takes one of two routes, chosen from the block alone:
   ``target_met`` records; the third because the lower bound is at most
   ||B||_{inf->2}.
 
-``gp_uniform_both`` is ``decompose``'s call for a round whose every row
-and column passes its filter, where the row pass's block is the column
-pass's block transposed: it decides both uniform certificates with one
-Gram and one dpotrf, at the smaller of the two sides' t, each side's
-lower bound drawn without a Gram by sign-power iteration
+``gp_submatrix_both`` is ``decompose``'s call for a round whose every
+row and column passes its filter, where the row pass's block is the
+column pass's block transposed: it decides both uniform certificates
+with one Gram and one dpotrf, at the smaller of the two sides' t, each
+side's lower bound drawn without a Gram by sign-power iteration
 (``inf_to_2_norm_power``; exact enumeration up to EXACT_LOWER_COLS
 columns).  The trace names the bound behind each target
-(``target_from``).  When that one decision fails, ``decompose`` calls
-``gp_submatrix`` on each side.
+(``target_from``).  When that one decision fails, the dpotrf has left
+the Gram as it was (``_norm_below``), the column side's
+``gp_submatrix`` goes on from it, and ``decompose`` calls
+``gp_submatrix`` on the row side.
 
 f is the value ``_certified_f`` measured, one ``spectral_norm`` call:
 exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise the
@@ -69,6 +71,8 @@ per descent from the block's shape.  When
 min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
 Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
+# _norm_below mirrors a Gram back this many rows at a time
+_MIRROR_ROWS = 256
 Lanczos steps, warm-started from the previous step's vector and fully
 reorthogonalized, one product by G = B^T B per step, and takes the top
 Ritz pair.  G is formed once per descent and serves the greedy lower
@@ -106,6 +110,8 @@ LITTLE_GROTHENDIECK = sqrt(pi / 2)
 EXACT_LOWER_COLS = 12  # gp_weights enumerates ||B||_{inf->2} up to this m
 # products by G in one call of the oracle's Lanczos route
 LANCZOS_STEPS = 12
+# _norm_below mirrors a Gram back this many rows at a time
+_MIRROR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -273,10 +279,15 @@ def _norm_below(G, t):
     computed: on the decompose blocks measured it cost at most what
     forming G did, half of it at order 2048.  An empty G (a block
     without rows or columns) belongs to an A of norm 0.
+
+    When the answer is no, G is left as it was, bit for bit, so that a
+    caller can go on with it: dpotrf writes only G's lower triangle, the
+    strict upper one still holds -G, and the diagonal was saved.
     """
     n = G.shape[0]
     if n == 0:
         return True
+    diag = G.diagonal().copy()
     np.negative(G, out=G)
     G.flat[::n + 1] += t * t
     # G is exactly symmetric (numpy forms A^T A and A A^T by syrk), so
@@ -285,7 +296,17 @@ def _norm_below(G, t):
     _, info = _scipy.lapack().dpotrf(G.T, clean=0, overwrite_a=1)
     if info < 0:
         raise np.linalg.LinAlgError(f"dpotrf failed: info {info}")
-    return info == 0
+    if info == 0:
+        return True
+    np.negative(G, out=G)
+    G.flat[::n + 1] = diag
+    for a in range(0, n, _MIRROR_ROWS):  # the lower triangle from the upper
+        b = min(a + _MIRROR_ROWS, n)
+        G[a:b, :a] = G[:a, a:b].T
+        square = G[a:b, a:b]
+        below = np.tril_indices(b - a, -1)
+        square[below] = square.T[below]
+    return False
 
 
 def _as_block(B):
@@ -312,8 +333,7 @@ def _descent_start(B, G=None):
         return rng, v, inf_to_2_norm_exact(B), "exact"
     if G is None:
         return rng, v, inf_to_2_norm_power(B, rng), "sign-power"
-    return (rng, v, inf_to_2_norm_lower(B, trials=8, rng=rng, gram=G),
-            "greedy")
+    return rng, v, inf_to_2_norm_lower(B, rng=rng, gram=G), "greedy"
 
 
 def _bound(rhs, delta, m):
@@ -324,17 +344,31 @@ def _bound(rhs, delta, m):
 
 def _sizes(m, delta):
     """The certificate fields set by m and delta alone."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     return dict(m=m, delta=delta, threshold=1.0 / (delta * m),
                 size_bound=(1.0 - delta) * m, ok=True)
 
 
-def _uniform(m, delta, bound, target, kind):
+def _uniform(sizes, bound, target, kind):
     """The uniform route's certificate: every column selected, and
     ||B|| < ``bound`` proved against ``target`` from a ``kind`` bound."""
     return GPCertificate(
-        **_sizes(m, delta), n_selected=m, submatrix_bound=bound,
+        **sizes, n_selected=sizes["m"], submatrix_bound=bound,
         achieved_norm=None, achieved_eps=None, iterations=0, converged=None,
         target=target, target_from=kind, target_met=True, route="uniform")
+
+
+def _uniform_check(B, G, sizes):
+    """(uniform certificate or None, target, kind): the lower bound
+    ``_descent_start`` draws on B's Gram G and the uniform route's check
+    at its t, None when the check fails (G is then left as it was)."""
+    _, _, lower, kind = _descent_start(B, G)
+    target = LITTLE_GROTHENDIECK * lower
+    bound = _bound(target, sizes["delta"], sizes["m"])
+    if _norm_below(G, bound):
+        return _uniform(sizes, bound, target, kind), target, kind
+    return None, target, kind
 
 
 def gp_weights(B, max_iter=500):
@@ -422,22 +456,24 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
     unit roundoff), far inside the 1e-8.  Either route keeps its t as
     ``submatrix_bound``.  B is read in C order (``_as_block``).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("need 0 < delta < 1")
     B = _as_block(B)
-    m = B.shape[1]
-    cert = _sizes(m, delta)
-    w, target, kind = weights, None, None
-    if w is None:
-        G = B.T @ B
-        _, _, lower, kind = _descent_start(B, G)
-        target = LITTLE_GROTHENDIECK * lower
-        bound = _bound(target, delta, m)
-        if _norm_below(G, bound):
-            return np.arange(m), _uniform(m, delta, bound, target, kind)
-        del G  # dpotrf wrote over it; freed before the descent forms its own
-        w = gp_weights(B, max_iter=max_iter)
-    J = np.flatnonzero(w.mu <= cert["threshold"])
+    sizes = _sizes(B.shape[1], delta)
+    if weights is not None:
+        return _selected(B, sizes, weights, None, None)
+    G = B.T @ B
+    uniform, target, kind = _uniform_check(B, G, sizes)
+    if uniform is not None:
+        return np.arange(B.shape[1]), uniform
+    del G  # freed before the descent forms its own
+    return _selected(B, sizes, gp_weights(B, max_iter=max_iter), target,
+                     kind)
+
+
+def _selected(B, sizes, w, target, kind):
+    """The descent route's J = {j : mu_j <= 1/(delta m)} for the weights
+    ``w``, with its certificate."""
+    m, delta = sizes["m"], sizes["delta"]
+    J = np.flatnonzero(w.mu <= sizes["threshold"])
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
     bound = _bound(w.achieved_norm, delta, m)
@@ -450,7 +486,7 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
             f"||B_J|| sqrt(delta m) <= {w.achieved_norm} needs, is not "
             f"proved")
     return J, GPCertificate(
-        **cert, n_selected=int(J.size), submatrix_bound=bound,
+        **sizes, n_selected=int(J.size), submatrix_bound=bound,
         achieved_norm=w.achieved_norm, achieved_eps=w.achieved_eps,
         iterations=w.iterations, converged=w.converged, target=target,
         target_from=kind,
@@ -458,9 +494,9 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
         route="descent")
 
 
-def gp_uniform_both(B, delta):
-    """The uniform certificates of B and of B^T from one decision, or
-    None when it fails.
+def gp_submatrix_both(B, delta, max_iter=500):
+    """``gp_submatrix`` of B, and of B^T when one decision proves both
+    uniform certificates: ((J, cert of B), (I, cert of B^T) or None).
 
     ``decompose``'s call for a round whose every row and column passes
     its filter: the row pass's block is then the column pass's block
@@ -470,30 +506,45 @@ def gp_uniform_both(B, delta):
     (``inf_to_2_norm_power``) above, each on a C-ordered block of its
     own orientation, so a side's bound is that of the same block handed
     over transposed; B^T's copy is freed before the Gram.  Each side's
-    target gives its t (``_bound``), and one dpotrf on t^2 I - G, G the
-    Gram of B's smaller side, decides ||B|| < min(t_cols, t_rows): if
-    that holds, it proves both sides' uniform certificates, each keeping
-    its own t as ``submatrix_bound``.  Otherwise the caller runs
-    ``gp_submatrix``, with its greedy bound, on each side.
+    target gives its t (``_bound``), and one dpotrf on t^2 I - G, G =
+    B^T B, decides ||B|| < min(t_cols, t_rows): if that holds, it proves
+    both sides' uniform certificates, each keeping its own t as
+    ``submatrix_bound``.
 
-    Returns ((J, cert of B), (I, cert of B^T)), J and I every column
-    and every row.
+    Otherwise ``_norm_below`` has left G as it was, and B's
+    ``gp_submatrix`` goes on from it, field for field what the call
+    gives on B; the second item is None, and the caller runs
+    ``gp_submatrix`` on B^T.  A decision that fails thus costs its two
+    sign-power bounds, B^T's copy and one dpotrf, not a Gram.
+
+    G is B^T B for a square block too, so a block and its transpose do
+    not decide on the same Gram: where ||B|| is within rounding of the
+    smaller t (about m u ||G||, u the unit roundoff), the two can decide
+    differently, and ``decompose`` on A^T can then differ from
+    ``transposed`` of A's in that round's GP fields.
     """
     B = _as_block(B)
     k, m = B.shape
-
-    def certificate(M):  # M's, should ||M|| < its t be proved
-        _, _, lower, kind = _descent_start(M)
-        target = LITTLE_GROTHENDIECK * lower
-        width = M.shape[1]
-        return _uniform(width, delta, _bound(target, delta, width), target,
-                        kind)
-
-    cols = certificate(B)
+    sizes = _sizes(m, delta)
+    cols = _power_uniform(B, sizes)
     BT = np.ascontiguousarray(B.T)
-    rows = certificate(BT)
+    rows = _power_uniform(BT, _sizes(k, delta))
     del BT
-    G = B.T @ B if m <= k else B @ B.T
-    if not _norm_below(G, min(cols.submatrix_bound, rows.submatrix_bound)):
-        return None
-    return (np.arange(m), cols), (np.arange(k), rows)
+    G = B.T @ B
+    if _norm_below(G, min(cols.submatrix_bound, rows.submatrix_bound)):
+        return (np.arange(m), cols), (np.arange(k), rows)
+    uniform, target, kind = _uniform_check(B, G, sizes)
+    if uniform is not None:
+        return (np.arange(m), uniform), None
+    del G  # freed before the descent forms its own
+    return _selected(B, sizes, gp_weights(B, max_iter=max_iter), target,
+                     kind), None
+
+
+def _power_uniform(M, sizes):
+    """M's uniform certificate at the t of its Gram-free lower bound,
+    should ||M|| < t be proved."""
+    _, _, lower, kind = _descent_start(M)
+    target = LITTLE_GROTHENDIECK * lower
+    return _uniform(sizes, _bound(target, sizes["delta"], sizes["m"]),
+                    target, kind)

@@ -73,6 +73,8 @@ ENUMERATION_LIMIT = 24
 # columns at once, and at most this many entries of B X^T
 _PATTERN_COLS = 12
 _PATTERN_ENTRIES = 1 << 16
+# random sign starts of both lower bounds on ||B||_{inf->2}
+LOWER_STARTS = 8
 # inf_to_2_norm_power's step cap, a guard against rounding: in exact
 # arithmetic every flip raises ||B x||, so the iteration ends by itself
 _POWER_STEPS = 100
@@ -352,7 +354,8 @@ def _signs(bits, m):
     return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
-def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
+def inf_to_2_norm_lower(B, trials=LOWER_STARTS, rng=None,
+                        gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
     Each start flips the sign with the largest gain until none gains.
@@ -397,14 +400,15 @@ def inf_to_2_norm_lower(B, trials=8, rng=None, gram=None):
     return float(np.sqrt(((B @ X.T) ** 2).sum(axis=0).max()))
 
 
-def inf_to_2_norm_power(B, rng, trials=8):
+def inf_to_2_norm_power(B, rng):
     """Lower bound on ||B||_{inf->2}: batched sign-power iteration.
 
     x <- sign(B^T (B x)) (Boyd 1974, Linear Algebra Appl. 9; Higham
     1992, Numer. Math. 62), a sign kept where B^T B x is 0, from the
-    starts ``inf_to_2_norm_lower`` draws: the rows of X, drawn as
-    rng.random((trials, m)).  The starts step together, two products
-    per step (Y = X B^T, then Y B), and B^T B is never formed.  A step
+    LOWER_STARTS starts ``inf_to_2_norm_lower`` draws by default: the
+    rows of X, drawn as rng.random((LOWER_STARTS, m)).  The starts step
+    together, two products per step (Y = X B^T, then Y B), and B^T B is
+    never formed.  A step
     never lowers ||B x||: ||B x||^2 is convex and the new x maximizes
     its linearization over the cube, strictly when a sign flips.  The
     iteration stops at the first step at which no sign flips (or after
@@ -413,7 +417,7 @@ def inf_to_2_norm_power(B, rng, trials=8):
     bound whatever the rounding.  B is read in its own memory order.
     """
     B = np.asarray(B, dtype=float)
-    X = np.where(rng.random((trials, B.shape[1])) < 0.5, -1.0, 1.0)
+    X = np.where(rng.random((LOWER_STARTS, B.shape[1])) < 0.5, -1.0, 1.0)
     for _ in range(_POWER_STEPS):
         Y = X @ B.T
         Z = Y @ B

@@ -228,7 +228,7 @@ def test_a_failing_decision_runs_gp_submatrix_on_each_side():
     # its transpose, certificates and selections field for field
     B = 0.05 * np.random.default_rng(44).standard_normal((40, 64))
     B[:, :3] = 1.0
-    assert dmod.gp_uniform_both(B, 0.25) is None
+    assert dmod.gp_submatrix_both(B, 0.25, max_iter=120)[1] is None
     got = dmod._gp_both(B.copy(), np.ones(40, dtype=bool),
                         np.ones(64, dtype=bool), 120)
     want = (gp_submatrix(B, 0.25, max_iter=120),
@@ -649,9 +649,9 @@ def test_csv_bytes_of_a_decomposition_match_the_row_join_writer(tmp_path):
 def count_gp(monkeypatch):
     """The shapes of the blocks decompose hands GP, one entry per call of
     either entry point: ``gp_submatrix`` (one block) or
-    ``gp_uniform_both`` (a block and its transpose at once)."""
+    ``gp_submatrix_both`` (a block and its transpose at once)."""
     calls = []
-    for name in ("gp_submatrix", "gp_uniform_both"):
+    for name in ("gp_submatrix", "gp_submatrix_both"):
         def counting(B, *args, real=getattr(dmod, name), **kwargs):
             calls.append(B.shape)
             return real(B, *args, **kwargs)

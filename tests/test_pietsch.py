@@ -401,14 +401,14 @@ def test_one_decision_proves_both_uniform_certificates(monkeypatch):
     monkeypatch.setattr(pietsch, "gp_weights", refuse)
     monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", refuse)
     B = centred_block()
-    (J, cols), (I, rows) = pietsch.gp_uniform_both(B, 0.25)
+    (J, cols), (I, rows) = pietsch.gp_submatrix_both(B, 0.25)
     assert J.tolist() == list(range(256)) and I.tolist() == list(range(250))
     for M, cert in ((B, cols), (np.ascontiguousarray(B.T), rows)):
         m = M.shape[1]
         rng = aux_generator(pietsch._DEFAULT_GP_SEED, 0, 4)
         rng.standard_normal(m)
         assert cert.target == LITTLE_GROTHENDIECK * inf_to_2_norm_power(
-            M, trials=8, rng=rng)
+            M, rng=rng)
         assert (cert.route, cert.target_from) == ("uniform", "sign-power")
         assert cert.target_met and cert.ok and cert.n_selected == m
         assert cert.iterations == 0 and cert.achieved_norm is None
@@ -416,20 +416,62 @@ def test_one_decision_proves_both_uniform_certificates(monkeypatch):
             (cert.target * (1 + 1e-8) + 1e-12) / np.sqrt(m / 4))
         assert np.linalg.norm(B, 2) < cert.submatrix_bound
     # B^T handed over gives the same two certificates, exchanged
-    (_, rows_t), (_, cols_t) = pietsch.gp_uniform_both(
+    (_, rows_t), (_, cols_t) = pietsch.gp_submatrix_both(
         np.ascontiguousarray(B.T), 0.25)
     assert (cols_t, rows_t) == (cols, rows)
     # up to EXACT_LOWER_COLS columns a side enumerates its bound
     small = np.random.default_rng(36).uniform(-1.0, 1.0, (12, 9))
-    (_, c), (_, r) = pietsch.gp_uniform_both(small, 0.25)
+    (_, c), (_, r) = pietsch.gp_submatrix_both(small, 0.25)
     assert (c.target_from, r.target_from) == ("exact", "exact")
     assert c.target == LITTLE_GROTHENDIECK * inf_to_2_norm_exact(small)
     assert r.target == LITTLE_GROTHENDIECK * inf_to_2_norm_exact(small.T)
 
 
-def test_a_failing_block_fails_the_one_decision():
-    # the heavy columns fail the check at the smaller t: no certificate
-    assert pietsch.gp_uniform_both(heavy_columns_block(), 0.25) is None
+def test_a_failing_decision_goes_on_from_its_gram(monkeypatch):
+    # the heavy columns fail the check at the smaller t: the column
+    # side's certificate is then gp_submatrix's field for field, its
+    # greedy bound read from the Gram the decision formed (one Gram
+    # before the descent, not two), and the row side is left to the
+    # caller
+    B = heavy_columns_block()
+    want = gp_submatrix(B, 0.25, max_iter=120)
+    grams, checked = [], []
+    real_lower, real_below = pietsch.inf_to_2_norm_lower, pietsch._norm_below
+
+    def lower(M, gram=None, **kw):
+        grams.append(gram)
+        return real_lower(M, gram=gram, **kw)
+
+    def below(G, t):
+        checked.append(G)
+        return real_below(G, t)
+
+    monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", lower)
+    monkeypatch.setattr(pietsch, "_norm_below", below)
+    (J, cols), rows = pietsch.gp_submatrix_both(B, 0.25, max_iter=120)
+    assert rows is None
+    assert J.tolist() == want[0].tolist() and cols == want[1]
+    assert cols.route == "descent" and cols.target_from == "greedy"
+    # the decision's Gram serves the greedy bound and the uniform check;
+    # the descent forms its own
+    assert len(grams) == 2 and grams[0] is checked[0] is checked[1]
+    assert grams[1] is not grams[0]
+    with pytest.raises(ValueError, match="0 < delta < 1"):
+        pietsch.gp_submatrix_both(B, 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 40, 300, 600])
+def test_a_failed_norm_check_leaves_the_gram_as_it_was(n):
+    # dpotrf stops part way and writes over G's lower triangle; G comes
+    # back bit for bit, across mirror blocks of _MIRROR_ROWS rows too,
+    # and a check that holds still decides as before on it
+    B = np.random.default_rng(n).standard_normal((n + 7, n))
+    for G in (B.T @ B, B[:, :n // 2] @ B[:, :n // 2].T):
+        want = G.copy()
+        norm = np.sqrt(np.linalg.eigvalsh(want)[-1])
+        assert not pietsch._norm_below(G, 0.5 * norm)
+        assert np.array_equal(G, want)
+        assert pietsch._norm_below(G, 1.01 * norm)
 
 
 def test_achieved_eps_bounds_f_from_above():

@@ -45,8 +45,8 @@ GP decides both at once (``_gp_both``); otherwise, or when that
 decision fails, the column pass runs on the centred block, uncopied
 when every row passes the filter, and the row pass on a C-ordered copy
 of the transpose's good rows, made before the centred block is
-dropped.  EA is subtracted ``EA_CHUNK``
-entries at a time (``_centred``), each chunk read from the model
+dropped.  EA is subtracted ``EA_CHUNK`` entries at a time
+(``_centred``), each chunk read from the model
 (``models.ea_block``) and masked by the part (``_ea_reader``), so
 neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
 and neither writes into the caller's A or model.
@@ -211,12 +211,14 @@ def _gp_both(cent, good_rows, good_cols, gp_iters):
     """GP on both passes' blocks: ((J_gp, cert), (I_gp, cert)).
 
     When every row and column is good, the row pass's block is the
-    column pass's transposed, and ``gp_submatrix_both`` decides both
-    uniform certificates at once.  Otherwise ``gp_submatrix`` runs on the
-    column pass's block, and, unless that one decision held, on the row
-    pass's: a C-ordered copy of cent^T's good rows, made before ``cent``
-    is dropped.  A block's descent (``pietsch``), when it needs one, runs
-    at most ``gp_iters`` steps.  Consumes ``cent``.
+    column pass's transposed: ``gp_submatrix_both`` runs GP on the
+    column pass's block and, when its one decision proves both uniform
+    certificates, answers for the row pass's too.  Otherwise
+    ``gp_submatrix`` runs on the column pass's block.  A row pass's
+    block not answered yet goes to ``gp_submatrix``: a C-ordered copy of
+    cent^T's good rows, made before ``cent`` is dropped.  A block's
+    descent (``pietsch``), when it needs one, runs at most ``gp_iters``
+    steps.  Consumes ``cent``.
     """
     rows = None
     if good_rows.all() and good_cols.all():

@@ -71,8 +71,6 @@ per descent from the block's shape.  When
 min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
 Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
-# _norm_below mirrors a Gram back this many rows at a time
-_MIRROR_ROWS = 256
 Lanczos steps, warm-started from the previous step's vector and fully
 reorthogonalized, one product by G = B^T B per step, and takes the top
 Ritz pair.  G is formed once per descent and serves the greedy lower

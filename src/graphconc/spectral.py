@@ -354,8 +354,7 @@ def _signs(bits, m):
     return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
-def inf_to_2_norm_lower(B, trials=LOWER_STARTS, rng=None,
-                        gram=None):
+def inf_to_2_norm_lower(B, trials=LOWER_STARTS, rng=None, gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
     Each start flips the sign with the largest gain until none gains.
@@ -408,9 +407,9 @@ def inf_to_2_norm_power(B, rng):
     LOWER_STARTS starts ``inf_to_2_norm_lower`` draws by default: the
     rows of X, drawn as rng.random((LOWER_STARTS, m)).  The starts step
     together, two products per step (Y = X B^T, then Y B), and B^T B is
-    never formed.  A step
-    never lowers ||B x||: ||B x||^2 is convex and the new x maximizes
-    its linearization over the cube, strictly when a sign flips.  The
+    never formed.  A step never lowers ||B x||: ||B x||^2 is convex and
+    the new x maximizes its linearization over the cube, strictly when a
+    sign flips.  The
     iteration stops at the first step at which no sign flips (or after
     ``_POWER_STEPS``).  The value is the largest ||B x||, read from the
     Y of the final signs, products of B by sign vectors: a valid lower

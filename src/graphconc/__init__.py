@@ -13,10 +13,10 @@ from .errors import (DimensionMismatch, EntryOutOfRange, GraphconcError,
                      NoConvergence, SizeExceeded, VerificationError,
                      WidthExceeded, ZeroDegree, ZeroGap)
 from .models import (BlockTwo, Explicit, RankOne, SparseGraph, Uniform,
-                     degree_profile, ea_block, expected_adjacency,
-                     expected_degrees, expected_dense, load_graph,
-                     max_expected_degree, max_rate, model_from_dict,
-                     model_to_dict, sample, sample_directed, save_graph)
+                     degree_profile, expected_adjacency, expected_degrees,
+                     expected_dense, load_graph, max_expected_degree,
+                     model_from_dict, model_to_dict, sample,
+                     sample_directed, save_graph)
 from .operators import LinearOp, compose_difference
 from .regularize import (SCHEMES, ShiftedGraph, adjacency_shifted_op,
                          apply_scheme, average_degree,

@@ -42,8 +42,8 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError, WidthExceeded)
 from .models import (Uniform, check, expected_adjacency, graph_header,
-                     load_graph, max_rate, model_from_dict, sample,
-                     sample_directed, save_graph)
+                     load_graph, model_from_dict, sample, sample_directed,
+                     save_graph)
 from .models import expected_dense  # unused: perfbench/spans.py wraps it here
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
@@ -382,7 +382,7 @@ def cmd_decompose(cfg, ctx):
             raise ValueError(f"model n = {model.n} differs from the config's "
                              f"n = {cfg.n}")
         # the paper's d is max n p_ij; the tolerance forgives its rounding
-        rate = float(max_rate(model))
+        rate = float(model.max_rate())
         if rate * (1.0 - 1e-12) > cfg.d:
             raise ValueError(f"model max n p_ij = {rate!r} exceeds the "
                              f"config's d = {cfg.d}")

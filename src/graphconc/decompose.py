@@ -47,7 +47,7 @@ when every row passes the filter, and the row pass on a C-ordered copy
 of the transpose's good rows, made before the centred block is
 dropped.  EA is subtracted ``EA_CHUNK`` entries at a time
 (``_centred``), each chunk read from the model
-(``models.ea_block``) and masked by the part (``_ea_reader``), so
+(its ``ea_block``) and masked by the part (``_ea_reader``), so
 neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
 and neither writes into the caller's A or model.
 """
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeExceeded
-from .models import SparseGraph, ea_block
+from .models import SparseGraph
 from .operators import LinearOp
 from .pietsch import gp_submatrix, gp_submatrix_both
 from .spectral import spectral_norm
@@ -119,7 +119,7 @@ class EdgeDecomposition:
 
 
 def _ea_reader(model, n, part):
-    """``read(I, J)``: the model's EA[I x J] (``models.ea_block``) on the
+    """``read(I, J)``: the model's EA[I x J] (its ``ea_block``) on the
     pairs ``part`` keeps (``_PARTS``), 0 elsewhere, as a new array; the
     one place where a part selects EA's entries, so EA's diagonal reads
     0 in every part.  Refuses n > DENSE_LIMIT and a model of another n,
@@ -133,7 +133,7 @@ def _ea_reader(model, n, part):
     keep = _PARTS[part][0]
 
     def read(I, J):
-        out = ea_block(model, I, J)
+        out = model.ea_block(I, J)
         out *= keep(I[:, None], J[None, :])
         return out
 

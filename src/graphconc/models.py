@@ -1,25 +1,38 @@
 """Inhomogeneous Erdos-Renyi models and the seeded edge sampler.
 
 A model is a symmetric matrix of connection probabilities (p_ij); the
-diagonal is always treated as zero (no self-loops anywhere).
-``expected_adjacency`` states p_ij as matvec closures and ``ea_block``
-as entries, EA[I x J] for index arrays I and J:
+diagonal is always treated as zero (no self-loops anywhere).  Each kind
+is one frozen dataclass that states its p_ij once, through four
+methods, plus ``n``, its spec ``kind`` and its dataclass fields (the
+spec's fields, in constructor order):
+
+* ``max_rate()``      -- d = max_ij n * p_ij over off-diagonal pairs;
+* ``ea_op()``         -- EA as a symmetric matvec closure, diagonal zeroed;
+* ``ea_block(I, J)``  -- EA[I x J] as a new array, for index arrays I
+  and J; the pairs i = j read p_ii as the kind states it (theta_i^2
+  clipped, say), not 0: zeroing them is the caller's;
+* ``layout()``        -- the sampler's (groups, bound, thin), below, or
+  None for the dense route.
+
+The kinds:
 
 * Uniform:  p everywhere;
 * BlockTwo: a/n within a block, b/n across;
 * RankOne:  min(theta_i theta_j, 1);
-* Explicit: P's own entries.
+* Explicit: P's own entries, the one kind with an n x n EA.
 
-``expected_degrees`` (EA 1) is read off the closures and
+No function here branches on the kind: ``expected_adjacency`` is
+``ea_op``, ``expected_degrees`` (EA 1) is read off it,
 ``expected_dense`` (EA on the whole square, diagonal zeroed) off
-``ea_block``; only the sampler's ``_groups`` and ``max_rate`` restate
-rates.  Decompose reads EA block by block through ``ea_block`` in
-O(|I| |J|), so only Explicit holds an n x n EA: its own P.
+``ea_block``, the sampler takes its route from ``layout``, and
+``model_to_dict`` writes ``kind`` and the fields.  Decompose reads EA
+block by block through ``ea_block`` in O(|I| |J|).  A new kind is one
+class; only ``model_from_dict`` needs it listed in ``_MODEL_KINDS``.
 
 Two sparsity scales are exposed and every experiment states which one
 it uses:
 
-* ``max_rate(model)``            -- d     = max_ij n * p_ij,
+* ``model.max_rate()``           -- d     = max_ij n * p_ij,
 * ``max_expected_degree(model)`` -- d_ave = max_i sum_{j != i} p_ij.
 
 Sampling contract (v2)
@@ -32,20 +45,24 @@ the thread count or on how far ahead a stream is read, so a graph is a
 pure function of (model, seed, stream) and is bit-for-bit reproducible
 across platforms.
 
-Uniform, BlockTwo and RankOne split the vertices into groups: all of
-them; the two halves; theta-descending bins whose theta lie within a
-factor 2 of the bin's top.  For each group pair (k, l) in turn, block
-b's rows of group k times the group-l columns beyond each row form a
-rectangle of constant rate q_kl, linearized row by row and walked with
-geometric gaps (Batagelj & Brandes 2005): word u skips
-floor(log u / log(1 - q_kl)) pairs after the last hit, and the word that
-overshoots the rectangle is consumed as well.  For Uniform and BlockTwo
-q_kl is p_ij itself.  For RankOne q_kl = min(top_k * top_l, 1) bounds
-p_ij, and once a rectangle's hits are found, one more word u' per hit
-keeps it iff u' * q_kl <= p_ij (Miller & Hagberg 2011).  The bins keep
-q_kl < 4 p_ij, so a sample reads O(n / ROW_BLOCK * bins^2 + E nnz)
-words.  Explicit reads one word per entry of the block's rows x n
-rectangle, row-major, and keeps (i, j), j > i, iff u <= p_ij.
+A ``layout()`` of (groups, bound, thin) splits the vertices into
+groups, sorted index arrays: Uniform's one group of all of them,
+BlockTwo's two halves, RankOne's theta-descending bins whose theta lie
+within a factor 2 of the bin's top.  ``bound[k, l]`` = q_kl bounds
+p_ij from above on group k x group l, and ``thin(i, j)`` gives the
+pairs' own p_ij, or is None where q_kl is exact.  For each group pair
+(k, l) in turn, block b's rows of group k times the group-l columns
+beyond each row form a rectangle of constant rate q_kl, linearized row
+by row and walked with geometric gaps (Batagelj & Brandes 2005): word
+u skips floor(log u / log(1 - q_kl)) pairs after the last hit, and the
+word that overshoots the rectangle is consumed as well.  For Uniform
+and BlockTwo q_kl is p_ij itself.  For RankOne q_kl = min(top_k *
+top_l, 1) bounds p_ij, and once a rectangle's hits are found, one more
+word u' per hit keeps it iff u' * q_kl <= thin(i, j) (Miller & Hagberg
+2011).  The bins keep q_kl < 4 p_ij, so a sample reads O(n / ROW_BLOCK
+* bins^2 + E nnz) words.  The dense route (Explicit's) reads one word
+per entry of the block's rows x n rectangle of ``ea_block``, row-major,
+and keeps (i, j), j > i, iff u <= p_ij.
 
 Directed sampling draws the j > i half exactly as above and the j < i
 half the same way from each block's lower-orientation stream, so the
@@ -57,7 +74,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -211,18 +228,46 @@ class SparseGraph:
 # models
 
 
+def _clip_partners(th):
+    """(order, th sorted, idx) of RankOne's theta: theta_i theta_j clips
+    at 1 exactly for the j at sorted positions >= idx[i] (n: none)."""
+    order = np.argsort(th)
+    th_s = th[order]
+    with np.errstate(divide="ignore"):
+        thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
+    return order, th_s, np.searchsorted(th_s, thresh, side="right")
+
+
 @dataclass(frozen=True)
 class Uniform:
     """G(n, p): every pair connected independently with probability p."""
 
     n: int
     p: float
+    kind = "uniform"
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidModel("n must be positive")
         if not 0.0 <= self.p <= 1.0:
             raise InvalidModel("p must lie in [0, 1]")
+
+    def max_rate(self):
+        return self.n * self.p if self.n >= 2 else 0.0
+
+    def ea_op(self):
+        p = self.p
+
+        def mv(x):
+            return p * (x.sum() - x)
+
+        return LinearOp(self.n, self.n, mv, mv, symmetric=True)
+
+    def ea_block(self, I, J):
+        return np.full((len(I), len(J)), self.p, dtype=float)
+
+    def layout(self):
+        return [np.arange(self.n)], np.array([[self.p]]), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +280,7 @@ class RankOne:
 
     n: int
     theta: np.ndarray
+    kind = "rankone"
 
     def __post_init__(self):
         if self.n < 1:
@@ -247,6 +293,48 @@ class RankOne:
         th.setflags(write=False)
         object.__setattr__(self, "theta", th)
 
+    def max_rate(self):
+        n = self.n
+        if n < 2:
+            return 0.0
+        top2 = np.partition(self.theta, n - 2)[-2:]
+        return n * min(top2[0] * top2[1], 1.0)
+
+    def ea_op(self):
+        """Rank one, less the clipped pairs' excess and the diagonal."""
+        th = self.theta
+        order, th_s, idx = _clip_partners(th)
+        diag = np.minimum(th * th, 1.0)
+
+        def mv(x):
+            xs = x[order]
+            txs = th_s * xs
+            # suffix sums over the sorted order for the clipped partners
+            suff_tx = np.concatenate([np.cumsum(txs[::-1])[::-1], [0.0]])
+            suff_x = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
+            full = th * (th @ x)
+            clip_corr = th * suff_tx[idx] - suff_x[idx]  # sum (th_i th_j - 1) x_j over clipped j
+            return full - clip_corr - diag * x
+
+        return LinearOp(self.n, self.n, mv, mv, symmetric=True)
+
+    def ea_block(self, I, J):
+        return np.minimum(np.outer(self.theta[I], self.theta[J]), 1.0)
+
+    def layout(self):
+        """theta-descending bins, each within a factor 2 of its top
+        value, bounded by the tops' product and thinned to p_ij."""
+        th = self.theta
+        live = np.flatnonzero(th > 0)
+        if not live.size:
+            return [], None, None
+        level = np.floor(np.log2(th.max() / th[live]))
+        order = np.argsort(level, kind="stable")
+        groups = np.split(live[order], np.flatnonzero(np.diff(level[order])) + 1)
+        top = np.array([th[g].max() for g in groups])
+        return (groups, np.minimum(np.outer(top, top), 1.0),
+                lambda i, j: np.minimum(th[i] * th[j], 1.0))
+
 
 @dataclass(frozen=True)
 class BlockTwo:
@@ -258,6 +346,7 @@ class BlockTwo:
     n: int
     a: float
     b: float
+    kind = "blocktwo"
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
@@ -273,12 +362,38 @@ class BlockTwo:
         """Ground-truth community labels: +1 on block 0, -1 on block 1."""
         return np.where(np.arange(self.n) < self.half, 1, -1)
 
+    def max_rate(self):
+        return float(self.a) if self.n >= 4 else float(self.b)
+
+    def ea_op(self):
+        n, h, a, b = self.n, self.half, self.a / self.n, self.b / self.n
+
+        def mv(x):
+            s0, s1 = x[:h].sum(), x[h:].sum()
+            out = np.empty(n)
+            out[:h] = a * s0 + b * s1
+            out[h:] = b * s0 + a * s1
+            return out - a * x
+
+        return LinearOp(n, n, mv, mv, symmetric=True)
+
+    def ea_block(self, I, J):
+        I, J = np.asarray(I), np.asarray(J)
+        same = (I[:, None] < self.half) == (J < self.half)
+        return np.where(same, self.a / self.n, self.b / self.n)
+
+    def layout(self):
+        a, b = self.a / self.n, self.b / self.n
+        return ([np.arange(self.half), np.arange(self.half, self.n)],
+                np.array([[a, b], [b, a]]), None)
+
 
 @dataclass(frozen=True)
 class Explicit:
     """Arbitrary symmetric probability matrix; diagonal ignored; n <= 4096."""
 
     P: np.ndarray
+    kind = "explicit"
 
     def __post_init__(self):
         P = np.array(self.P, dtype=float)
@@ -301,6 +416,18 @@ class Explicit:
     @property
     def n(self):
         return self.P.shape[0]
+
+    def max_rate(self):
+        return self.n * self.P.max() if self.n >= 2 else 0.0
+
+    def ea_op(self):
+        return LinearOp.from_dense(self.P, symmetric=True)
+
+    def ea_block(self, I, J):
+        return self.P[np.ix_(I, J)]
+
+    def layout(self):
+        return None
 
 
 def degree_profile(n, values, fractions):
@@ -336,111 +463,22 @@ def degree_profile(n, values, fractions):
 # model-level quantities
 
 
-def max_rate(model):
-    """d = max_ij n * p_ij over off-diagonal pairs."""
-    n = model.n
-    if isinstance(model, Uniform):
-        return n * model.p if n >= 2 else 0.0
-    if isinstance(model, RankOne):
-        if n < 2:
-            return 0.0
-        top2 = np.partition(model.theta, n - 2)[-2:]
-        return n * min(top2[0] * top2[1], 1.0)
-    if isinstance(model, BlockTwo):
-        return float(model.a) if n >= 4 else float(model.b)
-    if isinstance(model, Explicit):
-        return n * model.P.max() if n >= 2 else 0.0
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
 def max_expected_degree(model):
     """d_ave = max_i sum_{j != i} p_ij."""
     deg = expected_degrees(model)
     return float(deg.max()) if deg.size else 0.0
 
 
-def _clip_partners(th):
-    """(order, th sorted, idx) of RankOne's theta: theta_i theta_j clips
-    at 1 exactly for the j at sorted positions >= idx[i] (n: none)."""
-    order = np.argsort(th)
-    th_s = th[order]
-    with np.errstate(divide="ignore"):
-        thresh = np.where(th > 0, 1.0 / np.where(th > 0, th, 1.0), np.inf)
-    return order, th_s, np.searchsorted(th_s, thresh, side="right")
-
-
 def expected_adjacency(model):
-    """EA as a symmetric matrix-free operator (diagonal zeroed).
-
-    Structured kinds never materialize a dense matrix: Uniform and
-    RankOne are rank-one up to diagonal (and clipping) corrections,
-    BlockTwo is block-constant.
-    """
-    n = model.n
-    if isinstance(model, Uniform):
-        p = model.p
-
-        def mv(x):
-            return p * (x.sum() - x)
-
-        return LinearOp(n, n, mv, mv, symmetric=True)
-    if isinstance(model, RankOne):
-        th = model.theta
-        order, th_s, idx = _clip_partners(th)
-        diag = np.minimum(th * th, 1.0)
-
-        def mv(x):
-            xs = x[order]
-            txs = th_s * xs
-            # suffix sums over the sorted order for the clipped partners
-            suff_tx = np.concatenate([np.cumsum(txs[::-1])[::-1], [0.0]])
-            suff_x = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
-            full = th * (th @ x)
-            clip_corr = th * suff_tx[idx] - suff_x[idx]  # sum (th_i th_j - 1) x_j over clipped j
-            return full - clip_corr - diag * x
-
-        return LinearOp(n, n, mv, mv, symmetric=True)
-    if isinstance(model, BlockTwo):
-        h, a, b = model.half, model.a / model.n, model.b / model.n
-
-        def mv(x):
-            s0, s1 = x[:h].sum(), x[h:].sum()
-            out = np.empty(n)
-            out[:h] = a * s0 + b * s1
-            out[h:] = b * s0 + a * s1
-            return out - a * x
-
-        return LinearOp(n, n, mv, mv, symmetric=True)
-    if isinstance(model, Explicit):
-        return LinearOp.from_dense(model.P, symmetric=True)
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
-def ea_block(model, I, J):
-    """EA[I x J] as a new array, for index arrays I and J.
-
-    The pairs i = j read p_ii as the kind states it (theta_i^2 clipped,
-    say), not 0: zeroing them is the caller's (``expected_dense``, and
-    decompose's part mask).
-    """
-    I, J = np.asarray(I), np.asarray(J)
-    if isinstance(model, Uniform):
-        return np.full((I.size, J.size), model.p, dtype=float)
-    if isinstance(model, BlockTwo):
-        same = (I[:, None] < model.half) == (J[None, :] < model.half)
-        return np.where(same, model.a / model.n, model.b / model.n)
-    if isinstance(model, RankOne):
-        return np.minimum(np.outer(model.theta[I], model.theta[J]), 1.0)
-    if isinstance(model, Explicit):
-        return model.P[np.ix_(I, J)]
-    raise TypeError(f"unknown model {type(model).__name__}")
+    """EA as a symmetric matrix-free operator (diagonal zeroed)."""
+    return model.ea_op()
 
 
 def expected_dense(model):
     """EA as a dense n x n array: ``ea_block`` on the whole square,
     diagonal zeroed."""
     ids = np.arange(model.n)
-    out = ea_block(model, ids, ids)
+    out = model.ea_block(ids, ids)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -475,14 +513,14 @@ def sample_directed(model, master_seed, stream_index=0):
 def _sample(model, master_seed, stream_index, directed):
     n = model.n
     idx = _index_dtype(n)
-    layout = None if isinstance(model, Explicit) else _groups(model)
+    layout = model.layout()
     parts = []
     for b in range(-(-n // ROW_BLOCK)):
         r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
         block = []
         for lower in ((False, True) if directed else (False,)):
             words = BlockWords(master_seed, stream_index, b, lower)
-            block += ([_dense_block(model.P, words, r0, r1, lower)] if layout is None
+            block += ([_dense_block(model, words, r0, r1, lower)] if layout is None
                       else _skip_block(words, r0, r1, lower, *layout))
         if len(block) > 1:
             i = np.concatenate([bi for bi, _ in block])
@@ -495,36 +533,7 @@ def _sample(model, master_seed, stream_index, directed):
     return SparseGraph(n, i_idx, j_idx, directed=directed, _checked=True)
 
 
-def _groups(model):
-    """(groups, bound, p) laying a structured model out for skipping.
-
-    ``groups`` are sorted vertex-index arrays and ``bound[k, l]`` bounds
-    p_ij from above on group k x group l.  ``p(i, j)`` gives the pairs'
-    own probabilities to thin by, or is None where the bound is exact.
-    """
-    n = model.n
-    if isinstance(model, Uniform):
-        return [np.arange(n)], np.array([[model.p]]), None
-    if isinstance(model, BlockTwo):
-        a, b = model.a / n, model.b / n
-        return ([np.arange(model.half), np.arange(model.half, n)],
-                np.array([[a, b], [b, a]]), None)
-    if isinstance(model, RankOne):
-        th = model.theta
-        live = np.flatnonzero(th > 0)
-        if not live.size:
-            return [], None, None
-        # theta-descending bins, each within a factor 2 of its top value
-        level = np.floor(np.log2(th.max() / th[live]))
-        order = np.argsort(level, kind="stable")
-        groups = np.split(live[order], np.flatnonzero(np.diff(level[order])) + 1)
-        top = np.array([th[g].max() for g in groups])
-        return (groups, np.minimum(np.outer(top, top), 1.0),
-                lambda i, j: np.minimum(th[i] * th[j], 1.0))
-    raise TypeError(f"unknown model {type(model).__name__}")
-
-
-def _skip_block(words, r0, r1, lower, groups, bound, p):
+def _skip_block(words, r0, r1, lower, groups, bound, thin):
     """Hits of rows r0 .. r1-1, group pair by group pair, as (i, j) parts.
 
     Group k's rows in the block times group l's columns beyond (or, for
@@ -546,8 +555,8 @@ def _skip_block(words, r0, r1, lower, groups, bound, p):
             pos = _geometric_hits(words, int(off[-1]), q)
             r = np.searchsorted(off, pos, side="right") - 1
             i, j = R[r], C[c0[r] + pos - off[r]]
-            if p is not None:
-                keep = words.take(i.size) * q <= p(i, j)
+            if thin is not None:
+                keep = words.take(i.size) * q <= thin(i, j)
                 i, j = i[keep], j[keep]
             parts.append((i, j))
     return parts
@@ -574,13 +583,13 @@ def _geometric_hits(words, length, q):
     return pos[:hits].astype(np.int64)
 
 
-def _dense_block(P, words, r0, r1, lower):
-    """One word per entry of rows r0 .. r1-1 of P, row-major; u <= p_ij hits."""
-    n = P.shape[0]
+def _dense_block(model, words, r0, r1, lower):
+    """One word per entry of rows r0 .. r1-1 of EA, row-major; u <= p_ij hits."""
+    n = model.n
     u = words.take((r1 - r0) * n).reshape(r1 - r0, n)
-    rows = np.arange(r0, r1)[:, None]
-    side = np.arange(n) < rows if lower else np.arange(n) > rows
-    i, j = np.nonzero((u <= P[r0:r1]) & side)
+    rows, cols = np.arange(r0, r1), np.arange(n)
+    side = cols < rows[:, None] if lower else cols > rows[:, None]
+    i, j = np.nonzero((u <= model.ea_block(rows, cols)) & side)
     return i + r0, j
 
 
@@ -800,24 +809,19 @@ _SPEC_FIELDS = {"n": "integer", "p": "float", "a": "float", "b": "float",
                 "theta": "floats", "values": "floats", "fractions": "floats",
                 "P": "matrix"}
 
-# model kind -> (class, its spec fields in constructor order); "profile"
-# is read only, as the RankOne that degree_profile builds
-_MODEL_KINDS = {
-    "uniform": (Uniform, ("n", "p")),
-    "rankone": (RankOne, ("n", "theta")),
-    "blocktwo": (BlockTwo, ("n", "a", "b")),
-    "explicit": (Explicit, ("P",)),
-    "profile": (degree_profile, ("n", "values", "fractions")),
-}
+# model kind -> (class, its spec fields in constructor order): a
+# class's kind and dataclass fields; "profile" is read only, as the
+# RankOne that degree_profile builds
+_MODEL_KINDS = {cls.kind: (cls, tuple(f.name for f in fields(cls)))
+                for cls in (Uniform, RankOne, BlockTwo, Explicit)}
+_MODEL_KINDS["profile"] = (degree_profile, ("n", "values", "fractions"))
 
 
 def model_to_dict(model):
     """The JSON spec of a model, its arrays as nested lists."""
-    for kind, (cls, keys) in _MODEL_KINDS.items():
-        if type(model) is cls:
-            return {"kind": kind,
-                    **{k: np.asarray(getattr(model, k)).tolist() for k in keys}}
-    raise TypeError(f"unknown model {type(model).__name__}")
+    return {"kind": model.kind,
+            **{f.name: np.asarray(getattr(model, f.name)).tolist()
+               for f in fields(model)}}
 
 
 def model_from_dict(spec):

@@ -53,7 +53,7 @@ class LinearOp:
     def to_dense(self):
         """A copy of the matrix of an op built by ``from_dense``; any other
         op is materialized column by column (meant for tests and small ops).
-        A model's EA is read by its entries instead (``models.ea_block``
+        A model's EA is read by its entries instead (its ``ea_block``
         and ``models.expected_dense``), never through this."""
         if self._dense is not None:
             return self._dense.copy()

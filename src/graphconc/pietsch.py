@@ -34,8 +34,9 @@ takes one of two routes, chosen from the block alone:
   Most sample blocks pass, at 0.49-0.91 of the target; the sparsest
   (d <= 1 at r = 3) and some of a skewed profile do not (README).
 * descent, for a block that fails: gp-check's descent (``gp_weights``),
-  then J = {j : mu_j <= 1/(delta m)} and a Cholesky proof of
-  ||B_J|| sqrt(delta m) <= f (1 + 1e-8) + 1e-12.  Each link of
+  going on from the check's G and draws (``_descend``), then J =
+  {j : mu_j <= 1/(delta m)} and a Cholesky proof of ||B_J|| sqrt(delta
+  m) <= f (1 + 1e-8) + 1e-12.  Each link of
 
     ||B_J|| sqrt(delta m)  <=  f  <=  target  <=  sqrt(pi/2) ||B||_{inf->2}
 
@@ -74,10 +75,11 @@ Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
 Lanczos steps, warm-started from the previous step's vector and fully
 reorthogonalized, one product by G = B^T B per step, and takes the top
 Ritz pair.  G is formed once per descent and serves the greedy lower
-bound and the oracle alike: f(mu) depends on B through G alone.  The
-uniform check overwrites its G, so a block that fails it forms G again
-for the descent.  The README's Grothendieck-Pietsch section gives the
-timings behind these choices.
+bound and the oracle alike: f(mu) depends on B through G alone.  A
+uniform check that fails leaves its G as it was, and the descent goes
+on from it and from the start and bound already drawn, so the block's
+Gram is formed once.  The README's Grothendieck-Pietsch section gives
+the timings behind these choices.
 """
 
 from __future__ import annotations
@@ -357,16 +359,18 @@ def _uniform(sizes, bound, target, kind):
         target=target, target_from=kind, target_met=True, route="uniform")
 
 
-def _uniform_check(B, G, sizes):
-    """(uniform certificate or None, target, kind): the lower bound
-    ``_descent_start`` draws on B's Gram G and the uniform route's check
-    at its t, None when the check fails (G is then left as it was)."""
-    _, _, lower, kind = _descent_start(B, G)
+def _submatrix_on(B, G, sizes, max_iter):
+    """``gp_submatrix``'s route on B's Gram G: the lower bound
+    ``_descent_start`` draws on G and the uniform route's check at its
+    t, or, when that fails, the descent route going on from G (which
+    the check left as it was) and those draws."""
+    rng, v, lower, kind = _descent_start(B, G)
     target = LITTLE_GROTHENDIECK * lower
     bound = _bound(target, sizes["delta"], sizes["m"])
     if _norm_below(G, bound):
-        return _uniform(sizes, bound, target, kind), target, kind
-    return None, target, kind
+        return np.arange(sizes["m"]), _uniform(sizes, bound, target, kind)
+    return _selected(B, sizes, _descend(B, (G, rng, v, lower), max_iter),
+                     target, kind)
 
 
 def gp_weights(B, max_iter=500):
@@ -390,14 +394,24 @@ def gp_weights(B, max_iter=500):
     B is read in C order (``_as_block``).
     """
     B = _as_block(B)
+    return _descend(B, None, max_iter)
+
+
+def _descend(B, start, max_iter):
+    """``gp_weights`` of a C-ordered B, going on from ``start``: the
+    (G, rng, v, lower) of B's Gram G = B^T B and ``_descent_start``'s
+    draws on it, which a failed uniform check leaves as they were;
+    None forms and draws them here."""
     m = B.shape[1]
     col_sq = np.einsum("ij,ij->j", B, B)
     col_live = col_sq > 0.0
     mu = np.full(m, 1.0 / m)
     if not col_live.any():
         return PietschWeights(mu, 0.0, True, 0, (0.0,), 0.0)
-    G = B.T @ B
-    rng, v, lower, _ = _descent_start(B, G)
+    if start is None:
+        G = B.T @ B
+        start = G, *_descent_start(B, G)[:3]
+    G, rng, v, lower = start
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
     top_pair = _oracle(B, G, col_live)
@@ -442,9 +456,10 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
     ||B_J|| sqrt(delta m).
 
     Without ``weights``: the uniform route, or for a block that fails
-    its check ``gp_weights(B, max_iter)`` and the descent route (module
-    docstring).  With ``weights`` (gp-check's call), or on the descent
-    route, J = {j : mu_j <= 1/(delta m)}.  Both guarantees are then
+    its check the descent ``gp_weights(B, max_iter)`` runs, on the
+    check's Gram and draws, and the descent route (module docstring).
+    With ``weights`` (gp-check's call), or on the descent route, J =
+    {j : mu_j <= 1/(delta m)}.  Both guarantees are then
     algebraic consequences of sum(mu) = 1, asserted on every call:
     |J| >= (1-delta)m by pigeonhole, and ||B_J|| sqrt(delta m) <=
     achieved_norm with the slack achieved_norm (1 + 1e-8) + 1e-12.  The
@@ -458,13 +473,7 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
     sizes = _sizes(B.shape[1], delta)
     if weights is not None:
         return _selected(B, sizes, weights, None, None)
-    G = B.T @ B
-    uniform, target, kind = _uniform_check(B, G, sizes)
-    if uniform is not None:
-        return np.arange(B.shape[1]), uniform
-    del G  # freed before the descent forms its own
-    return _selected(B, sizes, gp_weights(B, max_iter=max_iter), target,
-                     kind)
+    return _submatrix_on(B, B.T @ B, sizes, max_iter)
 
 
 def _selected(B, sizes, w, target, kind):
@@ -531,12 +540,7 @@ def gp_submatrix_both(B, delta, max_iter=500):
     G = B.T @ B
     if _norm_below(G, min(cols.submatrix_bound, rows.submatrix_bound)):
         return (np.arange(m), cols), (np.arange(k), rows)
-    uniform, target, kind = _uniform_check(B, G, sizes)
-    if uniform is not None:
-        return (np.arange(m), uniform), None
-    del G  # freed before the descent forms its own
-    return _selected(B, sizes, gp_weights(B, max_iter=max_iter), target,
-                     kind), None
+    return _submatrix_on(B, G, sizes, max_iter), None
 
 
 def _power_uniform(M, sizes):

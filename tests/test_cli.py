@@ -389,7 +389,7 @@ def test_decompose_command_reads_a_dense_ea(tmp_path, cfg, directed):
     # whatever its diagonal holds
     off = _P40[~np.eye(40, dtype=bool)].max()
     explicit = graphconc.Explicit(_P40 + np.eye(40))
-    assert graphconc.max_rate(explicit) == 40 * off
+    assert explicit.max_rate() == 40 * off
 
 
 def test_decompose_error_is_recorded_per_triangle(tmp_path, monkeypatch):
@@ -501,7 +501,7 @@ def test_gp_check_certificate_failure_ends_the_run(tmp_path, monkeypatch,
 def test_decompose_runs_a_model_at_its_max_rate(tmp_path):
     # max n p_ij of this profile rounds to 32.00000000000001: d = 32 fits
     model = graphconc.model_from_dict(PROFILE_32)
-    assert graphconc.max_rate(model) > 32.0
+    assert model.max_rate() > 32.0
     rep = run_command("decompose", {"n": 256, "d": 32.0, "model": PROFILE_32,
                                     "gp_iters": 20, "write_files": False},
                       MASTER, str(tmp_path / "dec"))
@@ -531,7 +531,7 @@ def test_decompose_refuses_n_above_the_dense_limit(tmp_path, monkeypatch):
     def no_read(model, *args):
         raise AssertionError(f"EA read at n = {model.n}")
 
-    monkeypatch.setattr(dmod, "ea_block", no_read)
+    monkeypatch.setattr(graphconc.Uniform, "ea_block", no_read)
     monkeypatch.setattr(cli, "sample", _fails("sample"))
     with pytest.raises(SizeExceeded):
         run_command("decompose", {"n": 4200, "gp_iters": 5,

@@ -10,6 +10,7 @@ import json
 import os
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from graphconc import (
     RankOne,
     SparseGraph,
     Uniform,
+    decompose,
     degree_profile,
     expected_adjacency,
     expected_degrees,
     expected_dense,
     load_graph,
     max_expected_degree,
-    max_rate,
     model_from_dict,
     model_to_dict,
     proportional_reweight,
@@ -185,18 +186,18 @@ def test_from_dense_roundtrip(n, seed):
 
 
 def test_max_rate_examples():
-    assert max_rate(Uniform(100, 0.05)) == pytest.approx(5.0)
-    assert max_rate(BlockTwo(2000, 30, 5)) == pytest.approx(30.0)
+    assert Uniform(100, 0.05).max_rate() == pytest.approx(5.0)
+    assert BlockTwo(2000, 30, 5).max_rate() == pytest.approx(30.0)
     c = 0.1
-    assert max_rate(RankOne(50, (c,) * 50)) == pytest.approx(50 * c * c)
-    assert max_rate(RankOne(1, [0.5])) == 0.0  # no off-diagonal pair
-    assert max_rate(Uniform(1, 0.5)) == 0.0
+    assert RankOne(50, (c,) * 50).max_rate() == pytest.approx(50 * c * c)
+    assert RankOne(1, [0.5]).max_rate() == 0.0  # no off-diagonal pair
+    assert Uniform(1, 0.5).max_rate() == 0.0
 
 
 def test_max_rate_rankone_clipped():
     # theta_i theta_j caps at probability 1, so d caps at n
     th = (2.0, 3.0, 0.1, 0.1)
-    assert max_rate(RankOne(4, th)) == pytest.approx(4.0)
+    assert RankOne(4, th).max_rate() == pytest.approx(4.0)
 
 
 def test_malformed_models_and_row_blocks_are_refused():
@@ -263,7 +264,69 @@ def test_factored_expected_dense_is_the_closure_bit_for_bit(m):
     # the entries ea_block states hold the bits of the matvec closure's
     # columns, clipped pairs included, for every kind
     closure = expected_adjacency(m).to_dense()
-    assert expected_dense(m).tobytes() == closure.tobytes()
+    dense = expected_dense(m)
+    assert dense.tobytes() == closure.tobytes()
+    # d = n times the largest off-diagonal p_ij
+    assert m.max_rate() == (m.n * dense.max() if m.n >= 2 else 0.0)
+    # each layout bound holds p_ij from above on its group pair: exactly
+    # where no thinning follows, within a factor 4 in RankOne's bins; a
+    # vertex in no group has p_ij = 0 throughout
+    layout = m.layout()
+    if layout is None:  # the dense route
+        assert isinstance(m, Explicit)
+        return
+    groups, bound, thin = layout
+    laid = np.concatenate(groups) if groups else np.empty(0, int)
+    assert not dense[np.setdiff1d(np.arange(m.n), laid)].any()
+    for k, R in enumerate(groups):
+        for l, C in enumerate(groups):
+            P = m.ea_block(R, C)
+            assert np.all(P <= bound[k, l])
+            if thin is None:
+                assert np.all(P == bound[k, l])
+            else:
+                assert np.all(bound[k, l] <= 4.0 * P)
+                assert np.array_equal(thin(R[:, None], C[None, :]), P)
+
+
+@dataclass(frozen=True)
+class UniformRestated:
+    """A kind stated only here: Uniform's p, through the four methods."""
+
+    n: int
+    p: float
+
+    def max_rate(self):
+        return self.n * self.p if self.n >= 2 else 0.0
+
+    def ea_op(self):
+        def mv(x):
+            return self.p * (x.sum() - x)
+
+        return LinearOp(self.n, self.n, mv, mv, symmetric=True)
+
+    def ea_block(self, I, J):
+        return np.full((len(I), len(J)), self.p)
+
+    def layout(self):
+        return [np.arange(self.n)], np.array([[self.p]]), None
+
+
+def test_a_new_kind_is_one_class():
+    # nothing branches on the kind: a class of its own stating Uniform's
+    # p samples, reads EA and decomposes as Uniform does, bit for bit
+    n = 2 * ROW_BLOCK + 100
+    new, old = UniformRestated(n, 3.0 / n), Uniform(n, 3.0 / n)
+    assert sample(new, MASTER, 2) == sample(old, MASTER, 2)
+    assert sample_directed(new, MASTER) == sample_directed(old, MASTER)
+    new, old = UniformRestated(64, 0.1), Uniform(64, 0.1)
+    assert (expected_adjacency(new).to_dense().tobytes()
+            == expected_adjacency(old).to_dense().tobytes())
+    assert expected_dense(new).tobytes() == expected_dense(old).tobytes()
+    A = sample_directed(old, MASTER)
+    got, want = (decompose(A, m, 1.0, 6.4, gp_iters=30) for m in (new, old))
+    assert np.array_equal(got.class_of, want.class_of)
+    assert got.block_trace == want.block_trace
 
 
 def test_explicit_expected_dense_is_its_matrix(monkeypatch):
@@ -536,7 +599,7 @@ def test_rankone_words_scale_with_edges(monkeypatch):
     # 2 words per candidate (gap and thinning) plus one overshoot word per
     # rectangle, far fewer than the n(n-1)/2 = 1999000 pairs.
     m = degree_profile(2000, (2.0, 400.0), (0.95, 0.05))
-    assert max_rate(m) == pytest.approx(2000.0)
+    assert m.max_rate() == pytest.approx(2000.0)
     read = []
 
     class Counted(models.BlockWords):
@@ -546,7 +609,7 @@ def test_rankone_words_scale_with_edges(monkeypatch):
 
     monkeypatch.setattr(models, "BlockWords", Counted)
     g = sample(m, MASTER)
-    groups = models._groups(m)[0]
+    groups = m.layout()[0]
     mean_nnz = expected_degrees(m).sum() / 2
     blocks = -(-m.n // ROW_BLOCK)
     assert sum(read) <= 8.0 * mean_nnz + blocks * len(groups) ** 2

@@ -229,10 +229,9 @@ def test_gp_weights_on_wide_blocks(shape):
 def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
     # a wide block too: G = B^T B is formed once per descent and that one
     # matrix goes to the greedy lower bound and to the oracle.  The
-    # uniform route forms one G for the lower bound and its check, which
-    # overwrites it; a block that fails the check forms G again for the
-    # descent, and the descent route's check gets the Gram of B_J's
-    # smaller side
+    # uniform route forms one G for the lower bound and its check; a
+    # block that fails the check descends on that G, left as it was,
+    # and the descent route's check gets the Gram of B_J's smaller side
     grams, copies = [], []
     real_lower, real_oracle = pietsch.inf_to_2_norm_lower, pietsch._oracle
     real_below = pietsch._norm_below
@@ -272,10 +271,12 @@ def test_one_gram_serves_the_bound_and_the_oracle(monkeypatch):
     B = heavy_columns_block()
     J, cert = gp_submatrix(B, 0.25, max_iter=120)
     assert cert.route == "descent" and J.size == 61
-    # the check's G, then the descent's own for its bound and oracle
-    assert len(grams) == 5 and grams[3] is grams[2] is not grams[0]
-    assert np.array_equal(copies[2], B.T @ B)
-    assert np.array_equal(copies[3], B[:, J] @ B[:, J].T)  # 40 x 40
+    # one G for the bound, the check and the oracle, restored bit for
+    # bit after the failed check
+    assert len(grams) == 4 and grams[2] is grams[1] is grams[0]
+    assert np.array_equal(copies[0], B.T @ B)
+    assert np.array_equal(grams[0], B.T @ B)
+    assert np.array_equal(copies[2], B[:, J] @ B[:, J].T)  # 40 x 40
 
 
 def test_converged_needs_a_full_window():
@@ -341,9 +342,9 @@ def test_a_passing_block_takes_the_uniform_route(monkeypatch):
     assert lower == inf_to_2_norm_lower(B, trials=8, rng=rng)
 
     def no_descent(*args, **kwargs):
-        raise AssertionError("gp_weights was called")
+        raise AssertionError("a descent ran")
 
-    monkeypatch.setattr(pietsch, "gp_weights", no_descent)
+    monkeypatch.setattr(pietsch, "_descend", no_descent)
     J, cert = gp_submatrix(B, 0.25, max_iter=120)
     assert J.tolist() == list(range(256))
     assert cert.route == "uniform" and cert.ok and cert.target_met
@@ -358,22 +359,23 @@ def test_a_passing_block_takes_the_uniform_route(monkeypatch):
 
 def test_a_failing_block_takes_the_descent(monkeypatch):
     # heavy columns fail the uniform check: gp_submatrix runs the
-    # descent gp-check runs, with the caller's max_iter, and selects
-    # and certifies J from its weights exactly as with those weights
+    # descent gp-check runs, with the caller's max_iter, going on from
+    # the check's Gram and draws, and selects and certifies J from its
+    # weights exactly as with those weights
     B = heavy_columns_block()
     assert (np.linalg.norm(B, 2) * np.sqrt(64 / 4)
             > LITTLE_GROTHENDIECK * inf_to_2_norm_lower(B, trials=8))
     w = gp_weights(B, max_iter=120)
     calls = []
-    real = pietsch.gp_weights
+    real = pietsch._descend
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def counting(B, start, max_iter):
+        calls.append((start is not None, max_iter))
+        return real(B, start, max_iter)
 
-    monkeypatch.setattr(pietsch, "gp_weights", counting)
+    monkeypatch.setattr(pietsch, "_descend", counting)
     J, cert = gp_submatrix(B, 0.25, max_iter=120)
-    assert calls == [{"max_iter": 120}]
+    assert calls == [(True, 120)]
     J_w, cert_w = gp_submatrix(B, 0.25, weights=w)
     assert J.tolist() == J_w.tolist() == list(range(3, 64))
     assert cert.route == cert_w.route == "descent"
@@ -398,7 +400,7 @@ def test_one_decision_proves_both_uniform_certificates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Gram-based bound or a descent ran")
 
-    monkeypatch.setattr(pietsch, "gp_weights", refuse)
+    monkeypatch.setattr(pietsch, "_descend", refuse)
     monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", refuse)
     B = centred_block()
     (J, cols), (I, rows) = pietsch.gp_submatrix_both(B, 0.25)
@@ -430,13 +432,13 @@ def test_one_decision_proves_both_uniform_certificates(monkeypatch):
 def test_a_failing_decision_goes_on_from_its_gram(monkeypatch):
     # the heavy columns fail the check at the smaller t: the column
     # side's certificate is then gp_submatrix's field for field, its
-    # greedy bound read from the Gram the decision formed (one Gram
-    # before the descent, not two), and the row side is left to the
-    # caller
+    # greedy bound, uniform check and descent all on the Gram the
+    # decision formed, and the row side is left to the caller
     B = heavy_columns_block()
     want = gp_submatrix(B, 0.25, max_iter=120)
     grams, checked = [], []
     real_lower, real_below = pietsch.inf_to_2_norm_lower, pietsch._norm_below
+    real_oracle = pietsch._oracle
 
     def lower(M, gram=None, **kw):
         grams.append(gram)
@@ -446,16 +448,21 @@ def test_a_failing_decision_goes_on_from_its_gram(monkeypatch):
         checked.append(G)
         return real_below(G, t)
 
+    def oracle(M, G, col_live):
+        grams.append(G)
+        return real_oracle(M, G, col_live)
+
     monkeypatch.setattr(pietsch, "inf_to_2_norm_lower", lower)
     monkeypatch.setattr(pietsch, "_norm_below", below)
+    monkeypatch.setattr(pietsch, "_oracle", oracle)
     (J, cols), rows = pietsch.gp_submatrix_both(B, 0.25, max_iter=120)
     assert rows is None
     assert J.tolist() == want[0].tolist() and cols == want[1]
     assert cols.route == "descent" and cols.target_from == "greedy"
-    # the decision's Gram serves the greedy bound and the uniform check;
-    # the descent forms its own
+    # one Gram: the decision's, then the greedy bound's, the uniform
+    # check's and the oracle's
     assert len(grams) == 2 and grams[0] is checked[0] is checked[1]
-    assert grams[1] is not grams[0]
+    assert grams[1] is grams[0]
     with pytest.raises(ValueError, match="0 < delta < 1"):
         pietsch.gp_submatrix_both(B, 1.0)
 

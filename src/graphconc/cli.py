@@ -9,22 +9,23 @@ parameters (solver settings are module constants; an unknown key, or a
 value not of its field's type, is an error), writes config.json /
 report.json / CSV artifacts into its own output directory, and is
 reproducible byte-for-byte from config + master seed (wall clock
-aside).  seed/trials/threads/out may also be
-config keys; flags win, and a config value gets its flag's check.
+aside).  seed/trials/threads/out may also be config keys; flags win,
+and a config value or a ``run_command`` argument gets its flag's check.
 --trials N runs trials 0..N-1 (gp-check: N random matrices), each on
 its own RNG stream, so --threads changes the schedule, never the
 numbers.  Trial t draws stream t, except in concentration and
 laplacian, where trial t of grid cell c draws stream c*N + t, and in
 spectrum on a saved graph, which draws none; report.json's
-seeds.streams lists the streams drawn.  A command returns its trial
-records, summary and flags; ``run_command`` builds the one
-ExperimentReport from them.
-"""
+seeds.streams lists the streams drawn.  A command checks its config,
+runs its trial function (module level, picklable) through ``_run``,
+which names a failed certificate's trial and stream, and returns the
+records, summary and flags for ``run_command``'s one ExperimentReport."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -63,11 +64,11 @@ class RunContext:
     threads: int = 1
 
 
-def _path(ctx, name):
+def _path(out_dir, name):
     """Where artifact ``name`` goes; the output directory is made on the
     first write, so a command that refuses its config leaves none."""
-    os.makedirs(ctx.out_dir, exist_ok=True)
-    return os.path.join(ctx.out_dir, name)
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _norm_or_best(op):
@@ -163,22 +164,58 @@ class GpCheckConfig:
 # commands
 
 
+def _trial(fn, args, t):
+    """``fn(*args, t)``; a failed certificate ends the run, named by
+    trial t's row in trials.csv and stream t, the one it drew."""
+    try:
+        return fn(*args, t)
+    except VerificationError as exc:
+        raise VerificationError(f"trial {t} (stream {t}): {exc}") from exc
+
+
+def _run(fn, ctx, *inputs, count=None):
+    """Records ``fn(*inputs, seed, out_dir, trials, t)`` of trials
+    t < count (default ``ctx.trials``), merged in index order."""
+    args = (*inputs, ctx.seed, ctx.out_dir, ctx.trials)
+    return run_trials(functools.partial(_trial, fn, args),
+                      count or ctx.trials, ctx.threads)
+
+
+def _sample_trial(model, cfg, seed, out_dir, trials, t):
+    g = (sample_directed if cfg.directed else sample)(model, seed, t)
+    name = "graph.csv" if trials == 1 else f"graph_t{t}.csv"
+    save_graph(g, _path(out_dir, name))
+    deg = g.degrees()
+    return {"trial": t, "file": name, "n": g.n, "nnz": int(g.nnz),
+            "max_degree": float(deg.max()) if deg.size else 0.0,
+            "average_degree": float(deg.mean()) if deg.size else 0.0}
+
+
 def cmd_sample(cfg, ctx):
-    model = model_from_dict(cfg.model)
-    draw = sample_directed if cfg.directed else sample
-
-    def one(t):
-        g = draw(model, ctx.seed, t)
-        name = "graph.csv" if ctx.trials == 1 else f"graph_t{t}.csv"
-        save_graph(g, _path(ctx, name))
-        deg = g.degrees()
-        return {"trial": t, "file": name, "n": g.n, "nnz": int(g.nnz),
-                "max_degree": float(deg.max()) if deg.size else 0.0,
-                "average_degree": float(deg.mean()) if deg.size else 0.0}
-
-    trials = run_trials(one, ctx.trials, ctx.threads)
+    trials = _run(_sample_trial, ctx, model_from_dict(cfg.model), cfg)
     return (trials, {"nnz": summarize([t["nnz"] for t in trials])},
             {"wrote_files": True})
+
+
+def _spectrum_trial(model, graph, cfg, seed, out_dir, trials, t):
+    g = graph if graph is not None else sample(model, seed, t)
+    avg = average_degree(g)
+    cap = cfg.cap if cfg.cap is not None else avg
+    thr = (cfg.tail_threshold if cfg.tail_threshold is not None
+           else 2.0 * np.sqrt(max(avg, 0.0)))
+    before = full_spectrum(g.to_dense())
+    after = full_spectrum(apply_scheme(g, cfg.scheme, cap=cap,
+                                       tau=cfg.tau).to_dense())
+    sfx = "" if trials == 1 else f"_t{t}"
+    for tag, eigs in (("before", before), ("after", after)):
+        write_csv(_path(out_dir, f"eigs_{tag}{sfx}.csv"), ["eigenvalue"],
+                  [[repr(float(v))] for v in eigs])
+        write_histogram(_path(out_dir, f"hist_{tag}{sfx}.csv"), eigs)
+    return {"trial": t, "cap": float(cap), "tail_threshold": float(thr),
+            "max_abs_before": float(np.abs(before).max()),
+            "max_abs_after": float(np.abs(after).max()),
+            "tail_before": int((np.abs(before) > thr).sum()),
+            "tail_after": int((np.abs(after) > thr).sum())}
 
 
 def cmd_spectrum(cfg, ctx):
@@ -201,28 +238,7 @@ def cmd_spectrum(cfg, ctx):
         raise SizeExceeded(f"spectrum takes dense spectra; n = {n} exceeds "
                            f"{FULL_SPECTRUM_LIMIT}")
     fixed = load_graph(cfg.graph) if header is not None else None
-
-    def one(t):
-        g = fixed if fixed is not None else sample(model, ctx.seed, t)
-        avg = average_degree(g)
-        cap = cfg.cap if cfg.cap is not None else avg
-        thr = (cfg.tail_threshold if cfg.tail_threshold is not None
-               else 2.0 * np.sqrt(max(avg, 0.0)))
-        before = full_spectrum(g.to_dense())
-        after = full_spectrum(apply_scheme(g, cfg.scheme, cap=cap,
-                                           tau=cfg.tau).to_dense())
-        sfx = "" if ctx.trials == 1 else f"_t{t}"
-        for tag, eigs in (("before", before), ("after", after)):
-            write_csv(_path(ctx, f"eigs_{tag}{sfx}.csv"), ["eigenvalue"],
-                      [[repr(float(v))] for v in eigs])
-            write_histogram(_path(ctx, f"hist_{tag}{sfx}.csv"), eigs)
-        return {"trial": t, "cap": float(cap), "tail_threshold": float(thr),
-                "max_abs_before": float(np.abs(before).max()),
-                "max_abs_after": float(np.abs(after).max()),
-                "tail_before": int((np.abs(before) > thr).sum()),
-                "tail_after": int((np.abs(after) > thr).sum())}
-
-    trials = run_trials(one, ctx.trials, ctx.threads)
+    trials = _run(_spectrum_trial, ctx, model, fixed, cfg)
     summary = {key: summarize([t[key] for t in trials])
                for key in ("max_abs_before", "max_abs_after", "tail_before",
                            "tail_after")}
@@ -235,34 +251,20 @@ def cmd_spectrum(cfg, ctx):
     return trials, summary, flags
 
 
-def _grid(ctx, cells, deviation, record, value, csv_name, header):
-    """(trials, summary, flags) of one deviation norm over a grid.
-
-    A cell is (summary key, n, d, x).  Trial t of cell c draws stream
-    c*N + t (N = ctx.trials) from Uniform(n, d/n) and is recorded as
-    ``record(c, t, n, x, _norm_or_best(deviation(draw, model, x)))``,
-    where ``draw()`` samples the graph: the deviation holds the only
-    reference to it, so the sample can go once its regularized graph
-    exists.
-    ``csv_name`` gets one row [n, x, median, q1, q3] of the records'
-    ``value`` per cell.
-    """
+def _grid(ctx, cfg, cells, trial, value, csv_name, header):
+    """(trials, summary, flags) of grid trial function ``trial``: cell
+    c = (summary key, n, d, x) runs trials t < N = ctx.trials, each one
+    deviation norm of Uniform(n, d/n) drawn from stream c*N + t (no
+    local name holds the sample while the norm is solved).  ``csv_name``
+    gets a row [n, x, median, q1, q3] of each cell's ``value``s."""
     N = ctx.trials
-
-    def one(flat):
-        ci, t = divmod(flat, N)
-        _, n, d, x = cells[ci]
-        model = Uniform(n, d / n)
-        op = deviation(lambda: sample(model, ctx.seed, flat), model, x)
-        return record(ci, t, n, x, _norm_or_best(op))
-
-    trials = run_trials(one, len(cells) * N, ctx.threads)
+    trials = _run(trial, ctx, cells, cfg, count=len(cells) * N)
     summary, rows = {}, []
     for ci, (key, n, _, x) in enumerate(cells):
         s = summary[key] = summarize(
             [r[value] for r in trials[ci * N:(ci + 1) * N]])
         rows.append([n, x, s.get("median"), s.get("q1"), s.get("q3")])
-    write_csv(_path(ctx, csv_name), header, rows)
+    write_csv(_path(ctx.out_dir, csv_name), header, rows)
     return trials, summary, {"all_converged": all(t["converged"]
                                                   for t in trials)}
 
@@ -285,6 +287,18 @@ def _distinct(values, name, key):
     return values
 
 
+def _concentration_trial(cells, cfg, seed, out_dir, trials, flat):
+    ci, t = divmod(flat, trials)
+    _, n, d, _ = cells[ci]
+    model = Uniform(n, d / n)
+    cap = cfg.cap_mult * d
+    rec = _norm_or_best(compose_difference(adjacency_shifted_op(apply_scheme(
+        sample(model, seed, flat), cfg.scheme, cap=cap if cap > 0 else None,
+        tau=cap if cfg.scheme == "tau" else None)), expected_adjacency(model)))
+    return {"cell": ci, "n": n, "d": d, "trial": t, **rec,
+            "ratio": float(rec["norm"] / np.sqrt(d) if d > 0 else 0.0)}
+
+
 def cmd_concentration(cfg, ctx):
     if not cfg.cells:  # a grid of no cells runs no trials
         raise ValueError("cells must hold at least one cell")
@@ -301,21 +315,19 @@ def cmd_concentration(cfg, ctx):
             raise ValueError(f"cell {len(cells)}'s d must lie in [0, n] = "
                              f"[0, {n}], not {c['d']!r}")
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
-
-    def deviation(draw, model, d):
-        cap = cfg.cap_mult * d
-        g = apply_scheme(draw(), cfg.scheme, cap=cap if cap > 0 else None,
-                         tau=cap if cfg.scheme == "tau" else None)
-        return compose_difference(adjacency_shifted_op(g),
-                                  expected_adjacency(model))
-
-    def record(ci, t, n, d, rec):
-        ratio = rec["norm"] / np.sqrt(d) if d > 0 else 0.0
-        return {"cell": ci, "n": n, "d": d, "trial": t, **rec,
-                "ratio": float(ratio)}
-
-    return _grid(ctx, cells, deviation, record, "ratio", "cells.csv",
+    return _grid(ctx, cfg, cells, _concentration_trial, "ratio", "cells.csv",
                  ["n", "d", "median_ratio", "q1", "q3"])
+
+
+def _laplacian_trial(cells, cfg, seed, out_dir, trials, flat):
+    ci, t = divmod(flat, trials)
+    _, n, d, tau = cells[ci]
+    model = Uniform(n, d / n)
+    rec = _norm_or_best(compose_difference(
+        laplacian(tau_shift(sample(model, seed, flat), tau)),
+        expected_laplacian(model, tau)))
+    return {"n": n, "tau": tau, "trial": t,
+            "value": float(np.sqrt(d) * rec.pop("norm")), **rec}
 
 
 def cmd_laplacian(cfg, ctx):
@@ -331,30 +343,20 @@ def cmd_laplacian(cfg, ctx):
                          f"{cfg.d!r} with n = {min(ns)}")
     taus = _distinct(taus, "taus", "{:g}".format)
     cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
-
-    def deviation(draw, model, tau):
-        return compose_difference(laplacian(tau_shift(draw(), tau)),
-                                  expected_laplacian(model, tau))
-
-    def record(ci, t, n, tau, rec):
-        return {"n": n, "tau": tau, "trial": t,
-                "value": float(np.sqrt(d) * rec.pop("norm")), **rec}
-
-    return _grid(ctx, cells, deviation, record, "value", "curve.csv",
+    return _grid(ctx, cfg, cells, _laplacian_trial, "value", "curve.csv",
                  ["n", "tau", "median_sqrt_d_deviation", "q1", "q3"])
 
 
+def _sbm_trial(model, cfg, seed, out_dir, trials, t):
+    g, truth = sbm_instance(cfg.n, cfg.a, cfg.b, seed, stream=t)
+    tau = float(cfg.tau) if cfg.tau is not None else average_degree(g)
+    rec = davis_kahan_check(g, model, tau)
+    return {"trial": t, "tau": tau,
+            "mis": misclassification(rec.pop("labels"), truth), **rec}
+
+
 def cmd_sbm(cfg, ctx):
-    model = BlockTwo(cfg.n, cfg.a, cfg.b)
-
-    def one(t):
-        g, truth = sbm_instance(cfg.n, cfg.a, cfg.b, ctx.seed, stream=t)
-        tau = float(cfg.tau) if cfg.tau is not None else average_degree(g)
-        rec = davis_kahan_check(g, model, tau)
-        return {"trial": t, "tau": tau,
-                "mis": misclassification(rec.pop("labels"), truth), **rec}
-
-    trials = run_trials(one, ctx.trials, ctx.threads)
+    trials = _run(_sbm_trial, ctx, BlockTwo(cfg.n, cfg.a, cfg.b), cfg)
     # the Davis-Kahan flag covers the trials where the bound was measured
     checked = [t for t in trials if t["gap_valid"] and t["converged"]]
     return (trials, {"mis": summarize([t["mis"] for t in trials]),
@@ -364,6 +366,32 @@ def cmd_sbm(cfg, ctx):
             {"all_converged": all(t["converged"] for t in trials),
              "dk_holds_every_gap_valid_trial":
                  all(t["dk_holds"] for t in checked)})
+
+
+def _decompose_trial(model, cfg, seed, out_dir, trials, t):
+    parts = ([("full", sample_directed(model, seed, t))] if cfg.directed else
+             zip(("upper", "lower"), triangle_split(sample(model, seed, t))))
+    rec, dec = {"trial": t}, None
+    for name, gd in parts:
+        if name == "lower" and dec is None:  # U's decompose failed
+            rec["lower_error"] = rec["upper_error"]
+            continue
+        try:  # L = U^T: its decomposition is U's, transposed
+            dec = (transposed(dec) if name == "lower" else
+                   decompose(gd, model, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
+                             part=name))
+            found = verify_decomposition(gd, model, dec)
+        except VerificationError as exc:  # a certificate failed: name where
+            raise VerificationError(f"part {name}: {exc}") from exc
+        except GraphconcError as exc:
+            rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        if cfg.write_files:
+            decomposition_to_csv(dec,
+                                 _path(out_dir, f"classes_t{t}_{name}.csv"))
+            trace_to_json(dec, _path(out_dir, f"trace_t{t}_{name}.json"))
+        rec.update({f"{name}_{k}": v for k, v in found.items()})
+    return rec
 
 
 def cmd_decompose(cfg, ctx):
@@ -388,37 +416,7 @@ def cmd_decompose(cfg, ctx):
                              f"config's d = {cfg.d}")
     if model.n > DENSE_LIMIT:  # before any n x n array is built
         raise SizeExceeded(f"decompose holds n x n arrays; n <= {DENSE_LIMIT}")
-
-    def one(t):
-        if cfg.directed:
-            parts = [("full", sample_directed(model, ctx.seed, t))]
-        else:
-            parts = zip(("upper", "lower"),
-                        triangle_split(sample(model, ctx.seed, t)))
-        rec, dec = {"trial": t}, None
-        for name, gd in parts:
-            if name == "lower" and dec is None:  # U's decompose failed
-                rec["lower_error"] = rec["upper_error"]
-                continue
-            try:  # L = U^T: its decomposition is U's, transposed
-                dec = (transposed(dec) if name == "lower" else
-                       decompose(gd, model, cfg.r, cfg.d, gp_iters=cfg.gp_iters,
-                                 part=name))
-                found = verify_decomposition(gd, model, dec)
-            except VerificationError as exc:
-                # a certificate failed: the run ends, naming where
-                raise VerificationError(f"trial {t} (stream {t}), part "
-                                        f"{name}: {exc}") from exc
-            except GraphconcError as exc:
-                rec[f"{name}_error"] = f"{type(exc).__name__}: {exc}"
-                continue
-            if cfg.write_files:
-                decomposition_to_csv(dec, _path(ctx, f"classes_t{t}_{name}.csv"))
-                trace_to_json(dec, _path(ctx, f"trace_t{t}_{name}.json"))
-            rec.update({f"{name}_{k}": v for k, v in found.items()})
-        return rec
-
-    trials = run_trials(one, ctx.trials, ctx.threads)
+    trials = _run(_decompose_trial, ctx, model, cfg)
     names = ["full"] if cfg.directed else ["upper", "lower"]
     ratios = [t[f"{nm}_norm_ratio"] for t in trials for nm in names
               if f"{nm}_norm_ratio" in t]
@@ -433,6 +431,22 @@ def cmd_decompose(cfg, ctx):
              "footprint_all": every("r_footprint_ok", "c_footprint_ok"),
              "max_norm_ratio": float(max(ratios)) if ratios else 0.0,
              "gp_target_met_all": every("gp_target_met")})
+
+
+def _gp_check_trial(deltas, cfg, seed, out_dir, trials, i):
+    B = aux_generator(seed, i, 3).uniform(-1.0, 1.0, size=(cfg.rows, cfg.cols))
+    w = gp_weights(B)  # asserts the left inequality internally
+    exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
+             else inf_to_2_norm_exact(B))
+    rec = {"trial": i, "achieved": float(w.achieved_norm),
+           "inf_to_2": float(exact),
+           "ratio": float(w.achieved_norm / exact) if exact > 0 else 1.0,
+           "converged": w.converged, "iterations": w.iterations}
+    for key, delta in deltas.items():
+        J, cert = gp_submatrix(B, delta, weights=w)
+        rec[f"cert_ok_d{key}"] = cert.ok
+        rec[f"selected_d{key}"] = cert.n_selected
+    return rec
 
 
 def cmd_gp_check(cfg, ctx):
@@ -452,29 +466,7 @@ def cmd_gp_check(cfg, ctx):
             raise ValueError(f"deltas {deltas[key]!r} and {delta!r} would "
                              f"share the columns *_d{key}")
         deltas[key] = delta
-
-    def one(i):
-        B = aux_generator(ctx.seed, i, 3).uniform(-1.0, 1.0,
-                                                  size=(cfg.rows, cfg.cols))
-        try:
-            w = gp_weights(B)  # asserts the left inequality internally
-            exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
-                     else inf_to_2_norm_exact(B))
-            rec = {"trial": i, "achieved": float(w.achieved_norm),
-                   "inf_to_2": float(exact),
-                   "ratio": (float(w.achieved_norm / exact) if exact > 0
-                             else 1.0),
-                   "converged": w.converged, "iterations": w.iterations}
-            for key, delta in deltas.items():
-                J, cert = gp_submatrix(B, delta, weights=w)
-                rec[f"cert_ok_d{key}"] = cert.ok
-                rec[f"selected_d{key}"] = cert.n_selected
-        except VerificationError as exc:
-            # a certificate failed: the run ends, naming the instance
-            raise VerificationError(f"trial {i} (stream {i}): {exc}") from exc
-        return rec
-
-    trials = run_trials(one, ctx.trials, ctx.threads)
+    trials = _run(_gp_check_trial, ctx, deltas, cfg)
     ratios = [t["ratio"] for t in trials]
     cert_keys = [f"cert_ok_d{key}" for key in deltas]
     return (trials, {"ratio": summarize(ratios)},
@@ -521,6 +513,7 @@ def _int_in(low, high, what):
 
 _u64 = _int_in(0, 2 ** 64, "seed must fit in a u64")
 _positive = _int_in(1, float("inf"), "must be a positive integer")
+_RUN_FIELDS = (("seed", _u64), ("trials", _positive), ("threads", _positive))
 
 
 def build_parser():
@@ -564,9 +557,17 @@ def _refuse_other_config(out_dir, digest):
 def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     """Programmatic entry point; returns the ExperimentReport.
 
-    Refuses (ValueError) an ``out_dir`` whose report.json was written
-    for another config hash; rerunning the same config is allowed.
+    Refuses (ValueError) a seed, trials or threads that its flag
+    refuses, and an ``out_dir`` whose report.json was written for
+    another config hash; rerunning the same config is allowed.
     """
+    checked = []
+    for (key, parse), value in zip(_RUN_FIELDS, (seed, trials, threads)):
+        try:
+            checked.append(parse(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    seed, trials, threads = checked
     runner = _COMMANDS[name][1]
     cfg, params = _resolve(name, raw_config, seed, trials)
     _refuse_other_config(out_dir, config_hash(params))
@@ -604,8 +605,7 @@ def main(argv=None):
     try:
         raw = _read_config(args.config) if args.config else {}
         run = {"seed": None, "trials": 1, "threads": 1}
-        for key, parse in (("seed", _u64), ("trials", _positive),
-                           ("threads", _positive)):
+        for key, parse in _RUN_FIELDS:
             if key in raw:
                 try:
                     run[key] = parse(raw.pop(key))

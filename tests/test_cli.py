@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -446,7 +447,7 @@ def test_decompose_certificate_failure_ends_the_run(tmp_path, monkeypatch,
     cfg = {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20,
            "write_files": False}
     with pytest.raises(VerificationError,
-                       match=r"^trial 1 \(stream 1\), part upper: forced$"):
+                       match=r"^trial 1 \(stream 1\): part upper: forced$"):
         run_command("decompose", cfg, MASTER, str(tmp_path / "api"),
                     trials=2)
     calls.clear()
@@ -456,7 +457,7 @@ def test_decompose_certificate_failure_ends_the_run(tmp_path, monkeypatch,
                str(cfg_path), "--out", str(tmp_path / "cli")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "graphconc decompose: error: trial 1 (stream 1), part upper: "
+        "graphconc decompose: error: trial 1 (stream 1): part upper: "
         "forced\n")
     assert not (tmp_path / "cli" / "report.json").exists()
 
@@ -1294,3 +1295,49 @@ def test_out_dir_of_another_config_is_refused(tmp_path, capsys):
     assert "config_hash" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_bytes())["config_hash"] == \
         json.loads(before)["config_hash"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2 ** 64), ("seed", True), ("seed", 1.5),
+    ("trials", 0), ("threads", 0)])
+def test_run_command_refuses_what_the_flags_refuse(tmp_path, field, value):
+    # seed -1 would draw seed 2^64 - 1's graphs, 2^64 seed 0's, and
+    # trials = 0 would write a report of no trials whose flags read true
+    run = {"seed": MASTER, "trials": 1, "threads": 1, field: value}
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        run_command("sample", {"model": {"kind": "uniform", "n": 20,
+                                         "p": 0.1}},
+                    run["seed"], str(out), trials=run["trials"],
+                    threads=run["threads"])
+    assert not out.exists()
+
+
+def test_every_trial_pickles(tmp_path, monkeypatch):
+    # each command hands run_trials a module-level function (or a
+    # partial of one), so a process pool could ship it
+    real, pickled = cli.run_trials, []
+
+    def pickling(fn, *args):
+        pickled.append(len(pickle.dumps(fn)))
+        return real(fn, *args)
+
+    monkeypatch.setattr(cli, "run_trials", pickling)
+    model = {"kind": "uniform", "n": 40, "p": 0.1}
+    graph = tmp_path / "g.csv"
+    graphconc.save_graph(graphconc.sample(graphconc.model_from_dict(model),
+                                          MASTER), str(graph))
+    runs = [("sample", {"model": model, "directed": True}, 2),
+            ("spectrum", {"model": model}, 2),
+            ("spectrum", {"graph": str(graph)}, 1),
+            ("concentration", {"cells": [{"n": 60, "d": 3.0}],
+                               "scheme": "trim"}, 2),
+            ("laplacian", {"ns": [60], "d": 3.0, "taus": [2.0, 4.0]}, 2),
+            ("sbm", {"n": 80, "a": 20.0, "b": 4.0}, 2),
+            ("decompose", {"n": 48, "d": 4.0, "r": 2.0, "gp_iters": 20,
+                           "write_files": False}, 2),
+            ("gp-check", {"rows": 4, "cols": 5, "deltas": [0.5]}, 2)]
+    for i, (name, cfg, trials) in enumerate(runs):
+        run_command(name, cfg, MASTER, str(tmp_path / f"run{i}"),
+                    trials=trials)
+    assert len(pickled) == len(runs)

@@ -1,5 +1,6 @@
 """Golden digests: every artifact of a fixed list of runs, at seed 1729
-and ``--trials 2``, against the SHA-256 digests stored in golden.json.
+and ``--trials 2``, on one and on two trial threads, against the SHA-256
+digests stored in golden.json.
 
 ``report.json`` is hashed with ``wall_clock_s`` dropped, the one value
 of a run that is not seeded.  Digests depend on the BLAS build and its
@@ -23,6 +24,7 @@ import tempfile
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
+import pytest
 import scipy
 
 from graphconc.cli import run_command
@@ -61,13 +63,20 @@ RUNS = (
        {"cells": [{"n": 1000, "d": 3}, {"n": 10000, "d": 3}],
         "scheme": scheme, "cap_mult": 2.0})
       for scheme in ("identity", "trim")],
+    *[(f"conc-{scheme}", "concentration",
+       {"cells": [{"n": 1000, "d": 3}], "scheme": scheme, "cap_mult": 2.0})
+      for scheme in ("remove", "reweight", "tau")],
     ("laplacian", "laplacian", {"ns": [1000, 4000], "d": 5, "taus": [5]}),
+    ("laplacian-two-taus", "laplacian",
+     {"ns": [1000], "d": 5, "taus": [2.5, 10]}),
     ("sbm", "sbm", {"n": 2000, "a": 30, "b": 5}),
     ("spectrum", "spectrum",
      {"model": {"kind": "profile", "n": 1000, "values": [7, 70],
                 "fractions": [0.9, 0.1]}, "scheme": "reweight"}),
     ("sample", "sample", {"model": {"kind": "uniform", "n": 2000,
                                     "p": 0.004}}),
+    ("sample-directed", "sample",
+     {"model": {"kind": "uniform", "n": 500, "p": 0.01}, "directed": True}),
 )
 
 
@@ -90,21 +99,25 @@ def _digest(path):
     return hashlib.sha256(body).hexdigest()
 
 
-def digests(root):
-    """{label/file: SHA-256} of every artifact of ``RUNS``, run in ``root``."""
+def digests(root, threads=1):
+    """{label/file: SHA-256} of every artifact of ``RUNS``, run in ``root``
+    on ``threads`` trial threads."""
     out = {}
     for label, command, config in RUNS:
         run_dir = os.path.join(root, label)
-        run_command(command, config, SEED, run_dir, trials=TRIALS)
+        run_command(command, config, SEED, run_dir, trials=TRIALS,
+                    threads=threads)
         for name in sorted(os.listdir(run_dir)):
             out[f"{label}/{name}"] = _digest(os.path.join(run_dir, name))
     return out
 
 
-def test_outputs_match_the_golden_digests(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_outputs_match_the_golden_digests(tmp_path, threads):
+    # threads reorder the trials, never a byte of their artifacts
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    got = digests(str(tmp_path))
+    got = digests(str(tmp_path), threads)
     differ = sorted(f for f in got.keys() | golden["digests"].keys()
                     if got.get(f) != golden["digests"].get(f))
     assert not differ, (

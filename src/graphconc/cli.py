@@ -6,11 +6,12 @@
 Commands: sample | spectrum | concentration | laplacian | sbm |
 decompose | gp-check.  Each run reads one JSON config of experiment
 parameters (solver settings are module constants; an unknown key, or a
-value not of its field's type, is an error), writes config.json /
-report.json / CSV artifacts into its own output directory, and is
-reproducible byte-for-byte from config + master seed (wall clock
-aside).  seed/trials/threads/out may also be config keys; flags win,
-and a config value or a ``run_command`` argument gets its flag's check.
+value not of its field's type and range, is an error), writes
+config.json / report.json / CSV artifacts into its own output
+directory, and is reproducible byte-for-byte from config + master seed
+(wall clock aside).  seed/trials/threads/out may also be config keys;
+flags win, and a config value or a ``run_command`` argument gets its
+flag's check.
 --trials N runs trials 0..N-1 (gp-check: N random matrices), each on
 its own RNG stream, so --threads changes the schedule, never the
 numbers.  Trial t draws stream t, except in concentration and
@@ -48,8 +49,9 @@ from .models import (Uniform, check, expected_adjacency, graph_header,
 from .models import expected_dense  # unused: perfbench/spans.py wraps it here
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
-from .regularize import (adjacency_shifted_op, apply_scheme, average_degree,
-                         expected_laplacian, laplacian, tau_shift)
+from .regularize import (SCHEMES, adjacency_shifted_op, apply_scheme,
+                         average_degree, expected_laplacian, laplacian,
+                         tau_shift)
 from .reports import (ExperimentReport, config_hash, run_trials, summarize,
                       write_csv, write_histogram)
 from .spectral import (ENUMERATION_LIMIT, FULL_SPECTRUM_LIMIT, full_spectrum,
@@ -113,16 +115,16 @@ class SpectrumConfig:
     model: dict | None = None
     graph: str | None = None        # path to a saved graph (overrides model)
     scheme: str = "reweight"
-    cap: float | None = None        # None -> average degree of the sample
-    tau: float | None = None
-    tail_threshold: float | None = None  # None -> 2 sqrt(average degree)
+    cap: positive | None = None     # None -> average degree of the sample
+    tau: nonnegative | None = None
+    tail_threshold: nonnegative | None = None  # None -> 2 sqrt(average degree)
 
 
 @dataclass(frozen=True)
 class ConcentrationConfig:
     cells: list = field(default_factory=lambda: [{"n": 1000, "d": 8.0}])
     scheme: str = "identity"
-    cap_mult: float = 2.0           # cap = cap_mult * d for capped schemes
+    cap_mult: positive = 2.0        # cap = cap_mult * d for capped schemes
 
 
 @dataclass(frozen=True)
@@ -137,14 +139,14 @@ class SbmConfig:
     n: int = 2000
     a: float = 30.0
     b: float = 5.0
-    tau: float | None = None        # None -> average degree, per trial
+    tau: nonnegative | None = None  # None -> average degree, per trial
 
 
 @dataclass(frozen=True)
 class DecomposeConfig:
     n: int = 512
-    d: float = 8.0
-    r: float = 3.0
+    d: positive = 8.0
+    r: positive = 3.0
     model: dict | None = None       # None -> Uniform(n, d/n); else of size
                                     # n with max n p_ij <= d
     directed: bool = False          # undirected input is triangle-split
@@ -157,7 +159,7 @@ class GpCheckConfig:
     rows: int = 8                   # >= 1: a 0 x m matrix would pass
     cols: int = 12                  # every certificate vacuously
     deltas: list = field(default_factory=lambda: [0.25, 0.5])
-    ratio_limit: float = 1.379      # sqrt(pi/2) * 1.10 solver slack
+    ratio_limit: positive = 1.379   # sqrt(pi/2) * 1.10 solver slack
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +205,10 @@ def _spectrum_trial(model, graph, cfg, seed, out_dir, trials, t):
     cap = cfg.cap if cfg.cap is not None else avg
     thr = (cfg.tail_threshold if cfg.tail_threshold is not None
            else 2.0 * np.sqrt(max(avg, 0.0)))
-    before = full_spectrum(g.to_dense())
-    after = full_spectrum(apply_scheme(g, cfg.scheme, cap=cap,
-                                       tau=cfg.tau).to_dense())
+    # the scheme before the O(n^3) spectra: it refuses an edgeless
+    # sample's default cap, its average degree 0
+    h = apply_scheme(g, cfg.scheme, cap=cap, tau=cfg.tau)
+    before, after = (full_spectrum(x.to_dense()) for x in (g, h))
     sfx = "" if trials == 1 else f"_t{t}"
     for tag, eigs in (("before", before), ("after", after)):
         write_csv(_path(out_dir, f"eigs_{tag}{sfx}.csv"), ["eigenvalue"],
@@ -218,11 +221,24 @@ def _spectrum_trial(model, graph, cfg, seed, out_dir, trials, t):
             "tail_after": int((np.abs(after) > thr).sum())}
 
 
+def _check_scheme(scheme, tau=0.0, caps=()):
+    """Refuse, before any trial, a scheme that ``SCHEMES`` does not
+    name, spectrum's 'tau' without tau, and a concentration cell whose
+    cap cap_mult * d (tau, for 'tau') the scheme would refuse: a capped
+    scheme needs cap > 0, so no cell of d = 0."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, not {scheme!r}")
+    if scheme == "tau" and tau is None:
+        raise ValueError("scheme 'tau' needs tau")
+    for ci, cap in enumerate(caps if scheme != "identity" else ()):
+        check(cap, "nonnegative" if scheme == "tau" else "positive",
+              f"cell {ci}'s cap_mult * d")
+
+
 def cmd_spectrum(cfg, ctx):
     if cfg.model is None and cfg.graph is None:
         raise ValueError("spectrum needs 'model' or 'graph' in config")
-    if cfg.tail_threshold is not None and not 0 <= cfg.tail_threshold < np.inf:
-        raise ValueError("tail_threshold must be finite and nonnegative")
+    _check_scheme(cfg.scheme, cfg.tau)
     if cfg.graph is not None and ctx.trials > 1:  # each would read it again
         raise ValueError("spectrum on a saved graph runs one trial, not "
                          f"{ctx.trials}")
@@ -269,10 +285,11 @@ def _grid(ctx, cfg, cells, trial, value, csv_name, header):
                                                   for t in trials)}
 
 
-def _distinct(values, name, key):
-    """``values``, or a ValueError if the grid axis ``name`` is empty (a
-    grid of no cells runs no trials) or if an entry repeats another
-    one's summary key ``key(value)``: its cell's summary would be lost."""
+def _distinct(values, name, key, shares="the summary key {}"):
+    """{key(value): value} of ``values``, or a ValueError if the axis
+    ``name`` is empty (a grid of no cells runs no trials, a gp-check of
+    no delta checks no certificate) or if an entry repeats another
+    one's key: its cell's summary, or its columns, would be lost."""
     if not values:
         raise ValueError(f"{name} must hold at least one entry")
     seen = {}
@@ -281,20 +298,20 @@ def _distinct(values, name, key):
         if k in seen:
             raise ValueError(
                 f"{name} repeats {value!r}" if seen[k] == value else
-                f"{name} entries {seen[k]!r} and {value!r} would share the "
-                f"summary key {k}")
+                f"{name} entries {seen[k]!r} and {value!r} would share "
+                + shares.format(k))
         seen[k] = value
-    return values
+    return seen
 
 
 def _concentration_trial(cells, cfg, seed, out_dir, trials, flat):
     ci, t = divmod(flat, trials)
     _, n, d, _ = cells[ci]
     model = Uniform(n, d / n)
-    cap = cfg.cap_mult * d
+    cap = cfg.cap_mult * d  # 'tau' reads it as tau, 'identity' not at all
     rec = _norm_or_best(compose_difference(adjacency_shifted_op(apply_scheme(
-        sample(model, seed, flat), cfg.scheme, cap=cap if cap > 0 else None,
-        tau=cap if cfg.scheme == "tau" else None)), expected_adjacency(model)))
+        sample(model, seed, flat), cfg.scheme, cap=cap, tau=cap)),
+        expected_adjacency(model)))
     return {"cell": ci, "n": n, "d": d, "trial": t, **rec,
             "ratio": float(rec["norm"] / np.sqrt(d) if d > 0 else 0.0)}
 
@@ -315,6 +332,7 @@ def cmd_concentration(cfg, ctx):
             raise ValueError(f"cell {len(cells)}'s d must lie in [0, n] = "
                              f"[0, {n}], not {c['d']!r}")
         cells.append((f"cell_{len(cells)}_n{n}_d{d:g}", n, d, d))
+    _check_scheme(cfg.scheme, caps=[cfg.cap_mult * d for _, _, d, _ in cells])
     return _grid(ctx, cfg, cells, _concentration_trial, "ratio", "cells.csv",
                  ["n", "d", "median_ratio", "q1", "q3"])
 
@@ -331,17 +349,15 @@ def _laplacian_trial(cells, cfg, seed, out_dir, trials, flat):
 
 
 def cmd_laplacian(cfg, ctx):
-    taus = [float(check(t, "float", "each tau"))
+    taus = [float(check(t, "positive", "each tau"))
             for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
-    if not all(0 < t < np.inf for t in taus):  # NaN too
-        raise ValueError("laplacian experiment needs finite tau > 0")
     d = float(cfg.d)
     ns = _distinct([check(n, "int", "an ns entry") for n in cfg.ns], "ns",
-                   str)
+                   str).values()
     if not all(0 <= d <= n for n in ns):  # NaN too
         raise ValueError(f"d must lie in [0, n] for every n in ns, not "
                          f"{cfg.d!r} with n = {min(ns)}")
-    taus = _distinct(taus, "taus", "{:g}".format)
+    taus = _distinct(taus, "taus", "{:g}".format).values()
     cells = [(f"n{n}_tau{tau:g}", n, d, tau) for n in ns for tau in taus]
     return _grid(ctx, cfg, cells, _laplacian_trial, "value", "curve.csv",
                  ["n", "tau", "median_sqrt_d_deviation", "q1", "q3"])
@@ -395,10 +411,6 @@ def _decompose_trial(model, cfg, seed, out_dir, trials, t):
 
 
 def cmd_decompose(cfg, ctx):
-    for key in ("r", "d"):
-        if not 0 < getattr(cfg, key) < np.inf:  # NaN too
-            raise ValueError(f"decompose needs a finite {key} > 0, not "
-                             f"{getattr(cfg, key)!r}")
     if cfg.model is None:
         if cfg.d > cfg.n:
             raise ValueError(f"d must lie in (0, n] = (0, {cfg.n}] for the "
@@ -450,22 +462,12 @@ def _gp_check_trial(deltas, cfg, seed, out_dir, trials, i):
 
 
 def cmd_gp_check(cfg, ctx):
-    if not 0 < cfg.ratio_limit < np.inf:  # NaN too
-        raise ValueError("ratio_limit must be finite and positive")
-    if not cfg.deltas:  # no delta would check no certificate
-        raise ValueError("deltas must hold at least one entry")
+    deltas = _distinct([check(x, "unit", "each delta") for x in cfg.deltas],
+                       "deltas", lambda x: f"{x:g}".replace(".", "p"),
+                       "the columns *_d{}")  # column suffix -> delta
     if cfg.cols > ENUMERATION_LIMIT:  # each ||B||_{inf->2} enumerates signs
         raise WidthExceeded(f"cols = {cfg.cols} exceeds the enumeration "
                             f"limit {ENUMERATION_LIMIT}")
-    deltas = {}  # column suffix -> delta
-    for delta in cfg.deltas:
-        if not 0 < check(delta, "float", "each delta") < 1:
-            raise ValueError(f"each delta must lie in (0, 1), not {delta!r}")
-        key = f"{delta:g}".replace(".", "p")
-        if key in deltas:
-            raise ValueError(f"deltas {deltas[key]!r} and {delta!r} would "
-                             f"share the columns *_d{key}")
-        deltas[key] = delta
     trials = _run(_gp_check_trial, ctx, deltas, cfg)
     ratios = [t["ratio"] for t in trials]
     cert_keys = [f"cert_ok_d{key}" for key in deltas]

@@ -99,6 +99,8 @@ class SparseGraph:
     both orientations.  Self-loops are not representable.  i and j are
     int32 while n <= 2^31.  A 0/1 graph holds no weight array:
     ``weighted`` is False and ``w`` reads as ones (a zero-stride view).
+    The weights are always checked; ``_checked`` entries i, j of the
+    index dtype are taken as canonical, unchecked.
     """
 
     def __init__(self, n, i, j, w=None, directed=False, _checked=False):
@@ -108,18 +110,18 @@ class SparseGraph:
         if not _checked:
             i = np.asarray(i, dtype=np.int64)
             j = np.asarray(j, dtype=np.int64)
-            if (i.shape != j.shape or i.ndim != 1
-                    or (w is not None and w.shape != i.shape)):
-                raise InvalidModel("entry arrays must be 1-d and equally long")
+        if (i.shape != j.shape or i.ndim != 1
+                or (w is not None and w.shape != i.shape)):
+            raise InvalidModel("entry arrays must be 1-d and equally long")
         if w is not None and not np.any(w != 1.0):
             w = None  # a 0/1 graph
+        if w is not None and not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):
+            raise InvalidModel("weights must lie in (0, 1]")  # NaN too
         if not _checked and i.size:
             if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
                 raise InvalidModel("vertex index out of range")
             if np.any(i == j):
                 raise InvalidModel("self-loops are not allowed")
-            if w is not None and not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):
-                raise InvalidModel("weights must lie in (0, 1]")  # NaN too
             if not self.directed:
                 i, j = np.minimum(i, j), np.maximum(i, j)
             code = i * n + j  # int64: in int32 it wraps beyond n = 46340
@@ -153,8 +155,8 @@ class SparseGraph:
 
     def subset(self, keep):
         """The graph of the entries ``keep`` selects (a mask or ascending
-        positions), not re-validated: a subset of canonical entries is
-        canonical."""
+        positions), the entries not re-validated: a subset of canonical
+        entries is canonical."""
         return SparseGraph(self.n, self.i[keep], self.j[keep],
                            self._w[keep] if self.weighted else None,
                            directed=self.directed, _checked=True)
@@ -195,9 +197,11 @@ class SparseGraph:
     def to_dense(self):
         return self.to_csr().toarray()
 
-    def with_entries(self, i, j, w):
-        """Same n and directedness, new entry arrays (re-validated)."""
-        return SparseGraph(self.n, i, j, w, directed=self.directed)
+    def with_weights(self, w):
+        """The same entries, weighted ``w``: only the weights are checked
+        (one per entry, in (0, 1]), as ``subset`` trusts its entries."""
+        return SparseGraph(self.n, self.i, self.j, w,
+                           directed=self.directed, _checked=True)
 
     @classmethod
     def from_dense(cls, M, directed=False, tol=0.0):
@@ -608,15 +612,22 @@ def _is_numbers(v):
 
 # The kinds of JSON value that a config, model spec or graph header
 # field holds: name -> (description, test).  The config annotations
-# ("int", "float", "dict", ...) are names too; a config's int counts
-# something, so it is positive.  A value is checked, never converted:
-# reading n = 100.7 as 100 would sample another model than the one
-# config.json records.
+# ("int", "float", "positive", ...) are names too; a config's int counts
+# something, so it is positive, and the range kinds state a field's
+# range once, refusing NaN, +-inf and an int that no float holds.  A
+# value is checked, never converted: reading n = 100.7 as 100 would
+# sample another model than the one config.json records.
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # an int compares exactly
 _KINDS = {
     "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
     "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "integer": ("an integer", lambda v: type(v) is int),
     "float": ("a number", _is_number),
+    "positive": ("a finite number > 0",
+                 lambda v: _is_number(v) and 0 < v <= _FLOAT_MAX),
+    "nonnegative": ("a finite number >= 0",
+                    lambda v: _is_number(v) and 0 <= v <= _FLOAT_MAX),
+    "unit": ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1),
     "floats": ("a list of numbers", _is_numbers),
     "matrix": ("a list of lists of numbers",
                lambda v: isinstance(v, list) and all(map(_is_numbers, v))),

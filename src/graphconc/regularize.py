@@ -122,7 +122,7 @@ def proportional_reweight(g, cap):
     pos = deg > 0
     lam[pos] = np.minimum(cap / deg[pos], 1.0)
     scale = np.sqrt(lam[g.i] * lam[g.j])
-    return g.with_entries(g.i, g.j, scale)
+    return g.with_weights(scale)
 
 
 @dataclass(frozen=True)

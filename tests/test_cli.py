@@ -846,11 +846,14 @@ def test_empty_grid_is_refused(tmp_path, name, cfg, message):
     ("sbm", {"n": 200.0}, "n must be a positive integer, not 200.0"),
     ("decompose", {"gp_iters": 2.5}, "gp_iters must be a positive integer"),
     ("decompose", {"gp_iters": 0}, "gp_iters must be a positive integer"),
-    ("concentration", {"cap_mult": "2"}, "cap_mult must be a number, not '2'"),
-    ("gp-check", {"ratio_limit": "1.3"}, "ratio_limit must be a number"),
+    ("concentration", {"cap_mult": "2"},
+     "cap_mult must be a finite number > 0, not '2'"),
+    ("gp-check", {"ratio_limit": "1.3"},
+     "ratio_limit must be a finite number > 0"),
     ("gp-check", {"rows": True}, "rows must be a positive integer, not True"),
     ("spectrum", {"model": {"kind": "uniform", "n": 30, "p": 0.2},
-                  "cap": "3"}, "cap must be a number or null, not '3'"),
+                  "cap": "3"},
+     "cap must be a finite number > 0 or null, not '3'"),
     ("sample", {"directed": "no"}, "directed must be true or false"),
     ("laplacian", {"d": "5"}, "d must be a number, not '5'"),
     ("concentration", {"cells": [{"n": 100, "d": "3"}]}, "a cell's d"),
@@ -1124,8 +1127,8 @@ def test_sample_refuses_a_model_of_no_vertex(tmp_path, capsys, spec):
      "d must lie in [0, n] for every n in ns, not -1 with n = 40"),
     ("laplacian", {"ns": [1000, 40], "d": 50},
      "d must lie in [0, n] for every n in ns, not 50 with n = 40"),
-    ("decompose", {"n": 100, "d": -1}, "decompose needs a finite d > 0, not -1"),
-    ("decompose", {"n": 100, "r": 0}, "decompose needs a finite r > 0, not 0"),
+    ("decompose", {"n": 100, "d": -1}, "d must be a finite number > 0, not -1"),
+    ("decompose", {"n": 100, "r": 0}, "r must be a finite number > 0, not 0"),
     ("decompose", {"n": 100, "d": 150},
      "d must lie in (0, n] = (0, 100] for the default Uniform(n, d/n), "
      "not 150")],
@@ -1146,6 +1149,81 @@ def test_grid_refuses_a_d_outside_0_n_before_a_trial(tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err == f"graphconc {name}: error: {message}\n"
     assert not out.exists()
+
+
+SPECTRUM_30 = {"kind": "uniform", "n": 30, "p": 0.2}
+CELLS = [{"n": 50, "d": 3}, {"n": 40, "d": 0}]
+
+
+@pytest.mark.parametrize("name,cfg,message", [
+    ("concentration", {"scheme": "bogus"},
+     "scheme must be one of ('identity', 'remove', 'trim', 'reweight', "
+     "'tau'), not 'bogus'"),
+    ("concentration", {"scheme": "trim", "cap_mult": -1},
+     "cap_mult must be a finite number > 0, not -1"),
+    ("concentration", {"scheme": "trim", "cap_mult": float("nan")},
+     "cap_mult must be a finite number > 0, not nan"),
+    ("concentration", {"scheme": "trim", "cap_mult": float("inf")},
+     "cap_mult must be a finite number > 0, not inf"),
+    ("concentration", {"scheme": "tau", "cap_mult": -1},
+     "cap_mult must be a finite number > 0, not -1"),
+    ("concentration", {"scheme": "tau", "cap_mult": float("inf")},
+     "cap_mult must be a finite number > 0, not inf"),
+    ("concentration", {"scheme": "identity", "cap_mult": 0},
+     "cap_mult must be a finite number > 0, not 0"),
+    ("concentration", {"scheme": "trim", "cap_mult": 10 ** 400},
+     f"cap_mult must be a finite number > 0, not {10 ** 400}"),
+    *[("concentration", {"scheme": scheme, "cells": CELLS},
+       "cell 1's cap_mult * d must be a finite number > 0, not 0.0")
+      for scheme in ("trim", "remove", "reweight")],
+    ("spectrum", {"scheme": "bogus"},
+     "scheme must be one of ('identity', 'remove', 'trim', 'reweight', "
+     "'tau'), not 'bogus'"),
+    ("spectrum", {"scheme": "tau"}, "scheme 'tau' needs tau"),
+    ("spectrum", {"cap": -2},
+     "cap must be a finite number > 0 or null, not -2"),
+    ("spectrum", {"scheme": "identity", "cap": 0},
+     "cap must be a finite number > 0 or null, not 0"),
+    ("spectrum", {"scheme": "tau", "tau": -1},
+     "tau must be a finite number >= 0 or null, not -1"),
+    ("sbm", {"n": 100, "tau": -1},
+     "tau must be a finite number >= 0 or null, not -1")],
+    ids=["conc-scheme", "conc-trim-cap_mult-negative", "conc-trim-cap_mult-nan",
+         "conc-trim-cap_mult-inf", "conc-tau-cap_mult-negative",
+         "conc-tau-cap_mult-inf", "conc-identity-cap_mult-zero",
+         "conc-trim-cap_mult-beyond-float",
+         "conc-trim-d0", "conc-remove-d0", "conc-reweight-d0",
+         "spectrum-scheme", "spectrum-tau-without-tau", "spectrum-cap",
+         "spectrum-identity-cap", "spectrum-tau", "sbm-tau"])
+def test_scheme_parameters_are_refused_before_a_trial(tmp_path, capsys,
+                                                      monkeypatch, name, cfg,
+                                                      message):
+    # each was refused inside trial 0, after a sample (and, in spectrum,
+    # a dense eigensolve), or not at all where the scheme ignores it
+    monkeypatch.setattr(cli, "sample", _fails("sample"))
+    monkeypatch.setattr(graphconc.community, "sample", _fails("sample"))
+    monkeypatch.setattr(cli, "full_spectrum", _fails("full_spectrum"))
+    if name == "spectrum":
+        cfg = {"model": SPECTRUM_30, **cfg}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([name, "--seed", "7", "--config", str(cfg_path),
+               "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"graphconc {name}: error: {message}\n"
+    assert not out.exists()
+
+
+def test_spectrum_applies_its_scheme_before_the_dense_spectra(
+        tmp_path, monkeypatch):
+    # an edgeless sample's default cap is its average degree, 0, which
+    # the scheme refuses: before any O(n^3) eigensolve
+    monkeypatch.setattr(cli, "full_spectrum", _fails("full_spectrum"))
+    with pytest.raises(ValueError, match="cap must be positive"):
+        run_command("spectrum", {"model": {"kind": "uniform", "n": 30,
+                                           "p": 0.0}}, MASTER,
+                    str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("value", [True, "200", 200.0],

@@ -73,6 +73,10 @@ RUNS = (
     ("spectrum", "spectrum",
      {"model": {"kind": "profile", "n": 1000, "values": [7, 70],
                 "fractions": [0.9, 0.1]}, "scheme": "reweight"}),
+    *[(f"spectrum-{scheme}", "spectrum",
+       {"model": {"kind": "profile", "n": 300, "values": [7, 70],
+                  "fractions": [0.9, 0.1]}, "scheme": scheme, **extra})
+      for scheme, extra in (("trim", {}), ("tau", {"tau": 5.0}))],
     ("sample", "sample", {"model": {"kind": "uniform", "n": 2000,
                                     "p": 0.004}}),
     ("sample-directed", "sample",

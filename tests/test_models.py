@@ -116,6 +116,23 @@ def test_zero_one_graph_holds_int32_ids_and_no_weights():
     assert SparseGraph(4, [0], [1], [1.0]) != SparseGraph(4, [0], [1], [0.5])
 
 
+def test_with_weights_checks_only_the_weights():
+    # the entries held are canonical; a new weight array is the
+    # constructor's, bit for bit, and is refused as it refuses one
+    rng = np.random.default_rng(11)
+    g = sample(Uniform(300, 0.03), MASTER)
+    h = SparseGraph(g.n, g.i, g.j, 1.0 - 0.9 * rng.random(g.nnz))
+    for base in (g, h):
+        for w in (1.0 - 0.9 * rng.random(g.nnz), np.ones(g.nnz)):
+            out, ref = base.with_weights(w), SparseGraph(g.n, g.i, g.j, w)
+            assert out.weighted == ref.weighted and out == ref
+            assert out.i.dtype == ref.i.dtype and not out.i.flags.writeable
+    for w in (np.ones(g.nnz + 1), np.zeros(g.nnz), np.full(g.nnz, 1.5),
+              np.full(g.nnz, np.nan)):
+        with pytest.raises(InvalidModel):
+            g.with_weights(w)
+
+
 def _coo_csr(g):
     """scipy's COO build of g's csr, which ``to_csr`` must equal."""
     import scipy.sparse as sp
@@ -134,7 +151,7 @@ def test_to_csr_is_the_coo_build(directed):
     draw = sample_directed if directed else sample
     for n, p in ((1, 0.0), (5, 0.0), (7, 1.0), (300, 0.03), (2000, 0.002)):
         g = draw(Uniform(n, p), MASTER)
-        graphs = [g, g.with_entries(g.i, g.j, 1.0 - 0.9 * rng.random(g.nnz))]
+        graphs = [g, g.with_weights(1.0 - 0.9 * rng.random(g.nnz))]
         for h in graphs:
             ours, ref = h.to_csr(), _coo_csr(h)
             for key in ("indptr", "indices", "data"):

@@ -240,6 +240,34 @@ def test_reweight_row_mass_and_locality():
         assert touch.all()
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_reweight_keeps_its_entries_unsorted(monkeypatch, directed):
+    # the entries of g are canonical, so the result is the validated
+    # construction on its weights bit for bit, with no argsort run: a
+    # weighted result, and an all-ones one that holds no weight array
+    cases = []
+    for n, p, cap in ((500, 0.02, 6.0), (300, 0.01, 50.0), (40, 0.0, 1.0)):
+        g = (sample_directed if directed else sample)(Uniform(n, p), MASTER)
+        deg = g.degrees()
+        lam = np.ones(n)
+        lam[deg > 0] = np.minimum(cap / deg[deg > 0], 1.0)
+        ref = SparseGraph(n, g.i, g.j, np.sqrt(lam[g.i] * lam[g.j]),
+                          directed=directed)
+        cases.append((g, cap, ref))
+    assert cases[0][2].weighted and not cases[1][2].weighted
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    for g, cap, ref in cases:
+        out = proportional_reweight(g, cap)
+        assert out.weighted == ref.weighted and out.directed == directed
+        for key in ("i", "j", "w"):
+            a, b = getattr(out, key), getattr(ref, key)
+            assert a.dtype == b.dtype and np.array_equal(a, b), key
+
+
 # ---------------------------------------------------------------------------
 # tau shift
 

@@ -43,9 +43,9 @@ from .decompose import (DENSE_LIMIT, decompose, decomposition_to_csv,
                         verify_decomposition)
 from .errors import (GraphconcError, NoConvergence, SizeExceeded,
                      VerificationError, WidthExceeded)
-from .models import (Uniform, check, expected_adjacency, graph_header,
-                     load_graph, model_from_dict, sample, sample_directed,
-                     save_graph)
+from .models import (Uniform, check, check_object, expected_adjacency,
+                     graph_header, load_graph, model_from_dict, sample,
+                     sample_directed, save_graph)
 from .models import expected_dense  # unused: perfbench/spans.py wraps it here
 from .operators import compose_difference
 from .pietsch import EXACT_LOWER_COLS, gp_submatrix, gp_weights
@@ -92,15 +92,16 @@ def _norm_or_best(op):
 # configs
 
 
+def _checked(raw, kinds):
+    """``raw``, a config object of ``kinds``' keys, each optional; a
+    value is named by its key alone."""
+    return check_object(raw, kinds, "config", required=(), field="{key}")
+
+
 def _config_from_dict(cls, raw):
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(types))
-    if unknown:
-        raise ValueError(f"unknown config keys for {cls.__name__}: {unknown}; "
-                         f"expected a subset of {sorted(types)}")
-    for key, value in raw.items():
-        check(value, types[key], key)
-    return cls(**raw)
+    # the annotations name the kinds
+    return cls(**_checked(raw, {f.name: f.type
+                                for f in dataclasses.fields(cls)}))
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class ConcentrationConfig:
 @dataclass(frozen=True)
 class LaplacianConfig:
     ns: list = field(default_factory=lambda: [1000])
-    d: float = 5.0
+    d: nonnegative = 5.0
     taus: list | None = None        # None -> [d]
 
 
@@ -321,13 +322,8 @@ def cmd_concentration(cfg, ctx):
         raise ValueError("cells must hold at least one cell")
     cells = []
     for c in cfg.cells:
-        if not isinstance(c, dict) or not {"n", "d"} <= set(c):
-            raise ValueError(f"a cell is an object with n and d, not {c!r}")
-        unknown = [key for key in c if key not in ("n", "d")]
-        if unknown:
-            raise ValueError(f"a cell holds n and d only, not {unknown}")
-        n = check(c["n"], "int", "a cell's n")
-        d = float(check(c["d"], "float", "a cell's d"))
+        c = check_object(c, {"n": "int", "d": "float"}, "a cell")
+        n, d = c["n"], float(c["d"])
         if not 0 <= d <= n:  # NaN too; Uniform(n, d/n) needs p in [0, 1]
             raise ValueError(f"cell {len(cells)}'s d must lie in [0, n] = "
                              f"[0, {n}], not {c['d']!r}")
@@ -349,8 +345,9 @@ def _laplacian_trial(cells, cfg, seed, out_dir, trials, flat):
 
 
 def cmd_laplacian(cfg, ctx):
-    taus = [float(check(t, "positive", "each tau"))
-            for t in (cfg.taus if cfg.taus is not None else [cfg.d])]
+    taus = ([float(check(t, "positive", "each tau")) for t in cfg.taus]
+            if cfg.taus is not None
+            else [float(check(cfg.d, "positive", "d (the default tau)"))])
     d = float(cfg.d)
     ns = _distinct([check(n, "int", "an ns entry") for n in cfg.ns], "ns",
                    str).values()
@@ -589,23 +586,25 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     return report
 
 
-def _read_config(path):
-    """The JSON object in the file at ``path``."""
+def _read_config(path, name):
+    """The JSON object in the file at ``path``: command ``name``'s config
+    fields, whose values ``run_command`` checks, and the run fields,
+    which ``main`` parses; ``out`` is checked here."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path} is not JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return raw
+    fields = dataclasses.fields(_COMMANDS[name][0])
+    kinds = dict.fromkeys([f.name for f in fields] + list(dict(_RUN_FIELDS)))
+    return _checked(raw, {**kinds, "out": "str | None"})
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = _read_config(args.config) if args.config else {}
+        raw = _read_config(args.config, args.command) if args.config else {}
         run = {"seed": None, "trials": 1, "threads": 1}
         for key, parse in _RUN_FIELDS:
             if key in raw:
@@ -616,7 +615,7 @@ def main(argv=None):
             if getattr(args, key) is not None:
                 run[key] = getattr(args, key)
         seed, trials, threads = run["seed"], run["trials"], run["threads"]
-        cfg_out = check(raw.pop("out", None), "str | None", "out")
+        cfg_out = raw.pop("out", None)
         out_dir = args.out if args.out is not None else cfg_out
         if seed is None:
             parser.error("--seed is required (flag or config field)")

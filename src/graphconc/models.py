@@ -601,9 +601,13 @@ def _dense_block(model, words, r0, r1, lower):
 # JSON values
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)  # an int compares exactly
+
+
 def _is_number(v):
-    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
-    return type(v) is int or isinstance(v, float)
+    """Whether ``v`` is a JSON number that a float64 holds: a float, or
+    an int (not a bool) of magnitude at most ``_FLOAT_MAX``."""
+    return isinstance(v, float) or type(v) is int and abs(v) <= _FLOAT_MAX
 
 
 def _is_numbers(v):
@@ -614,22 +618,22 @@ def _is_numbers(v):
 # field holds: name -> (description, test).  The config annotations
 # ("int", "float", "positive", ...) are names too; a config's int counts
 # something, so it is positive, and the range kinds state a field's
-# range once, refusing NaN, +-inf and an int that no float holds.  A
-# value is checked, never converted: reading n = 100.7 as 100 would
-# sample another model than the one config.json records.
-_FLOAT_MAX = float(np.finfo(np.float64).max)  # an int compares exactly
+# range once, refusing NaN and +-inf.  No number kind takes an int that
+# no float64 holds.  A value is checked, never converted: reading
+# n = 100.7 as 100 would sample another model than the one config.json
+# records.
 _KINDS = {
     "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
     "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "integer": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", _is_number),
+    "float": ("a number within the float64 range", _is_number),
     "positive": ("a finite number > 0",
                  lambda v: _is_number(v) and 0 < v <= _FLOAT_MAX),
     "nonnegative": ("a finite number >= 0",
                     lambda v: _is_number(v) and 0 <= v <= _FLOAT_MAX),
     "unit": ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1),
-    "floats": ("a list of numbers", _is_numbers),
-    "matrix": ("a list of lists of numbers",
+    "floats": ("a list of numbers within the float64 range", _is_numbers),
+    "matrix": ("a list of lists of numbers within the float64 range",
                lambda v: isinstance(v, list) and all(map(_is_numbers, v))),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -648,6 +652,28 @@ def check(value, kind, what, error=ValueError):
         raise error(f"{what} must be {desc}"
                     f"{' or null' if nullable else ''}, not {value!r}")
     return value
+
+
+def check_object(obj, kinds, what, error=ValueError, required=None,
+                 field="{what}'s {key}"):
+    """``obj``, if it is a JSON object whose keys are keys of ``kinds``,
+    among them every ``required`` one (default: all), and whose values
+    are of their kinds (``check``; a kind None is the caller's to
+    check).  Otherwise ``error``, naming the object ``what`` and a
+    value ``field`` formatted with ``what`` and its key."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object, not {obj!r}")
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise error(f"{what} may hold only the keys {sorted(kinds)}, "
+                    f"not {unknown}")
+    for key in kinds if required is None else required:
+        if key not in obj:
+            raise error(f"{what} lacks key {key!r}")
+    for key, kind in kinds.items():
+        if key in obj and kind is not None:
+            check(obj[key], kind, field.format(what=what, key=key), error)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -749,16 +775,11 @@ def _read_header(path, line):
     ValueError naming the file and the field otherwise."""
     try:
         header = json.loads(line)
-    except json.JSONDecodeError:
-        header = None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: line 1 must be a JSON object header")
-    for key, kind in _HEADER_FIELDS.items():
-        if key in header:
-            check(header[key], kind, f"{path}: header field {key!r}")
-        elif key != "weighted":
-            raise ValueError(f"{path}: header has no field {key!r}")
-    return header
+    except json.JSONDecodeError:  # refused as the text it is
+        header = line.strip()
+    return check_object(header, _HEADER_FIELDS, f"{path}: header",
+                        required=("n", "directed"),
+                        field="{what} field {key!r}")
 
 
 def graph_header(path):
@@ -781,7 +802,8 @@ def load_graph(path):
     """Read a ``save_graph`` file; every value comes back bit for bit.
 
     The header must be a JSON object with ``n`` a non-negative integer,
-    ``directed`` a bool and ``weighted``, if present, a bool.  An edge
+    ``directed`` a bool and ``weighted``, if present, a bool, and no
+    other key.  An edge
     set that ``SparseGraph`` refuses (an id out of range, a self-loop, a
     weight outside (0, 1], a duplicate) is a ValueError naming the file
     and the first line that makes it so.
@@ -837,20 +859,16 @@ def model_to_dict(model):
 
 def model_from_dict(spec):
     """A model from its JSON spec; InvalidModel for a spec that is no
-    object, names no known kind, lacks a field or holds a field of the
-    wrong kind (a bool or a string is no number, and n is an integer)."""
-    if not isinstance(spec, dict):
-        raise InvalidModel(f"a model spec is a JSON object, not {spec!r}")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+    object, names no known kind, lacks a field, holds a key its kind
+    does not have or a field of the wrong kind (a bool or a string is
+    no number, and n is an integer)."""
+    # any spec field may be present until the kind says which are its own
+    kind = check_object(spec, {"kind": "str", **dict.fromkeys(_SPEC_FIELDS)},
+                        "a model spec", InvalidModel, ("kind",))["kind"]
+    if kind not in _MODEL_KINDS:
         raise InvalidModel(f"unknown model kind {kind!r}")
     make, keys = _MODEL_KINDS[kind]
-
-    def field(key):
-        if key not in spec:
-            raise InvalidModel(f"{kind} model spec lacks field {key!r}")
-        value = check(spec[key], _SPEC_FIELDS[key], f"{kind} model spec's {key}",
-                      InvalidModel)
-        return float(value) if _SPEC_FIELDS[key] == "float" else value
-
-    return make(*map(field, keys))
+    check_object(spec, {"kind": "str", **{k: _SPEC_FIELDS[k] for k in keys}},
+                 f"{kind} model spec", InvalidModel)
+    return make(*(float(spec[k]) if _SPEC_FIELDS[k] == "float" else spec[k]
+                  for k in keys))

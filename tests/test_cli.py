@@ -123,7 +123,7 @@ def test_threads_do_not_change_gp_results(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ValueError, match="config may hold only the keys"):
         run_command("sample", {"modle": {}}, MASTER, str(tmp_path / "x"))
 
 
@@ -133,7 +133,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ("laplacian", "max_iter"), ("sbm", "detect_tol"),
     ("decompose", "kappa"), ("gp-check", "entries"), ("gp-check", "count")])
 def test_solver_settings_are_not_config_keys(tmp_path, name, key):
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ValueError, match="config may hold only the keys"):
         run_command(name, {key: 1}, MASTER, str(tmp_path / "x"))
 
 
@@ -676,7 +676,7 @@ def test_config_file_errors_end_in_the_error_line(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("name,cfg,message", [
-    ("concentration", {"cells": [{"n": 100}]}, "n and d"),
+    ("concentration", {"cells": [{"n": 100}]}, "a cell lacks key 'd'"),
     ("concentration", {"cells": "x"}, "cells must be a list"),
     ("concentration", {"cells": [{"n": 0, "d": 3.0}]}, "cell's n"),
     ("laplacian", {"ns": [0]}, "ns entry"),
@@ -855,7 +855,7 @@ def test_empty_grid_is_refused(tmp_path, name, cfg, message):
                   "cap": "3"},
      "cap must be a finite number > 0 or null, not '3'"),
     ("sample", {"directed": "no"}, "directed must be true or false"),
-    ("laplacian", {"d": "5"}, "d must be a number, not '5'"),
+    ("laplacian", {"d": "5"}, "d must be a finite number >= 0, not '5'"),
     ("concentration", {"cells": [{"n": 100, "d": "3"}]}, "a cell's d"),
     ("sample", {"out": 5}, "out must be a string or null"),
     ("laplacian", {"ns": [64], "d": 4, "taus": [4]}, None)],
@@ -1045,7 +1045,7 @@ def test_default_out_dir_is_the_config_hash(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("header,edge,error", [
     ('{"directed": false, "weighted": false}', "0,1,1.0",
-     "header has no field 'n'"),
+     "header lacks key 'n'"),
     ('{"n": 3, "directed": "false", "weighted": false}', "0,1,1.0",
      "header field 'directed' must be true or false, not 'false'"),
     ('{"n": 2.5, "directed": false, "weighted": false}', "0,1,1.0",
@@ -1124,16 +1124,19 @@ def test_sample_refuses_a_model_of_no_vertex(tmp_path, capsys, spec):
     ("concentration", {"cells": [{"n": 100, "d": 100.5}]},
      "cell 0's d must lie in [0, n] = [0, 100], not 100.5"),
     ("laplacian", {"ns": [1000, 40], "d": -1, "taus": [5]},
-     "d must lie in [0, n] for every n in ns, not -1 with n = 40"),
+     "d must be a finite number >= 0, not -1"),
     ("laplacian", {"ns": [1000, 40], "d": 50},
      "d must lie in [0, n] for every n in ns, not 50 with n = 40"),
+    ("laplacian", {"ns": [40], "d": 0},
+     "d (the default tau) must be a finite number > 0, not 0"),
     ("decompose", {"n": 100, "d": -1}, "d must be a finite number > 0, not -1"),
     ("decompose", {"n": 100, "r": 0}, "r must be a finite number > 0, not 0"),
     ("decompose", {"n": 100, "d": 150},
      "d must lie in (0, n] = (0, 100] for the default Uniform(n, d/n), "
      "not 150")],
     ids=["cell-negative", "cell-above-n", "laplacian-negative",
-         "laplacian-above-n", "decompose-negative-d", "decompose-zero-r",
+         "laplacian-above-n", "laplacian-default-tau-zero",
+         "decompose-negative-d", "decompose-zero-r",
          "decompose-above-n"])
 def test_grid_refuses_a_d_outside_0_n_before_a_trial(tmp_path, capsys,
                                                      monkeypatch, name, cfg,
@@ -1226,33 +1229,82 @@ def test_spectrum_applies_its_scheme_before_the_dense_spectra(
                     str(tmp_path / "out"))
 
 
-@pytest.mark.parametrize("value", [True, "200", 200.0],
-                         ids=["bool", "str", "float"])
-@pytest.mark.parametrize("site", ["config", "cell", "spec", "header"])
-def test_one_rule_checks_a_value_at_every_site(tmp_path, capsys, site,
-                                               value):
-    # models.check states the rule once; each site words what it checks
+BEYOND_FLOAT = 10 ** 400  # a JSON int that no float64 holds
+
+# each site's command and its object in a run that passes the checks,
+# the name of its n and the kind n is of
+ONE_RULE_SITES = {
+    "config": ("sbm", {"n": 200}, "n", "a positive integer"),
+    "cell": ("concentration", {"n": 200, "d": 3}, "a cell's n",
+             "a positive integer"),
+    "spec": ("sample", {"kind": "uniform", "n": 200, "p": 0.1},
+             "uniform model spec's n", "an integer"),
+    "header": ("spectrum", {"n": 200, "directed": False},
+               "{graph}: header field 'n'", "a non-negative integer"),
+}
+# (site, case) -> (the object's change, the refusal); None, a key to drop
+ONE_RULE_CASES = {
+    **{(site, case): ({"n": value}, f"{n} must be {kind}, not {value!r}")
+       for site, (_, _, n, kind) in ONE_RULE_SITES.items()
+       for case, value in (("bool", True), ("str", "200"), ("float", 200.0))},
+    ("config", "unknown-key"): (
+        {"extra": 1}, "config may hold only the keys ['a', 'b', 'n', 'out', "
+        "'seed', 'tau', 'threads', 'trials'], not ['extra']"),
+    ("cell", "unknown-key"): (
+        {"extra": 1}, "a cell may hold only the keys ['d', 'n'], not "
+        "['extra']"),
+    ("spec", "unknown-key"): (
+        {"directed": True}, "a model spec may hold only the keys ['P', 'a', "
+        "'b', 'fractions', 'kind', 'n', 'p', 'theta', 'values'], not "
+        "['directed']"),
+    ("header", "unknown-key"): (
+        {"extra": 1}, "{graph}: header may hold only the keys ['directed', "
+        "'n', 'weighted'], not ['extra']"),
+    ("cell", "missing-key"): ({"d": None}, "a cell lacks key 'd'"),
+    ("spec", "missing-key"): ({"p": None}, "uniform model spec lacks key 'p'"),
+    ("header", "missing-key"): ({"n": None}, "{graph}: header lacks key 'n'"),
+    ("config", "non-object"): (
+        [200], "config must be a JSON object, not [200]"),
+    ("cell", "non-object"): (200, "a cell must be a JSON object, not 200"),
+    ("header", "non-object"): (
+        [200, False], "{graph}: header must be a JSON object, not "
+        "[200, False]"),
+    ("config", "beyond-float"): (
+        {"a": BEYOND_FLOAT}, "a must be a number within the float64 range, "
+        f"not {BEYOND_FLOAT}"),
+    ("cell", "beyond-float"): (
+        {"d": BEYOND_FLOAT}, "a cell's d must be a number within the float64 "
+        f"range, not {BEYOND_FLOAT}"),
+    ("spec", "beyond-float"): (
+        {"p": BEYOND_FLOAT}, "uniform model spec's p must be a number within "
+        f"the float64 range, not {BEYOND_FLOAT}"),
+}
+
+
+@pytest.mark.parametrize("site,case", list(ONE_RULE_CASES),
+                         ids=["-".join(key) for key in ONE_RULE_CASES])
+def test_one_rule_checks_a_value_at_every_site(tmp_path, capsys, site, case):
+    # models.check_object states the rules once: an object, no unknown
+    # key, no missing one, each value of its kind (models.check); each
+    # site words what it checks.  A config has no required key, a spec
+    # that is no object is refused as the config's model field, and no
+    # header field is a float: those sites have no such case.
+    name, obj, _, _ = ONE_RULE_SITES[site]
+    change, what = ONE_RULE_CASES[site, case]
+    obj = ({k: v for k, v in {**obj, **change}.items() if v is not None}
+           if isinstance(change, dict) else change)
     graph = tmp_path / "g.csv"
-    graph.write_text(json.dumps({"n": value, "directed": False}) + "\n")
-    name, cfg, what = {
-        "config": ("sbm", {"n": value}, "n must be a positive integer"),
-        "cell": ("concentration", {"cells": [{"n": value, "d": 3}]},
-                 "a cell's n must be a positive integer"),
-        "spec": ("sample", {"model": {"kind": "uniform", "n": value,
-                                      "p": 0.1}},
-                 "uniform model spec's n must be an integer"),
-        "header": ("spectrum", {"graph": str(graph)},
-                   f"{graph}: header field 'n' must be a non-negative "
-                   "integer"),
-    }[site]
+    cfg = {"config": obj, "cell": {"cells": [obj]}, "spec": {"model": obj},
+           "header": {"graph": str(graph)}}[site]
+    graph.write_text(json.dumps(obj) + "\n")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     rc = main([name, "--seed", "1", "--config", str(cfg_path),
                "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == (f"graphconc {name}: error: {what}, "
-                                       f"not {value!r}\n")
+    assert capsys.readouterr().err == (f"graphconc {name}: error: "
+                                       f"{what.format(graph=graph)}\n")
     assert not out.exists()
 
 

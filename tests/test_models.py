@@ -799,7 +799,8 @@ def test_load_graph_rejects_short_lines(tmp_path):
 
 @pytest.mark.parametrize("header", [
     "not json", "[3, false]", '{"n": 3}', '{"n": true, "directed": false}',
-    '{"n": 3, "directed": 0}', '{"n": 3, "directed": false, "weighted": 1}'])
+    '{"n": 3, "directed": 0}', '{"n": 3, "directed": false, "weighted": 1}',
+    '{"n": 3, "directed": false, "extra": 1}'])
 def test_load_graph_refuses_a_bad_header(tmp_path, header):
     path = tmp_path / "bad.csv"
     path.write_text(header + "\n0,1,1.0\n")
@@ -855,9 +856,12 @@ def test_model_dict_roundtrip():
     prof = model_from_dict(
         {"kind": "profile", "n": 10, "values": [2, 4], "fractions": [0.5, 0.5]})
     assert isinstance(prof, RankOne)
-    # an unknown kind, a spec that is no object, a spec lacking a field
+    # an unknown kind, a spec that is no object, a spec lacking a field,
+    # one holding a key its kind has not
     for spec in ({"kind": "nope"}, "uniform", ["uniform", 10, 0.2],
-                 {"kind": "uniform", "n": 10}, {"kind": "explicit"}):
+                 {"kind": "uniform", "n": 10}, {"kind": "explicit"},
+                 {"kind": "uniform", "n": 10, "p": 0.2, "directed": True},
+                 {"kind": "uniform", "n": 10, "p": 0.2, "theta": [0.1]}):
         with pytest.raises(InvalidModel):
             model_from_dict(spec)
 

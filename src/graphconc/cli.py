@@ -10,8 +10,9 @@ value not of its field's type and range, is an error), writes
 config.json / report.json / CSV artifacts into its own output
 directory, and is reproducible byte-for-byte from config + master seed
 (wall clock aside).  seed/trials/threads/out may also be config keys;
-flags win, and a config value or a ``run_command`` argument gets its
-flag's check.
+flags win.  A run field is of its ``_RUN_KINDS`` kind, checked by
+``models.check`` whether it comes from a config, a ``run_command``
+argument or a flag, whose text is first read as an int (decimal or hex).
 --trials N runs trials 0..N-1 (gp-check: N random matrices), each on
 its own RNG stream, so --threads changes the schedule, never the
 numbers.  Trial t draws stream t, except in concentration and
@@ -497,22 +498,20 @@ _COMMANDS = {
 }
 
 
-def _int_in(low, high, what):
-    """Parser of an int in [low, high), from a flag's text or a JSON value."""
-    def parse(value):
+# the kind of each run field, a flag and a config key alike
+_RUN_KINDS = {"seed": "u64", "trials": "int", "threads": "int"}
+
+
+def _flag(key):
+    """The argparse type of run field ``key``'s flag: its text read by
+    int(text, 0), then checked as the field's kind."""
+    def parse(text):
         try:
-            value = int(value, 0) if isinstance(value, str) else value
+            text = int(text, 0)
         except ValueError:
-            pass
-        if type(value) is not int or not low <= value < high:
-            raise argparse.ArgumentTypeError(f"{what}, not {value!r}")
-        return value
+            pass  # refused as the text it is
+        return check(text, _RUN_KINDS[key], key, argparse.ArgumentTypeError)
     return parse
-
-
-_u64 = _int_in(0, 2 ** 64, "seed must fit in a u64")
-_positive = _int_in(1, float("inf"), "must be a positive integer")
-_RUN_FIELDS = (("seed", _u64), ("trials", _positive), ("threads", _positive))
 
 
 def build_parser():
@@ -525,12 +524,13 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config; flags override its fields")
-        p.add_argument("--seed", type=_u64,
+        p.add_argument("--seed", type=_flag("seed"),
                        help="master seed (required here or in the config)")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--trials", type=_positive,
+        p.add_argument("--trials", type=_flag("trials"),
                        help="number of trials (gp-check: instances)")
-        p.add_argument("--threads", type=_positive, help="worker threads")
+        p.add_argument("--threads", type=_flag("threads"),
+                       help="worker threads")
     return parser
 
 
@@ -556,22 +556,16 @@ def _refuse_other_config(out_dir, digest):
 def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
     """Programmatic entry point; returns the ExperimentReport.
 
-    Refuses (ValueError) a seed, trials or threads that its flag
-    refuses, and an ``out_dir`` whose report.json was written for
-    another config hash; rerunning the same config is allowed.
+    Refuses (ValueError) a seed, trials or threads not of its
+    ``_RUN_KINDS`` kind, and an ``out_dir`` whose report.json was
+    written for another config hash; rerunning the same config is
+    allowed.
     """
-    checked = []
-    for (key, parse), value in zip(_RUN_FIELDS, (seed, trials, threads)):
-        try:
-            checked.append(parse(value))
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    seed, trials, threads = checked
+    ctx = RunContext(out_dir=out_dir, **_checked(
+        {"seed": seed, "trials": trials, "threads": threads}, _RUN_KINDS))
     runner = _COMMANDS[name][1]
     cfg, params = _resolve(name, raw_config, seed, trials)
     _refuse_other_config(out_dir, config_hash(params))
-    ctx = RunContext(seed=seed, out_dir=out_dir, trials=trials,
-                     threads=threads)
     start = time.perf_counter()
     records, summary, flags, *drawn = runner(cfg, ctx)
     # trial t draws stream t unless the command lists the streams it drew
@@ -588,16 +582,16 @@ def run_command(name, raw_config, seed, out_dir, trials=1, threads=1):
 
 def _read_config(path, name):
     """The JSON object in the file at ``path``: command ``name``'s config
-    fields, whose values ``run_command`` checks, and the run fields,
-    which ``main`` parses; ``out`` is checked here."""
+    fields, whose values ``run_command`` checks, and the run fields and
+    ``out``, checked here."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path} is not JSON: {exc}") from None
     fields = dataclasses.fields(_COMMANDS[name][0])
-    kinds = dict.fromkeys([f.name for f in fields] + list(dict(_RUN_FIELDS)))
-    return _checked(raw, {**kinds, "out": "str | None"})
+    return _checked(raw, {**dict.fromkeys(f.name for f in fields),
+                          **_RUN_KINDS, "out": "str | None"})
 
 
 def main(argv=None):
@@ -605,18 +599,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         raw = _read_config(args.config, args.command) if args.config else {}
-        run = {"seed": None, "trials": 1, "threads": 1}
-        for key, parse in _RUN_FIELDS:
-            if key in raw:
-                try:
-                    run[key] = parse(raw.pop(key))
-                except argparse.ArgumentTypeError as exc:
-                    parser.error(f"config field {key!r}: {exc}")
-            if getattr(args, key) is not None:
-                run[key] = getattr(args, key)
-        seed, trials, threads = run["seed"], run["trials"], run["threads"]
-        cfg_out = raw.pop("out", None)
-        out_dir = args.out if args.out is not None else cfg_out
+        run = {"seed": None, "trials": 1, "threads": 1, "out": None}
+        run |= {key: raw.pop(key) for key in list(raw) if key in run}
+        run |= {key: value for key, value in vars(args).items()
+                if key in run and value is not None}  # flags win
+        seed, trials, threads, out_dir = run.values()
         if seed is None:
             parser.error("--seed is required (flag or config field)")
         if out_dir is None:

@@ -614,18 +614,29 @@ def _is_numbers(v):
     return isinstance(v, list) and all(map(_is_number, v))
 
 
-# The kinds of JSON value that a config, model spec or graph header
-# field holds: name -> (description, test).  The config annotations
+def _is_int(v, low, high=1 << 63):
+    """Whether ``v`` is an int (not a bool) in [low, high)."""
+    return type(v) is int and low <= v < high
+
+
+# The kinds of JSON value that a config, model spec, graph header or
+# run field holds: name -> (description, test).  The config annotations
 # ("int", "float", "positive", ...) are names too; a config's int counts
 # something, so it is positive, and the range kinds state a field's
 # range once, refusing NaN and +-inf.  No number kind takes an int that
-# no float64 holds.  A value is checked, never converted: reading
+# no float64 holds, and no integer kind one that no int64 holds (the
+# seed's "u64" aside).  A value is checked, never converted: reading
 # n = 100.7 as 100 would sample another model than the one config.json
 # records.
 _KINDS = {
-    "int": ("a positive integer", lambda v: type(v) is int and v >= 1),
-    "count": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    "integer": ("an integer", lambda v: type(v) is int),
+    "int": ("a positive integer within the int64 range",
+            lambda v: _is_int(v, 1)),
+    "count": ("a non-negative integer within the int64 range",
+              lambda v: _is_int(v, 0)),
+    "integer": ("an integer within the int64 range",
+                lambda v: _is_int(v, -1 << 63)),
+    "u64": ("an integer within the uint64 range",
+            lambda v: _is_int(v, 0, 1 << 64)),
     "float": ("a number within the float64 range", _is_number),
     "positive": ("a finite number > 0",
                  lambda v: _is_number(v) and 0 < v <= _FLOAT_MAX),
@@ -801,12 +812,12 @@ def _refusal(n, edges, directed):
 def load_graph(path):
     """Read a ``save_graph`` file; every value comes back bit for bit.
 
-    The header must be a JSON object with ``n`` a non-negative integer,
-    ``directed`` a bool and ``weighted``, if present, a bool, and no
-    other key.  An edge
-    set that ``SparseGraph`` refuses (an id out of range, a self-loop, a
-    weight outside (0, 1], a duplicate) is a ValueError naming the file
-    and the first line that makes it so.
+    The header must be a JSON object with ``n`` a non-negative integer
+    within the int64 range, ``directed`` a bool and ``weighted``, if
+    present, a bool, and no other key.  An edge set that ``SparseGraph``
+    refuses (an id out of range, a self-loop, a weight outside (0, 1], a
+    duplicate) is a ValueError naming the file and the first line that
+    makes it so.
     """
     with open(path) as fh:
         header = _read_header(path, fh.readline())
@@ -861,7 +872,7 @@ def model_from_dict(spec):
     """A model from its JSON spec; InvalidModel for a spec that is no
     object, names no known kind, lacks a field, holds a key its kind
     does not have or a field of the wrong kind (a bool or a string is
-    no number, and n is an integer)."""
+    no number, and n is an integer within the int64 range)."""
     # any spec field may be present until the kind says which are its own
     kind = check_object(spec, {"kind": "str", **dict.fromkeys(_SPEC_FIELDS)},
                         "a model spec", InvalidModel, ("kind",))["kind"]

@@ -21,9 +21,9 @@ Routes
   tested against.
 * ``inf_to_2_norm_exact`` -- exact max_{x in {-1,1}^m} ||Bx||_2 by
   enumeration, a table of sign patterns at a time (m <= 24), plus two
-  lower bounds for larger matrices: ``inf_to_2_norm_lower`` (greedy
-  flips on B^T B) and ``inf_to_2_norm_power`` (sign-power iteration on
-  B itself).
+  lower bounds for larger matrices, each from ``LOWER_STARTS`` random
+  sign starts: ``inf_to_2_norm_lower`` (greedy flips on B^T B) and
+  ``inf_to_2_norm_power`` (sign-power iteration on B itself).
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
@@ -354,36 +354,33 @@ def _signs(bits, m):
     return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
-def inf_to_2_norm_lower(B, trials=LOWER_STARTS, rng=None, gram=None):
+def inf_to_2_norm_lower(B, rng=None, gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
     Each start flips the sign with the largest gain until none gains.
-    The starts run together as the rows of one trials x m sign matrix X,
-    drawn as rng.random((trials, m)) (the stream of ``trials`` calls of
-    rng.random(m)).  corr = X G, with G = B^T B, is kept up to date by
-    one row of the symmetric G per flip, so a flip costs O(m), not the
-    O(km) of recomputing B^T B x.  While every start is live, X and
-    corr are read and updated in place; only once a start has stopped
-    do the live rows take fancy-index copies (same arithmetic, same
-    value bit for bit).  ``gram`` is G when the caller holds it; it is
-    formed here otherwise.  The value is ||B x|| recomputed from B for
-    the final signs, so rounding in corr can never inflate it: always a
-    valid lower bound.  Falls back to exact enumeration when trials
-    covers the half-cube and the width permits it.
+    The LOWER_STARTS starts run together as the rows of one sign matrix
+    X, drawn as rng.random((LOWER_STARTS, m)) (the stream of
+    LOWER_STARTS calls of rng.random(m)).  corr = X G, with G = B^T B,
+    is kept up to date by one row of the symmetric G per flip, so a flip
+    costs O(m), not the O(km) of recomputing B^T B x.  While every start
+    is live, X and corr are read and updated in place; only once a
+    start has stopped do the live rows take fancy-index copies (same
+    arithmetic, same value bit for bit).  ``gram`` is G when the caller
+    holds it; it is formed here otherwise.  The value is ||B x||
+    recomputed from B for the final signs, so rounding in corr can never
+    inflate it: always a valid lower bound.
     """
     B = np.asarray(B, dtype=float)
     k, m = B.shape
     if m == 0 or k == 0:
         return 0.0
-    if m <= ENUMERATION_LIMIT and trials >= (1 << (m - 1)):
-        return inf_to_2_norm_exact(B)
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED, 0, 3)
     G = B.T @ B if gram is None else gram
     col_sq = np.einsum("ij,ij->j", B, B)
-    X = np.where(rng.random((trials, m)) < 0.5, -1.0, 1.0)
+    X = np.where(rng.random((LOWER_STARTS, m)) < 0.5, -1.0, 1.0)
     corr = X @ G
-    live = np.arange(trials)
+    live = np.arange(LOWER_STARTS)
     rows = slice(None)
     while live.size:
         # flipping j changes ||B x||^2 by 4 (col_sq[j] - x_j corr[j])
@@ -404,16 +401,16 @@ def inf_to_2_norm_power(B, rng):
 
     x <- sign(B^T (B x)) (Boyd 1974, Linear Algebra Appl. 9; Higham
     1992, Numer. Math. 62), a sign kept where B^T B x is 0, from the
-    LOWER_STARTS starts ``inf_to_2_norm_lower`` draws by default: the
-    rows of X, drawn as rng.random((LOWER_STARTS, m)).  The starts step
-    together, two products per step (Y = X B^T, then Y B), and B^T B is
-    never formed.  A step never lowers ||B x||: ||B x||^2 is convex and
-    the new x maximizes its linearization over the cube, strictly when a
-    sign flips.  The
-    iteration stops at the first step at which no sign flips (or after
-    ``_POWER_STEPS``).  The value is the largest ||B x||, read from the
-    Y of the final signs, products of B by sign vectors: a valid lower
-    bound whatever the rounding.  B is read in its own memory order.
+    LOWER_STARTS starts ``inf_to_2_norm_lower`` draws: the rows of X,
+    drawn as rng.random((LOWER_STARTS, m)).  The starts step together,
+    two products per step (Y = X B^T, then Y B), and B^T B is never
+    formed.  A step never lowers ||B x||: ||B x||^2 is convex and the
+    new x maximizes its linearization over the cube, strictly when a
+    sign flips.  The iteration stops at the first step at which no sign
+    flips (or after ``_POWER_STEPS``).  The value is the largest
+    ||B x||, read from the Y of the final signs, products of B by sign
+    vectors: a valid lower bound whatever the rounding.  B is read in
+    its own memory order.
     """
     B = np.asarray(B, dtype=float)
     X = np.where(rng.random((LOWER_STARTS, B.shape[1])) < 0.5, -1.0, 1.0)

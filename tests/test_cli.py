@@ -843,14 +843,16 @@ def test_empty_grid_is_refused(tmp_path, name, cfg, message):
 
 
 @pytest.mark.parametrize("name,cfg,message", [
-    ("sbm", {"n": 200.0}, "n must be a positive integer, not 200.0"),
+    ("sbm", {"n": 200.0},
+     "n must be a positive integer within the int64 range, not 200.0"),
     ("decompose", {"gp_iters": 2.5}, "gp_iters must be a positive integer"),
     ("decompose", {"gp_iters": 0}, "gp_iters must be a positive integer"),
     ("concentration", {"cap_mult": "2"},
      "cap_mult must be a finite number > 0, not '2'"),
     ("gp-check", {"ratio_limit": "1.3"},
      "ratio_limit must be a finite number > 0"),
-    ("gp-check", {"rows": True}, "rows must be a positive integer, not True"),
+    ("gp-check", {"rows": True},
+     "rows must be a positive integer within the int64 range, not True"),
     ("spectrum", {"model": {"kind": "uniform", "n": 30, "p": 0.2},
                   "cap": "3"},
      "cap must be a finite number > 0 or null, not '3'"),
@@ -1049,9 +1051,11 @@ def test_default_out_dir_is_the_config_hash(tmp_path, monkeypatch, capsys):
     ('{"n": 3, "directed": "false", "weighted": false}', "0,1,1.0",
      "header field 'directed' must be true or false, not 'false'"),
     ('{"n": 2.5, "directed": false, "weighted": false}', "0,1,1.0",
-     "header field 'n' must be a non-negative integer, not 2.5"),
+     "header field 'n' must be a non-negative integer within the int64 "
+     "range, not 2.5"),
     ('{"n": -3, "directed": false, "weighted": false}', "0,1,1.0",
-     "header field 'n' must be a non-negative integer, not -3"),
+     "header field 'n' must be a non-negative integer within the int64 "
+     "range, not -3"),
     ('{"n": 1, "directed": false}', "0,1,1.0",
      "line 2: vertex index out of range"),
     ('{"n": 1, "directed": false}', "0,0,1.0",
@@ -1230,23 +1234,33 @@ def test_spectrum_applies_its_scheme_before_the_dense_spectra(
 
 
 BEYOND_FLOAT = 10 ** 400  # a JSON int that no float64 holds
+BEYOND_INT64 = 2 ** 63  # the least JSON int that no int64 holds
 
 # each site's command and its object in a run that passes the checks,
-# the name of its n and the kind n is of
+# an integer key of it, that key's name in a refusal and its kind
 ONE_RULE_SITES = {
-    "config": ("sbm", {"n": 200}, "n", "a positive integer"),
-    "cell": ("concentration", {"n": 200, "d": 3}, "a cell's n",
-             "a positive integer"),
-    "spec": ("sample", {"kind": "uniform", "n": 200, "p": 0.1},
-             "uniform model spec's n", "an integer"),
-    "header": ("spectrum", {"n": 200, "directed": False},
-               "{graph}: header field 'n'", "a non-negative integer"),
+    "config": ("sbm", {"n": 200}, "n", "n",
+               "a positive integer within the int64 range"),
+    "cell": ("concentration", {"n": 200, "d": 3}, "n", "a cell's n",
+             "a positive integer within the int64 range"),
+    "spec": ("sample", {"kind": "uniform", "n": 200, "p": 0.1}, "n",
+             "uniform model spec's n", "an integer within the int64 range"),
+    "header": ("spectrum", {"n": 200, "directed": False}, "n",
+               "{graph}: header field 'n'",
+               "a non-negative integer within the int64 range"),
+    "run": ("sample", {"trials": 2}, "trials", "trials",
+            "a positive integer within the int64 range"),
 }
 # (site, case) -> (the object's change, the refusal); None, a key to drop
 ONE_RULE_CASES = {
-    **{(site, case): ({"n": value}, f"{n} must be {kind}, not {value!r}")
-       for site, (_, _, n, kind) in ONE_RULE_SITES.items()
-       for case, value in (("bool", True), ("str", "200"), ("float", 200.0))},
+    **{(site, case): ({key: value}, f"{name} must be {kind}, not {value!r}")
+       for site, (_, obj, key, name, kind) in ONE_RULE_SITES.items()
+       for case, value in (("bool", True), ("str", str(obj[key])),
+                           ("float", float(obj[key])),
+                           ("beyond-int64", BEYOND_INT64),
+                           ("beyond-float-int", BEYOND_FLOAT))
+       # a checker that took such a trials would run that many trials
+       if site != "run" or not case.startswith("beyond")},
     ("config", "unknown-key"): (
         {"extra": 1}, "config may hold only the keys ['a', 'b', 'n', 'out', "
         "'seed', 'tau', 'threads', 'trials'], not ['extra']"),
@@ -1288,14 +1302,15 @@ def test_one_rule_checks_a_value_at_every_site(tmp_path, capsys, site, case):
     # key, no missing one, each value of its kind (models.check); each
     # site words what it checks.  A config has no required key, a spec
     # that is no object is refused as the config's model field, and no
-    # header field is a float: those sites have no such case.
-    name, obj, _, _ = ONE_RULE_SITES[site]
+    # header field is a float: those sites have no such case.  A run
+    # field in a config file is checked by the same table.
+    name, obj, *_ = ONE_RULE_SITES[site]
     change, what = ONE_RULE_CASES[site, case]
     obj = ({k: v for k, v in {**obj, **change}.items() if v is not None}
            if isinstance(change, dict) else change)
     graph = tmp_path / "g.csv"
     cfg = {"config": obj, "cell": {"cells": [obj]}, "spec": {"model": obj},
-           "header": {"graph": str(graph)}}[site]
+           "header": {"graph": str(graph)}, "run": obj}[site]
     graph.write_text(json.dumps(obj) + "\n")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -1314,23 +1329,30 @@ def test_main_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["sample"])  # seed is required
-    # seed, trials and threads get the same check from a flag or the config
-    cfg_path = tmp_path / "cfg.json"
-    bad = [["--seed", "-1"], ["--seed", "1", "--trials", "0"],
-           ["--seed", "1", "--threads", "-3"]]
-    for cfg in ({"seed": -1}, {"seed": 1.5}, {"seed": 2 ** 64},
-                {"seed": 1, "trials": 0}, {"seed": 1, "trials": 2.0},
-                {"seed": 1, "threads": -3}, {"seed": 1, "threads": True}):
-        cfg_path.write_text(json.dumps(cfg))
-        bad.append(["--config", str(cfg_path)])
-    for args in bad:
-        with pytest.raises(SystemExit):
+    # seed, trials and threads get the same check from a flag or the
+    # config: a bad flag ends on argparse's usage line, a bad config
+    # field on the error line, as any config field does
+    for args in (["--seed", "-1"], ["--seed", "1", "--trials", "0"],
+                 ["--seed", "1", "--threads", "-3"]):
+        with pytest.raises(SystemExit) as exc:
             main(["sample", "--out", str(tmp_path / "bad"), *args])
+        assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    for key, value in (("seed", -1), ("seed", 1.5), ("seed", 2 ** 64),
+                       ("seed", "0x10"), ("trials", 0), ("trials", 2.0),
+                       ("trials", "2"), ("threads", -3), ("threads", True)):
+        cfg_path.write_text(json.dumps({"seed": 1, key: value}))
+        assert main(["sample", "--out", str(tmp_path / "bad"),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"graphconc sample: error: {key} must be ")
+        assert err.endswith(f", not {value!r}\n")
     assert not (tmp_path / "bad").exists()
-    # a config value parses like the flag's text
-    cfg_path.write_text(json.dumps({"trials": "2", "seed": "0x10"}))
-    assert main(["sample", "--config", str(cfg_path),
+    # a flag's text is read as an int, decimal or hex, a config's run
+    # field is a JSON integer
+    cfg_path.write_text(json.dumps({"trials": 2}))
+    assert main(["sample", "--config", str(cfg_path), "--seed", "0x10",
                  "--out", str(tmp_path / "two")]) == 0
     blob = json.loads((tmp_path / "two" / "report.json").read_text())
     assert blob["parameters"]["seed"] == 16
@@ -1435,7 +1457,7 @@ def test_run_command_refuses_what_the_flags_refuse(tmp_path, field, value):
     # trials = 0 would write a report of no trials whose flags read true
     run = {"seed": MASTER, "trials": 1, "threads": 1, field: value}
     out = tmp_path / "run"
-    with pytest.raises(ValueError, match=f"^{field}: "):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
         run_command("sample", {"model": {"kind": "uniform", "n": 20,
                                          "p": 0.1}},
                     run["seed"], str(out), trials=run["trials"],

@@ -221,7 +221,7 @@ def test_gp_weights_on_wide_blocks(shape):
     # step on the 40 x 100 one
     B = np.random.default_rng(33).standard_normal(shape)
     w = gp_weights(B, max_iter=100)
-    lower = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(34))
+    lower = inf_to_2_norm_lower(B, rng=np.random.default_rng(34))
     assert w.achieved_norm >= lower * (1 - 1e-8)
     assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -339,7 +339,7 @@ def test_a_passing_block_takes_the_uniform_route(monkeypatch):
     lower = gp_weights(B, max_iter=1).lower_bound
     rng = aux_generator(pietsch._DEFAULT_GP_SEED, 0, 4)
     rng.standard_normal(256)
-    assert lower == inf_to_2_norm_lower(B, trials=8, rng=rng)
+    assert lower == inf_to_2_norm_lower(B, rng=rng)
 
     def no_descent(*args, **kwargs):
         raise AssertionError("a descent ran")
@@ -364,7 +364,7 @@ def test_a_failing_block_takes_the_descent(monkeypatch):
     # weights exactly as with those weights
     B = heavy_columns_block()
     assert (np.linalg.norm(B, 2) * np.sqrt(64 / 4)
-            > LITTLE_GROTHENDIECK * inf_to_2_norm_lower(B, trials=8))
+            > LITTLE_GROTHENDIECK * inf_to_2_norm_lower(B))
     w = gp_weights(B, max_iter=120)
     calls = []
     real = pietsch._descend

@@ -356,13 +356,9 @@ def test_inf_to_2_lower_bound():
     for _ in range(10):
         B = rng.standard_normal((5, 9))
         exact = inf_to_2_norm_exact(B)
-        low = inf_to_2_norm_lower(B, trials=4, rng=aux_generator(0, 0, 3))
+        low = inf_to_2_norm_lower(B, rng=aux_generator(0, 0, 3))
         assert low <= exact * (1 + 1e-12)
         assert low >= 0.5 * exact  # greedy from random starts gets close
-    # trials covering the half-cube fall back to enumeration
-    B = rng.standard_normal((3, 4))
-    assert inf_to_2_norm_lower(B, trials=8) == pytest.approx(
-        inf_to_2_norm_exact(B))
 
 
 def serial_greedy_lower(B, trials, rng):
@@ -404,7 +400,7 @@ def test_inf_to_2_lower_batched_matches_serial(make):
     B = make(np.random.default_rng(15))
     ref = serial_greedy_lower(B, 8, np.random.default_rng(16))
     for gram in (None, B.T @ B):
-        low = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(16),
+        low = inf_to_2_norm_lower(B, rng=np.random.default_rng(16),
                                   gram=gram)
         assert low == pytest.approx(ref, rel=1e-12)
     rng = np.random.default_rng(17)
@@ -451,7 +447,7 @@ def test_inf_to_2_lower_matches_fancy_index_loop(make):
                                        sizes)
         assert any(0 < n < 8 for n in sizes) and sizes[0] == 8
         for gram in (None, B.T @ B):
-            low = inf_to_2_norm_lower(B, trials=8, gram=gram,
+            low = inf_to_2_norm_lower(B, gram=gram,
                                       rng=np.random.default_rng(seed))
             assert low == ref
 
@@ -466,11 +462,10 @@ def test_inf_to_2_lower_batched_on_tied_gains():
     for _ in range(4):
         B = centred_bernoulli(rng, 250, 256, 0.1)
         ref = serial_greedy_lower(B, 8, np.random.default_rng(19))
-        low = inf_to_2_norm_lower(B, trials=8, rng=np.random.default_rng(19))
+        low = inf_to_2_norm_lower(B, rng=np.random.default_rng(19))
         assert low == pytest.approx(ref, rel=0.02)
     B = centred_bernoulli(rng, 40, 14, 0.1)
-    assert inf_to_2_norm_lower(B, trials=8) <= (
-        inf_to_2_norm_exact(B) * (1 + 1e-12))
+    assert inf_to_2_norm_lower(B) <= inf_to_2_norm_exact(B) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("make", [

@@ -448,14 +448,14 @@ def _gp_check_trial(deltas, cfg, seed, out_dir, trials, i):
     w = gp_weights(B)  # asserts the left inequality internally
     exact = (w.lower_bound if cfg.cols <= EXACT_LOWER_COLS
              else inf_to_2_norm_exact(B))
-    rec = {"trial": i, "achieved": float(w.achieved_norm),
+    rec = {"trial": i, "achieved": float(w.achieved),
            "inf_to_2": float(exact),
-           "ratio": float(w.achieved_norm / exact) if exact > 0 else 1.0,
+           "ratio": float(w.achieved / exact) if exact > 0 else 1.0,
            "converged": w.converged, "iterations": w.iterations}
     for key, delta in deltas.items():
         J, cert = gp_submatrix(B, delta, weights=w)
         rec[f"cert_ok_d{key}"] = cert.ok
-        rec[f"selected_d{key}"] = cert.n_selected
+        rec[f"selected_d{key}"] = cert.selected
     return rec
 
 
@@ -612,7 +612,7 @@ def main(argv=None):
                 "runs", f"{args.command}-{config_hash(params)[:10]}")
         report = run_command(args.command, raw, seed, out_dir,
                              trials=trials, threads=threads)
-    except (GraphconcError, ValueError, OSError) as exc:
+    except (GraphconcError, ValueError, OSError, MemoryError) as exc:
         print(f"graphconc {args.command}: error: {exc}", file=sys.stderr)
         return 1
     line = ", ".join(f"{k}={v}" for k, v in sorted(report.flags.items()))

@@ -45,8 +45,10 @@ GP decides both at once (``_gp_both``); otherwise, or when that
 decision fails, the column pass runs on the centred block, uncopied
 when every row passes the filter, and the row pass on a C-ordered copy
 of the transpose's good rows, made before the centred block is
-dropped.  EA is subtracted ``EA_CHUNK`` entries at a time
-(``_centred``), each chunk read from the model
+dropped.  The round's trace entry keeps each pass's
+``pietsch.GPCertificate`` as a dict of its fields, in field order
+(``gp_cols``, ``gp_rows``).  EA is subtracted ``EA_CHUNK`` entries at
+a time (``_centred``), each chunk read from the model
 (its ``ea_block``) and masked by the part (``_ea_reader``), so
 neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
 and neither writes into the caller's A or model.
@@ -55,7 +57,7 @@ and neither writes into the caller's A or model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,23 +235,15 @@ def _gp_both(cent, good_rows, good_cols, gp_iters):
     return cols, rows
 
 
-def _gp_trace(cert):
-    return {"route": cert.route, "achieved": cert.achieved_norm,
-            "achieved_eps": cert.achieved_eps,
-            "submatrix_bound": cert.submatrix_bound,
-            "selected": cert.n_selected,
-            "iterations": cert.iterations, "converged": cert.converged,
-            "target": cert.target, "target_from": cert.target_from,
-            "target_met": cert.target_met}
-
-
 def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
     """One round of the block decomposition (Lemma 5.1, constructive).
 
     Runs on the 0/1 csr A01 and EA's blocks as ``read_ea`` reads them
     (``_ea_reader``, which holds the part).
     Returns (grid, I1_mask, J1_mask, trace): grid is the |I| x |J| class
-    array of the block, -1 exactly on the exceptional hole I1 x J1.
+    array of the block, -1 exactly on the exceptional hole I1 x J1;
+    trace's ``gp_cols`` and ``gp_rows`` hold the passes' certificates'
+    fields, in field order.
     Returns None when no row of the block passes the filter (the driver
     treats the whole block as exceptional).
     """
@@ -290,7 +284,7 @@ def _block_pass(A01, read_ea, I, J, alpha, r, d, m_nom, gp_iters=500):
         J44=J[j44].tolist(), I44=I[i44].tolist(),
         I1=I[I1_mask].tolist(), J1=J[J1_mask].tolist(),
         row_cap=row_cap, capped_I1=capped_i, capped_J1=capped_j,
-        gp_cols=_gp_trace(cert_cols), gp_rows=_gp_trace(cert_rows),
+        gp_cols=asdict(cert_cols), gp_rows=asdict(cert_rows),
         row_filter_empty=False, all_n=False)
     return grid, I1_mask, J1_mask, trace
 

@@ -56,16 +56,19 @@ the Gram as it was (``_norm_below``), the column side's
 ``gp_submatrix`` goes on from it, and ``decompose`` calls
 ``gp_submatrix`` on the row side.
 
-f is the value ``_certified_f`` measured, one ``spectral_norm`` call:
-exact by LAPACK when min(k, m) <= DENSE_SOLVE_LIMIT, otherwise the
-root of a Lanczos value on the Gram of B D_mu^{-1/2}, a lower bound on
-f(mu); the chain never needs an upper bound on it.  Its
-Kuczynski-Wozniakowski eps, kept as ``achieved_eps`` (0 when exact),
-bounds f(mu) <= achieved_norm / (1 - eps) with probability 1 - 1e-3
-(``spectral``).  Every descent
-ends at its stall test: the first step at which the best f(mu)
-improved by at most a relative _CONVERGED_TOL = 1e-4 over the last
-_CONVERGED_WINDOW = 50 steps (``converged``), or at max_iter.
+Each route returns a ``GPCertificate``, whose fields are the block's
+entry in a ``decompose`` trace, in the trace's key order.
+
+f, kept as ``achieved``, is the value ``_certified_f`` measured, one
+``spectral_norm`` call: exact by LAPACK when min(k, m) <=
+DENSE_SOLVE_LIMIT, otherwise the root of a Lanczos value on the Gram of
+B D_mu^{-1/2}, a lower bound on f(mu); the chain never needs an upper
+bound on it.  Its Kuczynski-Wozniakowski eps, kept as ``achieved_eps``
+(0 when exact), bounds f(mu) <= achieved / (1 - eps) with probability
+1 - 1e-3 (``spectral``).  Every descent ends at its stall test: the
+first step at which the best f(mu) improved by at most a relative
+_CONVERGED_TOL = 1e-4 over the last _CONVERGED_WINDOW = 50 steps
+(``converged``), or at max_iter.
 
 The subgradient oracle (``_oracle``) is one step function, chosen once
 per descent from the block's shape.  When
@@ -119,12 +122,12 @@ class PietschWeights:
     """Simplex weights with the norm they achieve."""
 
     mu: np.ndarray
-    achieved_norm: float
+    achieved: float
     converged: bool
     iterations: int
     history: tuple = field(repr=False, default=())
     lower_bound: float | None = None  # on ||B||_{inf->2}, asserted against
-    achieved_eps: float = 0.0  # KW eps of achieved_norm; 0 when exact
+    achieved_eps: float = 0.0  # KW eps of achieved; 0 when exact
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -138,23 +141,29 @@ class PietschWeights:
 
 @dataclass(frozen=True)
 class GPCertificate:
-    """Both sides of the submatrix guarantees, as computed."""
+    """One GP block's certificate of ||B_J|| sqrt(delta m), as computed.
 
-    m: int
-    delta: float
-    threshold: float
-    n_selected: int
-    size_bound: float          # (1 - delta) m
-    submatrix_bound: float     # t with ||B_J|| < t proved by Cholesky
-    achieved_norm: float | None  # f(mu) as measured; None on "uniform"
+    Its fields, in order, are the block's entry in a ``decompose``
+    trace (``gp_cols``, ``gp_rows``).  |J| >= (1 - delta) m holds too:
+    ``gp_submatrix`` raises before it returns a J that fails it.
+    """
+
+    route: str                 # "uniform" (no descent) or "descent"
+    achieved: float | None     # f(mu) as measured; None on "uniform"
     achieved_eps: float | None   # PietschWeights.achieved_eps; idem
-    ok: bool
+    submatrix_bound: float     # t with ||B_J|| < t proved by Cholesky
+    selected: int              # |J|
     iterations: int            # mirror-descent steps; 0 on "uniform"
     converged: bool | None     # PietschWeights.converged; None on "uniform"
     target: float | None       # sqrt(pi/2) * lower bound; None with weights
     target_from: str | None    # the bound: "exact", "greedy", "sign-power"
     target_met: bool           # ||B_J|| sqrt(delta m) <= target established
-    route: str                 # "uniform" (no descent) or "descent"
+
+    @property
+    def ok(self):
+        """True: a certificate is returned only once it holds, and one
+        that fails raises ``VerificationError`` instead."""
+        return True
 
 
 def _col_scale(mu, col_live):
@@ -342,35 +351,28 @@ def _bound(rhs, delta, m):
     return (rhs * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
 
 
-def _sizes(m, delta):
-    """The certificate fields set by m and delta alone."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("need 0 < delta < 1")
-    return dict(m=m, delta=delta, threshold=1.0 / (delta * m),
-                size_bound=(1.0 - delta) * m, ok=True)
-
-
-def _uniform(sizes, bound, target, kind):
-    """The uniform route's certificate: every column selected, and
-    ||B|| < ``bound`` proved against ``target`` from a ``kind`` bound."""
+def _uniform(m, lower, kind, delta):
+    """The uniform route's certificate on m columns, should ||B|| < t be
+    proved: every column selected, target = sqrt(pi/2) ``lower`` (a
+    ``kind`` bound) and t its ``_bound``."""
+    target = LITTLE_GROTHENDIECK * lower
     return GPCertificate(
-        **sizes, n_selected=sizes["m"], submatrix_bound=bound,
-        achieved_norm=None, achieved_eps=None, iterations=0, converged=None,
-        target=target, target_from=kind, target_met=True, route="uniform")
+        route="uniform", achieved=None, achieved_eps=None,
+        submatrix_bound=_bound(target, delta, m), selected=m, iterations=0,
+        converged=None, target=target, target_from=kind, target_met=True)
 
 
-def _submatrix_on(B, G, sizes, max_iter):
+def _submatrix_on(B, G, delta, max_iter):
     """``gp_submatrix``'s route on B's Gram G: the lower bound
     ``_descent_start`` draws on G and the uniform route's check at its
     t, or, when that fails, the descent route going on from G (which
     the check left as it was) and those draws."""
     rng, v, lower, kind = _descent_start(B, G)
-    target = LITTLE_GROTHENDIECK * lower
-    bound = _bound(target, sizes["delta"], sizes["m"])
-    if _norm_below(G, bound):
-        return np.arange(sizes["m"]), _uniform(sizes, bound, target, kind)
-    return _selected(B, sizes, _descend(B, (G, rng, v, lower), max_iter),
-                     target, kind)
+    cert = _uniform(B.shape[1], lower, kind, delta)
+    if _norm_below(G, cert.submatrix_bound):
+        return np.arange(B.shape[1]), cert
+    return _selected(B, delta, _descend(B, (G, rng, v, lower), max_iter),
+                     cert.target, kind)
 
 
 def gp_weights(B, max_iter=500):
@@ -379,7 +381,7 @@ def gp_weights(B, max_iter=500):
     Step t moves by 1/sqrt(t) times the normalized subgradient.  The
     lower bound on ||B||_{inf->2} (``_descent_start``, on G = B^T B) is
     computed first and returned as ``lower_bound``; it serves the left
-    inequality achieved_norm >= ||B||_{inf->2}, asserted on every call.
+    inequality achieved >= ||B||_{inf->2}, asserted on every call.
     The descent ends by measuring the best and the final iterate on
     the descent's stream and keeps the smaller.
 
@@ -462,43 +464,44 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
     {j : mu_j <= 1/(delta m)}.  Both guarantees are then
     algebraic consequences of sum(mu) = 1, asserted on every call:
     |J| >= (1-delta)m by pigeonhole, and ||B_J|| sqrt(delta m) <=
-    achieved_norm with the slack achieved_norm (1 + 1e-8) + 1e-12.  The
+    achieved with the slack achieved (1 + 1e-8) + 1e-12.  The
     second is decided, not measured: with t that slack over
     sqrt(delta m), dpotrf on t^2 I - G_J, G_J the Gram of B_J's smaller
     side, proves ||B_J|| < t, up to rounding of about m u ||G_J|| (u the
     unit roundoff), far inside the 1e-8.  Either route keeps its t as
-    ``submatrix_bound``.  B is read in C order (``_as_block``).
+    ``submatrix_bound`` and |J| as ``selected``, and returns its
+    ``GPCertificate`` only once it holds; a failed one raises
+    ``VerificationError``.  B is read in C order (``_as_block``).
     """
     B = _as_block(B)
-    sizes = _sizes(B.shape[1], delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     if weights is not None:
-        return _selected(B, sizes, weights, None, None)
-    return _submatrix_on(B, B.T @ B, sizes, max_iter)
+        return _selected(B, delta, weights, None, None)
+    return _submatrix_on(B, B.T @ B, delta, max_iter)
 
 
-def _selected(B, sizes, w, target, kind):
+def _selected(B, delta, w, target, kind):
     """The descent route's J = {j : mu_j <= 1/(delta m)} for the weights
     ``w``, with its certificate."""
-    m, delta = sizes["m"], sizes["delta"]
-    J = np.flatnonzero(w.mu <= sizes["threshold"])
+    m = B.shape[1]
+    J = np.flatnonzero(w.mu <= 1.0 / (delta * m))
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    bound = _bound(w.achieved_norm, delta, m)
+    bound = _bound(w.achieved, delta, m)
     if J.size < m:
         B = B[:, J]
     G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
     if not _norm_below(G, bound):
         raise VerificationError(
             f"submatrix certificate failed: ||B_J|| < {bound}, which "
-            f"||B_J|| sqrt(delta m) <= {w.achieved_norm} needs, is not "
-            f"proved")
+            f"||B_J|| sqrt(delta m) <= {w.achieved} needs, is not proved")
     return J, GPCertificate(
-        **sizes, n_selected=int(J.size), submatrix_bound=bound,
-        achieved_norm=w.achieved_norm, achieved_eps=w.achieved_eps,
+        route="descent", achieved=w.achieved, achieved_eps=w.achieved_eps,
+        submatrix_bound=bound, selected=int(J.size),
         iterations=w.iterations, converged=w.converged, target=target,
         target_from=kind,
-        target_met=target is not None and w.achieved_norm <= target,
-        route="descent")
+        target_met=target is not None and w.achieved <= target)
 
 
 def gp_submatrix_both(B, delta, max_iter=500):
@@ -531,22 +534,14 @@ def gp_submatrix_both(B, delta, max_iter=500):
     ``transposed`` of A's in that round's GP fields.
     """
     B = _as_block(B)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     k, m = B.shape
-    sizes = _sizes(m, delta)
-    cols = _power_uniform(B, sizes)
+    cols = _uniform(m, *_descent_start(B)[2:], delta)
     BT = np.ascontiguousarray(B.T)
-    rows = _power_uniform(BT, _sizes(k, delta))
+    rows = _uniform(k, *_descent_start(BT)[2:], delta)
     del BT
     G = B.T @ B
     if _norm_below(G, min(cols.submatrix_bound, rows.submatrix_bound)):
         return (np.arange(m), cols), (np.arange(k), rows)
-    return _submatrix_on(B, G, sizes, max_iter), None
-
-
-def _power_uniform(M, sizes):
-    """M's uniform certificate at the t of its Gram-free lower bound,
-    should ||M|| < t be proved."""
-    _, _, lower, kind = _descent_start(M)
-    target = LITTLE_GROTHENDIECK * lower
-    return _uniform(sizes, _bound(target, sizes["delta"], sizes["m"]),
-                    target, kind)
+    return _submatrix_on(B, G, delta, max_iter), None

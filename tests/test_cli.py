@@ -732,6 +732,30 @@ def _fails(what):
     return fail
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_running_out_of_memory_ends_on_the_error_line(
+        tmp_path, capsys, monkeypatch, threads):
+    # numpy's failed allocation is a MemoryError: the run ends on the
+    # error line, as a refused config does, not in a traceback.  Nothing
+    # is allocated here: the sampler raises what numpy would
+    message = ("Unable to allocate 8.00 TiB for an array with shape "
+               "(1099511627776,) and data type int64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"model": {"kind": "uniform", "n": 50, "p": 0.1}}))
+    out = tmp_path / "out"
+    rc = main(["sample", "--seed", "1", "--config", str(cfg_path),
+               "--trials", "2", "--threads", str(threads), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"graphconc sample: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["model", "graph"])
 def test_spectrum_refuses_n_above_the_limit_before_a_trial(
         tmp_path, capsys, monkeypatch, source):

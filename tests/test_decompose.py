@@ -1,6 +1,7 @@
 """N/R/C edge decomposition: construction, verifier, serialization."""
 
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -14,6 +15,7 @@ from graphconc import (
     BlockTwo,
     EdgeDecomposition,
     Explicit,
+    GPCertificate,
     RankOne,
     SizeExceeded,
     SparseGraph,
@@ -537,6 +539,7 @@ def test_csv_and_trace_roundtrip(tmp_path):
     assert np.array_equal(back, dec.class_of)
 
     routes = set()
+    fields = [f.name for f in dataclasses.fields(GPCertificate)]
     # the sample's blocks pass the uniform check, the planted ones fail it
     for dec in (dec, decompose(*heavy_columns_and_rows(), r=1.0, d=1.0,
                                gp_iters=60)):
@@ -551,6 +554,8 @@ def test_csv_and_trace_roundtrip(tmp_path):
                           for side in ("gp_cols", "gp_rows")):
             gp = rnd[side]
             routes.add(gp["route"])
+            # a block's entry is its certificate, field for field in order
+            assert list(gp) == fields
             # the chain the decomposition uses, with delta = 1/4:
             # ||B_J|| sqrt(m/4) <= rhs (1 + 1e-8) + 1e-12, where ||B_J|| <
             # submatrix_bound; rhs is the target itself on the uniform

@@ -41,7 +41,7 @@ def test_weights_record_their_lower_bound():
     wide = rng.uniform(-1.0, 1.0, size=(8, pietsch.EXACT_LOWER_COLS + 2))
     w = gp_weights(wide, max_iter=50)
     assert w.lower_bound <= inf_to_2_norm_exact(wide) * (1 + 1e-12)
-    assert w.achieved_norm >= w.lower_bound * (1 - 1e-8)
+    assert w.achieved >= w.lower_bound * (1 - 1e-8)
     assert gp_weights(np.zeros((3, 4))).lower_bound == 0.0
 
 
@@ -49,14 +49,14 @@ def test_single_column_is_trivial():
     B = np.array([[3.0], [4.0]])
     w = gp_weights(B)
     assert_close(w.mu, [1.0], 1e-15)
-    assert w.achieved_norm == pytest.approx(5.0)  # = ||b||_2 = ||B||_{inf->2}
+    assert w.achieved == pytest.approx(5.0)  # = ||b||_2 = ||B||_{inf->2}
 
 
 def test_single_row_closed_form():
     B = np.array([[10.0, 1.0, 1.0, 1.0]])
     w = gp_weights(B, max_iter=800)
     # optimum: mu = |b|/sum|b|, achieved = sum|b| = 13 = ||B||_{inf->2}
-    assert w.achieved_norm == pytest.approx(13.0, rel=1e-6)
+    assert w.achieved == pytest.approx(13.0, rel=1e-6)
     assert_close(w.mu, np.array([10.0, 1.0, 1.0, 1.0]) / 13.0, 5e-3)
     assert inf_to_2_norm_exact(B) == pytest.approx(13.0)
 
@@ -67,11 +67,11 @@ def test_single_row_submatrix_drops_heavy_column():
     J, cert = gp_submatrix(B, 0.5, weights=w)
     # threshold 1/(0.5*4) = 0.5 rejects only the weight-10 column
     assert list(J) == [1, 2, 3]
-    assert cert.n_selected == 3 and cert.size_bound == 2.0
+    assert cert.selected == 3
     # the proved bound t on ||B_J|| = sqrt(3): achieved's slack over
     # sqrt(delta m) = sqrt(2)
     assert cert.submatrix_bound == (
-        (w.achieved_norm * (1 + 1e-8) + 1e-12) / np.sqrt(2.0))
+        (w.achieved * (1 + 1e-8) + 1e-12) / np.sqrt(2.0))
     assert np.sqrt(3.0) < cert.submatrix_bound
     assert cert.ok
 
@@ -88,7 +88,7 @@ def test_equal_columns_keep_everything():
 
 def test_zero_matrix():
     w = gp_weights(np.zeros((3, 5)))
-    assert w.achieved_norm == 0.0
+    assert w.achieved == 0.0
     J, cert = gp_submatrix(np.zeros((3, 5)), 0.5, weights=w)
     assert list(J) == list(range(5)) and cert.ok
 
@@ -110,9 +110,9 @@ def test_left_inequality_and_simplex_invariant():
         assert w.mu.min() > 0.0
         assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)
         exact = inf_to_2_norm_exact(B)
-        assert w.achieved_norm >= exact * (1 - 1e-8)
+        assert w.achieved >= exact * (1 - 1e-8)
         # mirror descent lands well inside the sqrt(pi/2) = 1.2533 slack
-        assert w.achieved_norm <= 1.3 * exact
+        assert w.achieved <= 1.3 * exact
 
 
 def test_pigeonhole_every_delta():
@@ -123,7 +123,7 @@ def test_pigeonhole_every_delta():
         J, cert = gp_submatrix(B, delta, weights=w)
         assert J.size >= (1 - delta) * 16 - 1e-9
         lhs = np.linalg.norm(B[:, J], 2) * np.sqrt(delta * 16)
-        assert lhs <= cert.achieved_norm * (1 + 1e-8) + 1e-12
+        assert lhs <= cert.achieved * (1 + 1e-8) + 1e-12
 
 
 def test_gp_submatrix_input_checks():
@@ -189,7 +189,7 @@ def test_top_pair_lanczos_route(shape):
 
 
 def weights_fields(w):
-    return (w.mu.tobytes(), w.achieved_norm, w.converged, w.iterations,
+    return (w.mu.tobytes(), w.achieved, w.converged, w.iterations,
             w.history, w.lower_bound)
 
 
@@ -222,7 +222,7 @@ def test_gp_weights_on_wide_blocks(shape):
     B = np.random.default_rng(33).standard_normal(shape)
     w = gp_weights(B, max_iter=100)
     lower = inf_to_2_norm_lower(B, rng=np.random.default_rng(34))
-    assert w.achieved_norm >= lower * (1 - 1e-8)
+    assert w.achieved >= lower * (1 - 1e-8)
     assert w.mu.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -311,7 +311,7 @@ def test_the_stall_stop_is_a_truncation(shape):
     cut = gp_weights(B, max_iter=w.iterations)
     assert cut.converged and cut.iterations == w.iterations
     assert np.array_equal(cut.mu, w.mu)
-    assert cut.achieved_norm == w.achieved_norm
+    assert cut.achieved == w.achieved
     assert cut.history == w.history
 
 
@@ -348,8 +348,8 @@ def test_a_passing_block_takes_the_uniform_route(monkeypatch):
     J, cert = gp_submatrix(B, 0.25, max_iter=120)
     assert J.tolist() == list(range(256))
     assert cert.route == "uniform" and cert.ok and cert.target_met
-    assert cert.iterations == 0 and cert.n_selected == 256
-    assert cert.achieved_norm is None and cert.achieved_eps is None
+    assert cert.iterations == 0 and cert.selected == 256
+    assert cert.achieved is None and cert.achieved_eps is None
     assert cert.converged is None
     assert cert.target == LITTLE_GROTHENDIECK * lower
     assert cert.submatrix_bound == (
@@ -380,15 +380,15 @@ def test_a_failing_block_takes_the_descent(monkeypatch):
     assert J.tolist() == J_w.tolist() == list(range(3, 64))
     assert cert.route == cert_w.route == "descent"
     assert cert.iterations == w.iterations > 0
-    assert cert.achieved_norm == w.achieved_norm
+    assert cert.achieved == w.achieved
     assert cert.submatrix_bound == cert_w.submatrix_bound
     assert cert.target == LITTLE_GROTHENDIECK * w.lower_bound
-    assert cert.target_met == (w.achieved_norm <= cert.target)
+    assert cert.target_met == (w.achieved <= cert.target)
     assert cert_w.target is None and not cert_w.target_met
     # one step leaves f above the target: the certificate still holds
     _, short = gp_submatrix(B, 0.25, max_iter=1)
     assert short.ok and short.iterations == 1
-    assert short.achieved_norm > short.target and not short.target_met
+    assert short.achieved > short.target and not short.target_met
 
 
 def test_one_decision_proves_both_uniform_certificates(monkeypatch):
@@ -412,8 +412,8 @@ def test_one_decision_proves_both_uniform_certificates(monkeypatch):
         assert cert.target == LITTLE_GROTHENDIECK * inf_to_2_norm_power(
             M, rng=rng)
         assert (cert.route, cert.target_from) == ("uniform", "sign-power")
-        assert cert.target_met and cert.ok and cert.n_selected == m
-        assert cert.iterations == 0 and cert.achieved_norm is None
+        assert cert.target_met and cert.ok and cert.selected == m
+        assert cert.iterations == 0 and cert.achieved is None
         assert cert.submatrix_bound == (
             (cert.target * (1 + 1e-8) + 1e-12) / np.sqrt(m / 4))
         assert np.linalg.norm(B, 2) < cert.submatrix_bound
@@ -489,7 +489,7 @@ def test_achieved_eps_bounds_f_from_above():
     w = gp_weights(B, max_iter=120)
     assert 0.0 < w.achieved_eps < 1.0
     f = np.linalg.norm(B / np.sqrt(w.mu), 2)
-    assert w.achieved_norm / (1.0 - w.achieved_eps) >= f
+    assert w.achieved / (1.0 - w.achieved_eps) >= f
     _, cert = gp_submatrix(B, 0.25, weights=w)
     assert cert.achieved_eps == w.achieved_eps
     # the exact route measures f(mu) by LAPACK: no eps
@@ -549,7 +549,7 @@ def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
         assert new.iterations == ref.iterations > pietsch._CONVERGED_WINDOW
         assert np.array_equal(new.mu, ref.mu)
         assert new.history == ref.history
-        assert new.achieved_norm == ref.achieved_norm
+        assert new.achieved == ref.achieved
 
 
 @pytest.mark.parametrize("shape,dead", [
@@ -666,10 +666,10 @@ def test_certification_routes(monkeypatch, shape, dead):
     for op_shape, est in seen:
         assert op_shape == shape
         assert (est.steps == 0) == exact
-    assert w.achieved_norm == min(est.value for _, est in seen)
+    assert w.achieved == min(est.value for _, est in seen)
     if dead:
         C = B * _col_scale(w.mu, B.any(axis=0))
-        assert w.achieved_norm == pytest.approx(np.linalg.norm(C, 2),
+        assert w.achieved == pytest.approx(np.linalg.norm(C, 2),
                                                 rel=1e-10)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from ._seeding import aux_generator
 from .errors import InvalidRates, LengthMismatch, NoConvergence, ZeroGap
 from .models import BlockTwo, sample
-from .operators import LinearOp, compose_difference
+from .operators import LinearOp, compose_difference, owned
 from .regularize import expected_laplacian, laplacian, tau_shift
 from .spectral import spectral_norm, top_k_eigs
 
@@ -78,9 +78,15 @@ def detect(g, tau):
     L = laplacian(shifted)  # refuses a directed g, and zero degrees at tau 0
     q = np.sqrt(shifted.degrees())
     q /= np.linalg.norm(q)
-    M = LinearOp(g.n, g.n,
-                 lambda x: 2.0 * x - L.matvec(x) - 3.0 * q * (q @ x),
-                 symmetric=True)
+    q3, scratch = 3.0 * q, np.empty(g.n)
+
+    def mv(x):  # 2 x - L x - 3 q (q^T x), bit for bit, in L x's vector
+        y = owned(L.matvec(x), x)
+        np.subtract(np.multiply(x, 2.0, out=scratch), y, out=y)
+        y -= np.multiply(q3, q @ x, out=scratch)
+        return y
+
+    M = LinearOp(g.n, g.n, mv, symmetric=True)
     vals, vecs = top_k_eigs(M, 2, mode="la", tol=_DETECT_TOL,
                             rng=aux_generator(_DETECT_SEED, 0, 0))
     v2 = vecs[:, 0]

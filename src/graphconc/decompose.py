@@ -49,9 +49,14 @@ dropped.  The round's trace entry keeps each pass's
 ``pietsch.GPCertificate`` as a dict of its fields, in field order
 (``gp_cols``, ``gp_rows``).  EA is subtracted ``EA_CHUNK`` entries at
 a time (``_centred``), each chunk read from the model
-(its ``ea_block``) and masked by the part (``_ea_reader``), so
-neither the centring nor the verifier's (A - EA)_N holds an n x n EA,
-and neither writes into the caller's A or model.
+(its ``ea_block``) and masked by the part (``_ea_reader``), so the
+centring holds no n x n EA and writes into neither the caller's A nor
+the model.  The verifier multiplies by (A - EA)_N with no n x n array
+(``_sparse_deviation``): the csr of A's edges in N, less EA's strict
+upper triangle from the model (``ea_triangle``) as ``_PARTS`` combines
+it for the part, plus the part's EA on R's columns and C's rows, the
+cells N leaves out.  A model without a triangle (Explicit, a clipping
+RankOne) is verified on (A - EA)_N densified (``_dense_deviation``).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _scipy
 from .errors import SizeExceeded
 from .models import SparseGraph
 from .operators import LinearOp
@@ -78,9 +84,11 @@ CSV_CHUNK = 1 << 20  # bytes of class CSV rows formatted per write
 KAPPA = 4.0
 # the parts a decomposition may be of: which pairs (i, j) of a block
 # keep their EA entry (all but the diagonal, or one strict triangle),
-# and the part of the transpose
-_PARTS = {"full": (np.not_equal, "full"), "upper": (np.less, "lower"),
-          "lower": (np.greater, "upper")}
+# the part of the transpose, and the part's EA as the strict upper
+# triangle U of EA gives it: (holds U, holds U^T)
+_PARTS = {"full": (np.not_equal, "full", (True, True)),
+          "upper": (np.less, "lower", (True, False)),
+          "lower": (np.greater, "upper", (False, True))}
 
 
 def _check_part(part):
@@ -154,14 +162,15 @@ def _centred(ones, read, I, J):
     return out
 
 
-def _ones_csr(A):
-    """0/1 csr of a directed SparseGraph, validated."""
+def _ones_csr(A, keep=None):
+    """0/1 csr of a directed SparseGraph, validated; of the entries
+    ``keep`` selects (``SparseGraph.subset``) when given."""
     if not A.directed:
         raise ValueError("decompose expects a directed graph; "
                          "split undirected input into triangles first")
     if A.weighted:
         raise ValueError("decompose expects a 0/1 adjacency")
-    return A.to_csr()
+    return (A if keep is None else A.subset(keep)).to_csr()
 
 
 def _cap_exceptional(mask, cap, gp_rejected, ones):
@@ -411,7 +420,11 @@ def verify_decomposition(A, model, dec):
         (c_rows); reported, not raised;
     norm_n, norm_steps, norm_eps, norm_ratio
         ||(A - EA)_N|| by spectral_norm, with its steps and eps, and its
-        ratio to r^{3/2} sqrt(d); recorded only;
+        ratio to r^{3/2} sqrt(d); recorded only.  The operator is
+        ``_sparse_deviation`` when the model has an ``ea_triangle``,
+        ``_dense_deviation`` otherwise: the same matrix, its products
+        summed in other orders, so norm_n differs between the two in
+        its last bits;
     rounds
         the decomposition's block rounds;
     gp_target_met
@@ -423,30 +436,84 @@ def verify_decomposition(A, model, dec):
     n, d, r = dec.n, dec.d, dec.r
     labels = dec.class_of
     read_ea = _ea_reader(model, n, dec.part)
-    A01 = _ones_csr(A)
     at_edges = labels[A.i, A.j]
     max_r_row = int(np.bincount(A.i[at_edges == CLASS_R]).max(initial=0))
     max_c_col = int(np.bincount(A.j[at_edges == CLASS_C]).max(initial=0))
-    r_cols = int(np.any(labels == CLASS_R, axis=0).sum())
-    c_rows = int(np.any(labels == CLASS_C, axis=1).sum())
+    r_cols = np.flatnonzero(np.any(labels == CLASS_R, axis=0))
+    c_rows = np.flatnonzero(np.any(labels == CLASS_C, axis=1))
     limit = KAPPA * n / d
 
-    Ad = _centred(A01, read_ea, np.arange(n), np.arange(n))
-    Ad *= labels == CLASS_N
+    U = model.ea_triangle()
     # no part is scanned for a symmetry: a triangle has one only when it
     # is zero, and no directed sample measured has had one
     norm_n, norm_steps, norm_eps = spectral_norm(
-        LinearOp.from_dense(Ad, symmetric=False))
+        _dense_deviation(_ones_csr(A), read_ea, labels) if U is None else
+        _sparse_deviation(_ones_csr(A, at_edges == CLASS_N), U,
+                          _PARTS[dec.part][2],
+                          _ea_strips(read_ea, labels, r_cols, c_rows)))
     met = all(rnd[k]["target_met"] for rnd in dec.block_trace
               for k in ("gp_cols", "gp_rows") if k in rnd)
     return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),
-            "r_footprint_ok": bool(r_cols <= limit),
-            "c_footprint_ok": bool(c_rows <= limit),
+            "r_footprint_ok": bool(r_cols.size <= limit),
+            "c_footprint_ok": bool(c_rows.size <= limit),
             "max_r_row_ones": max_r_row, "max_c_col_ones": max_c_col,
-            "r_cols": r_cols, "c_rows": c_rows,
+            "r_cols": int(r_cols.size), "c_rows": int(c_rows.size),
             "norm_n": norm_n, "norm_steps": norm_steps, "norm_eps": norm_eps,
             "norm_ratio": float(norm_n / (r ** 1.5 * np.sqrt(d))),
             "rounds": len(dec.block_trace), "gp_target_met": met}
+
+
+def _dense_deviation(A01, read_ea, labels):
+    """(A - EA)_N densified, for a model without ``ea_triangle``
+    (Explicit, a clipping RankOne): EA read block by block."""
+    n = labels.shape[0]
+    Ad = _centred(A01, read_ea, np.arange(n), np.arange(n))
+    Ad *= labels == CLASS_N
+    return LinearOp.from_dense(Ad, symmetric=False)
+
+
+def _ea_strips(read_ea, labels, r_cols, c_rows):
+    """The part's EA on R's cells, as the n x |r_cols| strip of R's
+    columns, and on C's cells, as the |c_rows| x n strip of C's rows,
+    each 0 off its class."""
+    every = np.arange(labels.shape[0])
+    on_r = read_ea(every, r_cols)
+    on_r *= labels[:, r_cols] == CLASS_R
+    on_c = read_ea(c_rows, every)
+    on_c *= labels[c_rows] == CLASS_C
+    return (r_cols, on_r), (c_rows, on_c)
+
+
+def _sparse_deviation(A_N, U, holds, strips):
+    """(A - EA)_N as A_N - EA_part + EA_part's R and C cells, with no
+    n x n array: ``A_N`` the csr of A's edges in N, EA_part the part's
+    EA from EA's strict upper triangle ``U`` (``model.ea_triangle``),
+    U itself and/or U^T as ``holds`` says (``_PARTS``), and ``strips``
+    the part's EA on R's columns and C's rows (``_ea_strips``), added
+    back because N leaves those cells out.  The rmatvec is its
+    transpose term by term."""
+    (cols, on_r), (rows, on_c) = strips
+    up, low = holds
+    csr, csr_t = _scipy.csr_product(A_N), _scipy.csr_product(A_N.T.tocsr())
+
+    def product(x, a, tri, tri_t, cells, on, lines, across):
+        y = a(x)
+        if up:
+            y -= tri(x)
+        if low:
+            y -= tri_t(x)
+        if cells.size:
+            y += on @ x[cells]
+        if lines.size:
+            y[lines] += across @ x
+        return y
+
+    return LinearOp(
+        A_N.shape[0], A_N.shape[1],
+        lambda x: product(x, csr, U._matvec, U._rmatvec, cols, on_r,
+                          rows, on_c),
+        lambda x: product(x, csr_t, U._rmatvec, U._matvec, rows, on_c.T,
+                          cols, on_r.T))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,22 @@
 
 A model is a symmetric matrix of connection probabilities (p_ij); the
 diagonal is always treated as zero (no self-loops anywhere).  Each kind
-is one frozen dataclass that states its p_ij once, through four
+is one frozen dataclass that states its p_ij once, through five
 methods, plus ``n``, its spec ``kind`` and its dataclass fields (the
 spec's fields, in constructor order):
 
 * ``max_rate()``      -- d = max_ij n * p_ij over off-diagonal pairs;
-* ``ea_op()``         -- EA as a symmetric matvec closure, diagonal zeroed;
+* ``ea_op()``         -- EA as a symmetric matvec closure, diagonal
+  zeroed, whose product allocates the one vector it returns;
 * ``ea_block(I, J)``  -- EA[I x J] as a new array, for index arrays I
   and J; the pairs i = j read p_ii as the kind states it (theta_i^2
   clipped, say), not 0: zeroing them is the caller's;
+* ``ea_triangle()``   -- EA's strict upper triangle U as a LinearOp in
+  O(n rank) a product (``matvec`` U x, ``rmatvec`` U^T y), for a kind
+  that is low rank off the diagonal (Uniform, BlockTwo, a RankOne
+  that clips no pair); None otherwise (Explicit, a clipping RankOne);
 * ``layout()``        -- the sampler's (groups, bound, thin), below, or
-  None for the dense route.
+  for the dense route EA itself, an n x n array (Explicit's P).
 
 The kinds:
 
@@ -26,7 +31,8 @@ No function here branches on the kind: ``expected_adjacency`` is
 ``expected_dense`` (EA on the whole square, diagonal zeroed) off
 ``ea_block``, the sampler takes its route from ``layout``, and
 ``model_to_dict`` writes ``kind`` and the fields.  Decompose reads EA
-block by block through ``ea_block`` in O(|I| |J|).  A new kind is one
+block by block through ``ea_block`` in O(|I| |J|), and its verifier
+multiplies by ``ea_triangle`` where the kind has one.  A new kind is one
 class; only ``model_from_dict`` needs it listed in ``_MODEL_KINDS``.
 
 Two sparsity scales are exposed and every experiment states which one
@@ -61,8 +67,9 @@ top_l, 1) bounds p_ij, and once a rectangle's hits are found, one more
 word u' per hit keeps it iff u' * q_kl <= thin(i, j) (Miller & Hagberg
 2011).  The bins keep q_kl < 4 p_ij, so a sample reads O(n / ROW_BLOCK
 * bins^2 + E nnz) words.  The dense route (Explicit's) reads one word
-per entry of the block's rows x n rectangle of ``ea_block``, row-major,
-and keeps (i, j), j > i, iff u <= p_ij.
+per entry of the block's rows x n rectangle of EA, row-major, compared
+with a view of those rows of the layout's array (no copy), and keeps
+(i, j), j > i, iff u <= p_ij.
 
 Directed sampling draws the j > i half exactly as above and the j < i
 half the same way from each block's lower-orientation stream, so the
@@ -232,6 +239,39 @@ class SparseGraph:
 # models
 
 
+def _triangle(F, C):
+    """The strict upper triangle U of F C F^T (n x rank F, rank x rank C)
+    as a LinearOp: (U x)_i = F_i C sum_{j>i} F_j^T x_j, reverse
+    cumulative sums of F's columns times x, and (U^T y)_j = F_j C^T
+    sum_{i<j} F_i^T y_i, forward ones: O(n rank) a product."""
+    n = F.shape[0]
+    FT = np.ascontiguousarray(F.T)
+    left, right = (np.ascontiguousarray((F @ M).T) for M in (C, C.T))
+
+    def product(x, scale, reverse):
+        out = None
+        for f, w in zip(FT, scale):
+            s = _partial_sums(f * x, np.empty(n), reverse)
+            s *= w
+            out = s if out is None else np.add(out, s, out=out)
+        return out
+
+    return LinearOp(n, n, lambda x: product(x, left, True),
+                    lambda y: product(y, right, False))
+
+
+def _partial_sums(v, out, reverse):
+    """out[i] = the sum of v over j > i (``reverse``) or j < i, by one
+    cumulative sum written into ``out``."""
+    if reverse:
+        out[-1] = 0.0
+        np.add.accumulate(v[:0:-1], out=out[-2::-1])
+    else:
+        out[0] = 0.0
+        np.add.accumulate(v[:-1], out=out[1:])
+    return out
+
+
 def _clip_partners(th):
     """(order, th sorted, idx) of RankOne's theta: theta_i theta_j clips
     at 1 exactly for the j at sorted positions >= idx[i] (n: none)."""
@@ -262,13 +302,18 @@ class Uniform:
     def ea_op(self):
         p = self.p
 
-        def mv(x):
-            return p * (x.sum() - x)
+        def mv(x):  # p (sum(x) - x), in the one vector it returns
+            out = np.subtract(x.sum(), x)
+            out *= p
+            return out
 
         return LinearOp(self.n, self.n, mv, mv, symmetric=True)
 
     def ea_block(self, I, J):
         return np.full((len(I), len(J)), self.p, dtype=float)
+
+    def ea_triangle(self):
+        return _triangle(np.ones((self.n, 1)), np.array([[self.p]]))
 
     def layout(self):
         return [np.arange(self.n)], np.array([[self.p]]), None
@@ -325,6 +370,15 @@ class RankOne:
     def ea_block(self, I, J):
         return np.minimum(np.outer(self.theta[I], self.theta[J]), 1.0)
 
+    def ea_triangle(self):
+        """theta theta^T's strict triangle; None when some pair clips."""
+        n, th = self.n, self.theta
+        if n >= 2:
+            top2 = np.partition(th, n - 2)[-2:]
+            if top2[0] * top2[1] > 1.0:
+                return None
+        return _triangle(th[:, None], np.ones((1, 1)))
+
     def layout(self):
         """theta-descending bins, each within a factor 2 of its top
         value, bounded by the tops' product and thinned to p_ij."""
@@ -372,12 +426,12 @@ class BlockTwo:
     def ea_op(self):
         n, h, a, b = self.n, self.half, self.a / self.n, self.b / self.n
 
-        def mv(x):
+        def mv(x):  # block sums less a x, in the one vector it returns
             s0, s1 = x[:h].sum(), x[h:].sum()
-            out = np.empty(n)
-            out[:h] = a * s0 + b * s1
-            out[h:] = b * s0 + a * s1
-            return out - a * x
+            out = np.multiply(x, -a)  # c - a x is c + (-a) x, bit for bit
+            out[:h] += a * s0 + b * s1
+            out[h:] += b * s0 + a * s1
+            return out
 
         return LinearOp(n, n, mv, mv, symmetric=True)
 
@@ -385,6 +439,12 @@ class BlockTwo:
         I, J = np.asarray(I), np.asarray(J)
         same = (I[:, None] < self.half) == (J < self.half)
         return np.where(same, self.a / self.n, self.b / self.n)
+
+    def ea_triangle(self):
+        F = np.zeros((self.n, 2))
+        F[:self.half, 0] = F[self.half:, 1] = 1.0
+        a, b = self.a / self.n, self.b / self.n
+        return _triangle(F, np.array([[a, b], [b, a]]))
 
     def layout(self):
         a, b = self.a / self.n, self.b / self.n
@@ -430,8 +490,11 @@ class Explicit:
     def ea_block(self, I, J):
         return self.P[np.ix_(I, J)]
 
-    def layout(self):
+    def ea_triangle(self):
         return None
+
+    def layout(self):
+        return self.P
 
 
 def degree_profile(n, values, fractions):
@@ -518,13 +581,14 @@ def _sample(model, master_seed, stream_index, directed):
     n = model.n
     idx = _index_dtype(n)
     layout = model.layout()
+    dense = isinstance(layout, np.ndarray)
     parts = []
     for b in range(-(-n // ROW_BLOCK)):
         r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
         block = []
         for lower in ((False, True) if directed else (False,)):
             words = BlockWords(master_seed, stream_index, b, lower)
-            block += ([_dense_block(model, words, r0, r1, lower)] if layout is None
+            block += ([_dense_block(layout, words, r0, r1, lower)] if dense
                       else _skip_block(words, r0, r1, lower, *layout))
         if len(block) > 1:
             i = np.concatenate([bi for bi, _ in block])
@@ -587,13 +651,14 @@ def _geometric_hits(words, length, q):
     return pos[:hits].astype(np.int64)
 
 
-def _dense_block(model, words, r0, r1, lower):
-    """One word per entry of rows r0 .. r1-1 of EA, row-major; u <= p_ij hits."""
-    n = model.n
+def _dense_block(P, words, r0, r1, lower):
+    """One word per entry of rows r0 .. r1-1 of EA = P, row-major, read
+    against a view of P's rows; u <= p_ij hits."""
+    n = P.shape[0]
     u = words.take((r1 - r0) * n).reshape(r1 - r0, n)
     rows, cols = np.arange(r0, r1), np.arange(n)
     side = cols < rows[:, None] if lower else cols > rows[:, None]
-    i, j = np.nonzero((u <= model.ea_block(rows, cols)) & side)
+    i, j = np.nonzero((u <= P[r0:r1]) & side)
     return i + r0, j
 
 

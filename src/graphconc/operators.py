@@ -4,6 +4,11 @@ Everything downstream (norm estimation, eigensolvers, the factorization
 routines) consumes the small ``LinearOp`` wrapper below, so dense
 arrays, scipy sparse matrices and structured closures are
 interchangeable.  ``matvec``/``rmatvec`` act on 1-d float vectors.
+
+A closure returns a new array, or its input or a view of it; never an
+array it keeps between calls.  So a caller may write into a product
+that ``owned`` hands back, and the deviation products below subtract
+in place: a step allocates its products and nothing else.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
+
+_FLOAT = np.dtype(np.float64)  # native float64, one object
 
 
 class LinearOp:
@@ -76,16 +83,37 @@ class LinearOp:
         return op
 
 
+def owned(y, x):
+    """The product ``y`` of the input ``x`` as a float64 array the caller
+    may write: ``y`` itself when it owns its memory and is not ``x``
+    (a new product, by the closures' contract), else a copy.  Checks
+    identity and ownership only, no memory scan."""
+    if (type(y) is np.ndarray and y.base is None and y is not x
+            and y.dtype is _FLOAT and y.flags.writeable):
+        return y
+    return np.array(y, dtype=float)
+
+
+def _difference(amv, bmv):
+    def mv(x):
+        y = owned(amv(x), x)
+        y -= bmv(x)
+        return y
+
+    return mv
+
+
 def compose_difference(a, b):
     """The deviation operator a - b.
 
-    Its closures call a's and b's own closures and subtract once: the
-    shape and dtype checks of LinearOp.matvec run on the outer op only.
+    Its closures call a's and b's own closures and subtract b's product
+    from a's in place (``owned``), bit for bit ``amv(x) - bmv(x)``: the
+    shape and dtype checks of LinearOp.matvec run on the outer op only,
+    and a product allocates a's and b's vectors, no third.
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"cannot subtract shapes {a.shape} and {b.shape}")
-    amv, bmv, armv, brmv = a._matvec, b._matvec, a._rmatvec, b._rmatvec
-    rmv = (None if armv is None or brmv is None
-           else lambda x: armv(x) - brmv(x))
-    return LinearOp(a.n_rows, a.n_cols, lambda x: amv(x) - bmv(x), rmv,
-                    symmetric=a.symmetric and b.symmetric)
+    armv, brmv = a._rmatvec, b._rmatvec
+    rmv = None if armv is None or brmv is None else _difference(armv, brmv)
+    return LinearOp(a.n_rows, a.n_cols, _difference(a._matvec, b._matvec),
+                    rmv, symmetric=a.symmetric and b.symmetric)

@@ -194,21 +194,33 @@ def _oracle(B, G, col_live):
 
     The route is chosen here, once per descent, from B's shape; ``G``
     is B^T B and ``v0`` the previous step's vector.  D_mu^{-1/2} is
-    ``_col_scale``, zero on B's dead (all-zero) columns.
+    ``_col_scale``, zero on B's dead (all-zero) columns, written into a
+    vector of the oracle's own.
 
     * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
       driver np.linalg.eigh wraps, on the smaller side of the scaled
       Gram.  When k <= m that is (B s)(B s)^T (k x k), its top vector
       u mapped back by v = s B^T u / ||s B^T u||; when m < k it is
-      s G s (m x m).  The result is bit for bit np.linalg.eigh's.
+      s G s (m x m).  The result is bit for bit np.linalg.eigh's.  A
+      step allocates only the Gram and dsyevd's output: B s, s G s, u
+      and v live in buffers of the oracle's own, so v is overwritten
+      by the next call.
     * Lanczos route otherwise (``_lanczos_pair``): LANCZOS_STEPS
       products by G from v0, B itself is not read.
 
     v is zero on dead columns.
     """
     k, m = B.shape
+    s, dead = np.empty(m), np.flatnonzero(~col_live)
+
+    def scale(mu):  # _col_scale(mu, col_live), bit for bit, in s
+        np.divide(1.0, np.sqrt(mu, out=s), out=s)
+        if dead.size:
+            s[dead] = 0.0
+        return s
+
     if min(k, m) > DENSE_SOLVE_LIMIT:
-        return lambda mu, v0: _lanczos_pair(G, _col_scale(mu, col_live), v0)
+        return lambda mu, v0: _lanczos_pair(G, scale(mu), v0)
     dsyevd = _scipy.lapack().dsyevd
 
     def eigh(M):
@@ -218,9 +230,12 @@ def _oracle(B, G, col_live):
             raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
         return float(lams[-1]), V
 
+    v = np.empty(m)
     if k <= m:
+        C, U = np.empty((k, m)), np.empty((k, k))
+
         def top_pair(mu, v0):
-            C = B * _col_scale(mu, col_live)
+            np.multiply(B, scale(mu), out=C)
             # numpy forms C C^T by syrk, exactly symmetric, so its
             # transpose is the same matrix in the Fortran order LAPACK
             # reads: f2py hands it over uncopied
@@ -228,13 +243,18 @@ def _oracle(B, G, col_live):
             # u is read with eigh's stride, from a C-ordered copy:
             # OpenBLAS's dgemv sums a unit-stride vector in another
             # order, so C^T u would not round as with eigh's vector
-            z = C.T @ np.ascontiguousarray(V)[:, -1]
-            return lam, z / sqrt(z @ z)
+            np.copyto(U, V)
+            np.matmul(C.T, U[:, -1], out=v)
+            return lam, np.divide(v, sqrt(v.dot(v)), out=v)
     else:
+        M = np.empty((m, m), order="F")  # dsyevd works in it, uncopied
+
         def top_pair(mu, v0):
-            s = _col_scale(mu, col_live)
-            lam, V = eigh(s[:, None] * G * s)
-            return lam, np.where(col_live, V[:, -1], 0.0)
+            np.multiply(scale(mu)[:, None], G, out=M)
+            lam, V = eigh(np.multiply(M, s, out=M))
+            np.copyto(v, V[:, -1])
+            v[dead] = 0.0
+            return lam, v
     return top_pair
 
 
@@ -417,7 +437,9 @@ def _descend(B, start, max_iter):
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
     top_pair = _oracle(B, G, col_live)
-    best_mu = mu.copy()
+    best_mu, g = mu.copy(), np.empty(m)
+    # mu.sum() and g.min() without ndarray's Python frame around them
+    add, least = np.add.reduce, np.minimum.reduce
     best_f = np.inf
     history = []
     converged = False
@@ -426,21 +448,28 @@ def _descend(B, start, max_iter):
         f = sqrt(max(lam, 0.0))
         if f < best_f:
             best_f = f
-            best_mu = mu.copy()
+            np.copyto(best_mu, mu)
         history.append(best_f)
         converged = bool(t > _CONVERGED_WINDOW and
                          history[-1 - _CONVERGED_WINDOW] - history[-1]
                          <= _CONVERGED_TOL * max(history[-1], 1e-30))
         if converged:
             break
-        g = -lam * (v * v) / mu
-        gmax = -g.min()  # lam >= 0, so g <= 0
+        # g = -lam (v * v) / mu and mu <- mu exp(-(g / gmax) / sqrt(t)),
+        # renormalized, floored at _MU_FLOOR and renormalized again: in
+        # g and mu themselves, each operation as written, in its order
+        np.multiply(v, v, out=g)
+        g *= -lam
+        g /= mu
+        gmax = -least(g)  # lam >= 0, so g <= 0
         if gmax == 0.0:
             break
-        mu = mu * np.exp(-(1.0 / sqrt(t)) * (g / gmax))
-        mu /= mu.sum()
-        mu = np.maximum(mu, _MU_FLOOR)
-        mu /= mu.sum()
+        g /= gmax
+        g *= -(1.0 / sqrt(t))
+        mu *= np.exp(g, out=g)
+        mu /= add(mu)
+        np.maximum(mu, _MU_FLOOR, out=mu)
+        mu /= add(mu)
     achieved = _certified_f(B, best_mu, col_live, rng)
     final = _certified_f(B, mu, col_live, rng)
     if final.value < achieved.value:

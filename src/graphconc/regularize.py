@@ -18,7 +18,7 @@ import numpy as np
 from . import _scipy
 from .errors import ZeroDegree
 from .models import SparseGraph, expected_adjacency
-from .operators import LinearOp
+from .operators import LinearOp, owned
 
 SCHEMES = ("identity", "remove", "trim", "reweight", "tau")
 
@@ -158,10 +158,17 @@ def tau_shift(g, tau):
 
 
 def _shifted(product, c):
-    """The product by M + c 11^T, given M's; ``product`` itself at c = 0."""
+    """The product by M + c 11^T, given M's, shifted in M's product's
+    own vector; ``product`` itself at c = 0."""
     if c == 0.0:
         return product
-    return lambda v: product(v) + c * v.sum()
+
+    def mv(v):
+        y = owned(product(v), v)
+        y += c * v.sum()
+        return y
+
+    return mv
 
 
 def adjacency_shifted_op(x):
@@ -182,6 +189,9 @@ def adjacency_shifted_op(x):
 def _normalized_laplacian(product, d):
     """I - D^{-1/2} M D^{-1/2} for M given by its product, D = diag(d).
 
+    A product allocates M's product and nothing else: the op keeps the
+    vector it hands to M's product and writes the result into M's.
+
     A non-positive degree is refused -- the cure for isolated vertices
     is the tau shift, so the caller is sent there.
     """
@@ -189,9 +199,12 @@ def _normalized_laplacian(product, d):
         bad = int(np.argmin(d)) if d.size else 0
         raise ZeroDegree(f"vertex {bad} has zero shifted degree; regularize first")
     inv_sqrt = 1.0 / np.sqrt(d)
+    scaled = np.empty(d.size)  # the product's input, reused
 
-    def mv(v):
-        return v - inv_sqrt * product(inv_sqrt * v)
+    def mv(v):  # v - inv_sqrt * product(inv_sqrt * v), bit for bit
+        y = owned(product(np.multiply(inv_sqrt, v, out=scaled)), scaled)
+        y *= inv_sqrt
+        return np.subtract(v, y, out=y)
 
     return LinearOp(d.size, d.size, mv, mv, symmetric=True)
 

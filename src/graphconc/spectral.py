@@ -7,8 +7,9 @@ Routes
   itself, any other M through its Gram M^T M on the smaller side, one
   ``matvec`` and one ``rmatvec`` per step.  It neither restarts nor
   reorthogonalizes, so the solve keeps alpha, beta and two vectors
-  (O(n) memory) and every product goes through
-  ``LinearOp.matvec``/``rmatvec``.  The solve stops on the value, not
+  (O(n) memory), every product goes through
+  ``LinearOp.matvec``/``rmatvec``, and a step allocates its product
+  and nothing else.  The solve stops on the value, not
   on a Ritz vector, and reads both ends of the spectrum, so a +/- pair
   is never split.
 * ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
@@ -63,7 +64,7 @@ import numpy as np
 from . import _scipy
 from ._seeding import aux_generator
 from .errors import EntryOutOfRange, NoConvergence, SizeExceeded, WidthExceeded
-from .operators import LinearOp
+from .operators import LinearOp, owned
 
 _DEFAULT_SEED = 0x5EED
 DENSE_SOLVE_LIMIT = 32
@@ -89,6 +90,8 @@ _MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 # deviation at n = 10^6, d = tau = 5 took 700 (seed 1729).
 NORM_TOL = 1e-5
 NORM_MAX_ITER = 20000
+# entries of a Lanczos step's scaled vector formed at a time (256 KB)
+_CHUNK = 1 << 15
 _NORM_STOP = 1e-9
 _NORM_CHECK = 10
 # beta_k below this share of ||M q_k|| means K_k is invariant
@@ -153,51 +156,41 @@ def _kw_eps(j, n):
     return 1.0 if root >= 1.0 else 1.0 - sqrt(1.0 - root * root)
 
 
-def _own(w, *ours):
-    """``w``, or a copy when it shares memory with one of our vectors.
-
-    A fresh product (it owns its memory, as all our vectors do, and is
-    none of them) is returned without the np.may_share_memory scan.
-
-    ``_lanczos`` updates each product in place, through one scratch
-    vector: at n = 10^6 a fresh temporary costs more than the pass that
-    fills it.  It uses numpy's kernels only; scipy's BLAS (daxpy) runs
-    on scipy's own OpenBLAS, and with both pools at their default
-    thread count they fought on two cores: 2.4 s against 0.09 s for a
-    Lanczos solve at n = 32000.  ``_scipy`` sets scipy's
-    pool to one thread unless the environment sets a count, so that
-    scipy's LAPACK and ARPACK calls do not fight numpy's pool.
-    """
-    if w.base is None and all(x.base is None and x is not w for x in ours):
-        return w
-    if any(np.may_share_memory(w, x) for x in ours):
-        return w.copy()
-    return w
-
-
 def _lanczos(op, q, gram=False):
     """Three-term Lanczos from the unit vector q on a symmetric op, or,
     with ``gram``, on op^T op: x -> op.rmatvec(op.matvec(x)), whose top
     eigenvalue is ||op||^2, so the value is the root of its sigma_max
-    and KW's j is the step count."""
+    and KW's j is the step count.
+
+    A step allocates its product and nothing else: the product becomes
+    the next q in place (``operators.owned`` copies a product that is q
+    or a view), less b q_prev and a q formed ``_CHUNK`` entries at a
+    time in one scratch block (``_subtract_scaled``).  So the solve
+    holds q and q_prev between products, and no vector it has passed
+    to the op is written.  The vector work uses numpy's kernels only;
+    scipy's BLAS (daxpy) runs on scipy's own OpenBLAS, and with both
+    pools at their default thread count they fought on two cores: 2.4 s
+    against 0.09 s for a Lanczos solve at n = 32000.  ``_scipy`` sets
+    scipy's pool to one thread unless the environment sets a count, so
+    that scipy's LAPACK and ARPACK calls do not fight numpy's pool.
+    """
     cap = NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
     q_prev, b, last = q, 0.0, None
-    tmp = np.empty(q.size)
+    block = np.empty(min(q.size, _CHUNK))
 
     def value(steps):
         sigma = _extended_sigma(alpha[:steps], beta[:steps])
         return sqrt(sigma) if gram else sigma
 
     for k in range(cap):
-        w = _own(op.rmatvec(op.matvec(q)) if gram else op.matvec(q),
-                 q, q_prev)
+        w = owned(op.rmatvec(op.matvec(q)) if gram else op.matvec(q), q)
         if k:
-            w -= np.multiply(q_prev, b, out=tmp)
-        a = float(q @ w)
-        w -= np.multiply(q, a, out=tmp)
+            _subtract_scaled(w, q_prev, b, block)
+        a = float(q.dot(w))
+        _subtract_scaled(w, q, a, block)
         scale = sqrt(a * a + b * b)     # ||S q_k|| but for beta_k
-        b = sqrt(float(w @ w))
+        b = sqrt(float(w.dot(w)))
         alpha[k], beta[k] = a, b
         steps = k + 1
         if b <= _BREAKDOWN * scale:
@@ -213,6 +206,18 @@ def _lanczos(op, q, gram=False):
         q_prev, q = q, w
     raise NoConvergence(f"lanczos: max |theta| still moving after {cap} "
                         f"steps", best=value(cap))
+
+
+def _subtract_scaled(w, v, c, block):
+    """w -= v * c in place, bit for bit, v * c formed in ``block``
+    (``_CHUNK`` entries at most) one stretch of w at a time."""
+    n, m = w.size, block.size
+    if n <= m:
+        w -= np.multiply(v, c, out=block)
+        return
+    for i in range(0, n, m):
+        stretch = w[i:i + m]
+        stretch -= np.multiply(v[i:i + m], c, out=block[:stretch.size])
 
 
 def _dstebz_one(d, e, i):

@@ -33,8 +33,11 @@ from graphconc import (
 )
 
 from graphconc.cli import run_command
+from graphconc.models import model_from_dict
+from graphconc.spectral import spectral_norm
 
-from conftest import MASTER
+from conftest import MASTER, traced_peak
+from test_golden import RUNS, SEED, TRIALS
 
 # the package's ``decompose`` attribute is the function; GP is counted at
 # the name the module imports
@@ -460,10 +463,109 @@ def test_factored_ea_decomposes_as_the_dense_one():
         got = decompose(A, model, r, d, gp_iters=60, part=part)
         want = decompose(A, dense, r, d, gp_iters=60, part=part)
         assert np.array_equal(got.class_of, want.class_of)
-        assert (verify_decomposition(A, model, got)
-                == verify_decomposition(A, dense, want))
+        # the verifier multiplies by BlockTwo's EA triangle, Explicit's
+        # dense (A - EA)_N: norm_n within 1e-14, every other key equal
+        rep = verify_decomposition(A, model, got)
+        ref = verify_decomposition(A, dense, want)
+        assert rep.pop("norm_n") == pytest.approx(ref.pop("norm_n"),
+                                                  rel=1e-14, abs=0.0)
+        ratio = rep.pop("norm_ratio") / ref.pop("norm_ratio")
+        assert ratio == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert rep == ref
     with pytest.raises(ValueError, match="EA shape mismatch"):
         decompose(up, Uniform(n + 1, 0.1), r, d, part="upper")
+
+
+def dense_route(A, model, dec):
+    """spectral_norm of (A - EA)_N densified (``_dense_deviation``), the
+    route a model without ``ea_triangle`` takes: the verifier's
+    reference."""
+    return spectral_norm(dmod._dense_deviation(
+        dmod._ones_csr(A), dmod._ea_reader(model, A.n, dec.part),
+        dec.class_of))
+
+
+def assert_verified_as_dense(A, model, dec):
+    """The verifier's norm_n within 1e-14 relative of the dense route's,
+    with equal steps and eps; returns the record."""
+    rep = verify_decomposition(A, model, dec)
+    ref = dense_route(A, model, dec)
+    assert rep["norm_n"] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+    assert (rep["norm_steps"], rep["norm_eps"]) == (ref.steps, ref.eps)
+    return rep
+
+
+def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
+    # every decompose run of the golden digests, both trials, each part
+    # (L's decomposition transposed from U's, as the command does)
+    seen = set()
+    for label, command, cfg in RUNS:
+        if command != "decompose":
+            continue
+        model = (model_from_dict(cfg["model"]) if "model" in cfg
+                 else Uniform(cfg["n"], cfg["d"] / cfg["n"]))
+        seen.add(model.ea_triangle() is not None)
+        for t in range(TRIALS):
+            if cfg.get("directed", False):
+                parts = [("full", sample_directed(model, SEED, t))]
+            else:
+                parts = zip(("upper", "lower"),
+                            triangle_split(sample(model, SEED, t)))
+            dec = None
+            for part, A in parts:
+                dec = (transposed(dec) if part == "lower" else
+                       decompose(A, model, cfg["r"], cfg["d"],
+                                 gp_iters=cfg["gp_iters"], part=part))
+                assert_verified_as_dense(A, model, dec)
+    assert seen == {True, False}  # both routes ran
+
+
+def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
+    # the planted blocks fill R and C, so the EA strips of R's columns
+    # and C's rows are read: against EA = 0.02 and, on the corner's two
+    # triangles, EA = 0 and 0.05
+    n = 64
+    M = np.zeros((n, n), dtype=bool)
+    M[:40] = np.random.default_rng(5).random((40, n)) < 0.9
+    M[:40, :3] = False
+    M[40:, :3] = True
+    np.fill_diagonal(M, False)
+    A = SparseGraph(n, *np.nonzero(M), np.ones(M.sum()), directed=True)
+    cases = [(A, Uniform(n, 0.02),
+              decompose(A, Uniform(n, 0.02), r=1.0, d=1.0, gp_iters=50))]
+    up, lo = triangle_split(planted_corner())
+    for model in (zero_ea(n), Uniform(n, 0.05)):
+        upper = decompose(up, model, 0.25, 1.0, gp_iters=60, part="upper")
+        cases += [(up, model, upper), (lo, model, transposed(upper))]
+    filled = dict.fromkeys(("r_cols", "c_rows"), 0)
+    for A, model, dec in cases:
+        rep = assert_verified_as_dense(A, model, dec)
+        for k in filled:
+            filled[k] += rep[k]
+    assert filled["r_cols"] > 0 and filled["c_rows"] > 0
+    # heavy_columns_and_rows (R cells in 3 columns) agrees in value only:
+    # its Gram Lanczos loses orthogonality from step 8 on, so the two
+    # routes' last-bit differences grow into other recurrences; the
+    # dense one ends on beta / scale = 6.5e-13, below the 1e-12
+    # breakdown test, at step 19, this one on the stop test at step 20
+    A, model = heavy_columns_and_rows()
+    dec = decompose(A, model, r=1.0, d=1.0, gp_iters=60)
+    rep, ref = verify_decomposition(A, model, dec), dense_route(A, model, dec)
+    assert rep["r_cols"] == 3
+    assert rep["norm_n"] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+
+
+def test_verifying_a_part_holds_no_dense_array():
+    # the verifier multiplies by the part's csr and EA's triangle: its
+    # traced peak on an n = 1024 Uniform part stays below one n x n
+    # float array (8 MB), which the dense route built for (A - EA)_N
+    n = 1024
+    model = Uniform(n, 8.0 / n)
+    up, _ = triangle_split(sample(model, MASTER))
+    labels = np.zeros((n, n), dtype=np.int8)
+    dec = EdgeDecomposition(n, labels, 3.0, 8.0, (), part="upper")
+    rep, peak = traced_peak(verify_decomposition, up, model, dec)
+    assert rep["norm_steps"] > 0 and peak < 8 * n * n
 
 
 def clipping_rankone(n):

@@ -266,6 +266,28 @@ def test_expected_dense_matches_reference(m):
     assert np.array_equal(expected_dense(m), reference_rates(m))
 
 
+@pytest.mark.parametrize("m", [*REFERENCE_MODELS, Uniform(1, 0.5),
+                               BlockTwo(1000, 30, 5),
+                               RankOne(3, (1.2, 0.1, 0.1))],
+                         ids=["uniform", "blocktwo", "rankone-clipped",
+                              "rankone", "explicit", "uniform-1",
+                              "blocktwo-1000", "rankone-self-clipped"])
+def test_ea_triangle_is_the_strict_upper_triangle(m):
+    # U x and U^T y by cumulative sums of EA's factors: triu(EA, 1) and
+    # its transpose to rounding; None where no factors state EA (a pair
+    # clips at 1, or P is explicit), and only there
+    U = m.ea_triangle()
+    P = reference_rates(m)
+    clips = (isinstance(m, RankOne)
+             and np.triu(np.outer(m.theta, m.theta) > 1.0, 1).any())
+    assert (U is None) == (isinstance(m, Explicit) or clips)
+    if U is None:
+        return
+    upper = np.triu(P, 1)
+    assert_close(U.to_dense(), upper, 1e-15 * max(1.0, m.n * P.max()))
+    assert_close(U.T.to_dense(), upper.T, 1e-15 * max(1.0, m.n * P.max()))
+
+
 @pytest.mark.parametrize("m", [
     Uniform(37, 0.13),
     BlockTwo(40, 12, 3),
@@ -289,8 +311,8 @@ def test_factored_expected_dense_is_the_closure_bit_for_bit(m):
     # where no thinning follows, within a factor 4 in RankOne's bins; a
     # vertex in no group has p_ij = 0 throughout
     layout = m.layout()
-    if layout is None:  # the dense route
-        assert isinstance(m, Explicit)
+    if isinstance(layout, np.ndarray):  # the dense route reads EA itself
+        assert isinstance(m, Explicit) and layout is m.P
         return
     groups, bound, thin = layout
     laid = np.concatenate(groups) if groups else np.empty(0, int)

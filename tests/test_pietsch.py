@@ -684,3 +684,53 @@ def test_gp_and_decompose_run_without_arpack(monkeypatch, tmp_path):
                                     "gp_iters": 120, "write_files": False},
                       MASTER, str(tmp_path / "dec"))
     assert rep.flags["structural_all"] and not rep.summary["errors"]
+
+
+def old_descent(B, max_iter=500):
+    """``_descend`` as it was written before its step worked in its own
+    buffers: every expression of the mu update as it stood, a new array
+    per operation.  Returns the fields gp_weights reports."""
+    m = B.shape[1]
+    col_live = np.einsum("ij,ij->j", B, B) > 0.0
+    mu = np.full(m, 1.0 / m)
+    G = B.T @ B
+    rng, v, lower, _ = pietsch._descent_start(B, G)
+    v[~col_live] = 0.0
+    v /= np.linalg.norm(v)
+    top_pair = _oracle(B, G, col_live)
+    best_mu, best_f, history, converged = mu.copy(), np.inf, [], False
+    window, tol = pietsch._CONVERGED_WINDOW, pietsch._CONVERGED_TOL
+    for t in range(1, max_iter + 1):
+        lam, v = top_pair(mu, v)
+        f = np.sqrt(max(lam, 0.0))
+        if f < best_f:
+            best_f = f
+            best_mu = mu.copy()
+        history.append(best_f)
+        converged = bool(t > window and history[-1 - window] - history[-1]
+                         <= tol * max(history[-1], 1e-30))
+        if converged:
+            break
+        g = -lam * (v * v) / mu
+        gmax = -g.min()
+        if gmax == 0.0:
+            break
+        mu = mu * np.exp(-(1.0 / np.sqrt(t)) * (g / gmax))
+        mu /= mu.sum()
+        mu = np.maximum(mu, pietsch._MU_FLOOR)
+        mu /= mu.sum()
+    achieved = pietsch._certified_f(B, best_mu, col_live, rng)
+    final = pietsch._certified_f(B, mu, col_live, rng)
+    if final.value < achieved.value:
+        achieved, best_mu = final, mu.copy()
+    return (best_mu.tobytes(), float(achieved.value), converged,
+            len(history), tuple(history), float(lower))
+
+
+def test_descent_mu_update_matches_the_old_one_on_ac6_instances():
+    # AC6's hundred 8 x 12 instances at the suite's seed: the in-place
+    # update gives the weights, values and histories of the old one,
+    # bit for bit
+    for i in range(100):
+        B = aux_generator(MASTER, i, 3).uniform(-1.0, 1.0, size=(8, 12))
+        assert weights_fields(gp_weights(B)) == old_descent(B), i

@@ -53,10 +53,9 @@ a time (``_centred``), each chunk read from the model
 centring holds no n x n EA and writes into neither the caller's A nor
 the model.  The verifier multiplies by (A - EA)_N with no n x n array
 (``_sparse_deviation``): the csr of A's edges in N, less EA's strict
-upper triangle from the model (``ea_triangle``) as ``_PARTS`` combines
-it for the part, plus the part's EA on R's columns and C's rows, the
-cells N leaves out.  A model without a triangle (Explicit, a clipping
-RankOne) is verified on (A - EA)_N densified (``_dense_deviation``).
+upper triangle from the model (``ea_triangle``, which every kind
+gives) as ``_PARTS`` combines it for the part, plus the part's EA on
+R's columns and C's rows, the cells N leaves out.
 """
 
 from __future__ import annotations
@@ -421,10 +420,7 @@ def verify_decomposition(A, model, dec):
     norm_n, norm_steps, norm_eps, norm_ratio
         ||(A - EA)_N|| by spectral_norm, with its steps and eps, and its
         ratio to r^{3/2} sqrt(d); recorded only.  The operator is
-        ``_sparse_deviation`` when the model has an ``ea_triangle``,
-        ``_dense_deviation`` otherwise: the same matrix, its products
-        summed in other orders, so norm_n differs between the two in
-        its last bits;
+        ``_sparse_deviation``, built on the model's ``ea_triangle``;
     rounds
         the decomposition's block rounds;
     gp_target_met
@@ -443,14 +439,11 @@ def verify_decomposition(A, model, dec):
     c_rows = np.flatnonzero(np.any(labels == CLASS_C, axis=1))
     limit = KAPPA * n / d
 
-    U = model.ea_triangle()
     # no part is scanned for a symmetry: a triangle has one only when it
     # is zero, and no directed sample measured has had one
-    norm_n, norm_steps, norm_eps = spectral_norm(
-        _dense_deviation(_ones_csr(A), read_ea, labels) if U is None else
-        _sparse_deviation(_ones_csr(A, at_edges == CLASS_N), U,
-                          _PARTS[dec.part][2],
-                          _ea_strips(read_ea, labels, r_cols, c_rows)))
+    norm_n, norm_steps, norm_eps = spectral_norm(_sparse_deviation(
+        _ones_csr(A, at_edges == CLASS_N), model.ea_triangle(),
+        _PARTS[dec.part][2], _ea_strips(read_ea, labels, r_cols, c_rows)))
     met = all(rnd[k]["target_met"] for rnd in dec.block_trace
               for k in ("gp_cols", "gp_rows") if k in rnd)
     return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),
@@ -461,15 +454,6 @@ def verify_decomposition(A, model, dec):
             "norm_n": norm_n, "norm_steps": norm_steps, "norm_eps": norm_eps,
             "norm_ratio": float(norm_n / (r ** 1.5 * np.sqrt(d))),
             "rounds": len(dec.block_trace), "gp_target_met": met}
-
-
-def _dense_deviation(A01, read_ea, labels):
-    """(A - EA)_N densified, for a model without ``ea_triangle``
-    (Explicit, a clipping RankOne): EA read block by block."""
-    n = labels.shape[0]
-    Ad = _centred(A01, read_ea, np.arange(n), np.arange(n))
-    Ad *= labels == CLASS_N
-    return LinearOp.from_dense(Ad, symmetric=False)
 
 
 def _ea_strips(read_ea, labels, r_cols, c_rows):

@@ -12,10 +12,11 @@ spec's fields, in constructor order):
 * ``ea_block(I, J)``  -- EA[I x J] as a new array, for index arrays I
   and J; the pairs i = j read p_ii as the kind states it (theta_i^2
   clipped, say), not 0: zeroing them is the caller's;
-* ``ea_triangle()``   -- EA's strict upper triangle U as a LinearOp in
-  O(n rank) a product (``matvec`` U x, ``rmatvec`` U^T y), for a kind
-  that is low rank off the diagonal (Uniform, BlockTwo, a RankOne
-  that clips no pair); None otherwise (Explicit, a clipping RankOne);
+* ``ea_triangle()``   -- EA's strict upper triangle U as a LinearOp
+  (``matvec`` U x, ``rmatvec`` U^T y), every kind's: O(n rank) a
+  product for a kind that is low rank off the diagonal (Uniform,
+  BlockTwo, RankOne), a clipping RankOne adding the n x |H| strip of
+  its clipping columns H, and row strips of P for Explicit;
 * ``layout()``        -- the sampler's (groups, bound, thin), below, or
   for the dense route EA itself, an n x n array (Explicit's P).
 
@@ -32,8 +33,8 @@ No function here branches on the kind: ``expected_adjacency`` is
 ``ea_block``, the sampler takes its route from ``layout``, and
 ``model_to_dict`` writes ``kind`` and the fields.  Decompose reads EA
 block by block through ``ea_block`` in O(|I| |J|), and its verifier
-multiplies by ``ea_triangle`` where the kind has one.  A new kind is one
-class; only ``model_from_dict`` needs it listed in ``_MODEL_KINDS``.
+multiplies by ``ea_triangle``.  A new kind is one class; only
+``model_from_dict`` needs it listed in ``_MODEL_KINDS``.
 
 Two sparsity scales are exposed and every experiment states which one
 it uses:
@@ -80,6 +81,7 @@ seed.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -91,6 +93,9 @@ from .errors import InvalidModel, InvalidRates
 from .operators import LinearOp
 
 EXPLICIT_N_LIMIT = 4096  # guard rail: Explicit stores a dense matrix
+TRIANGLE_ROWS = 128  # rows of P per strip of Explicit's EA triangle
+# the largest n whose entry keys i * n + j, at most n^2 - 1, fit in int64
+KEY_N_LIMIT = math.isqrt(1 << 63)
 
 
 def _index_dtype(n):
@@ -107,7 +112,9 @@ class SparseGraph:
     int32 while n <= 2^31.  A 0/1 graph holds no weight array:
     ``weighted`` is False and ``w`` reads as ones (a zero-stride view).
     The weights are always checked; ``_checked`` entries i, j of the
-    index dtype are taken as canonical, unchecked.
+    index dtype are taken as canonical, unchecked.  Unchecked entries
+    are sorted by the int64 key i * n + j, so they need n <=
+    ``KEY_N_LIMIT``.
     """
 
     def __init__(self, n, i, j, w=None, directed=False, _checked=False):
@@ -125,6 +132,9 @@ class SparseGraph:
         if w is not None and not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):
             raise InvalidModel("weights must lie in (0, 1]")  # NaN too
         if not _checked and i.size:
+            if n > KEY_N_LIMIT:
+                raise InvalidModel(f"n = {n} exceeds {KEY_N_LIMIT}, the largest "
+                                   f"n whose entry keys i * n + j fit in int64")
             if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
                 raise InvalidModel("vertex index out of range")
             if np.any(i == j):
@@ -371,13 +381,34 @@ class RankOne:
         return np.minimum(np.outer(self.theta[I], self.theta[J]), 1.0)
 
     def ea_triangle(self):
-        """theta theta^T's strict triangle; None when some pair clips."""
+        """theta theta^T's strict triangle on the columns outside H, the
+        vertices that clip with some vertex (theta_i theta_max > 1), and
+        on H's columns the n x |H| strip of p_ij, 0 unless i < j.  No
+        pair outside H's columns clips, so the sum is exact: no clipped
+        excess is subtracted, nothing cancels.  A lone vertex of H is
+        the top one clipping with itself only, so H is taken empty."""
         n, th = self.n, self.theta
-        if n >= 2:
-            top2 = np.partition(th, n - 2)[-2:]
-            if top2[0] * top2[1] > 1.0:
-                return None
-        return _triangle(th[:, None], np.ones((1, 1)))
+        tri = _triangle(th[:, None], np.ones((1, 1)))
+        H = np.flatnonzero(th * th.max() > 1.0)
+        if H.size < 2:
+            return tri
+        every = np.arange(n)
+        strip = self.ea_block(every, H)
+        strip *= every[:, None] < H
+
+        def mv(x):
+            rest = x.copy()
+            rest[H] = 0.0
+            y = tri._matvec(rest)
+            y += strip @ x[H]
+            return y
+
+        def rmv(y):
+            out = tri._rmatvec(y)
+            out[H] = y @ strip
+            return out
+
+        return LinearOp(n, n, mv, rmv)
 
     def layout(self):
         """theta-descending bins, each within a factor 2 of its top
@@ -491,7 +522,27 @@ class Explicit:
         return self.P[np.ix_(I, J)]
 
     def ea_triangle(self):
-        return None
+        """P's strict upper triangle, ``TRIANGLE_ROWS`` rows of P at a
+        time: (U x)[a:b] = P[a:b, b:] x[b:] + triu(P[a:b, a:b], 1) x[a:b],
+        and (U^T y)[a:b] from P[a:b, :a] and the strip's strict lower
+        triangle, P's lower triangle being the upper's transpose bit for
+        bit (``__post_init__``).  P is read through views; a strip's
+        diagonal block is the one copy."""
+        P, n = self.P, self.n
+
+        def product(x, upper):
+            y = np.empty(n)
+            for a in range(0, n, TRIANGLE_ROWS):
+                b = min(n, a + TRIANGLE_ROWS)
+                rest = slice(b, n) if upper else slice(0, a)
+                block = (np.triu(P[a:b, a:b], 1) if upper
+                         else np.tril(P[a:b, a:b], -1))
+                y[a:b] = P[a:b, rest] @ x[rest]
+                y[a:b] += block @ x[a:b]
+            return y
+
+        return LinearOp(n, n, lambda x: product(x, True),
+                        lambda y: product(y, False))
 
     def layout(self):
         return self.P

@@ -16,6 +16,7 @@ from graphconc import (
     EdgeDecomposition,
     Explicit,
     GPCertificate,
+    LinearOp,
     RankOne,
     SizeExceeded,
     SparseGraph,
@@ -463,8 +464,9 @@ def test_factored_ea_decomposes_as_the_dense_one():
         got = decompose(A, model, r, d, gp_iters=60, part=part)
         want = decompose(A, dense, r, d, gp_iters=60, part=part)
         assert np.array_equal(got.class_of, want.class_of)
-        # the verifier multiplies by BlockTwo's EA triangle, Explicit's
-        # dense (A - EA)_N: norm_n within 1e-14, every other key equal
+        # the verifier multiplies by BlockTwo's EA triangle, from its
+        # factors, and by Explicit's, from strips of P: norm_n within
+        # 1e-14, every other key equal
         rep = verify_decomposition(A, model, got)
         ref = verify_decomposition(A, dense, want)
         assert rep.pop("norm_n") == pytest.approx(ref.pop("norm_n"),
@@ -477,12 +479,14 @@ def test_factored_ea_decomposes_as_the_dense_one():
 
 
 def dense_route(A, model, dec):
-    """spectral_norm of (A - EA)_N densified (``_dense_deviation``), the
-    route a model without ``ea_triangle`` takes: the verifier's
-    reference."""
-    return spectral_norm(dmod._dense_deviation(
-        dmod._ones_csr(A), dmod._ea_reader(model, A.n, dec.part),
-        dec.class_of))
+    """spectral_norm of (A - EA)_N densified, EA read block by block as
+    ``decompose`` centres A: the verifier's reference."""
+    n = A.n
+    every = np.arange(n)
+    dev = dmod._centred(dmod._ones_csr(A),
+                        dmod._ea_reader(model, n, dec.part), every, every)
+    dev *= dec.class_of == CLASS_N
+    return spectral_norm(LinearOp.from_dense(dev, symmetric=False))
 
 
 def assert_verified_as_dense(A, model, dec):
@@ -498,13 +502,16 @@ def assert_verified_as_dense(A, model, dec):
 def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
     # every decompose run of the golden digests, both trials, each part
     # (L's decomposition transposed from U's, as the command does)
-    seen = set()
+    seen = set()  # the kinds whose triangle is no product of factors
     for label, command, cfg in RUNS:
         if command != "decompose":
             continue
         model = (model_from_dict(cfg["model"]) if "model" in cfg
                  else Uniform(cfg["n"], cfg["d"] / cfg["n"]))
-        seen.add(model.ea_triangle() is not None)
+        if isinstance(model, Explicit):
+            seen.add("explicit")
+        elif isinstance(model, RankOne) and model.max_rate() == model.n:
+            seen.add("clipping-rankone")
         for t in range(TRIALS):
             if cfg.get("directed", False):
                 parts = [("full", sample_directed(model, SEED, t))]
@@ -517,7 +524,7 @@ def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
                        decompose(A, model, cfg["r"], cfg["d"],
                                  gp_iters=cfg["gp_iters"], part=part))
                 assert_verified_as_dense(A, model, dec)
-    assert seen == {True, False}  # both routes ran
+    assert seen == {"explicit", "clipping-rankone"}
 
 
 def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
@@ -555,17 +562,40 @@ def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
     assert rep["norm_n"] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
 
 
+def explicit_rows(n, d):
+    """Explicit model of a row-scaled P, max n p_ij about d."""
+    rng = np.random.default_rng(3)
+    P = rng.random((n, n)) * (0.5 + rng.random(n))[:, None]
+    P = (P + P.T) * (d / (2 * n))
+    return Explicit(P)
+
+
+def clipping_heavy(n):
+    """RankOne whose last 40 vertices clip with every vertex."""
+    theta = np.full(n, 1 / 16)
+    theta[-40:] = np.linspace(4.0, 12.0, 40)
+    return RankOne(n, theta)
+
+
 def test_verifying_a_part_holds_no_dense_array():
     # the verifier multiplies by the part's csr and EA's triangle: its
-    # traced peak on an n = 1024 Uniform part stays below one n x n
-    # float array (8 MB), which the dense route built for (A - EA)_N
+    # traced peak on an n = 1024 part of a Uniform, an Explicit and a
+    # clipping RankOne stays below one n x n float array (8 MB), which
+    # the dense route built for (A - EA)_N.  Each model, Explicit's P
+    # among them, is built outside the trace, and so are the imports
+    # and first-call caches of a small part's verification
+    warm = Uniform(48, 0.1)
+    verify_decomposition(triangle_split(sample(warm, MASTER))[0], warm,
+                         EdgeDecomposition(48, np.zeros((48, 48), np.int8),
+                                           3.0, 8.0, (), part="upper"))
     n = 1024
-    model = Uniform(n, 8.0 / n)
-    up, _ = triangle_split(sample(model, MASTER))
     labels = np.zeros((n, n), dtype=np.int8)
     dec = EdgeDecomposition(n, labels, 3.0, 8.0, (), part="upper")
-    rep, peak = traced_peak(verify_decomposition, up, model, dec)
-    assert rep["norm_steps"] > 0 and peak < 8 * n * n
+    for model in (Uniform(n, 8.0 / n), explicit_rows(n, 8.0),
+                  clipping_heavy(n)):
+        up, _ = triangle_split(sample(model, MASTER))
+        rep, peak = traced_peak(verify_decomposition, up, model, dec)
+        assert rep["norm_steps"] > 0 and peak < 8 * n * n, model.kind
 
 
 def clipping_rankone(n):

@@ -36,7 +36,7 @@ and its guarantees hold for A^T with R and C exchanged, so L's
 decomposition is read off U's (``transposed``) rather than computed
 again; the verifier still checks it on L's own edges and EA.  The
 decomposition carries its part, so the verifier centres A by the
-triangle that ``decompose`` did.
+entries of EA that ``decompose`` did.
 
 A round centres its own densified copy of A's block (the first round
 reads A's csr itself, no block copy).  When every row and column passes
@@ -52,10 +52,12 @@ a time (``_centred``), each chunk read from the model
 (its ``ea_block``) and masked by the part (``_ea_reader``), so the
 centring holds no n x n EA and writes into neither the caller's A nor
 the model.  The verifier multiplies by (A - EA)_N with no n x n array
-(``_sparse_deviation``): the csr of A's edges in N, less EA's strict
-upper triangle from the model (``ea_triangle``, which every kind
-gives) as ``_PARTS`` combines it for the part, plus the part's EA on
-R's columns and C's rows, the cells N leaves out.
+(``_sparse_deviation``): the csr of A's edges in N, less the part's EA
+operator as ``_PARTS`` names it (the model's ``ea_op`` for a directed
+part, its strict upper triangle ``ea_triangle`` or that transposed for
+a triangle), plus the part's EA on R's columns and C's rows, the cells
+N leaves out, which it finds reading the labels ``LABEL_ROWS`` rows
+at a time.
 """
 
 from __future__ import annotations
@@ -77,17 +79,18 @@ CLASS_NAMES = ("N", "R", "C")
 TINY_BLOCK = 8
 DENSE_LIMIT = 4096
 EA_CHUNK = 1 << 14  # entries of EA read per chunk when subtracting it
+LABEL_ROWS = 256  # rows of the labels scanned at a time for R and C
 CSV_CHUNK = 1 << 20  # bytes of class CSV rows formatted per write
 # footprint slack of Theorem 2.6: the halving rounds spend
 # sum_i 2^{-i/2} ~ 3.41 of the single-round column budget
 KAPPA = 4.0
 # the parts a decomposition may be of: which pairs (i, j) of a block
 # keep their EA entry (all but the diagonal, or one strict triangle),
-# the part of the transpose, and the part's EA as the strict upper
-# triangle U of EA gives it: (holds U, holds U^T)
-_PARTS = {"full": (np.not_equal, "full", (True, True)),
-          "upper": (np.less, "lower", (True, False)),
-          "lower": (np.greater, "upper", (False, True))}
+# the part of the transpose, and the part's EA as a model's operator:
+# EA itself, its strict upper triangle U, or U^T
+_PARTS = {"full": (np.not_equal, "full", lambda m: m.ea_op()),
+          "upper": (np.less, "lower", lambda m: m.ea_triangle()),
+          "lower": (np.greater, "upper", lambda m: m.ea_triangle().T)}
 
 
 def _check_part(part):
@@ -420,7 +423,8 @@ def verify_decomposition(A, model, dec):
     norm_n, norm_steps, norm_eps, norm_ratio
         ||(A - EA)_N|| by spectral_norm, with its steps and eps, and its
         ratio to r^{3/2} sqrt(d); recorded only.  The operator is
-        ``_sparse_deviation``, built on the model's ``ea_triangle``;
+        ``_sparse_deviation``, built on the part's EA operator
+        (``_PARTS``);
     rounds
         the decomposition's block rounds;
     gp_target_met
@@ -435,15 +439,19 @@ def verify_decomposition(A, model, dec):
     at_edges = labels[A.i, A.j]
     max_r_row = int(np.bincount(A.i[at_edges == CLASS_R]).max(initial=0))
     max_c_col = int(np.bincount(A.j[at_edges == CLASS_C]).max(initial=0))
-    r_cols = np.flatnonzero(np.any(labels == CLASS_R, axis=0))
-    c_rows = np.flatnonzero(np.any(labels == CLASS_C, axis=1))
+    in_r, in_c = np.zeros((2, n), dtype=bool)
+    for s in range(0, n, LABEL_ROWS):  # no n x n boolean of a class
+        strip = labels[s:s + LABEL_ROWS]
+        in_r |= (strip == CLASS_R).any(axis=0)
+        in_c[s:s + LABEL_ROWS] = (strip == CLASS_C).any(axis=1)
+    r_cols, c_rows = np.flatnonzero(in_r), np.flatnonzero(in_c)
     limit = KAPPA * n / d
 
     # no part is scanned for a symmetry: a triangle has one only when it
     # is zero, and no directed sample measured has had one
     norm_n, norm_steps, norm_eps = spectral_norm(_sparse_deviation(
-        _ones_csr(A, at_edges == CLASS_N), model.ea_triangle(),
-        _PARTS[dec.part][2], _ea_strips(read_ea, labels, r_cols, c_rows)))
+        _ones_csr(A, at_edges == CLASS_N), _PARTS[dec.part][2](model),
+        _ea_strips(read_ea, labels, r_cols, c_rows)))
     met = all(rnd[k]["target_met"] for rnd in dec.block_trace
               for k in ("gp_cols", "gp_rows") if k in rnd)
     return {"structural_ok": bool(max(max_r_row, max_c_col) <= 32.0 * r),
@@ -468,24 +476,19 @@ def _ea_strips(read_ea, labels, r_cols, c_rows):
     return (r_cols, on_r), (c_rows, on_c)
 
 
-def _sparse_deviation(A_N, U, holds, strips):
+def _sparse_deviation(A_N, ea, strips):
     """(A - EA)_N as A_N - EA_part + EA_part's R and C cells, with no
-    n x n array: ``A_N`` the csr of A's edges in N, EA_part the part's
-    EA from EA's strict upper triangle ``U`` (``model.ea_triangle``),
-    U itself and/or U^T as ``holds`` says (``_PARTS``), and ``strips``
-    the part's EA on R's columns and C's rows (``_ea_strips``), added
-    back because N leaves those cells out.  The rmatvec is its
-    transpose term by term."""
+    n x n array: ``A_N`` the csr of A's edges in N, ``ea`` the part's
+    EA as one operator (``_PARTS``), subtracted once a product, and
+    ``strips`` the part's EA on R's columns and C's rows
+    (``_ea_strips``), added back because N leaves those cells out.  The
+    rmatvec is its transpose term by term."""
     (cols, on_r), (rows, on_c) = strips
-    up, low = holds
     csr, csr_t = _scipy.csr_product(A_N), _scipy.csr_product(A_N.T.tocsr())
 
-    def product(x, a, tri, tri_t, cells, on, lines, across):
+    def product(x, a, e, cells, on, lines, across):
         y = a(x)
-        if up:
-            y -= tri(x)
-        if low:
-            y -= tri_t(x)
+        y -= e(x)
         if cells.size:
             y += on @ x[cells]
         if lines.size:
@@ -494,10 +497,8 @@ def _sparse_deviation(A_N, U, holds, strips):
 
     return LinearOp(
         A_N.shape[0], A_N.shape[1],
-        lambda x: product(x, csr, U._matvec, U._rmatvec, cols, on_r,
-                          rows, on_c),
-        lambda x: product(x, csr_t, U._rmatvec, U._matvec, rows, on_c.T,
-                          cols, on_r.T))
+        lambda x: product(x, csr, ea._matvec, cols, on_r, rows, on_c),
+        lambda x: product(x, csr_t, ea._rmatvec, rows, on_c.T, cols, on_r.T))
 
 
 # ---------------------------------------------------------------------------

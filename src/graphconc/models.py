@@ -8,7 +8,8 @@ spec's fields, in constructor order):
 
 * ``max_rate()``      -- d = max_ij n * p_ij over off-diagonal pairs;
 * ``ea_op()``         -- EA as a symmetric matvec closure, diagonal
-  zeroed, whose product allocates the one vector it returns;
+  zeroed, whose product allocates the one vector it returns (RankOne's
+  also x sorted by theta and two cumulative sums);
 * ``ea_block(I, J)``  -- EA[I x J] as a new array, for index arrays I
   and J; the pairs i = j read p_ii as the kind states it (theta_i^2
   clipped, say), not 0: zeroing them is the caller's;
@@ -33,7 +34,8 @@ No function here branches on the kind: ``expected_adjacency`` is
 ``ea_block``, the sampler takes its route from ``layout``, and
 ``model_to_dict`` writes ``kind`` and the fields.  Decompose reads EA
 block by block through ``ea_block`` in O(|I| |J|), and its verifier
-multiplies by ``ea_triangle``.  A new kind is one class; only
+multiplies by ``ea_op`` for a directed part and by ``ea_triangle``
+for a triangle.  A new kind is one class; only
 ``model_from_dict`` needs it listed in ``_MODEL_KINDS``.
 
 Two sparsity scales are exposed and every experiment states which one
@@ -253,7 +255,8 @@ def _triangle(F, C):
     """The strict upper triangle U of F C F^T (n x rank F, rank x rank C)
     as a LinearOp: (U x)_i = F_i C sum_{j>i} F_j^T x_j, reverse
     cumulative sums of F's columns times x, and (U^T y)_j = F_j C^T
-    sum_{i<j} F_i^T y_i, forward ones: O(n rank) a product."""
+    sum_{i<j} F_i^T y_i, forward ones (``_partial_sums`` less its first
+    or last entry): O(n rank) a product."""
     n = F.shape[0]
     FT = np.ascontiguousarray(F.T)
     left, right = (np.ascontiguousarray((F @ M).T) for M in (C, C.T))
@@ -261,7 +264,8 @@ def _triangle(F, C):
     def product(x, scale, reverse):
         out = None
         for f, w in zip(FT, scale):
-            s = _partial_sums(f * x, np.empty(n), reverse)
+            s = _partial_sums(f * x, reverse)
+            s = s[1:] if reverse else s[:n]
             s *= w
             out = s if out is None else np.add(out, s, out=out)
         return out
@@ -270,16 +274,15 @@ def _triangle(F, C):
                     lambda y: product(y, right, False))
 
 
-def _partial_sums(v, out, reverse):
-    """out[i] = the sum of v over j > i (``reverse``) or j < i, by one
-    cumulative sum written into ``out``."""
+def _partial_sums(v, reverse):
+    """s[k], k = 0 .. n, the sum of v over j >= k (``reverse``) or
+    j < k, by one cumulative sum into a new array."""
+    s = np.zeros(v.size + 1)
     if reverse:
-        out[-1] = 0.0
-        np.add.accumulate(v[:0:-1], out=out[-2::-1])
+        np.cumsum(v[::-1], out=s[-2::-1])
     else:
-        out[0] = 0.0
-        np.add.accumulate(v[:-1], out=out[1:])
-    return out
+        np.cumsum(v, out=s[1:])
+    return s
 
 
 def _clip_partners(th):
@@ -360,20 +363,26 @@ class RankOne:
         return n * min(top2[0] * top2[1], 1.0)
 
     def ea_op(self):
-        """Rank one, less the clipped pairs' excess and the diagonal."""
+        """EA x with each p_ij added once: (EA x)_i = theta_i times the
+        sum of theta_j x_j over the j that do not clip with i, plus the
+        sum of x_j over those that do, less min(theta_i^2, 1) x_i.  Over
+        theta's sorted order (``_clip_partners``) the first is a prefix
+        sum of theta x and the second a suffix sum of x
+        (``_partial_sums``): no clipped excess is subtracted, nothing
+        cancels.  A product allocates x's sorted copy and the two sums
+        besides the vector it returns."""
         th = self.theta
         order, th_s, idx = _clip_partners(th)
         diag = np.minimum(th * th, 1.0)
 
         def mv(x):
             xs = x[order]
-            txs = th_s * xs
-            # suffix sums over the sorted order for the clipped partners
-            suff_tx = np.concatenate([np.cumsum(txs[::-1])[::-1], [0.0]])
-            suff_x = np.concatenate([np.cumsum(xs[::-1])[::-1], [0.0]])
-            full = th * (th @ x)
-            clip_corr = th * suff_tx[idx] - suff_x[idx]  # sum (th_i th_j - 1) x_j over clipped j
-            return full - clip_corr - diag * x
+            clipped = _partial_sums(xs, True)
+            rest = _partial_sums(np.multiply(xs, th_s, out=xs), False)
+            out = th * np.take(rest, idx, out=xs)
+            out += np.take(clipped, idx, out=xs)
+            out -= np.multiply(diag, x, out=xs)
+            return out
 
         return LinearOp(self.n, self.n, mv, mv, symmetric=True)
 

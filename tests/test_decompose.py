@@ -502,18 +502,22 @@ def assert_verified_as_dense(A, model, dec):
 def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
     # every decompose run of the golden digests, both trials, each part
     # (L's decomposition transposed from U's, as the command does)
-    seen = set()  # the kinds whose triangle is no product of factors
+    # the kinds whose triangle is no product of factors, each with
+    # whether it was directed: a directed part subtracts the model's
+    # ea_op, an Explicit's P and a clipping RankOne's sorted sums
+    seen = set()
     for label, command, cfg in RUNS:
         if command != "decompose":
             continue
         model = (model_from_dict(cfg["model"]) if "model" in cfg
                  else Uniform(cfg["n"], cfg["d"] / cfg["n"]))
+        directed = cfg.get("directed", False)
         if isinstance(model, Explicit):
-            seen.add("explicit")
+            seen.add(("explicit", directed))
         elif isinstance(model, RankOne) and model.max_rate() == model.n:
-            seen.add("clipping-rankone")
+            seen.add(("clipping-rankone", directed))
         for t in range(TRIALS):
-            if cfg.get("directed", False):
+            if directed:
                 parts = [("full", sample_directed(model, SEED, t))]
             else:
                 parts = zip(("upper", "lower"),
@@ -524,7 +528,9 @@ def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
                        decompose(A, model, cfg["r"], cfg["d"],
                                  gp_iters=cfg["gp_iters"], part=part))
                 assert_verified_as_dense(A, model, dec)
-    assert seen == {"explicit", "clipping-rankone"}
+    assert seen == {(kind, directed) for kind in ("explicit",
+                                                  "clipping-rankone")
+                    for directed in (False, True)}
 
 
 def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
@@ -577,25 +583,51 @@ def clipping_heavy(n):
     return RankOne(n, theta)
 
 
-def test_verifying_a_part_holds_no_dense_array():
-    # the verifier multiplies by the part's csr and EA's triangle: its
-    # traced peak on an n = 1024 part of a Uniform, an Explicit and a
-    # clipping RankOne stays below one n x n float array (8 MB), which
-    # the dense route built for (A - EA)_N.  Each model, Explicit's P
-    # among them, is built outside the trace, and so are the imports
-    # and first-call caches of a small part's verification
+def warm_verifier():
+    """Verify a small part of each kind of part, so that imports and
+    first-call caches land outside a later trace."""
     warm = Uniform(48, 0.1)
-    verify_decomposition(triangle_split(sample(warm, MASTER))[0], warm,
-                         EdgeDecomposition(48, np.zeros((48, 48), np.int8),
-                                           3.0, 8.0, (), part="upper"))
+    labels = np.zeros((48, 48), np.int8)
+    for part, A in (("upper", triangle_split(sample(warm, MASTER))[0]),
+                    ("full", sample_directed(warm, MASTER))):
+        verify_decomposition(A, warm, EdgeDecomposition(
+            48, labels, 3.0, 8.0, (), part=part))
+
+
+def test_verifying_a_part_holds_no_dense_array():
+    # the verifier multiplies by the part's csr and its EA operator (EA's
+    # triangle, or the model's ea_op for a directed part): its traced
+    # peak on an n = 1024 upper and directed part of a Uniform, an
+    # Explicit and a clipping RankOne stays below one n x n float array
+    # (8 MB), which the dense route built for (A - EA)_N.  Each model,
+    # Explicit's P among them, is built outside the trace
+    warm_verifier()
     n = 1024
     labels = np.zeros((n, n), dtype=np.int8)
-    dec = EdgeDecomposition(n, labels, 3.0, 8.0, (), part="upper")
     for model in (Uniform(n, 8.0 / n), explicit_rows(n, 8.0),
                   clipping_heavy(n)):
-        up, _ = triangle_split(sample(model, MASTER))
-        rep, peak = traced_peak(verify_decomposition, up, model, dec)
-        assert rep["norm_steps"] > 0 and peak < 8 * n * n, model.kind
+        for part, A in (("upper", triangle_split(sample(model, MASTER))[0]),
+                        ("full", sample_directed(model, MASTER))):
+            dec = EdgeDecomposition(n, labels, 3.0, 8.0, (), part=part)
+            rep, peak = traced_peak(verify_decomposition, A, model, dec)
+            assert rep["norm_steps"] > 0 and peak < 8 * n * n, \
+                (model.kind, part)
+
+
+def test_verifier_scans_the_labels_in_row_strips():
+    # R's columns and C's rows are read off LABEL_ROWS rows of the
+    # labels at a time: the traced peak of an n = 4096 Uniform upper
+    # part, its labels built outside the trace, stays within n^2 / 4
+    # bytes, where the n x n booleans labels == R and labels == C set
+    # it at 16.0 MB
+    warm_verifier()
+    n = 4096
+    model = Uniform(n, 8.0 / n)
+    up, _ = triangle_split(sample(model, MASTER))
+    dec = EdgeDecomposition(n, np.zeros((n, n), np.int8), 3.0, 8.0, (),
+                            part="upper")
+    rep, peak = traced_peak(verify_decomposition, up, model, dec)
+    assert rep["norm_steps"] > 0 and peak <= n * n / 4
 
 
 def clipping_rankone(n):

@@ -131,8 +131,9 @@ class EdgeDecomposition:
 
 
 def _ea_reader(model, n, part):
-    """``read(I, J)``: the model's EA[I x J] (its ``ea_block``) on the
-    pairs ``part`` keeps (``_PARTS``), 0 elsewhere, as a new array; the
+    """``read(I, J)``: the model's EA[I x J], its ``ea_block`` of
+    I[:, None] and J, times the mask of the pairs ``part`` keeps
+    (``_PARTS``, read under the same broadcasting), as a new array; the
     one place where a part selects EA's entries, so EA's diagonal reads
     0 in every part.  Refuses n > DENSE_LIMIT and a model of another n,
     before any n x n work.
@@ -145,8 +146,8 @@ def _ea_reader(model, n, part):
     keep = _PARTS[part][0]
 
     def read(I, J):
-        out = model.ea_block(I, J)
-        out *= keep(I[:, None], J[None, :])
+        out = model.ea_block(I[:, None], J)
+        out *= keep(I[:, None], J)
         return out
 
     return read

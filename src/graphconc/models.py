@@ -10,16 +10,17 @@ spec's fields, in constructor order):
 * ``ea_op()``         -- EA as a symmetric matvec closure, diagonal
   zeroed, whose product allocates the one vector it returns (RankOne's
   also x sorted by theta and two cumulative sums);
-* ``ea_block(I, J)``  -- EA[I x J] as a new array, for index arrays I
-  and J; the pairs i = j read p_ii as the kind states it (theta_i^2
-  clipped, say), not 0: zeroing them is the caller's;
+* ``ea_block(i, j)``  -- p_ij as a new array, read under numpy
+  broadcasting: ``ea_block(I[:, None], J)`` is EA[I x J] for index
+  arrays I and J, and 1-d i and j give the pairs' own rates; the
+  pairs i = j read p_ii as the kind states it (theta_i^2 clipped,
+  say), not 0: zeroing them is the caller's;
 * ``ea_triangle()``   -- EA's strict upper triangle U as a LinearOp
   (``matvec`` U x, ``rmatvec`` U^T y), every kind's: O(n rank) a
   product for a kind that is low rank off the diagonal (Uniform,
   BlockTwo, RankOne), a clipping RankOne adding the n x |H| strip of
   its clipping columns H, and row strips of P for Explicit;
-* ``layout()``        -- the sampler's (groups, bound, thin), below, or
-  for the dense route EA itself, an n x n array (Explicit's P).
+* ``layout()``        -- the sampler's (groups, bound, thin), below.
 
 The kinds:
 
@@ -31,7 +32,7 @@ The kinds:
 No function here branches on the kind: ``expected_adjacency`` is
 ``ea_op``, ``expected_degrees`` (EA 1) is read off it,
 ``expected_dense`` (EA on the whole square, diagonal zeroed) off
-``ea_block``, the sampler takes its route from ``layout``, and
+``ea_block``, the sampler walks each ``layout``, and
 ``model_to_dict`` writes ``kind`` and the fields.  Decompose reads EA
 block by block through ``ea_block`` in O(|I| |J|), and its verifier
 multiplies by ``ea_op`` for a directed part and by ``ea_triangle``
@@ -44,7 +45,7 @@ it uses:
 * ``model.max_rate()``           -- d     = max_ij n * p_ij,
 * ``max_expected_degree(model)`` -- d_ave = max_i sum_{j != i} p_ij.
 
-Sampling contract (v2)
+Sampling contract (v3)
 ----------------------
 Rows are cut into blocks of ``ROW_BLOCK`` = 1024.  The pairs (i, j),
 j > i, whose row i lies in block b are decided by the Philox stream
@@ -55,24 +56,24 @@ pure function of (model, seed, stream) and is bit-for-bit reproducible
 across platforms.
 
 A ``layout()`` of (groups, bound, thin) splits the vertices into
-groups, sorted index arrays: Uniform's one group of all of them,
-BlockTwo's two halves, RankOne's theta-descending bins whose theta lie
-within a factor 2 of the bin's top.  ``bound[k, l]`` = q_kl bounds
-p_ij from above on group k x group l, and ``thin(i, j)`` gives the
-pairs' own p_ij, or is None where q_kl is exact.  For each group pair
-(k, l) in turn, block b's rows of group k times the group-l columns
-beyond each row form a rectangle of constant rate q_kl, linearized row
-by row and walked with geometric gaps (Batagelj & Brandes 2005): word
-u skips floor(log u / log(1 - q_kl)) pairs after the last hit, and the
-word that overshoots the rectangle is consumed as well.  For Uniform
-and BlockTwo q_kl is p_ij itself.  For RankOne q_kl = min(top_k *
-top_l, 1) bounds p_ij, and once a rectangle's hits are found, one more
-word u' per hit keeps it iff u' * q_kl <= thin(i, j) (Miller & Hagberg
-2011).  The bins keep q_kl < 4 p_ij, so a sample reads O(n / ROW_BLOCK
-* bins^2 + E nnz) words.  The dense route (Explicit's) reads one word
-per entry of the block's rows x n rectangle of EA, row-major, compared
-with a view of those rows of the layout's array (no copy), and keeps
-(i, j), j > i, iff u <= p_ij.
+groups, sorted index arrays: Uniform's and Explicit's one group of all
+of them, BlockTwo's two halves, RankOne's theta-descending bins whose
+theta lie within a factor 2 of the bin's top.  ``bound[k, l]`` = q_kl
+bounds p_ij from above on group k x group l, and ``thin`` is the
+kind's own ``ea_block``, or None where q_kl is exact.  For each group
+pair (k, l) in turn, block b's rows of group k times the group-l
+columns beyond each row form a rectangle of constant rate q_kl,
+linearized row by row and walked with geometric gaps (Batagelj &
+Brandes 2005): word u skips floor(log u / log(1 - q_kl)) pairs after
+the last hit, and the word that overshoots the rectangle is consumed
+as well.  For Uniform and BlockTwo q_kl is p_ij itself.  For RankOne
+q_kl = min(top_k * top_l, 1) bounds p_ij, for Explicit q = P.max(),
+and once a rectangle's hits are found, one more word u' per hit keeps
+it iff u' * q_kl <= thin(i, j) (Miller & Hagberg 2011).  RankOne's
+bins keep q_kl < 4 p_ij, so its sample reads O(n / ROW_BLOCK * bins^2
++ E nnz) words; Explicit's reads O(n / ROW_BLOCK + P.max() n^2), about
+2 P.max() words per pair walked.  A sample needs n <= ``KEY_N_LIMIT``
+and refuses a larger n before it builds any array.
 
 Directed sampling draws the j > i half exactly as above and the j < i
 half the same way from each block's lower-orientation stream, so the
@@ -98,6 +99,14 @@ EXPLICIT_N_LIMIT = 4096  # guard rail: Explicit stores a dense matrix
 TRIANGLE_ROWS = 128  # rows of P per strip of Explicit's EA triangle
 # the largest n whose entry keys i * n + j, at most n^2 - 1, fit in int64
 KEY_N_LIMIT = math.isqrt(1 << 63)
+
+
+def _check_key_n(n):
+    """InvalidModel unless the entry keys i * n + j of an n-vertex
+    graph fit in int64: n <= ``KEY_N_LIMIT``."""
+    if n > KEY_N_LIMIT:
+        raise InvalidModel(f"n = {n} exceeds {KEY_N_LIMIT}, the largest "
+                           f"n whose entry keys i * n + j fit in int64")
 
 
 def _index_dtype(n):
@@ -134,9 +143,7 @@ class SparseGraph:
         if w is not None and not (w.min() > 0.0 and w.max() <= 1.0 + 1e-12):
             raise InvalidModel("weights must lie in (0, 1]")  # NaN too
         if not _checked and i.size:
-            if n > KEY_N_LIMIT:
-                raise InvalidModel(f"n = {n} exceeds {KEY_N_LIMIT}, the largest "
-                                   f"n whose entry keys i * n + j fit in int64")
+            _check_key_n(n)
             if i.min() < 0 or j.min() < 0 or i.max() >= n or j.max() >= n:
                 raise InvalidModel("vertex index out of range")
             if np.any(i == j):
@@ -322,8 +329,8 @@ class Uniform:
 
         return LinearOp(self.n, self.n, mv, mv, symmetric=True)
 
-    def ea_block(self, I, J):
-        return np.full((len(I), len(J)), self.p, dtype=float)
+    def ea_block(self, i, j):
+        return np.full(np.broadcast(i, j).shape, self.p, dtype=float)
 
     def ea_triangle(self):
         return _triangle(np.ones((self.n, 1)), np.array([[self.p]]))
@@ -386,8 +393,8 @@ class RankOne:
 
         return LinearOp(self.n, self.n, mv, mv, symmetric=True)
 
-    def ea_block(self, I, J):
-        return np.minimum(np.outer(self.theta[I], self.theta[J]), 1.0)
+    def ea_block(self, i, j):
+        return np.minimum(self.theta[i] * self.theta[j], 1.0)
 
     def ea_triangle(self):
         """theta theta^T's strict triangle on the columns outside H, the
@@ -402,7 +409,7 @@ class RankOne:
         if H.size < 2:
             return tri
         every = np.arange(n)
-        strip = self.ea_block(every, H)
+        strip = self.ea_block(every[:, None], H)
         strip *= every[:, None] < H
 
         def mv(x):
@@ -430,8 +437,7 @@ class RankOne:
         order = np.argsort(level, kind="stable")
         groups = np.split(live[order], np.flatnonzero(np.diff(level[order])) + 1)
         top = np.array([th[g].max() for g in groups])
-        return (groups, np.minimum(np.outer(top, top), 1.0),
-                lambda i, j: np.minimum(th[i] * th[j], 1.0))
+        return groups, np.minimum(np.outer(top, top), 1.0), self.ea_block
 
 
 @dataclass(frozen=True)
@@ -475,9 +481,8 @@ class BlockTwo:
 
         return LinearOp(n, n, mv, mv, symmetric=True)
 
-    def ea_block(self, I, J):
-        I, J = np.asarray(I), np.asarray(J)
-        same = (I[:, None] < self.half) == (J < self.half)
+    def ea_block(self, i, j):
+        same = np.less(i, self.half) == np.less(j, self.half)
         return np.where(same, self.a / self.n, self.b / self.n)
 
     def ea_triangle(self):
@@ -527,8 +532,8 @@ class Explicit:
     def ea_op(self):
         return LinearOp.from_dense(self.P, symmetric=True)
 
-    def ea_block(self, I, J):
-        return self.P[np.ix_(I, J)]
+    def ea_block(self, i, j):
+        return self.P[i, j]
 
     def ea_triangle(self):
         """P's strict upper triangle, ``TRIANGLE_ROWS`` rows of P at a
@@ -554,7 +559,9 @@ class Explicit:
                         lambda y: product(y, False))
 
     def layout(self):
-        return self.P
+        """One group of all the vertices, bounded by P's largest entry
+        and thinned to p_ij."""
+        return [np.arange(self.n)], np.array([[self.P.max()]]), self.ea_block
 
 
 def degree_profile(n, values, fractions):
@@ -605,7 +612,7 @@ def expected_dense(model):
     """EA as a dense n x n array: ``ea_block`` on the whole square,
     diagonal zeroed."""
     ids = np.arange(model.n)
-    out = model.ea_block(ids, ids)
+    out = model.ea_block(ids[:, None], ids)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -639,17 +646,16 @@ def sample_directed(model, master_seed, stream_index=0):
 
 def _sample(model, master_seed, stream_index, directed):
     n = model.n
+    _check_key_n(n)  # a directed block is sorted by i * n + j
     idx = _index_dtype(n)
     layout = model.layout()
-    dense = isinstance(layout, np.ndarray)
     parts = []
     for b in range(-(-n // ROW_BLOCK)):
         r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
         block = []
         for lower in ((False, True) if directed else (False,)):
             words = BlockWords(master_seed, stream_index, b, lower)
-            block += ([_dense_block(layout, words, r0, r1, lower)] if dense
-                      else _skip_block(words, r0, r1, lower, *layout))
+            block += _skip_block(words, r0, r1, lower, *layout)
         if len(block) > 1:
             i = np.concatenate([bi for bi, _ in block])
             j = np.concatenate([bj for _, bj in block])
@@ -709,17 +715,6 @@ def _geometric_hits(words, length, q):
     hits = int(np.searchsorted(pos, length))
     words.take(hits + 1)
     return pos[:hits].astype(np.int64)
-
-
-def _dense_block(P, words, r0, r1, lower):
-    """One word per entry of rows r0 .. r1-1 of EA = P, row-major, read
-    against a view of P's rows; u <= p_ij hits."""
-    n = P.shape[0]
-    u = words.take((r1 - r0) * n).reshape(r1 - r0, n)
-    rows, cols = np.arange(r0, r1), np.arange(n)
-    side = cols < rows[:, None] if lower else cols > rows[:, None]
-    i, j = np.nonzero((u <= P[r0:r1]) & side)
-    return i + r0, j
 
 
 # ---------------------------------------------------------------------------

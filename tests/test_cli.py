@@ -726,6 +726,24 @@ def test_a_refused_spectrum_leaves_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,cfg", [
+    ("concentration", {"cells": [{"n": 2 ** 62, "d": 3}]}),
+    ("sample", {"model": {"kind": "uniform", "n": 2 ** 62, "p": 3 / 2 ** 62}}),
+    ("sbm", {"n": 2 ** 62})], ids=["concentration", "sample", "sbm"])
+def test_a_sample_beyond_the_key_limit_is_refused(tmp_path, capsys, name, cfg):
+    # a sample's entries are sorted by the int64 key i * n + j, so the
+    # sampler refuses n > KEY_N_LIMIT, naming it, before building an array
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([name, "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"graphconc {name}: error: ")
+    assert "n = 4611686018427387904" in err and "3037000499" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def _fails(what):
     def fail(*args, **kwargs):
         raise AssertionError(f"{what} called")

@@ -349,24 +349,26 @@ def test_factored_expected_dense_is_the_closure_bit_for_bit(m):
     # d = n times the largest off-diagonal p_ij
     assert m.max_rate() == (m.n * dense.max() if m.n >= 2 else 0.0)
     # each layout bound holds p_ij from above on its group pair: exactly
-    # where no thinning follows, within a factor 4 in RankOne's bins; a
-    # vertex in no group has p_ij = 0 throughout
-    layout = m.layout()
-    if isinstance(layout, np.ndarray):  # the dense route reads EA itself
-        assert isinstance(m, Explicit) and layout is m.P
-        return
-    groups, bound, thin = layout
+    # where no thinning follows, and the thinning is the kind's own
+    # ea_block; a vertex in no group has p_ij = 0 throughout
+    groups, bound, thin = m.layout()
+    assert thin is None or thin == m.ea_block
     laid = np.concatenate(groups) if groups else np.empty(0, int)
     assert not dense[np.setdiff1d(np.arange(m.n), laid)].any()
     for k, R in enumerate(groups):
         for l, C in enumerate(groups):
-            P = m.ea_block(R, C)
+            P = m.ea_block(R[:, None], C)
             assert np.all(P <= bound[k, l])
             if thin is None:
                 assert np.all(P == bound[k, l])
-            else:
+                continue
+            assert np.array_equal(thin(R[:, None], C), P)
+            # RankOne's bins hold q_kl within a factor 4 of p_ij; Explicit's
+            # one bound is P.max() over arbitrary p_ij (zeros too), so its
+            # walk costs about 2 P.max() words a pair, not O(1) a hit
+            # (test_explicit_words_scale_with_its_largest_rate)
+            if not isinstance(m, Explicit):
                 assert np.all(bound[k, l] <= 4.0 * P)
-                assert np.array_equal(thin(R[:, None], C[None, :]), P)
 
 
 @dataclass(frozen=True)
@@ -385,8 +387,8 @@ class UniformRestated:
 
         return LinearOp(self.n, self.n, mv, mv, symmetric=True)
 
-    def ea_block(self, I, J):
-        return np.full((len(I), len(J)), self.p)
+    def ea_block(self, i, j):
+        return np.full(np.broadcast(i, j).shape, self.p)
 
     def layout(self):
         return [np.arange(self.n)], np.array([[self.p]]), None
@@ -694,6 +696,37 @@ def test_rankone_words_scale_with_edges(monkeypatch):
     blocks = -(-m.n // ROW_BLOCK)
     assert sum(read) <= 8.0 * mean_nnz + blocks * len(groups) ** 2
     assert abs(g.nnz - mean_nnz) <= 5.0 * np.sqrt(mean_nnz)
+
+
+def test_explicit_words_scale_with_its_largest_rate(monkeypatch):
+    # Explicit is walked at q = P.max() and thinned to p_ij by its own
+    # ea_block: a row block whose rows hold L pairs reads 2 words per hit
+    # (gap and thinning) plus one overshoot word, the hits Binomial(L, q),
+    # so at most 2qL + 10 sqrt(qL) + 64 words, not one word per entry.
+    n = 2048
+    s = np.linspace(0.2, 1.8, n)
+    m = Explicit(np.minimum(8.0 * np.outer(s, s) / n, 1.0))
+    q = m.P.max()
+    read = {}
+
+    class Counted(models.BlockWords):
+        def __init__(self, master_seed, stream_index, block, lower=False):
+            super().__init__(master_seed, stream_index, block, lower)
+            self.key = (block, lower)
+
+        def take(self, k):
+            read[self.key] = read.get(self.key, 0) + k
+            return super().take(k)
+
+    monkeypatch.setattr(models, "BlockWords", Counted)
+    for draw, sides in ((sample, (False,)), (sample_directed, (False, True))):
+        read.clear()
+        draw(m, MASTER)
+        assert sorted(read) == [(b, lower) for b in range(2) for lower in sides]
+        for (b, lower), words in read.items():
+            rows = np.arange(b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK))
+            L = int((rows if lower else n - 1 - rows).sum())
+            assert words <= 2 * q * L + 10 * np.sqrt(q * L) + 64, (b, lower)
 
 
 def test_geometric_hits_reads_hits_plus_one_words():

@@ -9,13 +9,15 @@ per-step code may call them.
 
 scipy's wheels bundle their own OpenBLAS, beside numpy's, and each
 starts a thread pool of one thread per core.  scipy's serves LAPACK
-here (``pietsch``'s dsyevd, dstev and dpotrf) and ARPACK in
-``community.detect``, while the matvecs around them run on numpy's; on
-a 2-core VM the two pools fought, and ``detect`` at n = 32000 took
-2.2-3.2 s a call against 0.66-0.83 s.  So the first load of
-``scipy.linalg.lapack`` or ``scipy.sparse.linalg`` sets scipy's pool to
-one thread, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set (the
-caller's choice then stands).  Where the bundled library or its
+here (``pietsch``'s dsyevd and dpotrf, ``spectral``'s dstebz and
+dsbevx), while the matvecs around them run on numpy's; on a 2-core VM
+the two pools fought (when ``community.detect`` still ran on scipy's
+ARPACK, a call at n = 32000 took 2.2-3.2 s against 0.66-0.83 s).  So
+the first load of ``scipy.linalg.lapack`` sets scipy's pool to one
+thread, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set (the
+caller's choice then stands).  No solver here loads
+``scipy.sparse.linalg``: the eigenpairs come from the package's own
+Lanczos (``spectral.ritz_pairs``).  Where the bundled library or its
 ``scipy_openblas_set_num_threads`` is not found, nothing is changed.
 numpy's pool is left alone.
 
@@ -84,9 +86,3 @@ def csr_product(A):
 
     return product
 
-
-@cache
-def sparse_linalg():
-    import scipy.sparse.linalg
-    _one_scipy_blas_thread()
-    return scipy.sparse.linalg

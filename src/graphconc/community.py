@@ -7,10 +7,10 @@ this vector is exactly block-constant (+1/sqrt(n) on one community,
 controls how far the sample eigenvector can rotate away from it.
 
 Labels are plain int8 vectors over {+1, -1}.  ``detect`` returns a
-``Detection`` (the labels, v2, lambda_2, lambda_3 and the operator
-L(A_tau)); ``davis_kahan_check`` runs one whole sbm trial on a sample
-and returns its record, falling back to best-effort labels when detect
-does not converge.
+``Detection`` (the labels, v2, lambda_2, lambda_3, the operator
+L(A_tau) and the products its solve took); ``davis_kahan_check`` runs
+one whole sbm trial on a sample and returns its record, falling back
+to best-effort labels when detect does not converge.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .regularize import expected_laplacian, laplacian, tau_shift
 from .spectral import spectral_norm, top_k_eigs
 
 _DETECT_SEED = 0xC0DE  # fixed eigensolver seed; detect is deterministic
-_DETECT_TOL = 1e-6  # ARPACK residual tol of detect's two eigenpairs
+_DETECT_TOL = 1e-6  # top_k_eigs residual tol of detect's two eigenpairs
 
 
 def _as_pm1(x):
@@ -53,34 +53,40 @@ def sbm_instance(n, a, b, seed, stream=0):
 
 class Detection(NamedTuple):
     """What detect() found: the labels, the v2 they are the sign of, the
-    bottom of spec(L) and the operator L(A_tau) itself."""
+    bottom of spec(L), the operator L(A_tau) itself and the products by
+    the shifted op that the solve took, its residual checks included."""
 
     labels: np.ndarray
     v2: np.ndarray
     lam2: float
     lam3: float
     laplacian: LinearOp
+    products: int
 
 
 def detect(g, tau):
     """Community labels from the sign of v2(L(A_tau)), as a Detection.
 
-    L's kernel vector q = D^{1/2}1 / ||D^{1/2}1|| is exact, so ARPACK
-    Lanczos runs on M = 2I - L - 3qq^T, a rank-one Wielandt shift
-    (Wilkinson 1965, ch. 9): q's eigenvalue moves to -1, below the
-    [0, 2] that the rest of 2I - L occupies, and the top two Ritz pairs
-    of M are (2 - lambda_2, v_2) and (2 - lambda_3, v_3), with v_2 and
-    v_3 orthogonal to q.  Zero entries of v_2 map to +1.  NoConvergence
-    propagates (the null model pushes lambda_2 into the bulk; callers
-    that want a best-effort answer can use exc.best).
+    L's kernel vector q = D^{1/2}1 / ||D^{1/2}1|| is exact, so
+    ``top_k_eigs``'s thick-restart Lanczos runs on M = 2I - L - 3qq^T,
+    a rank-one Wielandt shift (Wilkinson 1965, ch. 9): q's eigenvalue
+    moves to -1, below the [0, 2] that the rest of 2I - L occupies, and
+    the top two Ritz pairs of M are (2 - lambda_2, v_2) and
+    (2 - lambda_3, v_3), with v_2 and v_3 orthogonal to q.  Zero
+    entries of v_2 map to +1.  ``products`` counts the products by M,
+    the residual checks' included: a deterministic count of the
+    solve's work.  NoConvergence propagates (the null model pushes
+    lambda_2 into the bulk; callers that want a best-effort answer can
+    use exc.best).
     """
     shifted = tau_shift(g, tau)
     L = laplacian(shifted)  # refuses a directed g, and zero degrees at tau 0
     q = np.sqrt(shifted.degrees())
     q /= np.linalg.norm(q)
-    q3, scratch = 3.0 * q, np.empty(g.n)
+    q3, scratch, products = 3.0 * q, np.empty(g.n), [0]
 
     def mv(x):  # 2 x - L x - 3 q (q^T x), bit for bit, in L x's vector
+        products[0] += 1
         y = owned(L.matvec(x), x)
         np.subtract(np.multiply(x, 2.0, out=scratch), y, out=y)
         y -= np.multiply(q3, q @ x, out=scratch)
@@ -91,7 +97,7 @@ def detect(g, tau):
                             rng=aux_generator(_DETECT_SEED, 0, 0))
     v2 = vecs[:, 0]
     return Detection(_sign_labels(v2), v2, float(2.0 - vals[0]),
-                     float(2.0 - vals[1]), L)
+                     float(2.0 - vals[1]), L, products[0])
 
 
 def misclassification(est, truth):
@@ -171,11 +177,12 @@ def davis_kahan_check(g, model, tau):
     solve's); delta and ``gap_valid`` (delta > 1e-12); ||X - Y||
     (``norm_diff``) with the ``norm_steps`` and ``norm_eps`` of its
     solve; the eigenvector ``distance`` and the ``bound`` 2||X - Y|| /
-    delta it is held to; ``dk_holds``; and X's ``lam2`` and ``lam3``.
+    delta it is held to; ``dk_holds``; X's ``lam2`` and ``lam3``; and
+    ``detect_products``, the products by detect's shifted op.
     The bound is only measured when gap_valid and the norm solve
     converged; otherwise it is None and dk_holds vacuously True.  When
     detect itself does not converge, the labels are the signs of its
-    converged Ritz vector (all +1 without one) and every other field is
+    best Ritz vector (all +1 without one) and every other field is
     unmeasured: None, or False for converged and gap_valid.
     """
     try:
@@ -186,7 +193,8 @@ def davis_kahan_check(g, model, tau):
         return {"labels": _sign_labels(v), "converged": False, "delta": None,
                 "gap_valid": False, "norm_diff": None, "norm_steps": None,
                 "norm_eps": None, "distance": None, "bound": None,
-                "dk_holds": True, "lam2": None, "lam3": None}
+                "dk_holds": True, "lam2": None, "lam3": None,
+                "detect_products": None}
     _, l2y, l3y = expected_laplacian_eigs(model, tau)
     hi = max(det.lam2, l2y)
     delta = float(min(det.lam2, l2y, det.lam3 - hi, l3y - hi))
@@ -204,4 +212,5 @@ def davis_kahan_check(g, model, tau):
             "norm_steps": norm_steps, "norm_eps": norm_eps, "distance": dist,
             "bound": bound,
             "dk_holds": bound is None or dist <= bound * (1 + 1e-9),
-            "lam2": det.lam2, "lam3": det.lam3}
+            "lam2": det.lam2, "lam3": det.lam3,
+            "detect_products": det.products}

@@ -647,24 +647,27 @@ def sample_directed(model, master_seed, stream_index=0):
 def _sample(model, master_seed, stream_index, directed):
     n = model.n
     _check_key_n(n)  # a directed block is sorted by i * n + j
-    idx = _index_dtype(n)
-    layout = model.layout()
-    parts = []
-    for b in range(-(-n // ROW_BLOCK)):
-        r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
-        block = []
-        for lower in ((False, True) if directed else (False,)):
-            words = BlockWords(master_seed, stream_index, b, lower)
-            block += _skip_block(words, r0, r1, lower, *layout)
-        if len(block) > 1:
-            i = np.concatenate([bi for bi, _ in block])
-            j = np.concatenate([bj for _, bj in block])
-            order = np.argsort(i * n + j)
-            block = [(i[order], j[order])]
-        parts += [(i.astype(idx), j.astype(idx)) for i, j in block]
-    i_idx = np.concatenate([i for i, _ in parts]) if parts else np.empty(0, idx)
-    j_idx = np.concatenate([j for _, j in parts]) if parts else np.empty(0, idx)
-    return SparseGraph(n, i_idx, j_idx, directed=directed, _checked=True)
+    try:
+        idx = _index_dtype(n)
+        layout = model.layout()
+        parts = []
+        for b in range(-(-n // ROW_BLOCK)):
+            r0, r1 = b * ROW_BLOCK, min(n, (b + 1) * ROW_BLOCK)
+            block = []
+            for lower in ((False, True) if directed else (False,)):
+                words = BlockWords(master_seed, stream_index, b, lower)
+                block += _skip_block(words, r0, r1, lower, *layout)
+            if len(block) > 1:
+                i = np.concatenate([bi for bi, _ in block])
+                j = np.concatenate([bj for _, bj in block])
+                order = np.argsort(i * n + j)
+                block = [(i[order], j[order])]
+            parts += [(i.astype(idx), j.astype(idx)) for i, j in block]
+        i_idx = np.concatenate([i for i, _ in parts]) if parts else np.empty(0, idx)
+        j_idx = np.concatenate([j for _, j in parts]) if parts else np.empty(0, idx)
+        return SparseGraph(n, i_idx, j_idx, directed=directed, _checked=True)
+    except MemoryError as exc:  # numpy's message names no field
+        raise MemoryError(f"sampling n = {n} vertices: {exc}") from exc
 
 
 def _skip_block(words, r0, r1, lower, groups, bound, thin):

@@ -74,14 +74,14 @@ The subgradient oracle (``_oracle``) is one step function, chosen once
 per descent from the block's shape.  When
 min(k, m) <= DENSE_SOLVE_LIMIT it is exact: LAPACK dsyevd, the driver
 np.linalg.eigh wraps, called directly on the smaller side of the scaled
-Gram.  Otherwise (``_lanczos_pair``) it runs LANCZOS_STEPS = 12
-Lanczos steps, warm-started from the previous step's vector and fully
-reorthogonalized, one product by G = B^T B per step, and takes the top
-Ritz pair.  G is formed once per descent and serves the greedy lower
-bound and the oracle alike: f(mu) depends on B through G alone.  A
-uniform check that fails leaves its G as it was, and the descent goes
-on from it and from the start and bound already drawn, so the block's
-Gram is formed once.  The README's Grothendieck-Pietsch section gives
+Gram.  Otherwise it runs one cycle of ``spectral.ritz_pairs``, the
+package's Lanczos: LANCZOS_STEPS = 12 steps, warm-started from the
+previous step's vector and fully reorthogonalized, one product by
+G = B^T B per step, and takes the top Ritz pair.  G is formed once per
+descent and serves the greedy lower bound and the oracle alike: f(mu)
+depends on B through G alone.  A uniform check that fails leaves its G
+as it was, and the descent goes on from it and from the start and
+bound already drawn, so the block's Gram is formed once.  The README's Grothendieck-Pietsch section gives
 the timings behind these choices.
 """
 
@@ -97,7 +97,7 @@ from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
 from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
-                       inf_to_2_norm_lower, inf_to_2_norm_power,
+                       inf_to_2_norm_lower, inf_to_2_norm_power, ritz_pairs,
                        spectral_norm)
 
 _MU_FLOOR = 1e-300
@@ -205,8 +205,14 @@ def _oracle(B, G, col_live):
       step allocates only the Gram and dsyevd's output: B s, s G s, u
       and v live in buffers of the oracle's own, so v is overwritten
       by the next call.
-    * Lanczos route otherwise (``_lanczos_pair``): LANCZOS_STEPS
-      products by G from v0, B itself is not read.
+    * Lanczos route otherwise: one cycle of ``spectral.ritz_pairs`` on
+      M, LANCZOS_STEPS products by G from v0 (tol infinite, so no
+      restart), and its top Ritz pair: the top eigenpair of M projected
+      on the Krylov space, a lower bound on lambda_max (Cauchy
+      interlacing; up to rounding, as the tests check).  The space may
+      be invariant sooner, and the cycle then ends there.  Mirror
+      descent only needs an inexact subgradient, and f is measured
+      again by ``_certified_f`` at the end.  B itself is not read.
 
     v is zero on dead columns.
     """
@@ -220,7 +226,13 @@ def _oracle(B, G, col_live):
         return s
 
     if min(k, m) > DENSE_SOLVE_LIMIT:
-        return lambda mu, v0: _lanczos_pair(G, scale(mu), v0)
+        def top_pair(mu, v0):
+            s = scale(mu)
+            lam, V = ritz_pairs(lambda x: s * (G @ (s * x)), v0, 1,
+                                np.negative, LANCZOS_STEPS, np.inf,
+                                LANCZOS_STEPS)
+            return max(float(lam[0]), 0.0), V[:, 0]
+        return top_pair
     dsyevd = _scipy.lapack().dsyevd
 
     def eigh(M):
@@ -256,46 +268,6 @@ def _oracle(B, G, col_live):
             v[dead] = 0.0
             return lam, v
     return top_pair
-
-
-def _lanczos_pair(G, s, v0):
-    """The Lanczos route of ``_oracle``: the top Ritz pair of M = s G s.
-
-    LANCZOS_STEPS Lanczos steps from the unit vector ``v0``, each one
-    product by G = B^T B, each new vector orthogonalized against the
-    whole basis so far (classical Gram-Schmidt, twice).  The Ritz pair
-    is the top eigenpair of the tridiagonal of the alphas and betas, by
-    LAPACK dstev.  The recurrence stops early once the Krylov space is
-    invariant.  The Ritz value is a lower bound on lambda_max (Cauchy
-    interlacing; up to rounding, as the tests check); mirror descent only
-    needs an inexact subgradient, and f is measured again by
-    ``_certified_f`` at the end.  v is a unit vector, zero wherever
-    s and ``v0`` are.
-    """
-    m = v0.size
-    Q = np.empty((LANCZOS_STEPS, m))  # the basis, one vector a row
-    alpha, beta = np.empty(LANCZOS_STEPS), np.empty(LANCZOS_STEPS)
-    w, z = np.empty(m), np.empty(m)
-    Q[0] = v0
-    for j in range(LANCZOS_STEPS):
-        np.multiply(s, Q[j], out=w)
-        np.dot(G, w, out=z)
-        z *= s
-        alpha[j] = Q[j] @ z  # >= 0: M is positive semidefinite
-        basis = Q[:j + 1]
-        z -= (basis @ z) @ basis
-        z -= (basis @ z) @ basis
-        beta[j] = sqrt(z @ z)
-        # invariant space, M q = 0 included; the last step needs no q
-        if beta[j] <= 1e-12 * alpha[j] or j + 1 == LANCZOS_STEPS:
-            break
-        np.divide(z, beta[j], out=Q[j + 1])
-    k = j + 1
-    lams, Y, info = _scipy.lapack().dstev(alpha[:k], beta[:max(k - 1, 1)])
-    if info:
-        raise np.linalg.LinAlgError(f"dstev failed: info {info}")
-    v = Y[:, -1] @ Q[:k]
-    return max(float(lams[-1]), 0.0), v / sqrt(v @ v)
 
 
 def _norm_below(G, t):

@@ -12,10 +12,14 @@ Routes
   and nothing else.  The solve stops on the value, not
   on a Ritz vector, and reads both ends of the spectrum, so a +/- pair
   is never split.
-* ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator
-  by ARPACK ``eigsh``, residual-checked; for callers that need vectors
+* ``top_k_eigs``        -- k extremal eigenpairs of a symmetric operator,
+  residual-checked, by ``ritz_pairs``; for callers that need vectors
   (``community.detect``).  A norm needs no vector: use
   ``spectral_norm``.
+* ``ritz_pairs``        -- the package's one eigenpair engine: thick-
+  restart Lanczos (Wu & Simon 2000), each vector orthogonalized against
+  the whole basis, on any symmetric product.  ``top_k_eigs`` runs it to
+  a tolerance; GP's oracle (``pietsch._oracle``) runs one cycle of it.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are
@@ -46,12 +50,13 @@ n = 1000, and looser than NORM_TOL; the values themselves agreed with
 dense LAPACK to 7.2e-12 relative or better on 30 concentration
 deviations (n = 600 and 2000, five schemes, seeds 1-3).
 
-ARPACK needs room for its Krylov basis (k < n - 1, ncv <= n), and a
-tiny Lanczos run says little, so an operator whose smaller side is at
-most ``DENSE_SOLVE_LIMIT`` is materialized and solved exactly by LAPACK
-instead.  Start vectors come from the ``rng`` passed, or from a fixed
-``aux_generator`` subkey per solver, so every result is a pure function
-of the operator and that generator.
+A tiny Lanczos run says little, and ``top_k_eigs`` needs room for its
+basis (k + 2 <= ncv <= n), so an operator whose smaller side is at most
+``DENSE_SOLVE_LIMIT`` (for ``top_k_eigs``, or with k >= n - 1) is
+materialized and solved exactly by LAPACK instead.  Start vectors come
+from the ``rng`` passed, or from a fixed ``aux_generator`` subkey per
+solver, so every result is a pure function of the operator and that
+generator.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ LOWER_STARTS = 8
 # inf_to_2_norm_power's step cap, a guard against rounding: in exact
 # arithmetic every flip raises ||B x||, so the iteration ends by itself
 _POWER_STEPS = 100
-_MODES = {"la": "LA", "sa": "SA", "lm": "LM"}
 
 # NORM_TOL is the accuracy the experiment-scale norms (the CLI's
 # deviation norms and the Davis-Kahan check) are tested to against dense
@@ -172,7 +176,7 @@ def _lanczos(op, q, gram=False):
     pools at their default thread count they fought on two cores: 2.4 s
     against 0.09 s for a Lanczos solve at n = 32000.  ``_scipy`` sets
     scipy's pool to one thread unless the environment sets a count, so
-    that scipy's LAPACK and ARPACK calls do not fight numpy's pool.
+    that scipy's LAPACK calls do not fight numpy's pool.
     """
     cap = NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
@@ -247,59 +251,108 @@ def _extended_sigma(alpha, beta):
     return sqrt(max(float(w[0]), 0.0))
 
 
-def _select(theta, k, mode):
-    """Indices of the k wanted values of ``theta``, in output order."""
-    key = {"la": -theta, "sa": theta, "lm": -np.abs(theta)}[mode]
-    return np.argsort(key, kind="stable")[:k]
+def ritz_pairs(product, v0, k, order, ncv, tol, cap):
+    """The k wanted Ritz pairs (theta, vectors) of a symmetric product,
+    by thick-restart Lanczos (Wu & Simon 2000, SIAM J. Matrix Anal.
+    Appl. 22) from the vector ``v0``.
+
+    ``order`` is the sort key of the Ritz values, the wanted first.
+    Each product ``product(V[i])`` is orthogonalized against the whole
+    basis V (classical Gram-Schmidt, twice), and its coefficients fill
+    row i of the lower triangle of H = V^T M V.  When the basis holds ``ncv``
+    vectors, the eigenpairs (theta, y) of H give the Ritz pairs
+    (theta, V y), and |beta y_last| bounds each residual, beta the norm
+    of the next direction.  The k wanted are returned once every such
+    estimate is at most tol / 2 max(1, |theta|), or as soon as the
+    Krylov space is invariant (beta 0).  Otherwise the max(k + 1,
+    ncv // 2) best Ritz vectors and the next direction become the new
+    basis, H's block of the kept vectors the diagonal of their Ritz
+    values, and the run goes on: a thick restart, whose next column of
+    H recomputes the kept vectors' coupling to the new one.  Needs
+    ncv >= k + 2; one cycle (tol infinite) makes ncv products.
+    Vectors come back as orthonormal columns.  Past ``cap`` products,
+    or on a space invariant at fewer than k dimensions, raises
+    NoConvergence whose ``best`` is the wanted pairs reached.
+    """
+    V, H = np.empty((ncv + 1, v0.size)), np.zeros((ncv, ncv))
+    np.divide(v0, sqrt(v0 @ v0), out=V[0])
+    keep, start, products = max(k + 1, ncv // 2), 0, 0
+    while True:
+        for i in range(start, ncv):
+            w = owned(product(V[i]), V[i])
+            basis = V[:i + 1]
+            h = basis @ w
+            w -= h @ basis
+            c = basis @ w
+            w -= c @ basis
+            h += c
+            H[i, :i + 1] = h  # eigh reads H's lower triangle alone
+            beta = sqrt(w @ w)
+            products += 1
+            if beta <= _BREAKDOWN * sqrt(h @ h):
+                beta = 0.0  # invariant: the Ritz pairs are exact
+                break
+            np.divide(w, beta, out=V[i + 1])
+        m = i + 1
+        theta, Y = np.linalg.eigh(H[:m, :m])
+        best = np.argsort(order(theta), kind="stable")
+        want = best[:k]
+        pairs = theta[want], (Y[:, want].T @ V[:m]).T
+        done = (np.abs(beta * Y[-1, want])
+                <= tol / 2 * np.maximum(1.0, np.abs(pairs[0]))).all()
+        if done and want.size == k:
+            return pairs
+        if done or products >= cap:
+            raise NoConvergence(f"lanczos: no {k} converged pairs after "
+                                f"{products} products", best=pairs)
+        V[:keep] = Y[:, best[:keep]].T @ V[:m]
+        V[keep] = V[m]
+        H[:keep, :keep] = np.diag(theta[best[:keep]])
+        start = keep
+
+
+# the sort key of each mode of top_k_eigs: wanted values first
+_ORDERS = {"la": np.negative, "sa": np.positive,
+           "lm": lambda theta: -np.abs(theta)}
+# products top_k_eigs allows its Lanczos run
+EIGS_MAX_PRODUCTS = 20000
 
 
 def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None):
-    """k extremal eigenpairs of a symmetric op by ARPACK ``eigsh``.
+    """k extremal eigenpairs of a symmetric op, by ``ritz_pairs``.
 
     mode: "la" largest algebraic, "sa" smallest algebraic, "lm" largest
-    magnitude; values come back in that order.  ``max_dim`` is ARPACK's
-    basis size ncv (default max(2k + 1, 20)).  An op of dimension at
-    most DENSE_SOLVE_LIMIT, or with k >= n - 1, is solved exactly by
-    LAPACK.  Each ARPACK pair is checked: ||op v - theta v|| <= tol *
-    max(1, |theta|); vectors are orthonormal.  Raises NoConvergence
-    whose ``best`` is the converged (values, vectors) pair, or None when
-    ARPACK converged none.
+    magnitude; values come back in that order.  ``max_dim`` is the
+    Lanczos basis size ncv (default max(2k + 1, 20), at least k + 2).
+    An op of dimension at most DENSE_SOLVE_LIMIT, or with k >= n - 1,
+    is solved exactly by LAPACK.  Otherwise Lanczos runs from a
+    Gaussian start drawn from ``rng``, through ``op.matvec``, for at
+    most EIGS_MAX_PRODUCTS products, and each pair it returns is
+    checked: ||op v - theta v|| <= tol max(1, |theta|); vectors are
+    orthonormal.  Raises NoConvergence whose ``best`` is the
+    (values, vectors) pair reached.
     """
     n = op.n_rows
     if not op.symmetric:
         raise ValueError("top_k_eigs needs a symmetric operator")
-    if mode not in _MODES:
+    if mode not in _ORDERS:
         raise ValueError(f"unknown mode {mode!r}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}")
     if n <= DENSE_SOLVE_LIMIT or k >= n - 1:
         theta, S = np.linalg.eigh(op.to_dense())
-        idx = _select(theta, k, mode)
+        idx = np.argsort(_ORDERS[mode](theta), kind="stable")[:k]
         return theta[idx], S[:, idx]
     if rng is None:
         rng = aux_generator(_DEFAULT_SEED, 0, 2)
-    ncv = min(n, max(k + 1, max_dim if max_dim is not None
+    ncv = min(n, max(k + 2, max_dim if max_dim is not None
                      else max(2 * k + 1, 20)))
-    arpack = _scipy.sparse_linalg()
-    # scipy may hand over (n, 1) columns
-    A = arpack.LinearOperator(op.shape, dtype=float,
-                              matvec=lambda x: op.matvec(x.ravel()))
-    try:
-        theta, vecs = arpack.eigsh(A, k=k, which=_MODES[mode], tol=tol,
-                                   ncv=ncv, v0=rng.standard_normal(n))
-    except arpack.ArpackNoConvergence as exc:
-        best = None
-        if exc.eigenvalues.size:
-            idx = _select(exc.eigenvalues, exc.eigenvalues.size, mode)
-            best = (exc.eigenvalues[idx], exc.eigenvectors[:, idx])
-        raise NoConvergence(f"arpack: no convergence at ncv {ncv}",
-                            best=best) from exc
-    idx = _select(theta, k, mode)
-    theta, vecs = theta[idx], vecs[:, idx]
+    theta, vecs = ritz_pairs(op.matvec, rng.standard_normal(n), k,
+                             _ORDERS[mode], ncv, tol, EIGS_MAX_PRODUCTS)
     resid = np.array([np.linalg.norm(op.matvec(v) - t * v)
                       for t, v in zip(theta, vecs.T)])
     if np.any(resid > tol * np.maximum(1.0, np.abs(theta))):
-        raise NoConvergence(f"arpack: residual {resid.max():.3g} above tol "
+        raise NoConvergence(f"lanczos: residual {resid.max():.3g} above tol "
                             f"{tol}", best=(theta, vecs))
     return theta, vecs
 

@@ -233,7 +233,7 @@ def test_sbm_trial_keys_keep_their_order(tmp_path):
                       str(tmp_path / "sbm"), trials=2)
     keys = ["trial", "tau", "mis", "converged", "delta", "gap_valid",
             "norm_diff", "norm_steps", "norm_eps", "distance", "bound",
-            "dk_holds", "lam2", "lam3"]
+            "dk_holds", "lam2", "lam3", "detect_products"]
     assert [list(t) for t in rep.trials] == [keys, keys]
     with open(tmp_path / "sbm" / "report.json") as fh:
         assert [list(t) for t in json.load(fh)["trials"]] == [keys, keys]
@@ -774,6 +774,29 @@ def test_running_out_of_memory_ends_on_the_error_line(
     assert not out.exists()
 
 
+def test_a_sample_beyond_memory_names_its_n(tmp_path, capsys, monkeypatch):
+    # an n within KEY_N_LIMIT can still be beyond memory; the sampler's
+    # MemoryError then names the n.  Nothing is allocated here: the
+    # layout raises what numpy would
+    message = ("Unable to allocate 22.4 GiB for an array with shape "
+               "(3000000000,) and data type int64")
+
+    def out_of_memory(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(graphconc.Uniform, "layout", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"model": {"kind": "uniform", "n": 3000000000, "p": 1e-9}}))
+    out = tmp_path / "out"
+    rc = main(["sample", "--seed", "1", "--config", str(cfg_path),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("graphconc sample: error: ")
+    assert "n = 3000000000" in err and message in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("source", ["model", "graph"])
 def test_spectrum_refuses_n_above_the_limit_before_a_trial(
         tmp_path, capsys, monkeypatch, source):
@@ -999,6 +1022,45 @@ def test_start_up_loads_no_scipy(tmp_path):
                PYTHONPATH=os.path.dirname(os.path.dirname(graphconc.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("ok")
+
+
+def test_solvers_never_load_scipy_sparse_linalg(tmp_path):
+    # every command, GP's Lanczos oracle and top_k_eigs's Lanczos route
+    # run on the package's own solvers: scipy.sparse.linalg (ARPACK) is
+    # never imported, so its memory and import time are never paid
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import graphconc
+        from graphconc.cli import run_command
+
+        uniform = {{"kind": "uniform", "n": 60, "p": 0.1}}
+        runs = [
+            ("sample", {{"model": uniform}}),
+            ("concentration", {{"cells": [{{"n": 200, "d": 3.0}}],
+                               "scheme": "trim"}}),
+            ("laplacian", {{"ns": [128], "d": 4.0, "taus": [4.0]}}),
+            ("sbm", {{"n": 200, "a": 25.0, "b": 4.0}}),
+            ("decompose", {{"n": 64, "d": 8.0, "r": 3.0, "gp_iters": 60,
+                           "write_files": False}}),
+            ("gp-check", {{}}),
+            ("spectrum", {{"model": uniform}}),
+        ]
+        for name, cfg in runs:
+            run_command(name, cfg, 1729, {str(tmp_path)!r} + "/" + name)
+        B = np.random.default_rng(1).standard_normal((40, 100))
+        graphconc.gp_weights(B, max_iter=20)  # the oracle's Lanczos route
+        M = np.random.default_rng(2).standard_normal((100, 100))
+        graphconc.top_k_eigs(graphconc.LinearOp.from_dense(M + M.T), 2)
+        assert "scipy.sparse.linalg" not in sys.modules
+        print("ok")
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(graphconc.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().endswith("ok")
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import graphconc.community
 from graphconc import (
+    DENSE_SOLVE_LIMIT,
     BlockTwo,
     InvalidRates,
     LengthMismatch,
+    LinearOp,
     NoConvergence,
     SparseGraph,
     ZeroGap,
@@ -35,7 +37,7 @@ from conftest import MASTER, assert_close
 # a davis_kahan_check record: the sbm trial's fields after mis, in order
 RECORD_KEYS = ["labels", "converged", "delta", "gap_valid", "norm_diff",
                "norm_steps", "norm_eps", "distance", "bound", "dk_holds",
-               "lam2", "lam3"]
+               "lam2", "lam3", "detect_products"]
 
 
 def two_cliques(half):
@@ -143,7 +145,7 @@ def test_detect_two_cliques_exact():
 @pytest.mark.parametrize("n,a,b", [(24, 12.0, 2.0), (300, 20.0, 4.0),
                                    (300, 5.0, 5.0)])
 def test_detect_matches_dense_eigh(n, a, b):
-    # n = 24 solves the shifted op by LAPACK, n = 300 runs ARPACK on it;
+    # n = 24 solves the shifted op by LAPACK, n = 300 runs Lanczos on it;
     # (5, 5) is the null model, where lambda_2 sits in the bulk
     g, _ = sbm_instance(n, a, b, MASTER)
     tau = average_degree(g)
@@ -158,6 +160,29 @@ def test_detect_matches_dense_eigh(n, a, b):
     assert np.linalg.norm(L @ det.v2 - det.lam2 * det.v2) <= 1e-6
     assert det.labels.dtype == np.int8
     assert np.array_equal(det.labels, np.where(det.v2 >= 0.0, 1, -1))
+
+
+@pytest.mark.parametrize("n", [24, 300])
+def test_detect_counts_its_products(monkeypatch, n):
+    # every product by the shifted op: n columns on the dense route, the
+    # Lanczos run and the two residual checks otherwise
+    seen = []
+    real = graphconc.community.top_k_eigs
+
+    def counting(op, *args, **kwargs):
+        def mv(x):
+            seen.append(1)
+            return op.matvec(x)
+        return real(LinearOp(op.n_rows, op.n_cols, mv, symmetric=True),
+                    *args, **kwargs)
+
+    monkeypatch.setattr(graphconc.community, "top_k_eigs", counting)
+    g, _ = sbm_instance(n, 20.0, 4.0, MASTER)
+    det = detect(g, average_degree(g))
+    assert det.products == len(seen)
+    assert det.products == n if n <= DENSE_SOLVE_LIMIT else det.products > 22
+    out = davis_kahan_check(g, BlockTwo(n, 20.0, 4.0), average_degree(g))
+    assert out["detect_products"] == det.products
 
 
 def test_misclassification_is_exactly_flip_invariant():
@@ -243,5 +268,5 @@ def test_davis_kahan_check_detect_failure(monkeypatch, ritz):
     assert out["converged"] is False and out["gap_valid"] is False
     assert out["dk_holds"] is True
     for key in ("delta", "norm_diff", "norm_steps", "norm_eps", "distance",
-                "bound", "lam2", "lam3"):
+                "bound", "lam2", "lam3", "detect_products"):
         assert out[key] is None

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import svds
 
-import graphconc._scipy
 from graphconc import (
     PietschWeights,
     VerificationError,
@@ -186,6 +185,23 @@ def test_top_pair_lanczos_route(shape):
     lam, v = top_pair(mu, top)
     assert lam == pytest.approx(lam_max, rel=1e-12)
     assert abs(v @ top) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (40, 100)])
+def test_top_pair_lanczos_route_is_its_projections_top_pair(shape):
+    # one cycle of LANCZOS_STEPS products from v0: the top eigenpair of
+    # M projected on K_12(M, v0), here spanned by Householder QR
+    B, G, top_pair, mu, s, v0, _ = oracle_inputs(shape, dead=5, seed=36)
+    M = s[:, None] * G * s
+    Q = v0[:, None]
+    for _ in range(pietsch.LANCZOS_STEPS - 1):
+        Q = np.linalg.qr(np.column_stack([Q, M @ Q[:, -1]]))[0]
+    w, Y = np.linalg.eigh(Q.T @ M @ Q)
+    ref = Q @ Y[:, -1]
+    lam, v = top_pair(mu, v0)
+    assert lam == pytest.approx(w[-1], rel=1e-12)
+    assert abs(v @ ref) == pytest.approx(1.0, abs=1e-10)
+    assert v[5] == 0.0
 
 
 def weights_fields(w):
@@ -633,10 +649,6 @@ def test_gram_certification_matches_svds(shape):
     assert got == pytest.approx(np.linalg.norm(C, 2), rel=1e-10)
 
 
-def no_arpack():
-    raise AssertionError("ARPACK was loaded")
-
-
 @pytest.mark.parametrize("shape,dead", [
     # Lanczos when min(k, m) > DENSE_SOLVE_LIMIT, LAPACK otherwise;
     # the first two blocks have a dead column, which s zeroes
@@ -645,7 +657,7 @@ def no_arpack():
     ((20, 40), False)])
 def test_certification_routes(monkeypatch, shape, dead):
     # every certification is one spectral_norm call on B s, whatever
-    # the shape; ARPACK is never loaded
+    # the shape
     B = np.random.default_rng(43).standard_normal(shape)
     if dead:
         B[:, 5] = 0.0
@@ -658,7 +670,6 @@ def test_certification_routes(monkeypatch, shape, dead):
         return est
 
     monkeypatch.setattr(pietsch, "spectral_norm", norm)
-    monkeypatch.setattr(graphconc._scipy, "sparse_linalg", no_arpack)
     w = gp_weights(B, max_iter=5)
     exact = min(shape) <= pietsch.DENSE_SOLVE_LIMIT
     # the closing re-evaluations of the best and of the last iterate
@@ -673,10 +684,10 @@ def test_certification_routes(monkeypatch, shape, dead):
                                                 rel=1e-10)
 
 
-def test_gp_and_decompose_run_without_arpack(monkeypatch, tmp_path):
-    # after the certifications moved to spectral_norm, only
-    # community.detect needs scipy.sparse.linalg
-    monkeypatch.setattr(graphconc._scipy, "sparse_linalg", no_arpack)
+def test_gp_and_decompose_run_without_arpack(tmp_path):
+    # no package code loads scipy.sparse.linalg; test_cli's
+    # test_solvers_never_load_scipy_sparse_linalg checks it in a process
+    # of its own
     for B in (centred_block(), heavy_columns_block()):
         J, cert = gp_submatrix(B, 0.25, max_iter=120)
         assert cert.ok and J.size >= 0.75 * B.shape[1]

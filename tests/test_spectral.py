@@ -310,7 +310,7 @@ def test_lanczos_top5_vs_dense():
 
 
 def test_lanczos_modes():
-    # n = 5 takes the LAPACK path, n = 100 ARPACK
+    # n = 5 takes the LAPACK path, n = 100 the Lanczos one
     rng = np.random.default_rng(8)
     for bulk in ([-1.0, 0.5], rng.uniform(-1.0, 1.0, 97)):
         vals = np.concatenate([[-9.0, 2.0, 7.0], bulk])
@@ -332,6 +332,71 @@ def test_lanczos_multiplicity_plateau():
     vals, _ = top_k_eigs(LinearOp.from_dense(d), 2, mode="lm", tol=1e-10)
     assert vals[0] == pytest.approx(4.0, abs=1e-9)
     assert vals[1] == pytest.approx(-1.0, abs=1e-9)
+
+
+def counted(op):
+    """op with a count of its products, as (op, count)."""
+    calls = []
+
+    def mv(x):
+        calls.append(1)
+        return op.matvec(x)
+
+    return LinearOp(op.n_rows, op.n_cols, mv, symmetric=True), calls
+
+
+def test_lanczos_resolves_a_close_pair_across_restarts():
+    # the null model's lambda_2/lambda_3 gap, 2e-4, at n = 2000 on a basis
+    # of 20 vectors: the two top values come out within tol all the same
+    rng = np.random.default_rng(12)
+    top = [1.5, 1.5 - 2e-4]
+    d = np.concatenate([top, rng.uniform(-1.5, 1.5 - 4e-4, 1998)])
+    op, calls = counted(LinearOp(2000, 2000, lambda x: d * x,
+                                 symmetric=True))
+    vals, vecs = top_k_eigs(op, 2, mode="la", tol=1e-6, max_dim=20)
+    assert np.all(np.abs(vals - top) <= 1e-6)
+    assert len(calls) > 20  # restarted
+    assert abs(vecs[0, 0]) == pytest.approx(1.0, abs=1e-5)
+    assert abs(vecs[1, 1]) == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["la", "sa", "lm"])
+def test_lanczos_modes_match_dense_eigh(mode):
+    rng = np.random.default_rng(13)
+    M = sym(rng, 300)
+    w, S = np.linalg.eigh(M)
+    order = {"la": -w, "sa": w, "lm": -np.abs(w)}[mode]
+    want = np.argsort(order)[:4]
+    vals, vecs = top_k_eigs(LinearOp.from_dense(M), 4, mode=mode, tol=1e-10)
+    assert_close(vals, w[want], 1e-9, f"mode {mode}")
+    assert_close(np.abs(vecs.T @ S[:, want]), np.eye(4), 1e-7)
+
+
+def test_lanczos_product_cap_raises_with_the_best_pairs(monkeypatch):
+    # 25 products: one cycle of 20 and one restart of 10, not enough
+    rng = np.random.default_rng(12)
+    d = np.concatenate([[1.5, 1.5 - 2e-4], rng.uniform(-1.5, 1.4, 1998)])
+    op, calls = counted(LinearOp(2000, 2000, lambda x: d * x,
+                                 symmetric=True))
+    monkeypatch.setattr(graphconc.spectral, "EIGS_MAX_PRODUCTS", 25)
+    with pytest.raises(NoConvergence) as exc:
+        top_k_eigs(op, 2, mode="la", tol=1e-10, max_dim=20)
+    assert len(calls) == 30
+    vals, vecs = exc.value.best
+    assert vals.shape == (2,) and vecs.shape == (2000, 2)
+    assert vals[0] >= vals[1] and vals[0] <= 1.5 * (1 + 1e-12)
+    assert_close(vecs.T @ vecs, np.eye(2), 1e-10)
+    for t, v in zip(vals, vecs.T):  # Ritz pairs of the operator itself
+        assert t == pytest.approx(v @ (d * v), rel=1e-12)
+
+
+def test_lanczos_on_a_space_invariant_below_k_raises():
+    # 3 I: the start spans an invariant space of dimension 1 < k = 2
+    op = LinearOp(40, 40, lambda x: 3.0 * x, symmetric=True)
+    with pytest.raises(NoConvergence) as exc:
+        top_k_eigs(op, 2)
+    vals, vecs = exc.value.best
+    assert vals == pytest.approx([3.0]) and vecs.shape == (40, 1)
 
 
 def test_lanczos_input_checks():

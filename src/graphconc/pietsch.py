@@ -96,7 +96,7 @@ from . import _scipy
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
-from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
+from .spectral import (DENSE_SOLVE_LIMIT, eigh_lower, inf_to_2_norm_exact,
                        inf_to_2_norm_lower, inf_to_2_norm_power, ritz_pairs,
                        spectral_norm)
 
@@ -197,20 +197,23 @@ def _oracle(B, G, col_live):
     ``_col_scale``, zero on B's dead (all-zero) columns, written into a
     vector of the oracle's own.
 
-    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
-      driver np.linalg.eigh wraps, on the smaller side of the scaled
-      Gram.  When k <= m that is (B s)(B s)^T (k x k), its top vector
-      u mapped back by v = s B^T u / ||s B^T u||; when m < k it is
-      s G s (m x m).  The result is bit for bit np.linalg.eigh's.  A
-      step allocates only the Gram and dsyevd's output: B s, s G s, u
-      and v live in buffers of the oracle's own, so v is overwritten
-      by the next call.
+    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd
+      (``spectral.eigh_lower``), the driver np.linalg.eigh wraps, on
+      the smaller side of the scaled Gram.  When k <= m that is
+      (B s)(B s)^T (k x k), its top vector u mapped back by
+      v = s B^T u / ||s B^T u||; when m < k it is s G s (m x m).  The
+      result is bit for bit np.linalg.eigh's.  A step allocates only
+      the Gram and dsyevd's output: B s, s G s, u and v live in
+      buffers of the oracle's own, so v is overwritten by the next
+      call.
     * Lanczos route otherwise: one cycle of ``spectral.ritz_pairs`` on
       M, LANCZOS_STEPS products by G from v0 (tol infinite, so no
-      restart), and its top Ritz pair: the top eigenpair of M projected
-      on the Krylov space, a lower bound on lambda_max (Cauchy
-      interlacing; up to rounding, as the tests check).  The space may
-      be invariant sooner, and the cycle then ends there.  Mirror
+      restart), each formed in two vectors of the oracle's own, and
+      its top Ritz pair: the top eigenpair of M projected on the
+      Krylov space, a lower bound on lambda_max (Cauchy interlacing; up
+      to rounding, as the tests check).  The space may be invariant
+      sooner, and the cycle then ends there: it is given no generator,
+      whose fresh vector would not be zero on dead columns.  Mirror
       descent only needs an inexact subgradient, and f is measured
       again by ``_certified_f`` at the end.  B itself is not read.
 
@@ -226,21 +229,18 @@ def _oracle(B, G, col_live):
         return s
 
     if min(k, m) > DENSE_SOLVE_LIMIT:
+        w, z = np.empty(m), np.empty(m)
+
+        def product(x):  # s G s x, in two vectors of the oracle's own
+            np.dot(G, np.multiply(s, x, out=w), out=z)
+            return np.multiply(z, s, out=z)
+
         def top_pair(mu, v0):
-            s = scale(mu)
-            lam, V = ritz_pairs(lambda x: s * (G @ (s * x)), v0, 1,
-                                np.negative, LANCZOS_STEPS, np.inf,
-                                LANCZOS_STEPS)
+            scale(mu)
+            lam, V = ritz_pairs(product, v0, 1, np.negative, LANCZOS_STEPS,
+                                np.inf)
             return max(float(lam[0]), 0.0), V[:, 0]
         return top_pair
-    dsyevd = _scipy.lapack().dsyevd
-
-    def eigh(M):
-        # dsyevd on the lower triangle of M, as np.linalg.eigh calls it
-        lams, V, info = dsyevd(M, lower=1, overwrite_a=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
-        return float(lams[-1]), V
 
     v = np.empty(m)
     if k <= m:
@@ -251,22 +251,22 @@ def _oracle(B, G, col_live):
             # numpy forms C C^T by syrk, exactly symmetric, so its
             # transpose is the same matrix in the Fortran order LAPACK
             # reads: f2py hands it over uncopied
-            lam, V = eigh((C @ C.T).T)
-            # u is read with eigh's stride, from a C-ordered copy:
+            lams, V = eigh_lower((C @ C.T).T, overwrite=True)
+            # u is read with dsyevd's stride, from a C-ordered copy:
             # OpenBLAS's dgemv sums a unit-stride vector in another
-            # order, so C^T u would not round as with eigh's vector
+            # order, so C^T u would not round as with dsyevd's vector
             np.copyto(U, V)
             np.matmul(C.T, U[:, -1], out=v)
-            return lam, np.divide(v, sqrt(v.dot(v)), out=v)
+            return float(lams[-1]), np.divide(v, sqrt(v.dot(v)), out=v)
     else:
         M = np.empty((m, m), order="F")  # dsyevd works in it, uncopied
 
         def top_pair(mu, v0):
             np.multiply(scale(mu)[:, None], G, out=M)
-            lam, V = eigh(np.multiply(M, s, out=M))
+            lams, V = eigh_lower(np.multiply(M, s, out=M), overwrite=True)
             np.copyto(v, V[:, -1])
             v[dead] = 0.0
-            return lam, v
+            return float(lams[-1]), v
     return top_pair
 
 

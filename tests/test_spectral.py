@@ -35,7 +35,7 @@ from graphconc import (
     top_k_eigs,
 )
 from graphconc._seeding import aux_generator
-from graphconc.spectral import NORM_TOL
+from graphconc.spectral import NORM_TOL, eigh_lower
 
 from conftest import assert_close, traced_peak
 
@@ -390,13 +390,28 @@ def test_lanczos_product_cap_raises_with_the_best_pairs(monkeypatch):
         assert t == pytest.approx(v @ (d * v), rel=1e-12)
 
 
-def test_lanczos_on_a_space_invariant_below_k_raises():
-    # 3 I: the start spans an invariant space of dimension 1 < k = 2
-    op = LinearOp(40, 40, lambda x: 3.0 * x, symmetric=True)
-    with pytest.raises(NoConvergence) as exc:
-        top_k_eigs(op, 2)
-    vals, vecs = exc.value.best
-    assert vals == pytest.approx([3.0]) and vecs.shape == (40, 1)
+@pytest.mark.parametrize("d", [np.r_[5.0, 5.0, 1.0, np.zeros(37)],
+                               np.full(40, 3.0)])
+def test_lanczos_finds_a_repeated_top_eigenvalue_twice(d):
+    # few distinct values: a start's Krylov space is invariant after 3
+    # steps (3 I: after one) and holds the top value once, so a fresh
+    # vector must find its second copy
+    op, calls = counted(LinearOp(40, 40, lambda x: d * x, symmetric=True))
+    vals, vecs = top_k_eigs(op, 2)
+    assert vals == pytest.approx([d[0], d[0]], abs=1e-12)
+    assert_close(vecs.T @ vecs, np.eye(2), 1e-12)
+    assert_close(d[:, None] * vecs, d[0] * vecs, 1e-12)
+    assert len(calls) == 22  # one cycle of 20, then the residual check
+
+
+def test_eigh_lower_is_numpys_eigh_bit_for_bit():
+    # the lower triangle alone is read, as a ritz_pairs basis leaves H
+    rng = np.random.default_rng(14)
+    for m in (1, 5, 12, 40):
+        H = np.tril(rng.standard_normal((m, m)))
+        w, V = eigh_lower(H)
+        ref_w, ref_V = np.linalg.eigh(H)
+        assert np.array_equal(w, ref_w) and np.array_equal(V, ref_V)
 
 
 def test_lanczos_input_checks():

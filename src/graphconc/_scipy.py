@@ -10,12 +10,18 @@ per-step code may call them.
 scipy's wheels bundle their own OpenBLAS, beside numpy's, and each
 starts a thread pool of one thread per core.  scipy's serves LAPACK
 here (``pietsch``'s dsyevd and dpotrf, ``spectral``'s dstebz and
-dsbevx), while the matvecs around them run on numpy's; on a 2-core VM
-the two pools fought (when ``community.detect`` still ran on scipy's
-ARPACK, a call at n = 32000 took 2.2-3.2 s against 0.66-0.83 s).  So
-the first load of ``scipy.linalg.lapack`` sets scipy's pool to one
-thread, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set (the
-caller's choice then stands).  No solver here loads
+dsbevx), while the products around them run on numpy's.  GP makes
+many small LAPACK calls between numpy products, and there the two
+pools fight: on a 2-core VM a 10-trial decompose at n = 512, d = 8
+took 0.45-0.68 s wall and 0.79-1.14 s CPU with scipy's pool at one
+thread, against 0.94-1.42 s and 1.73-2.64 s at its default (5
+alternating processes a side).  One n = 4096 part, whose large
+dpotrf gains from a second thread, took 2.38-3.05 s against
+2.10-2.64 s, and ``community.detect`` (numpy's pool alone) took
+0.82-0.94 s at n = 32000 either way.  So the first load of
+``scipy.linalg.lapack`` sets scipy's pool to one thread, unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set (the caller's choice
+then stands).  No solver here loads
 ``scipy.sparse.linalg``: the eigenpairs come from the package's own
 Lanczos (``spectral.ritz_pairs``).  Where the bundled library or its
 ``scipy_openblas_set_num_threads`` is not found, nothing is changed.

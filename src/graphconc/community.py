@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seeding import aux_generator
-from .errors import InvalidRates, LengthMismatch, NoConvergence, ZeroGap
+from .errors import LengthMismatch, NoConvergence, ZeroGap
 from .models import BlockTwo, sample
 from .operators import LinearOp, compose_difference, owned
 from .regularize import expected_laplacian, laplacian, tau_shift
@@ -44,9 +44,8 @@ def _sign_labels(v):
 
 def sbm_instance(n, a, b, seed, stream=0):
     """A sample of BlockTwo(n, a, b) plus its balanced ground-truth
-    labels (+1 on the first n/2 vertices, -1 on the rest)."""
-    if n % 2:
-        raise InvalidRates("the balanced two-block model needs even n")
+    labels (+1 on the first n/2 vertices, -1 on the rest).  BlockTwo
+    refuses an odd n."""
     model = BlockTwo(n, a, b)
     return sample(model, seed, stream), model.labels().astype(np.int8)
 

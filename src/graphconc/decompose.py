@@ -52,12 +52,13 @@ a time (``_centred``), each chunk read from the model
 (its ``ea_block``) and masked by the part (``_ea_reader``), so the
 centring holds no n x n EA and writes into neither the caller's A nor
 the model.  The verifier multiplies by (A - EA)_N with no n x n array
-(``_sparse_deviation``): the csr of A's edges in N, less the part's EA
-operator as ``_PARTS`` names it (the model's ``ea_op`` for a directed
-part, its strict upper triangle ``ea_triangle`` or that transposed for
-a triangle), plus the part's EA on R's columns and C's rows, the cells
-N leaves out, which it finds reading the labels ``LABEL_ROWS`` rows
-at a time.
+(``_sparse_deviation``): the operator of A's edges in N less the
+part's EA operator as ``_PARTS`` names it (the model's ``ea_op`` for a
+directed part, its strict upper triangle ``ea_triangle`` or that
+transposed for a triangle), composed as every deviation in the package
+is (``compose_difference`` of ``adjacency_shifted_op``), plus the
+part's EA on R's columns and C's rows, the cells N leaves out, which it
+finds reading the labels ``LABEL_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _scipy
 from .errors import SizeExceeded
 from .models import SparseGraph
-from .operators import LinearOp
+from .operators import LinearOp, compose_difference
 from .pietsch import gp_submatrix, gp_submatrix_both
+from .regularize import adjacency_shifted_op
 from .spectral import spectral_norm
 
 CLASS_N, CLASS_R, CLASS_C = 0, 1, 2
@@ -165,15 +166,14 @@ def _centred(ones, read, I, J):
     return out
 
 
-def _ones_csr(A, keep=None):
-    """0/1 csr of a directed SparseGraph, validated; of the entries
-    ``keep`` selects (``SparseGraph.subset``) when given."""
+def _zero_one(A):
+    """A itself, once checked to be a directed 0/1 SparseGraph."""
     if not A.directed:
         raise ValueError("decompose expects a directed graph; "
                          "split undirected input into triangles first")
     if A.weighted:
         raise ValueError("decompose expects a 0/1 adjacency")
-    return (A if keep is None else A.subset(keep)).to_csr()
+    return A
 
 
 def _cap_exceptional(mask, cap, gp_rejected, ones):
@@ -324,7 +324,7 @@ def decompose(A, model, r, d, gp_iters=500, part="full"):
     if not (0 < r < np.inf and 0 < d < np.inf):  # NaN too
         raise ValueError("decompose needs finite r > 0 and d > 0")
     _check_part(part)
-    A01 = _ones_csr(A)
+    A01 = _zero_one(A).to_csr()
     n = A.n
     read_ea = _ea_reader(model, n, part)
     labels = np.full((n, n), -1, dtype=np.int8)
@@ -451,7 +451,7 @@ def verify_decomposition(A, model, dec):
     # no part is scanned for a symmetry: a triangle has one only when it
     # is zero, and no directed sample measured has had one
     norm_n, norm_steps, norm_eps = spectral_norm(_sparse_deviation(
-        _ones_csr(A, at_edges == CLASS_N), _PARTS[dec.part][2](model),
+        _zero_one(A).subset(at_edges == CLASS_N), _PARTS[dec.part][2](model),
         _ea_strips(read_ea, labels, r_cols, c_rows)))
     met = all(rnd[k]["target_met"] for rnd in dec.block_trace
               for k in ("gp_cols", "gp_rows") if k in rnd)
@@ -479,17 +479,17 @@ def _ea_strips(read_ea, labels, r_cols, c_rows):
 
 def _sparse_deviation(A_N, ea, strips):
     """(A - EA)_N as A_N - EA_part + EA_part's R and C cells, with no
-    n x n array: ``A_N`` the csr of A's edges in N, ``ea`` the part's
-    EA as one operator (``_PARTS``), subtracted once a product, and
-    ``strips`` the part's EA on R's columns and C's rows
-    (``_ea_strips``), added back because N leaves those cells out.  The
-    rmatvec is its transpose term by term."""
+    n x n array: ``A_N`` the directed graph of A's edges in N, less
+    ``ea``, the part's EA as one operator (``_PARTS``), the package's
+    deviation operator (``compose_difference`` of
+    ``adjacency_shifted_op``), plus ``strips``, the part's EA on R's
+    columns and C's rows (``_ea_strips``), added back because N leaves
+    those cells out.  The rmatvec is its transpose term by term."""
     (cols, on_r), (rows, on_c) = strips
-    csr, csr_t = _scipy.csr_product(A_N), _scipy.csr_product(A_N.T.tocsr())
+    dev = compose_difference(adjacency_shifted_op(A_N), ea)
 
-    def product(x, a, e, cells, on, lines, across):
-        y = a(x)
-        y -= e(x)
+    def product(x, d, cells, on, lines, across):
+        y = d(x)
         if cells.size:
             y += on @ x[cells]
         if lines.size:
@@ -497,9 +497,9 @@ def _sparse_deviation(A_N, ea, strips):
         return y
 
     return LinearOp(
-        A_N.shape[0], A_N.shape[1],
-        lambda x: product(x, csr, ea._matvec, cols, on_r, rows, on_c),
-        lambda x: product(x, csr_t, ea._rmatvec, rows, on_c.T, cols, on_r.T))
+        A_N.n, A_N.n,
+        lambda x: product(x, dev._matvec, cols, on_r, rows, on_c),
+        lambda x: product(x, dev._rmatvec, rows, on_c.T, cols, on_r.T))
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,13 @@ class GPCertificate:
         return True
 
 
-def _col_scale(mu, col_live):
-    """Diagonal of D_mu^{-1/2}; dead (all-zero) columns pinned to zero."""
-    return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
+def _col_scale(mu, dead, out):
+    """Diagonal of D_mu^{-1/2}, written into ``out`` and returned; the
+    dead (all-zero) columns, at the positions ``dead``, pinned to zero."""
+    np.divide(1.0, np.sqrt(mu, out=out), out=out)
+    if dead.size:
+        out[dead] = 0.0
+    return out
 
 
 def _certified_f(B, mu, col_live, rng):
@@ -183,7 +187,7 @@ def _certified_f(B, mu, col_live, rng):
     docstring); the estimate's eps, kept as ``achieved_eps``, is the
     probabilistic upper side.  The start vector is drawn from ``rng``.
     """
-    s = _col_scale(mu, col_live)
+    s = _col_scale(mu, np.flatnonzero(~col_live), np.empty(mu.size))
     op = LinearOp(*B.shape, lambda x: B @ (s * x), lambda x: s * (B.T @ x))
     return spectral_norm(op, rng=rng)
 
@@ -222,12 +226,6 @@ def _oracle(B, G, col_live):
     k, m = B.shape
     s, dead = np.empty(m), np.flatnonzero(~col_live)
 
-    def scale(mu):  # _col_scale(mu, col_live), bit for bit, in s
-        np.divide(1.0, np.sqrt(mu, out=s), out=s)
-        if dead.size:
-            s[dead] = 0.0
-        return s
-
     if min(k, m) > DENSE_SOLVE_LIMIT:
         w, z = np.empty(m), np.empty(m)
 
@@ -236,7 +234,7 @@ def _oracle(B, G, col_live):
             return np.multiply(z, s, out=z)
 
         def top_pair(mu, v0):
-            scale(mu)
+            _col_scale(mu, dead, s)
             lam, V = ritz_pairs(product, v0, 1, np.negative, LANCZOS_STEPS,
                                 np.inf)
             return max(float(lam[0]), 0.0), V[:, 0]
@@ -247,7 +245,7 @@ def _oracle(B, G, col_live):
         C, U = np.empty((k, m)), np.empty((k, k))
 
         def top_pair(mu, v0):
-            np.multiply(B, scale(mu), out=C)
+            np.multiply(B, _col_scale(mu, dead, s), out=C)
             # numpy forms C C^T by syrk, exactly symmetric, so its
             # transpose is the same matrix in the Fortran order LAPACK
             # reads: f2py hands it over uncopied
@@ -262,7 +260,7 @@ def _oracle(B, G, col_live):
         M = np.empty((m, m), order="F")  # dsyevd works in it, uncopied
 
         def top_pair(mu, v0):
-            np.multiply(scale(mu)[:, None], G, out=M)
+            np.multiply(_col_scale(mu, dead, s)[:, None], G, out=M)
             lams, V = eigh_lower(np.multiply(M, s, out=M), overwrite=True)
             np.copyto(v, V[:, -1])
             v[dead] = 0.0
@@ -339,7 +337,10 @@ def _descent_start(B, G=None):
 
 def _bound(rhs, delta, m):
     """t with ||B_J|| < t proving ||B_J|| sqrt(delta m) <= rhs, up to the
-    slack rhs (1 + 1e-8) + 1e-12."""
+    slack rhs (1 + 1e-8) + 1e-12.  Every route reads delta here first,
+    so this is where a delta outside (0, 1) is refused."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("need 0 < delta < 1")
     return (rhs * (1.0 + 1e-8) + 1e-12) / sqrt(delta * m)
 
 
@@ -363,7 +364,7 @@ def _submatrix_on(B, G, delta, max_iter):
     cert = _uniform(B.shape[1], lower, kind, delta)
     if _norm_below(G, cert.submatrix_bound):
         return np.arange(B.shape[1]), cert
-    return _selected(B, delta, _descend(B, (G, rng, v, lower), max_iter),
+    return _selected(B, delta, _descend(B, G, rng, v, lower, max_iter),
                      cert.target, kind)
 
 
@@ -388,24 +389,20 @@ def gp_weights(B, max_iter=500):
     B is read in C order (``_as_block``).
     """
     B = _as_block(B)
-    return _descend(B, None, max_iter)
+    G = B.T @ B
+    return _descend(B, G, *_descent_start(B, G)[:3], max_iter)
 
 
-def _descend(B, start, max_iter):
-    """``gp_weights`` of a C-ordered B, going on from ``start``: the
-    (G, rng, v, lower) of B's Gram G = B^T B and ``_descent_start``'s
-    draws on it, which a failed uniform check leaves as they were;
-    None forms and draws them here."""
+def _descend(B, G, rng, v, lower, max_iter):
+    """``gp_weights`` of a C-ordered B, going on from B's Gram G = B^T B
+    and ``_descent_start``'s draws on it (``rng``, ``v``, ``lower``),
+    which a failed uniform check leaves as they were."""
     m = B.shape[1]
     col_sq = np.einsum("ij,ij->j", B, B)
     col_live = col_sq > 0.0
     mu = np.full(m, 1.0 / m)
     if not col_live.any():
         return PietschWeights(mu, 0.0, True, 0, (0.0,), 0.0)
-    if start is None:
-        G = B.T @ B
-        start = G, *_descent_start(B, G)[:3]
-    G, rng, v, lower = start
     v[~col_live] = 0.0
     v /= np.linalg.norm(v)
     top_pair = _oracle(B, G, col_live)
@@ -475,8 +472,6 @@ def gp_submatrix(B, delta, weights=None, max_iter=500):
     ``VerificationError``.  B is read in C order (``_as_block``).
     """
     B = _as_block(B)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("need 0 < delta < 1")
     if weights is not None:
         return _selected(B, delta, weights, None, None)
     return _submatrix_on(B, B.T @ B, delta, max_iter)
@@ -486,10 +481,10 @@ def _selected(B, delta, w, target, kind):
     """The descent route's J = {j : mu_j <= 1/(delta m)} for the weights
     ``w``, with its certificate."""
     m = B.shape[1]
+    bound = _bound(w.achieved, delta, m)
     J = np.flatnonzero(w.mu <= 1.0 / (delta * m))
     if J.size < (1.0 - delta) * m - 1e-9:
         raise VerificationError("pigeonhole cardinality bound failed")
-    bound = _bound(w.achieved, delta, m)
     if J.size < m:
         B = B[:, J]
     G = B.T @ B if B.shape[1] <= B.shape[0] else B @ B.T
@@ -535,8 +530,6 @@ def gp_submatrix_both(B, delta, max_iter=500):
     ``transposed`` of A's in that round's GP fields.
     """
     B = _as_block(B)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("need 0 < delta < 1")
     k, m = B.shape
     cols = _uniform(m, *_descent_start(B)[2:], delta)
     BT = np.ascontiguousarray(B.T)

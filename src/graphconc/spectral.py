@@ -115,8 +115,10 @@ class NormEstimate(NamedTuple):
     for a non-symmetric op), a lower bound on ||op||; ``steps`` the
     Lanczos steps taken (0 on the exact LAPACK route); ``eps`` the
     Kuczynski-Wozniakowski bound: ||op|| <= value / (1 - eps) except
-    with probability 1e-3 (0 when exact, or when the Krylov space
-    became invariant).
+    with probability 1e-3.  eps is 0 on the exact route and on a
+    breakdown stop (beta below _BREAKDOWN of the step's scale); that
+    stop is exact only when the Krylov space really is invariant, and
+    it can fire by chance once the recurrence has lost orthogonality.
     """
 
     value: float
@@ -359,6 +361,13 @@ def top_k_eigs(op, k, mode="la", tol=1e-9, max_dim=None, rng=None):
     ||op v - theta v|| <= tol max(1, |theta|); vectors are orthonormal.
     Raises NoConvergence whose ``best`` is the (values, vectors) pair
     reached.
+
+    A repeated eigenvalue whose copies the start's Krylov space does not
+    separate is returned once, the next distinct value in its place:
+    a fresh vector is drawn only where that space breaks down before
+    the basis is full.  The 60-cycle's adjacency at k = 3 gives (2,
+    1.98904, 1.95630), not (2, 1.98904, 1.98904); each pair passes the
+    residual check, since each is exact.
     """
     n = op.n_rows
     if not op.symmetric:
@@ -440,18 +449,27 @@ def _signs(bits, m):
     return 1.0 - 2.0 * ((bits >> np.arange(m)) & 1)
 
 
+def _sign_starts(rng, m):
+    """The LOWER_STARTS random sign starts of both lower bounds on
+    ||B||_{inf->2}, the rows of one m-column matrix: the draw
+    rng.random((LOWER_STARTS, m)), the stream of LOWER_STARTS calls of
+    rng.random(m), mapped to -1 below 0.5 and to 1 otherwise.  Both
+    bounds draw here, so the stream stands at the same place after
+    either (``pietsch._descent_start`` relies on it)."""
+    return np.where(rng.random((LOWER_STARTS, m)) < 0.5, -1.0, 1.0)
+
+
 def inf_to_2_norm_lower(B, rng=None, gram=None):
     """Lower bound on ||B||_{inf->2}: greedy sign flips from random starts.
 
     Each start flips the sign with the largest gain until none gains.
     The LOWER_STARTS starts run together as the rows of one sign matrix
-    X, drawn as rng.random((LOWER_STARTS, m)) (the stream of
-    LOWER_STARTS calls of rng.random(m)).  corr = X G, with G = B^T B,
-    is kept up to date by one row of the symmetric G per flip, so a flip
-    costs O(m), not the O(km) of recomputing B^T B x.  While every start
-    is live, X and corr are read and updated in place; only once a
-    start has stopped do the live rows take fancy-index copies (same
-    arithmetic, same value bit for bit).  ``gram`` is G when the caller
+    X (``_sign_starts``).  corr = X G, with G = B^T B, is kept up to
+    date by one row of the symmetric G per flip, so a flip costs O(m),
+    not the O(km) of recomputing B^T B x.  While every start is live,
+    X and corr are read and updated in place; only once a start has
+    stopped do the live rows take fancy-index copies (same arithmetic,
+    same value bit for bit).  ``gram`` is G when the caller
     holds it; it is formed here otherwise.  The value is ||B x||
     recomputed from B for the final signs, so rounding in corr can never
     inflate it: always a valid lower bound.
@@ -464,7 +482,7 @@ def inf_to_2_norm_lower(B, rng=None, gram=None):
         rng = aux_generator(_DEFAULT_SEED, 0, 3)
     G = B.T @ B if gram is None else gram
     col_sq = np.einsum("ij,ij->j", B, B)
-    X = np.where(rng.random((LOWER_STARTS, m)) < 0.5, -1.0, 1.0)
+    X = _sign_starts(rng, m)
     corr = X @ G
     live = np.arange(LOWER_STARTS)
     rows = slice(None)
@@ -487,19 +505,18 @@ def inf_to_2_norm_power(B, rng):
 
     x <- sign(B^T (B x)) (Boyd 1974, Linear Algebra Appl. 9; Higham
     1992, Numer. Math. 62), a sign kept where B^T B x is 0, from the
-    LOWER_STARTS starts ``inf_to_2_norm_lower`` draws: the rows of X,
-    drawn as rng.random((LOWER_STARTS, m)).  The starts step together,
-    two products per step (Y = X B^T, then Y B), and B^T B is never
-    formed.  A step never lowers ||B x||: ||B x||^2 is convex and the
-    new x maximizes its linearization over the cube, strictly when a
-    sign flips.  The iteration stops at the first step at which no sign
-    flips (or after ``_POWER_STEPS``).  The value is the largest
-    ||B x||, read from the Y of the final signs, products of B by sign
-    vectors: a valid lower bound whatever the rounding.  B is read in
-    its own memory order.
+    LOWER_STARTS starts ``inf_to_2_norm_lower`` draws: the rows of X
+    (``_sign_starts``).  The starts step together, two products per
+    step (Y = X B^T, then Y B), and B^T B is never formed.  A step
+    never lowers ||B x||: ||B x||^2 is convex and the new x maximizes
+    its linearization over the cube, strictly when a sign flips.  The
+    iteration stops at the first step at which no sign flips (or after
+    ``_POWER_STEPS``).  The value is the largest ||B x||, read from the
+    Y of the final signs, products of B by sign vectors: a valid lower
+    bound whatever the rounding.  B is read in its own memory order.
     """
     B = np.asarray(B, dtype=float)
-    X = np.where(rng.random((LOWER_STARTS, B.shape[1])) < 0.5, -1.0, 1.0)
+    X = _sign_starts(rng, B.shape[1])
     for _ in range(_POWER_STEPS):
         Y = X @ B.T
         Z = Y @ B

@@ -33,6 +33,7 @@ from graphconc import (
     verify_decomposition,
 )
 
+from graphconc import _scipy
 from graphconc.cli import run_command
 from graphconc.models import model_from_dict
 from graphconc.spectral import spectral_norm
@@ -483,7 +484,7 @@ def dense_route(A, model, dec):
     ``decompose`` centres A: the verifier's reference."""
     n = A.n
     every = np.arange(n)
-    dev = dmod._centred(dmod._ones_csr(A),
+    dev = dmod._centred(dmod._zero_one(A).to_csr(),
                         dmod._ea_reader(model, n, dec.part), every, every)
     dev *= dec.class_of == CLASS_N
     return spectral_norm(LinearOp.from_dense(dev, symmetric=False))
@@ -533,10 +534,10 @@ def test_verifier_agrees_with_the_dense_route_on_the_golden_configs():
                     for directed in (False, True)}
 
 
-def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
-    # the planted blocks fill R and C, so the EA strips of R's columns
-    # and C's rows are read: against EA = 0.02 and, on the corner's two
-    # triangles, EA = 0 and 0.05
+def planted_parts():
+    """(A, model, dec) of planted blocks that fill R and C: a directed
+    part against EA = 0.02 and the corner's two triangles against EA = 0
+    and 0.05."""
     n = 64
     M = np.zeros((n, n), dtype=bool)
     M[:40] = np.random.default_rng(5).random((40, n)) < 0.9
@@ -550,8 +551,14 @@ def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
     for model in (zero_ea(n), Uniform(n, 0.05)):
         upper = decompose(up, model, 0.25, 1.0, gp_iters=60, part="upper")
         cases += [(up, model, upper), (lo, model, transposed(upper))]
+    return cases
+
+
+def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
+    # the planted blocks fill R and C, so the EA strips of R's columns
+    # and C's rows are read
     filled = dict.fromkeys(("r_cols", "c_rows"), 0)
-    for A, model, dec in cases:
+    for A, model, dec in planted_parts():
         rep = assert_verified_as_dense(A, model, dec)
         for k in filled:
             filled[k] += rep[k]
@@ -566,6 +573,52 @@ def test_verifier_agrees_with_the_dense_route_on_planted_blocks():
     rep, ref = verify_decomposition(A, model, dec), dense_route(A, model, dec)
     assert rep["r_cols"] == 3
     assert rep["norm_n"] == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+
+
+def csr_deviation(A_N, ea, strips):
+    """(A - EA)_N's products as the verifier once wrote them itself:
+    scipy's csr kernel on A_N's csr and on its transpose's, less the
+    part's EA operator, plus the EA strips of R's columns and C's rows;
+    the reference for the composed operator of ``_sparse_deviation``."""
+    (cols, on_r), (rows, on_c) = strips
+    csr = A_N.to_csr()
+    a, a_t = _scipy.csr_product(csr), _scipy.csr_product(csr.T.tocsr())
+
+    def product(x, a, e, cells, on, lines, across):
+        y = a(x)
+        y -= e(x)
+        if cells.size:
+            y += on @ x[cells]
+        if lines.size:
+            y[lines] += across @ x
+        return y
+
+    return (lambda x: product(x, a, ea._matvec, cols, on_r, rows, on_c),
+            lambda x: product(x, a_t, ea._rmatvec, rows, on_c.T, cols,
+                              on_r.T))
+
+
+def test_verifier_deviation_is_the_csr_formulation_bit_for_bit():
+    # the verifier's (A - EA)_N is compose_difference of the N edges'
+    # adjacency_shifted_op and the part's EA, plus the R and C strips:
+    # every product and transposed product equals the hand-written csr
+    # pair's, on a directed part and on both triangles, R and C filled
+    rng = np.random.default_rng(6)
+    for A, model, dec in planted_parts():
+        labels = dec.class_of
+        r_cols = np.flatnonzero((labels == CLASS_R).any(axis=0))
+        c_rows = np.flatnonzero((labels == CLASS_C).any(axis=1))
+        assert r_cols.size and c_rows.size
+        A_N = A.subset(labels[A.i, A.j] == CLASS_N)
+        ea = dmod._PARTS[dec.part][2](model)
+        strips = dmod._ea_strips(dmod._ea_reader(model, A.n, dec.part),
+                                 labels, r_cols, c_rows)
+        op = dmod._sparse_deviation(A_N, ea, strips)
+        mv, rmv = csr_deviation(A_N, ea, strips)
+        for _ in range(3):
+            x = rng.standard_normal(A.n)
+            assert op.matvec(x).tobytes() == mv(x).tobytes()
+            assert op.rmatvec(x).tobytes() == rmv(x).tobytes()
 
 
 def explicit_rows(n, d):

@@ -26,6 +26,24 @@ from graphconc.pietsch import LITTLE_GROTHENDIECK, _col_scale, _oracle
 from conftest import MASTER, assert_close
 
 
+def ref_col_scale(mu, col_live):
+    """D_mu^{-1/2}'s diagonal as one expression, zero on dead columns:
+    the reference for ``_col_scale``."""
+    return np.where(col_live, 1.0 / np.sqrt(mu), 0.0)
+
+
+@pytest.mark.parametrize("dead", [[], [0], [3, 7]])
+def test_col_scale_is_the_where_expression_bit_for_bit(dead):
+    # one D_mu^{-1/2}, for the oracle and _certified_f alike, written
+    # into the buffer it is given, with and without dead columns
+    mu = np.random.default_rng(11).dirichlet(np.ones(9))
+    col_live = ~np.isin(np.arange(9), dead)
+    out = np.full(9, np.nan)
+    s = _col_scale(mu, np.flatnonzero(~col_live), out)
+    assert s is out
+    assert s.tobytes() == ref_col_scale(mu, col_live).tobytes()
+
+
 def test_weights_simplex_validation():
     with pytest.raises(VerificationError):
         PietschWeights(np.array([0.5, 0.6]), 1.0, True, 1)
@@ -88,6 +106,14 @@ def test_equal_columns_keep_everything():
 def test_zero_matrix():
     w = gp_weights(np.zeros((3, 5)))
     assert w.achieved == 0.0
+    # the record of a block without a live column, whatever the bound's
+    # kind (exact up to EXACT_LOWER_COLS columns, greedy above)
+    for shape in ((3, 5), (20, 13), (4, 40)):
+        z = gp_weights(np.zeros(shape), max_iter=7)
+        assert (z.achieved, z.converged, z.iterations, z.history,
+                z.lower_bound, z.achieved_eps) == (0.0, True, 0, (0.0,),
+                                                   0.0, 0.0)
+        assert z.mu.tobytes() == np.full(shape[1], 1.0 / shape[1]).tobytes()
     J, cert = gp_submatrix(np.zeros((3, 5)), 0.5, weights=w)
     assert list(J) == list(range(5)) and cert.ok
 
@@ -147,7 +173,7 @@ def oracle_inputs(shape, dead, seed):
     m = shape[1]
     col_live = np.arange(m) != dead
     mu = rng.dirichlet(np.ones(m))
-    s = _col_scale(mu, col_live)
+    s = ref_col_scale(mu, col_live)
     v0 = rng.standard_normal(m) * col_live
     G = B.T @ B
     lam_max = np.linalg.eigvalsh(s[:, None] * G * s)[-1]
@@ -385,9 +411,9 @@ def test_a_failing_block_takes_the_descent(monkeypatch):
     calls = []
     real = pietsch._descend
 
-    def counting(B, start, max_iter):
-        calls.append((start is not None, max_iter))
-        return real(B, start, max_iter)
+    def counting(B, G, rng, v, lower, max_iter):
+        calls.append((np.array_equal(G, B.T @ B), max_iter))
+        return real(B, G, rng, v, lower, max_iter)
 
     monkeypatch.setattr(pietsch, "_descend", counting)
     J, cert = gp_submatrix(B, 0.25, max_iter=120)
@@ -537,7 +563,7 @@ def test_exact_oracle_matches_eigh_bit_for_bit():
                 B[:, rng.integers(m)] = 0.0
                 col_live = (B * B).sum(axis=0) > 0.0
             mu = rng.dirichlet(np.ones(m))
-            s = _col_scale(mu, col_live)
+            s = ref_col_scale(mu, col_live)
             G = B.T @ B
             lam, v = _oracle(B, G, col_live)(mu, None)
             ref_lam, ref_v = eigh_exact_route(B, G, s)
@@ -552,7 +578,8 @@ def test_gp_weights_exact_route_matches_eigh(monkeypatch, shape):
     # runs past the stall test's first window, with column 3 dead and
     # with every column live
     def eigh_oracle(B, G, col_live):
-        return lambda mu, v0: eigh_exact_route(B, G, _col_scale(mu, col_live))
+        return lambda mu, v0: eigh_exact_route(B, G,
+                                               ref_col_scale(mu, col_live))
 
     for dead in (3, None):
         B = np.random.default_rng(39).standard_normal(shape)
@@ -642,7 +669,7 @@ def test_gram_certification_matches_svds(shape):
     B, mu, col_live = scaled_block(shape, 42)
     got = pietsch._certified_f(B, mu, col_live,
                                np.random.default_rng(1)).value
-    C = B * _col_scale(mu, col_live)
+    C = B * ref_col_scale(mu, col_live)
     v0 = np.random.default_rng(0).standard_normal(min(shape))
     ref = svds(C, k=1, tol=1e-12, v0=v0, return_singular_vectors=False)[0]
     assert got == pytest.approx(ref, rel=1e-10)
@@ -679,7 +706,7 @@ def test_certification_routes(monkeypatch, shape, dead):
         assert (est.steps == 0) == exact
     assert w.achieved == min(est.value for _, est in seen)
     if dead:
-        C = B * _col_scale(w.mu, B.any(axis=0))
+        C = B * ref_col_scale(w.mu, B.any(axis=0))
         assert w.achieved == pytest.approx(np.linalg.norm(C, 2),
                                                 rel=1e-10)
 

@@ -9,8 +9,9 @@ per-step code may call them.
 
 scipy's wheels bundle their own OpenBLAS, beside numpy's, and each
 starts a thread pool of one thread per core.  scipy's serves LAPACK
-here (``pietsch``'s dsyevd and dpotrf, ``spectral``'s dstebz and
-dsbevx), while the products around them run on numpy's.  GP makes
+here (``pietsch``'s dpotrf; ``spectral``'s dstebz, dsbevx and the
+dsyevd of ``eigh_lower``, which serves ``ritz_pairs`` and GP's exact
+route), while the products around them run on numpy's.  GP makes
 many small LAPACK calls between numpy products, and there the two
 pools fight: on a 2-core VM a 10-trial decompose at n = 512, d = 8
 took 0.45-0.68 s wall and 0.79-1.14 s CPU with scipy's pool at one

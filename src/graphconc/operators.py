@@ -5,10 +5,12 @@ routines) consumes the small ``LinearOp`` wrapper below, so dense
 arrays, scipy sparse matrices and structured closures are
 interchangeable.  ``matvec``/``rmatvec`` act on 1-d float vectors.
 
-A closure returns a new array, or its input or a view of it; never an
-array it keeps between calls.  So a caller may write into a product
-that ``owned`` hands back, and the deviation products below subtract
-in place: a step allocates its products and nothing else.
+A ``LinearOp`` closure returns a new array, or its input or a view of
+it; never an array it keeps between calls.  So a caller may write into
+a product that ``owned`` hands back, and the deviation products below
+subtract in place: a step allocates its products and nothing else.
+(A bare product handed to ``spectral.ritz_pairs`` may reuse a buffer;
+see there.)
 """
 
 from __future__ import annotations

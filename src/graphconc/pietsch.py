@@ -81,8 +81,8 @@ G = B^T B per step, and takes the top Ritz pair.  G is formed once per
 descent and serves the greedy lower bound and the oracle alike: f(mu)
 depends on B through G alone.  A uniform check that fails leaves its G
 as it was, and the descent goes on from it and from the start and
-bound already drawn, so the block's Gram is formed once.  The README's Grothendieck-Pietsch section gives
-the timings behind these choices.
+bound already drawn, so the block's Gram is formed once.  CHANGES.md
+gives the timings behind these choices.
 """
 
 from __future__ import annotations

@@ -287,6 +287,11 @@ def ritz_pairs(product, v0, k, order, ncv, tol, rng=None):
     ends the run, every estimate 0, as in ARPACK.  Without ``rng`` a
     breakdown ends the run at once, with the wanted pairs of the
     invariant space (fewer than k if it has fewer dimensions).
+
+    ``product`` may return a buffer it reuses from call to call (GP's
+    oracle returns one of its own): ``ritz_pairs`` orthogonalizes the
+    result in place and copies it into V before the next call, so
+    nothing it reads is overwritten by a later product.
     """
     V, H = np.empty((ncv + 1, v0.size)), np.zeros((ncv, ncv))
     np.divide(v0, sqrt(v0 @ v0), out=V[0])

@@ -93,6 +93,15 @@ def environment():
             "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
+def environment_mismatch(recorded, running):
+    """'key: recorded a, running b; ' for each environment key whose
+    values differ, or '' when the environments agree."""
+    keys = sorted(recorded.keys() | running.keys())
+    return "".join(f"{k}: recorded {recorded.get(k)}, running "
+                   f"{running.get(k)}; " for k in keys
+                   if recorded.get(k) != running.get(k))
+
+
 def _digest(path):
     with open(path, "rb") as fh:
         body = fh.read()
@@ -125,8 +134,16 @@ def test_outputs_match_the_golden_digests(tmp_path, threads):
     differ = sorted(f for f in got.keys() | golden["digests"].keys()
                     if got.get(f) != golden["digests"].get(f))
     assert not differ, (
-        f"{len(differ)} artifacts differ from golden.json: {differ}; "
-        f"recorded with {golden['environment']}, run with {environment()}")
+        environment_mismatch(golden["environment"], environment())
+        + f"{len(differ)} artifacts differ from golden.json: {differ}")
+
+
+def test_environment_mismatch_names_only_the_keys_that_differ():
+    recorded = {"numpy": "2.4.6", "openblas_num_threads": "1"}
+    assert environment_mismatch(recorded, dict(recorded)) == ""
+    assert environment_mismatch(
+        recorded, {**recorded, "openblas_num_threads": "2"}) == (
+        "openblas_num_threads: recorded 1, running 2; ")
 
 
 if __name__ == "__main__":

@@ -92,11 +92,11 @@ from math import pi, sqrt
 
 import numpy as np
 
-from . import _scipy
+from . import _lapack
 from ._seeding import aux_generator
 from .errors import VerificationError
 from .operators import LinearOp
-from .spectral import (DENSE_SOLVE_LIMIT, eigh_lower, inf_to_2_norm_exact,
+from .spectral import (DENSE_SOLVE_LIMIT, inf_to_2_norm_exact,
                        inf_to_2_norm_lower, inf_to_2_norm_power, ritz_pairs,
                        spectral_norm)
 
@@ -201,19 +201,20 @@ def _oracle(B, G, col_live):
     ``_col_scale``, zero on B's dead (all-zero) columns, written into a
     vector of the oracle's own.
 
-    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd
-      (``spectral.eigh_lower``), the driver np.linalg.eigh wraps, on
-      the smaller side of the scaled Gram.  When k <= m that is
-      (B s)(B s)^T (k x k), its top vector u mapped back by
+    * Exact route, min(k, m) <= DENSE_SOLVE_LIMIT: LAPACK dsyevd, the
+      driver np.linalg.eigh wraps, on the smaller side of the scaled
+      Gram, in an ``_lapack.Eigh`` of the oracle's own.  When k <= m
+      that is (B s)(B s)^T (k x k), its top vector u mapped back by
       v = s B^T u / ||s B^T u||; when m < k it is s G s (m x m).  The
-      result is bit for bit np.linalg.eigh's.  A step allocates only
-      the Gram and dsyevd's output: B s, s G s, u and v live in
-      buffers of the oracle's own, so v is overwritten by the next
-      call.
+      result is bit for bit np.linalg.eigh's.  A step allocates
+      nothing: B s, the scaled Gram (which dsyevd overwrites with its
+      vectors), dsyevd's workspaces, u and v live in buffers of the
+      oracle's own, so v is overwritten by the next call.
     * Lanczos route otherwise: one cycle of ``spectral.ritz_pairs`` on
       M, LANCZOS_STEPS products by G from v0 (tol infinite, so no
-      restart), each formed in two vectors of the oracle's own, and
-      its top Ritz pair: the top eigenpair of M projected on the
+      restart), each formed in two vectors of the oracle's own, its H
+      solved in an ``_lapack.Eigh`` of the oracle's own, and its top
+      Ritz pair: the top eigenpair of M projected on the
       Krylov space, a lower bound on lambda_max (Cauchy interlacing; up
       to rounding, as the tests check).  The space may be invariant
       sooner, and the cycle then ends there: it is given no generator,
@@ -233,23 +234,26 @@ def _oracle(B, G, col_live):
             np.dot(G, np.multiply(s, x, out=w), out=z)
             return np.multiply(z, s, out=z)
 
+        eigh = _lapack.Eigh(LANCZOS_STEPS)
+
         def top_pair(mu, v0):
             _col_scale(mu, dead, s)
             lam, V = ritz_pairs(product, v0, 1, np.negative, LANCZOS_STEPS,
-                                np.inf)
+                                np.inf, eigh=eigh)
             return max(float(lam[0]), 0.0), V[:, 0]
         return top_pair
 
-    v = np.empty(m)
+    v, eigh = np.empty(m), _lapack.Eigh(min(k, m))
+    M = eigh.matrix(min(k, m))  # dsyevd works in it, in place
     if k <= m:
         C, U = np.empty((k, m)), np.empty((k, k))
 
         def top_pair(mu, v0):
             np.multiply(B, _col_scale(mu, dead, s), out=C)
-            # numpy forms C C^T by syrk, exactly symmetric, so its
-            # transpose is the same matrix in the Fortran order LAPACK
-            # reads: f2py hands it over uncopied
-            lams, V = eigh_lower((C @ C.T).T, overwrite=True)
+            # numpy forms C C^T by syrk, exactly symmetric, so the
+            # C-ordered M^T it is written into holds M
+            np.matmul(C, C.T, out=M.T)
+            lams, V = eigh(k)
             # u is read with dsyevd's stride, from a C-ordered copy:
             # OpenBLAS's dgemv sums a unit-stride vector in another
             # order, so C^T u would not round as with dsyevd's vector
@@ -257,11 +261,10 @@ def _oracle(B, G, col_live):
             np.matmul(C.T, U[:, -1], out=v)
             return float(lams[-1]), np.divide(v, sqrt(v.dot(v)), out=v)
     else:
-        M = np.empty((m, m), order="F")  # dsyevd works in it, uncopied
-
         def top_pair(mu, v0):
             np.multiply(_col_scale(mu, dead, s)[:, None], G, out=M)
-            lams, V = eigh_lower(np.multiply(M, s, out=M), overwrite=True)
+            np.multiply(M, s, out=M)
+            lams, V = eigh(m)
             np.copyto(v, V[:, -1])
             v[dead] = 0.0
             return float(lams[-1]), v
@@ -290,12 +293,9 @@ def _norm_below(G, t):
     np.negative(G, out=G)
     G.flat[::n + 1] += t * t
     # G is exactly symmetric (numpy forms A^T A and A A^T by syrk), so
-    # G.T is the same matrix in the Fortran order LAPACK reads: f2py
-    # hands it over uncopied
-    _, info = _scipy.lapack().dpotrf(G.T, clean=0, overwrite_a=1)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dpotrf failed: info {info}")
-    if info == 0:
+    # G.T is the same matrix in the Fortran order LAPACK reads, and
+    # dpotrf's upper triangle of it is G's lower one
+    if _lapack.cholesky(G.T) == 0:
         return True
     np.negative(G, out=G)
     G.flat[::n + 1] = diag

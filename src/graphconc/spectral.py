@@ -20,9 +20,6 @@ Routes
   restart Lanczos (Wu & Simon 2000), each vector orthogonalized against
   the whole basis, on any symmetric product.  ``top_k_eigs`` runs it to
   a tolerance; GP's oracle (``pietsch._oracle``) runs one cycle of it.
-* ``eigh_lower``        -- LAPACK dsyevd on a lower triangle, bit for
-  bit numpy's eigh without its wrapper: the small eigenproblems of
-  ``ritz_pairs`` and of GP's exact oracle.
 * ``full_spectrum``     -- dense symmetric eigensolver (Householder
   tridiagonalization + iterative tridiagonal solve, via LAPACK) for
   desk-scale matrices; the exact reference the iterative routes are
@@ -60,6 +57,10 @@ materialized and solved exactly by LAPACK instead.  Start vectors come
 from the ``rng`` passed, or from a fixed ``aux_generator`` subkey per
 solver, so every result is a pure function of the operator and that
 generator.
+
+The LAPACK routines behind these (dstebz and dsbevx for
+``spectral_norm``, dsyevd for ``ritz_pairs``) are bound in ``_lapack``
+from numpy's own OpenBLAS.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _scipy
+from . import _lapack, _scipy
 from ._seeding import aux_generator
 from .errors import EntryOutOfRange, NoConvergence, SizeExceeded, WidthExceeded
 from .operators import LinearOp, owned
@@ -176,17 +177,17 @@ def _lanczos(op, q, gram=False):
     or a view), less b q_prev and a q formed ``_CHUNK`` entries at a
     time in one scratch block (``_subtract_scaled``).  So the solve
     holds q and q_prev between products, and no vector it has passed
-    to the op is written.  The vector work uses numpy's kernels only;
-    scipy's BLAS (daxpy) runs on scipy's own OpenBLAS, and with both
-    pools at their default thread count they fought on two cores: 2.4 s
-    against 0.09 s for a Lanczos solve at n = 32000.  ``_scipy`` sets
-    scipy's pool to one thread unless the environment sets a count, so
-    that scipy's LAPACK calls do not fight numpy's pool.
+    to the op is written.
+
+    The stop test bisects for both ends of T_k by dstebz
+    (``_lapack.Bisection``), reading alpha and beta where they lie, in
+    workspaces of this solve's own that grow with its steps.
     """
     cap = NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
     q_prev, b, last = q, 0.0, None
     block = np.empty(min(q.size, _CHUNK))
+    bisect = _lapack.Bisection(alpha, beta)
 
     def value(steps):
         sigma = _extended_sigma(alpha[:steps], beta[:steps])
@@ -205,8 +206,7 @@ def _lanczos(op, q, gram=False):
         if b <= _BREAKDOWN * scale:
             return NormEstimate(value(steps), steps, 0.0)
         if steps % _NORM_CHECK == 0:
-            d, e = alpha[:steps], beta[:steps - 1]
-            top = max(-_dstebz_one(d, e, 1), _dstebz_one(d, e, steps))
+            top = max(-bisect(steps, 1), bisect(steps, steps))
             if last is not None and abs(top - last) <= _NORM_STOP * top:
                 return NormEstimate(value(steps), steps, _kw_eps(
                     steps if gram else (steps + 1) // 2, op.n_cols))
@@ -229,34 +229,20 @@ def _subtract_scaled(w, v, c, block):
         stretch -= np.multiply(v[i:i + m], c, out=block[:stretch.size])
 
 
-def _dstebz_one(d, e, i):
-    """The i-th smallest eigenvalue of the tridiagonal (d, e), by LAPACK
-    dstebz (bisection for that eigenvalue only)."""
-    _, w, _, _, info = _scipy.lapack().dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0,
-                                              "E")
-    if info:
-        raise np.linalg.LinAlgError(f"dstebz failed: info {info}")
-    return float(w[0])
-
-
 def _extended_sigma(alpha, beta):
     """sigma_max of the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T]:
     the root of the top eigenvalue of its Gram T_k^2 + beta_k^2 e_k e_k^T,
     pentadiagonal, by LAPACK dsbevx on upper band storage."""
     k = alpha.size
-    band = np.zeros((3, k))
+    band = np.zeros((3, k), order="F")
     band[2] = alpha * alpha + beta * beta
     band[2, 1:] += beta[:-1] * beta[:-1]
     band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
     band[0, 2:] = beta[:-2] * beta[1:-1]
-    w, _, _, _, info = _scipy.lapack().dsbevx(band, 0.0, 0.0, k, k,
-                                              compute_v=0, range=2)
-    if info:
-        raise np.linalg.LinAlgError(f"dsbevx failed: info {info}")
-    return sqrt(max(float(w[0]), 0.0))
+    return sqrt(max(_lapack.band_largest(band), 0.0))
 
 
-def ritz_pairs(product, v0, k, order, ncv, tol, rng=None):
+def ritz_pairs(product, v0, k, order, ncv, tol, rng=None, eigh=None):
     """The k wanted Ritz pairs (theta, vectors) of a symmetric product,
     by thick-restart Lanczos (Wu & Simon 2000, SIAM J. Matrix Anal.
     Appl. 22) from the vector ``v0``.
@@ -292,15 +278,22 @@ def ritz_pairs(product, v0, k, order, ncv, tol, rng=None):
     oracle returns one of its own): ``ritz_pairs`` orthogonalizes the
     result in place and copies it into V before the next call, so
     nothing it reads is overwritten by a later product.
+
+    H's eigenpairs come from dsyevd in ``eigh``, an ``_lapack.Eigh`` of
+    order at least ncv, whose arguments are built once: GP's oracle,
+    which runs one cycle a step, passes one of its own, and one is
+    built here otherwise.
     """
     V, H = np.empty((ncv + 1, v0.size)), np.zeros((ncv, ncv))
+    if eigh is None:
+        eigh = _lapack.Eigh(ncv)
     np.divide(v0, sqrt(v0 @ v0), out=V[0])
     keep, start, products = max(k + 1, ncv // 2), 0, 0
     while True:
         for i in range(start, ncv):
             w = owned(product(V[i]), V[i])
             basis = V[:i + 1]
-            # h is row i of H's lower triangle, the only one eigh reads
+            # h is row i of H's lower triangle, the only one dsyevd reads
             h = np.matmul(basis, w, out=H[i, :i + 1])
             w -= h @ basis
             c = basis @ w
@@ -317,7 +310,8 @@ def ritz_pairs(product, v0, k, order, ncv, tol, rng=None):
                     w -= (basis @ w) @ basis
             np.divide(w, beta or sqrt(w @ w), out=V[i + 1])
         m = i + 1
-        theta, Y = eigh_lower(H[:m, :m])
+        np.copyto(eigh.matrix(m), H[:m, :m])
+        theta, Y = eigh(m)
         best = np.argsort(order(theta), kind="stable")
         want = best[:k]
         pairs = theta[want], (Y[:, want].T @ V[:m]).T
@@ -331,18 +325,6 @@ def ritz_pairs(product, v0, k, order, ncv, tol, rng=None):
         V[keep] = V[m]
         H[:keep, :keep] = np.diag(theta[best[:keep]])
         start = keep
-
-
-def eigh_lower(a, overwrite=False):
-    """The eigenvalues (ascending) and eigenvectors of the symmetric
-    matrix whose lower triangle ``a`` holds, by LAPACK dsyevd, the
-    driver np.linalg.eigh wraps: bit for bit its result, without its
-    wrapper (24 against 33 us on a 12 x 12 matrix, 2-core VM).
-    ``overwrite`` lets dsyevd work in a Fortran-ordered ``a``."""
-    w, V, info = _scipy.lapack().dsyevd(a, lower=1, overwrite_a=overwrite)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevd failed: info {info}")
-    return w, V
 
 
 # the sort key of each mode of top_k_eigs: wanted values first

@@ -6,8 +6,10 @@ import tracemalloc
 # numpy's OpenBLAS pool reads its thread count when numpy is first
 # imported, which is below: the suite's small products gain no wall time
 # from a second thread and spend CPU spinning it, so one thread unless
-# the environment sets a count.  test_scipy_blas_pool_runs_one_thread
-# strips the variable for its own subprocesses.
+# the environment sets a count.  LAPACK runs on the same pool
+# (graphconc._lapack); test_cli's
+# test_trials_csv_is_the_same_on_any_blas_thread_count strips the
+# variable for its own subprocesses.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -1026,15 +1026,26 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert done.stdout.strip().endswith("ok")
 
 
-def test_solvers_never_load_scipy_sparse_linalg(tmp_path):
+def test_solvers_load_no_scipy_linalg_and_one_openblas(tmp_path):
     # every command, GP's Lanczos oracle and top_k_eigs's Lanczos route
-    # run on the package's own solvers: scipy.sparse.linalg (ARPACK) is
-    # never imported, so its memory and import time are never paid
+    # run on the package's own solvers and on numpy's LAPACK: after
+    # each, neither scipy.linalg nor scipy.sparse.linalg (ARPACK) is
+    # imported, and the process maps one OpenBLAS, numpy's, so neither
+    # scipy's memory and import time nor a second BLAS pool is paid
     code = textwrap.dedent(f"""
         import sys
         import numpy as np
         import graphconc
         from graphconc.cli import run_command
+
+        def check(after):
+            for name in ("scipy.linalg", "scipy.sparse.linalg"):
+                assert name not in sys.modules, (name, after)
+            if sys.platform.startswith("linux"):
+                with open("/proc/self/maps") as fh:
+                    blas = {{line.split()[-1] for line in fh
+                             if "openblas" in line.lower()}}
+                assert len(blas) == 1, (blas, after)
 
         uniform = {{"kind": "uniform", "n": 60, "p": 0.1}}
         runs = [
@@ -1050,11 +1061,13 @@ def test_solvers_never_load_scipy_sparse_linalg(tmp_path):
         ]
         for name, cfg in runs:
             run_command(name, cfg, 1729, {str(tmp_path)!r} + "/" + name)
+            check(name)
         B = np.random.default_rng(1).standard_normal((40, 100))
         graphconc.gp_weights(B, max_iter=20)  # the oracle's Lanczos route
+        check("gp_weights")
         M = np.random.default_rng(2).standard_normal((100, 100))
         graphconc.top_k_eigs(graphconc.LinearOp.from_dense(M + M.T), 2)
-        assert "scipy.sparse.linalg" not in sys.modules
+        check("top_k_eigs")
         print("ok")
     """)
     env = dict(os.environ,
@@ -1065,53 +1078,46 @@ def test_solvers_never_load_scipy_sparse_linalg(tmp_path):
     assert done.stdout.strip().endswith("ok")
 
 
-def scipy_openblas():
-    """The OpenBLAS scipy bundles in scipy.libs, or None."""
-    import ctypes
-    import glob
+def test_trials_csv_is_the_same_on_any_blas_thread_count(tmp_path):
+    # LAPACK runs on numpy's OpenBLAS pool, unpinned unless the
+    # environment sets a count: GP's dsyevd and dpotrf, the norms'
+    # dstebz and dsbevx, and detect's dsyevd give the same trials.csv,
+    # byte for byte, with OPENBLAS_NUM_THREADS unset and set to 1
+    code = textwrap.dedent("""
+        import hashlib, sys
+        from graphconc.cli import run_command
 
-    import scipy
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
-                        "scipy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            if hasattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads"):
-                return path
-        except OSError:
-            pass
-    return None
-
-
-def test_scipy_blas_pool_runs_one_thread():
-    # the first load of scipy's LAPACK sets scipy's own OpenBLAS pool to
-    # one thread, unless the environment sets a thread count
-    path = scipy_openblas()
-    if path is None:
-        pytest.skip("scipy bundles no OpenBLAS with a thread setter")
-    code = textwrap.dedent(f"""
-        import ctypes
-        from graphconc import _scipy
-
-        lib = ctypes.CDLL({path!r})
-        before = lib.scipy_openblas_get_num_threads()
-        _scipy.lapack()
-        print(before, lib.scipy_openblas_get_num_threads())
+        runs = [
+            ("decompose", {"n": 512, "d": 0.5, "r": 3, "gp_iters": 120,
+                           "write_files": False}),
+            ("decompose", {"n": 256, "d": 8, "r": 3, "gp_iters": 120,
+                           "write_files": False}),
+            ("gp-check", {"rows": 60, "cols": 20}),
+            ("sbm", {"n": 2000, "a": 30, "b": 5}),
+            ("concentration", {"cells": [{"n": 1000, "d": 3}],
+                               "scheme": "trim"}),
+        ]
+        for i, (name, cfg) in enumerate(runs):
+            out = f"{sys.argv[1]}/{i}"
+            run_command(name, cfg, 1729, out, trials=2)
+            with open(out + "/trials.csv", "rb") as fh:
+                print(name, hashlib.sha256(fh.read()).hexdigest())
     """)
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(graphconc.__file__))
 
-    def threads(**extra):
-        done = subprocess.run([sys.executable, "-c", code],
-                              env=dict(env, **extra), capture_output=True,
-                              text=True, timeout=120)
+    def digests(label, **extra):
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / label)],
+            env=dict(env, **extra), capture_output=True, text=True,
+            timeout=300)
         assert done.returncode == 0, done.stderr
-        return [int(x) for x in done.stdout.split()]
+        return done.stdout.split()
 
-    assert threads()[1] == 1
-    before, after = threads(OPENBLAS_NUM_THREADS="2")
-    assert after == before
-    assert before == 2 or len(os.sched_getaffinity(0)) < 2
+    unpinned = digests("unpinned")
+    assert len(unpinned) == 10
+    assert unpinned == digests("one", OPENBLAS_NUM_THREADS="1")
 
 
 def test_main_smoke(tmp_path, capsys):

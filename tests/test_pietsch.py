@@ -713,8 +713,8 @@ def test_certification_routes(monkeypatch, shape, dead):
 
 def test_gp_and_decompose_run_without_arpack(tmp_path):
     # no package code loads scipy.sparse.linalg; test_cli's
-    # test_solvers_never_load_scipy_sparse_linalg checks it in a process
-    # of its own
+    # test_solvers_load_no_scipy_linalg_and_one_openblas checks it in a
+    # process of its own
     for B in (centred_block(), heavy_columns_block()):
         J, cert = gp_submatrix(B, 0.25, max_iter=120)
         assert cert.ok and J.size >= 0.75 * B.shape[1]

@@ -247,12 +247,13 @@ def _oracle(B, G, col_live):
     M = eigh.matrix(min(k, m))  # dsyevd works in it, in place
     if k <= m:
         C, U = np.empty((k, m)), np.empty((k, k))
+        C_T, M_T = C.T, M.T
 
         def top_pair(mu, v0):
             np.multiply(B, _col_scale(mu, dead, s), out=C)
             # numpy forms C C^T by syrk, exactly symmetric, so the
             # C-ordered M^T it is written into holds M
-            np.matmul(C, C.T, out=M.T)
+            np.dot(C, C_T, out=M_T)
             lams, V = eigh(k)
             # u is read with dsyevd's stride, from a C-ordered copy:
             # OpenBLAS's dgemv sums a unit-stride vector in another

@@ -83,11 +83,12 @@ def _routine(name):
                       + ", ".join(f.format(name) for f, _ in _FORMS) + ")")
 
 
-def _check(a, ndim, order):
+def _check(a, ndim, fortran=False):
+    flags = a.flags
     if (a.dtype != np.float64 or a.ndim != ndim
-            or not a.flags[f"{order}_CONTIGUOUS"]):
-        raise ValueError(f"need a {order}-contiguous float64 array of "
-                         f"{ndim} dimensions")
+            or not (flags.f_contiguous if fortran else flags.c_contiguous)):
+        raise ValueError(f"need a {'F' if fortran else 'C'}-contiguous "
+                         f"float64 array of {ndim} dimensions")
 
 
 class Eigh:
@@ -108,7 +109,7 @@ class Eigh:
         self._size, self._order = n, None
         self._buf, self._w = np.empty(n * n), np.empty(n)
         self._m, self._lwork, self._liwork, self._info = (
-            integer() for _ in range(4))
+            integer(), integer(), integer(), integer())
         m = _byref(self._m)
         self._call = partial(
             fn, _CHAR["V"], _CHAR["L"], m, _ptr(self._buf), m,
@@ -144,14 +145,14 @@ class Bisection:
     """
 
     def __init__(self, d, e):
-        _check(d, 1, "C")
-        _check(e, 1, "C")
+        _check(d, 1)
+        _check(e, 1)
         if e.size < d.size - 1:
             raise ValueError("e needs d.size - 1 entries")
-        self._fn, self._integer = _routine("dstebz")
-        self._d, self._e, self._size = d, e, 0
+        self._fn, integer = _routine("dstebz")
+        self._d, self._e, self._integer, self._size = d, e, integer, 0
         self._n, self._i, self._m, self._nsplit, self._info = (
-            self._integer() for _ in range(5))
+            integer(), integer(), integer(), integer(), integer())
         i = _byref(self._i)  # il = iu = i
         self._head = (_CHAR["I"], _CHAR["E"], _byref(self._n), _ZERO, _ZERO,
                       i, i, _ZERO, _ptr(d), _ptr(e), _byref(self._m),
@@ -188,7 +189,7 @@ def band_largest(band):
     """The largest eigenvalue of the symmetric band matrix whose upper
     band storage is ``band`` (kd + 1 rows, Fortran order), by dsbevx
     ('N', 'I', 'U', il = iu = n, abstol 0).  ``band`` is overwritten."""
-    _check(band, 2, "F")
+    _check(band, 2, fortran=True)
     fn, integer = _routine("dsbevx")
     rows, n = band.shape
     if n == 0:
@@ -214,7 +215,7 @@ def cholesky(a):
     neither read nor written.  Returns dpotrf's info: 0 when ``a`` is
     positive definite up to rounding, otherwise the order of the first
     leading minor that is not."""
-    _check(a, 2, "F")
+    _check(a, 2, fortran=True)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("need a square matrix")

@@ -14,7 +14,7 @@ library numpy's own linalg is linked against.
 numpy.linalg wraps dsyevd (eigh) and dpotrf (cholesky) behind per-call
 checks and copies, and dstebz and dsbevx not at all.
 scipy.linalg.lapack wraps all four, but its first import loads 43
-scipy.linalg modules and scipy's own OpenBLAS beside numpy's: 8.5 MB
+scipy.linalg modules and scipy's own OpenBLAS beside numpy's: 8.7 MB
 of a ``solve`` run's 69.2 MB peak (``BENCH_one_openblas.json``), and a
 second BLAS thread pool that fought numpy's on small calls.  So the
 routines come from the library ``numpy.linalg._umath_linalg`` loads,

@@ -1,26 +1,24 @@
-"""The four LAPACK routines the package calls, bound by ctypes from the
+"""The three LAPACK routines the package calls, bound by ctypes from the
 library numpy's own linalg is linked against.
 
 * ``Eigh`` -- dsyevd, the eigenpairs of a symmetric matrix from its
   lower triangle: ``spectral.ritz_pairs``' Ritz pairs and GP's exact
   oracle (``pietsch._oracle``);
 * ``Bisection`` -- dstebz, one eigenvalue of a tridiagonal matrix by
-  bisection: the stop test of ``spectral._lanczos``;
-* ``band_largest`` -- dsbevx, the top eigenvalue of a symmetric band
-  matrix: the value that solve returns;
+  bisection: the stop test and the value of ``spectral._lanczos``;
 * ``cholesky`` -- dpotrf, whether a symmetric matrix is positive
   definite: GP's certificate ||B_J|| < t (``pietsch._norm_below``).
 
 numpy.linalg wraps dsyevd (eigh) and dpotrf (cholesky) behind per-call
-checks and copies, and dstebz and dsbevx not at all.
-scipy.linalg.lapack wraps all four, but its first import loads 43
-scipy.linalg modules and scipy's own OpenBLAS beside numpy's: 8.7 MB
-of a ``solve`` run's 69.2 MB peak (``BENCH_one_openblas.json``), and a
-second BLAS thread pool that fought numpy's on small calls.  So the
-routines come from the library ``numpy.linalg._umath_linalg`` loads,
-numpy's OpenBLAS, and no module of the package imports scipy.linalg.
+checks and copies, and dstebz not at all.  scipy.linalg.lapack wraps
+all three, but its first import loads 43 scipy.linalg modules and
+scipy's own OpenBLAS beside numpy's, which raised a ``solve`` run's
+peak memory (CHANGES.md), and a second BLAS thread pool that fought
+numpy's on small calls.  So the routines come from the library
+``numpy.linalg._umath_linalg`` loads, numpy's OpenBLAS, and no module
+of the package imports scipy.linalg.
 
-Platform requirement: numpy's LAPACK must export the four routines.
+Platform requirement: numpy's LAPACK must export the three routines.
 For a routine r the symbols tried, in order, are ``scipy_<r>_64_``
 (64-bit integers, as numpy's wheels export them), ``<r>_64_`` (64-bit)
 and ``<r>_`` (32-bit); only the first form has been exercised (numpy
@@ -31,17 +29,17 @@ Each argument is passed as a ctypes object: a pointer to a number
 (``ctypes.byref``), an ndarray's address or a ctypes array, with each
 character argument's hidden length (1) last, as gfortran passes it.
 Workspaces are ctypes arrays, which an argument block keeps alive, and
-whose address costs less to take than an ndarray's (1.4 us).  No
-``argtypes`` are declared: their conversion cost 2 us a call, a fifth
-of a small dsyevd.  Sizes, dtypes and layouts are checked here
-instead, before an address is taken.  ``Eigh`` and ``Bisection`` build
-their workspaces and argument block once, so that a call sets a few
-integers and costs what scipy's f2py call did, within 0.3 us (a block
-built per call costs 5-9 us more).  Each such object belongs to one
-caller: ctypes releases the GIL during the call, so trials on two
-threads run LAPACK at once, each in workspaces of its own.  The
-arguments are scipy's f2py defaults (workspace sizes, abstol 0), so
-the results are scipy's bit for bit, as the tests check.
+whose address costs less to take than an ndarray's.  No ``argtypes``
+are declared: converting them costs a sizeable share of a small
+dsyevd.  Sizes, dtypes and layouts are checked here instead, before an
+address is taken.  ``Eigh`` and ``Bisection`` build their workspaces
+and argument block once, so that a call sets a few integers and costs
+what scipy's f2py call did, where a block built per call would cost
+more (timings in CHANGES.md).  Each such object belongs to one caller: ctypes
+releases the GIL during the call, so trials on two threads run LAPACK
+at once, each in workspaces of its own.  The arguments are scipy's
+f2py defaults (workspace sizes, abstol 0), so the results are scipy's
+bit for bit, as the tests check.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ _LEN = ctypes.c_size_t(1)
 _ZERO = ctypes.byref(ctypes.c_double(0.0))
 _byref = ctypes.byref
 # the character arguments, shared: LAPACK only reads them
-_CHAR = {c: ctypes.c_char_p(c.encode()) for c in "EILNUV"}
+_CHAR = {c: ctypes.c_char_p(c.encode()) for c in "EILUV"}
 
 
 def _ptr(a):
@@ -183,30 +181,6 @@ class Bisection:
             raise np.linalg.LinAlgError(f"dstebz failed: info "
                                         f"{self._info.value}")
         return self._w[0]
-
-
-def band_largest(band):
-    """The largest eigenvalue of the symmetric band matrix whose upper
-    band storage is ``band`` (kd + 1 rows, Fortran order), by dsbevx
-    ('N', 'I', 'U', il = iu = n, abstol 0).  ``band`` is overwritten."""
-    _check(band, 2, fortran=True)
-    fn, integer = _routine("dsbevx")
-    rows, n = band.shape
-    if n == 0:
-        raise ValueError("need a matrix of order 1 or more")
-    # w, then the work array; iwork, then ifail
-    floats, ints = (ctypes.c_double * (8 * n))(), (integer * (6 * n))()
-    unused = _byref(ctypes.c_double())  # Q and Z, not referenced for 'N'
-    m, info = integer(), integer()
-    one, order = _byref(integer(1)), _byref(integer(n))
-    fn(_CHAR["N"], _CHAR["I"], _CHAR["U"], order, _byref(integer(rows - 1)),
-       _ptr(band), _byref(integer(rows)), unused, one, _ZERO, _ZERO, order,
-       order, _ZERO, _byref(m), floats, unused, one, _byref(floats, 8 * n),
-       ints, _byref(ints, 5 * n * ctypes.sizeof(integer)), _byref(info),
-       _LEN, _LEN, _LEN)
-    if info.value:
-        raise np.linalg.LinAlgError(f"dsbevx failed: info {info.value}")
-    return floats[0]
 
 
 def cholesky(a):

@@ -17,8 +17,8 @@ call it.
 kernel ``A @ x`` itself runs: ``_sparsetools.csr_matvec``, writing into
 a fresh zeroed vector.  ``A @ x`` reaches it through scipy's operator
 dispatch (shape and type checks, an upcast, a getattr per call), which
-cost as much as the kernel itself on an n = 1000 trimmed graph: 0.205 s
-against 0.097 s over eight profiled solve reps.  The kernel is private
+cost as much as the kernel itself on an n = 1000 trimmed graph
+(timings in CHANGES.md).  The kernel is private
 to scipy, so a test pins its output to ``A @ x`` bit for bit, and a
 scipy release that moves it fails that test.
 """

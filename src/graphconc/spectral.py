@@ -32,23 +32,24 @@ Routes
 * ``l1_operator_bound`` / ``l2_sparsity_bound`` -- cheap certified
   upper bounds on the spectral norm.
 
-What ``spectral_norm`` returns.  After k steps on a symmetric S,
-S Q_k = Q_{k+1} T^_k, where T^_k is the (k+1) x k extended tridiagonal
-[T_k; beta_k e_k^T], so its sigma_max = ||S Q_k|| is at most ||S|| in
-exact arithmetic: a lower bound.  For a symmetric M, S = M and the
-value is that sigma_max; for any other M, S = M^T M, ||S|| = ||M||^2,
-and the value is its square root, again a lower bound on ||M||.  In
-finite precision the extreme Ritz values stay inside the spectrum up to
-O(eps_mach ||S||) (Paige 1976).  The upper side holds with probability:
-for PSD A and a uniformly random start, Kuczynski & Wozniakowski (1992,
-SIAM J. Matrix Anal. Appl. 13(4)) bound P(theta_j < (1 - e) lambda_1)
-by 1.648 sqrt(n) exp(-sqrt(e) (2j - 1)).  Applied to M^2 through
-K_j(M^2, q) inside K_{2j-1}(M, q) (to M^T M itself, j = k), it gives
-the ``eps`` returned: ||M|| <= value / (1 - eps) except with
-probability 1e-3.  That is a probabilistic bound, about 1e-2 at
-n = 1000, and looser than NORM_TOL; the values themselves agreed with
-dense LAPACK to 7.2e-12 relative or better on 30 concentration
-deviations (n = 600 and 2000, five schemes, seeds 1-3).
+What ``spectral_norm`` returns.  After k steps on a symmetric S, the
+Ritz values theta of the k x k tridiagonal T_k = Q_k^T S Q_k lie within
+S's spectrum in exact arithmetic, so max |theta| is at most ||S||: a
+lower bound, and the very number the stop test watches.  For a
+symmetric M, S = M and the value is max |theta|; for any other M,
+S = M^T M, ||S|| = ||M||^2, and the value is the root of T_k's top
+eigenvalue, again a lower bound on ||M||.  In finite precision the
+extreme Ritz values stay inside the spectrum up to O(eps_mach ||S||)
+(Paige 1976).  The upper side holds with probability: for PSD A and a
+uniformly random start, Kuczynski & Wozniakowski (1992, SIAM J. Matrix
+Anal. Appl. 13(4)) bound P(theta_j < (1 - e) lambda_1), theta_j the
+top Ritz value of j steps, by 1.648 sqrt(n) exp(-sqrt(e) (2j - 1)).
+On M^T M itself j = k.  On a symmetric M, j = k // 2: the top Ritz
+vector x of M^2 on K_j(M^2, q) lies in K_{2j-1}(M, q) and M x in
+K_{2j}(M, q), both inside K_k(M, q), so max |theta| >= ||M x||, the
+root of M^2's theta_j.  Either way it gives the ``eps`` returned:
+||M|| <= value / (1 - eps) except with probability 1e-3.  That is a
+probabilistic bound, about 1e-2 at n = 1000, and looser than NORM_TOL.
 
 A tiny Lanczos run says little, and ``top_k_eigs`` needs room for its
 basis (k + 2 <= ncv <= n), so an operator whose smaller side is at most
@@ -58,9 +59,8 @@ from the ``rng`` passed, or from a fixed ``aux_generator`` subkey per
 solver, so every result is a pure function of the operator and that
 generator.
 
-The LAPACK routines behind these (dstebz and dsbevx for
-``spectral_norm``, dsyevd for ``ritz_pairs``) are bound in ``_lapack``
-from numpy's own OpenBLAS.
+The LAPACK routines behind these (dstebz for ``spectral_norm``, dsyevd
+for ``ritz_pairs``) are bound in ``_lapack`` from numpy's own OpenBLAS.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ _KW_FAIL = 1e-3
 class NormEstimate(NamedTuple):
     """What ``spectral_norm`` found.
 
-    ``value`` is sigma_max of the extended tridiagonal (its square root
-    for a non-symmetric op), a lower bound on ||op||; ``steps`` the
-    Lanczos steps taken (0 on the exact LAPACK route); ``eps`` the
+    ``value`` is max |theta| over the Ritz values of T_k (the root of
+    the top one for a non-symmetric op), a lower bound on ||op||, and
+    the number the stop test saw settle; ``steps`` the Lanczos steps
+    taken (0 on the exact LAPACK route); ``eps`` the
     Kuczynski-Wozniakowski bound: ||op|| <= value / (1 - eps) except
     with probability 1e-3.  eps is 0 on the exact route and on a
     breakdown stop (beta below _BREAKDOWN of the step's scale); that
@@ -169,8 +170,8 @@ def _kw_eps(j, n):
 def _lanczos(op, q, gram=False):
     """Three-term Lanczos from the unit vector q on a symmetric op, or,
     with ``gram``, on op^T op: x -> op.rmatvec(op.matvec(x)), whose top
-    eigenvalue is ||op||^2, so the value is the root of its sigma_max
-    and KW's j is the step count.
+    eigenvalue is ||op||^2, so the value is the root of its top Ritz
+    value and KW's j is the step count.
 
     A step allocates its product and nothing else: the product becomes
     the next q in place (``operators.owned`` copies a product that is q
@@ -179,9 +180,11 @@ def _lanczos(op, q, gram=False):
     holds q and q_prev between products, and no vector it has passed
     to the op is written.
 
-    The stop test bisects for both ends of T_k by dstebz
-    (``_lapack.Bisection``), reading alpha and beta where they lie, in
-    workspaces of this solve's own that grow with its steps.
+    Every _NORM_CHECK steps, and once at a breakdown or at the step
+    cap, both ends of T_k are bisected by dstebz (``_lapack.Bisection``),
+    which reads alpha and beta where they lie, in workspaces of this
+    solve's own that grow with its steps; the larger magnitude is both
+    the stop test's max |theta| and the value reported.
     """
     cap = NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
@@ -189,9 +192,11 @@ def _lanczos(op, q, gram=False):
     block = np.empty(min(q.size, _CHUNK))
     bisect = _lapack.Bisection(alpha, beta)
 
-    def value(steps):
-        sigma = _extended_sigma(alpha[:steps], beta[:steps])
-        return sqrt(sigma) if gram else sigma
+    def top(steps):  # lambda_max first: a zero T_k gives 0.0, not -0.0
+        return max(bisect(steps, steps), -bisect(steps, 1))
+
+    def value(theta):
+        return sqrt(theta) if gram else theta
 
     for k in range(cap):
         w = owned(op.rmatvec(op.matvec(q)) if gram else op.matvec(q), q)
@@ -204,17 +209,17 @@ def _lanczos(op, q, gram=False):
         alpha[k], beta[k] = a, b
         steps = k + 1
         if b <= _BREAKDOWN * scale:
-            return NormEstimate(value(steps), steps, 0.0)
+            return NormEstimate(value(top(steps)), steps, 0.0)
         if steps % _NORM_CHECK == 0:
-            top = max(-bisect(steps, 1), bisect(steps, steps))
-            if last is not None and abs(top - last) <= _NORM_STOP * top:
-                return NormEstimate(value(steps), steps, _kw_eps(
-                    steps if gram else (steps + 1) // 2, op.n_cols))
-            last = top
+            theta = top(steps)
+            if last is not None and abs(theta - last) <= _NORM_STOP * theta:
+                return NormEstimate(value(theta), steps, _kw_eps(
+                    steps if gram else steps // 2, op.n_cols))
+            last = theta
         w *= 1.0 / b
         q_prev, q = q, w
     raise NoConvergence(f"lanczos: max |theta| still moving after {cap} "
-                        f"steps", best=value(cap))
+                        f"steps", best=value(top(cap)))
 
 
 def _subtract_scaled(w, v, c, block):
@@ -227,19 +232,6 @@ def _subtract_scaled(w, v, c, block):
     for i in range(0, n, m):
         stretch = w[i:i + m]
         stretch -= np.multiply(v[i:i + m], c, out=block[:stretch.size])
-
-
-def _extended_sigma(alpha, beta):
-    """sigma_max of the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T]:
-    the root of the top eigenvalue of its Gram T_k^2 + beta_k^2 e_k e_k^T,
-    pentadiagonal, by LAPACK dsbevx on upper band storage."""
-    k = alpha.size
-    band = np.zeros((3, k), order="F")
-    band[2] = alpha * alpha + beta * beta
-    band[2, 1:] += beta[:-1] * beta[:-1]
-    band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
-    band[0, 2:] = beta[:-2] * beta[1:-1]
-    return sqrt(max(_lapack.band_largest(band), 0.0))
 
 
 def ritz_pairs(product, v0, k, order, ncv, tol, rng=None, eigh=None):

@@ -1081,7 +1081,7 @@ def test_solvers_load_no_scipy_linalg_and_one_openblas(tmp_path):
 def test_trials_csv_is_the_same_on_any_blas_thread_count(tmp_path):
     # LAPACK runs on numpy's OpenBLAS pool, unpinned unless the
     # environment sets a count: GP's dsyevd and dpotrf, the norms'
-    # dstebz and dsbevx, and detect's dsyevd give the same trials.csv,
+    # dstebz, and detect's dsyevd give the same trials.csv,
     # byte for byte, with OPENBLAS_NUM_THREADS unset and set to 1
     code = textwrap.dedent("""
         import hashlib, sys

@@ -13,7 +13,9 @@ A change that moves outputs on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each artifact that changed, and why, in CHANGES.md.
+which prints the artifacts whose digests differ from the file it
+replaces, and lists each artifact that changed, and why, in
+CHANGES.md.
 """
 
 import hashlib
@@ -125,14 +127,19 @@ def digests(root, threads=1):
     return out
 
 
+def changed(old, new):
+    """The artifacts whose digest differs between two {file: digest}
+    maps, one missing from either included, sorted."""
+    return sorted(f for f in old.keys() | new.keys()
+                  if old.get(f) != new.get(f))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_outputs_match_the_golden_digests(tmp_path, threads):
     # threads reorder the trials, never a byte of their artifacts
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    got = digests(str(tmp_path), threads)
-    differ = sorted(f for f in got.keys() | golden["digests"].keys()
-                    if got.get(f) != golden["digests"].get(f))
+    differ = changed(golden["digests"], digests(str(tmp_path), threads))
     assert not differ, (
         environment_mismatch(golden["environment"], environment())
         + f"{len(differ)} artifacts differ from golden.json: {differ}")
@@ -146,9 +153,25 @@ def test_environment_mismatch_names_only_the_keys_that_differ():
         "openblas_num_threads: recorded 1, running 2; ")
 
 
+def test_changed_names_moved_added_and_dropped_artifacts():
+    old = {"a/trials.csv": "1", "a/report.json": "2", "b/cells.csv": "3"}
+    new = {"a/trials.csv": "1", "a/report.json": "9", "c/cells.csv": "3"}
+    assert changed(old, dict(old)) == []
+    assert changed(old, new) == ["a/report.json", "b/cells.csv",
+                                 "c/cells.csv"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         found = digests(root)
+    try:
+        with open(GOLDEN) as fh:
+            before = json.load(fh)["digests"]
+    except FileNotFoundError:
+        before = {}
+    moved = changed(before, found)
+    print(f"{len(moved)} of {len(found)} digests differ from the file "
+          f"replaced" + "".join(f"\n  {f}" for f in moved), file=sys.stderr)
     with open(GOLDEN, "w") as fh:
         json.dump({"seed": SEED, "trials": TRIALS,
                    "environment": environment(), "digests": found},

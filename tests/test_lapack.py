@@ -38,7 +38,7 @@ def test_eigh_is_scipys_dsyevd_and_numpys_eigh_bit_for_bit():
 
 
 def test_bisection_is_scipys_dstebz_bit_for_bit():
-    # both ends of every leading tridiagonal, as the stop test reads
+    # both ends of every leading tridiagonal, as spectral_norm reads
     # them: random ones, and the alpha and beta of a Lanczos run, whose
     # ends cluster; one Bisection grows its workspaces as n grows
     lapack = scipy_lapack()
@@ -64,26 +64,6 @@ def test_bisection_is_scipys_dstebz_bit_for_bit():
                                         i, 0.0, "E")
                     assert ref[-1] == 0
                     assert eig(n, i) == ref[1][0], (k, n, i)
-
-
-def test_band_largest_is_scipys_dsbevx_bit_for_bit():
-    # the pentadiagonal Gram of _extended_sigma, on random and on
-    # Lanczos-like coefficients
-    lapack = scipy_lapack()
-    rng = np.random.default_rng(16)
-    for k in (1, 2, 3, 10, 30, 100, 300):
-        for alpha, beta in ((rng.standard_normal(k), rng.random(k)),
-                            (2.0 + 0.01 * rng.standard_normal(k),
-                             np.ones(k))):
-            band = np.zeros((3, k))
-            band[2] = alpha * alpha + beta * beta
-            band[2, 1:] += beta[:-1] * beta[:-1]
-            band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
-            band[0, 2:] = beta[:-2] * beta[1:-1]
-            ref = lapack.dsbevx(band, 0.0, 0.0, k, k, compute_v=0, range=2)
-            assert ref[-1] == 0
-            got = _lapack.band_largest(np.asfortranarray(band))
-            assert got == ref[0][0], k
 
 
 @pytest.mark.parametrize("shape", [(40, 12), (120, 100), (300, 256)])

@@ -117,9 +117,9 @@ def test_spectral_norm_rank_one_stops_on_breakdown():
 
 
 def test_spectral_norm_is_a_lower_bound():
-    # sigma_max of the extended tridiagonal (bidiagonal) is ||M Q_k||:
-    # never above ||M|| but for rounding, on symmetric and rectangular
-    # ops, with spread and clustered spectra
+    # max |theta| of T_k = Q_k^T M Q_k (of Q_k^T M^T M Q_k, rooted, on
+    # the Gram route): never above ||M|| but for rounding, on symmetric
+    # and rectangular ops, with spread and clustered spectra
     rng = np.random.default_rng(24)
     for i in range(50):
         rows, cols = rng.integers(33, 120, size=2)
@@ -203,35 +203,53 @@ def test_recurrences_copy_a_product_that_is_their_vector(product, symmetric):
     assert passed and all(np.array_equal(x, x0) for x, x0 in passed)
 
 
-def old_lanczos(op, q, gram=False):
+def ritz_top(alpha, beta):
+    """max |theta| over T_k's Ritz values, both ends by scipy's f2py
+    dstebz, in the package's order (so a zero T_k gives 0.0, not -0.0)."""
+    from scipy.linalg import lapack
+
+    e = beta[:max(alpha.size - 1, 1)]  # f2py wants one entry at k = 1
+
+    def dstebz_one(i):
+        return lapack.dstebz(alpha, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0]
+
+    return max(dstebz_one(alpha.size), -dstebz_one(1))
+
+
+def extended_top(alpha, beta):
+    """sigma_max of the (k+1) x k extended tridiagonal [T_k; beta_k e_k^T],
+    that is ||S Q_k||: the root of the top eigenvalue of its
+    pentadiagonal Gram, by scipy's f2py dsbevx on upper band storage.
+    The value spectral_norm reported before it reported ritz_top."""
+    from scipy.linalg import lapack
+
+    k = alpha.size
+    band = np.zeros((3, k))
+    band[2] = alpha * alpha + beta * beta
+    band[2, 1:] += beta[:-1] * beta[:-1]
+    band[1, 1:] = beta[:-1] * (alpha[:-1] + alpha[1:])
+    band[0, 2:] = beta[:-2] * beta[1:-1]
+    top = lapack.dsbevx(band, 0.0, 0.0, k, k, compute_v=0, range=2)[0][0]
+    return np.sqrt(max(top, 0.0))
+
+
+def old_lanczos(op, q, gram=False, top=ritz_top):
     """spectral._lanczos as it was written before its step allocated
     only its product, on scipy's LAPACK: the reference the present one
     must match bit for bit.  Each product is copied when it shares
     memory with q or q_prev (np.may_share_memory), dots are taken with
-    ``@``, and the stop test and the value call scipy's f2py dstebz and
-    dsbevx."""
-    from scipy.linalg import lapack
-
+    ``@``, and the stop test calls scipy's f2py dstebz.  The value is
+    ``top(alpha, beta)`` of the k steps taken (its root on the Gram
+    route)."""
     sp = graphconc.spectral
     cap = sp.NORM_MAX_ITER
     alpha, beta = np.empty(cap), np.empty(cap)
     q_prev, b, last = q, 0.0, None
     tmp = np.empty(q.size)
 
-    def dstebz_one(d, e, i):
-        return lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, 0.0, "E")[1][0]
-
     def value(steps):
-        a, e = alpha[:steps], beta[:steps]
-        band = np.zeros((3, steps))
-        band[2] = a * a + e * e
-        band[2, 1:] += e[:-1] * e[:-1]
-        band[1, 1:] = e[:-1] * (a[:-1] + a[1:])
-        band[0, 2:] = e[:-2] * e[1:-1]
-        top = lapack.dsbevx(band, 0.0, 0.0, steps, steps, compute_v=0,
-                            range=2)[0][0]
-        sigma = np.sqrt(max(top, 0.0))
-        return np.sqrt(sigma) if gram else sigma
+        theta = top(alpha[:steps], beta[:steps])
+        return np.sqrt(theta) if gram else theta
 
     for k in range(cap):
         w = op.rmatvec(op.matvec(q)) if gram else op.matvec(q)
@@ -248,45 +266,74 @@ def old_lanczos(op, q, gram=False):
         if b <= sp._BREAKDOWN * scale:
             return (value(steps), steps, 0.0)
         if steps % sp._NORM_CHECK == 0:
-            d, e = alpha[:steps], beta[:steps - 1]
-            top = max(-dstebz_one(d, e, 1), dstebz_one(d, e, steps))
-            if last is not None and abs(top - last) <= sp._NORM_STOP * top:
+            theta = ritz_top(alpha[:steps], beta[:steps])
+            if last is not None and abs(theta - last) <= sp._NORM_STOP * theta:
                 return (value(steps), steps, sp._kw_eps(
                     steps if gram else (steps + 1) // 2, op.n_cols))
-            last = top
+            last = theta
         w *= 1.0 / b
         q_prev, q = q, w
     raise AssertionError("the reference did not converge")
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 96])
-def test_lanczos_matches_the_old_recurrence_bit_for_bit(monkeypatch, chunk):
-    # a trimmed concentration deviation (symmetric), a directed one
-    # (Gram route), a rectangular dense op on its smaller side and an
-    # orthogonal op whose closure returns a view of its input; with
-    # the step's scaled vectors formed whole, and 96 entries at a time
-    monkeypatch.setattr(graphconc.spectral, "_CHUNK", chunk)
-    n = 1000
+def trimmed_deviation(n):
+    """The trimmed (cap 6) concentration deviation of Uniform(n, 3/n),
+    seed 1729."""
     model = Uniform(n, 3.0 / n)
     g = apply_scheme(sample(model, 1729), "trim", cap=6.0)
+    return compose_difference(adjacency_shifted_op(g),
+                              expected_adjacency(model))
+
+
+def reference_ops():
+    """A trimmed concentration deviation (symmetric), a directed one
+    (Gram route), a rectangular dense op and an orthogonal op whose
+    closure returns a view of its input."""
+    n = 1000
+    model = Uniform(n, 3.0 / n)
     gd = sample_directed(model, 1729)
     M = np.random.default_rng(3).standard_normal((90, 60))
     perm = np.random.default_rng(4).permutation(64)
     inv = np.argsort(perm)
-    ops = [compose_difference(adjacency_shifted_op(g),
-                              expected_adjacency(model)),
-           compose_difference(adjacency_shifted_op(gd),
-                              expected_adjacency(model)),
-           LinearOp.from_dense(M),
-           LinearOp(64, 64, lambda x: x[perm], lambda x: x[inv])]
-    for op in ops:
+    return [trimmed_deviation(n),
+            compose_difference(adjacency_shifted_op(gd),
+                               expected_adjacency(model)),
+            LinearOp.from_dense(M),
+            LinearOp(64, 64, lambda x: x[perm], lambda x: x[inv])]
+
+
+def reference_start(op):
+    """(op on its smaller side, the unit start spectral_norm draws)."""
+    if op.n_cols > op.n_rows:
+        op = op.T
+    start = aux_generator(0x5EED, 0, 1).standard_normal(op.n_cols)
+    return op, start / np.sqrt(start @ start)
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 96])
+def test_lanczos_matches_the_old_recurrence_bit_for_bit(monkeypatch, chunk):
+    # the reference ops, with the step's scaled vectors formed whole,
+    # and 96 entries at a time
+    monkeypatch.setattr(graphconc.spectral, "_CHUNK", chunk)
+    for op in reference_ops():
         got = spectral_norm(op)
-        if op.n_cols > op.n_rows:
-            op = op.T
-        start = aux_generator(0x5EED, 0, 1).standard_normal(op.n_cols)
-        start /= np.sqrt(start @ start)
+        op, start = reference_start(op)
         want = old_lanczos(op, start, gram=not op.symmetric)
         assert got.steps > 0 and tuple(got) == want
+
+
+def test_ritz_value_is_the_extended_sigma_to_1e_9():
+    # the value spectral_norm reports, max |theta| of T_k, against the
+    # one it reported before, sigma_max of the extended tridiagonal
+    # (||M Q_k||): the same steps and eps, the values within 1e-9
+    # (relative), on the reference ops and a trimmed n = 10^4 deviation
+    for op in [*reference_ops(), trimmed_deviation(10 ** 4)]:
+        got = spectral_norm(op)
+        op, start = reference_start(op)
+        value, steps, eps = old_lanczos(op, start, gram=not op.symmetric,
+                                        top=extended_top)
+        assert (got.steps, got.eps) == (steps, eps)
+        assert got.value == pytest.approx(value, rel=1e-9)
 
 
 def test_norm_of_a_trimmed_deviation_holds_two_vectors_and_one_product():
@@ -294,15 +341,10 @@ def test_norm_of_a_trimmed_deviation_holds_two_vectors_and_one_product():
     # product's vectors: the csr product and Uniform's EA product.  The
     # traced peak at n = 10^5 read 4.73 vectors of n floats, against
     # 5.40 while each step formed b q_prev and a q in an n-vector
-    def deviation(n):
-        model = Uniform(n, 3.0 / n)
-        g = apply_scheme(sample(model, 1729), "trim", cap=6.0)
-        return compose_difference(adjacency_shifted_op(g),
-                                  expected_adjacency(model))
-
-    spectral_norm(deviation(1000))  # scipy's LAPACK loads outside the trace
+    # scipy.sparse and LAPACK load outside the trace
+    spectral_norm(trimmed_deviation(1000))
     n = 10 ** 5
-    est, peak = traced_peak(spectral_norm, deviation(n))
+    est, peak = traced_peak(spectral_norm, trimmed_deviation(n))
     assert est.steps > 0 and peak <= 5.0 * 8 * n
 
 
